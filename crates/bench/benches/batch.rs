@@ -1,11 +1,13 @@
 //! Batched lockstep propagation benchmark: ns per cell-advance through the
 //! [`BatchPropagator`] at cohort sizes 1/8/64/256 against the serial
-//! [`ExpPropagator`] path the sweep executor used per cell. Before the
-//! Criterion timing loops run, the comparison is measured head-to-head,
-//! bit-identity between the batched columns and serial advances is
-//! asserted, and the numbers are written to `BENCH_batch.json` at the
-//! workspace root (override the path with `DISTFRONT_BENCH_JSON`), so CI
-//! tracks the batching win across PRs. Runs in `--test` mode too.
+//! [`ExpPropagator`] path the sweep executor uses per cell. Every column
+//! takes its own half-step, spread the way whole-trace interval overshoot
+//! spreads them in production. Before the Criterion timing loops run, the
+//! comparison is measured head-to-head, bit-identity between the batched
+//! columns and serial advances is asserted, and the numbers are written
+//! to `BENCH_batch.json` at the workspace root (override the path with
+//! `DISTFRONT_BENCH_JSON`), so CI tracks the batched kernel across PRs.
+//! Runs in `--test` mode too.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use distfront_power::Machine;
@@ -16,6 +18,17 @@ use std::time::Instant;
 /// The engine's default interval step on the paper machine: 200 k cycles
 /// at 10 GHz, advanced as two half-steps per interval.
 const HALF_INTERVAL_S: f64 = 1e-5;
+
+/// Cell `j`'s half-step: production intervals overshoot their cycle
+/// target by a few percent, differently per cell.
+fn cell_half_step(j: usize) -> f64 {
+    HALF_INTERVAL_S * (1.0 + 0.003 * (j % 17) as f64)
+}
+
+/// The `(column, half-step)` list advancing every cell of a cohort.
+fn cohort_steps(n_cells: usize) -> Vec<(usize, f64)> {
+    (0..n_cells).map(|j| (j, cell_half_step(j))).collect()
+}
 
 const COHORTS: [usize; 4] = [1, 8, 64, 256];
 
@@ -63,16 +76,16 @@ fn assert_bit_identity(net: &ThermalNetwork) {
         })
         .collect();
     for step in 0..6 {
-        // A mid-run step change (a throttled interval) exercises the
-        // propagator cache on both sides.
-        let dt = if step == 3 {
-            HALF_INTERVAL_S * 2.0
-        } else {
-            HALF_INTERVAL_S
-        };
-        batch.advance_all(&powers, dt);
-        for (j, p) in serial.iter_mut().enumerate() {
-            p.advance(&powers[j * nb..(j + 1) * nb], dt);
+        // Every column on its own half-step, and a mid-run stretch (a
+        // throttled interval) on top.
+        let stretch = if step == 3 { 2.0 } else { 1.0 };
+        let steps: Vec<(usize, f64)> = cohort_steps(n_cells)
+            .into_iter()
+            .map(|(j, h)| (j, h * stretch))
+            .collect();
+        batch.advance_columns(&powers, &steps);
+        for &(j, h) in &steps {
+            serial[j].advance(&powers[j * nb..(j + 1) * nb], h);
         }
     }
     for (j, p) in serial.iter().enumerate() {
@@ -89,8 +102,6 @@ fn assert_bit_identity(net: &ThermalNetwork) {
 
 /// Times `advances` calls of `advance` and returns ns per *cell*-advance.
 fn time_cell_advances(mut advance: impl FnMut(), advances: u32, cells: usize) -> f64 {
-    // One warm-up advance factors the (Φ, Ψ) pair; steady-state cost is
-    // the honest comparison (the build is once per cohort, not per cell).
     advance();
     let t0 = Instant::now();
     for _ in 0..advances {
@@ -108,20 +119,17 @@ fn comparison() {
     let mut serial = ExpPropagator::new(net.clone());
     let power = cell_power(nb, 0);
     serial.set_steady_state(&power);
-    let serial_ns = time_cell_advances(|| serial.advance(&power, HALF_INTERVAL_S), advances, 1);
+    let serial_ns = time_cell_advances(|| serial.advance(&power, cell_half_step(0)), advances, 1);
 
     let mut lines = String::new();
     let mut batched_ns = Vec::new();
     for &n_cells in &COHORTS {
         let mut batch = seeded_batch(&net, n_cells);
         let powers = power_matrix(nb, n_cells);
+        let steps = cohort_steps(n_cells);
         // Scale the call count so every cohort size does comparable work.
         let calls = (advances / n_cells as u32).max(8);
-        let ns = time_cell_advances(
-            || batch.advance_all(&powers, HALF_INTERVAL_S),
-            calls,
-            n_cells,
-        );
+        let ns = time_cell_advances(|| batch.advance_columns(&powers, &steps), calls, n_cells);
         lines.push_str(&format!(
             "  cohort {n_cells:>3}: {ns:>7.0} ns/cell-advance ({:.1}x vs serial)\n",
             serial_ns / ns
@@ -129,7 +137,7 @@ fn comparison() {
         batched_ns.push((n_cells, ns));
     }
     println!(
-        "\nbatched lockstep advance ({} nodes, {HALF_INTERVAL_S} s half-interval):\n\
+        "\nbatched lockstep advance ({} nodes, ~{HALF_INTERVAL_S} s half-steps, one per column):\n\
            serial     : {serial_ns:>7.0} ns/cell-advance\n{lines}",
         net.node_count()
     );
@@ -143,7 +151,7 @@ fn comparison() {
     };
     let json = format!(
         "{{\n  \"bench\": \"batched_lockstep_advance\",\n  \"nodes\": {},\n  \
-         \"half_interval_s\": {HALF_INTERVAL_S},\n  \
+         \"nominal_half_step_s\": {HALF_INTERVAL_S},\n  \"distinct_half_steps\": 17,\n  \
          \"serial_ns_per_cell_advance\": {serial_ns:.1},\n  \
          \"batched_ns_per_cell_advance\": {{\n    \"1\": {:.1},\n    \"8\": {:.1},\n    \
          \"64\": {:.1},\n    \"256\": {:.1}\n  }},\n  \
@@ -174,16 +182,17 @@ fn bench(c: &mut Criterion) {
         let power = cell_power(nb, 0);
         serial.set_steady_state(&power);
         b.iter(|| {
-            serial.advance(&power, HALF_INTERVAL_S);
+            serial.advance(&power, cell_half_step(0));
             black_box(serial.block_temperatures()[0])
         })
     });
     for n_cells in [8usize, 64] {
-        c.bench_function(&format!("batch/cohort_{n_cells}_advance_all"), |b| {
+        c.bench_function(&format!("batch/cohort_{n_cells}_advance"), |b| {
             let mut batch = seeded_batch(&net, n_cells);
             let powers = power_matrix(nb, n_cells);
+            let steps = cohort_steps(n_cells);
             b.iter(|| {
-                batch.advance_all(&powers, HALF_INTERVAL_S);
+                batch.advance_columns(&powers, &steps);
                 black_box(batch.block_column(0)[0])
             })
         });

@@ -1,17 +1,15 @@
-//! Lockstep batched replay: advancing a whole cohort of replay-mode sweep
-//! cells through one shared [`BatchPropagator`], two mat-mats per interval
-//! instead of `2N` mat-vecs.
+//! Lockstep batched replay: a whole cohort of replay-mode sweep cells
+//! advancing their temperatures through one shared [`BatchPropagator`].
 //!
 //! All cells of a sweep grid that share a machine shape share the *same*
-//! thermal network — and therefore the same `(Φ, Ψ)` propagator pair for
-//! any given step size. The [`BatchScheduler`] exploits this: the sweep
-//! executor groups replay-mode cells by (floorplan fingerprint, nominal
-//! step) into cohorts, and the scheduler multiplexes their per-cell replay
-//! interval streams into one lockstep loop. Each lane (cell) keeps its own
-//! [`EngineCx`] — power model, temperature tracker, DTM controller,
-//! accumulators — but the thermal advance routes through one column-major
-//! state matrix, so every propagator row streams from memory once per
-//! interval for the whole cohort.
+//! thermal network, and therefore the same modal basis. The
+//! [`BatchScheduler`] exploits this: the sweep executor groups
+//! replay-mode cells by machine shape into cohorts, and the scheduler
+//! multiplexes their per-cell replay interval streams into one lockstep
+//! loop. Each lane (cell) keeps its own [`EngineCx`] (power model,
+//! temperature tracker, DTM controller, accumulators), but the thermal
+//! state lives in one column-major matrix, and every lane steps with its
+//! own `dt` in the same call.
 //!
 //! # Bit-identity
 //!
@@ -19,10 +17,10 @@
 //! the per-interval arithmetic below is the
 //! [`ReplayLoopStage`](super::ReplayLoopStage) loop verbatim (same power
 //! assembly, same accounting, same tracker and DTM call order per lane),
-//! and the thermal columns inherit the [`BatchPropagator`] bit-identity
-//! contract. Lanes whose `dt` momentarily diverges (throttle-stretched
-//! intervals, a shorter trace) advance as per-`dt` column groups, so a
-//! lane can never perturb another's summation order.
+//! and each thermal column goes through the same modal step a serial
+//! solver takes, with that lane's own half-step. Lanes whose `dt`
+//! diverges (throttle-stretched intervals, a shorter trace) need no
+//! special handling.
 //!
 //! # Fault isolation
 //!
@@ -164,8 +162,8 @@ impl BatchScheduler {
 }
 
 /// The lockstep interval loop: per-lane power assembly (the serial replay
-/// loop's arithmetic verbatim), then the cohort's thermal advance as
-/// per-`dt` column groups, two half-steps per interval.
+/// loop's arithmetic verbatim), then the cohort's thermal advance, two
+/// half-steps per interval, each lane with its own half-step.
 fn run_lockstep(lanes: &mut [Lane<'_>]) {
     let machine = lanes[0].cx.machine;
     let fp = Floorplan::for_machine(machine);
@@ -181,8 +179,8 @@ fn run_lockstep(lanes: &mut [Lane<'_>]) {
     // selected operating point's `done` flag (captured before the DTM
     // decision overwrites the action that selected it).
     let mut advancing: Vec<(usize, f64, bool)> = Vec::with_capacity(lanes.len());
-    // Column groups per half-step size (throttled lanes stretch apart).
-    let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
+    // Column and half-step per advancing lane.
+    let mut steps: Vec<(usize, f64)> = Vec::with_capacity(lanes.len());
     let mut k = 0usize;
     loop {
         advancing.clear();
@@ -225,20 +223,10 @@ fn run_lockstep(lanes: &mut [Lane<'_>]) {
             break;
         }
 
-        // Group columns by the exact half-step bits: the common (no-DTM)
-        // case is a single group — one mat-mat pair for the whole cohort.
-        groups.clear();
-        for &(j, dt, _) in &advancing {
-            let bits = (dt / 2.0).to_bits();
-            match groups.iter_mut().find(|(b, _)| *b == bits) {
-                Some((_, cols)) => cols.push(j),
-                None => groups.push((bits, vec![j])),
-            }
-        }
+        steps.clear();
+        steps.extend(advancing.iter().map(|&(j, dt, _)| (j, dt / 2.0)));
         for _half in 0..2 {
-            for (bits, cols) in &groups {
-                batch.advance_columns(&powers, f64::from_bits(*bits), cols);
-            }
+            batch.advance_columns(&powers, &steps);
             for &(j, dt, _) in &advancing {
                 lanes[j].cx.tracker.record(batch.block_column(j), dt / 2.0);
             }
@@ -353,8 +341,8 @@ mod tests {
         ];
         let serial = replay_report(&replay_cfgs, &apps, &store, 1, false);
         assert_eq!(serial.replayed(), replay_cfgs.len() * apps.len());
-        // The DTM variant actually throttles, so the cohort's step-size
-        // grouping is exercised, not just the single-group fast path.
+        // The DTM variant actually throttles, so the cohort's lanes step
+        // with different half-steps in the same interval.
         assert!(
             serial
                 .row(1)

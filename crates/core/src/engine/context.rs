@@ -110,10 +110,10 @@ impl<'a> EngineCx<'a> {
             })
             .collect();
 
-        // The default backend follows the configured integrator: the cached
-        // matrix-exponential propagator for production runs, the RK4
-        // reference when cross-checking. Both share the same LU-factored
-        // steady-state path, so warm starts are bit-identical either way.
+        // The default backend follows the configured integrator: the exact
+        // modal propagator for production runs, the RK4 reference when
+        // cross-checking. Both share the same LU-factored steady-state
+        // path, so warm starts are bit-identical either way.
         let thermal = thermal.unwrap_or_else(|| {
             let net = ThermalNetwork::from_floorplan(&fp, &pkg);
             match cfg.integrator {

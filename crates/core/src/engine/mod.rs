@@ -39,9 +39,9 @@
 //!   groups replay-mode cells sharing a machine shape into cohorts
 //!   ([`SweepRunner::with_batch`]) and advances each cohort's
 //!   temperatures through one shared
-//!   [`BatchPropagator`](distfront_thermal::BatchPropagator) — two
-//!   mat-mats per interval instead of two mat-vecs per cell — with
-//!   per-cell outcomes bit-identical to serial replay.
+//!   [`BatchPropagator`](distfront_thermal::BatchPropagator), each lane
+//!   with its own `dt`, with per-cell outcomes bit-identical to serial
+//!   replay.
 //!
 //! Every path through the engine is bit-identical: the same configuration
 //! and profile produce the same [`AppResult`](crate::runner::AppResult)

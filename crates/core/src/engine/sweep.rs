@@ -80,8 +80,7 @@ const DEFAULT_SHARDS: usize = 16;
 
 /// Largest lockstep cohort one task advances. Bounds the batch state
 /// matrix (`n_nodes × cohort`) and keeps enough independent tasks for the
-/// worker pool to load-balance; column counts beyond this see no further
-/// per-cell gain from the mat-mat kernel anyway.
+/// worker pool to load-balance.
 const MAX_COHORT: usize = 32;
 
 /// One schedulable unit of a sweep: a single grid cell, or a lockstep
@@ -755,8 +754,8 @@ impl SweepRunner {
     /// Enables (or disables) lockstep batched replay: replay-mode cells
     /// sharing a machine shape are grouped into cohorts and advanced
     /// together through one shared batched propagator (see
-    /// [`BatchScheduler`]), cutting the thermal advance from two mat-vecs
-    /// per cell-interval to two mat-mats per cohort-interval.
+    /// [`BatchScheduler`]), one state matrix and one modal basis per
+    /// cohort.
     ///
     /// Purely a performance knob: batched reports compare equal —
     /// bit-identical cell results — to serial and parallel unbatched runs
@@ -956,10 +955,9 @@ impl SweepRunner {
         };
         // Cohort key: everything the shared thermal network depends on —
         // the machine shape fixes the floorplan, hence the RC network and
-        // the propagator pair. Interval length and clock are included so a
-        // cohort's lanes also share the nominal step and advance as one
-        // column group (mixed steps would still be correct, just slower).
-        type CohortKey = (usize, usize, usize, u64, u64);
+        // its modal basis. Every lane steps with its own dt, so interval
+        // length and clock need not match.
+        type CohortKey = (usize, usize, usize);
         type Members = Vec<(usize, Arc<ActivityTrace>)>;
         let mut tasks: Vec<Task> = Vec::new();
         let mut cohorts: Vec<(CohortKey, Members)> = Vec::new();
@@ -970,16 +968,14 @@ impl SweepRunner {
                 .get(cfg.name, workload.name(), &cfg.replay_points())
                 .filter(|t| ReplayBackend::validate(cfg, workload, t).is_ok());
             match trace {
-                // Only the matrix-exponential path has a batched kernel;
-                // RK4 cells replay serially as before.
+                // Only the modal path has a batched kernel; RK4 cells
+                // replay serially as before.
                 Some(t) if cfg.integrator == Integrator::Expm => {
                     let pc = &cfg.processor;
                     let key = (
                         pc.frontend_mode.partitions(),
                         pc.backends,
                         pc.trace_cache.physical_banks(),
-                        cfg.interval_cycles,
-                        pc.frequency_hz.to_bits(),
                     );
                     match cohorts.iter_mut().find(|(k, _)| *k == key) {
                         Some((_, members)) => members.push((i, t)),

@@ -28,7 +28,7 @@ pub trait Stage {
 
 /// A thermal solver the engine can drive.
 ///
-/// [`ExpPropagator`] (the cached matrix-exponential propagator) is the
+/// [`ExpPropagator`] (the exact modal propagator) is the
 /// default implementation; [`ThermalSolver`] keeps the sub-stepped RK4
 /// reference selectable via
 /// [`ExperimentConfig::integrator`](crate::ExperimentConfig). Alternative

@@ -148,8 +148,8 @@ pub struct ExperimentConfig {
     /// names it as future work — see [`crate::emergency`] and
     /// [`crate::dtm`]).
     pub dtm: Option<DtmSpec>,
-    /// Transient integrator for the default thermal backend: the cached
-    /// matrix-exponential propagator (default) or the RK4 reference.
+    /// Transient integrator for the default thermal backend: the exact
+    /// modal propagator (default) or the RK4 reference.
     pub integrator: Integrator,
     /// The silicon's leakage model (the paper's calibration by default).
     /// Overridable for sensitivity studies — or to stress the

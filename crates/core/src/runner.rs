@@ -14,8 +14,7 @@
 //!    the thermal-aware bank mapping from the bank sensors, and rotating
 //!    the gated bank when hopping is enabled.
 //!
-//! The per-interval transient solve defaults to the cached
-//! matrix-exponential propagator
+//! The per-interval transient solve defaults to the exact modal propagator
 //! ([`ExpPropagator`](distfront_thermal::ExpPropagator) — exact for the
 //! piecewise-constant interval power, two dense mat-vecs per advance);
 //! [`ExperimentConfig::with_integrator`] switches a run back to the

@@ -186,7 +186,7 @@ pub struct RunOptions {
     pub workers: usize,
     /// Smoke mode: a 4-application subset instead of the full 26.
     pub smoke: bool,
-    /// Transient integrator (matrix-exponential propagator by default).
+    /// Transient integrator (exact modal propagator by default).
     pub integrator: Integrator,
     /// Lockstep batched replay ([`SweepRunner::with_batch`]): group
     /// replay-mode cells into cohorts advanced through one shared batched

@@ -1,80 +1,60 @@
-//! Exact transient advance via a cached matrix-exponential propagator.
+//! Exact transient advance in the network's modal coordinates.
 //!
 //! The thermal network's `C`, `L` and `G_amb` matrices are constant across
 //! a run, and the engine holds block power piecewise-constant per
-//! half-interval — so the transient `C·dT/dt = b − A·T` (with
-//! `A = L + diag(G_amb)` and `b = P + G_amb·T_amb`) has the exact closed
-//! form
+//! half-interval, so the transient `C·dT/dt = b − A·T` (with
+//! `A = L + diag(G_amb)` and `b = P + G_amb·T_amb`) has an exact closed
+//! form for every step. `A` is symmetric and `C` diagonal and positive, so
+//! `C^{-1/2}·A·C^{-1/2} = V·Λ·Vᵀ` is a real symmetric eigendecomposition.
+//! With `W = Vᵀ·C^{-1/2}` and `B = C^{-1/2}·V`, the modal state
+//! `y = Vᵀ·C^{1/2}·T` splits into independent first-order modes, and a
+//! step of any length `h` is
 //!
 //! ```text
-//! T(t+h) = Φ·T(t) + Ψ·b,   Φ = e^(−h·C⁻¹A),   Ψ = (I − Φ)·A⁻¹
+//! g = W·b
+//! y ← e^(−hλ)⊙y − (expm1(−hλ)/λ)⊙g      (the second factor → h as λ → 0)
+//! T = B·y
 //! ```
 //!
-//! [`ExpPropagator`] precomputes the discrete pair `(Φ, Ψ)` once per
-//! distinct step size `h` — the exponential by scaling-and-squaring, the
-//! `A⁻¹` solves through the same [`SteadyFactor`] LU factorization the
-//! steady state uses — and advances an interval in two dense mat-vecs
-//! instead of the hundreds of RK4 sub-steps [`ThermalSolver::advance`]
-//! needs for stability.
-//!
-//! # Flat storage
-//!
-//! Both matrices of a propagator pair are stored as flat, row-major
-//! `n × n` slabs (`Box<[f64]>`, row `i` at `[i·n, (i+1)·n)`), so the hot
-//! advance loop is pure iterator dot products over contiguous slices — no
-//! per-row pointer chase, no bounds checks. [`BatchPropagator`] extends
-//! the same idea across sweep cells: it holds a **column-major SoA state
-//! matrix** `T: n_nodes × n_cells` (column `j`, cell `j`'s node
-//! temperatures, contiguous at `[j·n, (j+1)·n)`) and advances many
-//! columns per propagator application — two mat-mats instead of `2N`
-//! mat-vecs, with each Φ/Ψ row streamed once per group of four columns
-//! instead of once per cell.
+//! [`ModalBasis`] holds `(λ, W, B)`. A cyclic Jacobi sweep computes it at
+//! most once per distinct network per process, and a small fixed-size
+//! registry hands it to every solver built on that network. The basis is
+//! a pure function of the network's bits, so a registry hit returns
+//! exactly the bits a rebuild would. Nothing is precomputed per step
+//! size: the spread of interval lengths that DVFS, throttling and
+//! whole-trace interval overshoot produce costs nothing.
 //!
 //! # Bit-identity contract
 //!
-//! Batched advance is **bit-identical** to serial advance: column `j` of
-//! a [`BatchPropagator`] after `advance_columns` carries exactly the bits
-//! an independent [`ExpPropagator`] for cell `j` would hold after the
-//! same sequence of `advance` calls. This holds because every output
-//! element is the same two dot products (`Φ_row·T_col + Ψ_row·b_col`)
-//! accumulated in the same ascending-`k` order — the kernel widens across
-//! columns (independent accumulators), never across `k` within one
-//! element. The propagator pairs themselves are deterministic functions
-//! of `(network, h)`, so separately built caches agree to the bit.
-//!
-//! Propagators are cached keyed on `h.to_bits()` in a small bounded LRU
-//! ([`ExpPropagator::with_cache_capacity`]), so DVFS- or
-//! throttle-stretched intervals (each a distinct wall-clock `h`) factor
-//! once while a pathological spread of step sizes cannot grow the cache
-//! without bound. Rebuilding an evicted pair is deterministic, so
-//! eviction can never change results — only build time.
+//! [`ExpPropagator`] (one cell) and [`BatchPropagator`] (a column-major
+//! `n_nodes × n_cells` cohort) advance every column through the same
+//! [`ModalBasis::step`], each column with its own `h`. Column `j` of a
+//! batch therefore carries exactly the bits an independent
+//! `ExpPropagator` for cell `j` would hold after the same `advance`
+//! calls, whatever step sizes the other columns take.
 //!
 //! [`ThermalSolver`]'s RK4 integrator remains the cross-check reference
 //! (mirroring how `solve_steady_dense` backs `SteadyFactor`); the property
 //! tests at the bottom of this module pin the two within 1e-6 °C.
 //!
 //! [`ThermalSolver`]: crate::solver::ThermalSolver
-//! [`ThermalSolver::advance`]: crate::solver::ThermalSolver::advance
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::rc::ThermalNetwork;
 use crate::solver::{assemble_matrix, assemble_rhs, assemble_rhs_into, SteadyFactor};
 
-/// Default capacity of the per-`dt` propagator cache.
-pub const DEFAULT_PROPAGATOR_CACHE: usize = 32;
-
 /// Which transient integrator a run uses.
 ///
 /// [`Integrator::Expm`] (the default) is exact for piecewise-constant power
-/// and advances an interval in one dense propagator application;
-/// [`Integrator::Rk4`] keeps the explicit sub-stepped reference available
-/// for cross-checks and A/B benchmarking.
+/// and advances an interval with one modal step; [`Integrator::Rk4`] keeps
+/// the explicit sub-stepped reference available for cross-checks and A/B
+/// benchmarking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Integrator {
     /// Explicit RK4, sub-stepped below the smallest network time constant.
     Rk4,
-    /// Cached matrix-exponential propagator (exact for constant power).
+    /// Exact modal step through the network's eigenbasis.
     #[default]
     Expm,
 }
@@ -100,70 +80,263 @@ impl std::fmt::Display for Integrator {
     }
 }
 
-/// The discrete propagator pair for one step size, stored flat row-major.
-#[derive(Debug, Clone)]
-struct Propagator {
-    /// Matrix dimension (node count).
-    n: usize,
-    /// `Φ = e^(−h·C⁻¹A)` — how the deviation from steady state decays.
-    phi: Box<[f64]>,
-    /// `Ψ = (I − Φ)·A⁻¹` — how the constant forcing accumulates.
-    psi: Box<[f64]>,
-}
+/// Distinct networks whose basis a process keeps. A sweep touches one
+/// network per machine shape (the paper evaluates four), so eviction only
+/// happens on synthetic inputs, and a rebuilt basis has the same bits.
+const REGISTRY_SLOTS: usize = 16;
 
-/// Bounded propagator cache, most-recently-used first.
+/// Bases computed so far in this process, oldest first.
+static REGISTRY: Mutex<Vec<(ThermalNetwork, Arc<ModalBasis>)>> = Mutex::new(Vec::new());
+
+/// Upper bound on Jacobi sweeps, a guard against non-finite input; the
+/// paper networks stop after a handful.
+const MAX_SWEEPS: u32 = 64;
+
+/// The eigenbasis of a network's symmetrized generator
+/// `C^{-1/2}·A·C^{-1/2} = V·Λ·Vᵀ`, stored as the two projections the
+/// modal step needs.
 ///
-/// Keyed on the step size's exact bits; at most `cap` pairs are kept and
-/// the least-recently-used pair is evicted. Entries are `Arc`-shared so a
-/// lookup never copies the dense matrices. With the handful of distinct
-/// step sizes a real run produces the scan is a few pointer compares.
-#[derive(Debug, Clone)]
-struct PropagatorCache {
-    cap: usize,
-    entries: Vec<(u64, Arc<Propagator>)>,
+/// Both matrices are flat row-major `n × n` slabs (`W = Bᵀ`); each is
+/// applied as a sum of its rows scaled by the input vector, so every
+/// output element accumulates in one fixed order while the inner loop
+/// vectorizes across elements.
+#[derive(Debug)]
+pub struct ModalBasis {
+    /// Eigenvalues `λ` in 1/s: positive for every network tied to
+    /// ambient, zero for a mode with no path to ambient.
+    lambda: Box<[f64]>,
+    /// `W = Vᵀ·C^{-1/2}`: row `k` is mode `k`'s projection.
+    w: Box<[f64]>,
+    /// `B = C^{-1/2}·V`: row `i` is node `i`'s modal loadings.
+    b: Box<[f64]>,
+    /// Node capacitances, for projecting temperatures: `y = W·(C⊙T)`.
+    c: Box<[f64]>,
+    /// Jacobi sweeps the decomposition took, the last one rotating nothing.
+    sweeps: u32,
 }
 
-impl PropagatorCache {
-    fn new(cap: usize) -> Self {
-        PropagatorCache {
-            cap: cap.max(1),
-            entries: Vec::new(),
+impl ModalBasis {
+    /// Decomposes `net` by cyclic Jacobi rotations, stopping after the
+    /// first full sweep that rotates nothing. An off-diagonal element is
+    /// set to zero without a rotation once a hundred times its magnitude
+    /// no longer changes either of the two diagonal elements it couples,
+    /// so small eigenvalues keep their relative accuracy.
+    ///
+    /// Prefer [`ModalBasis::for_network`], which computes each network's
+    /// basis once per process.
+    pub fn new(net: &ThermalNetwork) -> Self {
+        let n = net.node_count();
+        let a = assemble_matrix(net);
+        let inv_sqrt_c: Vec<f64> = net.capacitances().iter().map(|c| 1.0 / c.sqrt()).collect();
+        // S = C^{-1/2}·A·C^{-1/2}, mirrored from the upper triangle so it
+        // is symmetric to the bit.
+        let mut s = vec![0.0f64; n * n];
+        for i in 0..n {
+            for j in i..n {
+                let v = a[i][j] * inv_sqrt_c[i] * inv_sqrt_c[j];
+                s[i * n + j] = v;
+                s[j * n + i] = v;
+            }
+        }
+        let mut v = vec![0.0f64; n * n];
+        for i in 0..n {
+            v[i * n + i] = 1.0;
+        }
+        let mut sweeps = 0;
+        while sweeps < MAX_SWEEPS {
+            sweeps += 1;
+            let mut rotated = false;
+            for p in 0..n {
+                for q in p + 1..n {
+                    rotated |= jacobi_rotate(&mut s, &mut v, n, p, q);
+                }
+            }
+            if !rotated {
+                break;
+            }
+        }
+        let mut w = vec![0.0f64; n * n];
+        let mut b = vec![0.0f64; n * n];
+        for i in 0..n {
+            for k in 0..n {
+                let x = v[i * n + k] * inv_sqrt_c[i];
+                w[k * n + i] = x;
+                b[i * n + k] = x;
+            }
+        }
+        ModalBasis {
+            lambda: (0..n).map(|k| s[k * n + k]).collect(),
+            w: w.into_boxed_slice(),
+            b: b.into_boxed_slice(),
+            c: net.capacitances().into(),
+            sweeps,
         }
     }
 
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns the pair for `dt`, building (and caching) it on a miss.
-    fn get_or_build(
-        &mut self,
-        net: &ThermalNetwork,
-        steady: &SteadyFactor,
-        dt: f64,
-    ) -> Arc<Propagator> {
-        let key = dt.to_bits();
-        if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
-            let hit = self.entries.remove(pos);
-            self.entries.insert(0, hit);
-            return Arc::clone(&self.entries[0].1);
+    /// The basis of `net`, computed on the first request in this process
+    /// and shared afterwards. Matching is on the network's exact bits.
+    pub fn for_network(net: &ThermalNetwork) -> Arc<Self> {
+        let find = |reg: &[(ThermalNetwork, Arc<ModalBasis>)]| {
+            reg.iter()
+                .find(|(k, _)| k.same_bits(net))
+                .map(|(_, basis)| Arc::clone(basis))
+        };
+        if let Some(hit) = find(&REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)) {
+            return hit;
         }
-        let built = Arc::new(build_propagator(net, steady, dt));
-        self.entries.insert(0, (key, Arc::clone(&built)));
-        self.entries.truncate(self.cap);
+        // Decompose outside the lock; a racing thread builds the same bits.
+        let built = Arc::new(ModalBasis::new(net));
+        let mut reg = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = find(&reg) {
+            return hit;
+        }
+        if reg.len() == REGISTRY_SLOTS {
+            reg.remove(0);
+        }
+        reg.push((net.clone(), Arc::clone(&built)));
         built
     }
+
+    /// The eigenvalues `λ` in 1/s, in no particular order.
+    pub fn eigenvalues(&self) -> &[f64] {
+        &self.lambda
+    }
+
+    /// Jacobi sweeps the decomposition took, including the final sweep
+    /// that rotated nothing.
+    pub fn sweeps(&self) -> u32 {
+        self.sweeps
+    }
+
+    /// Projects node temperatures `t` onto modal coordinates `y`.
+    pub fn project(&self, t: &[f64], y: &mut [f64]) {
+        let ct: Vec<f64> = t.iter().zip(self.c.iter()).map(|(t, c)| t * c).collect();
+        mul_transposed(&self.b, &ct, y);
+    }
+
+    /// Advances modal state `y` by `h` seconds under the constant nodal
+    /// right-hand side `rhs` and writes the resulting node temperatures
+    /// to `t` (also used as scratch, so its input is ignored).
+    pub fn step(&self, y: &mut [f64], rhs: &[f64], t: &mut [f64], h: f64) {
+        // g = W·b, staged in `t` until the reconstruction overwrites it.
+        mul_transposed(&self.b, rhs, t);
+        for ((yk, &gk), &lk) in y.iter_mut().zip(t.iter()).zip(self.lambda.iter()) {
+            let x = -h * lk;
+            // One transcendental per mode: e^x = 1 + expm1(x), and
+            // expm1(x)/λ → −h as λ → 0 (a mode with no path to ambient).
+            let em1 = expm1(x);
+            let gain = if x == 0.0 { -h } else { em1 / lk };
+            *yk = (1.0 + em1) * *yk - gain * gk;
+        }
+        mul_transposed(&self.w, y, t);
+    }
 }
 
-/// Owns the temperature state of a [`ThermalNetwork`] and advances it with
-/// cached matrix-exponential propagators.
+/// `e^x − 1` for `x ≤ ln2/2` (the step only passes `x = −hλ ≤ 0`), from
+/// IEEE `+ − × /` alone.
+///
+/// The platform's `expm1` may pick a different code path per CPU at run
+/// time, which would make a step's bits depend on the host. Here
+/// `|x| ≤ ln2/2` is a degree-15 Taylor polynomial (truncation below
+/// 1e-18 relative); smaller `x` reduces to `x = k·ln2 + r` and returns
+/// `2^k·(1 + expm1(r)) − 1`. Within a few ulp of the exact value.
+fn expm1(x: f64) -> f64 {
+    // ln2 split so that k·LN2_HI is exact for the k reached here.
+    const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+    const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+    if x.abs() <= 0.5 * std::f64::consts::LN_2 {
+        return expm1_taylor(x);
+    }
+    if x < -40.0 {
+        // e^x < 5e-18, below half an ulp of 1.
+        return -1.0;
+    }
+    let k = (x * std::f64::consts::LOG2_E).round();
+    let r = (x - k * LN2_HI) - k * LN2_LO;
+    let two_k = f64::from_bits(((1023 + k as i64) as u64) << 52);
+    two_k * (1.0 + expm1_taylor(r)) - 1.0
+}
+
+/// `1/n!` for `n = 0..16`.
+const INV_FACTORIAL: [f64; 16] = {
+    let mut t = [1.0f64; 16];
+    let mut n = 1;
+    while n < 16 {
+        t[n] = t[n - 1] / n as f64;
+        n += 1;
+    }
+    t
+};
+
+/// `Σ_{n=1}^{15} xⁿ/n!` by Horner's rule, for `|x| ≤ ln2/2`.
+fn expm1_taylor(x: f64) -> f64 {
+    let acc = INV_FACTORIAL[1..]
+        .iter()
+        .rev()
+        .fold(0.0, |acc, c| c + x * acc);
+    x * acc
+}
+
+/// Zeroes `s[p][q]` with one Jacobi rotation, accumulating it into the
+/// eigenvector columns of `v`; returns whether it rotated.
+fn jacobi_rotate(s: &mut [f64], v: &mut [f64], n: usize, p: usize, q: usize) -> bool {
+    let apq = s[p * n + q];
+    let (app, aqq) = (s[p * n + p], s[q * n + q]);
+    let g = 100.0 * apq.abs();
+    if app.abs() + g == app.abs() && aqq.abs() + g == aqq.abs() {
+        s[p * n + q] = 0.0;
+        s[q * n + p] = 0.0;
+        return false;
+    }
+    // The smaller rotation angle, tan θ = t (Rutishauser's formulation).
+    let theta = (aqq - app) / (2.0 * apq);
+    // Should θ² overflow, t comes out 0 instead of a negligible 1/(2θ).
+    let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
+    let c = 1.0 / (t * t + 1.0).sqrt();
+    let sn = t * c;
+    let tau = sn / (1.0 + c);
+    s[p * n + p] = app - t * apq;
+    s[q * n + q] = aqq + t * apq;
+    s[p * n + q] = 0.0;
+    s[q * n + p] = 0.0;
+    for r in (0..n).filter(|&r| r != p && r != q) {
+        let (arp, arq) = (s[r * n + p], s[r * n + q]);
+        let rp = arp - sn * (arq + tau * arp);
+        let rq = arq + sn * (arp - tau * arq);
+        s[r * n + p] = rp;
+        s[p * n + r] = rp;
+        s[r * n + q] = rq;
+        s[q * n + r] = rq;
+    }
+    for row in v.chunks_exact_mut(n) {
+        let (vp, vq) = (row[p], row[q]);
+        row[p] = vp - sn * (vq + tau * vp);
+        row[q] = vq + sn * (vp - tau * vq);
+    }
+    true
+}
+
+/// `out = Mᵀ·x` for a flat row-major square `m`: row `r`, scaled by
+/// `x[r]`, is added to `out` in ascending `r`. Every element of `out`
+/// sums its terms in that one order, so the bits are fixed, while the
+/// inner loop runs across independent elements and vectorizes.
+fn mul_transposed(m: &[f64], x: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    for (row, &xr) in m.chunks_exact(out.len()).zip(x) {
+        for (o, &mr) in out.iter_mut().zip(row) {
+            *o += mr * xr;
+        }
+    }
+}
+
+/// Owns the temperature state of a [`ThermalNetwork`] and advances it
+/// exactly through the network's [`ModalBasis`].
 ///
 /// Drop-in alternative to [`ThermalSolver`](crate::solver::ThermalSolver):
 /// the same construction-time LU factorization backs the steady-state
 /// solves, and `advance` is exact for the piecewise-constant power the
-/// interval loop supplies. The advance path is allocation-free: the
-/// right-hand side and the next state are scratch buffers reused across
-/// calls.
+/// interval loop supplies, for any step size. The advance path is
+/// allocation-free.
 ///
 /// # Examples
 ///
@@ -183,40 +356,33 @@ pub struct ExpPropagator {
     net: ThermalNetwork,
     /// Node temperatures in °C.
     t: Vec<f64>,
-    /// LU factorization of `A`, shared by steady solves and Ψ assembly.
+    /// Modal coordinates of `t`.
+    y: Vec<f64>,
+    /// LU factorization of `A` for the steady-state solves.
     steady: SteadyFactor,
-    /// Bounded LRU of propagator pairs keyed on the step size's exact bits.
-    cache: PropagatorCache,
+    basis: Arc<ModalBasis>,
     /// Scratch: assembled right-hand side `b = P + G_amb·T_amb`.
     rhs: Vec<f64>,
-    /// Scratch: the next state, swapped with `t` after each advance.
-    next: Vec<f64>,
 }
 
 impl ExpPropagator {
-    /// Creates a propagator-based solver with every node at ambient; the
-    /// steady-state matrix is assembled and LU-factored here, once.
-    /// Propagators themselves are built lazily, one per distinct step size.
+    /// Creates a modal solver with every node at ambient; the steady-state
+    /// matrix is assembled and LU-factored here, and the network's basis
+    /// is fetched from (or computed into) the process registry.
     pub fn new(net: ThermalNetwork) -> Self {
+        let basis = ModalBasis::for_network(&net);
         let n = net.node_count();
-        let t = vec![net.ambient_c(); n];
         let steady = SteadyFactor::factor(assemble_matrix(&net));
-        ExpPropagator {
-            net,
-            t,
+        let mut s = ExpPropagator {
+            t: Vec::new(),
+            y: vec![0.0; n],
             steady,
-            cache: PropagatorCache::new(DEFAULT_PROPAGATOR_CACHE),
+            basis,
             rhs: vec![0.0; n],
-            next: vec![0.0; n],
-        }
-    }
-
-    /// Caps the per-`dt` propagator cache at `cap` pairs (≥ 1), evicting
-    /// least-recently-used pairs beyond it. Eviction cannot change
-    /// results — a rebuilt pair is bit-identical — only build time.
-    pub fn with_cache_capacity(mut self, cap: usize) -> Self {
-        self.cache = PropagatorCache::new(cap);
-        self
+            net,
+        };
+        s.set_temperatures(vec![s.net.ambient_c(); n]);
+        s
     }
 
     /// The underlying network.
@@ -234,11 +400,6 @@ impl ExpPropagator {
         &self.t[..self.net.block_count()]
     }
 
-    /// Distinct step sizes currently holding a cached propagator pair.
-    pub fn cached_steps(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Overwrites the state (for warm-start restore / checkpointing).
     ///
     /// # Panics
@@ -246,6 +407,7 @@ impl ExpPropagator {
     /// Panics if the length does not match the node count.
     pub fn set_temperatures(&mut self, t: Vec<f64>) {
         assert_eq!(t.len(), self.net.node_count());
+        self.basis.project(&t, &mut self.y);
         self.t = t;
     }
 
@@ -269,11 +431,11 @@ impl ExpPropagator {
     ///
     /// Panics if `power` does not have one entry per block.
     pub fn set_steady_state(&mut self, power: &[f64]) {
-        self.t = self.solve_steady(power);
+        self.set_temperatures(self.solve_steady(power));
     }
 
     /// Advances the transient state by `dt` seconds under constant block
-    /// `power` — one propagator application, exact for constant power.
+    /// `power`: one modal step, exact for constant power.
     ///
     /// # Panics
     ///
@@ -282,49 +444,27 @@ impl ExpPropagator {
     pub fn advance(&mut self, power: &[f64], dt: f64) {
         assert!(dt > 0.0, "dt must be positive");
         assert_eq!(power.len(), self.net.block_count());
-        let prop = self.cache.get_or_build(&self.net, &self.steady, dt);
         assemble_rhs_into(&self.net, power, &mut self.rhs);
-        let n = self.t.len();
-        for ((out, phi_row), psi_row) in self
-            .next
-            .iter_mut()
-            .zip(prop.phi.chunks_exact(n))
-            .zip(prop.psi.chunks_exact(n))
-        {
-            *out = dot(phi_row, &self.t) + dot(psi_row, &self.rhs);
-        }
-        std::mem::swap(&mut self.t, &mut self.next);
+        self.basis.step(&mut self.y, &self.rhs, &mut self.t, dt);
     }
 
     /// Spawns a batched propagator over `n_cells` lockstep cells on this
-    /// solver's network, every column starting at ambient.
-    ///
-    /// Column `j` of the batch advanced with some `(power_j, dt)` sequence
-    /// carries exactly the bits `advance` would produce on an independent
-    /// `ExpPropagator` fed the same sequence — see the module-level
-    /// bit-identity contract. Already-built propagator pairs are shared
-    /// with the batch (`Arc`-cloned), so nothing refactors.
+    /// solver's network, every column starting at ambient and sharing
+    /// this solver's basis.
     pub fn batch(&self, n_cells: usize) -> BatchPropagator {
-        BatchPropagator::with_parts(
-            self.net.clone(),
-            self.steady.clone(),
-            self.cache.clone(),
-            n_cells,
-        )
+        BatchPropagator::with_basis(self.net.clone(), Arc::clone(&self.basis), n_cells)
     }
 }
 
-/// Advances `N` lockstep cells sharing one [`ThermalNetwork`] — the state
-/// is a column-major SoA matrix `T: n_nodes × n_cells` and each propagator
-/// application is a two-mat-mat over all selected columns.
+/// Advances `N` lockstep cells sharing one [`ThermalNetwork`]; the state
+/// is a column-major SoA matrix `T: n_nodes × n_cells`.
 ///
 /// Column `j` is cell `j`'s full node-temperature vector, contiguous at
 /// `[j·n, (j+1)·n)`. [`advance_columns`](Self::advance_columns) takes an
-/// explicit column list, so cohorts whose cells momentarily disagree on
-/// `dt` (throttle-stretched intervals, final partial interval) advance as
-/// per-`dt` groups, and a failed cell's column simply stops being
-/// selected — the remaining columns are arithmetically untouched by its
-/// departure.
+/// explicit `(column, step)` list, so lanes whose `dt` differs
+/// (throttle-stretched intervals, a shorter trace) step together, and a
+/// failed cell's column simply stops being selected; the remaining
+/// columns are arithmetically untouched by its departure.
 ///
 /// # Examples
 ///
@@ -343,52 +483,43 @@ impl ExpPropagator {
 #[derive(Debug, Clone)]
 pub struct BatchPropagator {
     net: ThermalNetwork,
-    steady: SteadyFactor,
-    cache: PropagatorCache,
+    basis: Arc<ModalBasis>,
     n_cells: usize,
     /// Column-major state matrix `T: n_nodes × n_cells`.
     t: Box<[f64]>,
-    /// Scratch: next state columns (only selected columns are written).
-    next: Box<[f64]>,
-    /// Scratch: per-column right-hand sides, same layout as `t`.
-    b: Box<[f64]>,
+    /// Modal coordinates of each column, same layout as `t`.
+    y: Box<[f64]>,
+    /// Scratch: one column's right-hand side.
+    rhs: Vec<f64>,
 }
 
 impl BatchPropagator {
-    /// Creates a batch of `n_cells` columns, all at ambient; the
-    /// steady-state system is assembled and LU-factored here, once.
+    /// Creates a batch of `n_cells` columns, all at ambient.
     ///
     /// # Panics
     ///
     /// Panics if `n_cells` is zero.
     pub fn new(net: ThermalNetwork, n_cells: usize) -> Self {
-        let steady = SteadyFactor::factor(assemble_matrix(&net));
-        BatchPropagator::with_parts(
-            net,
-            steady,
-            PropagatorCache::new(DEFAULT_PROPAGATOR_CACHE),
-            n_cells,
-        )
+        let basis = ModalBasis::for_network(&net);
+        BatchPropagator::with_basis(net, basis, n_cells)
     }
 
-    fn with_parts(
-        net: ThermalNetwork,
-        steady: SteadyFactor,
-        cache: PropagatorCache,
-        n_cells: usize,
-    ) -> Self {
+    fn with_basis(net: ThermalNetwork, basis: Arc<ModalBasis>, n_cells: usize) -> Self {
         assert!(n_cells > 0, "batch needs at least one cell");
         let n = net.node_count();
-        let t = vec![net.ambient_c(); n * n_cells].into_boxed_slice();
-        BatchPropagator {
-            net,
-            steady,
-            cache,
+        let mut batch = BatchPropagator {
+            t: vec![0.0; n * n_cells].into_boxed_slice(),
+            y: vec![0.0; n * n_cells].into_boxed_slice(),
+            rhs: vec![0.0; n],
+            basis,
             n_cells,
-            t,
-            next: vec![0.0; n * n_cells].into_boxed_slice(),
-            b: vec![0.0; n * n_cells].into_boxed_slice(),
+            net,
+        };
+        let ambient = vec![batch.net.ambient_c(); n];
+        for j in 0..n_cells {
+            batch.set_column(j, &ambient);
         }
+        batch
     }
 
     /// The underlying network (shared by every column).
@@ -399,11 +530,6 @@ impl BatchPropagator {
     /// Number of lockstep cells (columns).
     pub fn n_cells(&self) -> usize {
         self.n_cells
-    }
-
-    /// Distinct step sizes currently holding a cached propagator pair.
-    pub fn cached_steps(&self) -> usize {
-        self.cache.len()
     }
 
     /// All node temperatures of cell `j` in °C.
@@ -435,11 +561,12 @@ impl BatchPropagator {
     pub fn set_column(&mut self, j: usize, t: &[f64]) {
         let n = self.net.node_count();
         assert_eq!(t.len(), n, "column length must match node count");
-        self.t[j * n..(j + 1) * n].copy_from_slice(t);
+        let col = j * n..(j + 1) * n;
+        self.t[col.clone()].copy_from_slice(t);
+        self.basis.project(t, &mut self.y[col]);
     }
 
-    /// Advances every column by `dt` seconds — the all-same-`dt` fast
-    /// path: one propagator lookup, one pair of mat-mats.
+    /// Advances every column by `dt` seconds.
     ///
     /// `powers` is column-major `block_count × n_cells`: cell `j`'s block
     /// powers at `[j·nb, (j+1)·nb)`.
@@ -448,286 +575,34 @@ impl BatchPropagator {
     ///
     /// Panics if `powers` has the wrong length or `dt` is not positive.
     pub fn advance_all(&mut self, powers: &[f64], dt: f64) {
-        let cols: Vec<usize> = (0..self.n_cells).collect();
-        self.advance_columns(powers, dt, &cols);
+        let steps: Vec<(usize, f64)> = (0..self.n_cells).map(|j| (j, dt)).collect();
+        self.advance_columns(powers, &steps);
     }
 
-    /// Advances only the selected columns by `dt` seconds; unselected
-    /// columns are untouched (their bits cannot change).
+    /// Advances each selected column `j` by its own `dt` seconds for every
+    /// `(j, dt)` in `steps`; unselected columns are untouched (their bits
+    /// cannot change).
     ///
     /// `powers` spans all cells (column-major `block_count × n_cells`);
     /// only the selected columns' slices are read.
     ///
     /// # Panics
     ///
-    /// Panics if `powers` has the wrong length, `dt` is not positive, or
+    /// Panics if `powers` has the wrong length, a `dt` is not positive, or
     /// a column index is out of range.
-    pub fn advance_columns(&mut self, powers: &[f64], dt: f64, cols: &[usize]) {
-        assert!(dt > 0.0, "dt must be positive");
+    pub fn advance_columns(&mut self, powers: &[f64], steps: &[(usize, f64)]) {
         let nb = self.net.block_count();
         let n = self.net.node_count();
         assert_eq!(powers.len(), nb * self.n_cells, "one power column per cell");
-        let prop = self.cache.get_or_build(&self.net, &self.steady, dt);
-        for &j in cols {
+        for &(j, dt) in steps {
+            assert!(dt > 0.0, "dt must be positive");
             assert!(j < self.n_cells, "column {j} out of range");
-            assemble_rhs_into(
-                &self.net,
-                &powers[j * nb..(j + 1) * nb],
-                &mut self.b[j * n..(j + 1) * n],
-            );
-        }
-        mat_mat_cols(&prop, &self.t, &self.b, &mut self.next, cols);
-        for &j in cols {
+            assemble_rhs_into(&self.net, &powers[j * nb..(j + 1) * nb], &mut self.rhs);
             let col = j * n..(j + 1) * n;
-            self.t[col.clone()].copy_from_slice(&self.next[col]);
+            self.basis
+                .step(&mut self.y[col.clone()], &self.rhs, &mut self.t[col], dt);
         }
     }
-}
-
-/// Sequential-`k` dot product — the one summation order every advance
-/// path (serial and batched) must share for bit-identity.
-#[inline]
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Columns advanced per lane block by [`mat_mat_cols`]. Eight `f64`
-/// accumulator chains fill the FMA pipeline (≈ latency × throughput on
-/// current cores) and fit two 4-wide vector registers, so the lane loop
-/// vectorizes *across columns* without touching any column's summation
-/// order.
-const LANES: usize = 8;
-
-/// Applies `out[:, j] = Φ·T[:, j] + Ψ·B[:, j]` for each selected column.
-///
-/// Columns are processed [`LANES`] at a time: the selected state and rhs
-/// columns are first transposed into lane-major scratch (all lanes' `k`-th
-/// elements contiguous, an O(n·lanes) copy against the O(n²·lanes)
-/// multiply), then each Φ/Ψ row walks `k` once, broadcasting its element
-/// against the lane block with one independent accumulator chain per
-/// column. The widening is *across* columns — never across `k` within one
-/// element — so each column's bits match a serial [`dot`] exactly while
-/// the row data streams from memory once per block instead of once per
-/// column, and the per-`k` step is a broadcast × contiguous-load FMA the
-/// compiler vectorizes.
-fn mat_mat_cols(prop: &Propagator, t: &[f64], b: &[f64], out: &mut [f64], cols: &[usize]) {
-    let n = prop.n;
-    let mut blocks = cols.chunks_exact(LANES);
-    if blocks.len() > 0 {
-        let mut tt = vec![0.0f64; n * LANES];
-        let mut bt = vec![0.0f64; n * LANES];
-        for block in blocks.by_ref() {
-            for (l, &j) in block.iter().enumerate() {
-                let tc = &t[j * n..(j + 1) * n];
-                let bc = &b[j * n..(j + 1) * n];
-                for (k, (&tv, &bv)) in tc.iter().zip(bc).enumerate() {
-                    tt[k * LANES + l] = tv;
-                    bt[k * LANES + l] = bv;
-                }
-            }
-            advance_lanes(prop, &tt, &bt, out, block);
-        }
-    }
-    let mut quads = blocks.remainder().chunks_exact(4);
-    for quad in quads.by_ref() {
-        advance_quad(prop, t, b, out, [quad[0], quad[1], quad[2], quad[3]]);
-    }
-    for &j in quads.remainder() {
-        advance_single(prop, t, b, out, j);
-    }
-}
-
-/// A full lane block over transposed scratch: for each output row, all
-/// [`LANES`] Φ and Ψ accumulator chains advance through the same
-/// ascending-`k` order as [`dot`], one broadcast × lane-block FMA per
-/// matrix element.
-fn advance_lanes(prop: &Propagator, tt: &[f64], bt: &[f64], out: &mut [f64], js: &[usize]) {
-    let n = prop.n;
-    for (i, (phi_row, psi_row)) in prop
-        .phi
-        .chunks_exact(n)
-        .zip(prop.psi.chunks_exact(n))
-        .enumerate()
-    {
-        let mut acc = [0.0f64; LANES];
-        let mut sac = [0.0f64; LANES];
-        for (((&p, &s), tl), bl) in phi_row
-            .iter()
-            .zip(psi_row)
-            .zip(tt.chunks_exact(LANES))
-            .zip(bt.chunks_exact(LANES))
-        {
-            for l in 0..LANES {
-                acc[l] += p * tl[l];
-                sac[l] += s * bl[l];
-            }
-        }
-        for (l, &j) in js.iter().enumerate() {
-            out[j * n + i] = acc[l] + sac[l];
-        }
-    }
-}
-
-/// One column of `out[:, j] = Φ·T[:, j] + Ψ·B[:, j]`, same element order
-/// as [`ExpPropagator::advance`].
-fn advance_single(prop: &Propagator, t: &[f64], b: &[f64], out: &mut [f64], j: usize) {
-    let n = prop.n;
-    let tc = &t[j * n..(j + 1) * n];
-    let bc = &b[j * n..(j + 1) * n];
-    for ((o, phi_row), psi_row) in out[j * n..(j + 1) * n]
-        .iter_mut()
-        .zip(prop.phi.chunks_exact(n))
-        .zip(prop.psi.chunks_exact(n))
-    {
-        *o = dot(phi_row, tc) + dot(psi_row, bc);
-    }
-}
-
-/// Four columns in lockstep: each Φ/Ψ row is read once and multiplied
-/// against four state/rhs columns with four independent accumulator
-/// chains (per-column order identical to [`dot`]).
-fn advance_quad(prop: &Propagator, t: &[f64], b: &[f64], out: &mut [f64], js: [usize; 4]) {
-    let n = prop.n;
-    let [j0, j1, j2, j3] = js;
-    let t0 = &t[j0 * n..(j0 + 1) * n];
-    let t1 = &t[j1 * n..(j1 + 1) * n];
-    let t2 = &t[j2 * n..(j2 + 1) * n];
-    let t3 = &t[j3 * n..(j3 + 1) * n];
-    let b0 = &b[j0 * n..(j0 + 1) * n];
-    let b1 = &b[j1 * n..(j1 + 1) * n];
-    let b2 = &b[j2 * n..(j2 + 1) * n];
-    let b3 = &b[j3 * n..(j3 + 1) * n];
-    for (i, (phi_row, psi_row)) in prop
-        .phi
-        .chunks_exact(n)
-        .zip(prop.psi.chunks_exact(n))
-        .enumerate()
-    {
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for ((((&p, &x0), &x1), &x2), &x3) in phi_row.iter().zip(t0).zip(t1).zip(t2).zip(t3) {
-            a0 += p * x0;
-            a1 += p * x1;
-            a2 += p * x2;
-            a3 += p * x3;
-        }
-        let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for ((((&p, &x0), &x1), &x2), &x3) in psi_row.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
-            s0 += p * x0;
-            s1 += p * x1;
-            s2 += p * x2;
-            s3 += p * x3;
-        }
-        out[j0 * n + i] = a0 + s0;
-        out[j1 * n + i] = a1 + s1;
-        out[j2 * n + i] = a2 + s2;
-        out[j3 * n + i] = a3 + s3;
-    }
-}
-
-/// Builds the `(Φ, Ψ)` pair for one step size.
-fn build_propagator(net: &ThermalNetwork, steady: &SteadyFactor, h: f64) -> Propagator {
-    let n = net.node_count();
-    let a = assemble_matrix(net);
-    // X = −h·C⁻¹A (row i of A scaled by −h/Cᵢ), flattened row-major.
-    let mut x = vec![0.0f64; n * n];
-    for ((xrow, arow), &c) in x.chunks_exact_mut(n).zip(&a).zip(net.capacitances()) {
-        for (xv, &av) in xrow.iter_mut().zip(arow) {
-            *xv = -h * av / c;
-        }
-    }
-    let phi = expm(&x, n);
-    // Ψ = (I − Φ)·A⁻¹. A is symmetric, so row j of Ψ is A⁻¹ applied to
-    // row j of (I − Φ) — one O(n²) pair of triangular solves per row
-    // through the factorization already built for the steady state.
-    let mut psi = vec![0.0f64; n * n];
-    for (j, psi_row) in psi.chunks_exact_mut(n).enumerate() {
-        let rhs: Vec<f64> = phi[j * n..(j + 1) * n]
-            .iter()
-            .enumerate()
-            .map(|(k, &pv)| f64::from(u8::from(j == k)) - pv)
-            .collect();
-        psi_row.copy_from_slice(&steady.solve(&rhs));
-    }
-    Propagator {
-        n,
-        phi: phi.into_boxed_slice(),
-        psi: psi.into_boxed_slice(),
-    }
-}
-
-/// Dense matrix exponential by scaling-and-squaring over a Taylor series,
-/// on a flat row-major `n × n` matrix.
-///
-/// The argument is scaled by `2⁻ˢ` until its infinity norm is ≤ 0.5, the
-/// series is summed to machine precision (it converges geometrically with
-/// ratio ≤ 0.5 from term ~1 on), and the result is squared back `s` times.
-/// For the thermal system `X = −h·C⁻¹A` the exponential is a contraction,
-/// so the squarings are numerically benign.
-fn expm(x: &[f64], n: usize) -> Vec<f64> {
-    let norm = inf_norm(x, n);
-    let squarings = if norm > 0.5 {
-        (norm / 0.5).log2().ceil() as u32
-    } else {
-        0
-    };
-    let scale = (0.5f64).powi(squarings as i32);
-    let scaled: Vec<f64> = x.iter().map(|&v| v * scale).collect();
-
-    // e^scaled = I + scaled + scaled²/2! + ...
-    let mut result = identity(n);
-    for (r, &s) in result.iter_mut().zip(&scaled) {
-        *r += 1.0 * s;
-    }
-    let mut term = scaled.clone();
-    for k in 2..200u32 {
-        term = mat_mul(&term, &scaled, n);
-        let f = 1.0 / f64::from(k);
-        for v in term.iter_mut() {
-            *v *= f;
-        }
-        for (r, &s) in result.iter_mut().zip(&term) {
-            *r += 1.0 * s;
-        }
-        if inf_norm(&term, n) <= f64::EPSILON * inf_norm(&result, n) {
-            break;
-        }
-    }
-    for _ in 0..squarings {
-        result = mat_mul(&result, &result, n);
-    }
-    result
-}
-
-fn identity(n: usize) -> Vec<f64> {
-    let mut m = vec![0.0f64; n * n];
-    for i in 0..n {
-        m[i * n + i] = 1.0;
-    }
-    m
-}
-
-fn inf_norm(m: &[f64], n: usize) -> f64 {
-    m.chunks_exact(n)
-        .map(|row| row.iter().map(|v| v.abs()).sum::<f64>())
-        .fold(0.0, f64::max)
-}
-
-/// Flat row-major matrix product, accumulating over `k` in ascending
-/// order per output element (the `i, k, j` loop nest the Vec-of-Vec
-/// implementation used, so the flattening kept every bit).
-fn mat_mul(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
-    let mut out = vec![0.0f64; n * n];
-    for (orow, arow) in out.chunks_exact_mut(n).zip(a.chunks_exact(n)) {
-        for (k, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            for (ov, &bv) in orow.iter_mut().zip(&b[k * n..(k + 1) * n]) {
-                *ov += av * bv;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -741,6 +616,18 @@ mod tests {
     fn paper_net() -> ThermalNetwork {
         let fp = Floorplan::for_machine(Machine::new(1, 4, 2));
         ThermalNetwork::from_floorplan(&fp, &PackageConfig::paper())
+    }
+
+    /// The networks of every floorplan the paper evaluates: centralized
+    /// and distributed frontends, two or three trace-cache banks.
+    fn paper_nets() -> Vec<ThermalNetwork> {
+        [(1, 2), (1, 3), (2, 2), (2, 3)]
+            .iter()
+            .map(|&(p, banks)| {
+                let fp = Floorplan::for_machine(Machine::new(p, 4, banks));
+                ThermalNetwork::from_floorplan(&fp, &PackageConfig::paper())
+            })
+            .collect()
     }
 
     /// Advances an RK4 reference solver with sub-steps ~200× below the
@@ -818,8 +705,6 @@ mod tests {
         {
             assert!((a - b).abs() < 1e-6, "node {i}: expm {a} vs rk4 {b}");
         }
-        // Both half-step sizes hit the same cache entry.
-        assert_eq!(expm.cached_steps(), 1);
     }
 
     #[test]
@@ -855,18 +740,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_step_sizes_factor_once_each() {
-        let mut s = ExpPropagator::new(paper_net());
-        let nb = s.network().block_count();
-        let p = vec![0.5; nb];
-        for _ in 0..5 {
-            s.advance(&p, 1e-5);
-            s.advance(&p, 2e-5);
-        }
-        assert_eq!(s.cached_steps(), 2);
-    }
-
-    #[test]
     fn advance_is_deterministic() {
         let run = || {
             let mut s = ExpPropagator::new(paper_net());
@@ -893,38 +766,114 @@ mod tests {
     }
 
     #[test]
-    fn propagator_cache_is_bounded_under_throttle_stretched_steps() {
-        // A pathological DTM run can stretch every interval into a
-        // distinct wall-clock dt; the cache must stay capped regardless.
-        let mut s = ExpPropagator::new(paper_net()).with_cache_capacity(4);
-        let nb = s.network().block_count();
-        let p = vec![0.4; nb];
-        for i in 0..100 {
-            let dt = 1e-5 * (1.0 + i as f64 * 1e-3);
-            s.advance(&p, dt);
-            assert!(s.cached_steps() <= 4, "cache grew past its cap");
+    fn expm1_matches_the_platform_library_within_rounding() {
+        let mut x = -45.0f64;
+        while x < 0.34 {
+            for v in [x, x * 1e-3, x * 1e-9, x * 1e-200] {
+                let (got, want) = (expm1(v), v.exp_m1());
+                assert!(
+                    (got - want).abs() <= 4.0 * f64::EPSILON * want.abs(),
+                    "expm1({v:e}) = {got:e}, library {want:e}"
+                );
+            }
+            x += 0.0137;
         }
-        assert_eq!(s.cached_steps(), 4);
+        assert_eq!(expm1(0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(expm1(-800.0), -1.0);
     }
 
     #[test]
-    fn cache_eviction_does_not_change_bits() {
-        // The same dt sequence through a capacity-1 cache (every reuse is
-        // a rebuild) and a roomy cache must agree to the bit.
-        let run = |cap: usize| {
-            let mut s = ExpPropagator::new(paper_net()).with_cache_capacity(cap);
-            let nb = s.network().block_count();
-            let p = vec![0.7; nb];
-            for _ in 0..4 {
-                s.advance(&p, 1e-5);
-                s.advance(&p, 2e-5);
-                s.advance(&p, 3e-5);
+    fn basis_reconstructs_the_generator() {
+        // B·diag(λ)·W·C must rebuild C⁻¹·A (W·C = Vᵀ·C^{1/2} is the
+        // temperature projection), entry by entry, relative to the
+        // largest entry of its row.
+        for net in paper_nets() {
+            let basis = ModalBasis::new(&net);
+            let n = net.node_count();
+            let a = assemble_matrix(&net);
+            for (i, arow) in a.iter().enumerate() {
+                let want: Vec<f64> = arow.iter().map(|v| v / net.capacitances()[i]).collect();
+                let scale = want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                for (j, w) in want.iter().enumerate() {
+                    let got: f64 = (0..n)
+                        .map(|k| basis.b[i * n + k] * basis.lambda[k] * basis.w[k * n + j])
+                        .sum::<f64>()
+                        * net.capacitances()[j];
+                    assert!(
+                        (got - w).abs() <= 1e-12 * scale,
+                        "({i}, {j}): {got} vs {w} (row scale {scale})"
+                    );
+                }
             }
-            s.temperatures().to_vec()
-        };
-        for (a, b) in run(1).iter().zip(run(16)) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn eigenvalues_are_positive_on_every_paper_floorplan() {
+        for net in paper_nets() {
+            let basis = ModalBasis::new(&net);
+            assert_eq!(basis.eigenvalues().len(), net.node_count());
+            for &l in basis.eigenvalues() {
+                assert!(l > 0.0 && l.is_finite(), "eigenvalue {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn jacobi_sweep_count_is_bounded_on_paper_networks() {
+        // The no-rotation stop ends a paper decomposition after a handful
+        // of sweeps; a stopping rule that never fires runs all MAX_SWEEPS.
+        for net in paper_nets() {
+            let sweeps = ModalBasis::new(&net).sweeps();
+            assert!(sweeps <= 12, "{sweeps} Jacobi sweeps");
+        }
+    }
+
+    #[test]
+    fn zero_ambient_mode_steps_to_the_h_limit() {
+        // No path to ambient: λ = 0, and the step's gain must take its
+        // λ → 0 limit h instead of dividing by zero.
+        let single = ThermalNetwork::from_parts(vec![vec![0.0]], vec![0.0], vec![2.0], 45.0, 1);
+        let basis = ModalBasis::new(&single);
+        assert_eq!(basis.eigenvalues(), &[0.0]);
+        let (mut y, mut t) = (vec![0.0], vec![0.0]);
+        basis.project(&[45.0], &mut y);
+        basis.step(&mut y, &[10.0], &mut t, 0.5);
+        // 10 W into 2 J/K for 0.5 s.
+        assert!((t[0] - 47.5).abs() < 1e-12, "{}", t[0]);
+
+        // Two coupled nodes, neither tied to ambient: the heat stays in.
+        let pair = ThermalNetwork::from_parts(
+            vec![vec![0.0, 0.3], vec![0.3, 0.0]],
+            vec![0.0, 0.0],
+            vec![1.0, 3.0],
+            45.0,
+            2,
+        );
+        let basis = ModalBasis::new(&pair);
+        let (mut y, mut t) = (vec![0.0; 2], vec![0.0; 2]);
+        basis.project(&[45.0, 45.0], &mut y);
+        basis.step(&mut y, &[4.0, 0.0], &mut t, 2.0);
+        let heat = 1.0 * (t[0] - 45.0) + 3.0 * (t[1] - 45.0);
+        assert!((heat - 8.0).abs() < 1e-12, "stored {heat} J, expected 8 J");
+        assert!(t.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn registry_hit_matches_a_rebuilt_basis_bit_for_bit() {
+        let net = paper_net();
+        let shared = ModalBasis::for_network(&net);
+        assert!(Arc::ptr_eq(&shared, &ModalBasis::for_network(&net.clone())));
+        let rebuilt = ModalBasis::new(&net);
+        let bits = |b: &ModalBasis| -> Vec<u64> {
+            b.lambda
+                .iter()
+                .chain(b.w.iter())
+                .chain(b.b.iter())
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&shared), bits(&rebuilt));
     }
 
     #[test]
@@ -966,8 +915,8 @@ mod tests {
         let powers: Vec<f64> = (0..nb * 3).map(|i| 0.2 + 0.01 * (i % 9) as f64).collect();
         batch.advance_all(&powers, 1e-5);
         let frozen = batch.column(1).to_vec();
-        batch.advance_columns(&powers, 1e-5, &[0, 2]);
-        batch.advance_columns(&powers, 2e-5, &[0, 2]);
+        batch.advance_columns(&powers, &[(0, 1e-5), (2, 1e-5)]);
+        batch.advance_columns(&powers, &[(0, 2e-5), (2, 2e-5)]);
         for (a, b) in batch.column(1).iter().zip(&frozen) {
             assert_eq!(a.to_bits(), b.to_bits(), "unselected column drifted");
         }
@@ -1084,6 +1033,50 @@ mod prop_tests {
                 batch.advance_all(&powers, h);
                 for (j, s) in serial.iter_mut().enumerate() {
                     s.advance(&powers[j * n..(j + 1) * n], h);
+                }
+            }
+            for (j, s) in serial.iter().enumerate() {
+                for (a, b) in batch.column(j).iter().zip(s.temperatures()) {
+                    prop_assert!(
+                        a.to_bits() == b.to_bits(),
+                        "cell {} diverged: batch {} vs serial {}", j, a, b
+                    );
+                }
+            }
+        }
+
+        /// A cohort whose columns each take their own step size every
+        /// interval (and sometimes sit one out) keeps every column's bits
+        /// equal to an independent serial propagator's.
+        #[test]
+        fn batch_with_a_dt_per_column_is_bit_identical_to_serial(
+            n in 2usize..7,
+            n_cells in 1usize..9,
+            g_raw in proptest::collection::vec(0.05f64..3.0, 21),
+            g_amb in proptest::collection::vec(0.1f64..1.5, 7),
+            c in proptest::collection::vec(0.4f64..4.0, 7),
+            power in proptest::collection::vec(0.0f64..6.0, 40),
+            dt_factors in proptest::collection::vec(0.0f64..2.5, 32),
+        ) {
+            let net = random_net(n, &g_raw, &g_amb, &c);
+            let tau = net.min_time_constant();
+            let seed = ExpPropagator::new(net);
+            let mut batch = seed.batch(n_cells);
+            let mut serial: Vec<ExpPropagator> =
+                (0..n_cells).map(|_| seed.clone()).collect();
+            let powers: Vec<f64> = (0..n * n_cells)
+                .map(|i| power[i % power.len()])
+                .collect();
+            for step in 0..4 {
+                // A factor below 0.1 leaves the column out this interval.
+                let steps: Vec<(usize, f64)> = (0..n_cells)
+                    .map(|j| (j, dt_factors[(step * n_cells + j) % dt_factors.len()]))
+                    .filter(|&(_, f)| f >= 0.1)
+                    .map(|(j, f)| (j, f * tau))
+                    .collect();
+                batch.advance_columns(&powers, &steps);
+                for &(j, h) in &steps {
+                    serial[j].advance(&powers[j * n..(j + 1) * n], h);
                 }
             }
             for (j, s) in serial.iter().enumerate() {

@@ -13,8 +13,8 @@
 //! * [`rc`] — building the conductance matrix and capacitance vector,
 //! * [`solver`] — steady-state solve (warm start, as the paper boots its
 //!   simulations already warm) and the RK4 reference transient integrator,
-//! * [`expm`] — the default transient path: a cached matrix-exponential
-//!   propagator that advances an interval exactly in two dense mat-vecs,
+//! * [`expm`] — the default transient path: an exact step in the
+//!   network's modal coordinates, with one eigenbasis per network,
 //! * [`metrics`] — the paper's AbsMax / Average / AvgMax temperature
 //!   metrics over block groups.
 
@@ -28,7 +28,7 @@ pub mod package;
 pub mod rc;
 pub mod solver;
 
-pub use expm::{BatchPropagator, ExpPropagator, Integrator};
+pub use expm::{BatchPropagator, ExpPropagator, Integrator, ModalBasis};
 pub use floorplan::{Floorplan, Rect};
 pub use metrics::{GroupMetrics, TemperatureTracker};
 pub use package::PackageConfig;

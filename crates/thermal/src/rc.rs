@@ -127,6 +127,21 @@ impl ThermalNetwork {
         }
     }
 
+    /// Whether `other` is this network to the bit: every conductance,
+    /// capacitance and the ambient. The identity the process-wide modal
+    /// basis registry matches on.
+    pub(crate) fn same_bits(&self, other: &ThermalNetwork) -> bool {
+        let eq = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        self.n_blocks == other.n_blocks
+            && self.ambient_c.to_bits() == other.ambient_c.to_bits()
+            && eq(&self.c, &other.c)
+            && eq(&self.g_ambient, &other.g_ambient)
+            && self.g.len() == other.g.len()
+            && self.g.iter().zip(&other.g).all(|(a, b)| eq(a, b))
+    }
+
     /// Total number of nodes (blocks + package).
     pub fn node_count(&self) -> usize {
         self.g.len()

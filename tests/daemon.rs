@@ -279,7 +279,8 @@ fn pipelined_jobs_on_one_connection_demux_byte_identically() {
 /// of a pinned scenario must never change silently. It may only change
 /// when a result-affecting input *consciously* changes — a
 /// `TRACE_FORMAT_VERSION` bump, a `JOBSPEC_VERSION` bump, a baseline
-/// configuration change, or an intentional fingerprint-schema change —
+/// configuration change, a thermal-kernel change (the integrator token),
+/// or an intentional fingerprint-schema change —
 /// and then this constant must be updated in the same commit, making the
 /// cache-key break visible in review.
 #[test]
@@ -289,10 +290,10 @@ fn golden_fingerprint_is_pinned() {
         .with_uops(40_000);
     assert_eq!(
         format!("{:016x}", spec.fingerprint().unwrap()),
-        "806ec3e355931b6d",
+        "0aad450f779addbf",
         "the content-address fingerprint for the pinned baseline smoke \
          job changed; if this is intentional (trace-format bump, jobspec \
-         version bump, baseline config change), update the golden value \
-         in the same commit"
+         version bump, baseline config change, thermal-kernel change), \
+         update the golden value in the same commit"
     );
 }
