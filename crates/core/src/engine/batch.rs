@@ -7,9 +7,10 @@
 //! replay-mode cells by machine shape into cohorts, and the scheduler
 //! multiplexes their per-cell replay interval streams into one lockstep
 //! loop. Each lane (cell) keeps its own [`EngineCx`] (power model,
-//! temperature tracker, DTM controller, accumulators), but the thermal
-//! state lives in one column-major matrix, and every lane steps with its
-//! own `dt` in the same call.
+//! temperature tracker, DTM controller, accumulators; no core simulator,
+//! since the context holds none and the lane's final core stats come
+//! from its trace), but the thermal state lives in one column-major
+//! matrix, and every lane steps with its own `dt` in the same call.
 //!
 //! # Bit-identity
 //!
@@ -242,7 +243,7 @@ fn run_lockstep(lanes: &mut [Lane<'_>]) {
                 lane.cx
                     .thermal
                     .set_node_temperatures(batch.column(j).to_vec());
-                lane.cx.replay_finals = Some(lane.trace.finals);
+                lane.cx.finals = Some(lane.trace.finals);
                 lane.result = Some(finish(&lane.cx));
             }
         }

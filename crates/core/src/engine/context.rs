@@ -7,7 +7,6 @@ use distfront_thermal::{
 };
 use distfront_trace::record::FinalStats;
 use distfront_trace::Workload;
-use distfront_uarch::Simulator;
 
 use super::replay::TraceRecorder;
 use super::traits::{DtmPolicy, ThermalBackend};
@@ -16,8 +15,13 @@ use crate::experiment::ExperimentConfig;
 use crate::runner::BlockGroups;
 
 /// Everything an experiment's stages share: the machine under test, the
-/// coupled models, and the accumulators the final
+/// power and thermal models, and the accumulators the final
 /// [`AppResult`](crate::runner::AppResult) is assembled from.
+///
+/// The context holds no core simulator. A live stage builds and owns its
+/// own [`Simulator`](distfront_uarch::Simulator) and leaves the run's
+/// [`FinalStats`] in [`finals`](Self::finals); a replay copies them from
+/// the trace. So building a context for a replayed cell builds no core.
 ///
 /// Fields are public so custom [`Stage`](super::Stage) implementations can
 /// reach whatever they need.
@@ -37,8 +41,6 @@ pub struct EngineCx<'a> {
     pub idle: Vec<f64>,
     /// Activity → Watts conversion.
     pub model: PowerModel,
-    /// The timing simulator (reset by stages as needed).
-    pub sim: Simulator,
     /// The thermal solver in use.
     pub thermal: Box<dyn ThermalBackend>,
     /// AbsMax/Average/AvgMax bookkeeping over the evaluation run.
@@ -58,9 +60,10 @@ pub struct EngineCx<'a> {
     /// installs it). Recording only observes: a recorded run's result is
     /// bit-identical to an unrecorded one.
     pub recorder: Option<TraceRecorder>,
-    /// Core-side final statistics injected by a replay (the replayed
-    /// pipeline never runs `sim`, so the report reads these instead).
-    pub replay_finals: Option<FinalStats>,
+    /// The run's core-side final statistics: set by the live interval
+    /// loop from its simulator, or by a replay from the trace. `None` when
+    /// no core loop ran; the report then reads an un-run core's values.
+    pub finals: Option<FinalStats>,
 }
 
 impl<'a> EngineCx<'a> {
@@ -131,7 +134,6 @@ impl<'a> EngineCx<'a> {
             groups,
             idle,
             model,
-            sim: Simulator::with_workload(pc.clone(), workload, cfg.seed),
             thermal,
             tracker: TemperatureTracker::new(areas),
             dtm,
@@ -140,7 +142,7 @@ impl<'a> EngineCx<'a> {
             time_sum: 0.0,
             warm_start_hit: false,
             recorder: None,
-            replay_finals: None,
+            finals: None,
         })
     }
 

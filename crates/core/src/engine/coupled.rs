@@ -248,37 +248,40 @@ impl<'a> CoupledEngine<'a> {
             warm_start_hit: cx.warm_start_hit,
             replayed,
         };
-        let trace = cx.recorder.take().map(|rec| {
-            rec.finish(FinalStats {
-                cycles: cx.sim.current_cycle(),
-                uops: cx.sim.total_committed(),
-                tc_hit_rate: cx.sim.tc_hit_rate(),
-                mispredict_rate: cx.sim.mispredict_rate(),
-            })
-        });
+        let trace = cx.recorder.take().map(|rec| rec.finish(finals(&cx)));
         (finish(&cx), stats, trace)
     }
 }
 
+/// The run's core-side final statistics: what the live interval loop or
+/// a replay left in [`EngineCx::finals`], or, when no core loop ran, what
+/// an un-run core reports (no cycles, no micro-ops, no trace-cache misses,
+/// no mispredictions).
+fn finals(cx: &EngineCx<'_>) -> FinalStats {
+    cx.finals.unwrap_or(FinalStats {
+        cycles: 0,
+        uops: 0,
+        tc_hit_rate: 1.0,
+        mispredict_rate: 0.0,
+    })
+}
+
 /// Assembles the final [`AppResult`] from the context the stages left.
 ///
-/// Core-side statistics come from the simulator — or, on a replay, from
-/// the trace's recorded [`FinalStats`] (the replay pipeline never runs the
-/// simulator). Fails with [`EngineError::NoData`] when the stages closed
-/// no measurement intervals (a custom pipeline that skipped the interval
-/// loop): the temperature metrics would be undefined. Shared with the
-/// batched cohort scheduler, which finalizes each lane's context through
-/// the exact same assembly.
+/// Core-side statistics come from [`EngineCx::finals`], set by the live
+/// interval loop or from a replayed trace. Fails with
+/// [`EngineError::NoData`] when the stages closed no measurement
+/// intervals (a custom pipeline that skipped the interval loop): the
+/// temperature metrics would be undefined. Shared with the batched cohort
+/// scheduler, which finalizes each lane's context through the exact same
+/// assembly.
 pub(super) fn finish(cx: &EngineCx<'_>) -> Result<AppResult, EngineError> {
-    let (cycles, uops, tc_hit_rate, mispredict_rate) = match &cx.replay_finals {
-        Some(f) => (f.cycles, f.uops, f.tc_hit_rate, f.mispredict_rate),
-        None => (
-            cx.sim.current_cycle(),
-            cx.sim.total_committed(),
-            cx.sim.tc_hit_rate(),
-            cx.sim.mispredict_rate(),
-        ),
-    };
+    let FinalStats {
+        cycles,
+        uops,
+        tc_hit_rate,
+        mispredict_rate,
+    } = finals(cx);
     let g = |idx: &[usize]| {
         cx.tracker.try_group_metrics(idx).ok_or(EngineError::NoData(
             "the pipeline closed no measurement intervals",
@@ -390,6 +393,72 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(r, run_app(&cfg, &app));
+    }
+
+    #[test]
+    fn a_pipeline_without_a_core_loop_reports_an_un_run_core() {
+        use distfront_uarch::Simulator;
+
+        /// Closes one measurement interval at the thermal backend's
+        /// initial state without running any core.
+        struct CloseInterval;
+        impl Stage for CloseInterval {
+            fn name(&self) -> &'static str {
+                "close-interval"
+            }
+            fn run(&mut self, cx: &mut EngineCx<'_>) -> Result<(), EngineError> {
+                cx.tracker.record(cx.thermal.block_temperatures(), 1e-3);
+                cx.tracker.end_interval();
+                Ok(())
+            }
+        }
+        let cfg = ExperimentConfig::baseline().with_uops(30_000);
+        let app = AppProfile::test_tiny();
+        let r = CoupledEngine::new(&cfg, &app)
+            .with_stages(vec![Box::new(CloseInterval)])
+            .run()
+            .unwrap();
+        assert_eq!((r.cycles, r.uops), (0, 0));
+        assert_eq!(r.tc_hit_rate, 1.0);
+        assert_eq!(r.mispredict_rate, 0.0);
+        // The same values a freshly built, never stepped core reports.
+        let sim = Simulator::new(cfg.processor.clone(), &app, cfg.seed);
+        assert_eq!(r.cycles, sim.current_cycle());
+        assert_eq!(r.uops, sim.total_committed());
+        assert_eq!(r.tc_hit_rate, sim.tc_hit_rate());
+        assert_eq!(r.mispredict_rate, sim.mispredict_rate());
+    }
+
+    #[test]
+    fn live_finals_equal_the_recorded_trace_finals() {
+        use std::sync::Mutex;
+
+        /// Copies the context's final core stats out after the loop.
+        struct Capture(Arc<Mutex<Option<FinalStats>>>);
+        impl Stage for Capture {
+            fn name(&self) -> &'static str {
+                "capture"
+            }
+            fn run(&mut self, cx: &mut EngineCx<'_>) -> Result<(), EngineError> {
+                *self.0.lock().unwrap() = cx.finals;
+                Ok(())
+            }
+        }
+        let cfg = ExperimentConfig::baseline().with_uops(40_000);
+        let app = AppProfile::test_tiny();
+        let seen = Arc::new(Mutex::new(None));
+        let mut stages = CoupledEngine::default_stages(None);
+        stages.push(Box::new(Capture(Arc::clone(&seen))));
+        let live = CoupledEngine::new(&cfg, &app)
+            .with_stages(stages)
+            .run()
+            .unwrap();
+        let finals = seen.lock().unwrap().expect("the interval loop set finals");
+        let (recorded, _) = CoupledEngine::new(&cfg, &app).run_recorded();
+        let (result, trace) = recorded.unwrap();
+        assert_eq!(finals, trace.finals);
+        assert_eq!(result, live);
+        assert_eq!((live.cycles, live.uops), (finals.cycles, finals.uops));
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! * [`Stage`] — one phase of an experiment ([`PilotStage`],
 //!   [`WarmStartStage`], [`IntervalLoopStage`] reproduce the paper's §4
 //!   methodology); custom stages slot in without touching the loop,
-//! * [`EngineCx`] — the shared state the stages hand each other
-//!   (simulator, power model, thermal backend, accumulators),
+//! * [`EngineCx`] — the shared state the stages hand each other (power
+//!   model, thermal backend, accumulators, the run's final core stats);
+//!   the live stages build and own their core simulator, so a replay
+//!   never builds one,
 //! * [`CoupledEngine`] — builds the context, runs the stage pipeline and
 //!   finalizes an [`AppResult`](crate::runner::AppResult),
 //! * [`ThermalBackend`] / [`DtmPolicy`] — plug-in points for alternative

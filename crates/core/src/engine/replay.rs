@@ -14,7 +14,10 @@
 //!   [`AppResult`](crate::runner::AppResult) is bit-identical to an
 //!   unrecorded one.
 //! * [`ReplayBackend`] is the uarch-free stage pipeline that consumes a
-//!   recorded [`ActivityTrace`]: a replay pilot re-derives the nominal
+//!   recorded [`ActivityTrace`]. No stage of it builds a core simulator
+//!   (the [`EngineCx`] holds none; only the live stages build their own),
+//!   and the report's core statistics are the trace's [`FinalStats`],
+//!   copied into [`EngineCx::finals`]. A replay pilot re-derives the nominal
 //!   power bit-exactly from the recorded pilot activity (so warm starts —
 //!   and the shared [`WarmStartCache`] keys — are identical to live), the
 //!   regular [`WarmStartStage`] runs unchanged, and the replay loop feeds
@@ -393,7 +396,7 @@ impl Stage for ReplayLoopStage {
                 break;
             }
         }
-        cx.replay_finals = Some(trace.finals);
+        cx.finals = Some(trace.finals);
         Ok(())
     }
 }
@@ -461,11 +464,11 @@ pub(super) fn select_point<'t>(
     }
 }
 
-/// Applies the power-model half of a DTM action for the coming replayed
-/// interval, releasing whatever the previous interval engaged — exactly
-/// the live loop's operating-point translation. The core half of the
-/// action is honored by [`select_point`] choosing the matching recorded
-/// activity, so no simulator is needed.
+/// Applies the power-model half of a DTM action for the coming interval,
+/// releasing whatever the previous interval engaged; the live and the
+/// replayed loops share it. On a replay the core half of the action is
+/// honored by [`select_point`] choosing the matching recorded activity,
+/// so no simulator is needed.
 pub(super) fn apply_power_action(cx: &mut EngineCx<'_>, action: DtmAction) {
     cx.model.set_operating_point(match action {
         DtmAction::Nominal | DtmAction::FetchGate { .. } | DtmAction::MigrateTo(_) => {

@@ -1,14 +1,16 @@
 //! The default three-phase pipeline: pilot → warm start → interval loop,
 //! each phase a [`Stage`] ported verbatim from the pre-refactor monolithic
-//! runner so results stay bit-identical.
+//! runner so results stay bit-identical. The pilot and the interval loop
+//! each build and own a fresh core simulator; the shared [`EngineCx`]
+//! holds none.
 
 use std::sync::Arc;
 
-use distfront_power::{BlockId, OperatingPoint};
-use distfront_trace::record::PointKey;
+use distfront_power::BlockId;
+use distfront_trace::record::{FinalStats, PointKey};
 use distfront_uarch::{ActivityCounters, FetchGate, IntervalReport, Simulator};
 
-use super::replay::point_key_of;
+use super::replay::{apply_power_action, point_key_of};
 use super::sweep::WarmStartCache;
 use super::traits::{DtmAction, Stage};
 use super::{EngineCx, EngineError};
@@ -30,25 +32,21 @@ impl Stage for PilotStage {
     fn run(&mut self, cx: &mut EngineCx<'_>) -> Result<(), EngineError> {
         let cfg = cx.cfg;
         let pc = &cfg.processor;
-        // The context hands the pilot a freshly built simulator; only
-        // rebuild when an earlier custom stage already ran it.
-        if cx.sim.total_committed() > 0 || cx.sim.current_cycle() > 0 {
-            cx.sim.reset_workload(cx.workload, cfg.seed);
-        }
+        // A fresh core of the pilot's own, dropped when the pilot ends.
+        let mut sim = Simulator::with_workload(pc.clone(), cx.workload, cfg.seed);
         let mut pilot_act = None::<ActivityCounters>;
         loop {
-            let target = cx.sim.current_cycle() + cfg.interval_cycles;
-            let r = cx.sim.step(target, cfg.pilot_uops());
+            let target = sim.current_cycle() + cfg.interval_cycles;
+            let r = sim.step(target, cfg.pilot_uops());
             match &mut pilot_act {
                 Some(acc) => acc.merge(&r.activity),
                 None => pilot_act = Some(r.activity),
             }
             let banks = pc.trace_cache.physical_banks();
-            cx.sim
-                .trace_cache_mut()
+            sim.trace_cache_mut()
                 .rebalance(&vec![cx.pkg.ambient_c; banks]);
             if cfg.hop {
-                cx.sim.trace_cache_mut().hop();
+                sim.trace_cache_mut().hop();
             }
             if r.done {
                 break;
@@ -176,7 +174,8 @@ impl Stage for IntervalLoopStage {
     fn run(&mut self, cx: &mut EngineCx<'_>) -> Result<(), EngineError> {
         let cfg = cx.cfg;
         let pc = &cfg.processor;
-        cx.sim.reset_workload(cx.workload, cfg.seed);
+        // The evaluation's own core, fresh from cycle zero.
+        let mut sim = Simulator::with_workload(pc.clone(), cx.workload, cfg.seed);
         // The recording family (empty when not recording): per interval the
         // live step covers the point matching the live action, and every
         // other family point is probed on a throwaway simulator fork from
@@ -188,9 +187,10 @@ impl Stage for IntervalLoopStage {
             .unwrap_or_default();
         let mut action = DtmAction::Nominal;
         loop {
-            apply_action(cx, action);
-            let target = cx.sim.current_cycle() + cfg.interval_cycles;
             let live_key = point_key_of(action);
+            apply_power_action(cx, action);
+            apply_sim_point(&mut sim, live_key);
+            let target = sim.current_cycle() + cfg.interval_cycles;
             // A single-point family needs no forks: the live stream *is*
             // the nominal point (power-level actions never perturb it, and
             // a tainted custom-DTM recording keeps the raw live stream).
@@ -199,7 +199,7 @@ impl Stage for IntervalLoopStage {
                     .iter()
                     .map(|&key| {
                         (key != live_key).then(|| {
-                            cx.sim.probe_interval(
+                            sim.probe_interval(
                                 |fork| apply_sim_point(fork, key),
                                 target,
                                 cfg.uops_per_app,
@@ -210,8 +210,8 @@ impl Stage for IntervalLoopStage {
             } else {
                 vec![None; family.len()]
             };
-            let r = cx.sim.step(target, cfg.uops_per_app);
-            let gated_bank = cx.sim.trace_cache().gated_bank().map(|b| b as u8);
+            let r = sim.step(target, cfg.uops_per_app);
+            let gated_bank = sim.trace_cache().gated_bank().map(|b| b as u8);
             if let Some(rec) = &mut cx.recorder {
                 let reports: Vec<&IntervalReport> = family
                     .iter()
@@ -255,9 +255,9 @@ impl Stage for IntervalLoopStage {
                     cx.thermal.block_temperatures()[cx.machine.index_of(BlockId::TcBank(k as u8))]
                 })
                 .collect();
-            cx.sim.trace_cache_mut().rebalance(&bank_temps);
+            sim.trace_cache_mut().rebalance(&bank_temps);
             if cfg.hop {
-                cx.sim.trace_cache_mut().hop();
+                sim.trace_cache_mut().hop();
             }
             if let Some(ctrl) = &mut cx.dtm {
                 action = ctrl.decide(cx.thermal.block_temperatures());
@@ -266,19 +266,23 @@ impl Stage for IntervalLoopStage {
                 break;
             }
         }
+        cx.finals = Some(FinalStats {
+            cycles: sim.current_cycle(),
+            uops: sim.total_committed(),
+            tc_hit_rate: sim.tc_hit_rate(),
+            mispredict_rate: sim.mispredict_rate(),
+        });
         Ok(())
     }
 }
 
-/// Translates the policy's action for the coming interval into the
-/// simulator and power-model hooks, releasing whatever the previous
-/// interval engaged. Every hook's nominal setting is exactly the state an
-/// engine starts in, so a run without a DTM policy (or with one that stays
-/// [`DtmAction::Nominal`]) is bit-identical to the pre-DTM engine.
-/// Configures a probe fork's simulator hooks to an operating point: the
-/// core half of [`apply_action`], keyed by the recorded [`PointKey`]
-/// instead of a live [`DtmAction`]. Resets every hook first so the fork's
-/// variant state is absolute, not relative to the live action's.
+/// Configures a simulator's hooks to an operating point: the core half of
+/// a live DTM action (keyed through [`point_key_of`]; the power half is
+/// [`apply_power_action`]) and a probe fork's variant point. Resets every
+/// hook first, releasing whatever the previous interval engaged, so the
+/// state is absolute. Every hook's nominal setting is exactly the state a
+/// fresh simulator starts in, so a run without a DTM policy is
+/// bit-identical to one that never touches the hooks.
 fn apply_sim_point(sim: &mut Simulator, key: PointKey) {
     sim.set_clock_scale(1.0);
     sim.set_fetch_gate(None);
@@ -290,37 +294,5 @@ fn apply_sim_point(sim: &mut Simulator, key: PointKey) {
             sim.set_fetch_gate(Some(FetchGate { open, period }))
         }
         PointKey::MigrateTo(p) => sim.set_partition_bias(Some(p as usize)),
-    }
-}
-
-fn apply_action(cx: &mut EngineCx<'_>, action: DtmAction) {
-    cx.model.set_operating_point(OperatingPoint::nominal());
-    cx.sim.set_clock_scale(1.0);
-    cx.sim.set_fetch_gate(None);
-    cx.sim.set_partition_bias(None);
-    match action {
-        DtmAction::Nominal => {}
-        DtmAction::Throttle(factor) => {
-            // First-order frequency scaling at unchanged voltage: the same
-            // work takes 1/factor the wall time, spreading its switching
-            // energy over the stretched interval. Routing it through the
-            // operating point keeps dt and the power model's seconds
-            // derived from one un-rounded f64 stretch; the integer cycle
-            // count stays untouched for activity statistics. The operating
-            // point's own validation rejects factors outside (0, 1].
-            cx.model
-                .set_operating_point(OperatingPoint::scaled(factor, 1.0));
-        }
-        DtmAction::Dvfs { f_scale, v_scale } => {
-            cx.model
-                .set_operating_point(OperatingPoint::scaled(f_scale, v_scale));
-            cx.sim.set_clock_scale(f_scale);
-        }
-        DtmAction::FetchGate { open, period } => {
-            cx.sim.set_fetch_gate(Some(FetchGate { open, period }));
-        }
-        DtmAction::MigrateTo(partition) => {
-            cx.sim.set_partition_bias(Some(partition));
-        }
     }
 }

@@ -83,8 +83,8 @@ pub use cache::ResultCache;
 pub use protocol::Command;
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -397,42 +397,42 @@ fn executor_loop(state: &DaemonState, class: JobClass) {
     }
 }
 
-/// Writes one frame line; errors mean the client is gone.
+/// Writes one frame line in a single write; errors mean the client is
+/// gone.
 fn write_line(writer: &Arc<Mutex<TcpStream>>, line: &str) -> io::Result<()> {
     let mut stream = writer.lock().expect("writer poisoned");
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")
+    stream.write_all(format!("{line}\n").as_bytes())
 }
 
 /// Streams a job's stored result frames: each line picks up the
 /// connection's `job=` tag, and the terminal `DONE` additionally the
 /// `cached=` token (the only bytes that may differ between a fresh run
 /// and a replay — the stored frames themselves are connection-free).
-/// The whole batch goes out under one writer lock, so concurrent
-/// executors can never interleave two jobs' result batches on a
-/// pipelined connection.
+/// The whole batch goes out in one write under the writer lock, so
+/// concurrent executors can never interleave two jobs' result batches on
+/// a pipelined connection.
 fn send_result_frames(writer: &Arc<Mutex<TcpStream>>, job: u64, frames: &[String], cached: bool) {
-    let mut stream = writer.lock().expect("writer poisoned");
+    let mut batch = String::new();
     for frame in frames {
         let line = if frame.starts_with("DONE ") {
             format!("{frame} cached={}", u8::from(cached))
         } else {
             frame.clone()
         };
-        let tagged = protocol::tag_frame(job, &line);
-        if stream
-            .write_all(tagged.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
-            .is_err()
-        {
-            return;
-        }
+        batch.push_str(&protocol::tag_frame(job, &line));
+        batch.push('\n');
     }
+    let mut stream = writer.lock().expect("writer poisoned");
+    // An error means the client is gone; there is no one to tell.
+    let _ = stream.write_all(batch.as_bytes());
 }
 
-/// Serves one connection until EOF, error, or `SHUTDOWN`.
+/// Serves one connection until EOF, error, an over-long line, or
+/// `SHUTDOWN`.
 fn handle_connection(state: &DaemonState, stream: TcpStream) {
-    let reader = match stream.try_clone() {
+    // Frames are small and each is one write: send them at once rather
+    // than holding them back for the peer's delayed ACK.
+    let mut reader = match stream.set_nodelay(true).and_then(|()| stream.try_clone()) {
         Ok(read_half) => BufReader::new(read_half),
         Err(e) => {
             eprintln!("[sweepd] connection setup failed: {e}");
@@ -443,15 +443,35 @@ fn handle_connection(state: &DaemonState, stream: TcpStream) {
     // The connection's job sequence: monotonic from 0 in JOB order —
     // the ids that tag every job-scoped frame (see the protocol docs).
     let mut next_job: u64 = 0;
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => return, // client gone
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // At most MAX_LINE_BYTES per line, so a client that never sends
+        // a newline cannot grow this buffer without bound.
+        match (&mut reader)
+            .take(protocol::MAX_LINE_BYTES)
+            .read_until(b'\n', &mut buf)
+        {
+            Ok(0) | Err(_) => return, // EOF or client gone
+            Ok(n) if n as u64 == protocol::MAX_LINE_BYTES && !buf.ends_with(b"\n") => {
+                let msg = format!("request line exceeds {} bytes", protocol::MAX_LINE_BYTES);
+                let _ = write_line(&writer, &protocol::err_frame(StatusCode::Usage, &msg));
+                // Close now, even while an executor still holds the
+                // writer for an in-flight job of this connection.
+                let _ = reader.get_ref().shutdown(Shutdown::Both);
+                return;
+            }
+            Ok(_) => {}
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            return; // not a UTF-8 client
         };
+        let line = line.strip_suffix('\n').unwrap_or(line);
+        let line = line.strip_suffix('\r').unwrap_or(line);
         if line.trim().is_empty() {
             continue;
         }
-        let command = match Command::parse(&line) {
+        let command = match Command::parse(line) {
             Ok(command) => command,
             Err((status, msg)) => {
                 if write_line(&writer, &protocol::err_frame(status, &msg)).is_err() {
@@ -741,16 +761,18 @@ impl Client {
     ///
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Client {
-            reader: BufReader::new(TcpStream::connect(addr)?),
+            reader: BufReader::new(stream),
             next_job: 0,
         })
     }
 
     fn send(&mut self, line: &str) -> io::Result<()> {
-        let stream = self.reader.get_mut();
-        stream.write_all(line.as_bytes())?;
-        stream.write_all(b"\n")
+        self.reader
+            .get_mut()
+            .write_all(format!("{line}\n").as_bytes())
     }
 
     fn recv(&mut self) -> io::Result<String> {

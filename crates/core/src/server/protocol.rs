@@ -6,7 +6,9 @@
 //! whose first space-separated token names the frame. The protocol is
 //! deliberately the same shape as the [`JobSpec`] line codec (and embeds
 //! it verbatim in `JOB` frames): debuggable with `nc`, no length
-//! prefixes, no binary.
+//! prefixes, no binary. A request line may be at most
+//! [`MAX_LINE_BYTES`] long, its newline included; a longer one is
+//! answered with a connection-level `ERR` and the connection is closed.
 //!
 //! Client → server commands:
 //!
@@ -67,6 +69,11 @@
 
 use crate::engine::CellOutcome;
 use crate::job::{JobClass, JobReport, JobSpec, StatusCode};
+
+/// The longest client → server line the daemon reads, newline included
+/// (1 MiB). A `JOB` line is a few hundred bytes; the bound only stops a
+/// client that never sends a newline from growing the daemon's buffer.
+pub const MAX_LINE_BYTES: u64 = 1 << 20;
 
 /// A parsed client → server command line.
 #[derive(Debug, Clone, PartialEq)]

@@ -395,18 +395,9 @@ impl Simulator {
     /// Resets the simulator to a fresh run of `profile` under the same
     /// processor configuration: all caches, predictors, rename state,
     /// timing rings and statistics return to their initial state, exactly
-    /// as if the simulator had just been constructed. This is what lets an
-    /// engine reuse one simulator across its pilot and evaluation phases
-    /// (and across grid cells) instead of rebuilding it.
+    /// as if the simulator had just been constructed.
     pub fn reset(&mut self, profile: &AppProfile, seed: u64) {
         *self = Simulator::new(self.cfg.clone(), profile, seed);
-    }
-
-    /// [`reset`](Self::reset) for any [`Workload`]: returns the simulator
-    /// to a fresh run of `workload` under the same processor
-    /// configuration.
-    pub fn reset_workload(&mut self, workload: &Workload, seed: u64) {
-        *self = Simulator::with_workload(self.cfg.clone(), workload, seed);
     }
 
     /// A fresh simulator with the same configuration, ready to run

@@ -275,6 +275,37 @@ fn pipelined_jobs_on_one_connection_demux_byte_identically() {
     handle.join().expect("daemon exit");
 }
 
+/// A request line at the protocol's length bound with no newline is
+/// refused with a connection-level `ERR` and the connection is closed;
+/// the daemon still serves new connections.
+#[test]
+fn over_long_request_line_is_refused_and_the_daemon_survives() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+
+    let handle = SweepDaemon::bind("127.0.0.1:0").expect("bind").spawn();
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect");
+    // Exactly the bound: the daemon consumes every byte sent before it
+    // answers, so the close leaves nothing unread on its side.
+    let line = vec![b'x'; usize::try_from(protocol::MAX_LINE_BYTES).unwrap()];
+    raw.write_all(&line).expect("send the over-long line");
+    let mut reader = BufReader::new(raw);
+    let mut frame = String::new();
+    reader.read_line(&mut frame).expect("read the ERR frame");
+    let usage = format!("ERR {} ", StatusCode::Usage.code());
+    assert!(frame.starts_with(&usage), "unexpected frame {frame:?}");
+    let mut rest = Vec::new();
+    // Closed: EOF right after the ERR frame (a reset also counts).
+    if reader.read_to_end(&mut rest).is_ok() {
+        assert!(rest.is_empty(), "frames after the ERR: {rest:?}");
+    }
+
+    let mut client = Client::connect(handle.addr()).expect("reconnect");
+    client.ping().expect("PING after an over-long line");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon exit");
+}
+
 /// The golden fingerprint pin (ISSUE 7 satellite): the content address
 /// of a pinned scenario must never change silently. It may only change
 /// when a result-affecting input *consciously* changes — a
