@@ -3,7 +3,7 @@
 //! substrate show up in `cargo bench` history.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use distfront_bench::kernel_app;
+use distfront_bench::{bench_uops, kernel_app};
 use distfront_cache::trace_cache::{TraceCache, TraceCacheConfig, TraceKey};
 use distfront_power::{EnergyTable, LeakageModel, Machine, PowerModel};
 use distfront_thermal::{Floorplan, PackageConfig, ThermalNetwork, ThermalSolver};
@@ -101,13 +101,22 @@ fn bench_power_model(c: &mut Criterion) {
     });
 }
 
+/// The simulator in the shape a live cell runs it: one SPEC profile for
+/// `DISTFRONT_BENCH_UOPS` micro-ops (default 200k, the CLI default) under
+/// the baseline and the distributed frontend.
 fn bench_simulator(c: &mut Criterion) {
-    c.bench_function("components/simulator_50k_uops", |b| {
-        b.iter(|| {
-            let mut sim = Simulator::new(ProcessorConfig::hpca05_baseline(), &kernel_app(), 1);
-            black_box(sim.run(50_000))
-        })
-    });
+    let uops = bench_uops();
+    for (name, cfg) in [
+        ("baseline", ProcessorConfig::hpca05_baseline()),
+        ("distributed", ProcessorConfig::distributed_rename_commit()),
+    ] {
+        c.bench_function(&format!("components/simulator_{name}"), |b| {
+            b.iter(|| {
+                let mut sim = Simulator::new(cfg.clone(), &kernel_app(), 1);
+                black_box(sim.run(uops))
+            })
+        });
+    }
 }
 
 criterion_group! {

@@ -6,6 +6,7 @@
 //! by bidirectional point-to-point links and shared memory/disambiguation
 //! buses.
 
+use crate::rename::RenameUnit;
 use crate::steer::SteeringPolicy;
 use distfront_cache::l1d::L1Config;
 use distfront_cache::trace_cache::TraceCacheConfig;
@@ -182,6 +183,13 @@ impl ProcessorConfig {
         if self.backends == 0 {
             return Err("no backend clusters".into());
         }
+        if self.backends > RenameUnit::MAX_BACKENDS {
+            return Err(format!(
+                "{} backends exceed the {}-backend availability mask",
+                self.backends,
+                RenameUnit::MAX_BACKENDS
+            ));
+        }
         let parts = self.frontend_mode.partitions();
         if parts == 0 {
             return Err("no frontend partitions".into());
@@ -276,6 +284,18 @@ mod tests {
         let mut c = ProcessorConfig::hpca05_baseline();
         c.frontend_mode = FrontendMode::Distributed { frontends: 3 };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_backends_beyond_the_availability_mask() {
+        let mut c = ProcessorConfig::hpca05_baseline();
+        c.backends = 31;
+        c.validate().unwrap();
+        for backends in [32, 33, 64] {
+            c.backends = backends;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("availability mask"), "{err}");
+        }
     }
 
     #[test]

@@ -16,6 +16,23 @@
 //!
 //! [`RenameUnit`] models all of this with real freelists and mapping
 //! tables; the timing simulator consumes its [`Renamed`] outcomes.
+//!
+//! # No heap traffic per micro-op
+//!
+//! [`RenameUnit::rename`] runs once per micro-op on the simulator's hot
+//! path, so it allocates nothing. The mapping table is one flat vector
+//! indexed `backend * NUM_ARCH_REGS + reg`. A micro-op has at most two
+//! sources, so its copies fit an inline [`CopyList`]. The stale registers
+//! a destination write frees at commit go straight onto a FIFO per
+//! frontend partition, in ascending backend order; [`Renamed`] reports
+//! only how many, and [`RenameUnit::commit_release`] pops that many from
+//! the partition's FIFO when the micro-op commits. A partition's ROB
+//! commits its entries in the order they were renamed, so each FIFO
+//! drains in the order it was filled and the freelists (stacks) see the
+//! same push sequence as a list per micro-op would give them. The FIFOs and freelists grow to their high-water mark
+//! once and are reused after that.
+
+use std::collections::VecDeque;
 
 use distfront_trace::uop::{ArchReg, MicroOp, RegClass, NUM_ARCH_REGS};
 
@@ -51,14 +68,54 @@ pub struct Release {
     pub reg: PhysReg,
 }
 
+/// The copies one micro-op needs: at most one per source, so at most two,
+/// held inline. Dereferences to a slice in generation order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CopyList {
+    /// Slots past `len` hold a fixed filler, so the derived equality is
+    /// equality of the slices.
+    ops: [CopyOp; 2],
+    len: usize,
+}
+
+impl CopyList {
+    fn new() -> Self {
+        let filler = CopyOp {
+            reg: ArchReg::from_index(0),
+            from: 0,
+            to: 0,
+            cross_partition: false,
+            dest_phys: PhysReg(0),
+        };
+        CopyList {
+            ops: [filler; 2],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, op: CopyOp) {
+        self.ops[self.len] = op;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for CopyList {
+    type Target = [CopyOp];
+
+    fn deref(&self) -> &[CopyOp] {
+        &self.ops[..self.len]
+    }
+}
+
 /// Outcome of renaming one micro-op.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Renamed {
     /// Copies that must execute before the micro-op's sources are local.
-    pub copies: Vec<CopyOp>,
-    /// Registers to free when this micro-op commits (stale copies of the
-    /// overwritten logical destination).
-    pub releases: Vec<Release>,
+    pub copies: CopyList,
+    /// Number of registers queued on the partition's release FIFO, to be
+    /// freed when this micro-op commits (stale copies of the overwritten
+    /// logical destination). Pass it to [`RenameUnit::commit_release`].
+    pub releases: usize,
     /// Physical destination allocated for the micro-op, if it has one.
     pub dest_phys: Option<PhysReg>,
 }
@@ -141,6 +198,9 @@ impl FreeList {
 ///                           [Some(ArchReg::int(2)), None]);
 /// let out = ru.rename(&add, 0).unwrap();
 /// assert!(out.copies.is_empty()); // r2 boots available everywhere
+/// // r1 booted in all four backends: four stale copies free at commit.
+/// assert_eq!(out.releases, 4);
+/// ru.commit_release(ru.partition_of(0), out.releases);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RenameUnit {
@@ -148,14 +208,25 @@ pub struct RenameUnit {
     partitions: usize,
     /// Availability table: bit `b` set when backend `b` holds a valid copy.
     availability: Vec<u32>,
-    /// `mapping[backend][logical]` — current physical mapping, if any.
-    mapping: Vec<Vec<Option<PhysReg>>>,
+    /// `mapping[backend * NUM_ARCH_REGS + logical]` — current physical
+    /// mapping, if any.
+    mapping: Vec<Option<PhysReg>>,
     int_free: Vec<FreeList>,
     fp_free: Vec<FreeList>,
+    /// Per frontend partition: registers queued for release, in rename
+    /// order, until their owning micro-ops commit.
+    pending_releases: Vec<VecDeque<Release>>,
     activity: RenameActivity,
 }
 
+/// Logical registers per backend row of the flat mapping table.
+const REGS: usize = NUM_ARCH_REGS as usize;
+
 impl RenameUnit {
+    /// Largest backend count the `u32` availability mask can hold: the
+    /// all-backends mask is `(1 << backends) - 1`.
+    pub const MAX_BACKENDS: usize = 31;
+
     /// Creates a rename unit for `backends` clusters grouped into
     /// `partitions` frontend partitions, with the given per-backend
     /// register-file sizes.
@@ -165,25 +236,26 @@ impl RenameUnit {
     ///
     /// # Panics
     ///
-    /// Panics if `backends` is not divisible by `partitions`, or the
-    /// register files are too small to hold the architectural state.
+    /// Panics if `backends` is not divisible by `partitions`, exceeds
+    /// [`MAX_BACKENDS`](Self::MAX_BACKENDS), or the register files are too
+    /// small to hold the architectural state.
     pub fn new(backends: usize, partitions: usize, int_regs: usize, fp_regs: usize) -> Self {
         assert!(partitions > 0 && backends.is_multiple_of(partitions));
-        let arch_per_class = usize::from(NUM_ARCH_REGS) / 2;
+        assert!(
+            backends <= Self::MAX_BACKENDS,
+            "{backends} backends overflow the availability mask"
+        );
+        let arch_per_class = REGS / 2;
         assert!(int_regs > arch_per_class, "int register file too small");
         assert!(fp_regs > arch_per_class, "fp register file too small");
         let all = (1u32 << backends) - 1;
         let mapping = (0..backends)
-            .map(|_| {
-                (0..usize::from(NUM_ARCH_REGS))
-                    .map(|l| Some(PhysReg((l % arch_per_class) as u16)))
-                    .collect()
-            })
+            .flat_map(|_| (0..REGS).map(|l| Some(PhysReg((l % arch_per_class) as u16))))
             .collect();
         RenameUnit {
             backends,
             partitions,
-            availability: vec![all; usize::from(NUM_ARCH_REGS)],
+            availability: vec![all; REGS],
             mapping,
             int_free: (0..backends)
                 .map(|_| FreeList::new(int_regs, arch_per_class))
@@ -191,6 +263,7 @@ impl RenameUnit {
             fp_free: (0..backends)
                 .map(|_| FreeList::new(fp_regs, arch_per_class))
                 .collect(),
+            pending_releases: vec![VecDeque::new(); partitions],
             activity: RenameActivity {
                 rat_reads: vec![0; partitions],
                 rat_writes: vec![0; partitions],
@@ -221,6 +294,12 @@ impl RenameUnit {
         (0..self.backends).filter(move |&b| mask & (1 << b) != 0)
     }
 
+    /// The availability mask of `reg`: bit `b` set when backend `b` holds
+    /// a valid copy.
+    pub fn availability(&self, reg: ArchReg) -> u32 {
+        self.availability[reg.index()]
+    }
+
     /// `true` if `backend` holds a valid copy of `reg`.
     pub fn is_available(&self, reg: ArchReg, backend: usize) -> bool {
         self.availability[reg.index()] & (1 << backend) != 0
@@ -245,8 +324,10 @@ impl RenameUnit {
     ///
     /// Generates the copies needed to localize source operands, allocates
     /// the destination register from the centralized freelist, updates the
-    /// availability table and the owning partition's RAT, and reports which
-    /// stale physical registers the commit of this micro-op will release.
+    /// availability table and the owning partition's RAT, and queues the
+    /// stale physical registers the commit of this micro-op will release
+    /// on the partition's release FIFO. [`Renamed::releases`] says how
+    /// many were queued.
     ///
     /// # Errors
     ///
@@ -291,8 +372,7 @@ impl RenameUnit {
         }
 
         let part = self.partition_of(backend);
-        let mut copies = Vec::new();
-        let mut releases = Vec::new();
+        let mut copies = CopyList::new();
 
         // Source localization (availability lookups happen at steer).
         for src in uop.sources() {
@@ -310,7 +390,7 @@ impl RenameUnit {
                     .freelist(backend, src.class())
                     .alloc()
                     .expect("pre-checked allocation failed");
-                self.mapping[backend][src.index()] = Some(dest_phys);
+                self.mapping[backend * REGS + src.index()] = Some(dest_phys);
                 self.availability[src.index()] |= 1 << backend;
                 // The copy's mapping is written in the destination
                 // partition's RAT.
@@ -326,31 +406,32 @@ impl RenameUnit {
         }
 
         // Destination rename at the steering stage (centralized freelists).
+        let mut releases = 0;
         let dest_phys = match uop.dst {
             Some(dst) => {
-                // Stale copies everywhere are released when this commits.
-                let mask = self.availability[dst.index()];
-                for b in 0..self.backends {
-                    if mask & (1 << b) != 0 {
-                        if let Some(old) = self.mapping[b][dst.index()] {
-                            releases.push(Release {
-                                backend: b,
-                                class: dst.class(),
-                                reg: old,
-                            });
-                        }
+                // Stale copies everywhere are released when this commits,
+                // queued in ascending backend order.
+                let mut mask = self.availability[dst.index()];
+                while mask != 0 {
+                    let b = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    if let Some(old) = self.mapping[b * REGS + dst.index()] {
+                        self.pending_releases[part].push_back(Release {
+                            backend: b,
+                            class: dst.class(),
+                            reg: old,
+                        });
+                        releases += 1;
                     }
                 }
                 let fresh = self
                     .freelist(backend, dst.class())
                     .alloc()
                     .expect("pre-checked allocation failed");
-                self.mapping[backend][dst.index()] = Some(fresh);
                 for b in 0..self.backends {
-                    if b != backend {
-                        self.mapping[b][dst.index()] = None;
-                    }
+                    self.mapping[b * REGS + dst.index()] = None;
                 }
+                self.mapping[backend * REGS + dst.index()] = Some(fresh);
                 self.availability[dst.index()] = 1 << backend;
                 self.activity.rat_writes[part] += 1;
                 Some(fresh)
@@ -381,9 +462,19 @@ impl RenameUnit {
     }
 
     /// Returns registers to the freelists when their owning instruction
-    /// commits.
-    pub fn commit_release(&mut self, releases: &[Release]) {
-        for r in releases {
+    /// commits: pops the `count` oldest entries of `partition`'s release
+    /// FIFO, where `count` is the [`Renamed::releases`] of that
+    /// instruction. Instructions of one partition must commit in the order
+    /// they were renamed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `count` releases are queued for `partition`.
+    pub fn commit_release(&mut self, partition: usize, count: usize) {
+        for _ in 0..count {
+            let r = self.pending_releases[partition]
+                .pop_front()
+                .expect("release queued at rename");
             self.freelist(r.backend, r.class).release(r.reg);
         }
     }
@@ -480,10 +571,55 @@ mod tests {
         let mut ru = RenameUnit::new(4, 2, 160, 160);
         // r1 boots available in all 4 backends -> 4 stale copies released.
         let out = ru.rename(&alu(0, 1, 2), 0).unwrap();
-        assert_eq!(out.releases.len(), 4);
+        assert_eq!(out.releases, 4);
         // A second write releases only the single live copy.
         let out2 = ru.rename(&alu(1, 1, 2), 0).unwrap();
-        assert_eq!(out2.releases.len(), 1);
+        assert_eq!(out2.releases, 1);
+    }
+
+    #[test]
+    fn widest_mask_boots_and_releases_every_backend() {
+        let b = RenameUnit::MAX_BACKENDS;
+        let mut ru = RenameUnit::new(b, 1, 160, 160);
+        assert_eq!(ru.availability(ArchReg::int(1)), u32::MAX >> 1);
+        let out = ru.rename(&alu(0, 1, 2), b - 1).unwrap();
+        assert_eq!(out.releases, b);
+        ru.commit_release(0, out.releases);
+        for k in 0..b - 1 {
+            assert_eq!(ru.free_regs(k, RegClass::Int), 160 - 32 + 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "availability mask")]
+    fn backends_beyond_the_mask_rejected() {
+        RenameUnit::new(RenameUnit::MAX_BACKENDS + 1, 1, 160, 160);
+    }
+
+    #[test]
+    fn releases_drain_per_partition_in_rename_order() {
+        let mut ru = RenameUnit::new(4, 2, 160, 160);
+        let boot = 160 - 32;
+        let free = |ru: &RenameUnit| {
+            (0..4)
+                .map(|b| ru.free_regs(b, RegClass::Int))
+                .collect::<Vec<_>>()
+        };
+        // Partition 1 renames first; partition 0 commits first anyway.
+        let a = ru.rename(&alu(0, 1, 2), 2).unwrap(); // frees r1 boot copies
+        let b = ru.rename(&alu(1, 3, 2), 0).unwrap(); // frees r3 boot copies
+        let c = ru.rename(&alu(2, 1, 2), 0).unwrap(); // frees a's r1 on 2
+        assert_eq!((a.releases, b.releases, c.releases), (4, 4, 1));
+        // Partition 0 queues b's four releases, then c's one: committing
+        // b must free b's, one per backend, not c's.
+        ru.commit_release(0, b.releases);
+        assert_eq!(free(&ru), [boot - 1, boot + 1, boot, boot + 1]);
+        ru.commit_release(1, a.releases);
+        ru.commit_release(0, c.releases);
+        assert_eq!(free(&ru), [boot, boot + 2, boot + 2, boot + 2]);
+        // Freelists are stacks: backend 2 last got back a's destination.
+        let d = ru.rename(&alu(3, 5, 2), 2).unwrap();
+        assert_eq!(d.dest_phys, a.dest_phys);
     }
 
     #[test]
@@ -492,7 +628,7 @@ mod tests {
         let before = ru.free_regs(0, RegClass::Int);
         let out = ru.rename(&alu(0, 1, 2), 0).unwrap();
         assert_eq!(ru.free_regs(0, RegClass::Int), before - 1);
-        ru.commit_release(&out.releases);
+        ru.commit_release(0, out.releases);
         // Backend 0 got its stale copy of r1 back; net usage is stable.
         assert_eq!(ru.free_regs(0, RegClass::Int), before);
     }
@@ -552,8 +688,8 @@ mod prop_tests {
             ops in proptest::collection::vec((0u8..32, 0u8..32, 0usize..4), 1..300),
         ) {
             let mut ru = RenameUnit::new(4, 2, 160, 160);
-            let mut pending: std::collections::VecDeque<Vec<Release>> =
-                std::collections::VecDeque::new();
+            // (partition, release count) of each in-flight rename.
+            let mut pending: VecDeque<(usize, usize)> = VecDeque::new();
             for (i, &(dst, src, backend)) in ops.iter().enumerate() {
                 let uop = MicroOp::reg_op(
                     i as u64,
@@ -565,17 +701,17 @@ mod prop_tests {
                     Ok(out) => {
                         prop_assert!(ru.is_available(ArchReg::int(src), backend));
                         prop_assert!(ru.is_available(ArchReg::int(dst), backend));
-                        pending.push_back(out.releases);
+                        pending.push_back((ru.partition_of(backend), out.releases));
                         // Commit in order with a window of 8 in flight.
                         if pending.len() > 8 {
-                            let r = pending.pop_front().unwrap();
-                            ru.commit_release(&r);
+                            let (part, n) = pending.pop_front().unwrap();
+                            ru.commit_release(part, n);
                         }
                     }
                     Err(_) => {
                         // Drain the window and retry once; must succeed.
-                        while let Some(r) = pending.pop_front() {
-                            ru.commit_release(&r);
+                        while let Some((part, n)) = pending.pop_front() {
+                            ru.commit_release(part, n);
                         }
                         prop_assert!(ru.rename(&uop, backend).is_ok());
                     }

@@ -15,6 +15,25 @@
 //! laptop. Structural hazards are modelled with capacity rings: a
 //! structure of size `S` delays dispatch until the entry `S` positions
 //! earlier has left.
+//!
+//! # No heap traffic per micro-op
+//!
+//! [`Simulator::step`] and [`Simulator::run`] spend their time in
+//! `run_trace` and `process_uop`, which allocate nothing once the
+//! simulator has warmed up:
+//!
+//! * each trace is built into one buffer the simulator owns
+//!   ([`TraceBuilder::next_trace_into`]);
+//! * renaming returns its copies inline and queues the registers a commit
+//!   frees on a FIFO per ROB partition, so a ROB entry holds only their
+//!   count (see [`crate::rename`]);
+//! * steering scores every backend from the sources' availability masks
+//!   in one pass ([`Steerer::steer`]).
+//!
+//! The ROB rings, issue-queue heaps and release FIFOs grow to their
+//! high-water mark and are reused after that. Per-interval work in
+//! [`Simulator::step`] (taking the counters) may allocate. A new per-uop
+//! `Vec`, `Box` or iterator fold would undo this.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -28,7 +47,7 @@ use distfront_trace::{TraceGenerator, Workload};
 use crate::activity::ActivityCounters;
 use crate::bpred::BranchPredictor;
 use crate::config::ProcessorConfig;
-use crate::rename::{Release, RenameUnit};
+use crate::rename::RenameUnit;
 use crate::steer::Steerer;
 use crate::tracer::{TraceBuilder, TraceLimits};
 
@@ -159,7 +178,9 @@ impl SlotAllocator {
 struct InFlight {
     commit_cycle: u64,
     backend: usize,
-    releases: Vec<Release>,
+    /// Registers this entry frees at commit, queued on the rename unit's
+    /// release FIFO of its partition.
+    releases: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -221,6 +242,8 @@ impl BackendTiming {
 pub struct Simulator {
     cfg: ProcessorConfig,
     builder: TraceBuilder,
+    /// The fetched trace's micro-ops; reused for every trace.
+    trace_buf: Vec<MicroOp>,
     bp: BranchPredictor,
     tc: TraceCache,
     ul2: UnifiedL2,
@@ -285,6 +308,7 @@ impl Simulator {
                     max_branches: 3,
                 },
             ),
+            trace_buf: Vec::with_capacity(cfg.trace_cache.line_uops as usize),
             bp: BranchPredictor::new(16 * 1024),
             tc,
             ul2: UnifiedL2::new(cfg.ul2),
@@ -390,20 +414,6 @@ impl Simulator {
     /// The static configuration.
     pub fn config(&self) -> &ProcessorConfig {
         &self.cfg
-    }
-
-    /// Resets the simulator to a fresh run of `profile` under the same
-    /// processor configuration: all caches, predictors, rename state,
-    /// timing rings and statistics return to their initial state, exactly
-    /// as if the simulator had just been constructed.
-    pub fn reset(&mut self, profile: &AppProfile, seed: u64) {
-        *self = Simulator::new(self.cfg.clone(), profile, seed);
-    }
-
-    /// A fresh simulator with the same configuration, ready to run
-    /// `profile` from cycle zero.
-    pub fn fresh(&self, profile: &AppProfile, seed: u64) -> Simulator {
-        Simulator::new(self.cfg.clone(), profile, seed)
     }
 
     /// Mutable access to the trace cache, for the thermal control loop
@@ -524,10 +534,13 @@ impl Simulator {
             fc = fc.max(oldest_dispatch.saturating_sub(pipe));
         }
 
-        let trace = self.builder.next_trace();
+        // The buffer is taken out for the loop below, which needs `self`
+        // mutably, and put back after it: no allocation per trace.
+        let mut uops = std::mem::take(&mut self.trace_buf);
+        let key = self.builder.next_trace_into(&mut uops);
         self.act.itlb_accesses += 1;
         self.tc_lookups += 1;
-        let hit = self.tc.lookup(trace.key);
+        let hit = self.tc.lookup(key);
         let deliver = if hit {
             self.tc_hits += 1;
             fc + 1
@@ -536,14 +549,14 @@ impl Simulator {
             self.act.tc_fills += 1;
             self.act.ul2_accesses += 1;
             let (grant, bus_lat) = self.alloc_bus(fc);
-            let raw_lat = u64::from(self.ul2.access(trace.key.start_pc));
+            let raw_lat = u64::from(self.ul2.access(key.start_pc));
             let lat = self.uncore_cycles(raw_lat);
-            self.tc.insert(trace.key);
+            self.tc.insert(key);
             // Line build streams the micro-ops through decode.
-            let build = trace.len() as u64 / 4 + 1;
+            let build = uops.len() as u64 / 4 + 1;
             grant + bus_lat + lat + build
         };
-        let mut fetch_cycles = (trace.len() as u64).div_ceil(u64::from(self.cfg.fetch_width));
+        let mut fetch_cycles = (uops.len() as u64).div_ceil(u64::from(self.cfg.fetch_width));
         if let Some(g) = self.fetch_gate {
             // Toggling: the same fetch work spreads over period/open the
             // cycles (integer arithmetic keeps the timing deterministic).
@@ -552,9 +565,10 @@ impl Simulator {
         self.fetch_cycle = deliver + fetch_cycles;
         let front_ready =
             deliver + u64::from(self.cfg.fetch_to_dispatch + self.cfg.decode_rename_steer);
-        for uop in &trace.uops {
+        for uop in &uops {
             self.process_uop(uop, front_ready);
         }
+        self.trace_buf = uops;
     }
 
     /// Allocates a memory bus at or after `request`; returns the grant
@@ -575,14 +589,20 @@ impl Simulator {
     /// Pops the globally oldest in-flight instruction, applying its
     /// register releases. Returns `false` if nothing is in flight.
     fn pop_oldest_rob(&mut self) -> bool {
-        let oldest = (0..self.rob_rings.len())
-            .filter(|&p| !self.rob_rings[p].is_empty())
-            .min_by_key(|&p| self.rob_rings[p].front().expect("checked").commit_cycle);
-        let Some(p) = oldest else {
+        // The first partition with the least head commit cycle.
+        let mut oldest: Option<(usize, u64)> = None;
+        for (p, ring) in self.rob_rings.iter().enumerate() {
+            if let Some(front) = ring.front() {
+                if oldest.is_none_or(|(_, c)| front.commit_cycle < c) {
+                    oldest = Some((p, front.commit_cycle));
+                }
+            }
+        }
+        let Some((p, _)) = oldest else {
             return false;
         };
         let inf = self.rob_rings[p].pop_front().expect("checked");
-        self.rename.commit_release(&inf.releases);
+        self.rename.commit_release(p, inf.releases);
         self.steerer.note_retire(inf.backend);
         true
     }
@@ -597,7 +617,7 @@ impl Simulator {
                 Some(front) if front.commit_cycle <= *cand || ring.len() >= cap => {
                     *cand = (*cand).max(self.rob_rings[partition][0].commit_cycle);
                     let inf = self.rob_rings[partition].pop_front().expect("non-empty");
-                    self.rename.commit_release(&inf.releases);
+                    self.rename.commit_release(partition, inf.releases);
                     self.steerer.note_retire(inf.backend);
                     if ring_has_room(&self.rob_rings[partition], cap) {
                         break;
@@ -652,7 +672,7 @@ impl Simulator {
         }
 
         // -- Copies to localize remote sources --------------------------------
-        for copy in &renamed.copies {
+        for copy in renamed.copies.iter() {
             let from_t = &mut self.backends[copy.from];
             let val_ready = from_t.reg_ready[copy.reg.index()];
             // A cross-partition copy is generated by the other frontend
@@ -687,13 +707,11 @@ impl Simulator {
 
         // -- Issue -----------------------------------------------------------
         let earliest_issue = dispatch + cfg_dispatch_latency;
-        let operands = uop
-            .sources()
-            .map(|s| self.backends[backend].reg_ready[s.index()])
-            .max()
-            .unwrap_or(0);
         let bt = &mut self.backends[backend];
-        let mut issue = earliest_issue.max(operands);
+        let mut issue = earliest_issue;
+        for s in uop.sources() {
+            issue = issue.max(bt.reg_ready[s.index()]);
+        }
         match queue_class(uop.kind) {
             QueueClass::Int => {
                 issue = issue.max(bt.int_issue_free);
@@ -1005,40 +1023,6 @@ mod tests {
             slow.ipc,
             fast.ipc
         );
-    }
-
-    #[test]
-    fn reset_equals_fresh_construction() {
-        let mut sim = baseline_sim();
-        sim.run(30_000);
-        sim.reset(&AppProfile::test_tiny(), 7);
-        assert_eq!(sim.current_cycle(), 0);
-        assert_eq!(sim.total_committed(), 0);
-        let after_reset = sim.run(20_000);
-        let fresh = baseline_sim().run(20_000);
-        assert_eq!(after_reset, fresh, "reset run differs from fresh run");
-    }
-
-    #[test]
-    fn reset_can_switch_profile_and_seed() {
-        let mut sim = baseline_sim();
-        sim.run(10_000);
-        let gzip = AppProfile::by_name("gzip").unwrap();
-        sim.reset(gzip, 99);
-        let a = sim.run(20_000);
-        let b = Simulator::new(ProcessorConfig::hpca05_baseline(), gzip, 99).run(20_000);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fresh_leaves_original_untouched() {
-        let mut sim = baseline_sim();
-        sim.run(10_000);
-        let committed = sim.total_committed();
-        let mut clone = sim.fresh(&AppProfile::test_tiny(), 7);
-        clone.run(5_000);
-        assert_eq!(sim.total_committed(), committed);
-        assert_eq!(clone.config(), sim.config());
     }
 
     #[test]

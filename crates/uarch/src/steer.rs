@@ -97,30 +97,36 @@ impl Steerer {
                 self.rr
             }
             SteeringPolicy::DependenceBalance => {
-                let min_load = *self.in_flight.iter().min().expect("non-empty");
                 // Rotate tie-breaking so score ties spread over all
                 // backends instead of systematically favouring backend 0
                 // (which would skew one frontend partition hot).
                 self.rr = (self.rr + 1) % n;
-                let rr = self.rr;
-                (0..n)
-                    .max_by_key(|&b| {
-                        let matches =
-                            uop.sources().filter(|&s| rename.is_available(s, b)).count() as i64;
-                        // Dependence matches dominate unless the backend is
-                        // over-loaded (each match worth 6 in-flight
-                        // micro-ops of imbalance).
-                        let balance = -(self.in_flight[b] - min_load);
-                        let bias = match self.preferred {
-                            Some((start, end)) if (start..end).contains(&b) => PREFERRED_BONUS,
-                            _ => 0,
-                        };
-                        (
-                            matches * 6 + balance + bias,
-                            std::cmp::Reverse((b + n - rr) % n),
-                        )
-                    })
-                    .expect("non-empty")
+                let [m0, m1] = uop.srcs.map(|s| s.map_or(0, |r| rename.availability(r)));
+                // One pass in rotation order from `rr`; the first strictly
+                // greater score wins, so ties go to the backend nearest
+                // `rr`.
+                let mut best = self.rr;
+                let mut best_score = i64::MIN;
+                let mut b = self.rr;
+                for _ in 0..n {
+                    // Dependence matches dominate unless the backend is
+                    // over-loaded: each match is worth 6 in-flight
+                    // micro-ops of imbalance. Loads enter as `-in_flight`;
+                    // the least load, common to every backend, cannot
+                    // change the winner.
+                    let matches = i64::from((m0 >> b) & 1) + i64::from((m1 >> b) & 1);
+                    let bias = match self.preferred {
+                        Some((start, end)) if (start..end).contains(&b) => PREFERRED_BONUS,
+                        _ => 0,
+                    };
+                    let score = matches * 6 + bias - self.in_flight[b];
+                    if score > best_score {
+                        best = b;
+                        best_score = score;
+                    }
+                    b = if b + 1 == n { 0 } else { b + 1 };
+                }
+                best
             }
         };
         self.in_flight[choice] += 1;

@@ -30,28 +30,6 @@ impl Default for TraceLimits {
     }
 }
 
-/// A fetched trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Trace {
-    /// Trace-cache key (start PC + branch directions).
-    pub key: TraceKey,
-    /// The micro-ops, in program order.
-    pub uops: Vec<MicroOp>,
-}
-
-impl Trace {
-    /// Number of micro-ops in the trace.
-    pub fn len(&self) -> usize {
-        self.uops.len()
-    }
-
-    /// `true` if the trace carries no micro-ops (never produced by
-    /// [`TraceBuilder`]).
-    pub fn is_empty(&self) -> bool {
-        self.uops.is_empty()
-    }
-}
-
 /// Builds traces by consuming a [`TraceGenerator`] stream.
 ///
 /// Traces are aligned to basic-block boundaries: a trace ends when the next
@@ -90,9 +68,13 @@ impl TraceBuilder {
         }
     }
 
-    /// Builds the next trace along the executed path.
-    pub fn next_trace(&mut self) -> Trace {
-        let mut uops = Vec::with_capacity(self.limits.max_uops);
+    /// Builds the next trace along the executed path into `uops`, which
+    /// is cleared first, and returns its trace-cache key.
+    ///
+    /// The caller owns the buffer and passes the same one every time, so
+    /// after the first few traces building one allocates nothing.
+    pub fn next_trace_into(&mut self, uops: &mut Vec<MicroOp>) -> TraceKey {
+        uops.clear();
         let mut branch_bits = 0u8;
         let mut branches = 0;
         loop {
@@ -111,25 +93,19 @@ impl TraceBuilder {
             };
             for _ in 0..take {
                 let uop = self.pending.pop_front().expect("refilled above");
-                let is_branch = uop.is_branch();
-                let taken = uop.taken;
-                uops.push(uop);
-                if is_branch {
-                    if taken {
+                if uop.is_branch() {
+                    if uop.taken {
                         branch_bits |= 1 << branches;
                     }
                     branches += 1;
                 }
+                uops.push(uop);
             }
             if branches >= self.limits.max_branches || uops.len() >= self.limits.max_uops {
                 break;
             }
         }
-        let start_pc = uops[0].pc;
-        Trace {
-            key: TraceKey::new(start_pc, branch_bits),
-            uops,
-        }
+        TraceKey::new(uops[0].pc, branch_bits)
     }
 }
 
@@ -147,39 +123,43 @@ mod tests {
         )
     }
 
+    /// Runs `check` on the next `n` traces of a fresh builder, all built
+    /// into one reused buffer.
+    fn each_trace(n: usize, mut check: impl FnMut(TraceKey, &[MicroOp])) {
+        let mut b = builder();
+        let mut uops = Vec::new();
+        for _ in 0..n {
+            let key = b.next_trace_into(&mut uops);
+            check(key, &uops);
+        }
+    }
+
     #[test]
     fn traces_respect_limits() {
-        let mut b = builder();
-        for _ in 0..500 {
-            let t = b.next_trace();
-            assert!(!t.is_empty());
-            assert!(t.len() <= 16);
-            let branches = t.uops.iter().filter(|u| u.is_branch()).count();
+        each_trace(500, |_, uops| {
+            assert!(!uops.is_empty());
+            assert!(uops.len() <= 16);
+            let branches = uops.iter().filter(|u| u.is_branch()).count();
             assert!(branches <= 3);
-        }
+        });
     }
 
     #[test]
     fn traces_are_contiguous_in_program_order() {
-        let mut b = builder();
         let mut expect_seq = 0;
-        for _ in 0..200 {
-            let t = b.next_trace();
-            for u in &t.uops {
+        each_trace(200, |_, uops| {
+            for u in uops {
                 assert_eq!(u.seq, expect_seq);
                 expect_seq += 1;
             }
-        }
+        });
     }
 
     #[test]
     fn key_encodes_branch_directions() {
-        let mut b = builder();
-        for _ in 0..300 {
-            let t = b.next_trace();
+        each_trace(300, |key, uops| {
             let mut bits = 0u8;
-            for (i, u) in t
-                .uops
+            for (i, u) in uops
                 .iter()
                 .filter(|u| u.kind == UopKind::Branch)
                 .enumerate()
@@ -188,40 +168,36 @@ mod tests {
                     bits |= 1 << i;
                 }
             }
-            assert_eq!(t.key.branch_bits, bits);
-            assert_eq!(t.key.start_pc, t.uops[0].pc);
-        }
+            assert_eq!(key.branch_bits, bits);
+            assert_eq!(key.start_pc, uops[0].pc);
+        });
     }
 
     #[test]
     fn same_key_means_same_static_content() {
         // The fundamental trace-cache property.
-        let mut b = builder();
         let mut seen: HashMap<TraceKey, Vec<(u64, UopKind)>> = HashMap::new();
-        for _ in 0..2000 {
-            let t = b.next_trace();
-            let sig: Vec<_> = t.uops.iter().map(|u| (u.pc, u.kind)).collect();
-            if let Some(prev) = seen.get(&t.key) {
-                assert_eq!(prev, &sig, "key {:?} changed contents", t.key);
+        each_trace(2000, |key, uops| {
+            let sig: Vec<_> = uops.iter().map(|u| (u.pc, u.kind)).collect();
+            if let Some(prev) = seen.get(&key) {
+                assert_eq!(prev, &sig, "key {key:?} changed contents");
             } else {
-                seen.insert(t.key, sig);
+                seen.insert(key, sig);
             }
-        }
+        });
         assert!(seen.len() > 4, "workload produced too few distinct traces");
     }
 
     #[test]
     fn trace_ends_at_third_branch() {
-        let mut b = builder();
-        for _ in 0..300 {
-            let t = b.next_trace();
-            let branches = t.uops.iter().filter(|u| u.is_branch()).count();
+        each_trace(300, |_, uops| {
+            let branches = uops.iter().filter(|u| u.is_branch()).count();
             if branches == 3 {
                 assert!(
-                    t.uops.last().unwrap().is_branch(),
+                    uops.last().unwrap().is_branch(),
                     "3rd branch must end trace"
                 );
             }
-        }
+        });
     }
 }
