@@ -251,6 +251,12 @@ impl TraceCache {
         self.hops
     }
 
+    /// Per-physical-bank access counts since the last
+    /// [`take_bank_accesses`](Self::take_bank_accesses), left in place.
+    pub fn bank_accesses(&self) -> &[u64] {
+        &self.accesses
+    }
+
     /// Per-physical-bank access counts since the last call, resetting them.
     pub fn take_bank_accesses(&mut self) -> Vec<u64> {
         let out = self.accesses.clone();

@@ -9,6 +9,7 @@ use distfront_trace::record::FinalStats;
 use distfront_trace::Workload;
 
 use super::replay::TraceRecorder;
+use super::stages::PilotCore;
 use super::traits::{DtmPolicy, ThermalBackend};
 use super::EngineError;
 use crate::experiment::ExperimentConfig;
@@ -18,10 +19,13 @@ use crate::runner::BlockGroups;
 /// power and thermal models, and the accumulators the final
 /// [`AppResult`](crate::runner::AppResult) is assembled from.
 ///
-/// The context holds no core simulator. A live stage builds and owns its
-/// own [`Simulator`](distfront_uarch::Simulator) and leaves the run's
-/// [`FinalStats`] in [`finals`](Self::finals); a replay copies them from
-/// the trace. So building a context for a replayed cell builds no core.
+/// The context builds no core simulator. The live pilot builds one and,
+/// on an eligible cell, hands it to the interval loop through
+/// [`pilot_core`](Self::pilot_core); otherwise the loop builds its own
+/// (see [`PilotStage`](super::PilotStage)). Either way a cell holds at
+/// most one core at a time. The loop leaves the run's [`FinalStats`] in
+/// [`finals`](Self::finals); a replay copies them from the trace. So
+/// building a context for a replayed cell builds no core.
 ///
 /// Fields are public so custom [`Stage`](super::Stage) implementations can
 /// reach whatever they need.
@@ -60,6 +64,11 @@ pub struct EngineCx<'a> {
     /// installs it). Recording only observes: a recorded run's result is
     /// bit-identical to an unrecorded one.
     pub recorder: Option<TraceRecorder>,
+    /// The pilot's core, left by [`PilotStage`](super::PilotStage) on an
+    /// eligible cell for the interval loop to resume, which takes it.
+    /// Clearing it makes the loop build its own core, with the same
+    /// result.
+    pub pilot_core: Option<PilotCore>,
     /// The run's core-side final statistics: set by the live interval
     /// loop from its simulator, or by a replay from the trace. `None` when
     /// no core loop ran; the report then reads an un-run core's values.
@@ -143,6 +152,7 @@ impl<'a> EngineCx<'a> {
             warm_start_hit: false,
             recorder: None,
             finals: None,
+            pilot_core: None,
         })
     }
 

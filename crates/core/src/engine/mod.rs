@@ -10,8 +10,9 @@
 //!   methodology); custom stages slot in without touching the loop,
 //! * [`EngineCx`] — the shared state the stages hand each other (power
 //!   model, thermal backend, accumulators, the run's final core stats);
-//!   the live stages build and own their core simulator, so a replay
-//!   never builds one,
+//!   the live stages build the core simulator, at most one per cell (the
+//!   pilot hands its core to the interval loop where it can), so a
+//!   replay never builds one,
 //! * [`CoupledEngine`] — builds the context, runs the stage pipeline and
 //!   finalizes an [`AppResult`](crate::runner::AppResult),
 //! * [`ThermalBackend`] / [`DtmPolicy`] — plug-in points for alternative
@@ -81,7 +82,7 @@ pub use batch::BatchScheduler;
 pub use context::EngineCx;
 pub use coupled::{CoupledEngine, RunStats};
 pub use replay::{ReplayBackend, ReplayLoopStage, ReplayPilotStage, TraceRecorder};
-pub use stages::{IntervalLoopStage, PilotStage, WarmStartStage};
+pub use stages::{IntervalLoopStage, PilotCore, PilotStage, WarmStartStage};
 pub use sweep::{CellOutcome, SweepReport, SweepRunner, TraceMode, TraceStore, WarmStartCache};
 pub use traits::{DtmAction, DtmPolicy, Stage, ThermalBackend};
 

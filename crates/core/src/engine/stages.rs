@@ -1,8 +1,27 @@
 //! The default three-phase pipeline: pilot → warm start → interval loop,
 //! each phase a [`Stage`] ported verbatim from the pre-refactor monolithic
-//! runner so results stay bit-identical. The pilot and the interval loop
-//! each build and own a fresh core simulator; the shared [`EngineCx`]
-//! holds none.
+//! runner so results stay bit-identical.
+//!
+//! A cell holds at most one core simulator at a time. The pilot builds
+//! the core. On an eligible cell it hands that core to the interval loop
+//! through [`EngineCx::pilot_core`], with the report of every whole pilot
+//! interval, because the loop's first intervals run at the nominal point
+//! and so are the pilot's, bit for bit. The loop reuses those reports and
+//! resumes the core where the pilot stopped instead of simulating the
+//! prefix a second time. A cell is eligible when
+//!
+//! * its trace-cache mapping ignores temperature (unbiased), so the
+//!   pilot's ambient rebalance installs the table the loop's sensor
+//!   rebalance would,
+//! * the pilot is shorter than the run, and
+//! * it records no multi-point family, whose probe forks need the core at
+//!   every boundary.
+//!
+//! If the DTM policy perturbs the core (any action but nominal or a
+//! power-level throttle) inside the pilot's prefix, the loop drops the
+//! handed-off core and re-steps a fresh one through the same nominal
+//! intervals. Every other cell, and every pipeline with a custom pilot,
+//! has the loop build its own fresh core.
 
 use std::sync::Arc;
 
@@ -14,6 +33,7 @@ use super::replay::{apply_power_action, point_key_of};
 use super::sweep::WarmStartCache;
 use super::traits::{DtmAction, Stage};
 use super::{EngineCx, EngineError};
+use crate::experiment::ExperimentConfig;
 
 /// Measures the application's nominal average dynamic power (the paper
 /// uses its first 50 M instructions) and primes the power model with it.
@@ -21,6 +41,9 @@ use super::{EngineCx, EngineError};
 /// The pilot exercises the same per-interval control decisions as the
 /// evaluation (balanced rebalance, hopping) so per-bank activity is the
 /// honest time average; temperatures are not known yet, hence balanced.
+/// On an eligible cell (see [`PilotCore`]) it stops its core at the pilot
+/// budget without closing the open interval, and leaves the core in
+/// [`EngineCx::pilot_core`] for the interval loop.
 #[derive(Debug, Default)]
 pub struct PilotStage;
 
@@ -31,24 +54,32 @@ impl Stage for PilotStage {
 
     fn run(&mut self, cx: &mut EngineCx<'_>) -> Result<(), EngineError> {
         let cfg = cx.cfg;
-        let pc = &cfg.processor;
-        // A fresh core of the pilot's own, dropped when the pilot ends.
-        let mut sim = Simulator::with_workload(pc.clone(), cx.workload, cfg.seed);
+        let budget = cfg.pilot_uops();
+        let hand_off = shares_pilot_core(cx);
+        let mut sim = Simulator::with_workload(cfg.processor.clone(), cx.workload, cfg.seed);
         let mut pilot_act = None::<ActivityCounters>;
+        let mut intervals = Vec::new();
         loop {
             let target = sim.current_cycle() + cfg.interval_cycles;
-            let r = sim.step(target, cfg.pilot_uops());
-            match &mut pilot_act {
-                Some(acc) => acc.merge(&r.activity),
-                None => pilot_act = Some(r.activity),
+            sim.advance(target, budget);
+            if hand_off && sim.total_committed() >= budget {
+                // The open interval continues in the loop: read it here,
+                // close it there.
+                accumulate(&mut pilot_act, &sim.interval_activity());
+                cx.pilot_core = Some(PilotCore {
+                    sim,
+                    intervals,
+                    resume_target: target,
+                });
+                break;
             }
-            let banks = pc.trace_cache.physical_banks();
-            sim.trace_cache_mut()
-                .rebalance(&vec![cx.pkg.ambient_c; banks]);
-            if cfg.hop {
-                sim.trace_cache_mut().hop();
+            let (r, gated_bank) = close_nominal_interval(&mut sim, cfg, cx.pkg.ambient_c, budget);
+            accumulate(&mut pilot_act, &r.activity);
+            let done = r.done;
+            if hand_off {
+                intervals.push((r, gated_bank));
             }
-            if r.done {
+            if done {
                 break;
             }
         }
@@ -64,6 +95,74 @@ impl Stage for PilotStage {
         cx.nominal = Some(nominal);
         Ok(())
     }
+}
+
+/// The pilot's core, handed to the interval loop on an eligible cell: its
+/// trace-cache mapping is unbiased, its pilot is shorter than the run,
+/// and it records no multi-point family. The loop's first intervals are
+/// then the pilot's, bit for bit, so the loop reuses their reports and
+/// resumes the core instead of simulating the prefix again.
+#[derive(Debug)]
+pub struct PilotCore {
+    /// The core, stopped at the pilot budget inside an open interval.
+    sim: Simulator,
+    /// Each whole pilot interval's report and the bank gated during it.
+    intervals: Vec<(IntervalReport, Option<u8>)>,
+    /// Cycle target of the interval the pilot stopped inside.
+    resume_target: u64,
+}
+
+/// Whether the pilot hands its core to the interval loop: the trace-cache
+/// mapping ignores temperature, the pilot is shorter than the run, and no
+/// multi-point family is being recorded.
+fn shares_pilot_core(cx: &EngineCx<'_>) -> bool {
+    let cfg = cx.cfg;
+    !cfg.processor.trace_cache.biased
+        && cfg.pilot_uops() < cfg.uops_per_app
+        && cx
+            .recorder
+            .as_ref()
+            .is_none_or(|rec| rec.family().len() <= 1)
+}
+
+/// Adds one interval's activity into the pilot's running total.
+fn accumulate(total: &mut Option<ActivityCounters>, act: &ActivityCounters) {
+    match total {
+        Some(acc) => acc.merge(act),
+        None => *total = Some(act.clone()),
+    }
+}
+
+/// Closes a nominal interval the way the pilot does: its report and the
+/// bank gated during it, then the trace-cache control at ambient
+/// temperature (rebalance, then hop).
+fn close_nominal_interval(
+    sim: &mut Simulator,
+    cfg: &ExperimentConfig,
+    ambient_c: f64,
+    uop_target: u64,
+) -> (IntervalReport, Option<u8>) {
+    let r = sim.end_interval(uop_target);
+    let gated_bank = sim.trace_cache().gated_bank().map(|b| b as u8);
+    let banks = cfg.processor.trace_cache.physical_banks();
+    sim.trace_cache_mut().rebalance(&vec![ambient_c; banks]);
+    if cfg.hop {
+        sim.trace_cache_mut().hop();
+    }
+    (r, gated_bank)
+}
+
+/// A fresh core run through the first `intervals` nominal intervals
+/// exactly as the pilot ran them.
+fn nominal_core(cx: &EngineCx<'_>, intervals: usize) -> Simulator {
+    let cfg = cx.cfg;
+    let mut sim = Simulator::with_workload(cfg.processor.clone(), cx.workload, cfg.seed);
+    for _ in 0..intervals {
+        let target = sim.current_cycle() + cfg.interval_cycles;
+        sim.advance(target, cfg.uops_per_app);
+        close_nominal_interval(&mut sim, cfg, cx.pkg.ambient_c, cfg.uops_per_app);
+    }
+    sim
 }
 
 /// Warm-starts the thermal state: steady state under nominal power with
@@ -174,8 +273,19 @@ impl Stage for IntervalLoopStage {
     fn run(&mut self, cx: &mut EngineCx<'_>) -> Result<(), EngineError> {
         let cfg = cx.cfg;
         let pc = &cfg.processor;
-        // The evaluation's own core, fresh from cycle zero.
-        let mut sim = Simulator::with_workload(pc.clone(), cx.workload, cfg.seed);
+        // The pilot's core when it handed one over, with the reports of
+        // the whole intervals it ran; otherwise a fresh core. `resume`
+        // holds the open interval's cycle target while the loop still
+        // follows the pilot's prefix.
+        let (mut sim, mut prefix, mut resume) = match cx.pilot_core.take() {
+            Some(core) => (
+                core.sim,
+                core.intervals.into_iter(),
+                Some(core.resume_target),
+            ),
+            None => (nominal_core(cx, 0), Vec::new().into_iter(), None),
+        };
+        let mut closed = 0;
         // The recording family (empty when not recording): per interval the
         // live step covers the point matching the live action, and every
         // other family point is probed on a throwaway simulator fork from
@@ -189,29 +299,36 @@ impl Stage for IntervalLoopStage {
         loop {
             let live_key = point_key_of(action);
             apply_power_action(cx, action);
-            apply_sim_point(&mut sim, live_key);
-            let target = sim.current_cycle() + cfg.interval_cycles;
-            // A single-point family needs no forks: the live stream *is*
-            // the nominal point (power-level actions never perturb it, and
-            // a tainted custom-DTM recording keeps the raw live stream).
-            let probes: Vec<Option<IntervalReport>> = if family.len() > 1 {
-                family
-                    .iter()
-                    .map(|&key| {
-                        (key != live_key).then(|| {
-                            sim.probe_interval(
-                                |fork| apply_sim_point(fork, key),
-                                target,
-                                cfg.uops_per_app,
-                            )
-                        })
-                    })
-                    .collect()
-            } else {
-                vec![None; family.len()]
+            // Inside the pilot's prefix the loop takes the pilot's stored
+            // reports, then resumes its open interval. An action that
+            // perturbs the core ends the prefix: the handed-off core is
+            // past this boundary, so a fresh one re-runs the prefix.
+            let mut from_pilot = None;
+            let mut resume_target = None;
+            if let Some(open_target) = resume.take() {
+                if live_key != PointKey::Nominal {
+                    drop(sim);
+                    sim = nominal_core(cx, closed);
+                } else if let Some(stored) = prefix.next() {
+                    from_pilot = Some(stored);
+                    resume = Some(open_target);
+                } else {
+                    resume_target = Some(open_target);
+                }
+            }
+            let simulated = from_pilot.is_none();
+            let (r, gated_bank, probes) = match from_pilot {
+                Some((r, gated_bank)) => (r, gated_bank, vec![None; family.len()]),
+                None => {
+                    apply_sim_point(&mut sim, live_key);
+                    let target =
+                        resume_target.unwrap_or_else(|| sim.current_cycle() + cfg.interval_cycles);
+                    let probes = probe_family(&sim, &family, live_key, target, cfg.uops_per_app);
+                    let r = sim.step(target, cfg.uops_per_app);
+                    let gated_bank = sim.trace_cache().gated_bank().map(|b| b as u8);
+                    (r, gated_bank, probes)
+                }
             };
-            let r = sim.step(target, cfg.uops_per_app);
-            let gated_bank = sim.trace_cache().gated_bank().map(|b| b as u8);
             if let Some(rec) = &mut cx.recorder {
                 let reports: Vec<&IntervalReport> = family
                     .iter()
@@ -249,16 +366,21 @@ impl Stage for IntervalLoopStage {
             cx.tracker.end_interval();
 
             // Thermal management control (§3.2): remap from bank sensors,
-            // then rotate the gated bank.
-            let bank_temps: Vec<f64> = (0..pc.trace_cache.physical_banks())
-                .map(|k| {
-                    cx.thermal.block_temperatures()[cx.machine.index_of(BlockId::TcBank(k as u8))]
-                })
-                .collect();
-            sim.trace_cache_mut().rebalance(&bank_temps);
-            if cfg.hop {
-                sim.trace_cache_mut().hop();
+            // then rotate the gated bank. The pilot already did both for
+            // the intervals it ran, at a temperature the mapping ignores.
+            if simulated {
+                let bank_temps: Vec<f64> = (0..pc.trace_cache.physical_banks())
+                    .map(|k| {
+                        cx.thermal.block_temperatures()
+                            [cx.machine.index_of(BlockId::TcBank(k as u8))]
+                    })
+                    .collect();
+                sim.trace_cache_mut().rebalance(&bank_temps);
+                if cfg.hop {
+                    sim.trace_cache_mut().hop();
+                }
             }
+            closed += 1;
             if let Some(ctrl) = &mut cx.dtm {
                 action = ctrl.decide(cx.thermal.block_temperatures());
             }
@@ -274,6 +396,30 @@ impl Stage for IntervalLoopStage {
         });
         Ok(())
     }
+}
+
+/// Probes every recording-family point but the live one on a throwaway
+/// fork of `sim` from the interval's starting state. A single-point
+/// family needs no forks: the live stream *is* the nominal point
+/// (power-level actions never perturb it, and a tainted custom-DTM
+/// recording keeps the raw live stream).
+fn probe_family(
+    sim: &Simulator,
+    family: &[PointKey],
+    live_key: PointKey,
+    target: u64,
+    uop_target: u64,
+) -> Vec<Option<IntervalReport>> {
+    if family.len() <= 1 {
+        return vec![None; family.len()];
+    }
+    family
+        .iter()
+        .map(|&key| {
+            (key != live_key)
+                .then(|| sim.probe_interval(|fork| apply_sim_point(fork, key), target, uop_target))
+        })
+        .collect()
 }
 
 /// Configures a simulator's hooks to an operating point: the core half of

@@ -24,7 +24,7 @@
 //!   shard-000.job      work order: one JobSpec line (workers=1)
 //!   shard-000/         the shard's DurableStore
 //!     results.dfsg       ... holding one record of SCELL/SERRCELL/SDONE
-//!   shard-000.kill     test hook: present => worker self-SIGKILLs
+//!   shard-000.kill     test hook: present => worker aborts unpersisted
 //!   shard-001.job      ...
 //! ```
 //!
@@ -149,11 +149,11 @@ fn kill_path(dir: &Path, index: usize) -> PathBuf {
 /// `distfront-scenarios --shard i/N --shard-dir <dir>`.
 ///
 /// If a `shard-<i>.kill` marker is present the worker removes it, does
-/// the work, then SIGKILLs itself **before persisting** — a
-/// deterministic stand-in for an OOM kill mid-shard that the
-/// fault-injection tests and the CI gate use to exercise the
-/// coordinator's re-queue path (the removed marker makes the retry
-/// succeed).
+/// the work, then aborts **before persisting**, running no destructors
+/// and flushing no buffers — a deterministic stand-in for an OOM kill
+/// mid-shard that the fault-injection tests and the CI gate use to
+/// exercise the coordinator's re-queue path (the removed marker makes the
+/// retry succeed).
 ///
 /// Returns the exit status for the process: per-cell failures are
 /// [`StatusCode::CellsFailed`] (the record is still complete — the
@@ -200,14 +200,11 @@ pub fn run_worker(dir: &Path, shard: ShardSpec) -> StatusCode {
     let cells = runner.try_cells(&resolved.configs, &resolved.workloads, range.clone());
 
     if die_before_persist {
-        // std has no raise(2); go through kill(1) so the process dies by
-        // genuine SIGKILL — no destructors, no buffered writes, exactly
-        // the mid-shard death the coordinator must survive.
-        let _ = Command::new("kill")
-            .args(["-KILL", &std::process::id().to_string()])
-            .status();
-        std::thread::sleep(std::time::Duration::from_secs(5));
-        std::process::exit(137); // fallback if kill(1) is unavailable
+        // Dies by SIGABRT: like SIGKILL it runs no destructors and
+        // flushes no buffers, exactly the mid-shard death the coordinator
+        // must survive. Re-queueing keys on the missing artifact, not on
+        // the signal.
+        std::process::abort();
     }
 
     let mut failed = 0usize;

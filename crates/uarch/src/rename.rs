@@ -479,6 +479,12 @@ impl RenameUnit {
         }
     }
 
+    /// Activity counters since the last
+    /// [`take_activity`](Self::take_activity), left in place.
+    pub fn activity(&self) -> &RenameActivity {
+        &self.activity
+    }
+
     /// Takes and resets the rename activity counters.
     pub fn take_activity(&mut self) -> RenameActivity {
         let fresh = RenameActivity {

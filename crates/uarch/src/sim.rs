@@ -32,8 +32,9 @@
 //!
 //! The ROB rings, issue-queue heaps and release FIFOs grow to their
 //! high-water mark and are reused after that. Per-interval work in
-//! [`Simulator::step`] (taking the counters) may allocate. A new per-uop
-//! `Vec`, `Box` or iterator fold would undo this.
+//! [`Simulator::end_interval`] and [`Simulator::interval_activity`]
+//! (taking or copying the counters) may allocate. A new per-uop `Vec`,
+//! `Box` or iterator fold would undo this.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -47,7 +48,7 @@ use distfront_trace::{TraceGenerator, Workload};
 use crate::activity::ActivityCounters;
 use crate::bpred::BranchPredictor;
 use crate::config::ProcessorConfig;
-use crate::rename::RenameUnit;
+use crate::rename::{RenameActivity, RenameUnit};
 use crate::steer::Steerer;
 use crate::tracer::{TraceBuilder, TraceLimits};
 
@@ -86,7 +87,7 @@ impl FetchGate {
 }
 
 /// Report for one simulation step (interval).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntervalReport {
     /// Activity of this interval only.
     pub activity: ActivityCounters,
@@ -452,26 +453,34 @@ impl Simulator {
     }
 
     /// Runs until `cycle_target` is passed or `uop_target` total micro-ops
-    /// have committed, returning the interval's activity.
+    /// have committed, returning the interval's activity: one
+    /// [`advance`](Self::advance) then one
+    /// [`end_interval`](Self::end_interval).
     pub fn step(&mut self, cycle_target: u64, uop_target: u64) -> IntervalReport {
+        self.advance(cycle_target, uop_target);
+        self.end_interval(uop_target)
+    }
+
+    /// Runs whole traces until `cycle_target` is passed or `uop_target`
+    /// total micro-ops have committed, leaving the interval open.
+    ///
+    /// The budget only stops this loop; nothing else reads it. So
+    /// `advance(t, a)` followed by `advance(t, b)` with `a <= b` runs
+    /// exactly the traces one `advance(t, b)` runs, which is what lets a
+    /// core stopped at a pilot budget continue into the full run.
+    pub fn advance(&mut self, cycle_target: u64, uop_target: u64) {
         while self.last_commit < cycle_target && self.total_committed < uop_target {
             self.run_trace();
         }
-        // Fold cache/rename counters into the interval activity.
+    }
+
+    /// Closes the open interval and returns its report; `done` says
+    /// whether `uop_target` total micro-ops have committed.
+    pub fn end_interval(&mut self, uop_target: u64) -> IntervalReport {
         let bank_acc = self.tc.take_bank_accesses();
-        for (a, b) in self.act.tc_bank_accesses.iter_mut().zip(&bank_acc) {
-            *a += b;
-        }
         let ra = self.rename.take_activity();
-        for (a, b) in self.act.rat_reads.iter_mut().zip(&ra.rat_reads) {
-            *a += b;
-        }
-        for (a, b) in self.act.rat_writes.iter_mut().zip(&ra.rat_writes) {
-            *a += b;
-        }
-        self.act.steer_lookups += ra.steer_lookups;
-        self.act.copy_requests += ra.copy_requests;
-        self.act.cycles = self.last_commit.saturating_sub(self.interval_start).max(1);
+        let cycles = self.open_interval_cycles();
+        fold_interval(&mut self.act, &bank_acc, &ra, cycles);
         self.interval_start = self.last_commit;
         IntervalReport {
             activity: self.act.take(),
@@ -479,6 +488,25 @@ impl Simulator {
             total_committed: self.total_committed,
             done: self.total_committed >= uop_target,
         }
+    }
+
+    /// The open interval's activity exactly as
+    /// [`end_interval`](Self::end_interval) would report it now, read
+    /// without closing the interval.
+    pub fn interval_activity(&self) -> ActivityCounters {
+        let mut act = self.act.clone();
+        fold_interval(
+            &mut act,
+            self.tc.bank_accesses(),
+            self.rename.activity(),
+            self.open_interval_cycles(),
+        );
+        act
+    }
+
+    /// Cycles the open interval covers (at least one).
+    fn open_interval_cycles(&self) -> u64 {
+        self.last_commit.saturating_sub(self.interval_start).max(1)
     }
 
     /// Runs one interval at a *hypothetical* operating point on a
@@ -833,6 +861,23 @@ impl Simulator {
         self.total_committed += 1;
         self.act.committed_uops += 1;
     }
+}
+
+/// Folds the trace cache's and the rename unit's counters into an
+/// interval's activity and sets its cycle count.
+fn fold_interval(act: &mut ActivityCounters, bank_acc: &[u64], ra: &RenameActivity, cycles: u64) {
+    for (a, b) in act.tc_bank_accesses.iter_mut().zip(bank_acc) {
+        *a += b;
+    }
+    for (a, b) in act.rat_reads.iter_mut().zip(&ra.rat_reads) {
+        *a += b;
+    }
+    for (a, b) in act.rat_writes.iter_mut().zip(&ra.rat_writes) {
+        *a += b;
+    }
+    act.steer_lookups += ra.steer_lookups;
+    act.copy_requests += ra.copy_requests;
+    act.cycles = cycles;
 }
 
 fn ring_has_room(ring: &VecDeque<InFlight>, cap: usize) -> bool {

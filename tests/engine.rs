@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use distfront::engine::{CoupledEngine, SweepRunner, WarmStartCache};
+use distfront::engine::{DtmAction, DtmPolicy, EngineCx, EngineError, PilotStage, Stage};
 use distfront::{run_app, run_suite, ExperimentConfig};
 use distfront_power::Machine;
 use distfront_thermal::{Floorplan, PackageConfig, ThermalNetwork, ThermalSolver};
@@ -242,4 +243,226 @@ fn non_converged_warm_start_is_an_error_and_never_cached() {
         .unwrap();
     assert_eq!(cache.len(), 1);
     assert_eq!(ok, run_app(&cfg, &app));
+}
+
+/// The pilot's half of a pipeline that hands no core to the interval
+/// loop: the loop then builds its own and re-simulates the pilot's
+/// prefix, the independent two-core path.
+struct UnsharedPilot;
+
+impl Stage for UnsharedPilot {
+    fn name(&self) -> &'static str {
+        "pilot"
+    }
+
+    fn run(&mut self, cx: &mut EngineCx<'_>) -> Result<(), EngineError> {
+        PilotStage.run(cx)?;
+        cx.pilot_core = None;
+        Ok(())
+    }
+}
+
+/// The default pipeline with [`UnsharedPilot`] in place of the pilot.
+fn independent_stages() -> Vec<Box<dyn Stage>> {
+    use distfront::engine::{IntervalLoopStage, WarmStartStage};
+    vec![
+        Box::new(UnsharedPilot),
+        Box::new(WarmStartStage::new()),
+        Box::new(IntervalLoopStage),
+    ]
+}
+
+/// Every registered scenario at smoke length gives the same result
+/// whether the interval loop resumes the pilot's core or builds its own.
+#[test]
+fn shared_pilot_core_equals_independent_cores() {
+    use distfront::scenarios::{registry, RunOptions};
+    let opts = RunOptions::smoke();
+    for scenario in registry() {
+        let cfg = scenario.config().with_uops(opts.uops);
+        for workload in scenario.workloads(&opts) {
+            let shared = CoupledEngine::for_workload(&cfg, workload.clone()).run();
+            let independent = CoupledEngine::for_workload(&cfg, workload.clone())
+                .with_stages(independent_stages())
+                .run();
+            assert_eq!(
+                shared,
+                independent,
+                "{} / {}",
+                scenario.name,
+                workload.name()
+            );
+        }
+    }
+}
+
+/// A DTM policy scripted by boundary: `script(k)` is the action for the
+/// interval that starts at boundary `k` (the first decision is for
+/// boundary 1).
+struct Scripted<F> {
+    script: F,
+    boundary: usize,
+    engaged: u64,
+}
+
+impl<F: FnMut(usize) -> DtmAction> DtmPolicy for Scripted<F> {
+    fn decide(&mut self, _temps_c: &[f64]) -> DtmAction {
+        self.boundary += 1;
+        let action = (self.script)(self.boundary);
+        if action != DtmAction::Nominal {
+            self.engaged += 1;
+        }
+        action
+    }
+
+    fn triggers(&self) -> u64 {
+        0
+    }
+
+    fn throttled_intervals(&self) -> u64 {
+        self.engaged
+    }
+}
+
+fn scripted(script: impl FnMut(usize) -> DtmAction + 'static) -> Box<dyn DtmPolicy> {
+    Box::new(Scripted {
+        script,
+        boundary: 0,
+        engaged: 0,
+    })
+}
+
+/// Whole intervals the baseline pilot runs before its budget runs out
+/// inside one: the pilot's last boundary.
+fn pilot_whole_intervals(cfg: &ExperimentConfig, app: &AppProfile) -> usize {
+    use distfront_uarch::Simulator;
+    let mut sim = Simulator::new(cfg.processor.clone(), app, cfg.seed);
+    let mut whole = 0;
+    loop {
+        let target = sim.current_cycle() + cfg.interval_cycles;
+        if sim.step(target, cfg.pilot_uops()).done {
+            return whole;
+        }
+        whole += 1;
+    }
+}
+
+/// Policies that act inside the pilot's prefix. DVFS perturbs the core,
+/// so the loop drops the pilot's core and re-steps a fresh one: first at
+/// boundary 1, at the pilot's last boundary, and just after it. A
+/// throttle acts on power only and keeps the pilot's core. Each equals
+/// the independent two-core run.
+#[test]
+fn dtm_inside_the_pilot_prefix_equals_independent_cores() {
+    let dvfs = DtmAction::Dvfs {
+        f_scale: 0.7,
+        v_scale: 0.85,
+    };
+    // Short intervals, so the pilot closes several before its budget
+    // runs out.
+    let cfg = ExperimentConfig {
+        interval_cycles: 2_000,
+        ..ExperimentConfig::baseline().with_uops(40_000)
+    };
+    for name in ["gzip", "mcf"] {
+        let app = *AppProfile::by_name(name).unwrap();
+        let last = pilot_whole_intervals(&cfg, &app);
+        assert!(last >= 2, "{name}: pilot closed only {last} intervals");
+        let run = |dtm: &dyn Fn() -> Box<dyn DtmPolicy>| {
+            let shared = CoupledEngine::new(&cfg, &app).with_dtm(dtm()).run();
+            let independent = CoupledEngine::new(&cfg, &app)
+                .with_dtm(dtm())
+                .with_stages(independent_stages())
+                .run();
+            assert_eq!(shared, independent, "{name}");
+            shared.unwrap()
+        };
+        for first in [1, last, last + 1] {
+            let r = run(&|| {
+                scripted(move |k| {
+                    if k >= first && k % 3 != 0 {
+                        dvfs
+                    } else {
+                        DtmAction::Nominal
+                    }
+                })
+            });
+            assert!(
+                r.throttled_intervals > 0,
+                "{name}: DVFS at {first} never acted"
+            );
+        }
+        let r = run(&|| {
+            scripted(|k| {
+                if k % 2 == 1 {
+                    DtmAction::Throttle(0.5)
+                } else {
+                    DtmAction::Nominal
+                }
+            })
+        });
+        assert!(
+            r.throttled_intervals > 0,
+            "{name}: the throttle never acted"
+        );
+    }
+}
+
+/// The pilot hands its core to the loop where the loop's prefix is the
+/// pilot's: on the baseline, live or recorded at one point. It keeps it
+/// where the mapping follows temperature (`drc+bh+ab`) or where a
+/// recording probes several points per boundary (`dtm-dvfs`).
+#[test]
+fn pilot_hands_off_its_core_only_on_eligible_cells() {
+    use distfront::engine::{IntervalLoopStage, TraceRecorder, WarmStartStage};
+    use distfront::scenarios::by_name;
+    use distfront_trace::Workload;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// Notes whether the pilot left a core in the context.
+    struct Observer(Rc<Cell<Option<bool>>>);
+    impl Stage for Observer {
+        fn name(&self) -> &'static str {
+            "observer"
+        }
+        fn run(&mut self, cx: &mut EngineCx<'_>) -> Result<(), EngineError> {
+            self.0.set(Some(cx.pilot_core.is_some()));
+            Ok(())
+        }
+    }
+
+    let app = AppProfile::test_tiny();
+    let handed_off = |cfg: &ExperimentConfig| {
+        let seen = Rc::new(Cell::new(None));
+        let observed = CoupledEngine::new(cfg, &app)
+            .with_stages(vec![
+                Box::new(PilotStage),
+                Box::new(Observer(Rc::clone(&seen))),
+                Box::new(WarmStartStage::new()),
+                Box::new(IntervalLoopStage),
+            ])
+            .run()
+            .unwrap();
+        assert_eq!(observed, run_app(cfg, &app), "{}", cfg.name);
+        seen.get().expect("observer ran")
+    };
+    let cfg = |name| by_name(name).unwrap().config().with_uops(40_000);
+    assert!(handed_off(&cfg("baseline")));
+    assert!(!handed_off(&cfg("drc+bh+ab")));
+
+    // Recordings install their recorder before the pilot runs.
+    let workload = Workload::Single(app);
+    let recorded_hand_off = |cfg: &ExperimentConfig| {
+        let mut cx = EngineCx::build(cfg, &workload, None, None).unwrap();
+        let recorder = TraceRecorder::new(cfg, &workload, false);
+        let points = recorder.family().len();
+        cx.recorder = Some(recorder);
+        PilotStage.run(&mut cx).unwrap();
+        (points, cx.pilot_core.is_some())
+    };
+    assert_eq!(recorded_hand_off(&cfg("baseline")), (1, true));
+    let (points, kept) = recorded_hand_off(&cfg("dtm-dvfs"));
+    assert!(points > 1, "dtm-dvfs records {points} point(s)");
+    assert!(!kept, "a multi-point recording took the pilot's core");
 }

@@ -195,9 +195,10 @@ fn every_scenario_is_byte_identical_across_1_2_3_processes() {
     }
 }
 
-/// A worker SIGKILLed mid-shard is re-queued and the final merged rows
-/// are byte-identical to an undisturbed run — the satellite
-/// fault-injection contract, process granularity.
+/// A worker killed mid-shard (it aborts, running no destructors, as a
+/// SIGKILL would) is re-queued and the final merged rows are
+/// byte-identical to an undisturbed run — the satellite fault-injection
+/// contract, process granularity.
 #[test]
 fn sigkilled_worker_is_requeued_and_merge_stays_byte_identical() {
     let spec = JobSpec::scenario("baseline")
@@ -212,7 +213,7 @@ fn sigkilled_worker_is_requeued_and_merge_stays_byte_identical() {
     let dir = test_dir("kill-requeue");
     std::fs::create_dir_all(&dir).unwrap();
     // Arm the kill hook for shard 1 of 3: its worker removes the marker,
-    // computes its cells, then SIGKILLs itself *before persisting* — so
+    // computes its cells, then aborts *before persisting* — so
     // the first attempt leaves no artifact and the retry (marker gone)
     // completes cleanly.
     std::fs::write(dir.join("shard-001.kill"), b"").unwrap();
