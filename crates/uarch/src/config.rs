@@ -11,6 +11,7 @@ use crate::steer::SteeringPolicy;
 use distfront_cache::l1d::L1Config;
 use distfront_cache::trace_cache::TraceCacheConfig;
 use distfront_cache::ul2::Ul2Config;
+use distfront_trace::uop::NUM_ARCH_REGS;
 
 /// How the rename/commit logic is organized (§3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,6 +207,36 @@ impl ProcessorConfig {
                 self.rob_entries
             ));
         }
+        if self.rob_entries < parts {
+            return Err(format!(
+                "{} ROB entries cannot give each of {parts} partitions one",
+                self.rob_entries
+            ));
+        }
+        for (name, entries) in [
+            ("int queue", self.int_queue),
+            ("fp queue", self.fp_queue),
+            ("copy queue", self.copy_queue),
+            ("MOB", self.mem_queue),
+        ] {
+            if entries == 0 {
+                return Err(format!("{name} has no entries"));
+            }
+        }
+        if self.memory_buses == 0 {
+            return Err("no memory buses".into());
+        }
+        // Every logical register of a class boots mapped in every backend,
+        // so a file of at most that many registers has none to rename into.
+        let arch_per_class = usize::from(NUM_ARCH_REGS) / 2;
+        for (name, regs) in [("int", self.int_regs), ("fp", self.fp_regs)] {
+            if regs <= arch_per_class {
+                return Err(format!(
+                    "{regs} {name} registers leave none free beyond the \
+                     {arch_per_class} architectural ones"
+                ));
+            }
+        }
         if self.fetch_width == 0 || self.dispatch_width == 0 || self.commit_width == 0 {
             return Err("pipeline widths must be positive".into());
         }
@@ -296,6 +327,54 @@ mod tests {
             let err = c.validate().unwrap_err();
             assert!(err.contains("availability mask"), "{err}");
         }
+    }
+
+    /// `validate` rejects the baseline changed by `edit`, with an error
+    /// containing `needle`.
+    fn assert_rejected(edit: impl FnOnce(&mut ProcessorConfig), needle: &str) {
+        let mut c = ProcessorConfig::hpca05_baseline();
+        edit(&mut c);
+        let err = c.validate().unwrap_err();
+        assert!(err.contains(needle), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_issue_queue_or_mob() {
+        assert_rejected(|c| c.int_queue = 0, "int queue");
+        assert_rejected(|c| c.fp_queue = 0, "fp queue");
+        assert_rejected(|c| c.copy_queue = 0, "copy queue");
+        assert_rejected(|c| c.mem_queue = 0, "MOB");
+        let mut c = ProcessorConfig::hpca05_baseline();
+        (c.int_queue, c.fp_queue, c.copy_queue, c.mem_queue) = (1, 1, 1, 1);
+        c.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_no_memory_buses() {
+        assert_rejected(|c| c.memory_buses = 0, "memory buses");
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_rob_partition() {
+        assert_rejected(|c| c.rob_entries = 0, "ROB entries");
+        let mut c = ProcessorConfig::distributed_rename_commit();
+        c.rob_entries = 2;
+        c.validate().unwrap();
+        c.rob_entries = 0;
+        assert!(c.validate().unwrap_err().contains("ROB entries"));
+    }
+
+    #[test]
+    fn validate_rejects_register_files_without_a_free_register() {
+        assert_rejected(|c| c.int_regs = 8, "int registers");
+        assert_rejected(|c| c.int_regs = 32, "int registers");
+        assert_rejected(|c| c.fp_regs = 32, "fp registers");
+        let mut c = ProcessorConfig::hpca05_baseline();
+        (c.int_regs, c.fp_regs) = (33, 33);
+        c.validate().unwrap();
+        // The smallest accepted files are the smallest the rename unit
+        // builds.
+        RenameUnit::new(c.backends, 1, c.int_regs, c.fp_regs);
     }
 
     #[test]

@@ -206,6 +206,9 @@ impl FreeList {
 pub struct RenameUnit {
     backends: usize,
     partitions: usize,
+    /// `partition[backend]`: the frontend partition feeding each backend,
+    /// read instead of dividing on every lookup.
+    partition: [u8; Self::MAX_BACKENDS],
     /// Availability table: bit `b` set when backend `b` holds a valid copy.
     availability: Vec<u32>,
     /// `mapping[backend * NUM_ARCH_REGS + logical]` — current physical
@@ -249,12 +252,18 @@ impl RenameUnit {
         assert!(int_regs > arch_per_class, "int register file too small");
         assert!(fp_regs > arch_per_class, "fp register file too small");
         let all = (1u32 << backends) - 1;
+        let per = backends / partitions;
+        let mut partition = [0; Self::MAX_BACKENDS];
+        for (b, p) in partition.iter_mut().enumerate().take(backends) {
+            *p = (b / per) as u8;
+        }
         let mapping = (0..backends)
             .flat_map(|_| (0..REGS).map(|l| Some(PhysReg((l % arch_per_class) as u16))))
             .collect();
         RenameUnit {
             backends,
             partitions,
+            partition,
             availability: vec![all; REGS],
             mapping,
             int_free: (0..backends)
@@ -285,7 +294,7 @@ impl RenameUnit {
 
     /// The frontend partition feeding `backend`.
     pub fn partition_of(&self, backend: usize) -> usize {
-        backend / (self.backends / self.partitions)
+        usize::from(self.partition[backend])
     }
 
     /// Backends currently holding a valid copy of `reg`.

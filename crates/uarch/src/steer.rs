@@ -93,14 +93,14 @@ impl Steerer {
         let n = self.in_flight.len();
         let choice = match self.policy {
             SteeringPolicy::RoundRobin => {
-                self.rr = (self.rr + 1) % n;
+                self.rr = next_in_rotation(self.rr, n);
                 self.rr
             }
             SteeringPolicy::DependenceBalance => {
                 // Rotate tie-breaking so score ties spread over all
                 // backends instead of systematically favouring backend 0
                 // (which would skew one frontend partition hot).
-                self.rr = (self.rr + 1) % n;
+                self.rr = next_in_rotation(self.rr, n);
                 let [m0, m1] = uop.srcs.map(|s| s.map_or(0, |r| rename.availability(r)));
                 // One pass in rotation order from `rr`; the first strictly
                 // greater score wins, so ties go to the backend nearest
@@ -124,7 +124,7 @@ impl Steerer {
                         best = b;
                         best_score = score;
                     }
-                    b = if b + 1 == n { 0 } else { b + 1 };
+                    b = next_in_rotation(b, n);
                 }
                 best
             }
@@ -142,6 +142,16 @@ impl Steerer {
     /// Estimated in-flight micro-ops per backend.
     pub fn loads(&self) -> &[i64] {
         &self.in_flight
+    }
+}
+
+/// The backend after `b` in rotation order over `n` backends: `(b + 1) %
+/// n` for `b < n`, wrapped with a compare instead of a division.
+fn next_in_rotation(b: usize, n: usize) -> usize {
+    if b + 1 == n {
+        0
+    } else {
+        b + 1
     }
 }
 

@@ -42,8 +42,10 @@ impl Default for TraceLimits {
 pub struct TraceBuilder {
     generator: TraceGenerator,
     limits: TraceLimits,
-    /// Micro-ops of the block currently being consumed, not yet emitted.
-    pending: std::collections::VecDeque<MicroOp>,
+    /// The block currently being consumed; `pending[head..]` is not yet
+    /// emitted. Traces copy out of it slice by slice.
+    pending: Vec<MicroOp>,
+    head: usize,
 }
 
 impl TraceBuilder {
@@ -52,16 +54,20 @@ impl TraceBuilder {
         TraceBuilder {
             generator,
             limits,
-            pending: std::collections::VecDeque::new(),
+            pending: Vec::new(),
+            head: 0,
         }
     }
 
-    /// Pulls one whole basic block from the generator into `pending`.
+    /// Replaces the consumed block in `pending` with the next whole basic
+    /// block from the generator.
     fn refill(&mut self) {
+        self.pending.clear();
+        self.head = 0;
         loop {
             let uop = self.generator.next_uop();
             let ends = uop.ends_block;
-            self.pending.push_back(uop);
+            self.pending.push(uop);
             if ends {
                 break;
             }
@@ -78,10 +84,10 @@ impl TraceBuilder {
         let mut branch_bits = 0u8;
         let mut branches = 0;
         loop {
-            if self.pending.is_empty() {
+            if self.head == self.pending.len() {
                 self.refill();
             }
-            let block_len = self.pending.len();
+            let block_len = self.pending.len() - self.head;
             let fits = uops.len() + block_len <= self.limits.max_uops;
             if !fits && !uops.is_empty() {
                 break; // end the trace at the block boundary
@@ -91,16 +97,15 @@ impl TraceBuilder {
             } else {
                 self.limits.max_uops
             };
-            for _ in 0..take {
-                let uop = self.pending.pop_front().expect("refilled above");
-                if uop.is_branch() {
-                    if uop.taken {
-                        branch_bits |= 1 << branches;
-                    }
-                    branches += 1;
+            let taken = &self.pending[self.head..self.head + take];
+            for uop in taken.iter().filter(|u| u.is_branch()) {
+                if uop.taken {
+                    branch_bits |= 1 << branches;
                 }
-                uops.push(uop);
+                branches += 1;
             }
+            uops.extend_from_slice(taken);
+            self.head += take;
             if branches >= self.limits.max_branches || uops.len() >= self.limits.max_uops {
                 break;
             }

@@ -11,6 +11,10 @@
 //! simulator's arithmetic, its tie-breaks or the commits that free
 //! registers moves the digest; a rewrite of the hot path must leave it
 //! unchanged.
+//!
+//! A second digest pins a machine whose issue queues and MOB are so small
+//! that they are full on most micro-ops, so the path that waits for the
+//! oldest entry to leave a full structure sets the timing there.
 
 use distfront_trace::AppProfile;
 use distfront_uarch::record::flatten_into;
@@ -22,6 +26,8 @@ const UOPS: u64 = 20_000;
 const INTERVAL_CYCLES: u64 = 2_000;
 /// Digest of the whole run set; see the module docs.
 const GOLDEN_DIGEST: u64 = 0xd2ad_d05e_7e3b_4d8e;
+/// Digest of the tight-queue machine; see the module docs.
+const TIGHT_QUEUE_DIGEST: u64 = 0xe675_aab5_69dc_3a82;
 
 /// 64-bit FNV-1a over little-endian words.
 struct Fnv(u64);
@@ -82,9 +88,19 @@ fn digest_app(cfg: &ProcessorConfig, app: &AppProfile, seed: u64, h: &mut Fnv) {
     h.stats(&sim.run(0));
 }
 
+/// Digests 26 SPEC2000 apps on each machine of `cfgs`, in order.
+fn digest_machines(cfgs: &[ProcessorConfig]) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for cfg in cfgs {
+        for (k, app) in AppProfile::spec2000().iter().enumerate() {
+            digest_app(cfg, app, 17 + k as u64, &mut h);
+        }
+    }
+    h.0
+}
+
 #[test]
 fn simulator_digest_is_pinned() {
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     // The paper's register files never run dry; the third machine's do,
     // so renaming stalls on commits and the release FIFOs set the timing.
     let starved = ProcessorConfig {
@@ -92,18 +108,31 @@ fn simulator_digest_is_pinned() {
         fp_regs: 40,
         ..ProcessorConfig::distributed_rename_commit()
     };
-    for cfg in [
+    let digest = digest_machines(&[
         ProcessorConfig::hpca05_baseline(),
         ProcessorConfig::distributed_rename_commit(),
         starved,
-    ] {
-        for (k, app) in AppProfile::spec2000().iter().enumerate() {
-            digest_app(&cfg, app, 17 + k as u64, &mut h);
-        }
-    }
+    ]);
     assert_eq!(
-        h.0, GOLDEN_DIGEST,
-        "simulator results moved: digest {:#018x}",
-        h.0
+        digest, GOLDEN_DIGEST,
+        "simulator results moved: digest {digest:#018x}"
+    );
+}
+
+#[test]
+fn tight_queue_digest_is_pinned() {
+    // 4-entry int/fp/copy queues and a 6-entry MOB: a dispatch finds its
+    // queue full most of the time, and store broadcasts fill every MOB.
+    let tight = ProcessorConfig {
+        int_queue: 4,
+        fp_queue: 4,
+        copy_queue: 4,
+        mem_queue: 6,
+        ..ProcessorConfig::distributed_rename_commit()
+    };
+    let digest = digest_machines(&[tight]);
+    assert_eq!(
+        digest, TIGHT_QUEUE_DIGEST,
+        "tight-queue results moved: digest {digest:#018x}"
     );
 }
