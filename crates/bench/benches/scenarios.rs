@@ -1,33 +1,44 @@
 //! Scenario sweep: runs every registered scenario on the smoke suite,
 //! prints the summary table (the same rows `distfront-scenarios --all
-//! --smoke` emits), and then times a single DTM-managed scenario cell as
+//! --smoke` emits), and then times a single DTM-managed scenario job as
 //! the tracked kernel. Honours `DISTFRONT_BENCH_UOPS` like the figure
 //! benches.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use distfront::scenarios::{self, RunOptions};
+use distfront::job::{JobEnv, JobReport, JobSpec};
+use distfront::scenarios;
 use distfront_bench::bench_uops;
 use std::hint::black_box;
 
+/// Executes scenario `name` on the smoke suite at `uops` micro-ops per
+/// application on every hardware thread, in a fresh environment.
+fn smoke_job(name: &str, uops: u64) -> JobReport {
+    JobSpec::scenario(name)
+        .with_smoke(true)
+        .with_uops(uops)
+        .execute(&JobEnv::default(), |_| {})
+        .expect("registered scenario")
+}
+
 fn regenerate_summary() {
     let uops = bench_uops().min(100_000);
-    let opts = RunOptions::smoke().with_uops(uops);
+    let registry = scenarios::registry();
     println!(
-        "\nscenario sweep: {} scenarios x {} apps x {uops} uops, {} workers...",
-        scenarios::registry().len(),
-        opts.apps().len(),
-        opts.workers
+        "\nscenario sweep: {} scenarios x {} apps x {uops} uops, all hardware threads...",
+        registry.len(),
+        scenarios::suite_apps(true).len(),
     );
-    let reports: Vec<_> = scenarios::registry().iter().map(|s| s.run(&opts)).collect();
-    println!("{}", scenarios::summary_table(&reports));
+    let reports: Vec<JobReport> = registry.iter().map(|s| smoke_job(s.name, uops)).collect();
+    println!(
+        "{}",
+        scenarios::summary_table(registry.iter().zip(&reports))
+    );
 }
 
 fn bench(c: &mut Criterion) {
     regenerate_summary();
-    let dvfs = scenarios::by_name("dtm-dvfs").expect("registered scenario");
     c.bench_function("scenarios/dtm_dvfs_smoke_suite", |b| {
-        let opts = RunOptions::smoke().with_uops(20_000);
-        b.iter(|| black_box(dvfs.run(&opts)))
+        b.iter(|| black_box(smoke_job("dtm-dvfs", 20_000)))
     });
 }
 

@@ -26,9 +26,8 @@
 //!                    faster per replayed cell
 //!   --batch          lockstep batched replay: advance cohorts of
 //!                    replay-mode cells through one shared batched
-//!                    propagator (default when --replay is given; inert
-//!                    otherwise)
-//!   --no-batch       disable batched replay
+//!                    propagator (off by default; inert without --replay)
+//!   --no-batch       disable batched replay (the default)
 //!   --state-dir DIR  run against DIR's crash-safe segment store (the
 //!                    same layout `distfront-sweepd --state-dir` uses):
 //!                    scenarios whose content fingerprint is already
@@ -78,13 +77,14 @@
 //! 64 on a usage error.
 
 use std::io::Write as _;
+use std::num::NonZeroUsize;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 
-use distfront::engine::{CellOutcome, TraceMode, TraceStore};
-use distfront::job::{JobClass, JobEnv, JobSpec, StatusCode};
-use distfront::scenarios::{self, RunOptions, Scenario, ScenarioReport};
+use distfront::engine::{CellOutcome, TraceStore};
+use distfront::job::{JobClass, JobEnv, JobReport, JobSpec, JobSpecError, StatusCode, TraceSpec};
+use distfront::scenarios::{self, Scenario};
 use distfront::server::{protocol, Client};
 use distfront::shard::{self, ShardError, ShardRunner, ShardSpec};
 use distfront::store::DurableStore;
@@ -282,26 +282,6 @@ fn list() {
     }
 }
 
-fn options(args: &Args) -> RunOptions {
-    let mut opts = if args.smoke {
-        RunOptions::smoke()
-    } else {
-        RunOptions::full()
-    };
-    if let Some(uops) = args.uops {
-        opts = opts.with_uops(uops);
-    }
-    if let Some(workers) = args.workers {
-        opts = opts.with_workers(workers);
-    }
-    if let Some(integrator) = args.integrator {
-        opts = opts.with_integrator(integrator);
-    }
-    // Batched lockstep replay defaults on whenever cells can actually
-    // replay; an explicit --batch/--no-batch always wins.
-    opts.with_batch(args.batch.unwrap_or(args.replay.is_some()))
-}
-
 /// Streams per-cell progress lines and (optionally) CSV rows to `csv` as
 /// cells complete, so a killed run still leaves partial results on disk.
 /// Rows arrive in completion order; `main` rewrites the file in canonical
@@ -382,52 +362,39 @@ fn save_traces(dir: &str, store: &TraceStore) -> Result<usize, String> {
     Ok(traces.len())
 }
 
-fn run_all(
-    selected: &[Scenario],
-    opts: &RunOptions,
-    mode: &TraceMode,
-    progress: bool,
-    csv_path: Option<&str>,
-) -> Vec<ScenarioReport> {
-    // The streaming CSV starts with the header so a partial file is
-    // self-describing even if the run dies on the first scenario. One
-    // shared handle serves every scenario's stream.
-    let csv = csv_path.and_then(|path| {
-        match std::fs::File::create(path)
-            .and_then(|mut f| writeln!(f, "{}", scenarios::CSV_HEADER).map(|()| f))
-        {
-            Ok(f) => Some(Arc::new(Mutex::new(f))),
-            Err(e) => {
-                eprintln!("warning: cannot stream CSV to {path}: {e}");
-                None
-            }
+/// Opens `path` for streaming CSV rows, starting with the header so a
+/// partial file is self-describing even if the run dies on the first
+/// scenario. One shared handle serves every scenario's stream.
+fn open_csv_stream(path: &str) -> Option<Arc<Mutex<std::fs::File>>> {
+    match std::fs::File::create(path)
+        .and_then(|mut f| writeln!(f, "{}", scenarios::CSV_HEADER).map(|()| f))
+    {
+        Ok(f) => Some(Arc::new(Mutex::new(f))),
+        Err(e) => {
+            eprintln!("warning: cannot stream CSV to {path}: {e}");
+            None
         }
-    });
-    selected
+    }
+}
+
+/// Executes `spec_of(s)` for every selected scenario on `env`, quietly,
+/// and returns the canonical CSV: the re-runs behind `--verify`.
+fn rerun_csv(
+    selected: &[Scenario],
+    env: &JobEnv,
+    spec_of: impl Fn(&Scenario) -> JobSpec,
+) -> Result<String, JobSpecError> {
+    let reports = selected
         .iter()
-        .map(|s| {
-            println!(
-                "running {:<16} ({} workloads x {} uops, {} workers, {} integrator)",
-                s.name,
-                s.workloads(opts).len(),
-                opts.uops,
-                opts.workers,
-                opts.integrator
-            );
-            let stream = CellStream {
-                scenario: s.name,
-                progress,
-                csv: csv.clone(),
-            };
-            s.run_traced(opts, mode.clone(), move |cell| stream.observe(cell))
-        })
-        .collect()
+        .map(|s| spec_of(s).execute(env, |_| {}))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(scenarios::to_csv(&reports))
 }
 
 /// The job a scenario selection + CLI flags describe — the same
-/// [`JobSpec`] the daemon executes and the local path sizes its runner
-/// from, which is the point of the unified API: `--connect` changes
-/// where the spec runs, never what it means.
+/// [`JobSpec`] every mode runs (in-process, on a daemon, sharded across
+/// processes), so a mode changes where the spec runs, never what it
+/// means.
 fn spec_for(args: &Args, scenario: &str) -> JobSpec {
     let mut spec = JobSpec::scenario(scenario)
         .with_smoke(args.smoke)
@@ -687,14 +654,16 @@ fn processes_main(args: &Args, selected: &[Scenario]) -> StatusCode {
     }
     if args.verify {
         println!("verify: re-running serially in-process to check byte identity...");
-        let serial = run_all(
-            selected,
-            &options(args).with_workers(1),
-            &TraceMode::Live,
-            false,
-            None,
-        );
-        if scenarios::to_csv(&serial) != merged {
+        let serial = match rerun_csv(selected, &JobEnv::default(), |s| {
+            spec_for(args, s.name).with_workers(1)
+        }) {
+            Ok(serial) => serial,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return StatusCode::Usage;
+            }
+        };
+        if serial != merged {
             eprintln!(
                 "error: serial and {n}-process results diverge — the bit-identity \
                  guarantee is broken"
@@ -771,88 +740,138 @@ fn main() -> ExitCode {
         return processes_main(&args, &selected).into();
     }
 
-    let opts = options(&args);
-    let mode = if args.record.is_some() {
-        TraceMode::Record(Arc::new(TraceStore::new()))
-    } else if let Some(dir) = &args.replay {
+    local_main(&args, &selected).into()
+}
+
+/// Runs the selected scenarios in this process: one [`JobSpec`] per
+/// scenario through [`JobSpec::execute`], all sharing one [`JobEnv`]
+/// whose trace store `--replay` loads from and `--record` saves to.
+fn local_main(args: &Args, selected: &[Scenario]) -> StatusCode {
+    let trace = if args.record.is_some() {
+        TraceSpec::Record
+    } else if args.replay.is_some() {
+        TraceSpec::Replay
+    } else {
+        TraceSpec::Live
+    };
+    let mut env = JobEnv::default();
+    if let Some(dir) = &args.replay {
         match load_traces(dir) {
             Ok(store) => {
                 println!("replay: loaded {} trace(s) from {dir}", store.len());
-                TraceMode::Replay(store)
+                env.traces = store;
             }
             Err(e) => {
                 eprintln!("error: {e}");
-                return StatusCode::Io.into();
-            }
-        }
-    } else {
-        TraceMode::Live
-    };
-    let reports = run_all(&selected, &opts, &mode, args.progress, args.csv.as_deref());
-    let csv = scenarios::to_csv(&reports);
-
-    if let (Some(dir), TraceMode::Record(store)) = (&args.record, &mode) {
-        match save_traces(dir, store) {
-            Ok(n) => println!("recorded {n} trace(s) to {dir}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return StatusCode::Io.into();
+                return StatusCode::Io;
             }
         }
     }
-    if matches!(mode, TraceMode::Replay(_)) {
+    // Resolved here, not left at 0, so the count printed is the count run.
+    let workers = args
+        .workers
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
+    let spec_of = |s: &Scenario| {
+        spec_for(args, s.name)
+            .with_workers(workers)
+            .with_trace(trace)
+    };
+    let csv_stream = args.csv.as_deref().and_then(open_csv_stream);
+    let mut reports: Vec<JobReport> = Vec::with_capacity(selected.len());
+    for s in selected {
+        let spec = spec_of(s);
+        println!(
+            "running {:<16} ({} workloads x {} uops, {workers} workers, {} integrator)",
+            s.name,
+            s.workloads(spec.smoke).len(),
+            spec.uops,
+            spec.integrator
+        );
+        let stream = CellStream {
+            scenario: s.name,
+            progress: args.progress,
+            csv: csv_stream.clone(),
+        };
+        match spec.execute(&env, move |cell| stream.observe(cell)) {
+            Ok(report) => reports.push(report),
+            Err(e) => {
+                eprintln!("error: {e}");
+                return StatusCode::Usage;
+            }
+        }
+    }
+    let csv = scenarios::to_csv(&reports);
+
+    if let Some(dir) = &args.record {
+        match save_traces(dir, &env.traces) {
+            Ok(n) => println!("recorded {n} trace(s) to {dir}"),
+            Err(e) => {
+                eprintln!("error: {e}");
+                return StatusCode::Io;
+            }
+        }
+    }
+    if trace == TraceSpec::Replay {
         let replayed: usize = reports.iter().map(|r| r.report.replayed()).sum();
-        let cells: usize = reports.iter().map(|r| r.outcomes().len()).sum();
+        let cells: usize = reports.iter().map(|r| r.report.cells().len()).sum();
         println!("replay: {replayed}/{cells} cell(s) replayed, the rest ran live");
     }
 
     if args.verify {
+        // The re-runs share the trace store but not the warm-start cache,
+        // so every warm start is solved again, independently.
+        let fresh = JobEnv {
+            traces: Arc::clone(&env.traces),
+            ..JobEnv::default()
+        };
+        let rerun = |what: &str, spec: &dyn Fn(&Scenario) -> JobSpec| {
+            rerun_csv(selected, &fresh, spec).map_err(|e| {
+                eprintln!("error: {what} re-run: {e}");
+                StatusCode::Usage
+            })
+        };
         // With batching on, first cross-check batched against *serial
         // unbatched replay* of the same store: any divergence here is a
         // batching bug by construction (same traces, same arithmetic
         // contract), and gets its own exit code so CI can tell it apart
         // from the replay-vs-live comparison below.
-        if opts.batch && matches!(mode, TraceMode::Replay(_)) {
+        if args.batch == Some(true) && trace == TraceSpec::Replay {
             println!("verify: re-replaying serially without batching...");
-            let unbatched = run_all(
-                &selected,
-                &opts.with_workers(1).with_batch(false),
-                &mode,
-                false,
-                None,
-            );
-            if scenarios::to_csv(&unbatched) != csv {
-                eprintln!(
-                    "error: batched and serial replay results diverge — the \
-                     batch propagator's bit-identity contract is broken"
-                );
-                return StatusCode::BatchDiverged.into();
+            match rerun("unbatched", &|s| {
+                spec_of(s).with_workers(1).with_batch(false)
+            }) {
+                Ok(unbatched) if unbatched == csv => {
+                    println!("verify: batched and serial replay CSV are byte-identical");
+                }
+                Ok(_) => {
+                    eprintln!(
+                        "error: batched and serial replay results diverge — the \
+                         batch propagator's bit-identity contract is broken"
+                    );
+                    return StatusCode::BatchDiverged;
+                }
+                Err(status) => return status,
             }
-            println!("verify: batched and serial replay CSV are byte-identical");
         }
         // The serial verify rerun is always live, so with --replay it
         // independently checks the replayed bytes against a live
         // simulation, not just against another replay.
         println!("verify: re-running serially to check byte identity...");
-        let serial = run_all(
-            &selected,
-            &opts.with_workers(1),
-            &TraceMode::Live,
-            false,
-            None,
-        );
-        if scenarios::to_csv(&serial) != csv {
-            eprintln!(
-                "error: serial and {}-worker results diverge — the bit-identity \
-                 guarantee is broken",
-                opts.workers
-            );
-            return StatusCode::VerifyDiverged.into();
+        match rerun("serial", &|s| {
+            spec_of(s).with_workers(1).with_trace(TraceSpec::Live)
+        }) {
+            Ok(serial) if serial == csv => {
+                println!("verify: serial and {workers}-worker CSV are byte-identical");
+            }
+            Ok(_) => {
+                eprintln!(
+                    "error: serial and {workers}-worker results diverge — the \
+                     bit-identity guarantee is broken"
+                );
+                return StatusCode::VerifyDiverged;
+            }
+            Err(status) => return status,
         }
-        println!(
-            "verify: serial and {}-worker CSV are byte-identical",
-            opts.workers
-        );
     }
 
     // Rewrite the streamed CSV in canonical (suite) order: the streaming
@@ -861,27 +880,30 @@ fn main() -> ExitCode {
     if let Some(path) = &args.csv {
         if let Err(e) = std::fs::write(path, &csv) {
             eprintln!("error: writing {path}: {e}");
-            return StatusCode::Io.into();
+            return StatusCode::Io;
         }
         println!("wrote {path}");
     }
     if let Some(path) = &args.json {
-        if let Err(e) = std::fs::write(path, scenarios::to_json(&reports)) {
+        if let Err(e) = std::fs::write(path, scenarios::to_json(selected.iter().zip(&reports))) {
             eprintln!("error: writing {path}: {e}");
-            return StatusCode::Io.into();
+            return StatusCode::Io;
         }
         println!("wrote {path}");
     }
 
-    println!("\n{}", scenarios::summary_table(&reports));
+    println!(
+        "\n{}",
+        scenarios::summary_table(selected.iter().zip(&reports))
+    );
 
     let mut failed = 0usize;
-    for rep in &reports {
-        for cell in rep.failures() {
+    for (s, rep) in selected.iter().zip(&reports) {
+        for cell in rep.report.failures() {
             failed += 1;
             eprintln!(
                 "error: cell {}/{} (config {}, app {}): {}",
-                rep.scenario,
+                s.name,
                 cell.app_name,
                 cell.config,
                 cell.app,
@@ -894,7 +916,7 @@ fn main() -> ExitCode {
             "error: {failed} cell(s) failed; surviving results were written \
              (see rows above)"
         );
-        return StatusCode::CellsFailed.into();
+        return StatusCode::CellsFailed;
     }
-    StatusCode::Ok.into()
+    StatusCode::Ok
 }

@@ -5,7 +5,7 @@
 //! * [`TraceRecorder`] is the tap the default stages write into when
 //!   [`CoupledEngine::run_recorded`](super::CoupledEngine::run_recorded)
 //!   installs it: the pilot's merged activity, one record per evaluation
-//!   interval — a **family of operating points** (DFAT v2), each a
+//!   interval — a **family of operating points**, each a
 //!   flattened counter row plus done flag — and the run's final core
 //!   statistics. The live stream lands on the family point matching the
 //!   interval's live DTM action; every other family point is captured by
@@ -32,9 +32,9 @@
 //! derives the points the target configuration's DTM policy can demand
 //! ([`ExperimentConfig::replay_points`]) and requires the family to cover
 //! them, naming the missing capability — there is no blanket per-policy
-//! rejection. A legacy v1 trace decodes with a `[Nominal]` family, so it
-//! still replays power-level DTM (none / emergency throttle) and is
-//! rejected, with the reason, for anything core-perturbing.
+//! rejection. A nominal-only (`[Nominal]`) recording still replays
+//! power-level DTM (none / emergency throttle) and is rejected, with the
+//! reason, for anything core-perturbing.
 //!
 //! # When replay is exact
 //!
@@ -51,7 +51,7 @@
 //! response from the recorded trajectory's pipeline state; over the
 //! remaining run it is a first-order approximation, because the recording
 //! resumes from its own history rather than the divergent one. One further
-//! deliberate approximation remains as in v1: a thermally-biased bank
+//! deliberate approximation remains: a thermally-biased bank
 //! mapping reacts to the replayed temperature trajectory, whose
 //! bank-mapping decisions are baked into the recording.
 
@@ -60,7 +60,7 @@ use std::sync::Arc;
 use distfront_power::{BlockId, Machine, OperatingPoint};
 use distfront_trace::record::{
     ActivityTrace, FinalStats, IntervalRecord, PointKey, PointRecord, TraceMeta, TraceShape,
-    TRACE_FORMAT_V1, TRACE_FORMAT_VERSION,
+    TRACE_FORMAT_VERSION,
 };
 use distfront_trace::Workload;
 use distfront_uarch::{record as tap, ActivityCounters, IntervalReport};
@@ -198,10 +198,9 @@ impl ReplayBackend {
     ) -> Result<(), EngineError> {
         let m = &trace.meta;
         let fail = |msg: String| Err(EngineError::ReplayIncompatible(msg));
-        if m.version < TRACE_FORMAT_V1 || m.version > TRACE_FORMAT_VERSION {
+        if m.version != TRACE_FORMAT_VERSION {
             return fail(format!(
-                "trace format version {} (this build replays {TRACE_FORMAT_V1} \
-                 through {TRACE_FORMAT_VERSION})",
+                "trace format version {} (this build replays {TRACE_FORMAT_VERSION} only)",
                 m.version
             ));
         }

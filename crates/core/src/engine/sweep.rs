@@ -720,17 +720,17 @@ impl SweepRunner {
     }
 
     /// A runner sized from a [`JobSpec`](crate::job::JobSpec)'s
-    /// scheduling fields — the unified construction path behind the
-    /// one-shot CLI, the daemon's executors and the test harness. The
-    /// legacy builder chain ([`with_threads`](Self::with_threads) →
-    /// [`with_batch`](Self::with_batch) →
-    /// [`with_trace_mode`](Self::with_trace_mode)) remains as a
-    /// compatibility shim over the same fields; new call sites should
-    /// construct a spec and come through here, then attach the runtime
+    /// scheduling fields (`workers`, with `0` meaning every hardware
+    /// thread, and `batch`). This is the construction step of
+    /// [`JobSpec::execute`](crate::job::JobSpec::execute), the execution
+    /// path of every front end; `execute` then attaches the runtime
     /// handles a pure-data spec cannot carry
     /// ([`with_warm_cache`](Self::with_warm_cache),
     /// [`with_trace_mode`](Self::with_trace_mode),
-    /// [`with_on_cell`](Self::with_on_cell)).
+    /// [`with_on_cell`](Self::with_on_cell)). The other builders set the
+    /// same fields for engine-level callers that run explicit
+    /// configuration grids rather than jobs (the figure functions, the
+    /// benches, the engine tests).
     pub fn from_spec(spec: &crate::job::JobSpec) -> Self {
         let runner = if spec.workers == 0 {
             Self::new()

@@ -79,8 +79,8 @@ impl DtmSpec {
     ///
     /// The emergency throttle only stretches wall-clock time through the
     /// power model's operating point, so recorded activity is unaffected
-    /// and any replay-safe trace — including a legacy v1 nominal-only one
-    /// — replays it exactly. Global DVFS rescales the core clock (uncore
+    /// and any replay-safe trace — a nominal-only one included — replays
+    /// it exactly. Global DVFS rescales the core clock (uncore
     /// latencies get relatively closer), and fetch gating / migration
     /// steer the pipeline directly: all three change the activity stream
     /// itself, so replaying them needs a trace whose recorded

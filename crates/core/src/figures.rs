@@ -24,7 +24,7 @@ use distfront_trace::AppProfile;
 use crate::engine::{CellOutcome, SweepRunner};
 use crate::experiment::ExperimentConfig;
 use crate::report::{FigureRow, FigureTable};
-use crate::runner::{average_temps, slowdown, AppResult, TempReport};
+use crate::runner::{average_temps, slowdown, AppResult};
 
 /// Ambient temperature the paper measures rises against.
 pub const AMBIENT_C: f64 = 45.0;
@@ -159,12 +159,6 @@ pub fn figure1(apps: &[AppProfile], uops_per_app: u64) -> FigureTable {
             row("UL2", &t.ul2),
         ],
     }
-}
-
-/// Figure 1's underlying per-group averages (for tests and EXPERIMENTS.md).
-pub fn figure1_report(apps: &[AppProfile], uops_per_app: u64) -> TempReport {
-    let cfg = ExperimentConfig::baseline().with_uops(uops_per_app);
-    average_temps(&SweepRunner::new().suite(&cfg, apps))
 }
 
 /// Figure 12: temperature reductions of distributed renaming and commit.

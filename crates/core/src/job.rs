@@ -1,18 +1,18 @@
 //! The unified sweep-job API: [`JobSpec`], [`StatusCode`] and the
 //! content-address fingerprint shared by every execution front end.
 //!
-//! Before this module, "what to run and how" was scattered: the
-//! [`SweepRunner`]'s
-//! `with_threads`/`with_batch`/`with_trace_mode` builder calls, the
-//! scenarios CLI's positional flags, and [`RunOptions`] each carried a
-//! partial, mutually untranslatable description of a job. A [`JobSpec`]
-//! is the single source of truth: a pure-data, versioned, line-serializable
-//! description that the one-shot CLI, the `distfront-sweepd` daemon
-//! protocol and the test harness all construct — and that
-//! [`SweepRunner::from_spec`](crate::engine::SweepRunner::from_spec)
-//! turns into a configured runner. The builder methods survive as a
-//! compatibility shim over the same fields, so existing callers keep
-//! compiling.
+//! A [`JobSpec`] is the one description of "what to run and how": a
+//! pure-data, versioned, line-serializable value that every front end
+//! constructs — the one-shot CLI (plain, `--state-dir` and `--processes`
+//! runs alike), the `distfront-sweepd` daemon protocol, the benches and
+//! the test harness. [`JobSpec::execute`] is the execution path behind
+//! them: it resolves the target against the registries, sizes a runner
+//! with [`SweepRunner::from_spec`](crate::engine::SweepRunner::from_spec)
+//! and runs the grid against a [`JobEnv`]. The front ends differ only in
+//! the environment they share across jobs and in where the spec runs; a
+//! `--processes` run hands the spec to
+//! [`ShardRunner`](crate::shard::ShardRunner), whose workers run slices
+//! of the same resolved grid.
 //!
 //! # Wire format and version policy
 //!
@@ -54,7 +54,7 @@ use distfront_trace::{AppProfile, Fingerprint, Workload};
 
 use crate::engine::{CellOutcome, SweepReport, SweepRunner, TraceMode, TraceStore, WarmStartCache};
 use crate::experiment::ExperimentConfig;
-use crate::scenarios::{self, csv_row, RunOptions};
+use crate::scenarios::{self, csv_row, FULL_UOPS, SMOKE_UOPS};
 
 /// Current [`JobSpec`] wire-format version; see the module docs for the
 /// policy.
@@ -360,7 +360,7 @@ impl JobSpec {
             version: JOBSPEC_VERSION,
             target: JobTarget::Scenario(name.into()),
             smoke: false,
-            uops: RunOptions::full().uops,
+            uops: FULL_UOPS,
             workers: 0,
             integrator: Integrator::default(),
             batch: false,
@@ -383,44 +383,13 @@ impl JobSpec {
         }
     }
 
-    /// The spec a scenario run with `opts` corresponds to — the bridge
-    /// from the legacy [`RunOptions`] surface onto the unified API.
-    pub fn from_options(scenario: &str, opts: &RunOptions) -> Self {
-        JobSpec {
-            smoke: opts.smoke,
-            uops: opts.uops,
-            workers: opts.workers,
-            integrator: opts.integrator,
-            batch: opts.batch,
-            ..Self::scenario(scenario)
-        }
-    }
-
-    /// The [`RunOptions`] view of this spec (scenario workload selection
-    /// and runner sizing).
-    pub fn run_options(&self) -> RunOptions {
-        let base = if self.smoke {
-            RunOptions::smoke()
-        } else {
-            RunOptions::full()
-        };
-        let workers = if self.workers == 0 {
-            SweepRunner::new().threads()
-        } else {
-            self.workers
-        };
-        base.with_uops(self.uops)
-            .with_workers(workers)
-            .with_integrator(self.integrator)
-            .with_batch(self.batch)
-    }
-
-    /// Sets the smoke flag; returns `self` for chaining.
+    /// Sets the smoke flag; returns `self` for chaining. Turning smoke on
+    /// also shortens a full-length run ([`FULL_UOPS`]) to [`SMOKE_UOPS`].
     #[must_use]
     pub fn with_smoke(mut self, smoke: bool) -> Self {
         self.smoke = smoke;
-        if smoke && self.uops == RunOptions::full().uops {
-            self.uops = RunOptions::smoke().uops;
+        if smoke && self.uops == FULL_UOPS {
+            self.uops = SMOKE_UOPS;
         }
         self
     }
@@ -551,11 +520,7 @@ impl JobSpec {
             Some(other) => return Err(JobSpecError::BadValue(format!("kind={other}"))),
             None => return Err(JobSpecError::MissingKey("kind")),
         };
-        let smoke_default = if smoke {
-            RunOptions::smoke().uops
-        } else {
-            RunOptions::full().uops
-        };
+        let smoke_default = if smoke { SMOKE_UOPS } else { FULL_UOPS };
         let spec = JobSpec {
             version,
             target,
@@ -616,7 +581,6 @@ impl JobSpec {
     /// knows.
     pub fn resolve(&self) -> Result<ResolvedJob, JobSpecError> {
         self.validate()?;
-        let opts = self.run_options();
         match &self.target {
             JobTarget::Scenario(name) => {
                 let s = scenarios::by_name(name)
@@ -631,9 +595,9 @@ impl JobSpec {
                     label: LabelSource::Scenario(s.name),
                     configs: vec![s
                         .config()
-                        .with_uops(opts.uops)
-                        .with_integrator(opts.integrator)],
-                    workloads: s.workloads(&opts),
+                        .with_uops(self.uops)
+                        .with_integrator(self.integrator)],
+                    workloads: s.workloads(self.smoke),
                 })
             }
             JobTarget::Grid { configs, apps } => {
@@ -641,7 +605,7 @@ impl JobSpec {
                     .iter()
                     .map(|n| {
                         ExperimentConfig::by_name(n)
-                            .map(|c| c.with_uops(opts.uops).with_integrator(opts.integrator))
+                            .map(|c| c.with_uops(self.uops).with_integrator(self.integrator))
                             .ok_or_else(|| JobSpecError::UnknownName(n.clone()))
                     })
                     .collect::<Result<Vec<_>, _>>()?;
@@ -725,8 +689,8 @@ impl JobSpec {
     /// [`SweepRunner::with_on_cell`].
     ///
     /// This is the one execution path behind the one-shot CLI, the
-    /// daemon's executors and the test harness — they differ only in the
-    /// [`JobEnv`] they share across calls.
+    /// daemon's executors, the benches and the test harness — they
+    /// differ only in the [`JobEnv`] they share across calls.
     ///
     /// # Errors
     ///
@@ -861,8 +825,8 @@ impl JobReport {
     }
 
     /// CSV rows (no header) for every successful cell, in canonical grid
-    /// order — byte-identical to [`scenarios::to_csv`]'s body for the
-    /// same scenario run, whatever order the cells completed in.
+    /// order, whatever order the cells completed in. This is
+    /// [`scenarios::to_csv`]'s body.
     pub fn csv_rows(&self) -> Vec<String> {
         self.report
             .cells()
@@ -948,11 +912,11 @@ mod tests {
     #[test]
     fn parse_applies_scheduling_defaults_but_requires_target() {
         let spec = JobSpec::parse_line("v=1 kind=scenario name=baseline").unwrap();
-        assert_eq!(spec.uops, RunOptions::full().uops);
+        assert_eq!(spec.uops, FULL_UOPS);
         assert_eq!(spec.workers, 0);
         assert_eq!(spec.class, JobClass::Interactive);
         let smoke = JobSpec::parse_line("v=1 kind=scenario name=baseline smoke=1").unwrap();
-        assert_eq!(smoke.uops, RunOptions::smoke().uops);
+        assert_eq!(smoke.uops, SMOKE_UOPS);
         assert_eq!(
             JobSpec::parse_line("v=1 kind=scenario"),
             Err(JobSpecError::MissingKey("name"))
@@ -1095,7 +1059,7 @@ mod tests {
         let report = spec.execute(&env, |_| {}).unwrap();
         assert_eq!(report.status(), StatusCode::Ok);
         let rows = report.csv_rows();
-        assert_eq!(rows.len(), RunOptions::smoke().apps().len());
+        assert_eq!(rows.len(), scenarios::suite_apps(true).len());
         assert!(rows.iter().all(|r| r.starts_with("baseline,")));
         // Grid targets label rows by configuration preset.
         let grid = JobSpec::grid(["drc"], ["gzip"])
@@ -1118,7 +1082,7 @@ mod tests {
         assert_eq!(report.status(), StatusCode::CellsFailed);
         assert!(report.csv_rows().is_empty());
         let failures = report.failure_lines();
-        assert_eq!(failures.len(), RunOptions::smoke().apps().len());
+        assert_eq!(failures.len(), scenarios::suite_apps(true).len());
         assert!(failures[0].2.contains("not converged"));
     }
 }

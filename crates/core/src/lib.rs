@@ -73,5 +73,5 @@ pub use runner::{
     average_temps, mean_cpi, run_app, run_suite, slowdown, try_run_app, AppResult, BlockGroups,
     TempReport,
 };
-pub use scenarios::{RunOptions, Scenario, ScenarioReport};
+pub use scenarios::Scenario;
 pub use store::{DurableStore, StoreSnapshot};

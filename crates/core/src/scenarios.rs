@@ -3,8 +3,10 @@
 //! A scenario binds an application suite, a processor configuration and a
 //! DTM policy into one runnable, comparable unit — the registry covers the
 //! paper's technique configurations (Figs. 12–14) plus the DTM design
-//! space the techniques are motivated by. Every scenario runs on the
-//! parallel [`SweepRunner`] and inherits the engine's bit-identity
+//! space the techniques are motivated by. A scenario runs as a
+//! [`JobSpec`](crate::job::JobSpec) target through
+//! [`JobSpec::execute`](crate::job::JobSpec::execute), the one execution
+//! path of every front end, and inherits the engine's bit-identity
 //! guarantee: the same scenario at any worker count produces byte-identical
 //! CSV/JSON output.
 //!
@@ -26,24 +28,24 @@
 //! # Examples
 //!
 //! ```
-//! use distfront::scenarios::{self, RunOptions};
+//! use distfront::job::{JobEnv, JobSpec};
+//! use distfront::scenarios;
 //!
-//! let scenario = scenarios::by_name("baseline").unwrap();
-//! let report = scenario.run(&RunOptions::smoke().with_uops(30_000));
-//! assert!(report.is_complete());
-//! assert_eq!(report.results().count(), RunOptions::smoke().apps().len());
+//! let spec = JobSpec::scenario("baseline").with_smoke(true).with_uops(30_000);
+//! let report = spec.execute(&JobEnv::default(), |_| {}).unwrap();
+//! assert!(report.report.is_complete());
+//! assert_eq!(report.csv_rows().len(), scenarios::suite_apps(true).len());
 //! ```
 
 use std::fmt::Write as _;
 
 use distfront_power::LeakageModel;
-use distfront_thermal::Integrator;
 use distfront_trace::{AppProfile, PhasedProfile, Workload};
 
 use crate::dtm::{DvfsPolicy, FetchGatePolicy, MigrationPolicy};
 use crate::emergency::EmergencyPolicy;
-use crate::engine::{CellOutcome, SweepReport, SweepRunner, TraceMode};
 use crate::experiment::{DtmSpec, ExperimentConfig};
+use crate::job::JobReport;
 use crate::report::{FigureRow, FigureTable};
 use crate::runner::AppResult;
 
@@ -55,6 +57,13 @@ use crate::runner::AppResult;
 /// run free — the regime the paper's §4 discussion is about.
 pub const STUDY_TRIP_C: f64 = 100.0;
 
+/// Micro-ops per application of a full run: the 26-application
+/// evaluation at a CI-friendly run length.
+pub const FULL_UOPS: u64 = 200_000;
+
+/// Micro-ops per application of a smoke run.
+pub const SMOKE_UOPS: u64 = 40_000;
+
 /// One named experiment: workload suite × configuration × policy.
 #[derive(Debug, Clone, Copy)]
 pub struct Scenario {
@@ -63,8 +72,8 @@ pub struct Scenario {
     /// One-line description shown by `--list`.
     pub summary: &'static str,
     build: fn() -> ExperimentConfig,
-    /// Fixed workload suite; `None` runs over the [`RunOptions`] app
-    /// suite. Phased/multi-program scenarios pin their own workloads.
+    /// Fixed workload suite; `None` runs over [`suite_apps`].
+    /// Phased/multi-program scenarios pin their own workloads.
     workloads: Option<fn() -> Vec<Workload>>,
 }
 
@@ -81,7 +90,7 @@ impl Scenario {
     }
 
     /// Pins a fixed workload suite (phased profiles, interleavings) in
-    /// place of the [`RunOptions`] application suite; returns `self` for
+    /// place of the [`suite_apps`] application suite; returns `self` for
     /// chaining.
     #[must_use]
     pub fn with_workloads(mut self, workloads: fn() -> Vec<Workload>) -> Self {
@@ -94,65 +103,31 @@ impl Scenario {
         (self.build)()
     }
 
-    /// The workload suite a run with `opts` would execute: the pinned
-    /// suite if the scenario has one, otherwise `opts.apps()`.
-    pub fn workloads(&self, opts: &RunOptions) -> Vec<Workload> {
+    /// The workload suite the scenario runs: its pinned suite if it has
+    /// one, otherwise [`suite_apps`]`(smoke)`.
+    pub fn workloads(&self, smoke: bool) -> Vec<Workload> {
         match self.workloads {
             Some(f) => f(),
-            None => opts.apps().into_iter().map(Workload::Single).collect(),
+            None => suite_apps(smoke)
+                .into_iter()
+                .map(Workload::Single)
+                .collect(),
         }
     }
+}
 
-    /// Runs the scenario over its workload suite on a [`SweepRunner`] with
-    /// `opts.workers` workers. Fault-tolerant: a failing cell becomes an
-    /// `Err` outcome in the report, never a panic.
-    pub fn run(&self, opts: &RunOptions) -> ScenarioReport {
-        self.run_streaming(opts, |_| {})
-    }
-
-    /// [`run`](Self::run) with a streaming callback: `on_cell` fires once
-    /// per workload as its cell completes (completion order), which is
-    /// what the CLI's `--progress` display and incremental CSV emission
-    /// hang off.
-    pub fn run_streaming(
-        &self,
-        opts: &RunOptions,
-        on_cell: impl Fn(&CellOutcome) + Send + Sync + 'static,
-    ) -> ScenarioReport {
-        self.run_traced(opts, TraceMode::Live, on_cell)
-    }
-
-    /// [`run_streaming`](Self::run_streaming) with an explicit
-    /// [`TraceMode`]: `Record` captures every successful cell's activity
-    /// into the mode's [`TraceStore`](crate::engine::TraceStore), `Replay`
-    /// drives cells from the store where a compatible trace exists and
-    /// falls back to live simulation otherwise. Results are byte-identical
-    /// across all three modes.
-    pub fn run_traced(
-        &self,
-        opts: &RunOptions,
-        mode: TraceMode,
-        on_cell: impl Fn(&CellOutcome) + Send + Sync + 'static,
-    ) -> ScenarioReport {
-        let cfg = self
-            .config()
-            .with_uops(opts.uops)
-            .with_integrator(opts.integrator);
-        let workloads = self.workloads(opts);
-        // One construction path for every front end: options become a
-        // JobSpec, the runner comes from the spec (the builder calls
-        // below attach only the runtime handles a pure-data spec cannot
-        // carry — see `job`).
-        let spec = crate::job::JobSpec::from_options(self.name, opts);
-        let report = SweepRunner::from_spec(&spec)
-            .with_on_cell(on_cell)
-            .with_trace_mode(mode)
-            .try_suite_workloads(&cfg, &workloads);
-        ScenarioReport {
-            scenario: self.name,
-            summary: self.summary,
-            report,
-        }
+/// The application suite a scenario without pinned workloads runs: the
+/// full SPEC2000 set, or in smoke mode `tiny` plus one compute-bound
+/// integer, one memory-bound integer and one streaming FP application.
+pub fn suite_apps(smoke: bool) -> Vec<AppProfile> {
+    if smoke {
+        ["gzip", "mcf", "swim"]
+            .iter()
+            .map(|n| *AppProfile::by_name(n).expect("smoke app exists"))
+            .chain(std::iter::once(AppProfile::test_tiny()))
+            .collect()
+    } else {
+        AppProfile::spec2000().to_vec()
     }
 }
 
@@ -175,138 +150,6 @@ pub fn fault_injection() -> Scenario {
             })
         },
     )
-}
-
-/// How a scenario run is sized and parallelized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunOptions {
-    /// Micro-ops per application.
-    pub uops: u64,
-    /// Sweep worker count (clamped to the cell count by the runner).
-    pub workers: usize,
-    /// Smoke mode: a 4-application subset instead of the full 26.
-    pub smoke: bool,
-    /// Transient integrator (exact modal propagator by default).
-    pub integrator: Integrator,
-    /// Lockstep batched replay ([`SweepRunner::with_batch`]): group
-    /// replay-mode cells into cohorts advanced through one shared batched
-    /// propagator. Purely a performance knob — results are bit-identical
-    /// either way — and only meaningful under [`TraceMode::Replay`].
-    pub batch: bool,
-}
-
-impl RunOptions {
-    /// The full 26-application evaluation at a CI-friendly run length,
-    /// using every available hardware thread.
-    pub fn full() -> Self {
-        RunOptions {
-            uops: 200_000,
-            workers: SweepRunner::new().threads(),
-            smoke: false,
-            integrator: Integrator::default(),
-            batch: false,
-        }
-    }
-
-    /// A fast smoke run: four representative applications at a short run
-    /// length.
-    pub fn smoke() -> Self {
-        RunOptions {
-            uops: 40_000,
-            smoke: true,
-            ..Self::full()
-        }
-    }
-
-    /// Overrides the run length; returns `self` for chaining.
-    pub fn with_uops(mut self, uops: u64) -> Self {
-        self.uops = uops;
-        self
-    }
-
-    /// Overrides the worker count; returns `self` for chaining.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Overrides the transient integrator; returns `self` for chaining.
-    pub fn with_integrator(mut self, integrator: Integrator) -> Self {
-        self.integrator = integrator;
-        self
-    }
-
-    /// Enables or disables lockstep batched replay; returns `self` for
-    /// chaining.
-    pub fn with_batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// The application suite these options select: the full SPEC2000 set,
-    /// or in smoke mode `tiny` plus one compute-bound integer, one
-    /// memory-bound integer and one streaming FP application.
-    pub fn apps(&self) -> Vec<AppProfile> {
-        if self.smoke {
-            ["gzip", "mcf", "swim"]
-                .iter()
-                .map(|n| *AppProfile::by_name(n).expect("smoke app exists"))
-                .chain(std::iter::once(AppProfile::test_tiny()))
-                .collect()
-        } else {
-            AppProfile::spec2000().to_vec()
-        }
-    }
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        Self::full()
-    }
-}
-
-/// The results of one scenario over its application suite.
-///
-/// Equality (like the underlying [`SweepReport`]'s) covers the outcomes —
-/// error cells included — but not per-cell wall times, so serial and
-/// parallel runs of the same scenario compare equal.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioReport {
-    /// Scenario name.
-    pub scenario: &'static str,
-    /// Scenario description.
-    pub summary: &'static str,
-    /// One outcome per application, in suite order (a one-row sweep).
-    pub report: SweepReport,
-}
-
-impl ScenarioReport {
-    /// Per-application outcomes, in suite order.
-    pub fn outcomes(&self) -> &[CellOutcome] {
-        self.report.cells()
-    }
-
-    /// The successful results, in suite order.
-    pub fn results(&self) -> impl Iterator<Item = &AppResult> {
-        self.outcomes()
-            .iter()
-            .filter_map(|c| c.result.as_ref().ok())
-    }
-
-    /// The failed cells, in suite order.
-    pub fn failures(&self) -> impl Iterator<Item = &CellOutcome> {
-        self.report.failures()
-    }
-
-    /// How many cells failed.
-    pub fn failed(&self) -> usize {
-        self.report.failed()
-    }
-
-    /// Whether every application produced a result.
-    pub fn is_complete(&self) -> bool {
-        self.report.is_complete()
-    }
 }
 
 /// Phased workloads for the `phased-hot-cold` scenario: long alternating
@@ -535,42 +378,52 @@ pub fn csv_row(scenario: &str, r: &AppResult) -> String {
     )
 }
 
-/// Renders scenario reports as CSV (header + one row per *successful*
-/// scenario × app cell; failed cells are reported out-of-band, so a
+/// Renders job reports as CSV (header + one [`JobReport::csv_rows`] row
+/// per *successful* cell; failed cells are reported out-of-band, so a
 /// partially failed suite still yields a usable partial CSV).
 ///
 /// Results are bit-identical across worker counts, and every float is
 /// formatted with Rust's shortest-roundtrip `Display`, so the bytes are
 /// identical too — error cells included, since an engine failure is as
 /// deterministic as a result.
-pub fn to_csv(reports: &[ScenarioReport]) -> String {
+pub fn to_csv<'a>(reports: impl IntoIterator<Item = &'a JobReport>) -> String {
     let mut out = String::from(CSV_HEADER);
     out.push('\n');
     for rep in reports {
-        for r in rep.results() {
-            out.push_str(&csv_row(rep.scenario, r));
+        for row in rep.csv_rows() {
+            out.push_str(&row);
             out.push('\n');
         }
     }
     out
 }
 
-/// Renders scenario reports as a JSON document (an object with a
+/// The successful results of a report, in suite order.
+fn results(rep: &JobReport) -> impl Iterator<Item = &AppResult> {
+    rep.report
+        .cells()
+        .iter()
+        .filter_map(|c| c.result.as_ref().ok())
+}
+
+/// Renders scenario runs as a JSON document (an object with a
 /// `scenarios` array; same fields as the CSV, nested per application,
 /// plus a `failures` array naming any failed cells and their errors).
-pub fn to_json(reports: &[ScenarioReport]) -> String {
+/// Each run pairs a scenario (its name and summary head the entry) with
+/// the report of its job.
+pub fn to_json<'a>(runs: impl IntoIterator<Item = (&'a Scenario, &'a JobReport)>) -> String {
     let mut out = String::from("{\n  \"scenarios\": [");
-    for (i, rep) in reports.iter().enumerate() {
+    for (i, (s, rep)) in runs.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         write!(
             out,
             "\n    {{\n      \"name\": \"{}\",\n      \"summary\": \"{}\",\n      \"results\": [",
-            rep.scenario, rep.summary
+            s.name, s.summary
         )
         .expect("writing to a String cannot fail");
-        for (j, r) in rep.results().enumerate() {
+        for (j, r) in results(rep).enumerate() {
             if j > 0 {
                 out.push(',');
             }
@@ -608,7 +461,7 @@ pub fn to_json(reports: &[ScenarioReport]) -> String {
             .expect("writing to a String cannot fail");
         }
         out.push_str("\n      ],\n      \"failures\": [");
-        for (j, cell) in rep.failures().enumerate() {
+        for (j, cell) in rep.report.failures().enumerate() {
             if j > 0 {
                 out.push(',');
             }
@@ -626,15 +479,18 @@ pub fn to_json(reports: &[ScenarioReport]) -> String {
     out
 }
 
-/// A per-scenario summary (suite means and peaks) ready to print. Means
-/// cover the *successful* cells; the final `Failed` column counts the
-/// cells that produced no result (a scenario with failures still gets a
+/// A per-scenario summary (suite means and peaks) ready to print, one
+/// row per scenario run, labeled with the scenario's name. Means cover
+/// the *successful* cells; the final `Failed` column counts the cells
+/// that produced no result (a scenario with failures still gets a
 /// summary row from its surviving cells).
-pub fn summary_table(reports: &[ScenarioReport]) -> FigureTable {
-    let rows = reports
-        .iter()
-        .map(|rep| {
-            let ok: Vec<&AppResult> = rep.results().collect();
+pub fn summary_table<'a>(
+    runs: impl IntoIterator<Item = (&'a Scenario, &'a JobReport)>,
+) -> FigureTable {
+    let rows = runs
+        .into_iter()
+        .map(|(s, rep)| {
+            let ok: Vec<&AppResult> = results(rep).collect();
             let n = ok.len().max(1) as f64;
             // `+ 0.0` turns an empty sum's -0.0 into an unsigned zero.
             let mean =
@@ -644,7 +500,7 @@ pub fn summary_table(reports: &[ScenarioReport]) -> FigureTable {
                 .map(|r| r.temps.processor.abs_max_c)
                 .fold(f64::NEG_INFINITY, f64::max);
             FigureRow {
-                label: rep.scenario.to_string(),
+                label: s.name.to_string(),
                 values: vec![
                     mean(&|r| r.ipc),
                     mean(&|r| r.cpi),
@@ -655,7 +511,7 @@ pub fn summary_table(reports: &[ScenarioReport]) -> FigureTable {
                     ok.iter().map(|r| r.emergencies).sum::<u64>() as f64,
                     ok.iter().map(|r| r.throttled_intervals).sum::<u64>() as f64,
                     mean(&|r| r.over_limit_s) * 1e3,
-                    rep.failed() as f64,
+                    rep.report.failed() as f64,
                 ],
             }
         })
@@ -685,6 +541,23 @@ pub fn summary_table(reports: &[ScenarioReport]) -> FigureTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::CellOutcome;
+    use crate::job::{JobEnv, JobSpec};
+
+    /// Executes scenario `name` on the smoke suite at `uops` micro-ops
+    /// per application on two workers.
+    fn run_smoke(
+        name: &str,
+        uops: u64,
+        on_cell: impl Fn(&CellOutcome) + Send + Sync + 'static,
+    ) -> JobReport {
+        JobSpec::scenario(name)
+            .with_smoke(true)
+            .with_uops(uops)
+            .with_workers(2)
+            .execute(&JobEnv::default(), on_cell)
+            .unwrap()
+    }
 
     #[test]
     fn registry_is_populated_and_unique() {
@@ -694,7 +567,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), reg.len(), "duplicate scenario names");
-        let opts = RunOptions::smoke();
         for s in &reg {
             s.config()
                 .validate()
@@ -703,7 +575,7 @@ mod tests {
             // Every workload a scenario would run — pinned phased suites
             // included — validates, and names are unique within the suite
             // (they become CSV rows and trace-store keys).
-            let workloads = s.workloads(&opts);
+            let workloads = s.workloads(true);
             assert!(!workloads.is_empty(), "{}: empty suite", s.name);
             let mut wnames = Vec::new();
             for w in &workloads {
@@ -723,7 +595,7 @@ mod tests {
         let phased: Vec<_> = registry()
             .into_iter()
             .filter(|s| {
-                s.workloads(&RunOptions::smoke())
+                s.workloads(true)
                     .iter()
                     .any(|w| matches!(w, Workload::Phased(_)))
             })
@@ -738,12 +610,11 @@ mod tests {
 
     #[test]
     fn phased_scenario_runs_and_reports_its_workload_names() {
-        let opts = RunOptions::smoke().with_uops(30_000).with_workers(2);
-        let report = by_name("phased-hot-cold").unwrap().run(&opts);
-        assert!(report.is_complete());
-        let apps: Vec<_> = report.results().map(|r| r.app).collect();
+        let report = run_smoke("phased-hot-cold", 30_000, |_| {});
+        assert!(report.report.is_complete());
+        let apps: Vec<_> = results(&report).map(|r| r.app).collect();
         assert_eq!(apps, vec!["crafty-mcf", "gzip-art"]);
-        let csv = to_csv(std::slice::from_ref(&report));
+        let csv = to_csv([&report]);
         assert!(csv.contains("phased-hot-cold,crafty-mcf,"));
     }
 
@@ -757,28 +628,27 @@ mod tests {
 
     #[test]
     fn smoke_suite_is_small_and_mixed() {
-        let apps = RunOptions::smoke().apps();
+        let apps = suite_apps(true);
         assert_eq!(apps.len(), 4);
         assert!(apps.iter().any(|a| a.is_fp));
         assert!(apps.iter().any(|a| !a.is_fp));
-        assert_eq!(RunOptions::full().apps().len(), 26);
+        assert_eq!(suite_apps(false).len(), 26);
     }
 
     #[test]
     fn csv_and_json_cover_every_cell() {
-        let opts = RunOptions::smoke().with_uops(20_000).with_workers(2);
-        let reports = vec![
-            by_name("baseline").unwrap().run(&opts),
-            by_name("dtm-emergency").unwrap().run(&opts),
-        ];
+        let suite = suite_apps(true).len();
+        let names = ["baseline", "dtm-emergency"];
+        let scenarios: Vec<Scenario> = names.iter().map(|n| by_name(n).unwrap()).collect();
+        let reports: Vec<JobReport> = names.iter().map(|n| run_smoke(n, 20_000, |_| {})).collect();
         let csv = to_csv(&reports);
-        assert_eq!(csv.lines().count(), 1 + 2 * opts.apps().len());
+        assert_eq!(csv.lines().count(), 1 + 2 * suite);
         assert!(csv.starts_with("scenario,app,"));
         assert!(csv.contains("dtm-emergency,tiny,"));
-        let json = to_json(&reports);
+        let json = to_json(scenarios.iter().zip(&reports));
         assert!(json.contains("\"name\": \"baseline\""));
-        assert_eq!(json.matches("\"app\":").count(), 2 * opts.apps().len());
-        let table = summary_table(&reports);
+        assert_eq!(json.matches("\"app\":").count(), 2 * suite);
+        let table = summary_table(scenarios.iter().zip(&reports));
         assert_eq!(table.rows.len(), 2);
         assert!(table.value("baseline", 0).unwrap() > 0.0, "IPC positive");
         assert_eq!(table.value("baseline", 9), Some(0.0), "no failed cells");
@@ -787,24 +657,21 @@ mod tests {
     #[test]
     fn streamed_rows_reassemble_into_to_csv() {
         use std::sync::{Arc, Mutex};
-        let opts = RunOptions::smoke().with_uops(20_000).with_workers(2);
         let rows = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&rows);
-        let report = by_name("baseline")
-            .unwrap()
-            .run_streaming(&opts, move |cell| {
-                if let Ok(r) = &cell.result {
-                    sink.lock()
-                        .unwrap()
-                        .push((cell.app, csv_row("baseline", r)));
-                }
-            });
+        let report = run_smoke("baseline", 20_000, move |cell| {
+            if let Ok(r) = &cell.result {
+                sink.lock()
+                    .unwrap()
+                    .push((cell.app, csv_row("baseline", r)));
+            }
+        });
         // Streamed rows arrive in completion order; sorted by suite index
         // they are byte-identical to the canonical emitter's.
         let mut rows = rows.lock().unwrap().clone();
         rows.sort_by_key(|(app, _)| *app);
         let streamed: Vec<String> = rows.into_iter().map(|(_, row)| row).collect();
-        let canonical: Vec<String> = to_csv(std::slice::from_ref(&report))
+        let canonical: Vec<String> = to_csv([&report])
             .lines()
             .skip(1)
             .map(str::to_owned)
@@ -814,12 +681,12 @@ mod tests {
 
     #[test]
     fn fault_injection_scenario_fails_every_cell_without_panicking() {
-        let opts = RunOptions::smoke().with_uops(20_000).with_workers(2);
-        let report = fault_injection().run(&opts);
-        assert_eq!(report.failed(), opts.apps().len());
-        assert!(!report.is_complete());
-        assert_eq!(report.results().count(), 0);
-        for cell in report.failures() {
+        let suite = suite_apps(true).len();
+        let report = run_smoke(fault_injection().name, 20_000, |_| {});
+        assert_eq!(report.report.failed(), suite);
+        assert!(!report.report.is_complete());
+        assert_eq!(results(&report).count(), 0);
+        for cell in report.report.failures() {
             assert!(
                 matches!(
                     cell.result,
@@ -832,17 +699,15 @@ mod tests {
         // The emitters degrade instead of aborting: an all-failed scenario
         // is a header-only CSV, a failures-only JSON, and a summary row
         // whose Failed column carries the count.
-        let reports = [report];
-        assert_eq!(to_csv(&reports), format!("{CSV_HEADER}\n"));
-        let json = to_json(&reports);
+        let runs = [(fault_injection(), report)];
+        let pairs = || runs.iter().map(|(s, r)| (s, r));
         assert_eq!(
-            json.matches("\"error\": \"not converged").count(),
-            opts.apps().len()
+            to_csv(runs.iter().map(|(_, r)| r)),
+            format!("{CSV_HEADER}\n")
         );
-        let table = summary_table(&reports);
-        assert_eq!(
-            table.value("fault-injection", 9),
-            Some(opts.apps().len() as f64)
-        );
+        let json = to_json(pairs());
+        assert_eq!(json.matches("\"error\": \"not converged").count(), suite);
+        let table = summary_table(pairs());
+        assert_eq!(table.value("fault-injection", 9), Some(suite as f64));
     }
 }

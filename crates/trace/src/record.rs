@@ -8,10 +8,10 @@
 //! re-simulating the core — which is what makes pure thermal/DTM sweeps
 //! several times cheaper per cell.
 //!
-//! # The multi-point model (v2+)
+//! # The multi-point model
 //!
-//! Since version 2 a trace records, per interval, a small **family of
-//! operating points** instead of a single flattened counter row. The
+//! A trace records, per interval, a small **family of operating points**
+//! rather than a single flattened counter row. The
 //! family is declared once in the header as a list of [`PointKey`]s —
 //! always [`PointKey::Nominal`] first, then the policy-actionable
 //! variants the recording configuration's DTM policy could engage (a
@@ -29,14 +29,13 @@
 //! renders the set as a stable string used for store keys, file names and
 //! job fingerprints.
 //!
-//! # The v3 delta layout
+//! # The delta layout
 //!
-//! Version 3 keeps the v2 structure but changes how non-nominal point
-//! rows hit the wire. A variant row differs from the interval's nominal
-//! row in a handful of counters (a gated fetch stream commits less, a
-//! scaled clock shifts a few occupancy numbers — most words are equal),
-//! so storing every row raw repeats almost-identical 8-byte words per
-//! point. v3 therefore writes, for each non-nominal [`PointRecord`],
+//! A variant row differs from the interval's nominal row in a handful of
+//! counters (a gated fetch stream commits less, a scaled clock shifts a
+//! few occupancy numbers — most words are equal), so storing every row
+//! raw would repeat almost-identical 8-byte words per point. The format
+//! therefore writes, for each non-nominal [`PointRecord`],
 //! the per-counter difference from the interval's **nominal** row as a
 //! zig-zag LEB128 varint ([`crate::codec`]): `delta[i] =
 //! counters[i].wrapping_sub(nominal[i])` as a signed value. A zero delta
@@ -54,7 +53,7 @@
 //! a little-endian `u32` format version, then the metadata, point-family,
 //! pilot, interval and final-stats sections, with every integer
 //! little-endian, every float stored as its exact IEEE-754 bits, every
-//! string length-prefixed UTF-8, and v3 delta rows as zig-zag varints.
+//! string length-prefixed UTF-8, and delta rows as zig-zag varints.
 //!
 //! The version number is the compatibility contract:
 //!
@@ -67,14 +66,13 @@
 //!   ([`TraceCodecError::UnsupportedVersion`]) rather than guessing:
 //!   a replayed trace feeds physical models, so a misread field would
 //!   silently produce plausible-but-wrong science.
-//! * **Older versions stay readable, current-only on write.** The v1
-//!   path decodes the legacy single-row layout into the multi-point
-//!   model as a `[Nominal]` family; the v2 path decodes raw (non-delta)
-//!   point rows. [`ActivityTrace::encode`] always writes
-//!   [`TRACE_FORMAT_VERSION`], so re-encoding an older-version trace
-//!   upgrades its container losslessly (the content is unchanged — only
-//!   the wire layout). There is no other cross-version migration path by
-//!   design, and [`TraceMeta::version`] records what was actually read.
+//! * **One version, read and written.** [`ActivityTrace::encode`] writes
+//!   and [`ActivityTrace::decode`] reads only [`TRACE_FORMAT_VERSION`];
+//!   a stream of any other version, the retired v1 (single-row) and v2
+//!   (raw variant rows) layouts included, is
+//!   [`TraceCodecError::UnsupportedVersion`]. Traces are derived data: a
+//!   cell whose trace cannot be read runs live and can be re-recorded,
+//!   with the same result bytes.
 //! * Within one version, decoding validates structure (magic, counter
 //!   lengths against the declared [`TraceShape`], family invariants,
 //!   varint bounds, no trailing bytes), so `decode(encode(t)) == t` and
@@ -115,15 +113,9 @@
 
 use crate::codec::{CodecError, Reader, Writer};
 
-/// Current serialization version; see the module docs for the policy.
+/// The serialization version, the only one written and read; see the
+/// module docs for the policy.
 pub const TRACE_FORMAT_VERSION: u32 = 3;
-
-/// The raw-row multi-point layout (read-only; superseded by the v3
-/// delta rows).
-pub const TRACE_FORMAT_V2: u32 = 2;
-
-/// The legacy single-point layout, still decodable (read-only).
-pub const TRACE_FORMAT_V1: u32 = 1;
 
 /// Magic bytes opening every serialized trace.
 pub const TRACE_MAGIC: [u8; 4] = *b"DFAT";
@@ -483,9 +475,8 @@ pub struct ActivityTrace {
 pub enum TraceCodecError {
     /// The stream does not start with [`TRACE_MAGIC`].
     BadMagic,
-    /// The stream's version is not one this build reads
-    /// ([`TRACE_FORMAT_V1`], [`TRACE_FORMAT_V2`] or
-    /// [`TRACE_FORMAT_VERSION`]).
+    /// The stream's version is not [`TRACE_FORMAT_VERSION`], the only
+    /// one this build reads.
     UnsupportedVersion(u32),
     /// The stream ended inside the named section.
     Truncated(&'static str),
@@ -511,7 +502,7 @@ impl std::fmt::Display for TraceCodecError {
                 write!(
                     f,
                     "unsupported trace format version {v} (this build reads \
-                     {TRACE_FORMAT_V1}, {TRACE_FORMAT_V2} and {TRACE_FORMAT_VERSION})"
+                     {TRACE_FORMAT_VERSION} only)"
                 )
             }
             TraceCodecError::Truncated(what) => write!(f, "trace truncated in {what}"),
@@ -526,13 +517,13 @@ impl std::error::Error for TraceCodecError {}
 /// physical banks).
 const NO_GATED_BANK: u16 = u16::MAX;
 
-/// [`PointKey`] wire tags (v2+).
+/// [`PointKey`] wire tags.
 const POINT_NOMINAL: u8 = 0;
 const POINT_DVFS: u8 = 1;
 const POINT_FETCH_GATE: u8 = 2;
 const POINT_MIGRATE: u8 = 3;
 
-/// Appends a [`PointKey`] in the v2+ tagged wire layout.
+/// Appends a [`PointKey`] in the tagged wire layout.
 fn write_point_key(w: &mut Writer, key: &PointKey) {
     match key {
         PointKey::Nominal => w.u8(POINT_NOMINAL),
@@ -553,7 +544,7 @@ fn write_point_key(w: &mut Writer, key: &PointKey) {
     }
 }
 
-/// Reads a [`PointKey`] in the v2+ tagged wire layout.
+/// Reads a [`PointKey`] in the tagged wire layout.
 fn read_point_key(r: &mut Reader<'_>, what: &'static str) -> Result<PointKey, TraceCodecError> {
     match r.u8(what)? {
         POINT_NOMINAL => Ok(PointKey::Nominal),
@@ -584,9 +575,8 @@ fn read_gated_bank(r: &mut Reader<'_>, shape: &TraceShape) -> Result<Option<u8>,
 }
 
 impl ActivityTrace {
-    /// Serializes the trace to the versioned binary format. Always writes
-    /// [`TRACE_FORMAT_VERSION`] — re-encoding a v1- or v2-decoded trace
-    /// upgrades its container to v3 (same content, current layout).
+    /// Serializes the trace to the versioned binary format
+    /// ([`TRACE_FORMAT_VERSION`]).
     pub fn encode(&self) -> Vec<u8> {
         let flat = self.pilot.len();
         // Nominal rows are raw 8-byte words; variant rows are mostly
@@ -640,47 +630,23 @@ impl ActivityTrace {
         w.into_vec()
     }
 
-    /// Deserializes a trace (current format or the legacy v1/v2
-    /// layouts), validating structure as described in the module docs.
-    /// A v1 stream yields a trace whose point family is `[Nominal]`;
-    /// [`TraceMeta::version`] records the version actually read.
+    /// Deserializes a trace, validating structure as described in the
+    /// module docs.
     ///
     /// # Errors
     ///
-    /// Returns a [`TraceCodecError`] naming the first violated invariant.
+    /// Returns a [`TraceCodecError`] naming the first violated invariant;
+    /// a stream of any version but [`TRACE_FORMAT_VERSION`] is
+    /// [`TraceCodecError::UnsupportedVersion`].
     pub fn decode(bytes: &[u8]) -> Result<ActivityTrace, TraceCodecError> {
         let mut r = Reader::new(bytes);
         if r.take(4, "magic")? != TRACE_MAGIC {
             return Err(TraceCodecError::BadMagic);
         }
         let version = r.u32("version")?;
-        match version {
-            TRACE_FORMAT_V1 => Self::decode_v1(r),
-            TRACE_FORMAT_V2 | TRACE_FORMAT_VERSION => Self::decode_multipoint(r, version),
-            other => Err(TraceCodecError::UnsupportedVersion(other)),
+        if version != TRACE_FORMAT_VERSION {
+            return Err(TraceCodecError::UnsupportedVersion(version));
         }
-    }
-
-    /// Shared header fields up to the dtm name (identical in every
-    /// version).
-    #[allow(clippy::type_complexity)]
-    fn decode_common(
-        r: &mut Reader<'_>,
-    ) -> Result<
-        (
-            String,
-            String,
-            u64,
-            u64,
-            u64,
-            u64,
-            TraceShape,
-            bool,
-            bool,
-            Option<String>,
-        ),
-        TraceCodecError,
-    > {
         let workload = r.str("workload name")?;
         let config = r.str("config name")?;
         let processor_fingerprint = r.u64("processor fingerprint")?;
@@ -702,50 +668,6 @@ impl ActivityTrace {
             1 => Some(r.str("dtm name")?),
             _ => return Err(TraceCodecError::Corrupt("dtm flag byte not 0/1")),
         };
-        Ok((
-            workload,
-            config,
-            processor_fingerprint,
-            seed,
-            uops_per_app,
-            interval_cycles,
-            shape,
-            hop,
-            replay_safe,
-            dtm,
-        ))
-    }
-
-    fn decode_finals(r: &mut Reader<'_>) -> Result<FinalStats, TraceCodecError> {
-        let finals = FinalStats {
-            cycles: r.u64("final stats")?,
-            uops: r.u64("final stats")?,
-            tc_hit_rate: r.f64("final stats")?,
-            mispredict_rate: r.f64("final stats")?,
-        };
-        r.expect_end()?;
-        Ok(finals)
-    }
-
-    /// The multi-point layouts: v2 (raw variant rows) and v3 (zig-zag
-    /// varint delta rows against the interval's nominal row). Everything
-    /// else is shared.
-    fn decode_multipoint(
-        mut r: Reader<'_>,
-        version: u32,
-    ) -> Result<ActivityTrace, TraceCodecError> {
-        let (
-            workload,
-            config,
-            processor_fingerprint,
-            seed,
-            uops_per_app,
-            interval_cycles,
-            shape,
-            hop,
-            replay_safe,
-            dtm,
-        ) = Self::decode_common(&mut r)?;
         let n_points = r.u32("point family")? as usize;
         let mut points = Vec::with_capacity(n_points.min(1 << 12));
         for _ in 0..n_points {
@@ -775,7 +697,7 @@ impl ActivityTrace {
             let mut recs: Vec<PointRecord> = Vec::with_capacity(points.len());
             for idx in 0..points.len() {
                 let done = r.flag("done flag")?;
-                let counters = if idx == 0 || version == TRACE_FORMAT_V2 {
+                let counters = if idx == 0 {
                     let counters = r.words("interval counters")?;
                     if counters.len() != flat_len {
                         return Err(TraceCodecError::Corrupt("interval length mismatches shape"));
@@ -797,7 +719,13 @@ impl ActivityTrace {
                 gated_bank,
             });
         }
-        let finals = Self::decode_finals(&mut r)?;
+        let finals = FinalStats {
+            cycles: r.u64("final stats")?,
+            uops: r.u64("final stats")?,
+            tc_hit_rate: r.f64("final stats")?,
+            mispredict_rate: r.f64("final stats")?,
+        };
+        r.expect_end()?;
         Ok(ActivityTrace {
             meta: TraceMeta {
                 version,
@@ -812,64 +740,6 @@ impl ActivityTrace {
                 replay_safe,
                 dtm,
                 points,
-            },
-            pilot,
-            intervals,
-            finals,
-        })
-    }
-
-    /// The legacy single-point layout: one counter row per interval, no
-    /// point-family section. Decodes into the multi-point model with a
-    /// `[Nominal]` family — exactly the power-level capability v1 could
-    /// express.
-    fn decode_v1(mut r: Reader<'_>) -> Result<ActivityTrace, TraceCodecError> {
-        let (
-            workload,
-            config,
-            processor_fingerprint,
-            seed,
-            uops_per_app,
-            interval_cycles,
-            shape,
-            hop,
-            replay_safe,
-            dtm,
-        ) = Self::decode_common(&mut r)?;
-        let flat_len = shape.flat_len();
-        let pilot = r.words("pilot counters")?;
-        if pilot.len() != flat_len {
-            return Err(TraceCodecError::Corrupt("pilot length mismatches shape"));
-        }
-        let n = r.u32("interval count")? as usize;
-        let mut intervals = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let gated_bank = read_gated_bank(&mut r, &shape)?;
-            let done = r.flag("done flag")?;
-            let counters = r.words("interval counters")?;
-            if counters.len() != flat_len {
-                return Err(TraceCodecError::Corrupt("interval length mismatches shape"));
-            }
-            intervals.push(IntervalRecord {
-                points: vec![PointRecord { counters, done }],
-                gated_bank,
-            });
-        }
-        let finals = Self::decode_finals(&mut r)?;
-        Ok(ActivityTrace {
-            meta: TraceMeta {
-                version: TRACE_FORMAT_V1,
-                workload,
-                config,
-                processor_fingerprint,
-                seed,
-                uops_per_app,
-                interval_cycles,
-                shape,
-                hop,
-                replay_safe,
-                dtm,
-                points: vec![PointKey::Nominal],
             },
             pilot,
             intervals,
@@ -957,91 +827,9 @@ mod tests {
         }
     }
 
-    /// Encodes `trace` in the legacy v1 layout (nominal point only) — the
-    /// committed-fixture generator and the backward-compat tests share
-    /// this writer.
-    fn encode_v1(trace: &ActivityTrace) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.header(&TRACE_MAGIC, TRACE_FORMAT_V1);
-        w.str(&trace.meta.workload);
-        w.str(&trace.meta.config);
-        w.u64(trace.meta.processor_fingerprint);
-        w.u64(trace.meta.seed);
-        w.u64(trace.meta.uops_per_app);
-        w.u64(trace.meta.interval_cycles);
-        w.u32(trace.meta.shape.partitions);
-        w.u32(trace.meta.shape.backends);
-        w.u32(trace.meta.shape.tc_banks);
-        w.u8(u8::from(trace.meta.hop));
-        w.u8(u8::from(trace.meta.replay_safe));
-        match &trace.meta.dtm {
-            None => w.u8(0),
-            Some(name) => {
-                w.u8(1);
-                w.str(name);
-            }
-        }
-        w.words(&trace.pilot);
-        w.u32(trace.intervals.len() as u32);
-        for rec in &trace.intervals {
-            w.u16(rec.gated_bank.map_or(NO_GATED_BANK, u16::from));
-            w.u8(u8::from(rec.nominal().done));
-            w.words(&rec.nominal().counters);
-        }
-        w.u64(trace.finals.cycles);
-        w.u64(trace.finals.uops);
-        w.f64(trace.finals.tc_hit_rate);
-        w.f64(trace.finals.mispredict_rate);
-        w.into_vec()
-    }
-
-    /// Encodes `trace` in the superseded v2 layout (raw variant rows) —
-    /// the committed-fixture generator and the backward-compat tests
-    /// share this writer.
-    fn encode_v2(trace: &ActivityTrace) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.header(&TRACE_MAGIC, TRACE_FORMAT_V2);
-        w.str(&trace.meta.workload);
-        w.str(&trace.meta.config);
-        w.u64(trace.meta.processor_fingerprint);
-        w.u64(trace.meta.seed);
-        w.u64(trace.meta.uops_per_app);
-        w.u64(trace.meta.interval_cycles);
-        w.u32(trace.meta.shape.partitions);
-        w.u32(trace.meta.shape.backends);
-        w.u32(trace.meta.shape.tc_banks);
-        w.u8(u8::from(trace.meta.hop));
-        w.u8(u8::from(trace.meta.replay_safe));
-        match &trace.meta.dtm {
-            None => w.u8(0),
-            Some(name) => {
-                w.u8(1);
-                w.str(name);
-            }
-        }
-        w.u32(trace.meta.points.len() as u32);
-        for key in &trace.meta.points {
-            write_point_key(&mut w, key);
-        }
-        w.words(&trace.pilot);
-        w.u32(trace.intervals.len() as u32);
-        for rec in &trace.intervals {
-            w.u16(rec.gated_bank.map_or(NO_GATED_BANK, u16::from));
-            for point in &rec.points {
-                w.u8(u8::from(point.done));
-                w.words(&point.counters);
-            }
-        }
-        w.u64(trace.finals.cycles);
-        w.u64(trace.finals.uops);
-        w.f64(trace.finals.tc_hit_rate);
-        w.f64(trace.finals.mispredict_rate);
-        w.into_vec()
-    }
-
     proptest! {
         /// encode → decode is the identity for arbitrary traces — with
-        /// fully random (worst-case wrapping) counters, so the v3 delta
+        /// fully random (worst-case wrapping) counters, so the delta
         /// bijection is exercised across the whole u64 range.
         #[test]
         fn encode_decode_roundtrip(seed in 0u64..1_000_000_000) {
@@ -1053,7 +841,7 @@ mod tests {
 
         /// Truncating an encoded trace anywhere fails loudly, never
         /// panics, and never yields a successful decode — including cuts
-        /// landing mid-varint inside a v3 delta row.
+        /// landing mid-varint inside a delta row.
         #[test]
         fn truncation_is_detected(seed in 0u64..1_000_000, frac in 0.0f64..1.0) {
             let bytes = sample_trace(seed).encode();
@@ -1061,46 +849,32 @@ mod tests {
             prop_assert!(ActivityTrace::decode(&bytes[..cut]).is_err());
         }
 
-        /// A v1 stream decodes into the multi-point model: nominal-only
-        /// family, same counters, `meta.version == 1`; and truncating it
-        /// anywhere still fails loudly.
+        /// The retired v1 (single-row) layout is not read: a stream
+        /// declaring it is `UnsupportedVersion`, so its cells run live,
+        /// and truncating it anywhere still fails loudly.
         #[test]
-        fn v1_decodes_as_nominal_family(seed in 0u64..1_000_000, frac in 0.0f64..1.0) {
-            let mut trace = sample_trace(seed);
-            // A v1 writer can only express the nominal point.
-            trace.meta.points = vec![PointKey::Nominal];
-            for rec in &mut trace.intervals {
-                rec.points.truncate(1);
-            }
-            let bytes = encode_v1(&trace);
-            let back = ActivityTrace::decode(&bytes).unwrap();
-            trace.meta.version = TRACE_FORMAT_V1;
-            prop_assert_eq!(&back, &trace);
-            // Re-encoding upgrades the container to the current version
-            // losslessly.
-            let upgraded = ActivityTrace::decode(&back.encode()).unwrap();
-            trace.meta.version = TRACE_FORMAT_VERSION;
-            prop_assert_eq!(upgraded, trace);
-            let cut = ((bytes.len() - 1) as f64 * frac) as usize;
-            prop_assert!(ActivityTrace::decode(&bytes[..cut]).is_err());
+        fn v1_is_rejected_as_unsupported(seed in 0u64..1_000_000, frac in 0.0f64..1.0) {
+            check_retired_version(seed, 1, frac);
         }
 
-        /// A v2 stream (raw variant rows) decodes to the same in-memory
-        /// trace its v3 re-encoding round-trips to, with `meta.version`
-        /// recording 2; truncation anywhere fails loudly.
+        /// Likewise the retired v2 layout (raw variant rows).
         #[test]
-        fn v2_decodes_and_upgrades_to_v3(seed in 0u64..1_000_000, frac in 0.0f64..1.0) {
-            let mut trace = sample_trace(seed);
-            let bytes = encode_v2(&trace);
-            let back = ActivityTrace::decode(&bytes).unwrap();
-            trace.meta.version = TRACE_FORMAT_V2;
-            prop_assert_eq!(&back, &trace);
-            let upgraded = ActivityTrace::decode(&back.encode()).unwrap();
-            trace.meta.version = TRACE_FORMAT_VERSION;
-            prop_assert_eq!(upgraded, trace);
-            let cut = ((bytes.len() - 1) as f64 * frac) as usize;
-            prop_assert!(ActivityTrace::decode(&bytes[..cut]).is_err());
+        fn v2_is_rejected_as_unsupported(seed in 0u64..1_000_000, frac in 0.0f64..1.0) {
+            check_retired_version(seed, 2, frac);
         }
+    }
+
+    /// A v3 stream of `sample_trace(seed)` relabelled as `version`
+    /// decodes to `UnsupportedVersion(version)`, whole or cut at `frac`.
+    fn check_retired_version(seed: u64, version: u32, frac: f64) {
+        let mut bytes = sample_trace(seed).encode();
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            ActivityTrace::decode(&bytes),
+            Err(TraceCodecError::UnsupportedVersion(version))
+        );
+        let cut = ((bytes.len() - 1) as f64 * frac) as usize;
+        assert!(ActivityTrace::decode(&bytes[..cut]).is_err());
     }
 
     #[test]
@@ -1140,7 +914,7 @@ mod tests {
     #[test]
     fn v3_delta_rows_shrink_similar_variants() {
         // A ladder-like trace: variant rows differing from nominal in a
-        // few counters by small magnitudes — the case v3 optimizes.
+        // few counters by small magnitudes — the case delta rows optimize.
         let mut trace = sample_trace(5);
         trace.meta.points = vec![PointKey::Nominal, PointKey::dvfs(0.7, 0.85)];
         let flat = trace.meta.shape.flat_len();
@@ -1160,18 +934,25 @@ mod tests {
                 },
             ];
         }
-        let v3 = trace.encode();
-        let v2 = encode_v2(&trace);
-        // v2 spends 4 + 8*flat bytes per variant row; v3 spends ~flat.
+        let delta = trace.encode();
+        // The size with raw variant rows: the nominal-only stream, plus
+        // the DVFS key (1 tag + 16 bytes), plus per interval a done flag,
+        // a count prefix and 8 bytes per counter.
+        let mut nominal_only = trace.clone();
+        nominal_only.meta.points.truncate(1);
+        for rec in &mut nominal_only.intervals {
+            rec.points.truncate(1);
+        }
+        let raw = nominal_only.encode().len() + 17 + trace.intervals.len() * (1 + 4 + 8 * flat);
+        // A raw row spends 4 + 8*flat bytes on counters; a delta row ~flat.
         let saved = trace.intervals.len() * (4 + 8 * flat - (flat + 2));
         assert!(
-            v3.len() <= v2.len() - saved,
-            "v3 ({}) must undercut v2 ({}) by at least {saved} bytes",
-            v3.len(),
-            v2.len()
+            delta.len() <= raw - saved,
+            "delta rows ({}) must undercut raw rows ({raw}) by at least {saved} bytes",
+            delta.len(),
         );
         assert_eq!(
-            ActivityTrace::decode(&v3).unwrap().intervals,
+            ActivityTrace::decode(&delta).unwrap().intervals,
             trace.intervals
         );
     }
@@ -1290,37 +1071,6 @@ mod tests {
         );
         trace.meta.replay_safe = false;
         assert_eq!(trace.meta.capability_id(), "tainted");
-    }
-
-    #[test]
-    fn v2_to_v3_reencode_keeps_the_capability_identity() {
-        // The version bump re-seeds every Fingerprint, but the
-        // capability-set fold itself (points_id over the family) is
-        // layout-independent: a v2 stream and its v3 re-encoding carry
-        // the same capability_id, so store keys and the fingerprint's
-        // points_id input are unchanged by the upgrade.
-        let mut trace = sample_trace(11);
-        trace.meta.replay_safe = true;
-        trace.meta.points = vec![
-            PointKey::Nominal,
-            PointKey::dvfs(0.7, 0.85),
-            PointKey::FetchGate { open: 1, period: 2 },
-        ];
-        for rec in &mut trace.intervals {
-            let nom = rec.points[0].clone();
-            rec.points = vec![nom.clone(), nom.clone(), nom];
-        }
-        let from_v2 = ActivityTrace::decode(&encode_v2(&trace)).unwrap();
-        let from_v3 = ActivityTrace::decode(&from_v2.encode()).unwrap();
-        assert_eq!(from_v2.meta.capability_id(), from_v3.meta.capability_id());
-        assert_eq!(
-            Fingerprint::new()
-                .with_str(&from_v2.meta.capability_id())
-                .finish(),
-            Fingerprint::new()
-                .with_str(&from_v3.meta.capability_id())
-                .finish()
-        );
     }
 
     #[test]

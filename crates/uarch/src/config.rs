@@ -74,7 +74,11 @@ pub struct ProcessorConfig {
     pub copy_queue: usize,
     /// Memory order buffer entries per backend (Table 1: 96).
     pub mem_queue: usize,
-    /// Issue bandwidth per queue per backend in micro-ops/cycle (Table 1: 1).
+    /// Issue bandwidth per queue per backend in micro-ops/cycle (Table 1:
+    /// 1). The simulator issues exactly one micro-op per queue per cycle,
+    /// so [`validate`](Self::validate) accepts no other value; the field
+    /// records the Table 1 parameter (and is part of the `Debug` rendering
+    /// replay fingerprints hash).
     pub issue_per_queue: u32,
     /// Integer physical registers per backend (Table 1: 160).
     pub int_regs: usize,
@@ -226,6 +230,13 @@ impl ProcessorConfig {
         if self.memory_buses == 0 {
             return Err("no memory buses".into());
         }
+        if self.issue_per_queue != 1 {
+            return Err(format!(
+                "issue_per_queue {} is not modelled: the simulator issues one \
+                 micro-op per queue per cycle",
+                self.issue_per_queue
+            ));
+        }
         // Every logical register of a class boots mapped in every backend,
         // so a file of at most that many registers has none to rename into.
         let arch_per_class = usize::from(NUM_ARCH_REGS) / 2;
@@ -347,6 +358,13 @@ mod tests {
         let mut c = ProcessorConfig::hpca05_baseline();
         (c.int_queue, c.fp_queue, c.copy_queue, c.mem_queue) = (1, 1, 1, 1);
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_an_unmodelled_issue_bandwidth() {
+        assert_rejected(|c| c.issue_per_queue = 0, "issue_per_queue 0");
+        assert_rejected(|c| c.issue_per_queue = 2, "issue_per_queue 2");
+        ProcessorConfig::hpca05_baseline().validate().unwrap();
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::mpsc;
 use std::thread;
 
 use distfront::job::{JobClass, JobEnv, JobSpec, StatusCode, TraceSpec};
-use distfront::scenarios::RunOptions;
+use distfront::scenarios;
 use distfront::server::{protocol, Client, SweepDaemon};
 
 /// A small, fast job used throughout: baseline scenario, smoke suite
@@ -28,7 +28,7 @@ fn resubmission_is_a_cache_hit_and_byte_identical_to_one_shot() {
     let first = client.submit(&spec).expect("first submission");
     assert_eq!(first.status, StatusCode::Ok);
     assert!(!first.cached, "first submission must execute");
-    let suite = RunOptions::smoke().apps().len();
+    let suite = scenarios::suite_apps(true).len();
     assert_eq!(first.cells, suite);
     assert_eq!(first.failed, 0);
     assert_eq!(first.csv_rows.len(), suite);

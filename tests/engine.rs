@@ -276,11 +276,10 @@ fn independent_stages() -> Vec<Box<dyn Stage>> {
 /// whether the interval loop resumes the pilot's core or builds its own.
 #[test]
 fn shared_pilot_core_equals_independent_cores() {
-    use distfront::scenarios::{registry, RunOptions};
-    let opts = RunOptions::smoke();
+    use distfront::scenarios::{registry, SMOKE_UOPS};
     for scenario in registry() {
-        let cfg = scenario.config().with_uops(opts.uops);
-        for workload in scenario.workloads(&opts) {
+        let cfg = scenario.config().with_uops(SMOKE_UOPS);
+        for workload in scenario.workloads(true) {
             let shared = CoupledEngine::for_workload(&cfg, workload.clone()).run();
             let independent = CoupledEngine::for_workload(&cfg, workload.clone())
                 .with_stages(independent_stages())

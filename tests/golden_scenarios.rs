@@ -19,17 +19,25 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use distfront::engine::{TraceMode, TraceStore};
-use distfront::scenarios::{self, RunOptions, ScenarioReport};
+use distfront::engine::TraceStore;
+use distfront::job::{JobEnv, JobReport, JobSpec, TraceSpec};
+use distfront::scenarios;
 
-/// The pinned run shape: small enough for CI, large enough that every
-/// scenario closes several intervals and the phased scenario genuinely
-/// crosses phase boundaries (its slices are 25 k micro-ops, so a 60 k
-/// run visits phase 0, phase 1, and phase 0 again — a regression in
-/// phase rotation, seeding or the address-slab offset changes these
+/// Executes `scenario` in the pinned run shape, with `trace` bound to
+/// `env`'s store. The shape is small enough for CI, large enough that
+/// every scenario closes several intervals and the phased scenario
+/// genuinely crosses phase boundaries (its slices are 25 k micro-ops, so
+/// a 60 k run visits phase 0, phase 1, and phase 0 again — a regression
+/// in phase rotation, seeding or the address-slab offset changes these
 /// bytes).
-fn golden_opts() -> RunOptions {
-    RunOptions::smoke().with_uops(60_000).with_workers(2)
+fn golden_run(scenario: &str, trace: TraceSpec, env: &JobEnv) -> JobReport {
+    JobSpec::scenario(scenario)
+        .with_smoke(true)
+        .with_uops(60_000)
+        .with_workers(2)
+        .with_trace(trace)
+        .execute(env, |_| {})
+        .unwrap_or_else(|e| panic!("{scenario}: {e}"))
 }
 
 fn golden_dir() -> PathBuf {
@@ -37,8 +45,7 @@ fn golden_dir() -> PathBuf {
 }
 
 fn check(scenario: &str) {
-    let s = scenarios::by_name(scenario).unwrap_or_else(|| panic!("unknown scenario {scenario}"));
-    let report = s.run(&golden_opts());
+    let report = golden_run(scenario, TraceSpec::Live, &JobEnv::default());
     compare(scenario, &report, format!("{scenario}.csv"));
 }
 
@@ -48,34 +55,43 @@ fn check(scenario: &str) {
 /// longer covering its own policy's operating points) fails here before
 /// any byte is compared.
 fn check_replayed(scenario: &str) {
-    let s = scenarios::by_name(scenario).unwrap_or_else(|| panic!("unknown scenario {scenario}"));
     let store = Arc::new(TraceStore::new());
-    let recorded = s.run_traced(
-        &golden_opts(),
-        TraceMode::Record(Arc::clone(&store)),
-        |_| {},
+    let recorded = golden_run(
+        scenario,
+        TraceSpec::Record,
+        &JobEnv {
+            traces: Arc::clone(&store),
+            ..JobEnv::default()
+        },
     );
     assert!(
-        recorded.is_complete(),
+        recorded.report.is_complete(),
         "{scenario}: {} cells failed while recording",
-        recorded.failed()
+        recorded.report.failed()
     );
-    let report = s.run_traced(&golden_opts(), TraceMode::Replay(store), |_| {});
+    let report = golden_run(
+        scenario,
+        TraceSpec::Replay,
+        &JobEnv {
+            traces: store,
+            ..JobEnv::default()
+        },
+    );
     assert_eq!(
         report.report.replayed(),
-        report.outcomes().len(),
+        report.report.cells().len(),
         "{scenario}: not every cell replayed from its own recording"
     );
     compare(scenario, &report, format!("{scenario}.replay.csv"));
 }
 
-fn compare(scenario: &str, report: &ScenarioReport, file: String) {
+fn compare(scenario: &str, report: &JobReport, file: String) {
     assert!(
-        report.is_complete(),
+        report.report.is_complete(),
         "{scenario}: {} cells failed",
-        report.failed()
+        report.report.failed()
     );
-    let csv = scenarios::to_csv(std::slice::from_ref(report));
+    let csv = scenarios::to_csv([report]);
     let path = golden_dir().join(file);
     if std::env::var_os("BLESS").is_some() {
         std::fs::create_dir_all(golden_dir()).unwrap();

@@ -12,7 +12,8 @@
 //! few 1e-12 °C of each other, so the bounds leave more than 300×
 //! headroom while still catching any error that matters.
 
-use distfront::scenarios::{self, RunOptions, CSV_HEADER};
+use distfront::job::{JobEnv, JobSpec};
+use distfront::scenarios::{self, CSV_HEADER};
 use distfront::Integrator;
 
 const TEMP_TOL_C: f64 = 1e-9;
@@ -21,20 +22,19 @@ const INTEGER_COLUMNS: [&str; 4] = ["cycles", "uops", "emergencies", "throttled_
 
 /// One scenario's CSV rows under `integrator`, keyed by app.
 fn rows(scenario: &scenarios::Scenario, integrator: Integrator) -> Vec<String> {
-    let opts = RunOptions::smoke()
+    let report = JobSpec::scenario(scenario.name)
+        .with_smoke(true)
         .with_workers(2)
-        .with_integrator(integrator);
-    let report = scenario.run(&opts);
+        .with_integrator(integrator)
+        .execute(&JobEnv::default(), |_| {})
+        .unwrap();
     assert!(
-        report.is_complete(),
+        report.report.is_complete(),
         "{} under {integrator}: {} cells failed",
         scenario.name,
-        report.failed()
+        report.report.failed()
     );
-    report
-        .results()
-        .map(|r| scenarios::csv_row(scenario.name, r))
-        .collect()
+    report.csv_rows()
 }
 
 #[test]

@@ -5,15 +5,28 @@
 use std::sync::Arc;
 
 use distfront::engine::{CoupledEngine, EngineError, SweepRunner, TraceMode, TraceStore};
-use distfront::scenarios::{self, RunOptions};
+use distfront::job::{JobEnv, JobReport, JobSpec, TraceSpec};
+use distfront::scenarios;
 use distfront::ExperimentConfig;
 use distfront_trace::record::PointKey;
 use distfront_trace::{ActivityTrace, AppProfile, Workload};
 
-fn opts(workers: usize) -> RunOptions {
+/// Executes scenario `name` on the smoke suite on `workers` workers,
+/// with `trace` bound to `store`.
+fn run(name: &str, workers: usize, trace: TraceSpec, store: &Arc<TraceStore>) -> JobReport {
     // 30 k uops: past the phased scenarios' 25 k-uop slice, so the phased
     // identity runs below actually cross a phase boundary.
-    RunOptions::smoke().with_uops(30_000).with_workers(workers)
+    let env = JobEnv {
+        traces: Arc::clone(store),
+        ..JobEnv::default()
+    };
+    JobSpec::scenario(name)
+        .with_smoke(true)
+        .with_uops(30_000)
+        .with_workers(workers)
+        .with_trace(trace)
+        .execute(&env, |_| {})
+        .unwrap()
 }
 
 /// The acceptance contract: a recorded baseline smoke scenario replayed
@@ -24,34 +37,30 @@ fn opts(workers: usize) -> RunOptions {
 fn replayed_scenarios_are_byte_identical_to_live_at_1_2_5_workers() {
     for name in ["baseline", "phased-hot-cold"] {
         let scenario = scenarios::by_name(name).unwrap();
-        let live = scenario.run(&opts(2));
-        let live_csv = scenarios::to_csv(std::slice::from_ref(&live));
-        let live_json = scenarios::to_json(std::slice::from_ref(&live));
+        let store = Arc::new(TraceStore::new());
+        let live = run(name, 2, TraceSpec::Live, &store);
+        let live_csv = scenarios::to_csv([&live]);
+        let live_json = scenarios::to_json([(&scenario, &live)]);
 
         // Recording taps must not change the run.
-        let store = Arc::new(TraceStore::new());
-        let recorded = scenario.run_traced(&opts(2), TraceMode::Record(Arc::clone(&store)), |_| {});
+        let recorded = run(name, 2, TraceSpec::Record, &store);
         assert_eq!(recorded, live, "{name}: recording changed the results");
-        assert_eq!(store.len(), live.outcomes().len());
+        assert_eq!(store.len(), live.report.cells().len());
 
         for workers in [1, 2, 5] {
-            let replayed = scenario.run_traced(
-                &opts(workers),
-                TraceMode::Replay(Arc::clone(&store)),
-                |_| {},
-            );
+            let replayed = run(name, workers, TraceSpec::Replay, &store);
             assert_eq!(
                 replayed.report.replayed(),
-                replayed.outcomes().len(),
+                replayed.report.cells().len(),
                 "{name}: not every cell replayed at {workers} workers"
             );
             assert_eq!(
-                scenarios::to_csv(std::slice::from_ref(&replayed)),
+                scenarios::to_csv([&replayed]),
                 live_csv,
                 "{name}: CSV diverged at {workers} workers"
             );
             assert_eq!(
-                scenarios::to_json(std::slice::from_ref(&replayed)),
+                scenarios::to_json([(&scenario, &replayed)]),
                 live_json,
                 "{name}: JSON diverged at {workers} workers"
             );
@@ -63,10 +72,9 @@ fn replayed_scenarios_are_byte_identical_to_live_at_1_2_5_workers() {
 /// simulation per cell, with identical results and honest provenance.
 #[test]
 fn replay_falls_back_to_live_when_traces_are_missing() {
-    let scenario = scenarios::by_name("baseline").unwrap();
-    let live = scenario.run(&opts(2));
     let empty = Arc::new(TraceStore::new());
-    let fallback = scenario.run_traced(&opts(2), TraceMode::Replay(Arc::clone(&empty)), |_| {});
+    let live = run("baseline", 2, TraceSpec::Live, &empty);
+    let fallback = run("baseline", 2, TraceSpec::Replay, &empty);
     assert_eq!(fallback, live);
     assert_eq!(fallback.report.replayed(), 0, "nothing could have replayed");
     assert!(empty.is_empty(), "fallback must not record");

@@ -3,11 +3,24 @@
 //! byte-identical at any worker count, and each new policy produces its
 //! paper-shaped effect on a hot workload.
 
-use distfront::scenarios::{self, RunOptions};
+use distfront::job::{JobEnv, JobReport, JobSpec};
+use distfront::scenarios;
 use distfront::{
     run_app, AppResult, DtmSpec, DvfsPolicy, ExperimentConfig, FetchGatePolicy, MigrationPolicy,
 };
 use distfront_trace::AppProfile;
+
+/// Executes scenario `name` on the smoke suite at 30 k micro-ops per
+/// application, with `integrator` on `workers` workers.
+fn smoke_run(name: &str, integrator: distfront::Integrator, workers: usize) -> JobReport {
+    JobSpec::scenario(name)
+        .with_smoke(true)
+        .with_uops(30_000)
+        .with_integrator(integrator)
+        .with_workers(workers)
+        .execute(&JobEnv::default(), |_| {})
+        .unwrap()
+}
 
 /// A short hot run of `cfg` on the test profile.
 fn quick(cfg: ExperimentConfig) -> AppResult {
@@ -30,11 +43,10 @@ fn scenario_csv_is_byte_identical_across_worker_counts() {
     // A plain scenario and a DTM scenario (policy state is rebuilt per
     // cell, so it must not leak across workers).
     for name in ["drc", "dtm-emergency", "dtm-dvfs"] {
-        let s = scenarios::by_name(name).unwrap();
-        let opts = RunOptions::smoke().with_uops(30_000);
-        let serial = scenarios::to_csv(&[s.run(&opts.with_workers(1))]);
+        let run = |workers| scenarios::to_csv([&smoke_run(name, Default::default(), workers)]);
+        let serial = run(1);
         for workers in [2, 5] {
-            let parallel = scenarios::to_csv(&[s.run(&opts.with_workers(workers))]);
+            let parallel = run(workers);
             assert_eq!(serial, parallel, "{name} diverged at {workers} workers");
         }
     }
@@ -155,24 +167,21 @@ fn scenario_bytes_identical_across_workers_for_both_integrators() {
     // the matrix-exponential default and the RK4 reference.
     let s = scenarios::by_name("dtm-dvfs").unwrap();
     for integrator in [Integrator::Expm, Integrator::Rk4] {
-        let opts = RunOptions::smoke()
-            .with_uops(30_000)
-            .with_integrator(integrator);
-        let serial = s.run(&opts.with_workers(1));
+        let serial = smoke_run(s.name, integrator, 1);
         let (csv1, json1) = (
-            scenarios::to_csv(std::slice::from_ref(&serial)),
-            scenarios::to_json(std::slice::from_ref(&serial)),
+            scenarios::to_csv([&serial]),
+            scenarios::to_json([(&s, &serial)]),
         );
         for workers in [2, 5] {
-            let parallel = s.run(&opts.with_workers(workers));
+            let parallel = smoke_run(s.name, integrator, workers);
             assert_eq!(
                 csv1,
-                scenarios::to_csv(std::slice::from_ref(&parallel)),
+                scenarios::to_csv([&parallel]),
                 "{integrator:?} CSV diverged at {workers} workers"
             );
             assert_eq!(
                 json1,
-                scenarios::to_json(std::slice::from_ref(&parallel)),
+                scenarios::to_json([(&s, &parallel)]),
                 "{integrator:?} JSON diverged at {workers} workers"
             );
         }
