@@ -4,14 +4,16 @@
 //! The inputs are recorded, not invented: a handful of live cells
 //! (baseline and global DVFS on three SPEC applications) run through the
 //! engine with a recording thermal backend, which keeps every
-//! `(power, dt)` the interval loop hands the thermal model. Interval
+//! `(power, dt)` interval the loop hands the thermal model. Interval
 //! lengths follow whole-trace overshoot and DTM stretching, so nearly
 //! every half-step size is distinct, as in production. Before the
 //! Criterion timing loops run, both integrators replay those sequences
-//! head-to-head, and the numbers are written to `BENCH_thermal.json` at
-//! the workspace root (override the path with `DISTFRONT_BENCH_JSON`), so
-//! CI tracks the interval-advance cost across PRs. Runs in `--test` mode
-//! too.
+//! head-to-head as half-step `advance` calls, and the modal kernel also
+//! as whole intervals through `advance_interval` (one prepared step
+//! applied twice, the primitive the interval loops call). The numbers are
+//! written to `BENCH_thermal.json` at the workspace root (override the
+//! path with `DISTFRONT_BENCH_JSON`), so CI tracks the interval-advance
+//! cost across PRs. Runs in `--test` mode too.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -43,10 +45,10 @@ fn paper_network() -> ThermalNetwork {
 }
 
 /// One cell's thermal inputs: the warm-start power and every
-/// `(block power, half-step)` the interval loop advanced by.
+/// `(block power, interval length)` the interval loop advanced by.
 struct CellSteps {
     warm: Vec<f64>,
-    steps: Vec<(Vec<f64>, f64)>,
+    intervals: Vec<(Vec<f64>, f64)>,
 }
 
 /// The production backend, keeping a copy of its inputs.
@@ -74,12 +76,16 @@ impl ThermalBackend for Recording {
     }
 
     fn advance(&mut self, power: &[f64], dt: f64) {
-        self.cell.borrow_mut().steps.push((power.to_vec(), dt));
         self.inner.advance(power, dt);
     }
 
     fn block_count(&self) -> usize {
         self.inner.network().block_count()
+    }
+
+    fn advance_interval(&mut self, power: &[f64], dt: f64, sample: &mut dyn FnMut(&[f64], f64)) {
+        self.cell.borrow_mut().intervals.push((power.to_vec(), dt));
+        self.inner.advance_interval(power, dt, sample);
     }
 }
 
@@ -98,7 +104,7 @@ fn record_cells(net: &ThermalNetwork) -> Vec<CellSteps> {
             let profile = *AppProfile::by_name(app).expect("profile exists");
             let cell = Rc::new(RefCell::new(CellSteps {
                 warm: Vec::new(),
-                steps: Vec::new(),
+                intervals: Vec::new(),
             }));
             CoupledEngine::for_workload(cfg, Workload::Single(profile))
                 .with_thermal(Box::new(Recording {
@@ -118,66 +124,92 @@ fn record_cells(net: &ThermalNetwork) -> Vec<CellSteps> {
     cells
 }
 
-/// Replays every recorded cell through `advance` (after a warm start)
-/// until at least `min_advances` steps ran; returns ns per advance.
+/// Replays every recorded cell's intervals through `interval` (after a
+/// warm start) until at least `min_intervals` ran; returns ns per
+/// interval.
 fn time_replay<S>(
     cells: &[CellSteps],
-    min_advances: usize,
+    min_intervals: usize,
     mut start: impl FnMut(&[f64]) -> S,
-    mut advance: impl FnMut(&mut S, &[f64], f64),
+    mut interval: impl FnMut(&mut S, &[f64], f64),
 ) -> f64 {
-    let mut advances = 0usize;
+    let mut intervals = 0usize;
     let mut ns = 0.0;
-    while advances < min_advances {
+    while intervals < min_intervals {
         for cell in cells {
             let mut solver = start(&cell.warm);
             let t0 = Instant::now();
-            for (power, dt) in &cell.steps {
-                advance(&mut solver, power, *dt);
+            for (power, dt) in &cell.intervals {
+                interval(&mut solver, power, *dt);
             }
             ns += t0.elapsed().as_secs_f64() * 1e9;
-            advances += cell.steps.len();
+            intervals += cell.intervals.len();
             black_box(&mut solver);
         }
     }
-    ns / advances as f64
+    ns / intervals as f64
+}
+
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
 fn comparison(net: &ThermalNetwork, cells: &[CellSteps]) {
-    let per_cell = cells.iter().map(|c| c.steps.len()).sum::<usize>() as f64 / cells.len() as f64;
+    let per_cell =
+        2.0 * cells.iter().map(|c| c.intervals.len()).sum::<usize>() as f64 / cells.len() as f64;
     let distinct = cells
         .iter()
         .map(|c| {
-            c.steps
+            c.intervals
                 .iter()
-                .map(|(_, dt)| dt.to_bits())
+                .map(|(_, dt)| (dt / 2.0).to_bits())
                 .collect::<HashSet<_>>()
                 .len()
         })
         .sum::<usize>() as f64
         / cells.len() as f64;
-    let min_advances = 4_000;
-
-    let modal_ns = time_replay(
-        cells,
-        min_advances,
-        |warm| {
-            let mut s = ExpPropagator::new(net.clone());
-            s.set_steady_state(warm);
-            s
-        },
-        |s, p, dt| s.advance(p, dt),
-    );
-    let rk4_ns = time_replay(
-        cells,
-        min_advances,
-        |warm| {
-            let mut s = ThermalSolver::new(net.clone());
-            s.set_steady_state(warm);
-            s
-        },
-        |s, p, dt| s.advance(p, dt),
-    );
+    let min_intervals = 2_000;
+    let modal_start = |warm: &[f64]| {
+        let mut s = ExpPropagator::new(net.clone());
+        s.set_steady_state(warm);
+        s
+    };
+    let rk4_start = |warm: &[f64]| {
+        let mut s = ThermalSolver::new(net.clone());
+        s.set_steady_state(warm);
+        s
+    };
+    // The host's speed drifts over a run, so the three kernels take turns
+    // for several rounds and each reports its median round.
+    let (mut modal, mut interval, mut rk4) = (Vec::new(), Vec::new(), Vec::new());
+    for _round in 0..7 {
+        // Half-step by half-step: two `advance` calls per interval.
+        modal.push(
+            time_replay(cells, min_intervals, modal_start, |s, p, dt| {
+                s.advance(p, dt / 2.0);
+                s.advance(p, dt / 2.0);
+            }) / 2.0,
+        );
+        interval.push(time_replay(
+            cells,
+            min_intervals,
+            modal_start,
+            |s, p, dt| {
+                s.advance_interval(p, dt, |t, _| {
+                    black_box(t[0]);
+                })
+            },
+        ));
+        rk4.push(
+            time_replay(cells, min_intervals, rk4_start, |s, p, dt| {
+                s.advance(p, dt / 2.0);
+                s.advance(p, dt / 2.0);
+            }) / 2.0,
+        );
+    }
+    let (modal_ns, modal_interval_ns, rk4_ns) =
+        (median(&mut modal), median(&mut interval), median(&mut rk4));
     // The once-per-network, once-per-process cost of the modal kernel.
     let t0 = Instant::now();
     let basis = ModalBasis::new(net);
@@ -187,7 +219,8 @@ fn comparison(net: &ThermalNetwork, cells: &[CellSteps]) {
     println!(
         "\nthermal advance ({} nodes, {} recorded cells, {per_cell:.1} half-steps and \
          {distinct:.1} distinct sizes per cell): rk4 {rk4_ns:.0} ns | modal {modal_ns:.0} ns | \
-         speedup {speedup:.1}x | basis {basis_us:.0} us ({} Jacobi sweeps)\n",
+         speedup {speedup:.1}x | modal interval {modal_interval_ns:.0} ns | \
+         basis {basis_us:.0} us ({} Jacobi sweeps)\n",
         net.node_count(),
         cells.len(),
         basis.sweeps(),
@@ -199,6 +232,7 @@ fn comparison(net: &ThermalNetwork, cells: &[CellSteps]) {
          \"half_steps_per_cell\": {per_cell:.1},\n  \
          \"distinct_half_steps_per_cell\": {distinct:.1},\n  \
          \"rk4_ns_per_advance\": {rk4_ns:.1},\n  \"modal_ns_per_advance\": {modal_ns:.1},\n  \
+         \"modal_ns_per_interval\": {modal_interval_ns:.1},\n  \
          \"speedup\": {speedup:.2},\n  \"modal_basis_us\": {basis_us:.0},\n  \
          \"jacobi_sweeps\": {}\n}}\n",
         net.node_count(),
@@ -219,26 +253,38 @@ fn bench(c: &mut Criterion) {
     let net = paper_network();
     let cells = record_cells(&net);
     comparison(&net, &cells);
-    // One recorded cell's half-steps, cycled.
+    // One recorded cell's intervals, cycled.
     let cell = &cells[0];
 
     c.bench_function("thermal/interval_advance_rk4", |b| {
         let mut solver = ThermalSolver::new(net.clone());
         solver.set_steady_state(&cell.warm);
-        let mut steps = cell.steps.iter().cycle();
+        let mut steps = cell.intervals.iter().cycle();
         b.iter(|| {
             let (power, dt) = steps.next().expect("cycle");
-            solver.advance(power, *dt);
+            solver.advance(power, dt / 2.0);
             black_box(solver.block_temperatures()[0])
         })
     });
     c.bench_function("thermal/interval_advance_modal", |b| {
         let mut solver = ExpPropagator::new(net.clone());
         solver.set_steady_state(&cell.warm);
-        let mut steps = cell.steps.iter().cycle();
+        let mut steps = cell.intervals.iter().cycle();
         b.iter(|| {
             let (power, dt) = steps.next().expect("cycle");
-            solver.advance(power, *dt);
+            solver.advance(power, dt / 2.0);
+            black_box(solver.block_temperatures()[0])
+        })
+    });
+    c.bench_function("thermal/interval_modal", |b| {
+        let mut solver = ExpPropagator::new(net.clone());
+        solver.set_steady_state(&cell.warm);
+        let mut steps = cell.intervals.iter().cycle();
+        b.iter(|| {
+            let (power, dt) = steps.next().expect("cycle");
+            solver.advance_interval(power, *dt, |t, _| {
+                black_box(t[0]);
+            });
             black_box(solver.block_temperatures()[0])
         })
     });

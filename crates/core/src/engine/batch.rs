@@ -1,41 +1,38 @@
 //! Lockstep batched replay: a whole cohort of replay-mode sweep cells
-//! advancing their temperatures through one shared [`BatchPropagator`].
+//! advancing interval by interval.
 //!
 //! All cells of a sweep grid that share a machine shape share the *same*
-//! thermal network, and therefore the same modal basis. The
-//! [`BatchScheduler`] exploits this: the sweep executor groups
-//! replay-mode cells by machine shape into cohorts, and the scheduler
-//! multiplexes their per-cell replay interval streams into one lockstep
-//! loop. Each lane (cell) keeps its own [`EngineCx`] (power model,
-//! temperature tracker, DTM controller, accumulators; no core simulator,
-//! since the context holds none and the lane's final core stats come
-//! from its trace), but the thermal state lives in one column-major
-//! matrix, and every lane steps with its own `dt` in the same call.
+//! thermal network, and therefore the same
+//! [`ThermalParts`](distfront_thermal::ThermalParts) from the process
+//! registry. The sweep executor groups replay-mode cells by machine shape
+//! into cohorts, and the [`BatchScheduler`] multiplexes their per-cell
+//! replay interval streams into one lockstep loop. Each lane (cell) keeps
+//! its own [`EngineCx`] (power model, thermal backend on the shared
+//! parts, temperature tracker, DTM controller, accumulators; no core
+//! simulator, since the context holds none and the lane's final core
+//! stats come from its trace), and steps with its own `dt`.
 //!
 //! # Bit-identity
 //!
 //! A batched cell's outcome is **bit-identical** to its serial replay:
 //! the per-interval arithmetic below is the
 //! [`ReplayLoopStage`](super::ReplayLoopStage) loop verbatim (same power
-//! assembly, same accounting, same tracker and DTM call order per lane),
-//! and each thermal column goes through the same modal step a serial
-//! solver takes, with that lane's own half-step. Lanes whose `dt`
-//! diverges (throttle-stretched intervals, a shorter trace) need no
-//! special handling.
+//! assembly, same accounting, same `advance_interval`, same tracker and
+//! DTM call order per lane). Lanes whose `dt` diverges
+//! (throttle-stretched intervals, a shorter trace) need no special
+//! handling.
 //!
 //! # Fault isolation
 //!
-//! Columns are arithmetically independent, so a failing lane (a corrupt
-//! interval record, a replay-incompatible DTM action) records its error
-//! and simply drops out of the column selection; the surviving lanes'
-//! bits are untouched — exactly as if the failed cell had never been in
-//! the cohort.
+//! Lanes share no mutable state, so a failing lane (a corrupt interval
+//! record, a replay-incompatible DTM action) records its error and simply
+//! stops being stepped; the surviving lanes' bits are untouched — exactly
+//! as if the failed cell had never been in the cohort.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use distfront_power::BlockId;
-use distfront_thermal::{BatchPropagator, Floorplan, ThermalNetwork};
 use distfront_trace::record::ActivityTrace;
 use distfront_trace::Workload;
 
@@ -52,7 +49,7 @@ use crate::runner::AppResult;
 /// One cohort member mid-flight: its engine context plus the lockstep
 /// bookkeeping the scheduler threads through the interval loop.
 struct Lane<'a> {
-    /// Position in the cohort's member list (and batch column index).
+    /// Position in the cohort's member list.
     member: usize,
     /// Flat cell index into the sweep grid.
     cell: usize,
@@ -60,13 +57,13 @@ struct Lane<'a> {
     trace: Arc<ActivityTrace>,
     /// The DTM action decided at the end of the previous interval.
     action: DtmAction,
-    /// Set when the lane finishes (or fails); a set lane leaves the
-    /// column selection.
+    /// Set when the lane finishes (or fails); a set lane is no longer
+    /// stepped.
     result: Option<Result<AppResult, EngineError>>,
 }
 
-/// Runs a cohort of replay-mode cells in lockstep over one shared
-/// [`BatchPropagator`]; see the module docs for the contract.
+/// Runs a cohort of replay-mode cells in lockstep; see the module docs
+/// for the contract.
 #[derive(Debug)]
 pub struct BatchScheduler;
 
@@ -76,7 +73,7 @@ impl BatchScheduler {
     ///
     /// Every member must share the cohort invariants the sweep executor
     /// grouped by — same machine shape (hence floorplan and thermal
-    /// network) and a validated trace for its `(config, workload)` cell.
+    /// parts) and a validated trace for its `(config, workload)` cell.
     /// Pilot and warm start run per lane through the regular stages (the
     /// shared `cache` sees the same keys as serial execution), then the
     /// interval streams advance together.
@@ -162,29 +159,18 @@ impl BatchScheduler {
     }
 }
 
-/// The lockstep interval loop: per-lane power assembly (the serial replay
-/// loop's arithmetic verbatim), then the cohort's thermal advance, two
-/// half-steps per interval, each lane with its own half-step.
+/// The lockstep interval loop: per lane, the serial replay loop's
+/// interval verbatim (power assembly, accounting, one
+/// `advance_interval` on the lane's own thermal backend, tracker and
+/// DTM bookkeeping), lanes interleaved interval by interval.
 fn run_lockstep(lanes: &mut [Lane<'_>]) {
-    let machine = lanes[0].cx.machine;
-    let fp = Floorplan::for_machine(machine);
-    let net = ThermalNetwork::from_floorplan(&fp, &lanes[0].cx.pkg);
-    let nb = net.block_count();
-    let mut batch = BatchPropagator::new(net, lanes.len());
-    for (j, lane) in lanes.iter().enumerate() {
-        batch.set_column(j, lane.cx.thermal.node_temperatures());
-    }
-
-    let mut powers = vec![0.0f64; nb * lanes.len()];
-    // Lanes advancing this interval: column index, wall-clock dt, and the
-    // selected operating point's `done` flag (captured before the DTM
-    // decision overwrites the action that selected it).
-    let mut advancing: Vec<(usize, f64, bool)> = Vec::with_capacity(lanes.len());
-    // Column and half-step per advancing lane.
-    let mut steps: Vec<(usize, f64)> = Vec::with_capacity(lanes.len());
+    // Lanes that advanced this interval and the selected operating
+    // point's `done` flag (captured before the DTM decision overwrites
+    // the action that selected it).
+    let mut advanced: Vec<(usize, bool)> = Vec::with_capacity(lanes.len());
     let mut k = 0usize;
     loop {
-        advancing.clear();
+        advanced.clear();
         for (j, lane) in lanes.iter_mut().enumerate() {
             if lane.result.is_some() {
                 continue;
@@ -205,44 +191,36 @@ fn run_lockstep(lanes: &mut [Lane<'_>]) {
                     continue;
                 }
             };
-            let gated: Vec<BlockId> = rec.gated_bank.map(BlockId::TcBank).into_iter().collect();
-            let temps_now = batch.block_column(j).to_vec();
-            let mut power = lane.cx.model.total_power(&act, &temps_now, &gated);
-            for (p, i) in power.iter_mut().zip(&lane.cx.idle) {
+            let cx = &mut lane.cx;
+            let gated = rec.gated_bank.map(BlockId::TcBank);
+            let mut power =
+                cx.model
+                    .total_power(&act, cx.thermal.block_temperatures(), gated.as_slice());
+            for (p, i) in power.iter_mut().zip(&cx.idle) {
                 *p += i;
             }
-            for g in &gated {
-                power[lane.cx.machine.index_of(*g)] = 0.0;
+            if let Some(g) = gated {
+                power[cx.machine.index_of(g)] = 0.0;
             }
-            let dt = act.cycles as f64 / lane.cx.model.effective_frequency_hz();
-            lane.cx.power_time_sum += power.iter().sum::<f64>() * dt;
-            lane.cx.time_sum += dt;
-            powers[j * nb..(j + 1) * nb].copy_from_slice(&power);
-            advancing.push((j, dt, point.done));
+            let dt = act.cycles as f64 / cx.model.effective_frequency_hz();
+            cx.power_time_sum += power.iter().sum::<f64>() * dt;
+            cx.time_sum += dt;
+            let tracker = &mut cx.tracker;
+            cx.thermal
+                .advance_interval(&power, dt, &mut |t, h| tracker.record(t, h));
+            advanced.push((j, point.done));
         }
-        if advancing.is_empty() {
+        if advanced.is_empty() {
             break;
         }
 
-        steps.clear();
-        steps.extend(advancing.iter().map(|&(j, dt, _)| (j, dt / 2.0)));
-        for _half in 0..2 {
-            batch.advance_columns(&powers, &steps);
-            for &(j, dt, _) in &advancing {
-                lanes[j].cx.tracker.record(batch.block_column(j), dt / 2.0);
-            }
-        }
-
-        for &(j, _, done) in &advancing {
+        for &(j, done) in &advanced {
             let lane = &mut lanes[j];
             lane.cx.tracker.end_interval();
             if let Some(ctrl) = &mut lane.cx.dtm {
-                lane.action = ctrl.decide(batch.block_column(j));
+                lane.action = ctrl.decide(lane.cx.thermal.block_temperatures());
             }
             if done || k + 1 == lane.trace.intervals.len() {
-                lane.cx
-                    .thermal
-                    .set_node_temperatures(batch.column(j).to_vec());
                 lane.cx.finals = Some(lane.trace.finals);
                 lane.result = Some(finish(&lane.cx));
             }

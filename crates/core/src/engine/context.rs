@@ -2,7 +2,7 @@
 
 use distfront_power::{BlockId, EnergyTable, Machine, PowerModel};
 use distfront_thermal::{
-    ExpPropagator, Floorplan, Integrator, PackageConfig, TemperatureTracker, ThermalNetwork,
+    ExpPropagator, Floorplan, Integrator, PackageConfig, TemperatureTracker, ThermalParts,
     ThermalSolver,
 };
 use distfront_trace::record::FinalStats;
@@ -18,6 +18,13 @@ use crate::runner::BlockGroups;
 /// Everything an experiment's stages share: the machine under test, the
 /// power and thermal models, and the accumulators the final
 /// [`AppResult`](crate::runner::AppResult) is assembled from.
+///
+/// The default thermal backend steps on the machine's
+/// [`ThermalParts`]: the RC network, the LU factor of its steady-state
+/// matrix and its modal basis, all a pure function of the machine shape
+/// and package, built on the first request in the process and shared by
+/// every later cell on that machine. Building a context builds no
+/// network.
 ///
 /// The context builds no core simulator. The live pilot builds one and,
 /// on an eligible cell, hands it to the interval loop through
@@ -124,13 +131,17 @@ impl<'a> EngineCx<'a> {
 
         // The default backend follows the configured integrator: the exact
         // modal propagator for production runs, the RK4 reference when
-        // cross-checking. Both share the same LU-factored steady-state
-        // path, so warm starts are bit-identical either way.
+        // cross-checking. Both step on the machine's shared thermal parts
+        // (network, LU factor, modal basis: built once per process), so
+        // warm starts are bit-identical either way and no cell builds a
+        // network.
         let thermal = thermal.unwrap_or_else(|| {
-            let net = ThermalNetwork::from_floorplan(&fp, &pkg);
+            let parts = ThermalParts::for_machine(machine, &pkg);
             match cfg.integrator {
-                Integrator::Rk4 => Box::new(ThermalSolver::new(net)) as Box<dyn ThermalBackend>,
-                Integrator::Expm => Box::new(ExpPropagator::new(net)),
+                Integrator::Rk4 => {
+                    Box::new(ThermalSolver::with_parts(parts)) as Box<dyn ThermalBackend>
+                }
+                Integrator::Expm => Box::new(ExpPropagator::with_parts(parts)),
             }
         });
         let dtm = dtm.or_else(|| cfg.dtm.map(|spec| spec.build(machine)));

@@ -40,11 +40,9 @@
 //!   fallback to live simulation when no covering trace exists, and
 //! * [`BatchScheduler`] — lockstep batched replay: the sweep executor
 //!   groups replay-mode cells sharing a machine shape into cohorts
-//!   ([`SweepRunner::with_batch`]) and advances each cohort's
-//!   temperatures through one shared
-//!   [`BatchPropagator`](distfront_thermal::BatchPropagator), each lane
-//!   with its own `dt`, with per-cell outcomes bit-identical to serial
-//!   replay.
+//!   ([`SweepRunner::with_batch`]) and advances each cohort interval by
+//!   interval, each lane on the machine's shared thermal parts with its
+//!   own `dt`, with per-cell outcomes bit-identical to serial replay.
 //!
 //! Every path through the engine is bit-identical: the same configuration
 //! and profile produce the same [`AppResult`](crate::runner::AppResult)

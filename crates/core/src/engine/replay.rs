@@ -362,14 +362,15 @@ impl Stage for ReplayLoopStage {
             let point = select_point(&trace.meta, rec, action)?;
             apply_power_action(cx, action);
             let act = unflatten_for(cx.machine, &point.counters)?;
-            let gated: Vec<BlockId> = rec.gated_bank.map(BlockId::TcBank).into_iter().collect();
-            let temps_now = cx.thermal.block_temperatures().to_vec();
-            let mut power = cx.model.total_power(&act, &temps_now, &gated);
+            let gated = rec.gated_bank.map(BlockId::TcBank);
+            let mut power =
+                cx.model
+                    .total_power(&act, cx.thermal.block_temperatures(), gated.as_slice());
             for (p, i) in power.iter_mut().zip(&cx.idle) {
                 *p += i;
             }
-            for g in &gated {
-                power[cx.machine.index_of(*g)] = 0.0;
+            if let Some(g) = gated {
+                power[cx.machine.index_of(g)] = 0.0;
             }
             // Same wall-time accounting as the live loop: dt derives from
             // the selected point's cycle count at the model's effective
@@ -378,10 +379,9 @@ impl Stage for ReplayLoopStage {
             let dt = act.cycles as f64 / cx.model.effective_frequency_hz();
             cx.power_time_sum += power.iter().sum::<f64>() * dt;
             cx.time_sum += dt;
-            cx.thermal.advance(&power, dt / 2.0);
-            cx.tracker.record(cx.thermal.block_temperatures(), dt / 2.0);
-            cx.thermal.advance(&power, dt / 2.0);
-            cx.tracker.record(cx.thermal.block_temperatures(), dt / 2.0);
+            let tracker = &mut cx.tracker;
+            cx.thermal
+                .advance_interval(&power, dt, &mut |t, h| tracker.record(t, h));
             cx.tracker.end_interval();
             // The live loop's bank rebalance/hop are core-side effects
             // already baked into the recorded activity; only the DTM

@@ -169,6 +169,11 @@ fn nominal_core(cx: &EngineCx<'_>, intervals: usize) -> Simulator {
 /// the leakage↔temperature fixed point iterated to convergence
 /// ("simulations are started with the processor already warm", §4).
 ///
+/// Each iteration is one pair of triangular solves through the machine's
+/// shared LU factor. The default modal backend defers projecting the
+/// adopted state onto its modal coordinates to the first advance, so the
+/// fixed point projects once however many iterations it takes.
+///
 /// With a shared [`WarmStartCache`] the converged state is reused across
 /// grid cells that share a machine shape, leakage model and nominal power
 /// profile; the fixed point is a pure function of exactly those inputs,
@@ -340,14 +345,17 @@ impl Stage for IntervalLoopStage {
                     .collect();
                 rec.record_interval(&reports, gated_bank);
             }
-            let gated: Vec<BlockId> = gated_bank.map(BlockId::TcBank).into_iter().collect();
-            let temps_now = cx.thermal.block_temperatures().to_vec();
-            let mut power = cx.model.total_power(&r.activity, &temps_now, &gated);
+            let gated = gated_bank.map(BlockId::TcBank);
+            let mut power = cx.model.total_power(
+                &r.activity,
+                cx.thermal.block_temperatures(),
+                gated.as_slice(),
+            );
             for (p, i) in power.iter_mut().zip(&cx.idle) {
                 *p += i;
             }
-            for g in &gated {
-                power[cx.machine.index_of(*g)] = 0.0;
+            if let Some(g) = gated {
+                power[cx.machine.index_of(g)] = 0.0;
             }
             // At a scaled operating point (DVFS or throttle, both applied
             // through the model's effective frequency) the same cycle
@@ -359,10 +367,9 @@ impl Stage for IntervalLoopStage {
             cx.power_time_sum += power.iter().sum::<f64>() * dt;
             cx.time_sum += dt;
             // Two half-steps so intra-interval transients are sampled.
-            cx.thermal.advance(&power, dt / 2.0);
-            cx.tracker.record(cx.thermal.block_temperatures(), dt / 2.0);
-            cx.thermal.advance(&power, dt / 2.0);
-            cx.tracker.record(cx.thermal.block_temperatures(), dt / 2.0);
+            let tracker = &mut cx.tracker;
+            cx.thermal
+                .advance_interval(&power, dt, &mut |t, h| tracker.record(t, h));
             cx.tracker.end_interval();
 
             // Thermal management control (§3.2): remap from bank sensors,

@@ -78,14 +78,13 @@ type CellCallback = Box<dyn Fn(&CellOutcome) + Send + Sync>;
 /// rarely has two workers hashing into the same shard at once.
 const DEFAULT_SHARDS: usize = 16;
 
-/// Largest lockstep cohort one task advances. Bounds the batch state
-/// matrix (`n_nodes × cohort`) and keeps enough independent tasks for the
-/// worker pool to load-balance.
+/// Largest lockstep cohort one task advances. Keeps enough independent
+/// tasks for the worker pool to load-balance.
 const MAX_COHORT: usize = 32;
 
 /// One schedulable unit of a sweep: a single grid cell, or a lockstep
 /// cohort of replay-mode cells sharing a machine shape that the
-/// [`BatchScheduler`] advances through one batched propagator.
+/// [`BatchScheduler`] advances in lockstep.
 enum Task {
     Cell(usize),
     Cohort(Vec<(usize, Arc<ActivityTrace>)>),
@@ -753,9 +752,7 @@ impl SweepRunner {
 
     /// Enables (or disables) lockstep batched replay: replay-mode cells
     /// sharing a machine shape are grouped into cohorts and advanced
-    /// together through one shared batched propagator (see
-    /// [`BatchScheduler`]), one state matrix and one modal basis per
-    /// cohort.
+    /// together in lockstep (see [`BatchScheduler`]).
     ///
     /// Purely a performance knob: batched reports compare equal —
     /// bit-identical cell results — to serial and parallel unbatched runs
@@ -953,7 +950,7 @@ impl SweepRunner {
             (TraceMode::Replay(store), true) => store,
             _ => return range.map(Task::Cell).collect(),
         };
-        // Cohort key: everything the shared thermal network depends on —
+        // Cohort key: everything the shared thermal parts depend on —
         // the machine shape fixes the floorplan, hence the RC network and
         // its modal basis. Every lane steps with its own dt, so interval
         // length and clock need not match.
@@ -968,8 +965,8 @@ impl SweepRunner {
                 .get(cfg.name, workload.name(), &cfg.replay_points())
                 .filter(|t| ReplayBackend::validate(cfg, workload, t).is_ok());
             match trace {
-                // Only the modal path has a batched kernel; RK4 cells
-                // replay serially as before.
+                // Cohorts hold modal-integrator cells only; RK4 cells
+                // replay serially.
                 Some(t) if cfg.integrator == Integrator::Expm => {
                     let pc = &cfg.processor;
                     let key = (
@@ -988,8 +985,8 @@ impl SweepRunner {
         for (_, members) in cohorts {
             for chunk in members.chunks(MAX_COHORT) {
                 if chunk.len() < 2 {
-                    // A cohort of one gains nothing from the batch matrix;
-                    // the plain replay path avoids its setup entirely.
+                    // A cohort of one gains nothing from lockstep; the
+                    // plain replay path runs it.
                     tasks.extend(chunk.iter().map(|(i, _)| Task::Cell(*i)));
                 } else {
                     tasks.push(Task::Cohort(chunk.to_vec()));

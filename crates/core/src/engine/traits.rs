@@ -50,6 +50,21 @@ pub trait ThermalBackend {
     fn advance(&mut self, power: &[f64], dt: f64);
     /// Number of block nodes.
     fn block_count(&self) -> usize;
+    /// Advances one interval of `dt` seconds under constant block `power`
+    /// in two half-steps, so intra-interval transients are sampled:
+    /// `sample` gets the block temperatures and the half-step length after
+    /// each. The interval loops step through this method.
+    ///
+    /// The default is two [`advance`](Self::advance) calls of `dt / 2`,
+    /// each followed by its sample. [`ExpPropagator`] overrides it with
+    /// one prepared step applied twice, to the same bits.
+    fn advance_interval(&mut self, power: &[f64], dt: f64, sample: &mut dyn FnMut(&[f64], f64)) {
+        let h = dt / 2.0;
+        for _half in 0..2 {
+            self.advance(power, h);
+            sample(self.block_temperatures(), h);
+        }
+    }
 }
 
 impl ThermalBackend for ThermalSolver {
@@ -101,6 +116,10 @@ impl ThermalBackend for ExpPropagator {
 
     fn block_count(&self) -> usize {
         self.network().block_count()
+    }
+
+    fn advance_interval(&mut self, power: &[f64], dt: f64, sample: &mut dyn FnMut(&[f64], f64)) {
+        ExpPropagator::advance_interval(self, power, dt, sample);
     }
 }
 

@@ -16,22 +16,44 @@
 //! T = B·y
 //! ```
 //!
-//! [`ModalBasis`] holds `(λ, W, B)`. A cyclic Jacobi sweep computes it at
-//! most once per distinct network per process, and a small fixed-size
-//! registry hands it to every solver built on that network. The basis is
-//! a pure function of the network's bits, so a registry hit returns
-//! exactly the bits a rebuild would. Nothing is precomputed per step
+//! [`ModalBasis`] holds `(λ, W, B)`. Nothing is precomputed per step
 //! size: the spread of interval lengths that DVFS, throttling and
 //! whole-trace interval overshoot produce costs nothing.
+//!
+//! # One set of parts per machine
+//!
+//! Everything a solver needs that depends on the network alone, the
+//! network, the LU factor of `A` for steady-state solves and the modal
+//! basis, is one [`ThermalParts`], built at most once per process and
+//! shared by `Arc` (the basis on its first use, so the RK4 reference,
+//! which never steps through it, never decomposes it). The registry keys it two ways: by machine shape and
+//! package ([`ThermalParts::for_machine`], the engine's lookup, which
+//! builds no network on a hit) and by the network's exact bits
+//! ([`ThermalParts::for_network`], for hand-built networks). Every part
+//! is a pure function of the network's bits, so a registry hit hands out
+//! exactly the bits a fresh build would.
+//!
+//! # One projection per interval
+//!
+//! The interval loop advances each interval in two half-steps under the
+//! same power, so both share `h` and `b`. [`ModalBasis::prepare`] computes
+//! the step's inputs (`g` scaled by the gains, and the decay factors)
+//! once, and [`ModalBasis::apply`] updates `y` and reconstructs `T` from
+//! them; [`ExpPropagator::advance_interval`] prepares once and applies
+//! twice. [`ExpPropagator::set_temperatures`] defers its projection onto
+//! `y` to the next advance, so a warm start that sets the state on every
+//! fixed-point iteration projects once.
 //!
 //! # Bit-identity contract
 //!
 //! [`ExpPropagator`] (one cell) and [`BatchPropagator`] (a column-major
 //! `n_nodes × n_cells` cohort) advance every column through the same
-//! [`ModalBasis::step`], each column with its own `h`. Column `j` of a
-//! batch therefore carries exactly the bits an independent
-//! `ExpPropagator` for cell `j` would hold after the same `advance`
-//! calls, whatever step sizes the other columns take.
+//! [`ModalBasis::prepare`] and [`ModalBasis::apply`], each column with its
+//! own `h`. Column `j` of a batch therefore carries exactly the bits an
+//! independent `ExpPropagator` for cell `j` would hold after the same
+//! advance calls, whatever step sizes the other columns take. An interval
+//! carries exactly the bits of two `advance` calls of half its length:
+//! each output is the same IEEE operation sequence, computed once.
 //!
 //! [`ThermalSolver`]'s RK4 integrator remains the cross-check reference
 //! (mirroring how `solve_steady_dense` backs `SteadyFactor`); the property
@@ -39,8 +61,12 @@
 //!
 //! [`ThermalSolver`]: crate::solver::ThermalSolver
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
+use distfront_power::Machine;
+
+use crate::floorplan::Floorplan;
+use crate::package::PackageConfig;
 use crate::rc::ThermalNetwork;
 use crate::solver::{assemble_matrix, assemble_rhs, assemble_rhs_into, SteadyFactor};
 
@@ -80,13 +106,161 @@ impl std::fmt::Display for Integrator {
     }
 }
 
-/// Distinct networks whose basis a process keeps. A sweep touches one
-/// network per machine shape (the paper evaluates four), so eviction only
-/// happens on synthetic inputs, and a rebuilt basis has the same bits.
-const REGISTRY_SLOTS: usize = 16;
+/// Distinct registrations a process keeps. A sweep touches one network
+/// per machine shape (the paper evaluates four), so eviction only happens
+/// on synthetic inputs, and rebuilt parts have the same bits.
+const REGISTRY_SLOTS: usize = 32;
 
-/// Bases computed so far in this process, oldest first.
-static REGISTRY: Mutex<Vec<(ThermalNetwork, Arc<ModalBasis>)>> = Mutex::new(Vec::new());
+/// Parts built so far in this process, oldest first.
+static REGISTRY: Mutex<Vec<Registration>> = Mutex::new(Vec::new());
+
+/// One registry entry: shared parts, and the machine shape and package
+/// they were built for when the request named one.
+struct Registration {
+    machine: Option<MachineKey>,
+    parts: Arc<ThermalParts>,
+}
+
+/// A machine shape and the bits of its package.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct MachineKey {
+    machine: Machine,
+    package: [u64; 15],
+}
+
+fn registry() -> MutexGuard<'static, Vec<Registration>> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The registered parts whose network is `net` to the bit.
+fn find_network(reg: &[Registration], net: &ThermalNetwork) -> Option<Arc<ThermalParts>> {
+    reg.iter()
+        .find(|r| r.parts.net.same_bits(net))
+        .map(|r| Arc::clone(&r.parts))
+}
+
+/// Everything a solver needs that depends on its network alone: the
+/// network, the LU factor of its steady-state matrix and its modal basis.
+/// The basis is decomposed on its first use, so parts that only ever
+/// serve the RK4 reference never pay for it.
+///
+/// Build it through [`ThermalParts::for_machine`] or
+/// [`ThermalParts::for_network`], which compute each network's parts at
+/// most once per process and hand out shared references afterwards.
+/// [`ExpPropagator`], [`BatchPropagator`] and the RK4
+/// [`ThermalSolver`](crate::solver::ThermalSolver) hold them by `Arc`.
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use distfront_power::Machine;
+/// use distfront_thermal::{ExpPropagator, PackageConfig, ThermalParts};
+///
+/// let machine = Machine::new(1, 4, 2);
+/// let parts = ThermalParts::for_machine(machine, &PackageConfig::paper());
+/// // A second request is a lookup, not a rebuild.
+/// assert!(Arc::ptr_eq(&parts, &ThermalParts::for_machine(machine, &PackageConfig::paper())));
+/// let solver = ExpPropagator::with_parts(parts);
+/// assert_eq!(solver.network().block_count(), machine.block_count());
+/// ```
+#[derive(Debug)]
+pub struct ThermalParts {
+    net: ThermalNetwork,
+    steady: SteadyFactor,
+    basis: OnceLock<ModalBasis>,
+}
+
+impl ThermalParts {
+    /// Builds the parts of `net` from scratch: the LU factorization now,
+    /// the Jacobi decomposition (a few milliseconds on a paper network)
+    /// at the first [`basis`](Self::basis) call. Prefer the shared
+    /// [`ThermalParts::for_machine`] and [`ThermalParts::for_network`].
+    pub fn new(net: ThermalNetwork) -> Self {
+        let steady = SteadyFactor::factor(assemble_matrix(&net));
+        ThermalParts {
+            net,
+            steady,
+            basis: OnceLock::new(),
+        }
+    }
+
+    /// The parts of `machine`'s floorplan network under `pkg`, built on
+    /// the first request in this process and shared afterwards. A repeat
+    /// request matches the machine shape and the package's exact bits,
+    /// and builds no network.
+    pub fn for_machine(machine: Machine, pkg: &PackageConfig) -> Arc<Self> {
+        let key = MachineKey {
+            machine,
+            package: pkg.bits(),
+        };
+        let hit = registry()
+            .iter()
+            .find(|r| r.machine == Some(key))
+            .map(|r| Arc::clone(&r.parts));
+        hit.unwrap_or_else(|| {
+            let net = ThermalNetwork::from_floorplan(&Floorplan::for_machine(machine), pkg);
+            ThermalParts::register(Some(key), net)
+        })
+    }
+
+    /// The parts of `net`, built on the first request in this process and
+    /// shared afterwards. Matching is on the network's exact bits, so a
+    /// repeat request costs one comparison, not a factorization.
+    pub fn for_network(net: ThermalNetwork) -> Arc<Self> {
+        let hit = find_network(&registry(), &net);
+        hit.unwrap_or_else(|| ThermalParts::register(None, net))
+    }
+
+    /// Registers `net` under `machine`, sharing any registered parts of
+    /// the same network.
+    fn register(machine: Option<MachineKey>, net: ThermalNetwork) -> Arc<Self> {
+        let known = find_network(&registry(), &net);
+        // Build outside the lock; a racing thread builds the same bits,
+        // and whichever registers first is the one every thread keeps.
+        let built = known.unwrap_or_else(|| Arc::new(ThermalParts::new(net)));
+        let mut reg = registry();
+        let parts = find_network(&reg, &built.net).unwrap_or(built);
+        let registered = reg
+            .iter()
+            .any(|r| r.machine == machine && Arc::ptr_eq(&r.parts, &parts));
+        if !registered {
+            if reg.len() == REGISTRY_SLOTS {
+                reg.remove(0);
+            }
+            reg.push(Registration {
+                machine,
+                parts: Arc::clone(&parts),
+            });
+        }
+        parts
+    }
+
+    /// The network.
+    pub fn network(&self) -> &ThermalNetwork {
+        &self.net
+    }
+
+    /// The network's modal basis, decomposed on the first call; racing
+    /// first calls wait for one decomposition.
+    pub fn basis(&self) -> &ModalBasis {
+        self.basis.get_or_init(|| ModalBasis::new(&self.net))
+    }
+
+    /// The steady-state temperatures under constant block `power`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `power` does not have one entry per block.
+    pub fn solve_steady(&self, power: &[f64]) -> Vec<f64> {
+        assert_eq!(
+            power.len(),
+            self.net.block_count(),
+            "one power entry per block"
+        );
+        self.steady.solve(&assemble_rhs(&self.net, power))
+    }
+}
 
 /// Upper bound on Jacobi sweeps, a guard against non-finite input; the
 /// paper networks stop after a handful.
@@ -122,8 +296,8 @@ impl ModalBasis {
     /// no longer changes either of the two diagonal elements it couples,
     /// so small eigenvalues keep their relative accuracy.
     ///
-    /// Prefer [`ModalBasis::for_network`], which computes each network's
-    /// basis once per process.
+    /// Prefer [`ThermalParts`], whose registry decomposes each network
+    /// once per process.
     pub fn new(net: &ThermalNetwork) -> Self {
         let n = net.node_count();
         let a = assemble_matrix(net);
@@ -173,30 +347,6 @@ impl ModalBasis {
         }
     }
 
-    /// The basis of `net`, computed on the first request in this process
-    /// and shared afterwards. Matching is on the network's exact bits.
-    pub fn for_network(net: &ThermalNetwork) -> Arc<Self> {
-        let find = |reg: &[(ThermalNetwork, Arc<ModalBasis>)]| {
-            reg.iter()
-                .find(|(k, _)| k.same_bits(net))
-                .map(|(_, basis)| Arc::clone(basis))
-        };
-        if let Some(hit) = find(&REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)) {
-            return hit;
-        }
-        // Decompose outside the lock; a racing thread builds the same bits.
-        let built = Arc::new(ModalBasis::new(net));
-        let mut reg = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(hit) = find(&reg) {
-            return hit;
-        }
-        if reg.len() == REGISTRY_SLOTS {
-            reg.remove(0);
-        }
-        reg.push((net.clone(), Arc::clone(&built)));
-        built
-    }
-
     /// The eigenvalues `λ` in 1/s, in no particular order.
     pub fn eigenvalues(&self) -> &[f64] {
         &self.lambda
@@ -214,21 +364,55 @@ impl ModalBasis {
         mul_transposed(&self.b, &ct, y);
     }
 
-    /// Advances modal state `y` by `h` seconds under the constant nodal
-    /// right-hand side `rhs` and writes the resulting node temperatures
-    /// to `t` (also used as scratch, so its input is ignored).
-    pub fn step(&self, y: &mut [f64], rhs: &[f64], t: &mut [f64], h: f64) {
-        // g = W·b, staged in `t` until the reconstruction overwrites it.
-        mul_transposed(&self.b, rhs, t);
-        for ((yk, &gk), &lk) in y.iter_mut().zip(t.iter()).zip(self.lambda.iter()) {
+    /// Prepares a step of `h` seconds under the constant nodal
+    /// right-hand side `rhs`: `g = W·b`, the decay factors `e^(−hλ)` and
+    /// the gains `expm1(−hλ)/λ` applied to `g`. One preparation serves any
+    /// number of consecutive [`apply`](Self::apply) calls with the same
+    /// `h` and `rhs`.
+    pub fn prepare(&self, rhs: &[f64], h: f64, step: &mut ModalStep) {
+        mul_transposed(&self.b, rhs, &mut step.drive);
+        for ((decay, drive), &lk) in step
+            .decay
+            .iter_mut()
+            .zip(step.drive.iter_mut())
+            .zip(self.lambda.iter())
+        {
             let x = -h * lk;
             // One transcendental per mode: e^x = 1 + expm1(x), and
             // expm1(x)/λ → −h as λ → 0 (a mode with no path to ambient).
             let em1 = expm1(x);
             let gain = if x == 0.0 { -h } else { em1 / lk };
-            *yk = (1.0 + em1) * *yk - gain * gk;
+            *decay = 1.0 + em1;
+            *drive *= gain;
+        }
+    }
+
+    /// Advances modal state `y` by a prepared step and writes the
+    /// resulting node temperatures to `t` (its input is ignored).
+    pub fn apply(&self, step: &ModalStep, y: &mut [f64], t: &mut [f64]) {
+        for ((yk, &decay), &drive) in y.iter_mut().zip(step.decay.iter()).zip(step.drive.iter()) {
+            *yk = decay * *yk - drive;
         }
         mul_transposed(&self.w, y, t);
+    }
+}
+
+/// A prepared modal step: per mode, the decay factor `e^(−hλ)` and the
+/// drive `(expm1(−hλ)/λ)·g`. [`ModalBasis::prepare`] fills it and
+/// [`ModalBasis::apply`] reads it; the buffers are reused across steps.
+#[derive(Debug, Clone)]
+pub struct ModalStep {
+    decay: Box<[f64]>,
+    drive: Box<[f64]>,
+}
+
+impl ModalStep {
+    /// An unprepared step for an `n`-node network.
+    pub fn new(n: usize) -> Self {
+        ModalStep {
+            decay: vec![0.0; n].into_boxed_slice(),
+            drive: vec![0.0; n].into_boxed_slice(),
+        }
     }
 }
 
@@ -333,10 +517,9 @@ fn mul_transposed(m: &[f64], x: &[f64], out: &mut [f64]) {
 /// exactly through the network's [`ModalBasis`].
 ///
 /// Drop-in alternative to [`ThermalSolver`](crate::solver::ThermalSolver):
-/// the same construction-time LU factorization backs the steady-state
-/// solves, and `advance` is exact for the piecewise-constant power the
-/// interval loop supplies, for any step size. The advance path is
-/// allocation-free.
+/// the same shared LU factorization backs the steady-state solves, and
+/// `advance` is exact for the piecewise-constant power the interval loop
+/// supplies, for any step size. The advance path is allocation-free.
 ///
 /// # Examples
 ///
@@ -353,41 +536,44 @@ fn mul_transposed(m: &[f64], x: &[f64], out: &mut [f64]) {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExpPropagator {
-    net: ThermalNetwork,
+    parts: Arc<ThermalParts>,
     /// Node temperatures in °C.
     t: Vec<f64>,
-    /// Modal coordinates of `t`.
+    /// Modal coordinates of `t` once `projected` is set.
     y: Vec<f64>,
-    /// LU factorization of `A` for the steady-state solves.
-    steady: SteadyFactor,
-    basis: Arc<ModalBasis>,
+    /// Whether `y` is current; a state overwrite clears it, and the next
+    /// advance projects.
+    projected: bool,
     /// Scratch: assembled right-hand side `b = P + G_amb·T_amb`.
     rhs: Vec<f64>,
+    /// Scratch: the prepared modal step.
+    step: ModalStep,
 }
 
 impl ExpPropagator {
-    /// Creates a modal solver with every node at ambient; the steady-state
-    /// matrix is assembled and LU-factored here, and the network's basis
-    /// is fetched from (or computed into) the process registry.
+    /// Creates a modal solver with every node at ambient, on the parts of
+    /// `net` from the process registry (built on the first request for
+    /// this network, a bit comparison afterwards).
     pub fn new(net: ThermalNetwork) -> Self {
-        let basis = ModalBasis::for_network(&net);
-        let n = net.node_count();
-        let steady = SteadyFactor::factor(assemble_matrix(&net));
-        let mut s = ExpPropagator {
-            t: Vec::new(),
+        ExpPropagator::with_parts(ThermalParts::for_network(net))
+    }
+
+    /// Creates a modal solver with every node at ambient on shared parts.
+    pub fn with_parts(parts: Arc<ThermalParts>) -> Self {
+        let n = parts.net.node_count();
+        ExpPropagator {
+            t: vec![parts.net.ambient_c(); n],
             y: vec![0.0; n],
-            steady,
-            basis,
+            projected: false,
             rhs: vec![0.0; n],
-            net,
-        };
-        s.set_temperatures(vec![s.net.ambient_c(); n]);
-        s
+            step: ModalStep::new(n),
+            parts,
+        }
     }
 
     /// The underlying network.
     pub fn network(&self) -> &ThermalNetwork {
-        &self.net
+        &self.parts.net
     }
 
     /// All node temperatures (blocks, then spreader, then sink) in °C.
@@ -397,31 +583,28 @@ impl ExpPropagator {
 
     /// Block temperatures only, in °C.
     pub fn block_temperatures(&self) -> &[f64] {
-        &self.t[..self.net.block_count()]
+        &self.t[..self.parts.net.block_count()]
     }
 
-    /// Overwrites the state (for warm-start restore / checkpointing).
+    /// Overwrites the state (for warm-start restore / checkpointing). The
+    /// projection onto modal coordinates waits for the next advance, so
+    /// overwriting the state repeatedly costs one projection.
     ///
     /// # Panics
     ///
     /// Panics if the length does not match the node count.
     pub fn set_temperatures(&mut self, t: Vec<f64>) {
-        assert_eq!(t.len(), self.net.node_count());
-        self.basis.project(&t, &mut self.y);
+        assert_eq!(t.len(), self.parts.net.node_count());
         self.t = t;
+        self.projected = false;
     }
 
     /// Computes the steady-state temperatures without changing the state,
-    /// reusing the factorization done at construction. Bit-identical to
+    /// through the shared factorization. Bit-identical to
     /// [`ThermalSolver::solve_steady`](crate::solver::ThermalSolver::solve_steady)
     /// on the same network.
     pub fn solve_steady(&self, power: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            power.len(),
-            self.net.block_count(),
-            "one power entry per block"
-        );
-        self.steady.solve(&assemble_rhs(&self.net, power))
+        self.parts.solve_steady(power)
     }
 
     /// Solves for the steady state under constant block `power` and adopts
@@ -442,17 +625,58 @@ impl ExpPropagator {
     /// Panics if `power` does not have one entry per block or `dt` is not
     /// positive.
     pub fn advance(&mut self, power: &[f64], dt: f64) {
-        assert!(dt > 0.0, "dt must be positive");
-        assert_eq!(power.len(), self.net.block_count());
-        assemble_rhs_into(&self.net, power, &mut self.rhs);
-        self.basis.step(&mut self.y, &self.rhs, &mut self.t, dt);
+        self.prepare(power, dt);
+        self.parts
+            .basis()
+            .apply(&self.step, &mut self.y, &mut self.t);
+    }
+
+    /// Advances one interval of `dt` seconds under constant block `power`
+    /// in two half-steps, calling `sample` with the block temperatures and
+    /// the half-step length after each. The step is prepared once and
+    /// applied twice: the bits of two [`advance`](Self::advance) calls of
+    /// `dt / 2`, with one projection of the power instead of two.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `power` does not have one entry per block or `dt / 2` is
+    /// not positive.
+    pub fn advance_interval(
+        &mut self,
+        power: &[f64],
+        dt: f64,
+        mut sample: impl FnMut(&[f64], f64),
+    ) {
+        let h = dt / 2.0;
+        self.prepare(power, h);
+        let nb = self.parts.net.block_count();
+        for _half in 0..2 {
+            self.parts
+                .basis()
+                .apply(&self.step, &mut self.y, &mut self.t);
+            sample(&self.t[..nb], h);
+        }
+    }
+
+    /// Projects a pending state overwrite and prepares a step of `h`
+    /// under `power`.
+    fn prepare(&mut self, power: &[f64], h: f64) {
+        assert!(h > 0.0, "dt must be positive");
+        let parts = &*self.parts;
+        assert_eq!(power.len(), parts.net.block_count());
+        if !self.projected {
+            parts.basis().project(&self.t, &mut self.y);
+            self.projected = true;
+        }
+        assemble_rhs_into(&parts.net, power, &mut self.rhs);
+        parts.basis().prepare(&self.rhs, h, &mut self.step);
     }
 
     /// Spawns a batched propagator over `n_cells` lockstep cells on this
     /// solver's network, every column starting at ambient and sharing
-    /// this solver's basis.
+    /// this solver's parts.
     pub fn batch(&self, n_cells: usize) -> BatchPropagator {
-        BatchPropagator::with_basis(self.net.clone(), Arc::clone(&self.basis), n_cells)
+        BatchPropagator::with_parts(Arc::clone(&self.parts), n_cells)
     }
 }
 
@@ -482,8 +706,7 @@ impl ExpPropagator {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BatchPropagator {
-    net: ThermalNetwork,
-    basis: Arc<ModalBasis>,
+    parts: Arc<ThermalParts>,
     n_cells: usize,
     /// Column-major state matrix `T: n_nodes × n_cells`.
     t: Box<[f64]>,
@@ -491,31 +714,39 @@ pub struct BatchPropagator {
     y: Box<[f64]>,
     /// Scratch: one column's right-hand side.
     rhs: Vec<f64>,
+    /// Scratch: one column's prepared modal step.
+    step: ModalStep,
 }
 
 impl BatchPropagator {
-    /// Creates a batch of `n_cells` columns, all at ambient.
+    /// Creates a batch of `n_cells` columns, all at ambient, on the parts
+    /// of `net` from the process registry.
     ///
     /// # Panics
     ///
     /// Panics if `n_cells` is zero.
     pub fn new(net: ThermalNetwork, n_cells: usize) -> Self {
-        let basis = ModalBasis::for_network(&net);
-        BatchPropagator::with_basis(net, basis, n_cells)
+        BatchPropagator::with_parts(ThermalParts::for_network(net), n_cells)
     }
 
-    fn with_basis(net: ThermalNetwork, basis: Arc<ModalBasis>, n_cells: usize) -> Self {
+    /// Creates a batch of `n_cells` columns, all at ambient, on shared
+    /// parts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_cells` is zero.
+    pub fn with_parts(parts: Arc<ThermalParts>, n_cells: usize) -> Self {
         assert!(n_cells > 0, "batch needs at least one cell");
-        let n = net.node_count();
+        let n = parts.net.node_count();
         let mut batch = BatchPropagator {
             t: vec![0.0; n * n_cells].into_boxed_slice(),
             y: vec![0.0; n * n_cells].into_boxed_slice(),
             rhs: vec![0.0; n],
-            basis,
+            step: ModalStep::new(n),
+            parts,
             n_cells,
-            net,
         };
-        let ambient = vec![batch.net.ambient_c(); n];
+        let ambient = vec![batch.parts.net.ambient_c(); n];
         for j in 0..n_cells {
             batch.set_column(j, &ambient);
         }
@@ -524,7 +755,7 @@ impl BatchPropagator {
 
     /// The underlying network (shared by every column).
     pub fn network(&self) -> &ThermalNetwork {
-        &self.net
+        &self.parts.net
     }
 
     /// Number of lockstep cells (columns).
@@ -538,7 +769,7 @@ impl BatchPropagator {
     ///
     /// Panics if `j` is out of range.
     pub fn column(&self, j: usize) -> &[f64] {
-        let n = self.net.node_count();
+        let n = self.parts.net.node_count();
         &self.t[j * n..(j + 1) * n]
     }
 
@@ -548,8 +779,8 @@ impl BatchPropagator {
     ///
     /// Panics if `j` is out of range.
     pub fn block_column(&self, j: usize) -> &[f64] {
-        let n = self.net.node_count();
-        &self.t[j * n..j * n + self.net.block_count()]
+        let n = self.parts.net.node_count();
+        &self.t[j * n..j * n + self.parts.net.block_count()]
     }
 
     /// Overwrites cell `j`'s state (warm-start restore).
@@ -559,11 +790,11 @@ impl BatchPropagator {
     /// Panics if `j` is out of range or the length does not match the
     /// node count.
     pub fn set_column(&mut self, j: usize, t: &[f64]) {
-        let n = self.net.node_count();
+        let n = self.parts.net.node_count();
         assert_eq!(t.len(), n, "column length must match node count");
         let col = j * n..(j + 1) * n;
         self.t[col.clone()].copy_from_slice(t);
-        self.basis.project(t, &mut self.y[col]);
+        self.parts.basis().project(t, &mut self.y[col]);
     }
 
     /// Advances every column by `dt` seconds.
@@ -591,16 +822,17 @@ impl BatchPropagator {
     /// Panics if `powers` has the wrong length, a `dt` is not positive, or
     /// a column index is out of range.
     pub fn advance_columns(&mut self, powers: &[f64], steps: &[(usize, f64)]) {
-        let nb = self.net.block_count();
-        let n = self.net.node_count();
+        let parts = &*self.parts;
+        let basis = parts.basis();
+        let (n, nb) = (parts.net.node_count(), parts.net.block_count());
         assert_eq!(powers.len(), nb * self.n_cells, "one power column per cell");
         for &(j, dt) in steps {
             assert!(dt > 0.0, "dt must be positive");
             assert!(j < self.n_cells, "column {j} out of range");
-            assemble_rhs_into(&self.net, &powers[j * nb..(j + 1) * nb], &mut self.rhs);
+            assemble_rhs_into(&parts.net, &powers[j * nb..(j + 1) * nb], &mut self.rhs);
+            basis.prepare(&self.rhs, dt, &mut self.step);
             let col = j * n..(j + 1) * n;
-            self.basis
-                .step(&mut self.y[col.clone()], &self.rhs, &mut self.t[col], dt);
+            basis.apply(&self.step, &mut self.y[col.clone()], &mut self.t[col]);
         }
     }
 }
@@ -836,9 +1068,10 @@ mod tests {
         let single = ThermalNetwork::from_parts(vec![vec![0.0]], vec![0.0], vec![2.0], 45.0, 1);
         let basis = ModalBasis::new(&single);
         assert_eq!(basis.eigenvalues(), &[0.0]);
-        let (mut y, mut t) = (vec![0.0], vec![0.0]);
+        let (mut y, mut t, mut step) = (vec![0.0], vec![0.0], ModalStep::new(1));
         basis.project(&[45.0], &mut y);
-        basis.step(&mut y, &[10.0], &mut t, 0.5);
+        basis.prepare(&[10.0], 0.5, &mut step);
+        basis.apply(&step, &mut y, &mut t);
         // 10 W into 2 J/K for 0.5 s.
         assert!((t[0] - 47.5).abs() < 1e-12, "{}", t[0]);
 
@@ -851,9 +1084,10 @@ mod tests {
             2,
         );
         let basis = ModalBasis::new(&pair);
-        let (mut y, mut t) = (vec![0.0; 2], vec![0.0; 2]);
+        let (mut y, mut t, mut step) = (vec![0.0; 2], vec![0.0; 2], ModalStep::new(2));
         basis.project(&[45.0, 45.0], &mut y);
-        basis.step(&mut y, &[4.0, 0.0], &mut t, 2.0);
+        basis.prepare(&[4.0, 0.0], 2.0, &mut step);
+        basis.apply(&step, &mut y, &mut t);
         let heat = 1.0 * (t[0] - 45.0) + 3.0 * (t[1] - 45.0);
         assert!((heat - 8.0).abs() < 1e-12, "stored {heat} J, expected 8 J");
         assert!(t.iter().all(|v| v.is_finite()));
@@ -862,18 +1096,56 @@ mod tests {
     #[test]
     fn registry_hit_matches_a_rebuilt_basis_bit_for_bit() {
         let net = paper_net();
-        let shared = ModalBasis::for_network(&net);
-        assert!(Arc::ptr_eq(&shared, &ModalBasis::for_network(&net.clone())));
-        let rebuilt = ModalBasis::new(&net);
-        let bits = |b: &ModalBasis| -> Vec<u64> {
+        let shared = ThermalParts::for_network(net.clone());
+        assert!(Arc::ptr_eq(
+            &shared,
+            &ThermalParts::for_network(net.clone())
+        ));
+        // The machine lookup finds the same network's parts.
+        let by_machine = ThermalParts::for_machine(Machine::new(1, 4, 2), &PackageConfig::paper());
+        assert!(Arc::ptr_eq(&shared, &by_machine));
+        let rebuilt = ThermalParts::new(net);
+        let bits = |p: &ThermalParts| -> Vec<u64> {
+            let b = p.basis();
             b.lambda
                 .iter()
                 .chain(b.w.iter())
                 .chain(b.b.iter())
+                .chain(b.c.iter())
+                .chain(p.steady.solve(&vec![1.0; p.network().node_count()]).iter())
                 .map(|v| v.to_bits())
                 .collect()
         };
         assert_eq!(bits(&shared), bits(&rebuilt));
+    }
+
+    #[test]
+    fn the_rk4_reference_never_decomposes_the_basis() {
+        let parts = Arc::new(ThermalParts::new(paper_net()));
+        let mut rk4 = ThermalSolver::with_parts(Arc::clone(&parts));
+        let nb = rk4.network().block_count();
+        rk4.set_steady_state(&vec![0.4; nb]);
+        rk4.advance(&vec![0.6; nb], 1e-5);
+        assert!(parts.basis.get().is_none(), "RK4 decomposed the basis");
+        ExpPropagator::with_parts(Arc::clone(&parts)).advance(&vec![0.6; nb], 1e-5);
+        assert!(parts.basis.get().is_some());
+    }
+
+    #[test]
+    fn a_package_with_other_bits_is_another_registration() {
+        let machine = Machine::new(2, 4, 3);
+        let paper = ThermalParts::for_machine(machine, &PackageConfig::paper());
+        let cooler = PackageConfig {
+            ambient_c: 40.0,
+            ..PackageConfig::paper()
+        };
+        let other = ThermalParts::for_machine(machine, &cooler);
+        assert!(!Arc::ptr_eq(&paper, &other));
+        assert_eq!(other.network().ambient_c(), 40.0);
+        assert!(Arc::ptr_eq(
+            &other,
+            &ThermalParts::for_machine(machine, &cooler)
+        ));
     }
 
     #[test]
@@ -964,6 +1236,12 @@ mod prop_tests {
         ThermalNetwork::from_parts(g, g_amb[..n].to_vec(), c[..n].to_vec(), 45.0, n)
     }
 
+    /// Parts of a one-off network, kept out of the process registry so
+    /// the random networks cannot evict the paper networks' parts.
+    fn unregistered(net: ThermalNetwork) -> Arc<ThermalParts> {
+        Arc::new(ThermalParts::new(net))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         /// The propagator matches a finely sub-stepped RK4 reference within
@@ -981,8 +1259,9 @@ mod prop_tests {
             let net = random_net(n, &g_raw, &g_amb, &c);
             let tau = net.min_time_constant();
             let dt = dt_factor * tau;
-            let mut fast = ExpPropagator::new(net.clone());
-            let mut reference = ThermalSolver::new(net);
+            let parts = unregistered(net);
+            let mut fast = ExpPropagator::with_parts(Arc::clone(&parts));
+            let mut reference = ThermalSolver::with_parts(parts);
             // Four pieces of constant power, both solvers from ambient.
             for piece in 0..4 {
                 let p: Vec<f64> = (0..n).map(|i| power[(piece * n + i) % power.len()]).collect();
@@ -1021,7 +1300,7 @@ mod prop_tests {
         ) {
             let net = random_net(n, &g_raw, &g_amb, &c);
             let dt = dt_factor * net.min_time_constant();
-            let seed = ExpPropagator::new(net);
+            let seed = ExpPropagator::with_parts(unregistered(net));
             let mut batch = seed.batch(n_cells);
             let mut serial: Vec<ExpPropagator> =
                 (0..n_cells).map(|_| seed.clone()).collect();
@@ -1060,7 +1339,7 @@ mod prop_tests {
         ) {
             let net = random_net(n, &g_raw, &g_amb, &c);
             let tau = net.min_time_constant();
-            let seed = ExpPropagator::new(net);
+            let seed = ExpPropagator::with_parts(unregistered(net));
             let mut batch = seed.batch(n_cells);
             let mut serial: Vec<ExpPropagator> =
                 (0..n_cells).map(|_| seed.clone()).collect();

@@ -14,7 +14,8 @@
 //! * [`solver`] — steady-state solve (warm start, as the paper boots its
 //!   simulations already warm) and the RK4 reference transient integrator,
 //! * [`expm`] — the default transient path: an exact step in the
-//!   network's modal coordinates, with one eigenbasis per network,
+//!   network's modal coordinates, and the registry that builds each
+//!   machine's network, LU factor and eigenbasis once per process,
 //! * [`metrics`] — the paper's AbsMax / Average / AvgMax temperature
 //!   metrics over block groups.
 
@@ -28,7 +29,7 @@ pub mod package;
 pub mod rc;
 pub mod solver;
 
-pub use expm::{BatchPropagator, ExpPropagator, Integrator, ModalBasis};
+pub use expm::{BatchPropagator, ExpPropagator, Integrator, ModalBasis, ModalStep, ThermalParts};
 pub use floorplan::{Floorplan, Rect};
 pub use metrics::{GroupMetrics, TemperatureTracker};
 pub use package::PackageConfig;

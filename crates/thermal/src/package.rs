@@ -75,6 +75,43 @@ impl PackageConfig {
         self.c_silicon * self.die_thickness_m * area_mm2 * 1e-6
     }
 
+    /// Every parameter's bit pattern, in declaration order: the identity
+    /// the process-wide thermal-parts registry matches a package on.
+    pub(crate) fn bits(&self) -> [u64; 15] {
+        // No `..`: a new field fails to compile here until the key has it.
+        let PackageConfig {
+            ambient_c,
+            die_thickness_m,
+            k_silicon,
+            c_silicon,
+            tim_thickness_m,
+            k_tim,
+            spreader_m: (sa, sb, st),
+            sink_m: (ka, kb, kt),
+            c_copper,
+            r_spreader_sink,
+            r_convection,
+        } = *self;
+        [
+            ambient_c,
+            die_thickness_m,
+            k_silicon,
+            c_silicon,
+            tim_thickness_m,
+            k_tim,
+            sa,
+            sb,
+            st,
+            ka,
+            kb,
+            kt,
+            c_copper,
+            r_spreader_sink,
+            r_convection,
+        ]
+        .map(f64::to_bits)
+    }
+
     /// Lateral resistance between two adjacent blocks, in K/W.
     ///
     /// HotSpot's formulation: each block contributes half its extent normal

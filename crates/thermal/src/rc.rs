@@ -128,8 +128,8 @@ impl ThermalNetwork {
     }
 
     /// Whether `other` is this network to the bit: every conductance,
-    /// capacitance and the ambient. The identity the process-wide modal
-    /// basis registry matches on.
+    /// capacitance and the ambient. The identity the process-wide
+    /// thermal-parts registry matches a hand-built network on.
     pub(crate) fn same_bits(&self, other: &ThermalNetwork) -> bool {
         let eq = |a: &[f64], b: &[f64]| {
             a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())

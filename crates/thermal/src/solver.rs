@@ -2,23 +2,27 @@
 //!
 //! The steady state (used to warm-start simulations, §4) solves the linear
 //! system `(L + diag(G_amb)) · T = P + G_amb · T_amb`. The matrix depends
-//! only on the network, never on the power vector, so the solver factors
-//! it **once** at construction ([`SteadyFactor`], LU with partial
-//! pivoting) and every subsequent solve — including each round of the
-//! leakage↔temperature fixed point that warm-starts a run — is a pair of
-//! O(n²) triangular substitutions instead of an O(n³) elimination.
+//! only on the network, never on the power vector, so it is factored
+//! **once** per network and process ([`SteadyFactor`], LU with partial
+//! pivoting, shared through [`ThermalParts`]) and every subsequent solve
+//! — including each round of the leakage↔temperature fixed point that
+//! warm-starts a run — is a pair of O(n²) triangular substitutions
+//! instead of an O(n³) elimination.
 //! [`ThermalSolver::solve_steady_dense`] keeps the single-shot Gaussian
 //! elimination as a cross-check reference.
 //!
 //! Transients integrate `C · dT/dt = P − L·T − G_amb·(T − T_amb)`. The
-//! production path is the cached matrix-exponential propagator in
-//! [`crate::expm`] ([`ExpPropagator`](crate::expm::ExpPropagator)), which
-//! is exact for the piecewise-constant power the engine supplies and
-//! advances a whole interval in two dense mat-vecs; the RK4 integrator
+//! production path is the modal propagator in [`crate::expm`]
+//! ([`ExpPropagator`](crate::expm::ExpPropagator)), which is exact for the
+//! piecewise-constant power the engine supplies and advances a whole
+//! interval with one projection of the power; the RK4 integrator
 //! here ([`ThermalSolver::advance`], sub-stepped below the network's
 //! smallest time constant for stability) is kept as the cross-check
 //! reference and remains selectable with `--integrator rk4`.
 
+use std::sync::Arc;
+
+use crate::expm::ThermalParts;
 use crate::rc::ThermalNetwork;
 
 /// LU factorization (partial pivoting) of a steady-state system matrix,
@@ -136,35 +140,35 @@ impl SteadyFactor {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ThermalSolver {
-    net: ThermalNetwork,
+    /// The network and the LU factorization of its steady-state matrix,
+    /// shared by every solver on the network.
+    parts: Arc<ThermalParts>,
     /// Node temperatures in °C.
     t: Vec<f64>,
     /// Cached stable sub-step in seconds.
     dt_max: f64,
-    /// LU factorization of the steady-state matrix, shared by every solve.
-    steady: SteadyFactor,
 }
 
 impl ThermalSolver {
-    /// Creates a solver with every node at ambient; the steady-state
-    /// system matrix is assembled and factored here, once.
+    /// Creates a solver with every node at ambient, on the parts of `net`
+    /// from the process registry (see [`ThermalParts::for_network`]).
     pub fn new(net: ThermalNetwork) -> Self {
+        ThermalSolver::with_parts(ThermalParts::for_network(net))
+    }
+
+    /// Creates a solver with every node at ambient on shared parts.
+    pub fn with_parts(parts: Arc<ThermalParts>) -> Self {
+        let net = parts.network();
         let t = vec![net.ambient_c(); net.node_count()];
         // RK4 is stable to ~2.8·τ; τ/8 keeps the local error far below
         // the tenth-of-a-degree resolution the experiments care about.
         let dt_max = net.min_time_constant() / 8.0;
-        let steady = SteadyFactor::factor(assemble_matrix(&net));
-        ThermalSolver {
-            net,
-            t,
-            dt_max,
-            steady,
-        }
+        ThermalSolver { parts, t, dt_max }
     }
 
     /// The underlying network.
     pub fn network(&self) -> &ThermalNetwork {
-        &self.net
+        self.parts.network()
     }
 
     /// All node temperatures (blocks, then spreader, then sink) in °C.
@@ -174,7 +178,7 @@ impl ThermalSolver {
 
     /// Block temperatures only, in °C.
     pub fn block_temperatures(&self) -> &[f64] {
-        &self.t[..self.net.block_count()]
+        &self.t[..self.network().block_count()]
     }
 
     /// Overwrites the state (for tests / checkpointing).
@@ -183,7 +187,7 @@ impl ThermalSolver {
     ///
     /// Panics if the length does not match the node count.
     pub fn set_temperatures(&mut self, t: Vec<f64>) {
-        assert_eq!(t.len(), self.net.node_count());
+        assert_eq!(t.len(), self.network().node_count());
         self.t = t;
     }
 
@@ -200,27 +204,19 @@ impl ThermalSolver {
     }
 
     /// Computes the steady-state temperatures without changing the state,
-    /// reusing the factorization done at construction.
+    /// through the network's shared factorization.
     pub fn solve_steady(&self, power: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            power.len(),
-            self.net.block_count(),
-            "one power entry per block"
-        );
-        self.steady.solve(&assemble_rhs(&self.net, power))
+        self.parts.solve_steady(power)
     }
 
     /// Reference steady-state solve by single-shot Gaussian elimination
     /// (re-assembling and eliminating the full matrix every call). Kept as
     /// a cross-check for the factored path; prefer [`Self::solve_steady`].
     pub fn solve_steady_dense(&self, power: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            power.len(),
-            self.net.block_count(),
-            "one power entry per block"
-        );
-        let mut a = assemble_matrix(&self.net);
-        let mut b = assemble_rhs(&self.net, power);
+        let net = self.network();
+        assert_eq!(power.len(), net.block_count(), "one power entry per block");
+        let mut a = assemble_matrix(net);
+        let mut b = assemble_rhs(net, power);
         gaussian_solve(&mut a, &mut b)
     }
 
@@ -233,7 +229,7 @@ impl ThermalSolver {
     /// positive.
     pub fn advance(&mut self, power: &[f64], dt: f64) {
         assert!(dt > 0.0, "dt must be positive");
-        assert_eq!(power.len(), self.net.block_count());
+        assert_eq!(power.len(), self.network().block_count());
         let steps = (dt / self.dt_max).ceil().max(1.0) as usize;
         let h = dt / steps as f64;
         for _ in 0..steps {
@@ -242,9 +238,10 @@ impl ThermalSolver {
     }
 
     fn derivative(&self, t: &[f64], power: &[f64]) -> Vec<f64> {
-        let q = self.net.heat_balance(t, power);
+        let net = self.network();
+        let q = net.heat_balance(t, power);
         q.iter()
-            .zip(self.net.capacitances())
+            .zip(net.capacitances())
             .map(|(&qi, &ci)| qi / ci)
             .collect()
     }
