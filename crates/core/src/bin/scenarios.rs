@@ -24,9 +24,10 @@
 //!                    instead of re-simulating the core (live fallback
 //!                    otherwise); byte-identical output, several times
 //!                    faster per replayed cell
-//!   --batch          lockstep batched replay: advance cohorts of
-//!                    replay-mode cells through one shared batched
-//!                    propagator (off by default; inert without --replay)
+//!   --batch          batched replay: group replay-mode cells sharing a
+//!                    machine shape into cohorts, each replayed back to
+//!                    back as one task (off by default; inert without
+//!                    --replay)
 //!   --no-batch       disable batched replay (the default)
 //!   --state-dir DIR  run against DIR's crash-safe segment store (the
 //!                    same layout `distfront-sweepd --state-dir` uses):
@@ -845,8 +846,9 @@ fn local_main(args: &Args, selected: &[Scenario]) -> StatusCode {
                 }
                 Ok(_) => {
                     eprintln!(
-                        "error: batched and serial replay results diverge — the \
-                         batch propagator's bit-identity contract is broken"
+                        "error: batched and serial replay results diverge — \
+                         cohorts replayed back to back no longer match \
+                         cells replayed one by one"
                     );
                     return StatusCode::BatchDiverged;
                 }

@@ -47,6 +47,8 @@ pub struct CoupledEngine<'a> {
     dtm: Option<Box<dyn DtmPolicy>>,
     stages: Option<Vec<Box<dyn Stage>>>,
     replay: Option<Arc<ActivityTrace>>,
+    /// Whether the caller already validated `replay` for this cell.
+    replay_validated: bool,
 }
 
 /// Per-run execution statistics: how a run executed, as opposed to what it
@@ -79,6 +81,7 @@ impl<'a> CoupledEngine<'a> {
             dtm: None,
             stages: None,
             replay: None,
+            replay_validated: false,
         }
     }
 
@@ -132,6 +135,16 @@ impl<'a> CoupledEngine<'a> {
     pub fn with_replay(mut self, trace: Arc<ActivityTrace>) -> Self {
         self.replay = Some(trace);
         self
+    }
+
+    /// [`with_replay`](Self::with_replay) for a trace the caller has
+    /// already passed through [`ReplayBackend::validate`] for this
+    /// configuration and workload (the sweep validates each replayed cell
+    /// while planning), so the run does not validate it again.
+    #[must_use]
+    pub(super) fn with_validated_replay(mut self, trace: Arc<ActivityTrace>) -> Self {
+        self.replay_validated = true;
+        self.with_replay(trace)
     }
 
     /// The default pilot → warm-start → interval-loop pipeline, with the
@@ -211,8 +224,10 @@ impl<'a> CoupledEngine<'a> {
             // An explicit stage list wins; replay otherwise, validated
             // before any model is built.
             (None, Some(trace)) => {
-                if let Err(e) = ReplayBackend::validate(self.cfg, &workload, &trace) {
-                    return (Err(e), RunStats::default(), None);
+                if !self.replay_validated {
+                    if let Err(e) = ReplayBackend::validate(self.cfg, &workload, &trace) {
+                        return (Err(e), RunStats::default(), None);
+                    }
                 }
                 Some(trace)
             }
@@ -272,10 +287,8 @@ fn finals(cx: &EngineCx<'_>) -> FinalStats {
 /// interval loop or from a replayed trace. Fails with
 /// [`EngineError::NoData`] when the stages closed no measurement
 /// intervals (a custom pipeline that skipped the interval loop): the
-/// temperature metrics would be undefined. Shared with the batched cohort
-/// scheduler, which finalizes each lane's context through the exact same
-/// assembly.
-pub(super) fn finish(cx: &EngineCx<'_>) -> Result<AppResult, EngineError> {
+/// temperature metrics would be undefined.
+fn finish(cx: &EngineCx<'_>) -> Result<AppResult, EngineError> {
     let FinalStats {
         cycles,
         uops,

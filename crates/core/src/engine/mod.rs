@@ -38,11 +38,11 @@
 //! * [`TraceStore`] / [`TraceMode`] — the sweep-level record-once /
 //!   replay-many plumbing, keyed by capability family, with per-cell
 //!   fallback to live simulation when no covering trace exists, and
-//! * [`BatchScheduler`] — lockstep batched replay: the sweep executor
-//!   groups replay-mode cells sharing a machine shape into cohorts
-//!   ([`SweepRunner::with_batch`]) and advances each cohort interval by
-//!   interval, each lane on the machine's shared thermal parts with its
-//!   own `dt`, with per-cell outcomes bit-identical to serial replay.
+//! * [`BatchScheduler`] — batched replay: the sweep executor groups
+//!   replay-mode cells sharing a machine shape into cohorts
+//!   ([`SweepRunner::with_batch`]) and replays each cohort's cells back
+//!   to back as one task, with per-cell outcomes bit-identical to serial
+//!   replay.
 //!
 //! Every path through the engine is bit-identical: the same configuration
 //! and profile produce the same [`AppResult`](crate::runner::AppResult)

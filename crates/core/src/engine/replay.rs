@@ -196,6 +196,18 @@ impl ReplayBackend {
         workload: &Workload,
         trace: &ActivityTrace,
     ) -> Result<(), EngineError> {
+        Self::validate_fingerprinted(cfg, processor_fingerprint(cfg), workload, trace)
+    }
+
+    /// [`validate`](Self::validate) with `cfg`'s
+    /// [`processor_fingerprint`] already computed, so a sweep hashes each
+    /// configuration row once rather than once per cell.
+    pub(super) fn validate_fingerprinted(
+        cfg: &ExperimentConfig,
+        fingerprint: u64,
+        workload: &Workload,
+        trace: &ActivityTrace,
+    ) -> Result<(), EngineError> {
         let m = &trace.meta;
         let fail = |msg: String| Err(EngineError::ReplayIncompatible(msg));
         if m.version != TRACE_FORMAT_VERSION {
@@ -216,14 +228,12 @@ impl ReplayBackend {
         // anywhere else (say, only in the trace-cache mapping policy)
         // produce different activity streams and must never stand in for
         // each other.
-        if m.processor_fingerprint != processor_fingerprint(cfg) {
+        if m.processor_fingerprint != fingerprint {
             return fail(format!(
                 "trace was recorded under processor configuration {} \
                  (fingerprint {:#018x}), which differs from this run's \
-                 ({:#018x})",
-                m.config,
-                m.processor_fingerprint,
-                processor_fingerprint(cfg)
+                 ({fingerprint:#018x})",
+                m.config, m.processor_fingerprint,
             ));
         }
         let pc = &cfg.processor;
@@ -328,7 +338,8 @@ impl Stage for ReplayPilotStage {
     }
 
     fn run(&mut self, cx: &mut EngineCx<'_>) -> Result<(), EngineError> {
-        let pilot_act = unflatten_for(cx.machine, &self.trace.pilot)?;
+        let mut pilot_act = counters_for(cx.machine);
+        unflatten_for(cx.machine, &self.trace.pilot, &mut pilot_act)?;
         let mut nominal = cx.model.dynamic_power(&pilot_act);
         for (n, i) in nominal.iter_mut().zip(&cx.idle) {
             *n += i;
@@ -357,32 +368,15 @@ impl Stage for ReplayLoopStage {
 
     fn run(&mut self, cx: &mut EngineCx<'_>) -> Result<(), EngineError> {
         let trace = Arc::clone(&self.trace);
+        // One counter set and one power vector serve every interval.
+        let mut act = counters_for(cx.machine);
+        let mut power = Vec::new();
         let mut action = DtmAction::Nominal;
         for rec in &trace.intervals {
             let point = select_point(&trace.meta, rec, action)?;
             apply_power_action(cx, action);
-            let act = unflatten_for(cx.machine, &point.counters)?;
-            let gated = rec.gated_bank.map(BlockId::TcBank);
-            let mut power =
-                cx.model
-                    .total_power(&act, cx.thermal.block_temperatures(), gated.as_slice());
-            for (p, i) in power.iter_mut().zip(&cx.idle) {
-                *p += i;
-            }
-            if let Some(g) = gated {
-                power[cx.machine.index_of(g)] = 0.0;
-            }
-            // Same wall-time accounting as the live loop: dt derives from
-            // the selected point's cycle count at the model's effective
-            // frequency, so power-level throttling and DVFS stretch
-            // replayed intervals exactly as they stretch live ones.
-            let dt = act.cycles as f64 / cx.model.effective_frequency_hz();
-            cx.power_time_sum += power.iter().sum::<f64>() * dt;
-            cx.time_sum += dt;
-            let tracker = &mut cx.tracker;
-            cx.thermal
-                .advance_interval(&power, dt, &mut |t, h| tracker.record(t, h));
-            cx.tracker.end_interval();
+            unflatten_for(cx.machine, &point.counters, &mut act)?;
+            thermal_interval(cx, &act, rec.gated_bank, &mut power);
             // The live loop's bank rebalance/hop are core-side effects
             // already baked into the recorded activity; only the DTM
             // decision is re-taken (its trajectory is part of what a
@@ -400,6 +394,45 @@ impl Stage for ReplayLoopStage {
     }
 }
 
+/// One interval's power → thermal arithmetic, shared by the live and the
+/// replayed interval loops: the total power of `act` at the current
+/// temperatures plus idle power (the gated bank, if any, dark), the
+/// energy and wall-time accounting, one `advance_interval` and the
+/// tracker's interval close. `power` is scratch the caller reuses.
+pub(super) fn thermal_interval(
+    cx: &mut EngineCx<'_>,
+    act: &ActivityCounters,
+    gated_bank: Option<u8>,
+    power: &mut Vec<f64>,
+) {
+    let gated = gated_bank.map(BlockId::TcBank);
+    cx.model.total_power_into(
+        act,
+        cx.thermal.block_temperatures(),
+        gated.as_slice(),
+        power,
+    );
+    for (p, i) in power.iter_mut().zip(&cx.idle) {
+        *p += i;
+    }
+    if let Some(g) = gated {
+        power[cx.machine.index_of(g)] = 0.0;
+    }
+    // At a scaled operating point (DVFS or throttle, both applied through
+    // the model's effective frequency) the same cycle count covers
+    // proportionally more wall time, computed in f64 from the exact cycle
+    // count: no integer rounding, so energy and wall-time accounting
+    // conserve the un-stretched interval exactly. Identical at nominal.
+    let dt = act.cycles as f64 / cx.model.effective_frequency_hz();
+    cx.power_time_sum += power.iter().sum::<f64>() * dt;
+    cx.time_sum += dt;
+    // Two half-steps so intra-interval transients are sampled.
+    let tracker = &mut cx.tracker;
+    cx.thermal
+        .advance_interval(power, dt, &mut |t, h| tracker.record(t, h));
+    cx.tracker.end_interval();
+}
+
 /// Opaque fingerprint of the full core-side processor configuration,
 /// hashed over its canonical debug rendering (every field participates:
 /// frontend mode, penalties, widths, cache and mapping configs, …).
@@ -407,21 +440,33 @@ impl Stage for ReplayLoopStage {
 /// might happen to be activity-neutral, forces a re-record rather than an
 /// unproven replay. Stable within a toolchain; across toolchains a
 /// mismatch merely falls back to live simulation.
-fn processor_fingerprint(cfg: &ExperimentConfig) -> u64 {
+pub(super) fn processor_fingerprint(cfg: &ExperimentConfig) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     format!("{:?}", cfg.processor).hash(&mut h);
     h.finish()
 }
 
-/// Reconstructs counters for the machine shape, surfacing layout
-/// mismatches as [`EngineError::ReplayIncompatible`].
-pub(super) fn unflatten_for(
+/// Zeroed counters in the machine's shape.
+fn counters_for(machine: Machine) -> ActivityCounters {
+    ActivityCounters::new(machine.partitions, machine.backends, machine.tc_banks)
+}
+
+/// Reconstructs counters for the machine shape into `act`, surfacing
+/// layout mismatches as [`EngineError::ReplayIncompatible`].
+fn unflatten_for(
     machine: Machine,
     flat: &[u64],
-) -> Result<ActivityCounters, EngineError> {
-    tap::unflatten(machine.partitions, machine.backends, machine.tc_banks, flat)
-        .map_err(EngineError::ReplayIncompatible)
+    act: &mut ActivityCounters,
+) -> Result<(), EngineError> {
+    tap::unflatten_into(
+        act,
+        machine.partitions,
+        machine.backends,
+        machine.tc_banks,
+        flat,
+    )
+    .map_err(EngineError::ReplayIncompatible)
 }
 
 /// The operating point a DTM action runs the core at. Power-level actions
@@ -446,7 +491,7 @@ pub(super) fn point_key_of(action: DtmAction) -> PointKey {
 ///
 /// Returns [`EngineError::ReplayIncompatible`] naming the unrecorded
 /// point.
-pub(super) fn select_point<'t>(
+fn select_point<'t>(
     meta: &TraceMeta,
     rec: &'t IntervalRecord,
     action: DtmAction,

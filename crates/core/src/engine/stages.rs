@@ -29,7 +29,7 @@ use distfront_power::BlockId;
 use distfront_trace::record::{FinalStats, PointKey};
 use distfront_uarch::{ActivityCounters, FetchGate, IntervalReport, Simulator};
 
-use super::replay::{apply_power_action, point_key_of};
+use super::replay::{apply_power_action, point_key_of, thermal_interval};
 use super::sweep::WarmStartCache;
 use super::traits::{DtmAction, Stage};
 use super::{EngineCx, EngineError};
@@ -301,6 +301,7 @@ impl Stage for IntervalLoopStage {
             .map(|rec| rec.family().to_vec())
             .unwrap_or_default();
         let mut action = DtmAction::Nominal;
+        let mut power = Vec::new();
         loop {
             let live_key = point_key_of(action);
             apply_power_action(cx, action);
@@ -345,32 +346,7 @@ impl Stage for IntervalLoopStage {
                     .collect();
                 rec.record_interval(&reports, gated_bank);
             }
-            let gated = gated_bank.map(BlockId::TcBank);
-            let mut power = cx.model.total_power(
-                &r.activity,
-                cx.thermal.block_temperatures(),
-                gated.as_slice(),
-            );
-            for (p, i) in power.iter_mut().zip(&cx.idle) {
-                *p += i;
-            }
-            if let Some(g) = gated {
-                power[cx.machine.index_of(g)] = 0.0;
-            }
-            // At a scaled operating point (DVFS or throttle, both applied
-            // through the model's effective frequency) the same cycle
-            // count covers proportionally more wall time, computed in f64
-            // from the exact cycle count — no integer rounding, so energy
-            // and wall-time accounting conserve the un-stretched interval
-            // exactly. Identical at nominal.
-            let dt = r.activity.cycles as f64 / cx.model.effective_frequency_hz();
-            cx.power_time_sum += power.iter().sum::<f64>() * dt;
-            cx.time_sum += dt;
-            // Two half-steps so intra-interval transients are sampled.
-            let tracker = &mut cx.tracker;
-            cx.thermal
-                .advance_interval(&power, dt, &mut |t, h| tracker.record(t, h));
-            cx.tracker.end_interval();
+            thermal_interval(cx, &r.activity, gated_bank, &mut power);
 
             // Thermal management control (§3.2): remap from bank sensors,
             // then rotate the gated bank. The pilot already did both for

@@ -18,13 +18,12 @@ use std::thread;
 use std::time::Instant;
 
 use distfront_power::{LeakageModel, Machine};
-use distfront_thermal::Integrator;
 use distfront_trace::record::{ActivityTrace, PointKey};
 use distfront_trace::{AppProfile, Workload};
 
 use super::batch::BatchScheduler;
-use super::coupled::CoupledEngine;
-use super::replay::ReplayBackend;
+use super::coupled::{CoupledEngine, RunStats};
+use super::replay::{processor_fingerprint, ReplayBackend};
 use super::EngineError;
 use crate::experiment::ExperimentConfig;
 use crate::runner::AppResult;
@@ -78,17 +77,21 @@ type CellCallback = Box<dyn Fn(&CellOutcome) + Send + Sync>;
 /// rarely has two workers hashing into the same shard at once.
 const DEFAULT_SHARDS: usize = 16;
 
-/// Largest lockstep cohort one task advances. Keeps enough independent
-/// tasks for the worker pool to load-balance.
+/// Largest cohort one task replays. Keeps enough independent tasks for
+/// the worker pool to load-balance.
 const MAX_COHORT: usize = 32;
 
-/// One schedulable unit of a sweep: a single grid cell, or a lockstep
-/// cohort of replay-mode cells sharing a machine shape that the
-/// [`BatchScheduler`] advances in lockstep.
+/// One schedulable unit of a sweep: a grid cell run live (recording, or
+/// a replay-mode cell falling back), or replay-mode cells whose traces
+/// planning validated, which the [`BatchScheduler`] replays back to back:
+/// one cell, or with batching on a cohort sharing a machine shape.
 enum Task {
     Cell(usize),
-    Cohort(Vec<(usize, Arc<ActivityTrace>)>),
+    Replay(Members),
 }
+
+/// Replay cells with their validated traces, as `(grid index, trace)`.
+type Members = Vec<(usize, Arc<ActivityTrace>)>;
 
 impl Task {
     /// The lowest grid index the task covers — tasks are ordered by this
@@ -96,7 +99,7 @@ impl Task {
     fn first_cell(&self) -> usize {
         match self {
             Task::Cell(i) => *i,
-            Task::Cohort(members) => members.first().map_or(usize::MAX, |(i, _)| *i),
+            Task::Replay(members) => members.first().map_or(usize::MAX, |(i, _)| *i),
         }
     }
 }
@@ -376,7 +379,9 @@ impl TraceStore {
         let map = self.map.lock().expect("trace store poisoned");
         map.iter()
             .filter(|((c, w, _), t)| c == config && w == workload && t.meta.covers(required))
-            .min_by_key(|((_, _, cap), t)| (t.meta.points.len(), cap.clone()))
+            .min_by(|((_, _, a), ta), ((_, _, b), tb)| {
+                (ta.meta.points.len(), a).cmp(&(tb.meta.points.len(), b))
+            })
             .map(|(_, t)| Arc::clone(t))
     }
 
@@ -447,6 +452,28 @@ pub struct CellOutcome {
 }
 
 impl CellOutcome {
+    /// The outcome of grid cell `cell` (row-major over `configs` ×
+    /// `workloads`) from its engine run, timed from `started`.
+    pub(super) fn new(
+        cell: usize,
+        configs: &[ExperimentConfig],
+        workloads: &[Workload],
+        (result, stats): (Result<AppResult, EngineError>, RunStats),
+        started: Instant,
+    ) -> Self {
+        let (config, app) = (cell / workloads.len(), cell % workloads.len());
+        CellOutcome {
+            config,
+            app,
+            config_name: configs[config].name,
+            app_name: workloads[app].name(),
+            result,
+            wall_time_s: started.elapsed().as_secs_f64(),
+            warm_hit: stats.warm_start_hit,
+            replayed: stats.replayed,
+        }
+    }
+
     /// `"config/app"`, the coordinate label used in error reports.
     pub fn label(&self) -> String {
         format!("{}/{}", self.config_name, self.app_name)
@@ -750,15 +777,14 @@ impl SweepRunner {
         self
     }
 
-    /// Enables (or disables) lockstep batched replay: replay-mode cells
-    /// sharing a machine shape are grouped into cohorts and advanced
-    /// together in lockstep (see [`BatchScheduler`]).
+    /// Enables (or disables) batched replay: replay-mode cells sharing a
+    /// machine shape are grouped into cohorts, each replayed back to back
+    /// as one task (see [`BatchScheduler`]).
     ///
-    /// Purely a performance knob: batched reports compare equal —
+    /// Purely a scheduling knob: batched reports compare equal —
     /// bit-identical cell results — to serial and parallel unbatched runs
-    /// of the same grid. Cells that cannot batch (live fallback, RK4
-    /// integrator, lone cohorts) run exactly as before; outside
-    /// [`TraceMode::Replay`] the flag has no effect.
+    /// of the same grid. Cells without a valid trace run live as before;
+    /// outside [`TraceMode::Replay`] the flag has no effect.
     #[must_use]
     pub fn with_batch(mut self, batch: bool) -> Self {
         self.batch = batch;
@@ -934,40 +960,45 @@ impl SweepRunner {
             .expect("one configuration in, one row out")
     }
 
-    /// Splits the grid cells in `range` into schedulable tasks: with
-    /// batching off (or outside replay mode) every cell is its own task;
-    /// with batching on, replayable cells sharing a machine shape coalesce
-    /// into lockstep cohorts (capped at [`MAX_COHORT`]) and everything
-    /// else — live fallbacks, RK4 cells, cohorts of one — stays a plain
-    /// cell task.
+    /// Splits the grid cells in `range` into schedulable tasks. Outside
+    /// replay mode every cell is its own task. In replay mode each cell
+    /// looks up its trace and validates it, hashing each configuration
+    /// row's processor fingerprint once; a cell without a valid trace
+    /// runs live. With batching on, the replayable cells sharing a machine
+    /// shape coalesce into cohorts of at most [`MAX_COHORT`]; otherwise
+    /// each is a task of one.
     fn plan_tasks(
         &self,
         configs: &[ExperimentConfig],
         workloads: &[Workload],
         range: std::ops::Range<usize>,
     ) -> Vec<Task> {
-        let store = match (&self.mode, self.batch) {
-            (TraceMode::Replay(store), true) => store,
-            _ => return range.map(Task::Cell).collect(),
+        let TraceMode::Replay(store) = &self.mode else {
+            return range.map(Task::Cell).collect();
         };
-        // Cohort key: everything the shared thermal parts depend on —
-        // the machine shape fixes the floorplan, hence the RC network and
-        // its modal basis. Every lane steps with its own dt, so interval
-        // length and clock need not match.
+        if range.is_empty() {
+            return Vec::new();
+        }
+        let n = workloads.len();
+        let first_row = range.start / n;
+        let rows: Vec<(u64, Vec<PointKey>)> = configs[first_row..range.end.div_ceil(n)]
+            .iter()
+            .map(|cfg| (processor_fingerprint(cfg), cfg.replay_points()))
+            .collect();
+        // Cohort key: the machine shape fixes the floorplan, hence the
+        // thermal parts every member steps on.
         type CohortKey = (usize, usize, usize);
-        type Members = Vec<(usize, Arc<ActivityTrace>)>;
         let mut tasks: Vec<Task> = Vec::new();
         let mut cohorts: Vec<(CohortKey, Members)> = Vec::new();
         for i in range {
-            let cfg = &configs[i / workloads.len()];
-            let workload = &workloads[i % workloads.len()];
-            let trace = store
-                .get(cfg.name, workload.name(), &cfg.replay_points())
-                .filter(|t| ReplayBackend::validate(cfg, workload, t).is_ok());
+            let cfg = &configs[i / n];
+            let workload = &workloads[i % n];
+            let (fingerprint, required) = &rows[i / n - first_row];
+            let trace = store.get(cfg.name, workload.name(), required).filter(|t| {
+                ReplayBackend::validate_fingerprinted(cfg, *fingerprint, workload, t).is_ok()
+            });
             match trace {
-                // Cohorts hold modal-integrator cells only; RK4 cells
-                // replay serially.
-                Some(t) if cfg.integrator == Integrator::Expm => {
+                Some(t) if self.batch => {
                     let pc = &cfg.processor;
                     let key = (
                         pc.frontend_mode.partitions(),
@@ -979,19 +1010,12 @@ impl SweepRunner {
                         None => cohorts.push((key, vec![(i, t)])),
                     }
                 }
-                _ => tasks.push(Task::Cell(i)),
+                Some(t) => tasks.push(Task::Replay(vec![(i, t)])),
+                None => tasks.push(Task::Cell(i)),
             }
         }
         for (_, members) in cohorts {
-            for chunk in members.chunks(MAX_COHORT) {
-                if chunk.len() < 2 {
-                    // A cohort of one gains nothing from lockstep; the
-                    // plain replay path runs it.
-                    tasks.extend(chunk.iter().map(|(i, _)| Task::Cell(*i)));
-                } else {
-                    tasks.push(Task::Cohort(chunk.to_vec()));
-                }
-            }
+            tasks.extend(members.chunks(MAX_COHORT).map(|c| Task::Replay(c.to_vec())));
         }
         tasks.sort_by_key(Task::first_cell);
         tasks
@@ -1005,30 +1029,29 @@ impl SweepRunner {
     ) -> Vec<CellOutcome> {
         match task {
             Task::Cell(i) => vec![self.run_cell(configs, workloads, *i)],
-            Task::Cohort(members) => {
+            Task::Replay(members) => {
                 BatchScheduler::run_cohort(configs, workloads, members, Arc::clone(&self.cache))
             }
         }
     }
 
+    /// Runs cell `i` live, recording it in record mode. Replay-mode cells
+    /// get here only when planning found no valid trace for them, so a
+    /// replaying sweep always completes.
     fn run_cell(
         &self,
         configs: &[ExperimentConfig],
         workloads: &[Workload],
         i: usize,
     ) -> CellOutcome {
-        let (config, app) = (i / workloads.len(), i % workloads.len());
-        let cfg = &configs[config];
-        let workload = &workloads[app];
+        let cfg = &configs[i / workloads.len()];
+        let workload = &workloads[i % workloads.len()];
         let started = Instant::now();
-        let engine = || {
-            CoupledEngine::for_workload(cfg, workload.clone())
-                .with_warm_cache(Arc::clone(&self.cache))
-        };
-        let (result, stats) = match &self.mode {
-            TraceMode::Live => engine().run_with_stats(),
+        let engine = CoupledEngine::for_workload(cfg, workload.clone())
+            .with_warm_cache(Arc::clone(&self.cache));
+        let run = match &self.mode {
             TraceMode::Record(store) => {
-                let (recorded, stats) = engine().run_recorded();
+                let (recorded, stats) = engine.run_recorded();
                 let result = recorded.map(|(result, trace)| {
                     // Only tainted recordings — made under an unverifiable
                     // custom DTM closure — are skipped: they cannot prove
@@ -1043,29 +1066,9 @@ impl SweepRunner {
                 });
                 (result, stats)
             }
-            TraceMode::Replay(store) => {
-                // Replay when a covering trace exists; anything else —
-                // no recording, a core-side mismatch, a missing operating
-                // point — falls back to live simulation so a replaying
-                // sweep always completes.
-                match store.get(cfg.name, workload.name(), &cfg.replay_points()) {
-                    Some(trace) if ReplayBackend::validate(cfg, workload, &trace).is_ok() => {
-                        engine().with_replay(trace).run_with_stats()
-                    }
-                    _ => engine().run_with_stats(),
-                }
-            }
+            TraceMode::Live | TraceMode::Replay(_) => engine.run_with_stats(),
         };
-        CellOutcome {
-            config,
-            app,
-            config_name: cfg.name,
-            app_name: workload.name(),
-            result,
-            wall_time_s: started.elapsed().as_secs_f64(),
-            warm_hit: stats.warm_start_hit,
-            replayed: stats.replayed,
-        }
+        CellOutcome::new(i, configs, workloads, run, started)
     }
 }
 
@@ -1282,5 +1285,79 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         WarmStartCache::with_shards(0);
+    }
+
+    /// A recording of the `baseline`/`gzip` cell with point family
+    /// `points`, replay-safe unless `tainted`.
+    fn recording(points: Vec<PointKey>, tainted: bool) -> ActivityTrace {
+        use distfront_trace::record::{FinalStats, TraceMeta, TraceShape};
+        ActivityTrace {
+            meta: TraceMeta {
+                version: distfront_trace::record::TRACE_FORMAT_VERSION,
+                workload: "gzip".into(),
+                config: "baseline".into(),
+                processor_fingerprint: 0,
+                seed: 0,
+                uops_per_app: 1,
+                interval_cycles: 1,
+                shape: TraceShape {
+                    partitions: 2,
+                    backends: 4,
+                    tc_banks: 2,
+                },
+                hop: false,
+                replay_safe: !tainted,
+                dtm: None,
+                points,
+            },
+            pilot: Vec::new(),
+            intervals: Vec::new(),
+            finals: FinalStats {
+                cycles: 0,
+                uops: 0,
+                tc_hit_rate: 1.0,
+                mispredict_rate: 0.0,
+            },
+        }
+    }
+
+    #[test]
+    fn trace_store_picks_the_smallest_covering_family_then_the_capability_id() {
+        let nominal = PointKey::Nominal;
+        let dvfs = PointKey::dvfs(0.7, 0.85);
+        let gate = PointKey::FetchGate { open: 1, period: 2 };
+        let migrate = PointKey::MigrateTo(1);
+        let families = [
+            vec![nominal, gate],
+            vec![nominal, dvfs, gate],
+            vec![nominal, migrate],
+            vec![nominal, dvfs],
+        ];
+        let picked = |store: &TraceStore, required: &[PointKey]| {
+            store
+                .get("baseline", "gzip", required)
+                .map(|t| t.meta.capability_id())
+        };
+        // Every insertion order picks the same trace.
+        for rotation in 0..families.len() {
+            let store = TraceStore::new();
+            store.insert(recording(vec![nominal], true));
+            for points in families.iter().cycle().skip(rotation).take(families.len()) {
+                store.insert(recording(points.clone(), false));
+            }
+            // Three two-point families cover the nominal point: the
+            // capability ids break the tie, and the tainted nominal-only
+            // recording never matches.
+            let pick = picked(&store, &[nominal]);
+            assert_eq!(pick.as_deref(), Some("nominal+dvfs(0.7x0.85)"));
+            let pick = picked(&store, &[nominal, gate]);
+            assert_eq!(pick.as_deref(), Some("nominal+gate(1of2)"));
+            let pick = picked(&store, &[dvfs, gate]);
+            assert_eq!(pick.as_deref(), Some("nominal+dvfs(0.7x0.85)+gate(1of2)"));
+            assert_eq!(picked(&store, &[dvfs, migrate]), None);
+            // A smaller covering family wins over any capability id.
+            store.insert(recording(vec![nominal], false));
+            assert_eq!(picked(&store, &[nominal]).as_deref(), Some("nominal"));
+        }
     }
 }

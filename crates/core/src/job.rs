@@ -344,8 +344,8 @@ pub struct JobSpec {
     pub workers: usize,
     /// Transient integrator.
     pub integrator: Integrator,
-    /// Lockstep batched replay (scheduling-only; results are
-    /// bit-identical either way).
+    /// Batched replay: cohorts sharing a machine shape replayed back to
+    /// back (scheduling-only; results are bit-identical either way).
     pub batch: bool,
     /// Trace-store interaction.
     pub trace: TraceSpec,

@@ -179,13 +179,22 @@ impl PowerModel {
     /// Panics if the activity shape does not match the machine, or the
     /// interval covers zero cycles.
     pub fn dynamic_power(&self, act: &ActivityCounters) -> Vec<f64> {
+        let mut power = Vec::new();
+        self.dynamic_power_into(act, &mut power);
+        power
+    }
+
+    /// [`dynamic_power`](Self::dynamic_power) into `pj`, whose allocation
+    /// is reused.
+    fn dynamic_power_into(&self, act: &ActivityCounters, pj: &mut Vec<f64>) {
         assert_eq!(act.partitions(), self.machine.partitions);
         assert_eq!(act.backends.len(), self.machine.backends);
         assert_eq!(act.tc_bank_accesses.len(), self.machine.tc_banks);
         assert!(act.cycles > 0, "interval covers zero cycles");
         let e = &self.energy;
         let m = &self.machine;
-        let mut pj = vec![0.0f64; m.block_count()];
+        pj.clear();
+        pj.resize(m.block_count(), 0.0);
         let distributed = m.partitions > 1;
         let part_factor = if distributed {
             e.partition_access_factor
@@ -258,9 +267,9 @@ impl PowerModel {
         // bit-identical to a model without DVFS support.
         let seconds = act.cycles as f64 / self.effective_frequency_hz();
         let scale = e.activity_scale * self.op.v_scale * self.op.v_scale;
-        pj.into_iter()
-            .map(|p| p * scale * 1e-12 / seconds)
-            .collect()
+        for p in pj.iter_mut() {
+            *p = *p * scale * 1e-12 / seconds;
+        }
     }
 
     /// Per-block *total* power (dynamic + leakage) given current block
@@ -275,8 +284,26 @@ impl PowerModel {
         temps_c: &[f64],
         gated: &[BlockId],
     ) -> Vec<f64> {
+        let mut power = Vec::new();
+        self.total_power_into(act, temps_c, gated, &mut power);
+        power
+    }
+
+    /// [`total_power`](Self::total_power) into `power`, whose allocation
+    /// is reused.
+    ///
+    /// # Panics
+    ///
+    /// As [`total_power`](Self::total_power).
+    pub fn total_power_into(
+        &self,
+        act: &ActivityCounters,
+        temps_c: &[f64],
+        gated: &[BlockId],
+        power: &mut Vec<f64>,
+    ) {
         assert_eq!(temps_c.len(), self.machine.block_count());
-        let mut power = self.dynamic_power(act);
+        self.dynamic_power_into(act, power);
         for (i, p) in power.iter_mut().enumerate() {
             *p += self.leakage.leakage_watts_scaled(
                 self.nominal_dynamic[i],
@@ -287,7 +314,6 @@ impl PowerModel {
         for &g in gated {
             power[self.machine.index_of(g)] = 0.0;
         }
-        power
     }
 
     /// Sum of a power vector over the frontend blocks.

@@ -46,14 +46,11 @@
 //!
 //! # Bit-identity contract
 //!
-//! [`ExpPropagator`] (one cell) and [`BatchPropagator`] (a column-major
-//! `n_nodes × n_cells` cohort) advance every column through the same
-//! [`ModalBasis::prepare`] and [`ModalBasis::apply`], each column with its
-//! own `h`. Column `j` of a batch therefore carries exactly the bits an
-//! independent `ExpPropagator` for cell `j` would hold after the same
-//! advance calls, whatever step sizes the other columns take. An interval
+//! Every output of [`ModalBasis::prepare`] and [`ModalBasis::apply`] is
+//! one fixed IEEE operation sequence, whatever the step size or how the
+//! projections are blocked. An [`ExpPropagator`] interval therefore
 //! carries exactly the bits of two `advance` calls of half its length:
-//! each output is the same IEEE operation sequence, computed once.
+//! each output is the same sequence, computed once.
 //!
 //! [`ThermalSolver`]'s RK4 integrator remains the cross-check reference
 //! (mirroring how `solve_steady_dense` backs `SteadyFactor`); the property
@@ -147,7 +144,7 @@ fn find_network(reg: &[Registration], net: &ThermalNetwork) -> Option<Arc<Therma
 /// Build it through [`ThermalParts::for_machine`] or
 /// [`ThermalParts::for_network`], which compute each network's parts at
 /// most once per process and hand out shared references afterwards.
-/// [`ExpPropagator`], [`BatchPropagator`] and the RK4
+/// [`ExpPropagator`] and the RK4
 /// [`ThermalSolver`](crate::solver::ThermalSolver) hold them by `Arc`.
 ///
 /// # Examples
@@ -371,6 +368,20 @@ impl ModalBasis {
     /// `h` and `rhs`.
     pub fn prepare(&self, rhs: &[f64], h: f64, step: &mut ModalStep) {
         mul_transposed(&self.b, rhs, &mut step.drive);
+        // Interval half-steps keep every `hλ` on expm1's Taylor path, and
+        // there the per-mode loop has no branch left and vectorizes: the
+        // same operations per mode as through `expm1`.
+        if self.lambda.iter().all(|&lk| (h * lk).abs() <= TAYLOR_MAX) {
+            self.scale_modes(h, step, expm1_taylor);
+        } else {
+            self.scale_modes(h, step, expm1);
+        }
+    }
+
+    /// The per-mode half of [`prepare`](Self::prepare), with `em1` as
+    /// `expm1`.
+    #[inline(always)]
+    fn scale_modes(&self, h: f64, step: &mut ModalStep, em1: impl Fn(f64) -> f64) {
         for ((decay, drive), &lk) in step
             .decay
             .iter_mut()
@@ -380,7 +391,7 @@ impl ModalBasis {
             let x = -h * lk;
             // One transcendental per mode: e^x = 1 + expm1(x), and
             // expm1(x)/λ → −h as λ → 0 (a mode with no path to ambient).
-            let em1 = expm1(x);
+            let em1 = em1(x);
             let gain = if x == 0.0 { -h } else { em1 / lk };
             *decay = 1.0 + em1;
             *drive *= gain;
@@ -428,7 +439,7 @@ fn expm1(x: f64) -> f64 {
     // ln2 split so that k·LN2_HI is exact for the k reached here.
     const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
     const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
-    if x.abs() <= 0.5 * std::f64::consts::LN_2 {
+    if x.abs() <= TAYLOR_MAX {
         return expm1_taylor(x);
     }
     if x < -40.0 {
@@ -440,6 +451,9 @@ fn expm1(x: f64) -> f64 {
     let two_k = f64::from_bits(((1023 + k as i64) as u64) << 52);
     two_k * (1.0 + expm1_taylor(r)) - 1.0
 }
+
+/// The largest `|x|` [`expm1`] evaluates by its Taylor polynomial alone.
+const TAYLOR_MAX: f64 = 0.5 * std::f64::consts::LN_2;
 
 /// `1/n!` for `n = 0..16`.
 const INV_FACTORIAL: [f64; 16] = {
@@ -502,15 +516,38 @@ fn jacobi_rotate(s: &mut [f64], v: &mut [f64], n: usize, p: usize, q: usize) -> 
 
 /// `out = Mᵀ·x` for a flat row-major square `m`: row `r`, scaled by
 /// `x[r]`, is added to `out` in ascending `r`. Every element of `out`
-/// sums its terms in that one order, so the bits are fixed, while the
-/// inner loop runs across independent elements and vectorizes.
+/// sums its terms in that one order, so the bits are fixed. Outputs are
+/// taken in blocks of 16, then 4, then 1, each block held in registers
+/// over all rows and stored once, while the loop across a block's
+/// independent elements vectorizes.
 fn mul_transposed(m: &[f64], x: &[f64], out: &mut [f64]) {
-    out.fill(0.0);
+    let n = out.len();
+    let mut c0 = 0;
+    while c0 + 16 <= n {
+        mul_transposed_block::<16>(m, x, c0, out);
+        c0 += 16;
+    }
+    while c0 + 4 <= n {
+        mul_transposed_block::<4>(m, x, c0, out);
+        c0 += 4;
+    }
+    while c0 < n {
+        mul_transposed_block::<1>(m, x, c0, out);
+        c0 += 1;
+    }
+}
+
+/// Outputs `c0..c0 + W` of [`mul_transposed`].
+#[inline(always)]
+fn mul_transposed_block<const W: usize>(m: &[f64], x: &[f64], c0: usize, out: &mut [f64]) {
+    let mut acc = [0.0f64; W];
     for (row, &xr) in m.chunks_exact(out.len()).zip(x) {
-        for (o, &mr) in out.iter_mut().zip(row) {
-            *o += mr * xr;
+        let row: &[f64; W] = row[c0..c0 + W].try_into().unwrap();
+        for (a, &mr) in acc.iter_mut().zip(row) {
+            *a += mr * xr;
         }
     }
+    out[c0..c0 + W].copy_from_slice(&acc);
 }
 
 /// Owns the temperature state of a [`ThermalNetwork`] and advances it
@@ -670,170 +707,6 @@ impl ExpPropagator {
         }
         assemble_rhs_into(&parts.net, power, &mut self.rhs);
         parts.basis().prepare(&self.rhs, h, &mut self.step);
-    }
-
-    /// Spawns a batched propagator over `n_cells` lockstep cells on this
-    /// solver's network, every column starting at ambient and sharing
-    /// this solver's parts.
-    pub fn batch(&self, n_cells: usize) -> BatchPropagator {
-        BatchPropagator::with_parts(Arc::clone(&self.parts), n_cells)
-    }
-}
-
-/// Advances `N` lockstep cells sharing one [`ThermalNetwork`]; the state
-/// is a column-major SoA matrix `T: n_nodes × n_cells`.
-///
-/// Column `j` is cell `j`'s full node-temperature vector, contiguous at
-/// `[j·n, (j+1)·n)`. [`advance_columns`](Self::advance_columns) takes an
-/// explicit `(column, step)` list, so lanes whose `dt` differs
-/// (throttle-stretched intervals, a shorter trace) step together, and a
-/// failed cell's column simply stops being selected; the remaining
-/// columns are arithmetically untouched by its departure.
-///
-/// # Examples
-///
-/// ```
-/// use distfront_power::Machine;
-/// use distfront_thermal::{BatchPropagator, Floorplan, PackageConfig, ThermalNetwork};
-///
-/// let fp = Floorplan::for_machine(Machine::new(1, 4, 2));
-/// let net = ThermalNetwork::from_floorplan(&fp, &PackageConfig::paper());
-/// let nb = net.block_count();
-/// let mut batch = BatchPropagator::new(net, 8);
-/// let powers = vec![0.5; nb * 8];
-/// batch.advance_all(&powers, 1e-3);
-/// assert!(batch.block_column(0)[0] > 45.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BatchPropagator {
-    parts: Arc<ThermalParts>,
-    n_cells: usize,
-    /// Column-major state matrix `T: n_nodes × n_cells`.
-    t: Box<[f64]>,
-    /// Modal coordinates of each column, same layout as `t`.
-    y: Box<[f64]>,
-    /// Scratch: one column's right-hand side.
-    rhs: Vec<f64>,
-    /// Scratch: one column's prepared modal step.
-    step: ModalStep,
-}
-
-impl BatchPropagator {
-    /// Creates a batch of `n_cells` columns, all at ambient, on the parts
-    /// of `net` from the process registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_cells` is zero.
-    pub fn new(net: ThermalNetwork, n_cells: usize) -> Self {
-        BatchPropagator::with_parts(ThermalParts::for_network(net), n_cells)
-    }
-
-    /// Creates a batch of `n_cells` columns, all at ambient, on shared
-    /// parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_cells` is zero.
-    pub fn with_parts(parts: Arc<ThermalParts>, n_cells: usize) -> Self {
-        assert!(n_cells > 0, "batch needs at least one cell");
-        let n = parts.net.node_count();
-        let mut batch = BatchPropagator {
-            t: vec![0.0; n * n_cells].into_boxed_slice(),
-            y: vec![0.0; n * n_cells].into_boxed_slice(),
-            rhs: vec![0.0; n],
-            step: ModalStep::new(n),
-            parts,
-            n_cells,
-        };
-        let ambient = vec![batch.parts.net.ambient_c(); n];
-        for j in 0..n_cells {
-            batch.set_column(j, &ambient);
-        }
-        batch
-    }
-
-    /// The underlying network (shared by every column).
-    pub fn network(&self) -> &ThermalNetwork {
-        &self.parts.net
-    }
-
-    /// Number of lockstep cells (columns).
-    pub fn n_cells(&self) -> usize {
-        self.n_cells
-    }
-
-    /// All node temperatures of cell `j` in °C.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn column(&self, j: usize) -> &[f64] {
-        let n = self.parts.net.node_count();
-        &self.t[j * n..(j + 1) * n]
-    }
-
-    /// Block temperatures of cell `j` only, in °C.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn block_column(&self, j: usize) -> &[f64] {
-        let n = self.parts.net.node_count();
-        &self.t[j * n..j * n + self.parts.net.block_count()]
-    }
-
-    /// Overwrites cell `j`'s state (warm-start restore).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range or the length does not match the
-    /// node count.
-    pub fn set_column(&mut self, j: usize, t: &[f64]) {
-        let n = self.parts.net.node_count();
-        assert_eq!(t.len(), n, "column length must match node count");
-        let col = j * n..(j + 1) * n;
-        self.t[col.clone()].copy_from_slice(t);
-        self.parts.basis().project(t, &mut self.y[col]);
-    }
-
-    /// Advances every column by `dt` seconds.
-    ///
-    /// `powers` is column-major `block_count × n_cells`: cell `j`'s block
-    /// powers at `[j·nb, (j+1)·nb)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `powers` has the wrong length or `dt` is not positive.
-    pub fn advance_all(&mut self, powers: &[f64], dt: f64) {
-        let steps: Vec<(usize, f64)> = (0..self.n_cells).map(|j| (j, dt)).collect();
-        self.advance_columns(powers, &steps);
-    }
-
-    /// Advances each selected column `j` by its own `dt` seconds for every
-    /// `(j, dt)` in `steps`; unselected columns are untouched (their bits
-    /// cannot change).
-    ///
-    /// `powers` spans all cells (column-major `block_count × n_cells`);
-    /// only the selected columns' slices are read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `powers` has the wrong length, a `dt` is not positive, or
-    /// a column index is out of range.
-    pub fn advance_columns(&mut self, powers: &[f64], steps: &[(usize, f64)]) {
-        let parts = &*self.parts;
-        let basis = parts.basis();
-        let (n, nb) = (parts.net.node_count(), parts.net.block_count());
-        assert_eq!(powers.len(), nb * self.n_cells, "one power column per cell");
-        for &(j, dt) in steps {
-            assert!(dt > 0.0, "dt must be positive");
-            assert!(j < self.n_cells, "column {j} out of range");
-            assemble_rhs_into(&parts.net, &powers[j * nb..(j + 1) * nb], &mut self.rhs);
-            basis.prepare(&self.rhs, dt, &mut self.step);
-            let col = j * n..(j + 1) * n;
-            basis.apply(&self.step, &mut self.y[col.clone()], &mut self.t[col]);
-        }
     }
 }
 
@@ -1148,72 +1021,36 @@ mod tests {
         ));
     }
 
+    /// The blocked `mul_transposed` against the plain row-order loop it
+    /// replaced, bit for bit, at every size up to 70 (every mix of 16-,
+    /// 4- and 1-wide blocks), on values spanning 40 binary orders of
+    /// magnitude and both signs so any change of summation order shows.
     #[test]
-    fn batch_columns_match_serial_advance_bits() {
-        // Five cells with distinct power profiles and a dt that changes
-        // mid-run: every batched column must carry the serial bits.
-        let n_cells = 5;
-        let net = paper_net();
-        let nb = net.block_count();
-        let serial_seed = ExpPropagator::new(net);
-        let mut batch = serial_seed.batch(n_cells);
-        let mut serial: Vec<ExpPropagator> = (0..n_cells).map(|_| serial_seed.clone()).collect();
-        let powers: Vec<f64> = (0..nb * n_cells)
-            .map(|i| 0.1 + 0.013 * (i % 17) as f64)
-            .collect();
-        for step in 0..6 {
-            let dt = if step < 3 { 1.1e-5 } else { 1.7e-5 };
-            batch.advance_all(&powers, dt);
-            for (j, s) in serial.iter_mut().enumerate() {
-                s.advance(&powers[j * nb..(j + 1) * nb], dt);
+    fn blocked_mul_transposed_equals_the_row_order_sum() {
+        fn row_order(m: &[f64], x: &[f64], out: &mut [f64]) {
+            out.fill(0.0);
+            for (row, &xr) in m.chunks_exact(out.len()).zip(x) {
+                for (o, &mr) in out.iter_mut().zip(row) {
+                    *o += mr * xr;
+                }
             }
         }
-        for (j, s) in serial.iter().enumerate() {
-            for (i, (a, b)) in batch.column(j).iter().zip(s.temperatures()).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "cell {j} node {i}: batch {a} vs serial {b}"
-                );
+        let mut rng = proptest::TestRng::from_name("blocked_mul_transposed");
+        let mut value = || {
+            let scale = (rng.next_f64() * 40.0 - 20.0).exp2();
+            (rng.next_f64() - 0.5) * scale
+        };
+        for n in 1..=70 {
+            for _ in 0..4 {
+                let m: Vec<f64> = (0..n * n).map(|_| value()).collect();
+                let x: Vec<f64> = (0..n).map(|_| value()).collect();
+                let (mut want, mut got) = (vec![0.0; n], vec![f64::NAN; n]);
+                row_order(&m, &x, &mut want);
+                mul_transposed(&m, &x, &mut got);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "n = {n}");
             }
         }
-    }
-
-    #[test]
-    fn advancing_a_subset_leaves_other_columns_untouched() {
-        let net = paper_net();
-        let nb = net.block_count();
-        let mut batch = BatchPropagator::new(net, 3);
-        let powers: Vec<f64> = (0..nb * 3).map(|i| 0.2 + 0.01 * (i % 9) as f64).collect();
-        batch.advance_all(&powers, 1e-5);
-        let frozen = batch.column(1).to_vec();
-        batch.advance_columns(&powers, &[(0, 1e-5), (2, 1e-5)]);
-        batch.advance_columns(&powers, &[(0, 2e-5), (2, 2e-5)]);
-        for (a, b) in batch.column(1).iter().zip(&frozen) {
-            assert_eq!(a.to_bits(), b.to_bits(), "unselected column drifted");
-        }
-        // And the survivors match serial cells fed the same sequence.
-        let mut s = ExpPropagator::new(paper_net());
-        s.advance(&powers[..nb], 1e-5);
-        s.advance(&powers[..nb], 1e-5);
-        s.advance(&powers[..nb], 2e-5);
-        for (a, b) in batch.column(0).iter().zip(s.temperatures()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn batch_set_column_restores_state() {
-        let net = paper_net();
-        let nb = net.block_count();
-        let mut batch = BatchPropagator::new(net, 2);
-        let warm = vec![55.0; batch.network().node_count()];
-        batch.set_column(1, &warm);
-        assert_eq!(batch.column(1), &warm[..]);
-        assert!((batch.column(0)[0] - 45.0).abs() < 1e-12);
-        let powers = vec![0.3; nb * 2];
-        batch.advance_all(&powers, 1e-5);
-        assert!(batch.column(1)[0] > batch.column(0)[0]);
     }
 }
 
@@ -1282,89 +1119,6 @@ mod prop_tests {
                     (a - b).abs() < 1e-6,
                     "node {}: expm {} vs rk4 {} (n={}, dt={})", i, a, b, n, dt
                 );
-            }
-        }
-
-        /// Batched columns are bit-identical to independent serial
-        /// propagators on random RC networks, cohort sizes and powers —
-        /// the module's bit-identity contract, pinned.
-        #[test]
-        fn batch_is_bit_identical_to_serial(
-            n in 2usize..7,
-            n_cells in 1usize..11,
-            g_raw in proptest::collection::vec(0.05f64..3.0, 21),
-            g_amb in proptest::collection::vec(0.1f64..1.5, 7),
-            c in proptest::collection::vec(0.4f64..4.0, 7),
-            power in proptest::collection::vec(0.0f64..6.0, 40),
-            dt_factor in 0.2f64..2.5,
-        ) {
-            let net = random_net(n, &g_raw, &g_amb, &c);
-            let dt = dt_factor * net.min_time_constant();
-            let seed = ExpPropagator::with_parts(unregistered(net));
-            let mut batch = seed.batch(n_cells);
-            let mut serial: Vec<ExpPropagator> =
-                (0..n_cells).map(|_| seed.clone()).collect();
-            let powers: Vec<f64> = (0..n * n_cells)
-                .map(|i| power[i % power.len()])
-                .collect();
-            for step in 0..3 {
-                let h = dt * (1.0 + step as f64 * 0.25);
-                batch.advance_all(&powers, h);
-                for (j, s) in serial.iter_mut().enumerate() {
-                    s.advance(&powers[j * n..(j + 1) * n], h);
-                }
-            }
-            for (j, s) in serial.iter().enumerate() {
-                for (a, b) in batch.column(j).iter().zip(s.temperatures()) {
-                    prop_assert!(
-                        a.to_bits() == b.to_bits(),
-                        "cell {} diverged: batch {} vs serial {}", j, a, b
-                    );
-                }
-            }
-        }
-
-        /// A cohort whose columns each take their own step size every
-        /// interval (and sometimes sit one out) keeps every column's bits
-        /// equal to an independent serial propagator's.
-        #[test]
-        fn batch_with_a_dt_per_column_is_bit_identical_to_serial(
-            n in 2usize..7,
-            n_cells in 1usize..9,
-            g_raw in proptest::collection::vec(0.05f64..3.0, 21),
-            g_amb in proptest::collection::vec(0.1f64..1.5, 7),
-            c in proptest::collection::vec(0.4f64..4.0, 7),
-            power in proptest::collection::vec(0.0f64..6.0, 40),
-            dt_factors in proptest::collection::vec(0.0f64..2.5, 32),
-        ) {
-            let net = random_net(n, &g_raw, &g_amb, &c);
-            let tau = net.min_time_constant();
-            let seed = ExpPropagator::with_parts(unregistered(net));
-            let mut batch = seed.batch(n_cells);
-            let mut serial: Vec<ExpPropagator> =
-                (0..n_cells).map(|_| seed.clone()).collect();
-            let powers: Vec<f64> = (0..n * n_cells)
-                .map(|i| power[i % power.len()])
-                .collect();
-            for step in 0..4 {
-                // A factor below 0.1 leaves the column out this interval.
-                let steps: Vec<(usize, f64)> = (0..n_cells)
-                    .map(|j| (j, dt_factors[(step * n_cells + j) % dt_factors.len()]))
-                    .filter(|&(_, f)| f >= 0.1)
-                    .map(|(j, f)| (j, f * tau))
-                    .collect();
-                batch.advance_columns(&powers, &steps);
-                for &(j, h) in &steps {
-                    serial[j].advance(&powers[j * n..(j + 1) * n], h);
-                }
-            }
-            for (j, s) in serial.iter().enumerate() {
-                for (a, b) in batch.column(j).iter().zip(s.temperatures()) {
-                    prop_assert!(
-                        a.to_bits() == b.to_bits(),
-                        "cell {} diverged: batch {} vs serial {}", j, a, b
-                    );
-                }
             }
         }
     }

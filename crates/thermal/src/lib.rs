@@ -29,7 +29,7 @@ pub mod package;
 pub mod rc;
 pub mod solver;
 
-pub use expm::{BatchPropagator, ExpPropagator, Integrator, ModalBasis, ModalStep, ThermalParts};
+pub use expm::{ExpPropagator, Integrator, ModalBasis, ModalStep, ThermalParts};
 pub use floorplan::{Floorplan, Rect};
 pub use metrics::{GroupMetrics, TemperatureTracker};
 pub use package::PackageConfig;

@@ -243,13 +243,18 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a `u32` count-prefixed row of `u64` words.
+    ///
+    /// The whole row is taken with one bounds check before anything is
+    /// allocated, so a count larger than the remaining input fails as
+    /// `Truncated(what)` and the allocation never exceeds the input.
     pub fn words(&mut self, what: &'static str) -> Result<Vec<u64>, CodecError> {
         let len = self.u32(what)? as usize;
-        let mut out = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            out.push(self.u64(what)?);
-        }
-        Ok(out)
+        let n = len.checked_mul(8).ok_or(CodecError::Truncated(what))?;
+        Ok(self
+            .take(n, what)?
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect())
     }
 
     /// Reads a boolean stored as a strict 0/1 byte.
@@ -263,23 +268,45 @@ impl<'a> Reader<'a> {
 
     /// Reads an unsigned LEB128 varint. More than 10 bytes — or a 10th
     /// byte carrying bits a `u64` cannot hold — is corrupt, not long.
+    ///
+    /// Values of one or two bytes, nearly every delta of a recorded trace
+    /// and split about evenly between the two lengths, decode without a
+    /// branch on the length. A longer value is decoded from a window of
+    /// at most 10 bytes, bounds-checked once. A window that ends mid-value
+    /// is truncated when the stream ran out and corrupt when it held all
+    /// 10 bytes.
+    #[inline]
     pub fn varint(&mut self, what: &'static str) -> Result<u64, CodecError> {
+        let rest = &self.buf[self.pos..];
+        if let [b0, b1, ..] = *rest {
+            // Either b0 ends the value, or b1 does.
+            if b0 & b1 & 0x80 == 0 {
+                let two = u64::from(b0 >> 7);
+                self.pos += 1 + two as usize;
+                return Ok(u64::from(b0 & 0x7f) | ((u64::from(b1) << 7) * two));
+            }
+        }
+        let window = &rest[..rest.len().min(MAX_VARINT_LEN)];
         let mut v: u64 = 0;
-        for i in 0..MAX_VARINT_LEN {
-            let byte = self.u8(what)?;
+        for (i, &byte) in window.iter().enumerate() {
             let bits = u64::from(byte & 0x7f);
             if i == MAX_VARINT_LEN - 1 && bits > 1 {
                 return Err(CodecError::Corrupt("varint overflows u64"));
             }
             v |= bits << (7 * i);
             if byte & 0x80 == 0 {
+                self.pos += i + 1;
                 return Ok(v);
             }
+        }
+        if window.len() < MAX_VARINT_LEN {
+            return Err(CodecError::Truncated(what));
         }
         Err(CodecError::Corrupt("varint longer than 10 bytes"))
     }
 
     /// Reads a zig-zag-mapped LEB128 varint back to a signed value.
+    #[inline]
     pub fn zigzag(&mut self, what: &'static str) -> Result<i64, CodecError> {
         let n = self.varint(what)?;
         Ok((n >> 1) as i64 ^ -((n & 1) as i64))
@@ -404,6 +431,53 @@ mod tests {
                 Reader::new(&bytes[..cut]).varint("delta"),
                 Err(CodecError::Truncated("delta"))
             );
+        }
+    }
+
+    /// The varint decoder against the byte-by-byte loop it replaced, on
+    /// every two-byte prefix followed by nothing, by one more byte, or by
+    /// eight more (a full 10-byte window): same value or error, same
+    /// length.
+    #[test]
+    fn varint_matches_the_byte_loop_on_every_two_byte_prefix() {
+        fn byte_loop(bytes: &[u8]) -> (Result<u64, CodecError>, usize) {
+            let mut v = 0u64;
+            for i in 0..MAX_VARINT_LEN {
+                let Some(&byte) = bytes.get(i) else {
+                    return (Err(CodecError::Truncated("v")), i);
+                };
+                let bits = u64::from(byte & 0x7f);
+                if i == MAX_VARINT_LEN - 1 && bits > 1 {
+                    return (Err(CodecError::Corrupt("varint overflows u64")), i);
+                }
+                v |= bits << (7 * i);
+                if byte & 0x80 == 0 {
+                    return (Ok(v), i + 1);
+                }
+            }
+            let err = CodecError::Corrupt("varint longer than 10 bytes");
+            (Err(err), MAX_VARINT_LEN)
+        }
+        let tails: [&[u8]; 3] = [
+            &[],
+            &[0x85],
+            &[0xff, 0x80, 0x93, 0xc1, 0x80, 0xaa, 0xff, 0x01],
+        ];
+        for b0 in 0..=255u8 {
+            for b1 in 0..=255u8 {
+                for tail in tails {
+                    let mut bytes = vec![b0, b1];
+                    bytes.extend_from_slice(tail);
+                    let (want, len) = byte_loop(&bytes);
+                    let mut r = Reader::new(&bytes);
+                    assert_eq!(r.varint("v"), want, "{bytes:x?}");
+                    if want.is_ok() {
+                        assert_eq!(bytes.len() - r.remaining(), len, "{bytes:x?}");
+                    }
+                }
+                let one = [b0];
+                assert_eq!(Reader::new(&one).varint("v"), byte_loop(&one).0);
+            }
         }
     }
 

@@ -705,10 +705,9 @@ impl ActivityTrace {
                     counters
                 } else {
                     let nominal = &recs[0].counters;
-                    let mut counters = Vec::with_capacity(flat_len);
-                    for &base in nominal.iter() {
-                        let delta = r.zigzag("interval point deltas")?;
-                        counters.push(base.wrapping_add(delta as u64));
+                    let mut counters = vec![0u64; flat_len];
+                    for (c, &base) in counters.iter_mut().zip(nominal) {
+                        *c = base.wrapping_add(r.zigzag("interval point deltas")? as u64);
                     }
                     counters
                 };

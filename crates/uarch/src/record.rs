@@ -97,6 +97,26 @@ pub fn unflatten(
     tc_banks: usize,
     flat: &[u64],
 ) -> Result<ActivityCounters, String> {
+    let mut act = ActivityCounters::new(partitions, backends, tc_banks);
+    unflatten_into(&mut act, partitions, backends, tc_banks, flat)?;
+    Ok(act)
+}
+
+/// [`unflatten`] into an existing `act`, which takes the given shape.
+/// Its vectors keep their allocations, so a replay loop that reuses one
+/// `act` for a machine allocates nothing per interval.
+///
+/// # Errors
+///
+/// Returns a description of the mismatch when `flat` is not exactly
+/// [`flat_len`] words long; `act` is then left unchanged.
+pub fn unflatten_into(
+    act: &mut ActivityCounters,
+    partitions: usize,
+    backends: usize,
+    tc_banks: usize,
+    flat: &[u64],
+) -> Result<(), String> {
     let expect = flat_len(partitions, backends, tc_banks);
     if flat.len() != expect {
         return Err(format!(
@@ -105,52 +125,61 @@ pub fn unflatten(
             flat.len()
         ));
     }
-    let mut it = flat.iter().copied();
-    let mut act = ActivityCounters::new(partitions, backends, tc_banks);
-    {
-        let next = |it: &mut std::iter::Copied<std::slice::Iter<'_, u64>>| {
-            it.next().expect("length checked above")
-        };
-        act.cycles = next(&mut it);
-        act.committed_uops = next(&mut it);
-        act.tc_fills = next(&mut it);
-        act.bp_accesses = next(&mut it);
-        act.itlb_accesses = next(&mut it);
-        act.decoded_uops = next(&mut it);
-        act.steer_lookups = next(&mut it);
-        act.copy_requests = next(&mut it);
-        act.ul2_accesses = next(&mut it);
-        act.bus_transfers = next(&mut it);
-        act.disamb_broadcasts = next(&mut it);
-        act.link_flits = next(&mut it);
-        act.tc_bank_accesses = it.by_ref().take(tc_banks).collect();
-        act.rat_reads = it.by_ref().take(partitions).collect();
-        act.rat_writes = it.by_ref().take(partitions).collect();
-        act.rob_writes = it.by_ref().take(partitions).collect();
-        act.rob_reads = it.by_ref().take(partitions).collect();
-        act.rob_rl_writes = it.by_ref().take(partitions).collect();
-        act.rob_rl_reads = it.by_ref().take(partitions).collect();
-        act.backends = (0..backends)
-            .map(|_| BackendActivity {
-                iq_writes: next(&mut it),
-                iq_issues: next(&mut it),
-                fpq_writes: next(&mut it),
-                fpq_issues: next(&mut it),
-                copy_ops: next(&mut it),
-                mob_allocs: next(&mut it),
-                mob_searches: next(&mut it),
-                irf_reads: next(&mut it),
-                irf_writes: next(&mut it),
-                fprf_reads: next(&mut it),
-                fprf_writes: next(&mut it),
-                int_fu_ops: next(&mut it),
-                fp_fu_ops: next(&mut it),
-                dl1_accesses: next(&mut it),
-                dtlb_accesses: next(&mut it),
-            })
-            .collect();
+    let (scalars, rest) = flat.split_at(12);
+    [
+        act.cycles,
+        act.committed_uops,
+        act.tc_fills,
+        act.bp_accesses,
+        act.itlb_accesses,
+        act.decoded_uops,
+        act.steer_lookups,
+        act.copy_requests,
+        act.ul2_accesses,
+        act.bus_transfers,
+        act.disamb_broadcasts,
+        act.link_flits,
+    ] = <[u64; 12]>::try_from(scalars).expect("length checked above");
+    let (banks, mut rest) = rest.split_at(tc_banks);
+    refill(&mut act.tc_bank_accesses, banks);
+    for v in [
+        &mut act.rat_reads,
+        &mut act.rat_writes,
+        &mut act.rob_writes,
+        &mut act.rob_reads,
+        &mut act.rob_rl_writes,
+        &mut act.rob_rl_reads,
+    ] {
+        let (row, tail) = rest.split_at(partitions);
+        refill(v, row);
+        rest = tail;
     }
-    Ok(act)
+    act.backends.clear();
+    act.backends
+        .extend(rest.chunks_exact(15).map(|b| BackendActivity {
+            iq_writes: b[0],
+            iq_issues: b[1],
+            fpq_writes: b[2],
+            fpq_issues: b[3],
+            copy_ops: b[4],
+            mob_allocs: b[5],
+            mob_searches: b[6],
+            irf_reads: b[7],
+            irf_writes: b[8],
+            fprf_reads: b[9],
+            fprf_writes: b[10],
+            int_fu_ops: b[11],
+            fp_fu_ops: b[12],
+            dl1_accesses: b[13],
+            dtlb_accesses: b[14],
+        }));
+    Ok(())
+}
+
+/// Overwrites `v` with `src`, reusing its allocation.
+fn refill(v: &mut Vec<u64>, src: &[u64]) {
+    v.clear();
+    v.extend_from_slice(src);
 }
 
 #[cfg(test)]
@@ -244,6 +273,36 @@ mod tests {
         let err = unflatten(1, 4, 3, &flat).unwrap_err();
         assert!(err.contains("needs"), "unhelpful error: {err}");
         assert!(unflatten(2, 4, 3, &flat[..flat.len() - 1]).is_err());
+    }
+
+    proptest::proptest! {
+        /// `unflatten_into` gives what `unflatten` gives, over every
+        /// shape up to 31 backends, into a buffer last filled at another
+        /// random shape; a row one word short or long is an `Err` that
+        /// leaves the buffer as it was.
+        #[test]
+        fn unflatten_into_equals_unflatten(
+            shape in (1usize..5, 1usize..32, 1usize..9),
+            prev in (1usize..5, 1usize..32, 1usize..9),
+            long in proptest::bool::ANY,
+        ) {
+            let (p, b, t) = shape;
+            let flat = flatten(&dense(p, b, t));
+            let mut act = dense(prev.0, prev.1, prev.2);
+            unflatten_into(&mut act, p, b, t, &flat)?;
+            proptest::prop_assert_eq!(&act, &unflatten(p, b, t, &flat)?);
+
+            let before = act.clone();
+            let mut wrong = flat.clone();
+            if long {
+                wrong.push(7);
+            } else {
+                wrong.pop();
+            }
+            proptest::prop_assert!(unflatten_into(&mut act, p, b, t, &wrong).is_err());
+            proptest::prop_assert!(unflatten(p, b, t, &wrong).is_err());
+            proptest::prop_assert_eq!(act, before);
+        }
     }
 
     #[test]
