@@ -1,4 +1,4 @@
-//! Ablations of the design choices called out in DESIGN.md:
+//! Ablations of the design choices behind the paper's techniques:
 //!
 //! * **hop interval** — how often the gated trace-cache bank rotates
 //!   (the paper fixes 10 M cycles; here swept relative to the run length),
@@ -7,61 +7,85 @@
 //! * **steering policy** — dependence-aware versus round-robin, which
 //!   changes the inter-cluster copy traffic the distributed frontend sees.
 //!
-//! Each sweep is printed once; Criterion then times one representative
-//! configuration.
+//! Each ablation runs the baseline and its variants as one grid and is
+//! printed once; Criterion then times one representative configuration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use distfront::{average_temps, run_suite, slowdown, ExperimentConfig, AMBIENT_C};
+use distfront::{average_temps, slowdown, AppResult, ExperimentConfig, SweepRunner, AMBIENT_C};
 use distfront_bench::{bench_uops, kernel_app};
 use distfront_cache::mapping::MappingPolicy;
-use distfront_trace::AppProfile;
+use distfront_trace::{AppProfile, Workload};
 use distfront_uarch::steer::SteeringPolicy;
 use std::hint::black_box;
 
-fn ablation_apps() -> Vec<AppProfile> {
+fn ablation_apps() -> Vec<Workload> {
     ["gzip", "crafty", "swim", "art"]
         .iter()
-        .map(|n| *AppProfile::by_name(n).unwrap())
+        .map(|n| Workload::from(*AppProfile::by_name(n).unwrap()))
         .collect()
+}
+
+/// Runs the baseline followed by `variants` as one grid over the ablation
+/// apps, returning the baseline row and one row per variant.
+fn ablation_grid(
+    uops: u64,
+    variants: &[ExperimentConfig],
+) -> (Vec<AppResult>, Vec<Vec<AppResult>>) {
+    let mut configs = vec![ExperimentConfig::baseline().with_uops(uops)];
+    configs.extend_from_slice(variants);
+    let mut rows = SweepRunner::new()
+        .try_grid(&configs, &ablation_apps())
+        .strict();
+    let base = rows.remove(0);
+    (base, rows)
 }
 
 fn sweep_hop_interval(uops: u64) {
     println!("\n-- ablation: hop interval (bank hopping, TC metrics) --");
-    let apps = ablation_apps();
-    let base = run_suite(&ExperimentConfig::baseline().with_uops(uops), &apps);
+    let variants: Vec<ExperimentConfig> = [1u64, 2, 4, 8]
+        .iter()
+        .map(|divisor| {
+            let mut cfg = ExperimentConfig::bank_hopping().with_uops(uops);
+            cfg.interval_cycles = (cfg.interval_cycles / divisor).max(10_000);
+            cfg
+        })
+        .collect();
+    let (base, rows) = ablation_grid(uops, &variants);
     let bt = average_temps(&base);
-    for divisor in [1u64, 2, 4, 8] {
-        let mut cfg = ExperimentConfig::bank_hopping().with_uops(uops);
-        cfg.interval_cycles = (cfg.interval_cycles / divisor).max(10_000);
-        let interval = cfg.interval_cycles;
-        let res = run_suite(&cfg, &apps);
-        let t = average_temps(&res);
+    for (cfg, res) in variants.iter().zip(&rows) {
+        let t = average_temps(res);
         let tc = bt.trace_cache.reduction_vs(&t.trace_cache, AMBIENT_C);
         println!(
-            "  interval {interval:>9} cycles: TC peak -{:.1}% avg -{:.1}%  slowdown {:+.1}%",
+            "  interval {:>9} cycles: TC peak -{:.1}% avg -{:.1}%  slowdown {:+.1}%",
+            cfg.interval_cycles,
             tc.abs_max_c * 100.0,
             tc.average_c * 100.0,
-            slowdown(&base, &res) * 100.0
+            slowdown(&base, res) * 100.0
         );
     }
 }
 
 fn sweep_bias_strength(uops: u64) {
     println!("\n-- ablation: bias rule (halve share per N degC) --");
-    let apps = ablation_apps();
-    let base = run_suite(&ExperimentConfig::baseline().with_uops(uops), &apps);
+    let steps = [1.0f64, 3.0, 6.0, 12.0];
+    let variants: Vec<ExperimentConfig> = steps
+        .iter()
+        .map(|&step| {
+            let mut cfg = ExperimentConfig::hopping_and_biasing().with_uops(uops);
+            cfg.processor.trace_cache.policy = MappingPolicy { halve_step_c: step };
+            cfg
+        })
+        .collect();
+    let (base, rows) = ablation_grid(uops, &variants);
     let bt = average_temps(&base);
-    for step in [1.0f64, 3.0, 6.0, 12.0] {
-        let mut cfg = ExperimentConfig::hopping_and_biasing().with_uops(uops);
-        cfg.processor.trace_cache.policy = MappingPolicy { halve_step_c: step };
-        let res = run_suite(&cfg, &apps);
-        let t = average_temps(&res);
+    for (step, res) in steps.iter().zip(&rows) {
+        let t = average_temps(res);
         let tc = bt.trace_cache.reduction_vs(&t.trace_cache, AMBIENT_C);
         println!(
             "  halve per {step:>4.1} C: TC peak -{:.1}% avg -{:.1}%  slowdown {:+.1}%",
             tc.abs_max_c * 100.0,
             tc.average_c * 100.0,
-            slowdown(&base, &res) * 100.0
+            slowdown(&base, res) * 100.0
         );
     }
     println!("  (paper: 3 C per factor of two)");
@@ -69,19 +93,24 @@ fn sweep_bias_strength(uops: u64) {
 
 fn sweep_steering(uops: u64) {
     println!("\n-- ablation: steering policy (distributed frontend) --");
-    let apps = ablation_apps();
-    let base = run_suite(&ExperimentConfig::baseline().with_uops(uops), &apps);
-    for policy in [
+    let policies = [
         SteeringPolicy::DependenceBalance,
         SteeringPolicy::RoundRobin,
-    ] {
-        let mut cfg = ExperimentConfig::distributed_rename_commit().with_uops(uops);
-        cfg.processor.steering = policy;
-        let res = run_suite(&cfg, &apps);
+    ];
+    let variants: Vec<ExperimentConfig> = policies
+        .iter()
+        .map(|&policy| {
+            let mut cfg = ExperimentConfig::distributed_rename_commit().with_uops(uops);
+            cfg.processor.steering = policy;
+            cfg
+        })
+        .collect();
+    let (base, rows) = ablation_grid(uops, &variants);
+    for (policy, res) in policies.iter().zip(&rows) {
         let copies: f64 = res.iter().map(|r| r.cpi).sum::<f64>() / res.len() as f64;
         println!(
             "  {policy:?}: slowdown {:+.1}% (mean CPI {copies:.2})",
-            slowdown(&base, &res) * 100.0
+            slowdown(&base, res) * 100.0
         );
     }
 }

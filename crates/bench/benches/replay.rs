@@ -39,12 +39,14 @@ fn uops() -> u64 {
         .unwrap_or(60_000)
 }
 
-fn suite() -> Vec<AppProfile> {
-    vec![
+fn suite() -> Vec<Workload> {
+    [
         AppProfile::test_tiny(),
         kernel_app(),
         *AppProfile::by_name("mcf").expect("profile exists"),
     ]
+    .map(Workload::from)
+    .to_vec()
 }
 
 /// The power-side sweep driven from the recording: the emergency throttle
@@ -65,14 +67,14 @@ fn head_to_head(
     label: &str,
     record_cfg: &ExperimentConfig,
     replay_cfg: &ExperimentConfig,
-    apps: &[distfront_trace::AppProfile],
+    apps: &[Workload],
     rounds: u32,
 ) -> (f64, f64, f64, f64) {
     // Live reference: the target sweep, simulated end to end.
     let t0 = Instant::now();
     let mut live = None;
     for _ in 0..rounds {
-        live = Some(SweepRunner::serial().try_suite(replay_cfg, apps));
+        live = Some(SweepRunner::serial().try_grid(std::slice::from_ref(replay_cfg), apps));
     }
     let live_s = t0.elapsed().as_secs_f64();
     let live = live.expect("at least one live round");
@@ -85,7 +87,7 @@ fn head_to_head(
     let t1 = Instant::now();
     SweepRunner::serial()
         .with_trace_mode(TraceMode::Record(Arc::clone(&store)))
-        .try_suite(record_cfg, apps);
+        .try_grid(std::slice::from_ref(record_cfg), apps);
     let record_s = t1.elapsed().as_secs_f64();
     let trace_bytes: usize = store.traces().iter().map(|t| t.encode().len()).sum();
     let traces = store.len();
@@ -96,7 +98,7 @@ fn head_to_head(
         replayed = Some(
             SweepRunner::serial()
                 .with_trace_mode(TraceMode::Replay(Arc::clone(&store)))
-                .try_suite(replay_cfg, apps),
+                .try_grid(std::slice::from_ref(replay_cfg), apps),
         );
     }
     let replay_s = t2.elapsed().as_secs_f64();

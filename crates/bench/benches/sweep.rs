@@ -241,7 +241,7 @@ fn bench(c: &mut Criterion) {
             ExperimentConfig::baseline().with_uops(20_000),
             ExperimentConfig::combined().with_uops(20_000),
         ];
-        let apps = [app];
+        let apps = [distfront_trace::Workload::from(app)];
         let runner = SweepRunner::new();
         b.iter(|| black_box(runner.try_grid(&configs, &apps)))
     });

@@ -1,10 +1,10 @@
 //! Shared helpers for the figure-regeneration benchmarks.
 //!
-//! Each bench binary (`fig01` … `fig14`, `ablation`) first *regenerates its
-//! figure* — running the paper's configurations over the 26 synthetic
-//! SPEC2000 profiles and printing the same rows the paper plots — and then
-//! lets Criterion time a representative simulation kernel so `cargo bench`
-//! also tracks performance regressions of the simulator itself.
+//! The `figures` and `ablation` benches first *regenerate their figures* —
+//! running the paper's configurations over the synthetic SPEC2000
+//! profiles and printing the same rows the paper plots — and then let
+//! Criterion time representative simulation kernels so `cargo bench` also
+//! tracks performance regressions of the simulator itself.
 //!
 //! The run length per application defaults to [`DEFAULT_UOPS`] micro-ops
 //! (scaled down from the paper's 200 M instructions so the whole harness

@@ -1,12 +1,25 @@
-use distfront::{average_temps, run_suite, ExperimentConfig};
-use distfront_trace::AppProfile;
+//! Calibration summary: the baseline over all 26 SPEC2000 profiles, as
+//! mean IPC and power plus the averaged block-group temperatures.
+//!
+//! ```sh
+//! cargo run --release --example calib26 -p distfront -- 100000
+//! ```
+use distfront::{average_temps, ExperimentConfig, SweepRunner};
+use distfront_trace::{AppProfile, Workload};
 fn main() {
     let uops: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(100_000);
-    let apps = AppProfile::spec2000();
-    let res = run_suite(&ExperimentConfig::baseline().with_uops(uops), apps);
+    let apps: Vec<Workload> = AppProfile::spec2000()
+        .iter()
+        .copied()
+        .map(Workload::from)
+        .collect();
+    let res = SweepRunner::new()
+        .try_grid(&[ExperimentConfig::baseline().with_uops(uops)], &apps)
+        .strict()
+        .remove(0);
     let mean_ipc = res.iter().map(|r| r.ipc).sum::<f64>() / res.len() as f64;
     let mean_pw = res.iter().map(|r| r.avg_power_w).sum::<f64>() / res.len() as f64;
     let t = average_temps(&res);

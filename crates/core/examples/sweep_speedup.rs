@@ -10,7 +10,7 @@
 //! cargo run --release --example sweep_speedup -p distfront -- 100000
 //! ```
 use distfront::{ExperimentConfig, SweepRunner};
-use distfront_trace::AppProfile;
+use distfront_trace::{AppProfile, Workload};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -23,7 +23,11 @@ fn main() -> ExitCode {
         ExperimentConfig::baseline().with_uops(uops),
         ExperimentConfig::combined().with_uops(uops),
     ];
-    let apps = AppProfile::spec2000();
+    let apps: Vec<Workload> = AppProfile::spec2000()
+        .iter()
+        .copied()
+        .map(Workload::from)
+        .collect();
     let cores = SweepRunner::new().threads();
     println!(
         "{} apps x {} configs x {uops} uops, serial vs {cores} workers",
@@ -32,13 +36,13 @@ fn main() -> ExitCode {
     );
 
     let t0 = Instant::now();
-    let serial = SweepRunner::serial().try_grid(&configs, apps);
+    let serial = SweepRunner::serial().try_grid(&configs, &apps);
     let serial_s = t0.elapsed().as_secs_f64();
     println!("serial:   {serial_s:.2} s");
 
     let parallel_runner = SweepRunner::new();
     let t1 = Instant::now();
-    let parallel = parallel_runner.try_grid(&configs, apps);
+    let parallel = parallel_runner.try_grid(&configs, &apps);
     let parallel_s = t1.elapsed().as_secs_f64();
     println!(
         "parallel: {parallel_s:.2} s ({} warm-cache hits)",

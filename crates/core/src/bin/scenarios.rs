@@ -86,7 +86,7 @@ use std::sync::{Arc, Mutex};
 use distfront::engine::{CellOutcome, TraceStore};
 use distfront::job::{JobClass, JobEnv, JobReport, JobSpec, JobSpecError, StatusCode, TraceSpec};
 use distfront::scenarios::{self, Scenario};
-use distfront::server::{protocol, Client};
+use distfront::server::{protocol, Client, JobResponse};
 use distfront::shard::{self, ShardError, ShardRunner, ShardSpec};
 use distfront::store::DurableStore;
 use distfront_thermal::Integrator;
@@ -413,6 +413,31 @@ fn spec_for(args: &Args, scenario: &str) -> JobSpec {
     spec
 }
 
+/// Writes `csv` to the `--csv` path, when one was given; a failed write
+/// is reported and becomes [`StatusCode::Io`].
+fn write_csv(args: &Args, csv: &str) -> Result<(), StatusCode> {
+    if let Some(path) = &args.csv {
+        if let Err(e) = std::fs::write(path, csv) {
+            eprintln!("error: writing {path}: {e}");
+            return Err(StatusCode::Io);
+        }
+        println!("wrote {path}");
+    }
+    Ok(())
+}
+
+/// Reports a job response's failed cells, moves its CSV rows into `rows`
+/// and returns its status.
+fn take_rows(response: JobResponse, rows: &mut Vec<String>) -> StatusCode {
+    for line in &response.result_lines {
+        if let Some(err) = line.strip_prefix("ERRCELL ") {
+            eprintln!("error: cell {err}");
+        }
+    }
+    rows.extend(response.csv_rows);
+    response.status
+}
+
 /// Submits the selected scenarios to a running daemon and streams the
 /// results back; the thin-client half of the CLI.
 fn client_main(args: &Args, selected: &[Scenario]) -> StatusCode {
@@ -456,26 +481,10 @@ fn client_main(args: &Args, selected: &[Scenario]) -> StatusCode {
                 }
             );
         }
-        for line in &response.result_lines {
-            if let Some(err) = line.strip_prefix("ERRCELL ") {
-                eprintln!("error: cell {err}");
-            }
-        }
-        rows.extend(response.csv_rows.iter().cloned());
-        status = status.worst(response.status);
+        status = status.worst(take_rows(response, &mut rows));
     }
-    if let Some(path) = &args.csv {
-        let mut csv = String::from(scenarios::CSV_HEADER);
-        csv.push('\n');
-        for row in &rows {
-            csv.push_str(row);
-            csv.push('\n');
-        }
-        if let Err(e) = std::fs::write(path, csv) {
-            eprintln!("error: writing {path}: {e}");
-            return status.worst(StatusCode::Io);
-        }
-        println!("wrote {path}");
+    if let Err(code) = write_csv(args, &scenarios::csv_text(&rows)) {
+        return status.worst(code);
     }
     if args.shutdown {
         match client.shutdown() {
@@ -560,36 +569,16 @@ fn state_dir_main(args: &Args, selected: &[Scenario]) -> StatusCode {
             }
             frames
         };
-        for line in &frames {
-            if let Some(row) = line.strip_prefix("CELL ") {
-                rows.push(row.to_string());
-            } else if let Some(err) = line.strip_prefix("ERRCELL ") {
-                eprintln!("error: cell {err}");
-            } else if let Some(rest) = line.strip_prefix("DONE ") {
-                for token in rest.split_ascii_whitespace() {
-                    if let Some(code) = token
-                        .strip_prefix("status=")
-                        .and_then(|v| v.parse().ok())
-                        .and_then(StatusCode::from_code)
-                    {
-                        status = status.worst(code);
-                    }
-                }
+        match JobResponse::from_frames(&frames) {
+            Ok(response) => status = status.worst(take_rows(response, &mut rows)),
+            Err(e) => {
+                eprintln!("error: {}: stored result unreadable: {e}", s.name);
+                return status.worst(StatusCode::Io);
             }
         }
     }
-    if let Some(path) = &args.csv {
-        let mut csv = String::from(scenarios::CSV_HEADER);
-        csv.push('\n');
-        for row in &rows {
-            csv.push_str(row);
-            csv.push('\n');
-        }
-        if let Err(e) = std::fs::write(path, csv) {
-            eprintln!("error: writing {path}: {e}");
-            return status.worst(StatusCode::Io);
-        }
-        println!("wrote {path}");
+    if let Err(code) = write_csv(args, &scenarios::csv_text(&rows)) {
+        return status.worst(code);
     }
     status
 }
@@ -647,12 +636,7 @@ fn processes_main(args: &Args, selected: &[Scenario]) -> StatusCode {
         rows.extend(outcome.csv_rows);
         status = status.worst(outcome.status);
     }
-    let mut merged = String::from(scenarios::CSV_HEADER);
-    merged.push('\n');
-    for row in &rows {
-        merged.push_str(row);
-        merged.push('\n');
-    }
+    let merged = scenarios::csv_text(&rows);
     if args.verify {
         println!("verify: re-running serially in-process to check byte identity...");
         let serial = match rerun_csv(selected, &JobEnv::default(), |s| {
@@ -673,12 +657,8 @@ fn processes_main(args: &Args, selected: &[Scenario]) -> StatusCode {
         }
         println!("verify: serial and {n}-process CSV are byte-identical");
     }
-    if let Some(path) = &args.csv {
-        if let Err(e) = std::fs::write(path, &merged) {
-            eprintln!("error: writing {path}: {e}");
-            return status.worst(StatusCode::Io);
-        }
-        println!("wrote {path}");
+    if let Err(code) = write_csv(args, &merged) {
+        return status.worst(code);
     }
     status
 }
@@ -879,12 +859,8 @@ fn local_main(args: &Args, selected: &[Scenario]) -> StatusCode {
     // Rewrite the streamed CSV in canonical (suite) order: the streaming
     // writes above are completion-ordered crash insurance; the final file
     // is deterministic, byte-identical across worker counts.
-    if let Some(path) = &args.csv {
-        if let Err(e) = std::fs::write(path, &csv) {
-            eprintln!("error: writing {path}: {e}");
-            return StatusCode::Io;
-        }
-        println!("wrote {path}");
+    if let Err(code) = write_csv(args, &csv) {
+        return code;
     }
     if let Some(path) = &args.json {
         if let Err(e) = std::fs::write(path, scenarios::to_json(selected.iter().zip(&reports))) {

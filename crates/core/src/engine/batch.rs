@@ -74,16 +74,18 @@ mod tests {
     use distfront_trace::record::PointKey;
     use distfront_trace::AppProfile;
 
-    fn apps() -> Vec<AppProfile> {
-        vec![
+    fn apps() -> Vec<Workload> {
+        [
             AppProfile::test_tiny(),
             *AppProfile::by_name("gzip").unwrap(),
             *AppProfile::by_name("mcf").unwrap(),
         ]
+        .map(Workload::from)
+        .to_vec()
     }
 
     /// Records `configs` × `apps` serially and returns the filled store.
-    fn record(configs: &[ExperimentConfig], apps: &[AppProfile]) -> Arc<TraceStore> {
+    fn record(configs: &[ExperimentConfig], apps: &[Workload]) -> Arc<TraceStore> {
         let store = Arc::new(TraceStore::new());
         let report = SweepRunner::serial()
             .with_trace_mode(TraceMode::Record(Arc::clone(&store)))
@@ -94,7 +96,7 @@ mod tests {
 
     fn replay_report(
         configs: &[ExperimentConfig],
-        apps: &[AppProfile],
+        apps: &[Workload],
         store: &Arc<TraceStore>,
         threads: usize,
         batch: bool,
@@ -182,7 +184,7 @@ mod tests {
             }
             let survivor = faulted.cell(0, a).result.as_ref().unwrap();
             let reference = clean.cell(0, a).result.as_ref().unwrap();
-            assert_eq!(survivor, reference, "cell {} perturbed", app.name);
+            assert_eq!(survivor, reference, "cell {} perturbed", app.name());
             // Byte-identical, not merely equal: the CSV row a scenario
             // emitter would write is the same string.
             assert_eq!(
@@ -195,7 +197,7 @@ mod tests {
     #[test]
     fn batch_flag_is_inert_outside_replay_mode() {
         let cfgs = vec![ExperimentConfig::baseline().with_uops(40_000)];
-        let apps = vec![AppProfile::test_tiny()];
+        let apps = vec![Workload::from(AppProfile::test_tiny())];
         let live = SweepRunner::serial().try_grid(&cfgs, &apps);
         let live_batch = SweepRunner::serial()
             .with_batch(true)

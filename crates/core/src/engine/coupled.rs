@@ -371,7 +371,6 @@ mod tests {
         bad.load_frac = 1.4;
         let err = CoupledEngine::new(&cfg, &bad).run().unwrap_err();
         assert!(matches!(err, EngineError::InvalidConfig(_)), "{err:?}");
-        let err = crate::runner::try_run_app(&cfg, &bad).unwrap_err();
         assert!(err.to_string().contains("mix fractions"), "{err}");
     }
 

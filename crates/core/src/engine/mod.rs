@@ -59,11 +59,11 @@
 //! ```
 //! use distfront::engine::SweepRunner;
 //! use distfront::ExperimentConfig;
-//! use distfront_trace::AppProfile;
+//! use distfront_trace::{AppProfile, Workload};
 //!
 //! let configs = [ExperimentConfig::baseline().with_uops(30_000)];
-//! let apps = [AppProfile::test_tiny()];
-//! let grid = SweepRunner::new().grid(&configs, &apps);
+//! let apps = [Workload::from(AppProfile::test_tiny())];
+//! let grid = SweepRunner::new().try_grid(&configs, &apps).strict();
 //! assert_eq!(grid.len(), 1);
 //! assert_eq!(grid[0][0].app, "tiny");
 //! ```

@@ -4,8 +4,7 @@
 //! Execution is *fault-tolerant*: every cell of a [`SweepRunner::try_grid`]
 //! is an independent [`Result`], so one non-converged configuration aborts
 //! exactly one [`CellOutcome`] instead of the whole sweep. The strict,
-//! panicking surface survives behind [`SweepReport::strict`] (which is all
-//! [`SweepRunner::grid`] is).
+//! panicking surface survives behind [`SweepReport::strict`].
 
 use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
@@ -19,13 +18,14 @@ use std::time::Instant;
 
 use distfront_power::{LeakageModel, Machine};
 use distfront_trace::record::{ActivityTrace, PointKey};
-use distfront_trace::{AppProfile, Workload};
+use distfront_trace::Workload;
 
 use super::batch::BatchScheduler;
 use super::coupled::{CoupledEngine, RunStats};
 use super::replay::{processor_fingerprint, ReplayBackend};
 use super::EngineError;
 use crate::experiment::ExperimentConfig;
+use crate::job::{JobEnv, JobSpec};
 use crate::runner::AppResult;
 use crate::store::DurableStore;
 
@@ -506,10 +506,10 @@ impl PartialEq for CellOutcome {
 /// ```
 /// use distfront::engine::SweepRunner;
 /// use distfront::ExperimentConfig;
-/// use distfront_trace::AppProfile;
+/// use distfront_trace::{AppProfile, Workload};
 ///
 /// let cfgs = [ExperimentConfig::baseline().with_uops(30_000)];
-/// let apps = [AppProfile::test_tiny()];
+/// let apps = [Workload::from(AppProfile::test_tiny())];
 /// let report = SweepRunner::new().try_grid(&cfgs, &apps);
 /// assert!(report.is_complete());
 /// assert!(report.cell(0, 0).result.is_ok());
@@ -681,10 +681,10 @@ impl SweepReport {
 /// ```
 /// use distfront::engine::SweepRunner;
 /// use distfront::ExperimentConfig;
-/// use distfront_trace::AppProfile;
+/// use distfront_trace::{AppProfile, Workload};
 ///
 /// let cfgs = [ExperimentConfig::baseline().with_uops(30_000)];
-/// let apps = [AppProfile::test_tiny()];
+/// let apps = [Workload::from(AppProfile::test_tiny())];
 /// let parallel = SweepRunner::new().try_grid(&cfgs, &apps);
 /// let serial = SweepRunner::serial().try_grid(&cfgs, &apps);
 /// assert_eq!(parallel, serial);
@@ -745,30 +745,31 @@ impl SweepRunner {
         }
     }
 
-    /// A runner sized from a [`JobSpec`](crate::job::JobSpec)'s
-    /// scheduling fields (`workers`, with `0` meaning every hardware
-    /// thread, and `batch`). This is the construction step of
-    /// [`JobSpec::execute`](crate::job::JobSpec::execute), the execution
-    /// path of every front end; `execute` then attaches the runtime
-    /// handles a pure-data spec cannot carry
-    /// ([`with_warm_cache`](Self::with_warm_cache),
-    /// [`with_trace_mode`](Self::with_trace_mode),
-    /// [`with_on_cell`](Self::with_on_cell)). The other builders set the
-    /// same fields for engine-level callers that run explicit
-    /// configuration grids rather than jobs (the figure functions, the
+    /// The runner a [`JobSpec`] describes, bound to `env`: the worker
+    /// count (`0` means every hardware thread) and batching come from the
+    /// spec, the warm-start cache is `env`'s, and the spec's trace mode is
+    /// bound to `env`'s trace store. This is the one spec-to-runner
+    /// assembly, shared by [`JobSpec::execute`] and the shard worker
+    /// ([`shard::run_worker`](crate::shard::run_worker)). The other
+    /// builders set the same fields for engine-level callers that run
+    /// explicit configuration grids rather than jobs (the figures, the
     /// benches, the engine tests).
-    pub fn from_spec(spec: &crate::job::JobSpec) -> Self {
+    pub fn from_spec(spec: &JobSpec, env: &JobEnv) -> Self {
         let runner = if spec.workers == 0 {
             Self::new()
         } else {
             Self::with_threads(spec.workers)
         };
-        runner.with_batch(spec.batch)
+        runner
+            .with_batch(spec.batch)
+            .with_warm_cache(Arc::clone(&env.warm))
+            .with_trace_mode(spec.trace.bind(&env.traces))
     }
 
     /// Replaces this runner's warm-start cache with a shared one, so the
-    /// cache outlives the runner: the daemon hands every job's runner the
-    /// same process-wide cache, which is what makes a second job's warm
+    /// cache outlives the runner: [`from_spec`](Self::from_spec) binds
+    /// the job environment's cache this way, so the daemon's jobs share
+    /// one process-wide cache, which is what makes a second job's warm
     /// starts free. (A fresh runner owns a fresh cache; see
     /// [`warm_cache`](Self::warm_cache).)
     #[must_use]
@@ -817,28 +818,20 @@ impl SweepRunner {
     }
 
     /// The warm-start cache shared by this runner's cells (persists across
-    /// [`grid`](Self::grid) calls, so repeated sweeps of overlapping
+    /// [`try_grid`](Self::try_grid) calls, so repeated sweeps of overlapping
     /// configurations reuse each other's warm starts).
     pub fn warm_cache(&self) -> &Arc<WarmStartCache> {
         &self.cache
     }
 
-    /// Runs every configuration over every application, fault-tolerantly:
-    /// the report's `cell(c, a)` corresponds to `configs[c]` and `apps[a]`
-    /// exactly as the serial nested loop would order them, and a failing
-    /// cell is an `Err` outcome in its slot — every other cell still runs.
-    pub fn try_grid(&self, configs: &[ExperimentConfig], apps: &[AppProfile]) -> SweepReport {
-        let workloads: Vec<Workload> = apps.iter().map(|p| Workload::Single(*p)).collect();
-        self.try_grid_workloads(configs, &workloads)
-    }
-
-    /// [`try_grid`](Self::try_grid) over arbitrary [`Workload`]s (single
-    /// profiles and phased compositions mix freely in one suite).
-    pub fn try_grid_workloads(
-        &self,
-        configs: &[ExperimentConfig],
-        workloads: &[Workload],
-    ) -> SweepReport {
+    /// Runs every configuration over every workload, fault-tolerantly:
+    /// the report's `cell(c, a)` corresponds to `configs[c]` and
+    /// `workloads[a]` exactly as the serial nested loop would order them,
+    /// and a failing cell is an `Err` outcome in its slot — every other
+    /// cell still runs. Single profiles and phased compositions mix freely
+    /// in one grid; [`SweepReport::strict`] is the panicking view for
+    /// callers that need every cell.
+    pub fn try_grid(&self, configs: &[ExperimentConfig], workloads: &[Workload]) -> SweepReport {
         let cells = self.try_cells(configs, workloads, 0..configs.len() * workloads.len());
         SweepReport {
             configs: configs.len(),
@@ -915,49 +908,6 @@ impl SweepRunner {
         flat.into_iter()
             .map(|c| c.expect("worker died mid-sweep"))
             .collect()
-    }
-
-    /// Runs one configuration over a whole application suite,
-    /// fault-tolerantly (a one-row [`try_grid`](Self::try_grid)).
-    pub fn try_suite(&self, cfg: &ExperimentConfig, apps: &[AppProfile]) -> SweepReport {
-        self.try_grid(std::slice::from_ref(cfg), apps)
-    }
-
-    /// Runs one configuration over a whole workload suite,
-    /// fault-tolerantly (a one-row
-    /// [`try_grid_workloads`](Self::try_grid_workloads)).
-    pub fn try_suite_workloads(
-        &self,
-        cfg: &ExperimentConfig,
-        workloads: &[Workload],
-    ) -> SweepReport {
-        self.try_grid_workloads(std::slice::from_ref(cfg), workloads)
-    }
-
-    /// The strict grid: `result[c][a]` corresponds to `configs[c]` and
-    /// `apps[a]`, exactly as the serial nested loop would order them.
-    /// Shorthand for [`try_grid`](Self::try_grid) followed by
-    /// [`SweepReport::strict`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any cell's engine fails — an invalid configuration or a
-    /// non-converged warm start (matching
-    /// [`run_app`](crate::runner::run_app)) — listing every failed cell.
-    pub fn grid(&self, configs: &[ExperimentConfig], apps: &[AppProfile]) -> Vec<Vec<AppResult>> {
-        self.try_grid(configs, apps).strict()
-    }
-
-    /// Runs one configuration over a whole application suite (strict; see
-    /// [`grid`](Self::grid)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any cell's engine fails.
-    pub fn suite(&self, cfg: &ExperimentConfig, apps: &[AppProfile]) -> Vec<AppResult> {
-        self.grid(std::slice::from_ref(cfg), apps)
-            .pop()
-            .expect("one configuration in, one row out")
     }
 
     /// Splits the grid cells in `range` into schedulable tasks. Outside
@@ -1075,7 +1025,8 @@ impl SweepRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_app, run_suite};
+    use crate::runner::run_app;
+    use distfront_trace::AppProfile;
 
     fn tiny_grid() -> (Vec<ExperimentConfig>, Vec<AppProfile>) {
         (
@@ -1090,18 +1041,27 @@ mod tests {
         )
     }
 
+    fn singles(apps: &[AppProfile]) -> Vec<Workload> {
+        apps.iter().copied().map(Workload::from).collect()
+    }
+
     #[test]
     fn parallel_grid_matches_serial_grid() {
         let (cfgs, apps) = tiny_grid();
-        let serial = SweepRunner::serial().grid(&cfgs, &apps);
-        let parallel = SweepRunner::with_threads(4).grid(&cfgs, &apps);
+        let workloads = singles(&apps);
+        let serial = SweepRunner::serial().try_grid(&cfgs, &workloads).strict();
+        let parallel = SweepRunner::with_threads(4)
+            .try_grid(&cfgs, &workloads)
+            .strict();
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn grid_matches_run_app_cell_by_cell() {
         let (cfgs, apps) = tiny_grid();
-        let grid = SweepRunner::with_threads(3).grid(&cfgs, &apps);
+        let grid = SweepRunner::with_threads(3)
+            .try_grid(&cfgs, &singles(&apps))
+            .strict();
         for (c, cfg) in cfgs.iter().enumerate() {
             for (a, app) in apps.iter().enumerate() {
                 assert_eq!(grid[c][a], run_app(cfg, app), "cell [{c}][{a}]");
@@ -1112,7 +1072,7 @@ mod tests {
     #[test]
     fn try_grid_report_indexes_cells_by_coordinates() {
         let (cfgs, apps) = tiny_grid();
-        let report = SweepRunner::with_threads(3).try_grid(&cfgs, &apps);
+        let report = SweepRunner::with_threads(3).try_grid(&cfgs, &singles(&apps));
         assert_eq!(report.shape(), (2, 2));
         assert!(report.is_complete());
         assert_eq!(report.failed(), 0);
@@ -1132,8 +1092,8 @@ mod tests {
     #[test]
     fn try_cells_slices_reassemble_into_the_whole_grid() {
         let (cfgs, apps) = tiny_grid();
-        let workloads: Vec<Workload> = apps.iter().map(|p| Workload::Single(*p)).collect();
-        let whole = SweepRunner::serial().try_grid(&cfgs, &apps);
+        let workloads = singles(&apps);
+        let whole = SweepRunner::serial().try_grid(&cfgs, &workloads);
         let runner = SweepRunner::serial();
         let head = runner.try_cells(&cfgs, &workloads, 0..1);
         let tail = runner.try_cells(&cfgs, &workloads, 1..4);
@@ -1151,24 +1111,13 @@ mod tests {
     }
 
     #[test]
-    fn suite_matches_run_suite() {
-        let cfg = ExperimentConfig::baseline().with_uops(40_000);
-        let apps = [
-            AppProfile::test_tiny(),
-            *AppProfile::by_name("gzip").unwrap(),
-        ];
-        assert_eq!(
-            SweepRunner::new().suite(&cfg, &apps),
-            run_suite(&cfg, &apps)
-        );
-    }
-
-    #[test]
     fn empty_grid_is_fine() {
-        let grid = SweepRunner::new().grid(&[], &[AppProfile::test_tiny()]);
+        let grid = SweepRunner::new()
+            .try_grid(&[], &singles(&[AppProfile::test_tiny()]))
+            .strict();
         assert!(grid.is_empty());
         let (cfgs, _) = tiny_grid();
-        let grid = SweepRunner::new().grid(&cfgs, &[]);
+        let grid = SweepRunner::new().try_grid(&cfgs, &[]).strict();
         assert_eq!(grid.len(), 2);
         assert!(grid.iter().all(Vec::is_empty));
     }
@@ -1177,7 +1126,7 @@ mod tests {
     fn warm_cache_populates_and_hits_on_rerun() {
         let runner = SweepRunner::with_threads(2);
         let cfgs = vec![ExperimentConfig::baseline().with_uops(30_000)];
-        let apps = vec![AppProfile::test_tiny()];
+        let apps = singles(&[AppProfile::test_tiny()]);
         let first = runner.try_grid(&cfgs, &apps);
         assert_eq!(runner.warm_cache().len(), 1);
         assert_eq!(runner.warm_cache().hits(), 0);
@@ -1192,6 +1141,7 @@ mod tests {
     #[test]
     fn on_cell_streams_every_outcome_once() {
         let (cfgs, apps) = tiny_grid();
+        let apps = singles(&apps);
         let seen = Arc::new(Mutex::new(Vec::<(usize, usize)>::new()));
         let sink = Arc::clone(&seen);
         let report = SweepRunner::with_threads(4)

@@ -1,25 +1,26 @@
 //! Regeneration of every figure in the paper's evaluation (§4).
 //!
-//! Each `figureN` function runs the configurations that figure compares,
-//! over the application set given, and returns a [`FigureTable`] whose rows
-//! mirror the bars of the original plot:
+//! The evaluation compares the seven presets of
+//! [`ExperimentConfig::presets`] against one shared baseline.
+//! [`FigureData::collect`] runs that comparison once, every preset over
+//! the given workloads as a single [`SweepRunner::try_grid`], and each
+//! figure is a pure view over the collection that picks its rows by
+//! configuration name, in the figure's order:
 //!
-//! * [`figure1`] — baseline temperature of Processor / Frontend / Backend /
-//!   UL2 (peak and average ΔT over the 45 °C ambient),
-//! * [`figure12`] — distributed rename and commit: % reduction of
-//!   AbsMax/Average/AvgMax for ROB, RAT and trace cache, plus slowdown,
-//! * [`figure13`] — the four trace-cache techniques (address biasing,
-//!   blank silicon, bank hopping, BH+AB) with the same metrics,
-//! * [`figure14`] — the combined distributed frontend.
+//! * [`FigureData::figure1`] — baseline temperature of Processor /
+//!   Frontend / Backend / UL2 (peak and average ΔT over the 45 °C ambient),
+//! * [`FigureData::figure12`] — distributed rename and commit: % reduction
+//!   of AbsMax/Average/AvgMax for ROB, RAT and trace cache, plus slowdown,
+//! * [`FigureData::figure13`] — the four trace-cache techniques (address
+//!   biasing, blank silicon, bank hopping, BH+AB) with the same metrics,
+//! * [`FigureData::figure14`] — the combined distributed frontend.
 //!
 //! Run lengths are scaled down from the paper's 200 M instructions per
-//! application; pass a larger `uops_per_app` to converge further.
-//!
-//! Every figure executes its whole app × config grid through a parallel
-//! [`SweepRunner`] — rows are bit-identical to the old serial collection,
-//! just produced across however many cores the host has.
+//! application; pass a larger `uops_per_app` to converge further. The
+//! rows are bit-identical whatever the runner's worker count.
 
-use distfront_trace::AppProfile;
+use distfront_thermal::GroupMetrics;
+use distfront_trace::Workload;
 
 use crate::engine::{CellOutcome, SweepRunner};
 use crate::experiment::ExperimentConfig;
@@ -29,82 +30,136 @@ use crate::runner::{average_temps, slowdown, AppResult};
 /// Ambient temperature the paper measures rises against.
 pub const AMBIENT_C: f64 = 45.0;
 
-/// Raw data behind a technique-comparison figure.
-#[derive(Debug, Clone)]
-pub struct ComparisonData {
-    /// Per-app results for the baseline.
-    pub baseline: Vec<AppResult>,
-    /// `(config name, per-app results)` per technique, in figure order.
-    pub techniques: Vec<(&'static str, Vec<AppResult>)>,
+/// Every preset's results over one workload set: the raw data behind all
+/// four figures.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FigureData {
+    /// `(preset name, per-workload results)`, in
+    /// [`ExperimentConfig::presets`] order.
+    rows: Vec<(&'static str, Vec<AppResult>)>,
 }
 
-impl ComparisonData {
-    /// Runs the baseline plus `configs` over `apps` at `uops_per_app`,
-    /// fanning the whole grid out over a parallel [`SweepRunner`].
-    pub fn collect(apps: &[AppProfile], configs: &[ExperimentConfig], uops_per_app: u64) -> Self {
-        Self::collect_with(&SweepRunner::new(), apps, configs, uops_per_app)
-    }
-
-    /// [`collect`](Self::collect) on a caller-supplied runner (e.g.
-    /// [`SweepRunner::serial`] for a reference run, or a shared runner
-    /// whose warm-start cache spans several figures).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any cell fails, listing every failed cell — a figure's
-    /// reductions are relative to the baseline row, so a partial grid
-    /// cannot be plotted. Use [`try_collect_with`](Self::try_collect_with)
-    /// to handle the failures instead.
-    pub fn collect_with(
-        runner: &SweepRunner,
-        apps: &[AppProfile],
-        configs: &[ExperimentConfig],
-        uops_per_app: u64,
-    ) -> Self {
-        Self::try_collect_with(runner, apps, configs, uops_per_app).unwrap_or_else(|failed| {
-            let list: Vec<String> = failed.iter().map(CellOutcome::failure_line).collect();
-            panic!("{} figure cells failed:\n{}", failed.len(), list.join("\n"))
-        })
-    }
-
-    /// The fault-tolerant [`collect_with`](Self::collect_with): runs the
-    /// grid through [`SweepRunner::try_grid`] and, when any cell fails,
-    /// returns the failed cells instead of panicking (a figure needs its
-    /// full grid — reductions are computed against the baseline row — so
-    /// there is no partial `ComparisonData`).
+impl FigureData {
+    /// Runs every preset over `workloads` at `uops_per_app` as one grid on
+    /// `runner`.
     ///
     /// # Errors
     ///
-    /// Returns every failed [`CellOutcome`] when the grid is incomplete.
-    pub fn try_collect_with(
+    /// Returns every failed [`CellOutcome`], in grid order, when any cell
+    /// fails: the reductions are relative to the baseline row, so a
+    /// partial grid cannot be plotted.
+    pub fn collect(
         runner: &SweepRunner,
-        apps: &[AppProfile],
-        configs: &[ExperimentConfig],
+        workloads: &[Workload],
         uops_per_app: u64,
     ) -> Result<Self, Vec<CellOutcome>> {
-        let mut grid_cfgs = Vec::with_capacity(configs.len() + 1);
-        grid_cfgs.push(ExperimentConfig::baseline().with_uops(uops_per_app));
-        grid_cfgs.extend(configs.iter().map(|c| c.clone().with_uops(uops_per_app)));
-        let report = runner.try_grid(&grid_cfgs, apps);
+        let configs: Vec<ExperimentConfig> = ExperimentConfig::presets()
+            .into_iter()
+            .map(|c| c.with_uops(uops_per_app))
+            .collect();
+        let report = runner.try_grid(&configs, workloads);
         if !report.is_complete() {
             return Err(report.failures().cloned().collect());
         }
-        let mut rows = report.strict().into_iter();
-        let baseline = rows.next().expect("baseline row");
-        let techniques = grid_cfgs[1..].iter().map(|c| c.name).zip(rows).collect();
-        Ok(ComparisonData {
-            baseline,
-            techniques,
-        })
+        let rows = configs
+            .iter()
+            .map(|c| c.name)
+            .zip(report.strict())
+            .collect();
+        Ok(FigureData { rows })
     }
 
-    /// One figure row per technique: the nine reduction percentages
-    /// (ROB/RAT/TC × AbsMax/Average/AvgMax) followed by the slowdown.
-    pub fn reduction_rows(&self) -> Vec<FigureRow> {
-        let base = average_temps(&self.baseline);
-        self.techniques
+    /// One preset's per-workload results.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not a preset.
+    pub fn results(&self, name: &str) -> &[AppResult] {
+        self.rows
             .iter()
-            .map(|(name, results)| {
+            .find(|(n, _)| *n == name)
+            .map(|(_, results)| results.as_slice())
+            .unwrap_or_else(|| panic!("no preset named {name:?}"))
+    }
+
+    /// Figures 1, 12, 13 and 14, in the paper's order.
+    pub fn tables(&self) -> [FigureTable; 4] {
+        [
+            self.figure1(),
+            self.figure12(),
+            self.figure13(),
+            self.figure14(),
+        ]
+    }
+
+    /// Figure 1: temperature comparison of the processor elements on the
+    /// baseline — peak and average increase over the 45 °C ambient.
+    pub fn figure1(&self) -> FigureTable {
+        let t = average_temps(self.results("baseline"));
+        let row = |label: &str, m: &GroupMetrics| FigureRow {
+            label: label.to_string(),
+            values: vec![m.abs_max_c - AMBIENT_C, m.average_c - AMBIENT_C],
+        };
+        FigureTable {
+            id: "figure1",
+            title: "Temperature increase over ambient (45C), baseline, SPEC2000 average".into(),
+            columns: vec!["Peak (C)".into(), "Average (C)".into()],
+            rows: vec![
+                row("Processor", &t.processor),
+                row("Frontend", &t.frontend),
+                row("Backend", &t.backend),
+                row("UL2", &t.ul2),
+            ],
+        }
+    }
+
+    /// Figure 12: temperature reductions of distributed renaming and
+    /// commit.
+    pub fn figure12(&self) -> FigureTable {
+        self.reduction_table(
+            "figure12",
+            "Distributed renaming and commit: reduction of temperature rise",
+            &[ExperimentConfig::distributed_rename_commit()],
+        )
+    }
+
+    /// Figure 13: the sub-banked thermal-aware trace-cache techniques.
+    pub fn figure13(&self) -> FigureTable {
+        self.reduction_table(
+            "figure13",
+            "Sub-banked trace cache: reduction of temperature rise",
+            &ExperimentConfig::figure13_set(),
+        )
+    }
+
+    /// Figure 14: the combined distributed frontend.
+    pub fn figure14(&self) -> FigureTable {
+        self.reduction_table(
+            "figure14",
+            "Distributed frontend: overall temperature reductions",
+            &[
+                ExperimentConfig::hopping_and_biasing(),
+                ExperimentConfig::distributed_rename_commit(),
+                ExperimentConfig::combined(),
+            ],
+        )
+    }
+
+    /// One row per technique in `techniques` (matched by name): the nine
+    /// reduction percentages against the baseline (ROB/RAT/TC ×
+    /// AbsMax/Average/AvgMax), then the slowdown.
+    fn reduction_table(
+        &self,
+        id: &'static str,
+        title: &str,
+        techniques: &[ExperimentConfig],
+    ) -> FigureTable {
+        let baseline = self.results("baseline");
+        let base = average_temps(baseline);
+        let rows = techniques
+            .iter()
+            .map(|cfg| {
+                let results = self.results(cfg.name);
                 let t = average_temps(results);
                 let mut values = Vec::with_capacity(10);
                 for (b, m) in [
@@ -117,106 +172,55 @@ impl ComparisonData {
                     values.push(r.average_c * 100.0);
                     values.push(r.avg_max_c * 100.0);
                 }
-                values.push(slowdown(&self.baseline, results) * 100.0);
+                values.push(slowdown(baseline, results) * 100.0);
                 FigureRow {
-                    label: (*name).to_string(),
+                    label: cfg.name.to_string(),
                     values,
                 }
             })
-            .collect()
-    }
-}
-
-fn reduction_columns() -> Vec<String> {
-    let mut cols = Vec::new();
-    for group in ["ROB", "RAT", "TC"] {
-        for metric in ["AbsMax", "Average", "AvgMax"] {
-            cols.push(format!("{group} {metric} %"));
+            .collect();
+        let mut columns = Vec::with_capacity(10);
+        for group in ["ROB", "RAT", "TC"] {
+            for metric in ["AbsMax", "Average", "AvgMax"] {
+                columns.push(format!("{group} {metric} %"));
+            }
         }
-    }
-    cols.push("Slowdown %".to_string());
-    cols
-}
-
-/// Figure 1: temperature comparison of the processor elements on the
-/// baseline — peak and average increase over the 45 °C ambient.
-pub fn figure1(apps: &[AppProfile], uops_per_app: u64) -> FigureTable {
-    let cfg = ExperimentConfig::baseline().with_uops(uops_per_app);
-    let results = SweepRunner::new().suite(&cfg, apps);
-    let t = average_temps(&results);
-    let row = |label: &str, m: &distfront_thermal::GroupMetrics| FigureRow {
-        label: label.to_string(),
-        values: vec![m.abs_max_c - AMBIENT_C, m.average_c - AMBIENT_C],
-    };
-    FigureTable {
-        id: "figure1",
-        title: "Temperature increase over ambient (45C), baseline, SPEC2000 average".into(),
-        columns: vec!["Peak (C)".into(), "Average (C)".into()],
-        rows: vec![
-            row("Processor", &t.processor),
-            row("Frontend", &t.frontend),
-            row("Backend", &t.backend),
-            row("UL2", &t.ul2),
-        ],
-    }
-}
-
-/// Figure 12: temperature reductions of distributed renaming and commit.
-pub fn figure12(apps: &[AppProfile], uops_per_app: u64) -> FigureTable {
-    let data = ComparisonData::collect(
-        apps,
-        &[ExperimentConfig::distributed_rename_commit()],
-        uops_per_app,
-    );
-    FigureTable {
-        id: "figure12",
-        title: "Distributed renaming and commit: reduction of temperature rise".into(),
-        columns: reduction_columns(),
-        rows: data.reduction_rows(),
-    }
-}
-
-/// Figure 13: the sub-banked thermal-aware trace-cache techniques.
-pub fn figure13(apps: &[AppProfile], uops_per_app: u64) -> FigureTable {
-    let data = ComparisonData::collect(apps, &ExperimentConfig::figure13_set(), uops_per_app);
-    FigureTable {
-        id: "figure13",
-        title: "Sub-banked trace cache: reduction of temperature rise".into(),
-        columns: reduction_columns(),
-        rows: data.reduction_rows(),
-    }
-}
-
-/// Figure 14: the combined distributed frontend.
-pub fn figure14(apps: &[AppProfile], uops_per_app: u64) -> FigureTable {
-    let data = ComparisonData::collect(
-        apps,
-        &[
-            ExperimentConfig::hopping_and_biasing(),
-            ExperimentConfig::distributed_rename_commit(),
-            ExperimentConfig::combined(),
-        ],
-        uops_per_app,
-    );
-    FigureTable {
-        id: "figure14",
-        title: "Distributed frontend: overall temperature reductions".into(),
-        columns: reduction_columns(),
-        rows: data.reduction_rows(),
+        columns.push("Slowdown %".to_string());
+        FigureTable {
+            id,
+            title: title.into(),
+            columns,
+            rows,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::OnceLock;
 
-    fn tiny_apps() -> Vec<AppProfile> {
-        vec![AppProfile::test_tiny()]
+    use distfront_trace::AppProfile;
+
+    use super::*;
+    use crate::engine::EngineError;
+
+    const UOPS: u64 = 50_000;
+
+    fn tiny_apps() -> Vec<Workload> {
+        vec![Workload::from(AppProfile::test_tiny())]
+    }
+
+    /// Every preset over the tiny app, collected once for the view tests.
+    fn data() -> &'static FigureData {
+        static DATA: OnceLock<FigureData> = OnceLock::new();
+        DATA.get_or_init(|| {
+            FigureData::collect(&SweepRunner::new(), &tiny_apps(), UOPS).expect("tiny grid")
+        })
     }
 
     #[test]
     fn figure1_shape() {
-        let t = figure1(&tiny_apps(), 50_000);
+        let t = data().figure1();
         assert_eq!(t.rows.len(), 4);
         assert_eq!(t.columns.len(), 2);
         for row in &t.rows {
@@ -231,7 +235,7 @@ mod tests {
 
     #[test]
     fn figure1_frontend_among_hottest() {
-        let t = figure1(&tiny_apps(), 50_000);
+        let t = data().figure1();
         let get = |label: &str| {
             t.rows
                 .iter()
@@ -244,7 +248,7 @@ mod tests {
 
     #[test]
     fn figure12_reduces_rob_and_rat() {
-        let t = figure12(&tiny_apps(), 50_000);
+        let t = data().figure12();
         assert_eq!(t.rows.len(), 1);
         let v = &t.rows[0].values;
         // ROB AbsMax and RAT AbsMax reductions are positive.
@@ -256,7 +260,7 @@ mod tests {
 
     #[test]
     fn figure13_has_four_techniques() {
-        let t = figure13(&tiny_apps(), 40_000);
+        let t = data().figure13();
         let labels: Vec<_> = t.rows.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(
             labels,
@@ -267,17 +271,14 @@ mod tests {
 
     #[test]
     fn parallel_collection_matches_serial_reference() {
-        let apps = tiny_apps();
-        let cfgs = [ExperimentConfig::distributed_rename_commit()];
-        let parallel = ComparisonData::collect(&apps, &cfgs, 40_000);
-        let serial = ComparisonData::collect_with(&SweepRunner::serial(), &apps, &cfgs, 40_000);
-        assert_eq!(parallel.baseline, serial.baseline);
-        assert_eq!(parallel.techniques, serial.techniques);
+        let serial = FigureData::collect(&SweepRunner::serial(), &tiny_apps(), UOPS).unwrap();
+        assert_eq!(&serial, data());
+        assert_eq!(serial.tables(), data().tables());
     }
 
     #[test]
     fn figure14_combined_beats_parts_on_tc() {
-        let t = figure14(&tiny_apps(), 50_000);
+        let t = data().figure14();
         assert_eq!(t.rows.len(), 3);
         let tc_avg = |label: &str| {
             t.rows
@@ -288,5 +289,27 @@ mod tests {
         };
         // The combination should at least match DRC alone on the TC.
         assert!(tc_avg("drc+bh+ab") > tc_avg("drc") - 5.0);
+    }
+
+    #[test]
+    fn a_failing_workload_returns_every_failed_cell() {
+        let mut bad = AppProfile::test_tiny();
+        bad.name = "bad-mix";
+        bad.load_frac = 1.4;
+        let workloads = [Workload::from(AppProfile::test_tiny()), Workload::from(bad)];
+        let failed = FigureData::collect(&SweepRunner::with_threads(2), &workloads, 30_000)
+            .expect_err("the bad workload fails under every preset");
+        let presets = ExperimentConfig::presets();
+        assert_eq!(failed.len(), presets.len(), "one failure per preset row");
+        for (i, (cell, cfg)) in failed.iter().zip(&presets).enumerate() {
+            assert_eq!((cell.config, cell.app), (i, 1));
+            assert_eq!(cell.config_name, cfg.name);
+            assert_eq!(cell.app_name, "bad-mix");
+            assert!(
+                matches!(cell.result, Err(EngineError::InvalidConfig(_))),
+                "{}",
+                cell.failure_line()
+            );
+        }
     }
 }

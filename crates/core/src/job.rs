@@ -6,11 +6,12 @@
 //! constructs — the one-shot CLI (plain, `--state-dir` and `--processes`
 //! runs alike), the `distfront-sweepd` daemon protocol, the benches and
 //! the test harness. [`JobSpec::execute`] is the execution path behind
-//! them: it resolves the target against the registries, sizes a runner
-//! with [`SweepRunner::from_spec`](crate::engine::SweepRunner::from_spec)
-//! and runs the grid against a [`JobEnv`]. The front ends differ only in
-//! the environment they share across jobs and in where the spec runs; a
-//! `--processes` run hands the spec to
+//! them: it resolves the target against the registries, builds a runner
+//! bound to a [`JobEnv`] with
+//! [`SweepRunner::from_spec`](crate::engine::SweepRunner::from_spec) and
+//! runs the grid. The front ends differ only in the environment they
+//! share across jobs and in where the spec runs; a `--processes` run
+//! hands the spec to
 //! [`ShardRunner`](crate::shard::ShardRunner), whose workers run slices
 //! of the same resolved grid.
 //!
@@ -683,8 +684,9 @@ impl JobSpec {
     }
 
     /// Runs the job to completion on the calling thread: resolves the
-    /// target, builds a [`SweepRunner::from_spec`] runner sharing `env`'s
-    /// warm-start cache and trace store, and returns the per-cell report.
+    /// target, builds the [`SweepRunner::from_spec`] runner bound to
+    /// `env`'s warm-start cache and trace store, and returns the per-cell
+    /// report.
     /// `on_cell` streams outcomes in completion order, exactly like
     /// [`SweepRunner::with_on_cell`].
     ///
@@ -702,11 +704,9 @@ impl JobSpec {
         on_cell: impl Fn(&CellOutcome) + Send + Sync + 'static,
     ) -> Result<JobReport, JobSpecError> {
         let resolved = self.resolve()?;
-        let runner = SweepRunner::from_spec(self)
-            .with_warm_cache(Arc::clone(&env.warm))
-            .with_trace_mode(self.trace.bind(&env.traces))
-            .with_on_cell(on_cell);
-        let report = runner.try_grid_workloads(&resolved.configs, &resolved.workloads);
+        let report = SweepRunner::from_spec(self, env)
+            .with_on_cell(on_cell)
+            .try_grid(&resolved.configs, &resolved.workloads);
         Ok(JobReport {
             label: resolved.label,
             report,

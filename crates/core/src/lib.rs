@@ -21,8 +21,8 @@
 //! configurations, [`engine`] couples simulator ⇄ power ⇄ thermal as a
 //! staged pipeline (pilot → warm start → interval loop) with a parallel
 //! [`SweepRunner`] over the app × config grid, [`runner`] keeps the
-//! serial entry points and result types, and [`figures`] regenerates
-//! every figure of §4.
+//! one-cell entry point and result types, and [`figures`] regenerates
+//! every figure of §4 from one grid.
 //!
 //! # Examples
 //!
@@ -64,14 +64,11 @@ pub use engine::{
     SweepReport, SweepRunner, TraceMode, TraceStore, WarmStartCache,
 };
 pub use experiment::{DtmSpec, ExperimentConfig};
-pub use figures::{figure1, figure12, figure13, figure14, ComparisonData, AMBIENT_C};
+pub use figures::{FigureData, AMBIENT_C};
 pub use job::{
     JobClass, JobEnv, JobReport, JobSpec, JobSpecError, JobTarget, StatusCode, TraceSpec,
 };
 pub use report::{FigureRow, FigureTable};
-pub use runner::{
-    average_temps, mean_cpi, run_app, run_suite, slowdown, try_run_app, AppResult, BlockGroups,
-    TempReport,
-};
+pub use runner::{average_temps, mean_cpi, run_app, slowdown, AppResult, BlockGroups, TempReport};
 pub use scenarios::Scenario;
 pub use store::{DurableStore, StoreSnapshot};

@@ -1,5 +1,5 @@
-//! The experiment runner: result types, block groups and the serial
-//! entry points over the staged [`engine`](crate::engine).
+//! The experiment runner: result types, block groups, suite averages and
+//! the one-cell entry point over the staged [`engine`](crate::engine).
 //!
 //! Per application the pipeline (see [`crate::engine`] for the staged
 //! form):
@@ -21,15 +21,16 @@
 //! sub-stepped RK4 reference
 //! ([`Integrator::Rk4`](distfront_thermal::Integrator)) for cross-checks.
 //!
-//! [`run_app`] is the one-cell convenience wrapper; grids and suites
-//! parallelize through [`SweepRunner`](crate::engine::SweepRunner) with
-//! bit-identical results.
+//! [`run_app`] is the one-cell convenience wrapper. Every grid, a one-row
+//! suite included, runs through
+//! [`SweepRunner::try_grid`](crate::engine::SweepRunner::try_grid), whose
+//! cells are bit-identical to `run_app` at any worker count.
 
 use distfront_power::{BlockId, Machine};
 use distfront_thermal::GroupMetrics;
 use distfront_trace::AppProfile;
 
-use crate::engine::{CoupledEngine, EngineError};
+use crate::engine::CoupledEngine;
 use crate::experiment::ExperimentConfig;
 
 /// Temperature metrics for the block groups the paper reports on.
@@ -134,31 +135,12 @@ impl BlockGroups {
 /// # Panics
 ///
 /// Panics if the configuration is invalid or the run fails (e.g. a
-/// non-converged warm start); use [`try_run_app`] to handle
-/// [`EngineError`]s instead.
+/// non-converged warm start); run [`CoupledEngine`] directly to handle
+/// [`EngineError`](crate::engine::EngineError)s instead.
 pub fn run_app(cfg: &ExperimentConfig, profile: &AppProfile) -> AppResult {
-    try_run_app(cfg, profile)
+    CoupledEngine::new(cfg, profile)
+        .run()
         .unwrap_or_else(|e| panic!("engine failed for {}/{}: {e}", cfg.name, profile.name))
-}
-
-/// The fault-tolerant [`run_app`]: one application under one configuration
-/// through the default staged engine, with failures surfaced as
-/// [`EngineError`]s (the per-cell semantics grids get from
-/// [`SweepRunner::try_grid`](crate::engine::SweepRunner::try_grid)).
-///
-/// # Errors
-///
-/// Returns an error when the configuration is invalid, a stage's
-/// prerequisites are missing, or an iterative phase fails to converge.
-pub fn try_run_app(cfg: &ExperimentConfig, profile: &AppProfile) -> Result<AppResult, EngineError> {
-    CoupledEngine::new(cfg, profile).run()
-}
-
-/// Runs a whole application suite under one configuration, serially (the
-/// reference ordering; [`SweepRunner`](crate::engine::SweepRunner)
-/// produces bit-identical results in parallel).
-pub fn run_suite(cfg: &ExperimentConfig, apps: &[AppProfile]) -> Vec<AppResult> {
-    apps.iter().map(|p| run_app(cfg, p)).collect()
 }
 
 /// Averages group metrics across applications (each app weighted equally,

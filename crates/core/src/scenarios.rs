@@ -387,13 +387,18 @@ pub fn csv_row(scenario: &str, r: &AppResult) -> String {
 /// identical too — error cells included, since an engine failure is as
 /// deterministic as a result.
 pub fn to_csv<'a>(reports: impl IntoIterator<Item = &'a JobReport>) -> String {
+    csv_text(reports.into_iter().flat_map(JobReport::csv_rows))
+}
+
+/// A CSV document: [`CSV_HEADER`], then one [`csv_row`] per line — the
+/// bytes [`to_csv`] writes, for rows gathered elsewhere (result frames
+/// from a daemon, a state directory or shard artifacts).
+pub fn csv_text(rows: impl IntoIterator<Item = impl AsRef<str>>) -> String {
     let mut out = String::from(CSV_HEADER);
     out.push('\n');
-    for rep in reports {
-        for row in rep.csv_rows() {
-            out.push_str(&row);
-            out.push('\n');
-        }
+    for row in rows {
+        out.push_str(row.as_ref());
+        out.push('\n');
     }
     out
 }

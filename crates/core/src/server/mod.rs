@@ -697,6 +697,30 @@ impl JobResponse {
         }
     }
 
+    /// The response a job's complete result frames describe — the lines
+    /// [`protocol::result_frames`] writes and a state directory stores —
+    /// parsed exactly as a live `JOB` exchange's frames are.
+    ///
+    /// # Errors
+    ///
+    /// Rejects malformed and unknown frames, and a frame list that does
+    /// not end in exactly one terminal (`DONE`/`ERR`) frame.
+    pub fn from_frames(frames: &[String]) -> io::Result<JobResponse> {
+        let mut response = JobResponse::pending();
+        for (i, frame) in frames.iter().enumerate() {
+            if response.apply_frame(frame)? {
+                if i + 1 == frames.len() {
+                    return Ok(response);
+                }
+                break;
+            }
+        }
+        Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "result frames do not end in exactly one terminal frame",
+        ))
+    }
+
     /// Folds one already-untagged result frame in; `true` means the
     /// frame was terminal (`DONE`/`ERR`) and the response is complete.
     ///
@@ -914,6 +938,44 @@ impl Client {
                 io::ErrorKind::InvalidData,
                 format!("expected BYE, got {other:?}"),
             )),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn frames(lines: &[&str]) -> Vec<String> {
+        lines.iter().map(|l| l.to_string()).collect()
+    }
+
+    #[test]
+    fn stored_frames_parse_like_a_live_exchange() {
+        let stored = frames(&[
+            "CELL baseline,gzip,1",
+            "ERRCELL baseline mcf warm start diverged",
+            "DONE status=2 cells=2 failed=1",
+        ]);
+        let response = JobResponse::from_frames(&stored).unwrap();
+        assert_eq!(response.status, StatusCode::CellsFailed);
+        assert_eq!((response.cells, response.failed), (2, 1));
+        assert!(!response.cached);
+        assert_eq!(response.csv_rows, vec!["baseline,gzip,1".to_string()]);
+        assert_eq!(response.result_lines, stored);
+        assert_eq!(response.error, None);
+    }
+
+    #[test]
+    fn stored_frames_must_end_in_one_terminal_frame() {
+        for bad in [
+            frames(&[]),
+            frames(&["CELL baseline,gzip,1"]),
+            frames(&["DONE status=0 cells=0 failed=0", "CELL baseline,gzip,1"]),
+            frames(&["CELL baseline,gzip,1", "DONE status=0 cells=1 bogus=1"]),
+            frames(&["NOPE", "DONE status=0 cells=0 failed=0"]),
+        ] {
+            assert!(JobResponse::from_frames(&bad).is_err(), "{bad:?}");
         }
     }
 }

@@ -194,10 +194,11 @@ pub fn run_worker(dir: &Path, shard: ShardSpec) -> StatusCode {
     let kill = kill_path(dir, shard.index);
     let die_before_persist = kill.exists() && std::fs::remove_file(&kill).is_ok();
 
-    let env = JobEnv::default();
-    let runner =
-        crate::engine::SweepRunner::from_spec(&spec).with_trace_mode(spec.trace.bind(&env.traces));
-    let cells = runner.try_cells(&resolved.configs, &resolved.workloads, range.clone());
+    let cells = crate::engine::SweepRunner::from_spec(&spec, &JobEnv::default()).try_cells(
+        &resolved.configs,
+        &resolved.workloads,
+        range.clone(),
+    );
 
     if die_before_persist {
         // Dies by SIGABRT: like SIGKILL it runs no destructors and

@@ -6,7 +6,9 @@
 //! trace-cache pressure) and data working-set size (which determines L1/UL2
 //! behaviour). The values are representative of published SPEC2000
 //! characterization studies, not measurements of the (unavailable) paper
-//! traces; see `DESIGN.md` for the substitution argument.
+//! traces. The reproduction therefore checks the paper's results by shape
+//! (who wins, in which direction, in roughly which order; see
+//! `tests/paper_shapes.rs`), not by absolute value.
 
 /// Coarse dynamic characteristics of one application.
 ///

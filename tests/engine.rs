@@ -6,10 +6,23 @@ use std::sync::Arc;
 
 use distfront::engine::{CoupledEngine, SweepRunner, WarmStartCache};
 use distfront::engine::{DtmAction, DtmPolicy, EngineCx, EngineError, PilotStage, Stage};
-use distfront::{run_app, run_suite, ExperimentConfig};
+use distfront::{run_app, ExperimentConfig};
 use distfront_power::Machine;
 use distfront_thermal::{Floorplan, PackageConfig, ThermalNetwork, ThermalSolver};
-use distfront_trace::AppProfile;
+use distfront_trace::{AppProfile, Workload};
+
+fn singles(apps: &[AppProfile]) -> Vec<Workload> {
+    apps.iter().copied().map(Workload::from).collect()
+}
+
+/// The strict `result[config][app]` grid on `runner`.
+fn grid(
+    runner: &SweepRunner,
+    configs: &[ExperimentConfig],
+    apps: &[AppProfile],
+) -> Vec<Vec<distfront::AppResult>> {
+    runner.try_grid(configs, &singles(apps)).strict()
+}
 
 /// (a) The factored LU steady-state solve matches the single-shot
 /// Gaussian-elimination reference to 1e-9 on every paper machine shape.
@@ -46,14 +59,16 @@ fn parallel_sweep_is_bit_identical_to_serial() {
         *AppProfile::by_name("gzip").unwrap(),
         *AppProfile::by_name("mcf").unwrap(),
     ];
-    let serial = SweepRunner::serial().grid(&configs, &apps);
+    let serial = grid(&SweepRunner::serial(), &configs, &apps);
     for workers in [2, 4, 8] {
-        let parallel = SweepRunner::with_threads(workers).grid(&configs, &apps);
+        let parallel = grid(&SweepRunner::with_threads(workers), &configs, &apps);
         assert_eq!(serial, parallel, "{workers}-worker sweep diverged");
     }
-    // And the grid agrees cell-by-cell with the plain serial entry points.
+    // And the grid agrees cell-by-cell with the one-cell entry point.
     for (c, cfg) in configs.iter().enumerate() {
-        assert_eq!(serial[c], run_suite(cfg, &apps), "config row {c}");
+        for (a, app) in apps.iter().enumerate() {
+            assert_eq!(serial[c][a], run_app(cfg, app), "cell [{c}][{a}]");
+        }
     }
 }
 
@@ -116,29 +131,29 @@ fn worker_count_clamps_to_cell_count() {
         AppProfile::test_tiny(),
         *AppProfile::by_name("gzip").unwrap(),
     ];
-    let serial = SweepRunner::serial().grid(&configs, &apps);
+    let serial = grid(&SweepRunner::serial(), &configs, &apps);
     // 2 cells, way more threads than cells — including a count far above
     // any machine's parallelism.
     for workers in [3, 64, 1024] {
         let runner = SweepRunner::with_threads(workers);
         assert_eq!(runner.threads(), workers, "requested count is preserved");
-        let grid = runner.grid(&configs, &apps);
-        assert_eq!(grid, serial, "{workers}-worker sweep of 2 cells diverged");
+        let swept = grid(&runner, &configs, &apps);
+        assert_eq!(swept, serial, "{workers}-worker sweep of 2 cells diverged");
     }
     // Degenerate single cell under many workers.
-    let one = SweepRunner::with_threads(16).grid(&configs, &apps[..1]);
+    let one = grid(&SweepRunner::with_threads(16), &configs, &apps[..1]);
     assert_eq!(one[0][0], run_app(&configs[0], &apps[0]));
 }
 
-/// A sweep runner reuses its warm-start cache across `grid` calls.
+/// A sweep runner reuses its warm-start cache across `try_grid` calls.
 #[test]
 fn sweep_runner_cache_persists_across_grids() {
     let runner = SweepRunner::with_threads(2);
     let configs = [ExperimentConfig::baseline().with_uops(30_000)];
     let apps = [AppProfile::test_tiny()];
-    let first = runner.grid(&configs, &apps);
+    let first = grid(&runner, &configs, &apps);
     let hits_before = runner.warm_cache().hits();
-    let second = runner.grid(&configs, &apps);
+    let second = grid(&runner, &configs, &apps);
     assert!(runner.warm_cache().hits() > hits_before);
     assert_eq!(first, second);
 }
@@ -146,16 +161,16 @@ fn sweep_runner_cache_persists_across_grids() {
 /// The figure tables ride on the sweep executor and keep their row output.
 #[test]
 fn figure_rows_unchanged_on_the_engine() {
-    use distfront::figures::ComparisonData;
-    let apps = [AppProfile::test_tiny()];
-    let cfgs = [ExperimentConfig::distributed_rename_commit()];
-    let parallel = ComparisonData::collect(&apps, &cfgs, 40_000);
-    let serial = ComparisonData::collect_with(&SweepRunner::serial(), &apps, &cfgs, 40_000);
-    let pr = parallel.reduction_rows();
-    let sr = serial.reduction_rows();
-    assert_eq!(pr, sr);
-    assert_eq!(pr[0].label, "drc");
-    assert_eq!(pr[0].values.len(), 10);
+    use distfront::FigureData;
+    let apps = singles(&[AppProfile::test_tiny()]);
+    let parallel = FigureData::collect(&SweepRunner::new(), &apps, 40_000).unwrap();
+    let serial = FigureData::collect(&SweepRunner::serial(), &apps, 40_000).unwrap();
+    assert_eq!(parallel, serial);
+    let pr = parallel.figure12();
+    assert_eq!(pr, serial.figure12());
+    assert_eq!(pr.rows[0].label, "drc");
+    assert_eq!(pr.rows[0].values.len(), 10);
+    assert_eq!(parallel.tables(), serial.tables());
 }
 
 /// (d) The default (matrix-exponential) engine and the RK4 reference

@@ -5,10 +5,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use distfront::engine::{EngineError, SweepRunner, WarmStartCache};
-use distfront::{run_app, try_run_app, ExperimentConfig};
+use distfront::engine::{CoupledEngine, EngineError, SweepRunner, WarmStartCache};
+use distfront::{run_app, ExperimentConfig};
 use distfront_power::{LeakageModel, Machine};
-use distfront_trace::AppProfile;
+use distfront_trace::{AppProfile, Workload};
 
 /// The paper's leakage calibration with the emergency cap removed: the
 /// model caps the exponential at 381 K precisely because silicon past it
@@ -26,6 +26,10 @@ fn uncapped_leakage() -> ExperimentConfig {
         });
     cfg.name = "uncapped-leakage";
     cfg
+}
+
+fn singles(apps: &[AppProfile]) -> Vec<Workload> {
+    apps.iter().copied().map(Workload::from).collect()
 }
 
 fn faulty_grid() -> (Vec<ExperimentConfig>, Vec<AppProfile>) {
@@ -47,7 +51,7 @@ fn faulty_grid() -> (Vec<ExperimentConfig>, Vec<AppProfile>) {
 #[test]
 fn one_failing_cell_spares_the_other_five() {
     let (cfgs, apps) = faulty_grid();
-    let serial = SweepRunner::serial().try_grid(&cfgs, &apps);
+    let serial = SweepRunner::serial().try_grid(&cfgs, &singles(&apps));
     assert_eq!(serial.shape(), (2, 3));
     assert_eq!(serial.failed(), 1, "exactly the hot uncapped cell fails");
     let failing = serial.cell(1, 0);
@@ -72,7 +76,7 @@ fn one_failing_cell_spares_the_other_five() {
     }
     // Parallel reports are bit-identical to serial, error cell included.
     for workers in [2, 5] {
-        let parallel = SweepRunner::with_threads(workers).try_grid(&cfgs, &apps);
+        let parallel = SweepRunner::with_threads(workers).try_grid(&cfgs, &singles(&apps));
         assert_eq!(serial, parallel, "{workers}-worker report diverged");
     }
 }
@@ -86,7 +90,7 @@ fn one_failing_cell_spares_the_other_five() {
 fn leakage_model_is_part_of_the_warm_cache_key() {
     let (cfgs, apps) = faulty_grid();
     let runner = SweepRunner::serial();
-    let first = runner.try_grid(&cfgs, &apps);
+    let first = runner.try_grid(&cfgs, &singles(&apps));
     // 6 cells, 6 distinct (leakage, nominal) keys attempted, one failed:
     // 5 cached entries and no hits.
     assert_eq!(runner.warm_cache().len(), 5);
@@ -94,7 +98,7 @@ fn leakage_model_is_part_of_the_warm_cache_key() {
     assert_eq!(runner.warm_cache().hits(), 0);
     // A second sweep over the same grid hits all five cached warm starts,
     // re-fails the divergent cell identically, and changes nothing.
-    let second = runner.try_grid(&cfgs, &apps);
+    let second = runner.try_grid(&cfgs, &singles(&apps));
     assert_eq!(runner.warm_cache().hits(), 5);
     assert_eq!(first, second);
 }
@@ -105,7 +109,9 @@ fn leakage_model_is_part_of_the_warm_cache_key() {
 #[should_panic(expected = "engine failed for uncapped-leakage/tiny")]
 fn strict_grid_panics_naming_the_failed_cell() {
     let (cfgs, apps) = faulty_grid();
-    SweepRunner::serial().try_grid(&cfgs, &apps).strict();
+    SweepRunner::serial()
+        .try_grid(&cfgs, &singles(&apps))
+        .strict();
 }
 
 /// The streaming callback sees the failure too, in completion order, and
@@ -122,7 +128,7 @@ fn on_cell_streams_failures_alongside_results() {
                 .unwrap()
                 .push((cell.label(), cell.result.is_ok()));
         })
-        .try_grid(&cfgs, &apps);
+        .try_grid(&cfgs, &singles(&apps));
     let mut streamed = seen.lock().unwrap().clone();
     streamed.sort();
     assert_eq!(streamed.len(), 6, "every cell streamed exactly once");
@@ -135,12 +141,16 @@ fn on_cell_streams_failures_alongside_results() {
     assert_eq!(report.warm_hits(), 0, "six distinct keys, no hits");
 }
 
-/// `try_run_app` is the single-cell twin of the per-cell semantics.
+/// A single engine run is the one-cell twin of the per-cell semantics.
 #[test]
-fn try_run_app_surfaces_the_error_run_app_would_panic_on() {
-    let err = try_run_app(&uncapped_leakage(), &AppProfile::test_tiny()).unwrap_err();
+fn engine_run_surfaces_the_error_run_app_would_panic_on() {
+    let err = CoupledEngine::new(&uncapped_leakage(), &AppProfile::test_tiny())
+        .run()
+        .unwrap_err();
     assert!(matches!(err, EngineError::NotConverged(_)));
-    let ok = try_run_app(&uncapped_leakage(), AppProfile::by_name("mcf").unwrap()).unwrap();
+    let ok = CoupledEngine::new(&uncapped_leakage(), AppProfile::by_name("mcf").unwrap())
+        .run()
+        .unwrap();
     assert_eq!(
         ok,
         run_app(&uncapped_leakage(), AppProfile::by_name("mcf").unwrap())

@@ -8,6 +8,10 @@
 //! *replayed* bytes are diffed — pinning the DFAT v2 record→replay path
 //! itself, not just the live engine.
 //!
+//! `golden_figures_smoke` pins the paper's four figure tables (Figs. 1
+//! and 12–14) over the smoke apps the same way, with every value's exact
+//! round-trip digits under each table.
+//!
 //! To re-bless after an *intentional* change:
 //!
 //! ```sh
@@ -19,9 +23,11 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use distfront::engine::TraceStore;
+use distfront::engine::{SweepRunner, TraceStore};
 use distfront::job::{JobEnv, JobReport, JobSpec, TraceSpec};
 use distfront::scenarios;
+use distfront::{FigureData, FigureTable};
+use distfront_trace::Workload;
 
 /// Executes `scenario` in the pinned run shape, with `trace` bound to
 /// `env`'s store. The shape is small enough for CI, large enough that
@@ -91,11 +97,14 @@ fn compare(scenario: &str, report: &JobReport, file: String) {
         "{scenario}: {} cells failed",
         report.report.failed()
     );
-    let csv = scenarios::to_csv([report]);
+    compare_text(scenario, &scenarios::to_csv([report]), file);
+}
+
+fn compare_text(scenario: &str, text: &str, file: String) {
     let path = golden_dir().join(file);
     if std::env::var_os("BLESS").is_some() {
         std::fs::create_dir_all(golden_dir()).unwrap();
-        std::fs::write(&path, &csv).unwrap();
+        std::fs::write(&path, text).unwrap();
         eprintln!("blessed {}", path.display());
         return;
     }
@@ -105,10 +114,10 @@ fn compare(scenario: &str, report: &JobReport, file: String) {
             path.display()
         )
     });
-    if csv != golden {
+    if text != golden {
         // A byte diff with the first differing line pinpointed beats a
         // 20-line assert_eq dump.
-        let mismatch = csv
+        let mismatch = text
             .lines()
             .zip(golden.lines())
             .enumerate()
@@ -123,7 +132,7 @@ fn compare(scenario: &str, report: &JobReport, file: String) {
             None => panic!(
                 "{scenario}: output length diverged from {} ({} vs {} bytes)",
                 path.display(),
-                csv.len(),
+                text.len(),
                 golden.len()
             ),
         }
@@ -153,4 +162,35 @@ fn golden_technique_ladder_dvfs_replayed() {
 #[test]
 fn golden_technique_ladder_migration_replayed() {
     check_replayed("technique-ladder-migration");
+}
+
+/// The four figure tables as `all_figures` prints them, each followed by
+/// its values' exact (shortest round-trip) digits, so the golden pins
+/// every bit rather than two decimals.
+fn render_figures(tables: &[FigureTable]) -> String {
+    let mut text = String::new();
+    for table in tables {
+        text.push_str(&format!("{table}\n"));
+        for row in &table.rows {
+            text.push_str(&format!("  {} = {:?}\n", row.label, row.values));
+        }
+        text.push('\n');
+    }
+    text
+}
+
+#[test]
+fn golden_figures_smoke() {
+    let apps: Vec<Workload> = scenarios::suite_apps(true)
+        .into_iter()
+        .map(Workload::from)
+        .collect();
+    let tables = FigureData::collect(&SweepRunner::new(), &apps, 60_000)
+        .unwrap_or_else(|failed| panic!("{} figure cells failed", failed.len()))
+        .tables();
+    compare_text(
+        "figures",
+        &render_figures(&tables),
+        "figures-smoke.txt".into(),
+    );
 }

@@ -1,9 +1,9 @@
 //! Cross-crate integration tests: the full simulator → power → thermal
 //! pipeline driven through the public API.
 
-use distfront::{run_app, run_suite, slowdown, ExperimentConfig};
+use distfront::{run_app, slowdown, ExperimentConfig, SweepRunner};
 use distfront_power::{BlockId, Machine};
-use distfront_trace::AppProfile;
+use distfront_trace::{AppProfile, Workload};
 use distfront_uarch::{ProcessorConfig, Simulator};
 
 fn tiny(cfg: ExperimentConfig) -> distfront::AppResult {
@@ -93,18 +93,20 @@ fn machine_shape_matches_processor_config() {
 #[test]
 fn suite_slowdowns_are_modest() {
     let apps = [
-        AppProfile::test_tiny(),
-        *AppProfile::by_name("gzip").unwrap(),
+        Workload::from(AppProfile::test_tiny()),
+        Workload::from(*AppProfile::by_name("gzip").unwrap()),
     ];
-    let base = run_suite(&ExperimentConfig::baseline().with_uops(40_000), &apps);
-    for cfg in [
+    let configs = [
+        ExperimentConfig::baseline(),
         ExperimentConfig::distributed_rename_commit(),
         ExperimentConfig::hopping_and_biasing(),
         ExperimentConfig::combined(),
-    ] {
+    ]
+    .map(|c| c.with_uops(40_000));
+    let rows = SweepRunner::new().try_grid(&configs, &apps).strict();
+    for (cfg, tech) in configs[1..].iter().zip(&rows[1..]) {
         let name = cfg.name;
-        let tech = run_suite(&cfg.with_uops(40_000), &apps);
-        let s = slowdown(&base, &tech);
+        let s = slowdown(&rows[0], tech);
         assert!(
             (-0.05..0.20).contains(&s),
             "{name}: slowdown {s} out of the paper's band"

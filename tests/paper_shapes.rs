@@ -3,20 +3,29 @@
 //! loosely (the substrate is a from-scratch simulator, not the authors'
 //! testbed); orderings are checked strictly.
 
-use distfront::{average_temps, run_suite, ExperimentConfig, AMBIENT_C};
-use distfront_trace::AppProfile;
+use std::sync::OnceLock;
+
+use distfront::{average_temps, ExperimentConfig, FigureData, SweepRunner, AMBIENT_C};
+use distfront_trace::{AppProfile, Workload};
 
 const UOPS: u64 = 80_000;
 
-fn apps() -> Vec<AppProfile> {
-    ["gzip", "crafty", "swim"]
-        .iter()
-        .map(|n| *AppProfile::by_name(n).unwrap())
-        .collect()
+/// Every preset over the shape apps, run once as one grid and shared by
+/// all the tests below.
+fn data() -> &'static FigureData {
+    static DATA: OnceLock<FigureData> = OnceLock::new();
+    DATA.get_or_init(|| {
+        let apps: Vec<Workload> = ["gzip", "crafty", "swim"]
+            .iter()
+            .map(|n| Workload::from(*AppProfile::by_name(n).unwrap()))
+            .collect();
+        FigureData::collect(&SweepRunner::new(), &apps, UOPS)
+            .unwrap_or_else(|failed| panic!("{} shape cells failed", failed.len()))
+    })
 }
 
 fn suite(cfg: ExperimentConfig) -> distfront::TempReport {
-    average_temps(&run_suite(&cfg.with_uops(UOPS), &apps()))
+    average_temps(data().results(cfg.name))
 }
 
 #[test]

@@ -92,10 +92,10 @@ fn uncovered_dtm_policies_fall_back_and_name_the_missing_point() {
     // Record the plain baseline: a nominal-only point family.
     let store = Arc::new(TraceStore::new());
     let cfg = ExperimentConfig::baseline().with_uops(20_000);
-    let apps = [AppProfile::test_tiny()];
+    let apps = [Workload::from(AppProfile::test_tiny())];
     let recording = SweepRunner::serial()
         .with_trace_mode(TraceMode::Record(Arc::clone(&store)))
-        .try_suite(&cfg, &apps);
+        .try_grid(std::slice::from_ref(&cfg), &apps);
     assert!(recording.is_complete());
 
     // The DVFS study shares the uarch side ("baseline" config name) but
@@ -106,12 +106,15 @@ fn uncovered_dtm_policies_fall_back_and_name_the_missing_point() {
         .with_dtm(DtmSpec::GlobalDvfs(DvfsPolicy::paper_limit()));
     let replaying = SweepRunner::serial()
         .with_trace_mode(TraceMode::Replay(Arc::clone(&store)))
-        .try_suite(&dvfs, &apps);
+        .try_grid(std::slice::from_ref(&dvfs), &apps);
     assert!(replaying.is_complete());
     assert_eq!(replaying.replayed(), 0);
     assert_eq!(
         replaying.cells()[0].result,
-        SweepRunner::serial().try_suite(&dvfs, &apps).cells()[0].result
+        SweepRunner::serial()
+            .try_grid(std::slice::from_ref(&dvfs), &apps)
+            .cells()[0]
+            .result
     );
 
     // Direct replay of the same pairing is an explicit, named error.
@@ -143,12 +146,12 @@ fn power_level_dtm_sweeps_replay_from_a_nominal_recording() {
     let store = Arc::new(TraceStore::new());
     let cfg = ExperimentConfig::baseline().with_uops(20_000);
     let apps = [
-        AppProfile::test_tiny(),
-        *AppProfile::by_name("gzip").unwrap(),
+        Workload::from(AppProfile::test_tiny()),
+        Workload::from(*AppProfile::by_name("gzip").unwrap()),
     ];
     SweepRunner::serial()
         .with_trace_mode(TraceMode::Record(Arc::clone(&store)))
-        .try_suite(&cfg, &apps);
+        .try_grid(std::slice::from_ref(&cfg), &apps);
 
     // A trip below ambient guarantees the throttle engages every interval,
     // so this exercises the Throttle action on the replay path, not just
@@ -156,10 +159,10 @@ fn power_level_dtm_sweeps_replay_from_a_nominal_recording() {
     let throttled = ExperimentConfig::baseline()
         .with_uops(20_000)
         .with_dtm(DtmSpec::Emergency(EmergencyPolicy::with_threshold(40.0)));
-    let live = SweepRunner::serial().try_suite(&throttled, &apps);
+    let live = SweepRunner::serial().try_grid(std::slice::from_ref(&throttled), &apps);
     let replayed = SweepRunner::serial()
         .with_trace_mode(TraceMode::Replay(Arc::clone(&store)))
-        .try_suite(&throttled, &apps);
+        .try_grid(std::slice::from_ref(&throttled), &apps);
     assert_eq!(
         replayed.replayed(),
         apps.len(),
@@ -202,15 +205,15 @@ fn core_perturbing_dtm_ladder_replays_bit_identically() {
         ),
     ];
     let apps = [
-        AppProfile::test_tiny(),
-        *AppProfile::by_name("gzip").unwrap(),
+        Workload::from(AppProfile::test_tiny()),
+        Workload::from(*AppProfile::by_name("gzip").unwrap()),
     ];
     for (name, cfg) in &ladder {
         let store = Arc::new(TraceStore::new());
-        let live = SweepRunner::serial().try_suite(cfg, &apps);
+        let live = SweepRunner::serial().try_grid(std::slice::from_ref(cfg), &apps);
         let recorded = SweepRunner::serial()
             .with_trace_mode(TraceMode::Record(Arc::clone(&store)))
-            .try_suite(cfg, &apps);
+            .try_grid(std::slice::from_ref(cfg), &apps);
         assert_eq!(recorded, live, "{name}: recording perturbed the run");
         assert_eq!(store.len(), apps.len(), "{name}: traces not stored");
         // The policy must have engaged, or this test proves nothing.
@@ -223,7 +226,7 @@ fn core_perturbing_dtm_ladder_replays_bit_identically() {
         for workers in [1, 2] {
             let replayed = SweepRunner::with_threads(workers)
                 .with_trace_mode(TraceMode::Replay(Arc::clone(&store)))
-                .try_suite(cfg, &apps);
+                .try_grid(std::slice::from_ref(cfg), &apps);
             assert_eq!(
                 replayed.replayed(),
                 apps.len(),
@@ -299,12 +302,12 @@ fn record_mode_keys_traces_by_capability_family() {
     use distfront::dtm::FetchGatePolicy;
     use distfront::DtmSpec;
     let store = Arc::new(TraceStore::new());
-    let apps = [AppProfile::test_tiny()];
+    let apps = [Workload::from(AppProfile::test_tiny())];
 
     let base = ExperimentConfig::baseline().with_uops(20_000);
     SweepRunner::serial()
         .with_trace_mode(TraceMode::Record(Arc::clone(&store)))
-        .try_suite(&base, &apps);
+        .try_grid(std::slice::from_ref(&base), &apps);
     let safe = store
         .get("baseline", "tiny", &[PointKey::Nominal])
         .expect("baseline recorded");
@@ -316,7 +319,7 @@ fn record_mode_keys_traces_by_capability_family() {
         .with_dtm(DtmSpec::FetchGate(FetchGatePolicy::paper_limit()));
     let report = SweepRunner::serial()
         .with_trace_mode(TraceMode::Record(Arc::clone(&store)))
-        .try_suite(&gated, &apps);
+        .try_grid(std::slice::from_ref(&gated), &apps);
     assert!(report.is_complete());
     assert_eq!(store.len(), 2, "both capability families must be stored");
 
@@ -378,7 +381,7 @@ fn phased_workloads_record_and_replay_through_the_sweep() {
     let store = Arc::new(TraceStore::new());
     let live = SweepRunner::serial()
         .with_trace_mode(TraceMode::Record(Arc::clone(&store)))
-        .try_suite_workloads(&cfg, &workloads);
+        .try_grid(std::slice::from_ref(&cfg), &workloads);
     assert!(live.is_complete());
     assert_eq!(live.cells()[1].app_name, "tiny-gzip");
     assert_eq!(
@@ -388,7 +391,7 @@ fn phased_workloads_record_and_replay_through_the_sweep() {
     );
     let replayed = SweepRunner::with_threads(2)
         .with_trace_mode(TraceMode::Replay(Arc::clone(&store)))
-        .try_suite_workloads(&cfg, &workloads);
+        .try_grid(std::slice::from_ref(&cfg), &workloads);
     assert_eq!(replayed.replayed(), 2);
     assert_eq!(replayed, live);
 }

@@ -22,7 +22,7 @@ use distfront::engine::{SweepRunner, TraceMode, TraceStore};
 use distfront::scenarios::csv_row;
 use distfront::{DtmSpec, ExperimentConfig};
 use distfront_trace::record::{ActivityTrace, TraceCodecError};
-use distfront_trace::AppProfile;
+use distfront_trace::{AppProfile, Workload};
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden"))
@@ -52,7 +52,7 @@ fn check_retired_fixture(stem: &str, version: u32, cfg: &ExperimentConfig) {
 
     let report = SweepRunner::serial()
         .with_trace_mode(TraceMode::Replay(store))
-        .try_suite(cfg, &[app]);
+        .try_grid(std::slice::from_ref(cfg), &[Workload::from(app)]);
     assert_eq!(report.replayed(), 0, "{stem}: nothing could replay");
     let result = report.cells()[0]
         .result
