@@ -11,15 +11,14 @@
 //! binary next to the bench executable (`cargo build --release -p
 //! distfront`); it degrades to a printed skip when absent.
 //!
-//! Then the [`WarmStartCache`] is measured head-to-head: one shard
-//! (every lookup through a single lock — the pre-sharding design)
-//! against the default sharded layout, at 1 worker and at ≥ 4 workers.
+//! Then the [`WarmStartCache`]'s one lock is measured: cache-hit lookups
+//! from 1 worker and from ≥ 4 workers at once.
 //!
 //! Both sections land in `BENCH_sweep.json` at the workspace root
 //! (override with `DISTFRONT_BENCH_SWEEP_JSON`), giving CI a tracked
-//! baseline: cache sharding must be free serially and win under
-//! contention, and the executor numbers record the thread vs process
-//! scaling on the recorded `host_cores`.
+//! baseline: a lookup must stay negligible next to a cell (≥ 0.1 ms) even
+//! when every worker contends for the lock, and the executor numbers
+//! record the thread vs process scaling on the recorded `host_cores`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use distfront::engine::{EngineError, WarmStartCache};
@@ -189,34 +188,22 @@ fn time_cache_lookups(cache: &WarmStartCache, machine: Machine, threads: usize) 
     t0.elapsed().as_secs_f64() * 1e9 / (threads * per_thread) as f64
 }
 
-/// The warm-cache contention comparison; returns the `"warm_cache"` JSON
-/// section.
+/// The warm-cache lookup cost, serial and with `width` workers contending
+/// for its lock; returns the `"warm_cache"` JSON section.
 fn cache_contention_comparison() -> String {
     let machine = Machine::new(2, 4, 3);
-    let host_cores = SweepRunner::new().threads();
-    let width = host_cores.max(4);
-    let contended = WarmStartCache::with_shards(1);
-    let sharded = WarmStartCache::new();
-
-    let contended_serial_ns = time_cache_lookups(&contended, machine, 1);
-    let sharded_serial_ns = time_cache_lookups(&sharded, machine, 1);
-    let contended_wide_ns = time_cache_lookups(&contended, machine, width);
-    let sharded_wide_ns = time_cache_lookups(&sharded, machine, width);
-    let speedup = contended_wide_ns / sharded_wide_ns;
+    let width = SweepRunner::new().threads().max(4);
+    let cache = WarmStartCache::new();
+    let serial_ns = time_cache_lookups(&cache, machine, 1);
+    let parallel_ns = time_cache_lookups(&cache, machine, width);
     println!(
-        "warm cache ({} shards vs 1): serial {sharded_serial_ns:.0} vs {contended_serial_ns:.0} \
-         ns/lookup | {width} workers {sharded_wide_ns:.0} vs {contended_wide_ns:.0} ns/lookup \
-         | contended/sharded speedup {speedup:.1}x\n",
-        sharded.shard_count()
+        "warm cache (one lock): serial {serial_ns:.0} ns/lookup | {width} workers \
+         {parallel_ns:.0} ns/lookup\n"
     );
     format!(
-        "{{\n    \"shards\": {},\n    \"workers\": {width},\n    \
-         \"contended_serial_ns_per_lookup\": {contended_serial_ns:.1},\n    \
-         \"sharded_serial_ns_per_lookup\": {sharded_serial_ns:.1},\n    \
-         \"contended_parallel_ns_per_lookup\": {contended_wide_ns:.1},\n    \
-         \"sharded_parallel_ns_per_lookup\": {sharded_wide_ns:.1},\n    \
-         \"parallel_speedup\": {speedup:.2}\n  }}",
-        sharded.shard_count()
+        "{{\n    \"workers\": {width},\n    \
+         \"serial_ns_per_lookup\": {serial_ns:.1},\n    \
+         \"parallel_ns_per_lookup\": {parallel_ns:.1}\n  }}"
     )
 }
 
@@ -245,7 +232,7 @@ fn bench(c: &mut Criterion) {
         let runner = SweepRunner::new();
         b.iter(|| black_box(runner.try_grid(&configs, &apps)))
     });
-    c.bench_function("sweep/warm_cache_hit_sharded", |b| {
+    c.bench_function("sweep/warm_cache_hit", |b| {
         let machine = Machine::new(2, 4, 3);
         let cache = WarmStartCache::new();
         let nominal = key_set(machine, 1).pop().unwrap();

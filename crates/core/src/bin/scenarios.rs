@@ -86,7 +86,7 @@ use std::sync::{Arc, Mutex};
 use distfront::engine::{CellOutcome, TraceStore};
 use distfront::job::{JobClass, JobEnv, JobReport, JobSpec, JobSpecError, StatusCode, TraceSpec};
 use distfront::scenarios::{self, Scenario};
-use distfront::server::{protocol, Client, JobResponse};
+use distfront::server::{protocol, Client, JobResponse, ResultCache};
 use distfront::shard::{self, ShardError, ShardRunner, ShardSpec};
 use distfront::store::DurableStore;
 use distfront_thermal::Integrator;
@@ -498,9 +498,10 @@ fn client_main(args: &Args, selected: &[Scenario]) -> StatusCode {
     status
 }
 
-/// Runs the selected scenarios against a local [`DurableStore`]: jobs
-/// already persisted are served from disk (byte-identical frames, no
-/// cells solved), novel ones execute and are appended + flushed — the
+/// Runs the selected scenarios against a local [`DurableStore`] through
+/// the daemon's persistent [`ResultCache`]: jobs already persisted are
+/// served from disk (byte-identical frames, no cells solved), novel ones
+/// execute, are inserted and flushed before they are reported — the
 /// daemon's cache semantics without the daemon, on the same state-dir
 /// layout `sweepd --state-dir` reads and writes.
 fn state_dir_main(args: &Args, selected: &[Scenario]) -> StatusCode {
@@ -513,9 +514,7 @@ fn state_dir_main(args: &Args, selected: &[Scenario]) -> StatusCode {
         }
     };
     let store = Arc::new(store);
-    // Append order makes this map last-wins, matching the daemon's load.
-    let results: std::collections::HashMap<u64, Vec<String>> =
-        snapshot.results.into_iter().collect();
+    let results = ResultCache::persistent(Arc::clone(&store), snapshot.results);
     println!(
         "state dir {dir}: {} result(s), {} trace(s) loaded ({} records skipped)",
         results.len(),
@@ -538,12 +537,12 @@ fn state_dir_main(args: &Args, selected: &[Scenario]) -> StatusCode {
                 return StatusCode::Usage;
             }
         };
-        let frames = if let Some(frames) = results.get(&fingerprint) {
+        let frames = if let Some(frames) = results.lookup(fingerprint) {
             println!(
                 "  {}: served from state dir (fp={fingerprint:016x})",
                 s.name
             );
-            frames.clone()
+            frames
         } else {
             println!("running {:<16} (fp={fingerprint:016x})", s.name);
             let stream = CellStream {
@@ -559,15 +558,13 @@ fn state_dir_main(args: &Args, selected: &[Scenario]) -> StatusCode {
                 }
             };
             let frames = protocol::result_frames(&report);
+            results.insert(fingerprint, frames.clone());
             // The daemon's insert-batch boundary: durable before the
             // result is reported anywhere.
-            if let Err(e) = store
-                .append_result(fingerprint, &frames)
-                .and_then(|()| store.flush())
-            {
+            if let Err(e) = store.flush() {
                 eprintln!("warning: persisting {}: {e}", s.name);
             }
-            frames
+            Arc::new(frames)
         };
         match JobResponse::from_frames(&frames) {
             Ok(response) => status = status.worst(take_rows(response, &mut rows)),

@@ -150,13 +150,9 @@ impl<'a> CoupledEngine<'a> {
     /// The default pilot → warm-start → interval-loop pipeline, with the
     /// warm start optionally backed by a shared cache.
     pub fn default_stages(cache: Option<Arc<WarmStartCache>>) -> Vec<Box<dyn Stage>> {
-        let warm = match cache {
-            Some(c) => WarmStartStage::with_cache(c),
-            None => WarmStartStage::new(),
-        };
         vec![
             Box::new(PilotStage),
-            Box::new(warm),
+            Box::new(WarmStartStage { cache }),
             Box::new(IntervalLoopStage),
         ]
     }
@@ -250,19 +246,14 @@ impl<'a> CoupledEngine<'a> {
             (None, Some(trace)) => ReplayBackend::stages(trace, warm_cache),
             (None, None) => Self::default_stages(warm_cache),
         };
-        for stage in &mut stages {
-            if let Err(e) = stage.run(&mut cx) {
-                let stats = RunStats {
-                    warm_start_hit: cx.warm_start_hit,
-                    replayed,
-                };
-                return (Err(e), stats, None);
-            }
-        }
+        let ran = stages.iter_mut().try_for_each(|stage| stage.run(&mut cx));
         let stats = RunStats {
             warm_start_hit: cx.warm_start_hit,
             replayed,
         };
+        if let Err(e) = ran {
+            return (Err(e), stats, None);
+        }
         let trace = cx.recorder.take().map(|rec| rec.finish(finals(&cx)));
         (finish(&cx), stats, trace)
     }

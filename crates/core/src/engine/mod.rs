@@ -8,6 +8,12 @@
 //! * [`Stage`] — one phase of an experiment ([`PilotStage`],
 //!   [`WarmStartStage`], [`IntervalLoopStage`] reproduce the paper's §4
 //!   methodology); custom stages slot in without touching the loop,
+//! * one interval loop — power action, interval activity, power →
+//!   temperature step, DTM decision, until the run is done — written once
+//!   and fed by one of two sources: the live core ([`IntervalLoopStage`]:
+//!   the pilot's stored prefix, its resumed core or a fresh one, family
+//!   probes, trace-cache rebalance and hop) or a recorded trace
+//!   ([`ReplayLoopStage`]: the operating point each action selects),
 //! * [`EngineCx`] — the shared state the stages hand each other (power
 //!   model, thermal backend, accumulators, the run's final core stats);
 //!   the live stages build the core simulator, at most one per cell (the
@@ -24,13 +30,12 @@
 //!   [`CellOutcome`]s — one failing cell never aborts the others), and
 //! * [`WarmStartCache`] — shares converged steady-state warm starts
 //!   between grid cells keyed by (machine shape, leakage model, nominal
-//!   power profile), sharded by key hash with same-key cold solves
-//!   deduplicated,
+//!   power profile), behind one lock held across a cold solve so
+//!   same-key cold solves run once,
 //! * [`TraceRecorder`] / [`ReplayBackend`] — record a live run's
 //!   per-interval activity as a multi-operating-point
 //!   [`ActivityTrace`](distfront_trace::record::ActivityTrace) and replay
-//!   it through the power/thermal/DTM loop without re-simulating the
-//!   core. The trace declares which operating points it recorded —
+//!   it through the same interval loop without re-simulating the core. The trace declares which operating points it recorded —
 //!   nominal plus the policy-actionable variants (DVFS, fetch-gate duty,
 //!   migration targets) — and replay is exact for any policy whose
 //!   points the trace covers; a policy needing an unrecorded point is
@@ -71,6 +76,7 @@
 mod batch;
 mod context;
 mod coupled;
+mod interval;
 mod replay;
 mod stages;
 mod sweep;

@@ -18,12 +18,13 @@
 //!   (the [`EngineCx`] holds none; only the live stages build their own),
 //!   and the report's core statistics are the trace's [`FinalStats`],
 //!   copied into [`EngineCx::finals`]. A replay pilot re-derives the nominal
-//!   power bit-exactly from the recorded pilot activity (so warm starts —
-//!   and the shared [`WarmStartCache`] keys — are identical to live), the
-//!   regular [`WarmStartStage`] runs unchanged, and the replay loop feeds
-//!   each recorded interval through the same power/thermal/DTM arithmetic
-//!   as the live interval loop, selecting the recorded operating point
-//!   that matches the policy's [`DtmAction`] for that interval.
+//!   power bit-exactly from the recorded pilot activity and adopts it
+//!   through the live pilot's own helper (so warm starts — and the shared
+//!   [`WarmStartCache`] keys — are identical to live), the regular
+//!   [`WarmStartStage`] runs unchanged, and the replay loop is the live
+//!   cell's interval loop with the trace as its source: each interval
+//!   decodes the recorded operating point that matches the policy's
+//!   [`DtmAction`] for that interval into the loop's one counter set.
 //!
 //! # The capability model
 //!
@@ -57,7 +58,7 @@
 
 use std::sync::Arc;
 
-use distfront_power::{BlockId, Machine, OperatingPoint};
+use distfront_power::Machine;
 use distfront_trace::record::{
     ActivityTrace, FinalStats, IntervalRecord, PointKey, PointRecord, TraceMeta, TraceShape,
     TRACE_FORMAT_VERSION,
@@ -65,7 +66,8 @@ use distfront_trace::record::{
 use distfront_trace::Workload;
 use distfront_uarch::{record as tap, ActivityCounters, IntervalReport};
 
-use super::stages::WarmStartStage;
+use super::interval::{counters_for, point_key_of, run_intervals};
+use super::stages::{adopt_nominal, WarmStartStage};
 use super::sweep::WarmStartCache;
 use super::traits::{DtmAction, Stage};
 use super::{EngineCx, EngineError};
@@ -95,7 +97,6 @@ impl TraceRecorder {
     /// configuration, so such recordings capture the live stream only and
     /// are conservatively marked not replay-safe.
     pub fn new(cfg: &ExperimentConfig, workload: &Workload, custom_dtm: bool) -> Self {
-        let pc = &cfg.processor;
         let points = if custom_dtm {
             vec![PointKey::Nominal]
         } else {
@@ -110,11 +111,7 @@ impl TraceRecorder {
                 seed: cfg.seed,
                 uops_per_app: cfg.uops_per_app,
                 interval_cycles: cfg.interval_cycles,
-                shape: TraceShape {
-                    partitions: pc.frontend_mode.partitions() as u32,
-                    backends: pc.backends as u32,
-                    tc_banks: pc.trace_cache.physical_banks() as u32,
-                },
+                shape: trace_shape(cfg),
                 hop: cfg.hop,
                 replay_safe: !custom_dtm,
                 dtm: cfg
@@ -236,12 +233,7 @@ impl ReplayBackend {
                 m.config, m.processor_fingerprint,
             ));
         }
-        let pc = &cfg.processor;
-        let shape = TraceShape {
-            partitions: pc.frontend_mode.partitions() as u32,
-            backends: pc.backends as u32,
-            tc_banks: pc.trace_cache.physical_banks() as u32,
-        };
+        let shape = trace_shape(cfg);
         if m.shape != shape {
             return fail(format!(
                 "trace machine shape {:?} differs from the configuration's {shape:?}",
@@ -304,15 +296,11 @@ impl ReplayBackend {
         trace: Arc<ActivityTrace>,
         cache: Option<Arc<WarmStartCache>>,
     ) -> Vec<Box<dyn Stage>> {
-        let warm = match cache {
-            Some(c) => WarmStartStage::with_cache(c),
-            None => WarmStartStage::new(),
-        };
         vec![
             Box::new(ReplayPilotStage {
                 trace: Arc::clone(&trace),
             }),
-            Box::new(warm),
+            Box::new(WarmStartStage { cache }),
             Box::new(ReplayLoopStage { trace }),
         ]
     }
@@ -340,22 +328,19 @@ impl Stage for ReplayPilotStage {
     fn run(&mut self, cx: &mut EngineCx<'_>) -> Result<(), EngineError> {
         let mut pilot_act = counters_for(cx.machine);
         unflatten_for(cx.machine, &self.trace.pilot, &mut pilot_act)?;
-        let mut nominal = cx.model.dynamic_power(&pilot_act);
-        for (n, i) in nominal.iter_mut().zip(&cx.idle) {
-            *n += i;
-        }
-        cx.model.set_nominal_dynamic(nominal.clone());
-        cx.nominal = Some(nominal);
+        adopt_nominal(cx, &pilot_act);
         Ok(())
     }
 }
 
-/// Feeds recorded per-interval activity through the same power → thermal
-/// → DTM arithmetic as the live
-/// [`IntervalLoopStage`](super::IntervalLoopStage), skipping the core
-/// simulator entirely. Each interval replays the recorded operating point
-/// selected by the policy's action for that interval (power-level actions
-/// ride the nominal point).
+/// Feeds recorded per-interval activity through the interval loop the
+/// live [`IntervalLoopStage`](super::IntervalLoopStage) runs, skipping
+/// the core simulator entirely. Each interval replays the recorded
+/// operating point selected by the policy's action for that interval
+/// (power-level actions ride the nominal point). The live loop's bank
+/// rebalance and hop are core-side effects already baked into the
+/// recorded activity. The run ends at the first done point, or after the
+/// last recorded interval.
 #[derive(Debug)]
 pub struct ReplayLoopStage {
     trace: Arc<ActivityTrace>,
@@ -368,69 +353,20 @@ impl Stage for ReplayLoopStage {
 
     fn run(&mut self, cx: &mut EngineCx<'_>) -> Result<(), EngineError> {
         let trace = Arc::clone(&self.trace);
-        // One counter set and one power vector serve every interval.
-        let mut act = counters_for(cx.machine);
-        let mut power = Vec::new();
-        let mut action = DtmAction::Nominal;
-        for rec in &trace.intervals {
+        let mut intervals = trace.intervals.iter();
+        run_intervals(cx, |cx, action, act| {
+            let rec = intervals.next().ok_or(EngineError::NoData(
+                "the trace records no evaluation intervals",
+            ))?;
             let point = select_point(&trace.meta, rec, action)?;
-            apply_power_action(cx, action);
-            unflatten_for(cx.machine, &point.counters, &mut act)?;
-            thermal_interval(cx, &act, rec.gated_bank, &mut power);
-            // The live loop's bank rebalance/hop are core-side effects
-            // already baked into the recorded activity; only the DTM
-            // decision is re-taken (its trajectory is part of what a
-            // replayed sweep varies). It runs on the final interval too,
-            // exactly like the live loop, so trigger counts match.
-            if let Some(ctrl) = &mut cx.dtm {
-                action = ctrl.decide(cx.thermal.block_temperatures());
+            unflatten_for(cx.machine, &point.counters, act)?;
+            let done = point.done || intervals.len() == 0;
+            if done {
+                cx.finals = Some(trace.finals);
             }
-            if point.done {
-                break;
-            }
-        }
-        cx.finals = Some(trace.finals);
-        Ok(())
+            Ok((rec.gated_bank, done))
+        })
     }
-}
-
-/// One interval's power → thermal arithmetic, shared by the live and the
-/// replayed interval loops: the total power of `act` at the current
-/// temperatures plus idle power (the gated bank, if any, dark), the
-/// energy and wall-time accounting, one `advance_interval` and the
-/// tracker's interval close. `power` is scratch the caller reuses.
-pub(super) fn thermal_interval(
-    cx: &mut EngineCx<'_>,
-    act: &ActivityCounters,
-    gated_bank: Option<u8>,
-    power: &mut Vec<f64>,
-) {
-    let gated = gated_bank.map(BlockId::TcBank);
-    cx.model.total_power_into(
-        act,
-        cx.thermal.block_temperatures(),
-        gated.as_slice(),
-        power,
-    );
-    for (p, i) in power.iter_mut().zip(&cx.idle) {
-        *p += i;
-    }
-    if let Some(g) = gated {
-        power[cx.machine.index_of(g)] = 0.0;
-    }
-    // At a scaled operating point (DVFS or throttle, both applied through
-    // the model's effective frequency) the same cycle count covers
-    // proportionally more wall time, computed in f64 from the exact cycle
-    // count: no integer rounding, so energy and wall-time accounting
-    // conserve the un-stretched interval exactly. Identical at nominal.
-    let dt = act.cycles as f64 / cx.model.effective_frequency_hz();
-    cx.power_time_sum += power.iter().sum::<f64>() * dt;
-    cx.time_sum += dt;
-    // Two half-steps so intra-interval transients are sampled.
-    let tracker = &mut cx.tracker;
-    cx.thermal
-        .advance_interval(power, dt, &mut |t, h| tracker.record(t, h));
-    cx.tracker.end_interval();
 }
 
 /// Opaque fingerprint of the full core-side processor configuration,
@@ -447,9 +383,14 @@ pub(super) fn processor_fingerprint(cfg: &ExperimentConfig) -> u64 {
     h.finish()
 }
 
-/// Zeroed counters in the machine's shape.
-fn counters_for(machine: Machine) -> ActivityCounters {
-    ActivityCounters::new(machine.partitions, machine.backends, machine.tc_banks)
+/// The machine shape a trace of `cfg` records.
+fn trace_shape(cfg: &ExperimentConfig) -> TraceShape {
+    let pc = &cfg.processor;
+    TraceShape {
+        partitions: pc.frontend_mode.partitions() as u32,
+        backends: pc.backends as u32,
+        tc_banks: pc.trace_cache.physical_banks() as u32,
+    }
 }
 
 /// Reconstructs counters for the machine shape into `act`, surfacing
@@ -467,18 +408,6 @@ fn unflatten_for(
         flat,
     )
     .map_err(EngineError::ReplayIncompatible)
-}
-
-/// The operating point a DTM action runs the core at. Power-level actions
-/// (nominal, emergency throttle) leave the pipeline on the nominal stream;
-/// the core-perturbing actions map to their recorded variant points.
-pub(super) fn point_key_of(action: DtmAction) -> PointKey {
-    match action {
-        DtmAction::Nominal | DtmAction::Throttle(_) => PointKey::Nominal,
-        DtmAction::Dvfs { f_scale, v_scale } => PointKey::dvfs(f_scale, v_scale),
-        DtmAction::FetchGate { open, period } => PointKey::FetchGate { open, period },
-        DtmAction::MigrateTo(p) => PointKey::MigrateTo(p as u32),
-    }
 }
 
 /// Selects the recorded point `action` demands from `rec` — the runtime
@@ -506,19 +435,4 @@ fn select_point<'t>(
             meta.capability_id()
         ))),
     }
-}
-
-/// Applies the power-model half of a DTM action for the coming interval,
-/// releasing whatever the previous interval engaged; the live and the
-/// replayed loops share it. On a replay the core half of the action is
-/// honored by [`select_point`] choosing the matching recorded activity,
-/// so no simulator is needed.
-pub(super) fn apply_power_action(cx: &mut EngineCx<'_>, action: DtmAction) {
-    cx.model.set_operating_point(match action {
-        DtmAction::Nominal | DtmAction::FetchGate { .. } | DtmAction::MigrateTo(_) => {
-            OperatingPoint::nominal()
-        }
-        DtmAction::Throttle(factor) => OperatingPoint::scaled(factor, 1.0),
-        DtmAction::Dvfs { f_scale, v_scale } => OperatingPoint::scaled(f_scale, v_scale),
-    });
 }

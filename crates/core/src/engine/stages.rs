@@ -1,6 +1,10 @@
 //! The default three-phase pipeline: pilot → warm start → interval loop,
 //! each phase a [`Stage`] ported verbatim from the pre-refactor monolithic
-//! runner so results stay bit-identical.
+//! runner so results stay bit-identical. The pilot ends in the nominal
+//! power adoption the replayed pilot shares, and [`IntervalLoopStage`] is
+//! the engine's one interval loop fed by the live core (see the
+//! `interval` module); [`ReplayLoopStage`](super::ReplayLoopStage) runs
+//! the same loop from a recording.
 //!
 //! A cell holds at most one core simulator at a time. The pilot builds
 //! the core. On an eligible cell it hands that core to the interval loop
@@ -29,7 +33,7 @@ use distfront_power::BlockId;
 use distfront_trace::record::{FinalStats, PointKey};
 use distfront_uarch::{ActivityCounters, FetchGate, IntervalReport, Simulator};
 
-use super::replay::{apply_power_action, point_key_of, thermal_interval};
+use super::interval::{counters_for, point_key_of, run_intervals, Interval};
 use super::sweep::WarmStartCache;
 use super::traits::{DtmAction, Stage};
 use super::{EngineCx, EngineError};
@@ -57,7 +61,7 @@ impl Stage for PilotStage {
         let budget = cfg.pilot_uops();
         let hand_off = shares_pilot_core(cx);
         let mut sim = Simulator::with_workload(cfg.processor.clone(), cx.workload, cfg.seed);
-        let mut pilot_act = None::<ActivityCounters>;
+        let mut pilot_act = counters_for(cx.machine);
         let mut intervals = Vec::new();
         loop {
             let target = sim.current_cycle() + cfg.interval_cycles;
@@ -65,7 +69,7 @@ impl Stage for PilotStage {
             if hand_off && sim.total_committed() >= budget {
                 // The open interval continues in the loop: read it here,
                 // close it there.
-                accumulate(&mut pilot_act, &sim.interval_activity());
+                pilot_act.merge(&sim.interval_activity());
                 cx.pilot_core = Some(PilotCore {
                     sim,
                     intervals,
@@ -74,7 +78,7 @@ impl Stage for PilotStage {
                 break;
             }
             let (r, gated_bank) = close_nominal_interval(&mut sim, cfg, cx.pkg.ambient_c, budget);
-            accumulate(&mut pilot_act, &r.activity);
+            pilot_act.merge(&r.activity);
             let done = r.done;
             if hand_off {
                 intervals.push((r, gated_bank));
@@ -83,18 +87,24 @@ impl Stage for PilotStage {
                 break;
             }
         }
-        let pilot_act = pilot_act.expect("pilot ran at least one interval");
         if let Some(rec) = &mut cx.recorder {
             rec.record_pilot(&pilot_act);
         }
-        let mut nominal = cx.model.dynamic_power(&pilot_act);
-        for (n, i) in nominal.iter_mut().zip(&cx.idle) {
-            *n += i;
-        }
-        cx.model.set_nominal_dynamic(nominal.clone());
-        cx.nominal = Some(nominal);
+        adopt_nominal(cx, &pilot_act);
         Ok(())
     }
+}
+
+/// Adopts the pilot's merged activity as the nominal power profile (its
+/// dynamic power plus idle power) and primes the power model with it; the
+/// live and the replayed pilot both end here.
+pub(super) fn adopt_nominal(cx: &mut EngineCx<'_>, pilot_act: &ActivityCounters) {
+    let mut nominal = cx.model.dynamic_power(pilot_act);
+    for (n, i) in nominal.iter_mut().zip(&cx.idle) {
+        *n += i;
+    }
+    cx.model.set_nominal_dynamic(nominal.clone());
+    cx.nominal = Some(nominal);
 }
 
 /// The pilot's core, handed to the interval loop on an eligible cell: its
@@ -125,14 +135,6 @@ fn shares_pilot_core(cx: &EngineCx<'_>) -> bool {
             .is_none_or(|rec| rec.family().len() <= 1)
 }
 
-/// Adds one interval's activity into the pilot's running total.
-fn accumulate(total: &mut Option<ActivityCounters>, act: &ActivityCounters) {
-    match total {
-        Some(acc) => acc.merge(act),
-        None => *total = Some(act.clone()),
-    }
-}
-
 /// Closes a nominal interval the way the pilot does: its report and the
 /// bank gated during it, then the trace-cache control at ambient
 /// temperature (rebalance, then hop).
@@ -145,11 +147,17 @@ fn close_nominal_interval(
     let r = sim.end_interval(uop_target);
     let gated_bank = sim.trace_cache().gated_bank().map(|b| b as u8);
     let banks = cfg.processor.trace_cache.physical_banks();
-    sim.trace_cache_mut().rebalance(&vec![ambient_c; banks]);
+    control_trace_cache(sim, cfg, &vec![ambient_c; banks]);
+    (r, gated_bank)
+}
+
+/// The trace-cache control at an interval boundary: remap the banks from
+/// their temperatures, then rotate the gated bank when hopping.
+fn control_trace_cache(sim: &mut Simulator, cfg: &ExperimentConfig, bank_temps: &[f64]) {
+    sim.trace_cache_mut().rebalance(bank_temps);
     if cfg.hop {
         sim.trace_cache_mut().hop();
     }
-    (r, gated_bank)
 }
 
 /// A fresh core run through the first `intervals` nominal intervals
@@ -180,7 +188,7 @@ fn nominal_core(cx: &EngineCx<'_>, intervals: usize) -> Simulator {
 /// so a cache hit restores bit-identical temperatures.
 #[derive(Debug, Default)]
 pub struct WarmStartStage {
-    cache: Option<Arc<WarmStartCache>>,
+    pub(super) cache: Option<Arc<WarmStartCache>>,
 }
 
 impl WarmStartStage {
@@ -266,7 +274,8 @@ fn solve_warm_fixed_point(cx: &mut EngineCx<'_>, nominal: &[f64]) -> Result<(), 
 /// The evaluation run: updates block power and temperature every interval,
 /// records the AbsMax/Average/AvgMax metrics, recomputes the thermal-aware
 /// bank mapping from the bank sensors, rotates the gated bank when hopping
-/// is enabled, and consults the DTM policy (§3.2 control loop).
+/// is enabled, and consults the DTM policy (§3.2 control loop): the shared
+/// interval loop fed by the live core.
 #[derive(Debug, Default)]
 pub struct IntervalLoopStage;
 
@@ -276,108 +285,94 @@ impl Stage for IntervalLoopStage {
     }
 
     fn run(&mut self, cx: &mut EngineCx<'_>) -> Result<(), EngineError> {
-        let cfg = cx.cfg;
-        let pc = &cfg.processor;
-        // The pilot's core when it handed one over, with the reports of
-        // the whole intervals it ran; otherwise a fresh core. `resume`
-        // holds the open interval's cycle target while the loop still
-        // follows the pilot's prefix.
-        let (mut sim, mut prefix, mut resume) = match cx.pilot_core.take() {
-            Some(core) => (
-                core.sim,
-                core.intervals.into_iter(),
-                Some(core.resume_target),
-            ),
-            None => (nominal_core(cx, 0), Vec::new().into_iter(), None),
-        };
-        let mut closed = 0;
-        // The recording family (empty when not recording): per interval the
-        // live step covers the point matching the live action, and every
-        // other family point is probed on a throwaway simulator fork from
-        // the identical pipeline state.
-        let family: Vec<PointKey> = cx
-            .recorder
-            .as_ref()
-            .map(|rec| rec.family().to_vec())
-            .unwrap_or_default();
-        let mut action = DtmAction::Nominal;
-        let mut power = Vec::new();
-        loop {
-            let live_key = point_key_of(action);
-            apply_power_action(cx, action);
-            // Inside the pilot's prefix the loop takes the pilot's stored
-            // reports, then resumes its open interval. An action that
-            // perturbs the core ends the prefix: the handed-off core is
-            // past this boundary, so a fresh one re-runs the prefix.
-            let mut from_pilot = None;
-            let mut resume_target = None;
-            if let Some(open_target) = resume.take() {
-                if live_key != PointKey::Nominal {
-                    drop(sim);
-                    sim = nominal_core(cx, closed);
-                } else if let Some(stored) = prefix.next() {
-                    from_pilot = Some(stored);
-                    resume = Some(open_target);
-                } else {
-                    resume_target = Some(open_target);
-                }
-            }
-            let simulated = from_pilot.is_none();
-            let (r, gated_bank, probes) = match from_pilot {
-                Some((r, gated_bank)) => (r, gated_bank, vec![None; family.len()]),
-                None => {
-                    apply_sim_point(&mut sim, live_key);
-                    let target =
-                        resume_target.unwrap_or_else(|| sim.current_cycle() + cfg.interval_cycles);
-                    let probes = probe_family(&sim, &family, live_key, target, cfg.uops_per_app);
-                    let r = sim.step(target, cfg.uops_per_app);
-                    let gated_bank = sim.trace_cache().gated_bank().map(|b| b as u8);
-                    (r, gated_bank, probes)
-                }
-            };
-            if let Some(rec) = &mut cx.recorder {
-                let reports: Vec<&IntervalReport> = family
-                    .iter()
-                    .zip(&probes)
-                    .map(|(&key, probe)| match probe {
-                        Some(p) if key != live_key => p,
-                        _ => &r,
-                    })
-                    .collect();
-                rec.record_interval(&reports, gated_bank);
-            }
-            thermal_interval(cx, &r.activity, gated_bank, &mut power);
+        let source = core_source(cx);
+        run_intervals(cx, source)
+    }
+}
 
-            // Thermal management control (§3.2): remap from bank sensors,
-            // then rotate the gated bank. The pilot already did both for
-            // the intervals it ran, at a temperature the mapping ignores.
-            if simulated {
-                let bank_temps: Vec<f64> = (0..pc.trace_cache.physical_banks())
-                    .map(|k| {
-                        cx.thermal.block_temperatures()
-                            [cx.machine.index_of(BlockId::TcBank(k as u8))]
-                    })
-                    .collect();
-                sim.trace_cache_mut().rebalance(&bank_temps);
-                if cfg.hop {
-                    sim.trace_cache_mut().hop();
-                }
-            }
-            closed += 1;
-            if let Some(ctrl) = &mut cx.dtm {
-                action = ctrl.decide(cx.thermal.block_temperatures());
-            }
-            if r.done {
-                break;
-            }
+/// The live core as an interval source: the pilot's core when it handed
+/// one over, otherwise a fresh core.
+///
+/// While `resume` holds the pilot's open-interval target the loop follows
+/// the pilot: it takes the pilot's stored reports, then resumes its open
+/// interval. An action that perturbs the core ends that prefix: the
+/// handed-off core is past this boundary, so a fresh one re-runs the
+/// prefix. When recording a family, every point but the live one is
+/// probed on a throwaway fork from the interval's starting state.
+///
+/// The trace-cache control that follows an interval's temperatures
+/// (remap from the bank sensors, then rotate the gated bank) runs when
+/// the next interval starts: nothing in between touches the core, and
+/// none follows the last interval, whose statistics it cannot change. The
+/// pilot already did both for the intervals it ran, at a temperature the
+/// mapping ignores.
+fn core_source(
+    cx: &mut EngineCx<'_>,
+) -> impl FnMut(&mut EngineCx<'_>, DtmAction, &mut ActivityCounters) -> Interval {
+    let (mut core, mut prefix, mut resume) = match cx.pilot_core.take() {
+        Some(pilot) => (
+            Some(pilot.sim),
+            pilot.intervals.into_iter(),
+            Some(pilot.resume_target),
+        ),
+        None => (Some(nominal_core(cx, 0)), Vec::new().into_iter(), None),
+    };
+    let family: Vec<PointKey> = cx
+        .recorder
+        .as_ref()
+        .map(|rec| rec.family().to_vec())
+        .unwrap_or_default();
+    let mut closed = 0;
+    let mut simulated = false;
+    move |cx, action, act| {
+        let cfg = cx.cfg;
+        let live_key = point_key_of(action);
+        if resume.is_some() && live_key != PointKey::Nominal {
+            // One core at a time: drop the handed-off one first.
+            drop(core.take());
+            core = Some(nominal_core(cx, closed));
+            resume = None;
         }
-        cx.finals = Some(FinalStats {
-            cycles: sim.current_cycle(),
-            uops: sim.total_committed(),
-            tc_hit_rate: sim.tc_hit_rate(),
-            mispredict_rate: sim.mispredict_rate(),
-        });
-        Ok(())
+        let sim = core.as_mut().expect("the loop holds a core");
+        if simulated {
+            let bank_temps: Vec<f64> = (0..cfg.processor.trace_cache.physical_banks())
+                .map(|k| {
+                    cx.thermal.block_temperatures()[cx.machine.index_of(BlockId::TcBank(k as u8))]
+                })
+                .collect();
+            control_trace_cache(sim, cfg, &bank_temps);
+        }
+        closed += 1;
+        let stored = resume.and_then(|_| prefix.next());
+        simulated = stored.is_none();
+        let (r, gated_bank, probes) = match stored {
+            Some((r, gated_bank)) => (r, gated_bank, Vec::new()),
+            None => {
+                apply_sim_point(sim, live_key);
+                let target = resume
+                    .take()
+                    .unwrap_or_else(|| sim.current_cycle() + cfg.interval_cycles);
+                let probes = probe_family(sim, &family, live_key, target, cfg.uops_per_app);
+                let r = sim.step(target, cfg.uops_per_app);
+                (r, sim.trace_cache().gated_bank().map(|b| b as u8), probes)
+            }
+        };
+        if let Some(rec) = &mut cx.recorder {
+            let reports: Vec<&IntervalReport> = (0..family.len())
+                .map(|i| probes.get(i).and_then(Option::as_ref).unwrap_or(&r))
+                .collect();
+            rec.record_interval(&reports, gated_bank);
+        }
+        if r.done {
+            cx.finals = Some(FinalStats {
+                cycles: sim.current_cycle(),
+                uops: sim.total_committed(),
+                tc_hit_rate: sim.tc_hit_rate(),
+                mispredict_rate: sim.mispredict_rate(),
+            });
+        }
+        *act = r.activity;
+        Ok((gated_bank, r.done))
     }
 }
 

@@ -1,15 +1,12 @@
 //! Parallel execution of an application × configuration grid, plus the
-//! sharded warm-start cache shared between its cells.
+//! warm-start cache shared between its cells.
 //!
 //! Execution is *fault-tolerant*: every cell of a [`SweepRunner::try_grid`]
 //! is an independent [`Result`], so one non-converged configuration aborts
 //! exactly one [`CellOutcome`] instead of the whole sweep. The strict,
 //! panicking surface survives behind [`SweepReport::strict`].
 
-use std::cell::RefCell;
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::BuildHasher;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -38,44 +35,24 @@ use crate::store::DurableStore;
 /// a constant), so an exact-bit key makes a cache hit indistinguishable
 /// from a cold solve. The leakage model is part of the key because it is
 /// per-configuration: two configurations identical in shape and nominal
-/// power but differing in silicon must never share a warm start. Packing
-/// into a flat slice lets the map be keyed by `Box<[u64]>` and *probed*
-/// by `&[u64]` (via `Borrow<[u64]>`), so a lookup never allocates: the
-/// slice is built in a thread-local scratch buffer.
-fn pack_key(machine: Machine, leakage: &LeakageModel, nominal: &[f64], buf: &mut Vec<u64>) {
-    buf.clear();
-    buf.reserve(7 + nominal.len());
-    buf.push(machine.partitions as u64);
-    buf.push(machine.backends as u64);
-    buf.push(machine.tc_banks as u64);
-    buf.push(leakage.ratio_at_ambient.to_bits());
-    buf.push(leakage.ambient_c.to_bits());
-    buf.push(leakage.doubling_celsius.to_bits());
-    buf.push(leakage.emergency_c.to_bits());
-    buf.extend(nominal.iter().map(|x| x.to_bits()));
+/// power but differing in silicon must never share a warm start.
+fn pack_key(machine: Machine, leakage: &LeakageModel, nominal: &[f64]) -> Vec<u64> {
+    let mut key = Vec::with_capacity(7 + nominal.len());
+    key.extend([
+        machine.partitions as u64,
+        machine.backends as u64,
+        machine.tc_banks as u64,
+        leakage.ratio_at_ambient.to_bits(),
+        leakage.ambient_c.to_bits(),
+        leakage.doubling_celsius.to_bits(),
+        leakage.emergency_c.to_bits(),
+    ]);
+    key.extend(nominal.iter().map(|x| x.to_bits()));
+    key
 }
-
-thread_local! {
-    static KEY_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// One cache slot: `None` while the first computation for its key is in
-/// flight, `Some` once a converged state is stored. The slot mutex — not
-/// the shard mutex — serializes same-key computations, so two cells
-/// missing on the same key perform one cold solve while cells with other
-/// keys pass by untouched.
-#[derive(Debug, Default)]
-struct Slot(Mutex<Option<Arc<Vec<f64>>>>);
-
-/// One key-hash shard of the cache map.
-type Shard = Mutex<HashMap<Box<[u64]>, Arc<Slot>>>;
 
 /// The streaming callback [`SweepRunner::with_on_cell`] installs.
 type CellCallback = Box<dyn Fn(&CellOutcome) + Send + Sync>;
-
-/// Default shard count: enough that a full-width sweep on a large host
-/// rarely has two workers hashing into the same shard at once.
-const DEFAULT_SHARDS: usize = 16;
 
 /// Largest cohort one task replays. Keeps enough independent tasks for
 /// the worker pool to load-balance.
@@ -109,89 +86,23 @@ impl Task {
 /// Keyed by (machine shape, leakage model, nominal power profile) — the
 /// warm-start fixed point is a pure function of exactly those inputs, and
 /// the key stores the leakage parameters' and power profile's exact bits,
-/// so a hit is bit-identical to solving cold. The map is split into key-hash shards, each behind its own lock,
-/// and [`get_or_compute`](Self::get_or_compute) holds a shard lock only
-/// for the map probe itself: cold solves run under a per-key slot lock, so
-/// concurrent misses on *different* keys never contend and concurrent
-/// misses on the *same* key solve once. One cache is shared by every cell
-/// of a [`SweepRunner`] grid.
-#[derive(Debug)]
+/// so a hit is bit-identical to solving cold. One lock guards the map and
+/// is held across a cold solve, so concurrent misses on the same key solve
+/// once. A lookup is a few hundred nanoseconds against a cell of a tenth
+/// of a millisecond (replayed) to tens of milliseconds (live), so the one
+/// lock costs a sweep nothing measurable. One cache is shared by every
+/// cell of a [`SweepRunner`] grid.
+#[derive(Debug, Default)]
 pub struct WarmStartCache {
-    shards: Box<[Shard]>,
-    hasher: RandomState,
+    map: Mutex<HashMap<Vec<u64>, Arc<Vec<f64>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl Default for WarmStartCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl WarmStartCache {
-    /// An empty cache with the default shard count.
+    /// An empty cache.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// An empty cache split into `shards` key-hash shards.
-    ///
-    /// The shard count is a pure concurrency knob: hit/miss totals and the
-    /// states returned are identical for any count (a property test pins
-    /// this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_shards(shards: usize) -> Self {
-        assert!(shards > 0, "a cache needs at least one shard");
-        WarmStartCache {
-            shards: (0..shards).map(|_| Mutex::default()).collect(),
-            hasher: RandomState::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// The number of key-hash shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_of(&self, key: &[u64]) -> &Shard {
-        &self.shards[(self.hasher.hash_one(key) as usize) % self.shards.len()]
-    }
-
-    /// Returns the slot for the packed key, inserting an empty one first if
-    /// the key is new. The shard lock is held only for this probe.
-    fn slot_of(&self, key: &[u64]) -> Arc<Slot> {
-        let mut map = self.shard_of(key).lock().expect("cache poisoned");
-        match map.get(key) {
-            Some(slot) => Arc::clone(slot),
-            None => {
-                let slot = Arc::new(Slot::default());
-                map.insert(key.into(), Arc::clone(&slot));
-                slot
-            }
-        }
-    }
-
-    /// Removes `key`'s entry if it still holds `slot` un-filled, so a
-    /// failed computation never leaves a key claimed. The slot is probed
-    /// with `try_lock` to keep the shard critical section O(probe): an
-    /// unobtainable slot lock means a racer is mid-solve on the key, so
-    /// the entry is in use and must not be evicted (if that solve also
-    /// fails, the racer's own eviction retries).
-    fn evict_empty(&self, key: &[u64], slot: &Arc<Slot>) {
-        let mut map = self.shard_of(key).lock().expect("cache poisoned");
-        if let Some(existing) = map.get(key) {
-            let unfilled = Arc::ptr_eq(existing, slot)
-                && matches!(existing.0.try_lock(), Ok(state) if state.is_none());
-            if unfilled {
-                map.remove(key);
-            }
-        }
+        Self::default()
     }
 
     /// Looks up the converged node temperatures for a (machine shape,
@@ -199,11 +110,9 @@ impl WarmStartCache {
     /// on a miss.
     ///
     /// Returns the state plus whether it was served from the cache. The
-    /// single-entry design fixes two flaws of a lookup-then-insert pair:
-    /// the key is hashed and the map locked once instead of twice, and two
-    /// threads missing on the same key perform **one** cold solve — the
-    /// second blocks on the key's slot and takes the first's state as a
-    /// hit.
+    /// key is hashed and the map locked once per lookup, and two threads
+    /// missing on the same key perform **one** cold solve: the second
+    /// waits for the lock and takes the first's state as a hit.
     ///
     /// # Errors
     ///
@@ -217,57 +126,21 @@ impl WarmStartCache {
         nominal: &[f64],
         compute: impl FnOnce() -> Result<Vec<f64>, E>,
     ) -> Result<(Arc<Vec<f64>>, bool), E> {
-        let slot = KEY_SCRATCH.with(|scratch| {
-            let mut buf = scratch.borrow_mut();
-            pack_key(machine, leakage, nominal, &mut buf);
-            self.slot_of(&buf)
-        });
-        let mut state = slot.0.lock().expect("cache poisoned");
-        if let Some(v) = state.as_ref() {
+        let key = pack_key(machine, leakage, nominal);
+        let mut map = self.map.lock().expect("cache poisoned");
+        if let Some(state) = map.get(key.as_slice()) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(v), true));
+            return Ok((Arc::clone(state), true));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        match compute() {
-            Ok(v) => {
-                let v = Arc::new(v);
-                *state = Some(Arc::clone(&v));
-                drop(state);
-                // Re-link the filled slot: a racer's failed solve may have
-                // evicted the key while this solve ran (its evict_empty can
-                // win the try_lock before this thread locks the slot), and
-                // without the re-link this success would fill an orphaned
-                // slot the map can no longer reach — every later lookup
-                // would solve cold. Lock order stays shard-only here (the
-                // slot guard is already dropped).
-                KEY_SCRATCH.with(|scratch| {
-                    let mut buf = scratch.borrow_mut();
-                    pack_key(machine, leakage, nominal, &mut buf);
-                    let mut map = self.shard_of(&buf).lock().expect("cache poisoned");
-                    if !map.contains_key(buf.as_slice()) {
-                        map.insert(buf[..].into(), Arc::clone(&slot));
-                    }
-                });
-                Ok((v, false))
-            }
-            Err(e) => {
-                drop(state);
-                KEY_SCRATCH.with(|scratch| {
-                    let mut buf = scratch.borrow_mut();
-                    pack_key(machine, leakage, nominal, &mut buf);
-                    self.evict_empty(&buf, &slot);
-                });
-                Err(e)
-            }
-        }
+        let state = Arc::new(compute()?);
+        map.insert(key, Arc::clone(&state));
+        Ok((state, false))
     }
 
-    /// Distinct warm starts stored (in-flight cold solves included).
+    /// Distinct warm starts stored.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache poisoned").len())
-            .sum()
+        self.map.lock().expect("cache poisoned").len()
     }
 
     /// Whether the cache is empty.
@@ -326,10 +199,7 @@ impl TraceStore {
     /// A disk-backed store seeded with `loaded` traces recovered from
     /// `store` (append order, so the newest recording of a key wins).
     pub fn persistent(store: Arc<DurableStore>, loaded: Vec<ActivityTrace>) -> Self {
-        let traces = TraceStore {
-            map: Mutex::new(HashMap::new()),
-            store: None,
-        };
+        let traces = TraceStore::new();
         for trace in loaded {
             traces.insert(trace);
         }
@@ -577,12 +447,6 @@ impl SweepReport {
     /// How many cells were driven from recorded traces.
     pub fn replayed(&self) -> usize {
         self.cells.iter().filter(|c| c.replayed).count()
-    }
-
-    /// Total CPU seconds spent across all cells (≈ `workers ×` the sweep's
-    /// wall time when the grid is balanced).
-    pub fn total_cell_time_s(&self) -> f64 {
-        self.cells.iter().map(|c| c.wall_time_s).sum()
     }
 
     /// Reassembles a report from per-cell outcomes produced out of band —
@@ -863,17 +727,21 @@ impl SweepRunner {
         );
         let start = range.start;
         let mut flat: Vec<Option<CellOutcome>> = (0..range.len()).map(|_| None).collect();
+        // Streams an outcome to the callback, then files it in its slot.
+        let mut place = |outcome: CellOutcome| {
+            if let Some(cb) = &self.on_cell {
+                cb(&outcome);
+            }
+            let i = outcome.config * workloads.len() + outcome.app - start;
+            flat[i] = Some(outcome);
+        };
         let tasks = self.plan_tasks(configs, workloads, range);
         let workers = self.threads.min(tasks.len());
         if workers <= 1 {
             for task in &tasks {
-                for outcome in self.run_task(configs, workloads, task) {
-                    if let Some(cb) = &self.on_cell {
-                        cb(&outcome);
-                    }
-                    let i = outcome.config * workloads.len() + outcome.app - start;
-                    flat[i] = Some(outcome);
-                }
+                self.run_task(configs, workloads, task)
+                    .into_iter()
+                    .for_each(&mut place);
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -896,13 +764,7 @@ impl SweepRunner {
                     });
                 }
                 drop(tx);
-                for outcome in rx {
-                    if let Some(cb) = &self.on_cell {
-                        cb(&outcome);
-                    }
-                    let i = outcome.config * workloads.len() + outcome.app - start;
-                    flat[i] = Some(outcome);
-                }
+                rx.into_iter().for_each(&mut place);
             });
         }
         flat.into_iter()
@@ -1158,7 +1020,7 @@ mod tests {
 
     #[test]
     fn get_or_compute_coordinates_concurrent_misses() {
-        let cache = Arc::new(WarmStartCache::with_shards(4));
+        let cache = Arc::new(WarmStartCache::new());
         let machine = Machine::new(2, 4, 3);
         let leakage = LeakageModel::paper();
         let nominal = vec![1.0; machine.block_count()];
@@ -1229,12 +1091,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         SweepRunner::with_threads(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_rejected() {
-        WarmStartCache::with_shards(0);
     }
 
     /// A recording of the `baseline`/`gzip` cell with point family

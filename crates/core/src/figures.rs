@@ -20,7 +20,7 @@
 //! rows are bit-identical whatever the runner's worker count.
 
 use distfront_thermal::GroupMetrics;
-use distfront_trace::Workload;
+use distfront_trace::{AppProfile, Workload};
 
 use crate::engine::{CellOutcome, SweepRunner};
 use crate::experiment::ExperimentConfig;
@@ -37,6 +37,8 @@ pub struct FigureData {
     /// `(preset name, per-workload results)`, in
     /// [`ExperimentConfig::presets`] order.
     rows: Vec<(&'static str, Vec<AppResult>)>,
+    /// Whether the workloads were exactly the 26 SPEC2000 profiles.
+    spec2000: bool,
 }
 
 impl FigureData {
@@ -66,7 +68,10 @@ impl FigureData {
             .map(|c| c.name)
             .zip(report.strict())
             .collect();
-        Ok(FigureData { rows })
+        Ok(FigureData {
+            rows,
+            spec2000: is_spec2000(workloads),
+        })
     }
 
     /// One preset's per-workload results.
@@ -93,16 +98,25 @@ impl FigureData {
     }
 
     /// Figure 1: temperature comparison of the processor elements on the
-    /// baseline — peak and average increase over the 45 °C ambient.
+    /// baseline — peak and average increase over the 45 °C ambient,
+    /// averaged over the collected workloads (the paper's "SPEC2000
+    /// average" when they are the 26 SPEC2000 profiles).
     pub fn figure1(&self) -> FigureTable {
-        let t = average_temps(self.results("baseline"));
+        let baseline = self.results("baseline");
+        let t = average_temps(baseline);
+        let set = if self.spec2000 {
+            "SPEC2000 average".to_string()
+        } else {
+            let n = baseline.len();
+            format!("average over {n} workload{}", if n == 1 { "" } else { "s" })
+        };
         let row = |label: &str, m: &GroupMetrics| FigureRow {
             label: label.to_string(),
             values: vec![m.abs_max_c - AMBIENT_C, m.average_c - AMBIENT_C],
         };
         FigureTable {
             id: "figure1",
-            title: "Temperature increase over ambient (45C), baseline, SPEC2000 average".into(),
+            title: format!("Temperature increase over ambient (45C), baseline, {set}"),
             columns: vec!["Peak (C)".into(), "Average (C)".into()],
             rows: vec![
                 row("Processor", &t.processor),
@@ -195,11 +209,19 @@ impl FigureData {
     }
 }
 
+/// Whether `workloads` are exactly the 26 SPEC2000 profiles, in any
+/// order.
+fn is_spec2000(workloads: &[Workload]) -> bool {
+    let spec = AppProfile::spec2000();
+    workloads.len() == spec.len()
+        && spec
+            .iter()
+            .all(|p| workloads.contains(&Workload::Single(*p)))
+}
+
 #[cfg(test)]
 mod tests {
     use std::sync::OnceLock;
-
-    use distfront_trace::AppProfile;
 
     use super::*;
     use crate::engine::EngineError;
@@ -231,6 +253,26 @@ mod tests {
             );
             assert!(row.values[1] > 0.0, "{} below ambient", row.label);
         }
+    }
+
+    /// Figure 1 names the workloads it averages: "SPEC2000 average" only
+    /// over exactly the 26 SPEC2000 profiles.
+    #[test]
+    fn figure1_title_names_the_collected_workloads() {
+        assert_eq!(
+            data().figure1().title,
+            "Temperature increase over ambient (45C), baseline, average over 1 workload"
+        );
+        let mut spec: Vec<Workload> = AppProfile::spec2000()
+            .iter()
+            .map(|p| Workload::from(*p))
+            .collect();
+        spec.reverse();
+        assert!(is_spec2000(&spec));
+        spec.pop();
+        assert!(!is_spec2000(&spec), "25 profiles are not the suite");
+        spec.push(Workload::from(AppProfile::test_tiny()));
+        assert!(!is_spec2000(&spec), "tiny is not a SPEC2000 profile");
     }
 
     #[test]
