@@ -449,51 +449,6 @@ impl SweepReport {
         self.cells.iter().filter(|c| c.replayed).count()
     }
 
-    /// Reassembles a report from per-cell outcomes produced out of band —
-    /// the merge point for sharded execution: the outcomes of several
-    /// [`SweepRunner::try_cells`] slices (in any order; shards complete
-    /// independently) are placed back into their grid slots by index,
-    /// exactly as `try_grid` places them, so a merged report compares
-    /// equal to the serial run of the whole grid — error cells included.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first coverage violation: a cell
-    /// whose coordinates fall outside the `configs × apps` grid, a
-    /// duplicate cell, or a missing cell. Exactly-once coverage is the
-    /// shard-merge contract; anything else means shards overlapped or a
-    /// slice went missing, and silently merging would fabricate a report.
-    pub fn assemble(
-        configs: usize,
-        apps: usize,
-        cells: impl IntoIterator<Item = CellOutcome>,
-    ) -> Result<SweepReport, String> {
-        let mut flat: Vec<Option<CellOutcome>> = (0..configs * apps).map(|_| None).collect();
-        for cell in cells {
-            if cell.config >= configs || cell.app >= apps {
-                return Err(format!(
-                    "cell ({}, {}) outside the {configs}x{apps} grid",
-                    cell.config, cell.app
-                ));
-            }
-            let i = cell.config * apps + cell.app;
-            if flat[i].is_some() {
-                return Err(format!("duplicate cell ({}, {})", cell.config, cell.app));
-            }
-            flat[i] = Some(cell);
-        }
-        let cells = flat
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| c.ok_or_else(|| format!("missing cell ({}, {})", i / apps, i % apps)))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(SweepReport {
-            configs,
-            apps,
-            cells,
-        })
-    }
-
     /// The strict view: every cell's `AppResult`, as
     /// `result[config][app]`, panicking if any cell failed — the
     /// pre-fault-tolerance contract, for callers (figures, calibration)
@@ -710,7 +665,8 @@ impl SweepRunner {
     /// ascending index order. This is the shard primitive behind
     /// [`distfront::shard`](crate::shard): a contiguous slice of the grid
     /// runs in isolation, bit-identical to the same cells of a whole-grid
-    /// run, and [`SweepReport::assemble`] puts the slices back together.
+    /// run, so the slices of contiguous ascending ranges, concatenated in
+    /// range order, are the whole grid's cells.
     ///
     /// # Panics
     ///
@@ -949,27 +905,6 @@ mod tests {
                 assert!(cell.wall_time_s >= 0.0);
             }
         }
-    }
-
-    #[test]
-    fn try_cells_slices_reassemble_into_the_whole_grid() {
-        let (cfgs, apps) = tiny_grid();
-        let workloads = singles(&apps);
-        let whole = SweepRunner::serial().try_grid(&cfgs, &workloads);
-        let runner = SweepRunner::serial();
-        let head = runner.try_cells(&cfgs, &workloads, 0..1);
-        let tail = runner.try_cells(&cfgs, &workloads, 1..4);
-        assert_eq!((head.len(), tail.len()), (1, 3));
-        // Slices merged out of order reassemble the exact serial report.
-        let merged = SweepReport::assemble(2, 2, tail.into_iter().chain(head)).unwrap();
-        assert_eq!(merged, whole);
-        // Coverage violations are errors, never a fabricated report.
-        let partial = runner.try_cells(&cfgs, &workloads, 0..2);
-        let missing = SweepReport::assemble(2, 2, partial.clone()).unwrap_err();
-        assert!(missing.contains("missing cell"), "{missing}");
-        let doubled: Vec<_> = partial.clone().into_iter().chain(partial).collect();
-        let duplicate = SweepReport::assemble(2, 2, doubled).unwrap_err();
-        assert!(duplicate.contains("duplicate cell"), "{duplicate}");
     }
 
     #[test]

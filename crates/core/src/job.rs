@@ -765,18 +765,28 @@ fn config_fingerprint(fp: Fingerprint, cfg: &ExperimentConfig) -> Fingerprint {
 
 /// How result rows are labeled in the CSV `scenario` column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LabelSource {
+pub(crate) enum LabelSource {
     /// Every row carries the scenario's registry name (one-row suites).
     Scenario(&'static str),
     /// Each row carries its cell's configuration preset name (grids).
     ConfigName,
 }
 
+impl LabelSource {
+    /// The label `cell`'s CSV row carries in the `scenario` column.
+    pub(crate) fn row_label(self, cell: &CellOutcome) -> &'static str {
+        match self {
+            LabelSource::Scenario(name) => name,
+            LabelSource::ConfigName => cell.config_name,
+        }
+    }
+}
+
 /// A [`JobSpec`] resolved against the registries: the concrete grid the
 /// engine runs.
 #[derive(Debug, Clone)]
 pub struct ResolvedJob {
-    label: LabelSource,
+    pub(crate) label: LabelSource,
     /// Configurations (grid rows), run-length- and integrator-scaled.
     pub configs: Vec<ExperimentConfig>,
     /// Workloads (grid columns).
@@ -786,13 +796,10 @@ pub struct ResolvedJob {
 impl ResolvedJob {
     /// The label a cell's CSV row carries in the `scenario` column —
     /// the same labeling [`JobReport::row_label`] applies, available
-    /// before a full report exists so shard workers can label the cells
-    /// of a partial grid.
+    /// before a full report exists (a shard worker's slice of the grid is
+    /// labeled this way).
     pub fn row_label(&self, cell: &CellOutcome) -> &'static str {
-        match self.label {
-            LabelSource::Scenario(name) => name,
-            LabelSource::ConfigName => cell.config_name,
-        }
+        self.label.row_label(cell)
     }
 }
 
@@ -810,7 +817,7 @@ pub struct JobEnv {
 /// One executed job's results, with the row labeling its target implies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobReport {
-    label: LabelSource,
+    pub(crate) label: LabelSource,
     /// The underlying per-cell report (grid order).
     pub report: SweepReport,
 }
@@ -818,10 +825,7 @@ pub struct JobReport {
 impl JobReport {
     /// The label a cell's CSV row carries in the `scenario` column.
     pub fn row_label(&self, cell: &CellOutcome) -> &'static str {
-        match self.label {
-            LabelSource::Scenario(name) => name,
-            LabelSource::ConfigName => cell.config_name,
-        }
+        self.label.row_label(cell)
     }
 
     /// CSV rows (no header) for every successful cell, in canonical grid

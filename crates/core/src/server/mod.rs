@@ -698,18 +698,22 @@ impl JobResponse {
     }
 
     /// The response a job's complete result frames describe — the lines
-    /// [`protocol::result_frames`] writes and a state directory stores —
-    /// parsed exactly as a live `JOB` exchange's frames are.
+    /// [`protocol::result_frames`] writes, a state directory stores and a
+    /// shard worker stores for its slice — parsed exactly as a live `JOB`
+    /// exchange's frames are. Every `Ok` has one result line per cell
+    /// plus the `DONE` line.
     ///
     /// # Errors
     ///
-    /// Rejects malformed and unknown frames, and a frame list that does
-    /// not end in exactly one terminal (`DONE`/`ERR`) frame.
+    /// Rejects malformed and unknown frames, a `DONE` whose counts
+    /// disagree with the frames before it, and a frame list that does
+    /// not end in exactly one terminal `DONE` frame (stored results never
+    /// hold an `ERR`).
     pub fn from_frames(frames: &[String]) -> io::Result<JobResponse> {
         let mut response = JobResponse::pending();
         for (i, frame) in frames.iter().enumerate() {
             if response.apply_frame(frame)? {
-                if i + 1 == frames.len() {
+                if i + 1 == frames.len() && response.error.is_none() {
                     return Ok(response);
                 }
                 break;
@@ -717,7 +721,7 @@ impl JobResponse {
         }
         Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            "result frames do not end in exactly one terminal frame",
+            "result frames do not end in exactly one terminal DONE frame",
         ))
     }
 
@@ -726,7 +730,9 @@ impl JobResponse {
     ///
     /// # Errors
     ///
-    /// Rejects malformed and unknown frames.
+    /// Rejects malformed and unknown frames, and a `DONE` whose `cells=`
+    /// differs from the `CELL`+`ERRCELL` frames before it or whose
+    /// `failed=` differs from the `ERRCELL` frames.
     fn apply_frame(&mut self, line: &str) -> io::Result<bool> {
         let bad = || io::Error::new(io::ErrorKind::InvalidData, format!("bad frame {line:?}"));
         if let Some(row) = line.strip_prefix("CELL ") {
@@ -752,6 +758,11 @@ impl JobResponse {
                     done_line.push(' ');
                     done_line.push_str(token);
                 }
+            }
+            if self.result_lines.len() != self.cells
+                || self.csv_rows.len() + self.failed != self.cells
+            {
+                return Err(bad());
             }
             self.result_lines.push(done_line);
             return Ok(true);
@@ -974,6 +985,11 @@ mod tests {
             frames(&["DONE status=0 cells=0 failed=0", "CELL baseline,gzip,1"]),
             frames(&["CELL baseline,gzip,1", "DONE status=0 cells=1 bogus=1"]),
             frames(&["NOPE", "DONE status=0 cells=0 failed=0"]),
+            frames(&["ERR 64 unknown scenario"]),
+            // DONE's counts must match the frames before it.
+            frames(&["CELL a", "DONE status=0 cells=2 failed=0"]),
+            frames(&["CELL a", "DONE status=2 cells=1 failed=1"]),
+            frames(&["ERRCELL a b c", "DONE status=2 cells=1 failed=0"]),
         ] {
             assert!(JobResponse::from_frames(&bad).is_err(), "{bad:?}");
         }

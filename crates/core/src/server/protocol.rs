@@ -39,6 +39,14 @@
 //! hits — a replayed `DONE` differs only in its `cached=` token, which
 //! is why that token exists (and sits last on the line).
 //!
+//! These result frames are also the one storage format for results: a
+//! `--state-dir` record holds a job's frames, and a shard worker's record
+//! holds the frames of its slice of the grid (see [`crate::shard`]).
+//! [`JobResponse::from_frames`] reads either back, and rejects a list
+//! whose `DONE` counts disagree with its `CELL`/`ERRCELL` lines.
+//!
+//! [`JobResponse::from_frames`]: crate::server::JobResponse::from_frames
+//!
 //! # Pipelining
 //!
 //! A connection may have **multiple jobs in flight**: the daemon reads
@@ -68,7 +76,7 @@
 //! [`JobSpecError::UnsupportedVersion`]: crate::job::JobSpecError::UnsupportedVersion
 
 use crate::engine::CellOutcome;
-use crate::job::{JobClass, JobReport, JobSpec, StatusCode};
+use crate::job::{JobClass, JobReport, JobSpec, LabelSource, StatusCode};
 
 /// The longest client → server line the daemon reads, newline included
 /// (1 MiB). A `JOB` line is a few hundred bytes; the bound only stops a
@@ -180,161 +188,38 @@ pub fn split_job_tag(line: &str) -> (Option<u64>, String) {
 /// `DONE` frame's `cached=` suffix, which the sender appends (see the
 /// module docs).
 pub fn result_frames(report: &JobReport) -> Vec<String> {
-    let mut frames = Vec::new();
-    let mut cells = 0usize;
+    cell_frames(report.label, report.report.cells())
+}
+
+/// The result frames of a run of cells: one `CELL`/`ERRCELL` line per
+/// cell, in the order given, then `DONE status=<code> cells=<n>
+/// failed=<n>`. A whole job's report and a shard worker's slice of the
+/// grid both serialize through here, so a shard artifact holds the same
+/// lines as the matching stretch of the whole job's frames.
+pub(crate) fn cell_frames(label: LabelSource, cells: &[CellOutcome]) -> Vec<String> {
+    let mut frames = Vec::with_capacity(cells.len() + 1);
     let mut failed = 0usize;
-    for cell in report.report.cells() {
-        cells += 1;
-        match &cell.result {
-            Ok(r) => frames.push(format!(
-                "CELL {}",
-                crate::scenarios::csv_row(report.row_label(cell), r)
-            )),
+    for cell in cells {
+        let name = label.row_label(cell);
+        frames.push(match &cell.result {
+            Ok(r) => format!("CELL {}", crate::scenarios::csv_row(name, r)),
             Err(e) => {
                 failed += 1;
-                frames.push(format!(
-                    "ERRCELL {} {} {e}",
-                    report.row_label(cell),
-                    cell.app_name
-                ));
+                format!("ERRCELL {name} {} {e}", cell.app_name)
             }
-        }
+        });
     }
+    let status = if failed > 0 {
+        StatusCode::CellsFailed
+    } else {
+        StatusCode::Ok
+    };
     frames.push(format!(
-        "DONE status={} cells={cells} failed={failed}",
-        report.status().code()
+        "DONE status={} cells={} failed={failed}",
+        status.code(),
+        cells.len()
     ));
     frames
-}
-
-/// One shard result-cell frame: `SCELL <index> <csv-row>`, where
-/// `index` is the cell's canonical flat grid index (`config * apps +
-/// app`). Shard workers persist these lines — not bare CSV — into their
-/// per-shard [`DurableStore`](crate::store::DurableStore) record so the
-/// coordinator can merge shards by index into canonical grid order
-/// without re-deriving geometry.
-pub fn shard_cell_frame(index: usize, row: &str) -> String {
-    format!("SCELL {index} {row}")
-}
-
-/// One shard failed-cell frame: `SERRCELL <index> <label> <app> <msg>`
-/// — the sharded counterpart of `ERRCELL`, carrying the flat grid index
-/// so error cells merge by the same rule as result cells.
-pub fn shard_err_frame(index: usize, label: &str, app: &str, msg: &str) -> String {
-    format!("SERRCELL {index} {label} {app} {msg}")
-}
-
-/// The terminal frame of a shard artifact:
-/// `SDONE start=<s> end=<e> cells=<n> failed=<n> status=<code>`.
-/// `start..end` is the contiguous index range the shard owned; a
-/// coordinator rejects an artifact whose `SDONE` range disagrees with
-/// the partition it assigned (a stale record from an earlier layout).
-pub fn shard_done_frame(
-    range: &std::ops::Range<usize>,
-    cells: usize,
-    failed: usize,
-    status: StatusCode,
-) -> String {
-    format!(
-        "SDONE start={} end={} cells={cells} failed={failed} status={}",
-        range.start,
-        range.end,
-        status.code()
-    )
-}
-
-/// A parsed shard artifact frame — the decode side of
-/// [`shard_cell_frame`]/[`shard_err_frame`]/[`shard_done_frame`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardFrame {
-    /// `SCELL`: one successful cell's CSV row at a flat grid index.
-    Cell {
-        /// Canonical flat grid index (`config * apps + app`).
-        index: usize,
-        /// The CSV row, byte-identical to a serial run's.
-        row: String,
-    },
-    /// `SERRCELL`: one failed cell at a flat grid index.
-    ErrCell {
-        /// Canonical flat grid index (`config * apps + app`).
-        index: usize,
-        /// Row label (scenario or configuration name).
-        label: String,
-        /// Application name.
-        app: String,
-        /// The cell's error message.
-        msg: String,
-    },
-    /// `SDONE`: the shard completed and its record is whole.
-    Done {
-        /// First flat index the shard owned.
-        start: usize,
-        /// One past the last flat index the shard owned.
-        end: usize,
-        /// Cells computed (`end - start`).
-        cells: usize,
-        /// Cells whose result was an error.
-        failed: usize,
-        /// The worker's per-cell status (`ok` or `cells-failed`).
-        status: u8,
-    },
-}
-
-impl ShardFrame {
-    /// Parses one shard artifact line; `None` for anything else —
-    /// a coordinator treats an unparseable record as an invalid
-    /// artifact and re-queues the shard.
-    pub fn parse(line: &str) -> Option<ShardFrame> {
-        let (verb, rest) = line.split_once(' ')?;
-        match verb {
-            "SCELL" => {
-                let (index, row) = rest.split_once(' ')?;
-                Some(ShardFrame::Cell {
-                    index: index.parse().ok()?,
-                    row: row.to_string(),
-                })
-            }
-            "SERRCELL" => {
-                let mut parts = rest.splitn(4, ' ');
-                let index = parts.next()?.parse().ok()?;
-                let label = parts.next()?.to_string();
-                let app = parts.next()?.to_string();
-                let msg = parts.next()?.to_string();
-                Some(ShardFrame::ErrCell {
-                    index,
-                    label,
-                    app,
-                    msg,
-                })
-            }
-            "SDONE" => {
-                let mut start = None;
-                let mut end = None;
-                let mut cells = None;
-                let mut failed = None;
-                let mut status = None;
-                for token in rest.split(' ') {
-                    let (key, value) = token.split_once('=')?;
-                    match key {
-                        "start" => start = value.parse().ok(),
-                        "end" => end = value.parse().ok(),
-                        "cells" => cells = value.parse().ok(),
-                        "failed" => failed = value.parse().ok(),
-                        "status" => status = value.parse().ok(),
-                        _ => return None,
-                    }
-                }
-                Some(ShardFrame::Done {
-                    start: start?,
-                    end: end?,
-                    cells: cells?,
-                    failed: failed?,
-                    status: status?,
-                })
-            }
-            _ => None,
-        }
-    }
 }
 
 /// The connection-level `ERR` frame (a line that never became a job
@@ -402,48 +287,5 @@ mod tests {
             split_job_tag("ERR 64 bad key job=x"),
             (None, "ERR 64 bad key job=x".into())
         );
-    }
-
-    #[test]
-    fn shard_frames_round_trip() {
-        let cell = shard_cell_frame(7, "baseline,gzip,1.23,4.56");
-        assert_eq!(cell, "SCELL 7 baseline,gzip,1.23,4.56");
-        assert_eq!(
-            ShardFrame::parse(&cell),
-            Some(ShardFrame::Cell {
-                index: 7,
-                row: "baseline,gzip,1.23,4.56".into()
-            })
-        );
-
-        let err = shard_err_frame(3, "fault-injection", "mcf", "thermal solver: not converged");
-        assert_eq!(
-            ShardFrame::parse(&err),
-            Some(ShardFrame::ErrCell {
-                index: 3,
-                label: "fault-injection".into(),
-                app: "mcf".into(),
-                msg: "thermal solver: not converged".into(),
-            })
-        );
-
-        let done = shard_done_frame(&(4..9), 5, 1, StatusCode::CellsFailed);
-        assert_eq!(done, "SDONE start=4 end=9 cells=5 failed=1 status=2");
-        assert_eq!(
-            ShardFrame::parse(&done),
-            Some(ShardFrame::Done {
-                start: 4,
-                end: 9,
-                cells: 5,
-                failed: 1,
-                status: 2
-            })
-        );
-
-        // Non-shard frames and malformed lines parse to None.
-        assert_eq!(ShardFrame::parse("CELL a,b,c"), None);
-        assert_eq!(ShardFrame::parse("SCELL x row"), None);
-        assert_eq!(ShardFrame::parse("SDONE start=0 bogus=1"), None);
-        assert_eq!(ShardFrame::parse("SDONE start=0 end=1"), None);
     }
 }

@@ -23,7 +23,7 @@
 //! <dir>/
 //!   shard-000.job      work order: one JobSpec line (workers=1)
 //!   shard-000/         the shard's DurableStore
-//!     results.dfsg       ... holding one record of SCELL/SERRCELL/SDONE
+//!     results.dfsg       ... holding one record of CELL/ERRCELL/DONE frames
 //!   shard-000.kill     test hook: present => worker aborts unpersisted
 //!   shard-001.job      ...
 //! ```
@@ -34,31 +34,39 @@
 //! (`distfront-scenarios --shard i/N --shard-dir <dir>`). Each worker
 //! ([`run_worker`]) computes only its range via
 //! [`SweepRunner::try_cells`](crate::engine::SweepRunner::try_cells) and
-//! persists its result as **one atomic record** in its own
-//! [`DurableStore`] segment, keyed by the job's content fingerprint. DFSG
-//! records are checksummed and indivisible, so the record *exists* iff
-//! the worker finished — a worker killed mid-write leaves a repairable
-//! tail, not a half-result, and the coordinator's validity check is
-//! simply "is there a complete record covering exactly the range I
-//! assigned".
+//! persists the result frames of its slice — the `CELL`/`ERRCELL` lines
+//! and terminal `DONE` that
+//! [`result_frames`](crate::server::protocol::result_frames) writes for a
+//! whole job — as **one atomic record** in its own [`DurableStore`]
+//! segment. The record's key is the job's content fingerprint folded
+//! with the shard's range, so a record another partition left behind
+//! (even one of equal length) is never found. DFSG records are
+//! checksummed and indivisible, so the record *exists* iff the worker
+//! finished — a worker killed mid-write leaves a repairable tail, not a
+//! half-result — and the coordinator's validity check is simply "the
+//! record under my key parses through
+//! [`JobResponse::from_frames`] and its `DONE` counts the range's cells".
 //!
 //! Invalid or missing artifacts get the shard re-queued with bounded
 //! retries; a shard still failing after its last retry is reported in
 //! [`ShardOutcome::failed_shards`] with status
 //! [`StatusCode::ShardFailed`], and every *surviving* shard is still
-//! merged. Merging sorts cell frames by flat grid index, which
-//! reconstructs canonical grid order exactly — the merged CSV rows and
-//! failure lines are byte-identical to [`JobSpec::execute`] run
-//! serially, whatever order shards finished or retried in.
+//! merged. Ranges are contiguous and ascending, so concatenating the
+//! shards' frames in shard order restores canonical grid order — the
+//! merged CSV rows and failure lines are byte-identical to
+//! [`JobSpec::execute`] run serially, whatever order shards finished or
+//! retried in.
 
 use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
+use distfront_trace::Fingerprint;
+
 use crate::job::{JobEnv, JobSpec, JobSpecError, StatusCode};
-use crate::scenarios::csv_row;
-use crate::server::protocol::{shard_cell_frame, shard_done_frame, shard_err_frame, ShardFrame};
+use crate::server::protocol::cell_frames;
+use crate::server::JobResponse;
 use crate::store::DurableStore;
 
 /// Splits `cells` flat grid indices into exactly `shards` contiguous
@@ -143,6 +151,18 @@ fn kill_path(dir: &Path, index: usize) -> PathBuf {
     dir.join(format!("shard-{index:03}.kill"))
 }
 
+/// The key a shard's record is stored under: the job's content
+/// fingerprint folded with the shard's range. The range, not only its
+/// length: with 5 cells, shard 1 of 2 owns `3..5` and shard 1 of 3 owns
+/// `2..4`, both 2 cells long.
+fn record_key(fingerprint: u64, range: &Range<usize>) -> u64 {
+    Fingerprint::new()
+        .with_u64(fingerprint)
+        .with_u64(range.start as u64)
+        .with_u64(range.end as u64)
+        .finish()
+}
+
 /// Runs one shard worker to completion: reads the work order
 /// `shard-<i>.job` under `dir`, computes the shard's index range, and
 /// persists the result record into `shard-<i>/`. This is the body of
@@ -186,8 +206,8 @@ pub fn run_worker(dir: &Path, shard: ShardSpec) -> StatusCode {
             return StatusCode::Usage;
         }
     };
-    let apps = resolved.workloads.len();
-    let range = shard.range(resolved.configs.len() * apps);
+    let range = shard.range(resolved.configs.len() * resolved.workloads.len());
+    let key = record_key(fingerprint, &range);
 
     // Arm the kill hook *before* computing so a retry (which sees no
     // marker) runs the exact same work unperturbed.
@@ -197,7 +217,7 @@ pub fn run_worker(dir: &Path, shard: ShardSpec) -> StatusCode {
     let cells = crate::engine::SweepRunner::from_spec(&spec, &JobEnv::default()).try_cells(
         &resolved.configs,
         &resolved.workloads,
-        range.clone(),
+        range,
     );
 
     if die_before_persist {
@@ -208,35 +228,15 @@ pub fn run_worker(dir: &Path, shard: ShardSpec) -> StatusCode {
         std::process::abort();
     }
 
-    let mut failed = 0usize;
-    let mut frames = Vec::with_capacity(cells.len() + 1);
-    for cell in &cells {
-        let index = cell.config * apps + cell.app;
-        match &cell.result {
-            Ok(r) => frames.push(shard_cell_frame(
-                index,
-                &csv_row(resolved.row_label(cell), r),
-            )),
-            Err(e) => {
-                failed += 1;
-                frames.push(shard_err_frame(
-                    index,
-                    resolved.row_label(cell),
-                    cell.app_name,
-                    &e.to_string(),
-                ));
-            }
-        }
-    }
-    let status = if failed > 0 {
+    let frames = cell_frames(resolved.label, &cells);
+    let status = if cells.iter().any(|cell| cell.result.is_err()) {
         StatusCode::CellsFailed
     } else {
         StatusCode::Ok
     };
-    frames.push(shard_done_frame(&range, cells.len(), failed, status));
 
     let persisted = DurableStore::open(store_path(dir, shard.index)).and_then(|(store, _)| {
-        store.append_result(fingerprint, &frames)?;
+        store.append_result(key, &frames)?;
         store.flush()
     });
     if let Err(e) = persisted {
@@ -394,7 +394,7 @@ impl ShardRunner {
 
         let mut pending: Vec<usize> = (0..n).collect();
         let mut attempts = vec![0usize; n];
-        let mut completed: Vec<Option<Vec<ShardFrame>>> = (0..n).map(|_| None).collect();
+        let mut completed: Vec<Option<JobResponse>> = vec![None; n];
         let mut failed_shards = Vec::new();
         while !pending.is_empty() {
             // Launch the whole wave before waiting on any of it, so
@@ -407,11 +407,12 @@ impl ShardRunner {
             for (i, child) in wave {
                 attempts[i] += 1;
                 let exit = describe_exit(child);
-                // A complete, range-exact record trumps the exit code:
-                // a worker that exited `cells-failed` still finished its
-                // shard, and per-cell errors are outcomes, not crashes.
-                match read_artifact(&dir, i, fingerprint, &ranges[i]) {
-                    Ok(frames) => completed[i] = Some(frames),
+                // A valid record trumps the exit code: a worker that
+                // exited `cells-failed` still finished its shard, and
+                // per-cell errors are outcomes, not crashes.
+                let key = record_key(fingerprint, &ranges[i]);
+                match read_artifact(&dir, i, key, ranges[i].len()) {
+                    Ok(response) => completed[i] = Some(response),
                     Err(reason) if attempts[i] > self.retries => {
                         eprintln!(
                             "shard {i}/{n}: {exit}; {reason}; giving up after {} attempts",
@@ -432,32 +433,21 @@ impl ShardRunner {
             pending = requeue;
         }
 
-        // Merge: strip each shard's terminal SDONE, then sort every cell
-        // frame by flat grid index. Ranges are disjoint and validated
-        // exactly-once per shard, so the sort alone restores canonical
-        // grid order.
-        let mut merged: Vec<ShardFrame> = completed
-            .into_iter()
-            .flatten()
-            .flat_map(|mut frames| {
-                frames.pop();
-                frames
-            })
-            .collect();
-        merged.sort_by_key(|frame| match frame {
-            ShardFrame::Cell { index, .. } | ShardFrame::ErrCell { index, .. } => *index,
-            ShardFrame::Done { .. } => usize::MAX,
-        });
+        // Merge: ranges are contiguous and ascending, so the shards'
+        // frames concatenated in shard order are in canonical grid order.
         let mut csv_rows = Vec::new();
         let mut failures = Vec::new();
-        for frame in merged {
-            match frame {
-                ShardFrame::Cell { row, .. } => csv_rows.push(row),
-                ShardFrame::ErrCell {
-                    label, app, msg, ..
-                } => failures.push((label, app, msg)),
-                ShardFrame::Done { .. } => {}
+        for response in completed.into_iter().flatten() {
+            for err in response
+                .result_lines
+                .iter()
+                .filter_map(|line| line.strip_prefix("ERRCELL "))
+            {
+                let mut parts = err.splitn(3, ' ');
+                let mut part = || parts.next().unwrap_or_default().to_string();
+                failures.push((part(), part(), part()));
             }
+            csv_rows.extend(response.csv_rows);
         }
         let status = if !failed_shards.is_empty() {
             StatusCode::ShardFailed
@@ -503,66 +493,26 @@ fn describe_exit(child: io::Result<Child>) -> String {
     }
 }
 
-/// Loads and validates shard `index`'s result artifact: the newest
-/// record under the job's fingerprint must parse as shard frames, end in
-/// an `SDONE` whose range equals the assigned one, and cover every index
-/// of that range exactly once. Anything less is grounds for re-queue.
-fn read_artifact(
-    dir: &Path,
-    index: usize,
-    fingerprint: u64,
-    range: &Range<usize>,
-) -> Result<Vec<ShardFrame>, String> {
+/// Loads shard `index`'s result record stored under `key`. It is valid
+/// when its frames parse through [`JobResponse::from_frames`] (which
+/// checks the `DONE` counts against the frames) and it holds `cells`
+/// cells, the length of the shard's range. Anything less is grounds for
+/// re-queue.
+fn read_artifact(dir: &Path, index: usize, key: u64, cells: usize) -> Result<JobResponse, String> {
     let (_, snapshot) = DurableStore::open(store_path(dir, index))
         .map_err(|e| format!("cannot open shard store: {e}"))?;
-    let lines = snapshot
-        .last_result(fingerprint)
+    let frames = snapshot
+        .last_result(key)
         .ok_or_else(|| "no completed result record".to_string())?;
-    let mut frames = Vec::with_capacity(lines.len());
-    for line in lines {
-        frames.push(
-            ShardFrame::parse(line).ok_or_else(|| format!("unparseable artifact line {line:?}"))?,
-        );
-    }
-    let Some(ShardFrame::Done {
-        start, end, cells, ..
-    }) = frames.last()
-    else {
-        return Err("record missing terminal SDONE".to_string());
-    };
-    if (*start, *end) != (range.start, range.end) {
+    let response =
+        JobResponse::from_frames(frames).map_err(|e| format!("unreadable record: {e}"))?;
+    if response.cells != cells {
         return Err(format!(
-            "stale record covers {start}..{end}, assigned {}..{}",
-            range.start, range.end
+            "record holds {} cells for a {cells}-cell range",
+            response.cells
         ));
     }
-    if *cells != range.len() {
-        return Err(format!(
-            "record claims {cells} cells for a {}-cell range",
-            range.len()
-        ));
-    }
-    let mut seen = vec![false; range.len()];
-    for frame in &frames[..frames.len() - 1] {
-        let i = match frame {
-            ShardFrame::Cell { index, .. } | ShardFrame::ErrCell { index, .. } => *index,
-            ShardFrame::Done { .. } => return Err("SDONE before end of record".to_string()),
-        };
-        if i < range.start || i >= range.end {
-            return Err(format!(
-                "cell index {i} outside assigned range {}..{}",
-                range.start, range.end
-            ));
-        }
-        if seen[i - range.start] {
-            return Err(format!("duplicate cell index {i}"));
-        }
-        seen[i - range.start] = true;
-    }
-    if seen.iter().any(|covered| !covered) {
-        return Err("record is missing cells of its range".to_string());
-    }
-    Ok(frames)
+    Ok(response)
 }
 
 #[cfg(test)]
@@ -604,51 +554,50 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let (store, _) = DurableStore::open(store_path(&dir, 0)).unwrap();
+        let append = |key: u64, frames: &[&str]| {
+            let frames: Vec<String> = frames.iter().map(|f| f.to_string()).collect();
+            store.append_result(key, &frames).unwrap();
+            store.flush().unwrap();
+        };
+        // With 5 cells, shard 1 of 2 owns 3..5 and shard 1 of 3 owns 2..4.
+        let (job, range) = (1, 3..5);
+        let key = record_key(job, &range);
+        let good = [
+            "CELL a,b",
+            "ERRCELL lbl app solver diverged",
+            "DONE status=2 cells=2 failed=1",
+        ];
 
         // No record at all.
-        assert!(read_artifact(&dir, 0, 1, &(0..2)).is_err());
+        let err = read_artifact(&dir, 0, key, 2).unwrap_err();
+        assert!(err.contains("no completed result record"), "{err}");
 
-        // A stale record under a different fingerprint stays invisible.
-        store
-            .append_result(
-                99,
-                &[
-                    "SCELL 0 a,b".into(),
-                    "SDONE start=0 end=1 cells=1 failed=0 status=0".into(),
-                ],
-            )
-            .unwrap();
-        store.flush().unwrap();
-        assert!(read_artifact(&dir, 0, 1, &(0..2)).is_err());
+        // Another job's complete record stays invisible.
+        append(record_key(99, &range), &good);
+        let err = read_artifact(&dir, 0, key, 2).unwrap_err();
+        assert!(err.contains("no completed result record"), "{err}");
 
-        // Wrong range: rejected as stale.
-        store
-            .append_result(
-                1,
-                &[
-                    "SCELL 0 a,b".into(),
-                    "SDONE start=0 end=1 cells=1 failed=0 status=0".into(),
-                ],
-            )
-            .unwrap();
-        store.flush().unwrap();
-        let err = read_artifact(&dir, 0, 1, &(0..2)).unwrap_err();
-        assert!(err.contains("stale record"), "{err}");
+        // So does a complete record for an equal-length other range.
+        append(record_key(job, &(2..4)), &good);
+        let err = read_artifact(&dir, 0, key, 2).unwrap_err();
+        assert!(err.contains("no completed result record"), "{err}");
 
-        // Complete and range-exact: accepted, last-wins over the stale one.
-        store
-            .append_result(
-                1,
-                &[
-                    "SCELL 0 a,b".into(),
-                    "SERRCELL 1 lbl app solver diverged".into(),
-                    "SDONE start=0 end=2 cells=2 failed=1 status=2".into(),
-                ],
-            )
-            .unwrap();
-        store.flush().unwrap();
-        let frames = read_artifact(&dir, 0, 1, &(0..2)).unwrap();
-        assert_eq!(frames.len(), 3);
+        // A DONE whose counts disagree with its frames is unreadable.
+        append(key, &["CELL a,b", "DONE status=0 cells=2 failed=0"]);
+        let err = read_artifact(&dir, 0, key, 2).unwrap_err();
+        assert!(err.contains("unreadable record"), "{err}");
+
+        // A consistent record of the wrong length is rejected too.
+        append(key, &["CELL a,b", "DONE status=0 cells=1 failed=0"]);
+        let err = read_artifact(&dir, 0, key, 2).unwrap_err();
+        assert!(err.contains("1 cells for a 2-cell range"), "{err}");
+
+        // A good record: accepted, last-wins over the bad ones.
+        append(key, &good);
+        let response = read_artifact(&dir, 0, key, 2).unwrap();
+        assert_eq!(response.csv_rows, vec!["a,b".to_string()]);
+        assert_eq!(response.result_lines, good.map(String::from));
+        assert_eq!(response.status, StatusCode::CellsFailed);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -269,9 +269,10 @@ pub struct StoreSnapshot {
 impl StoreSnapshot {
     /// The newest result record for `fingerprint`, honoring the
     /// last-wins append order. This is how a shard coordinator reads a
-    /// worker's result artifact back: a record exists exactly when the
-    /// worker completed its append (segment records are atomic), so
-    /// `None` means the worker died before finishing.
+    /// worker's result artifact back, under the job fingerprint folded
+    /// with the shard's range: a record exists exactly when the worker
+    /// completed its append (segment records are atomic), so `None`
+    /// means the worker died before finishing or ran another partition.
     pub fn last_result(&self, fingerprint: u64) -> Option<&[String]> {
         self.results
             .iter()

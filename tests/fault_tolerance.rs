@@ -1,7 +1,7 @@
 //! Integration tests for the fault-tolerant sweep executor: a failing
 //! cell is an `Err` outcome — never a sweep-wide abort — surviving cells
-//! stay bit-identical at any worker count, and the sharded warm-start
-//! cache's hit/miss accounting is invariant under its shard count.
+//! stay bit-identical at any worker count, and the warm-start cache's
+//! hit/miss totals equal the first-occurrence counts of its keys.
 
 use std::sync::{Arc, Mutex};
 

@@ -1,12 +1,12 @@
-//! Multi-process sharding: partition coverage, merge-by-index equality
-//! against serial runs (error cells included), cross-process
+//! Multi-process sharding: partition coverage, concatenated per-shard
+//! slices equal to serial runs (error cells included), cross-process
 //! byte-identity for every registered scenario at 1/2/3 worker
-//! processes, and the coordinator's re-queue path under a worker
-//! SIGKILLed mid-shard.
+//! processes, and the coordinator's re-queue path under a worker that
+//! aborts mid-shard.
 
 use std::path::PathBuf;
 
-use distfront::engine::{SweepReport, SweepRunner};
+use distfront::engine::SweepRunner;
 use distfront::job::{JobEnv, JobSpec, StatusCode};
 use distfront::shard::{partition, ShardRunner, ShardSpec};
 use distfront::{scenarios, ExperimentConfig};
@@ -84,69 +84,22 @@ mod partition_properties {
             }
         }
     }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-        /// Merging shard slices by grid index reconstructs the serial
-        /// report exactly — error cells included — for any shard count
-        /// and any shard completion order.
-        #[test]
-        fn shuffled_shard_merge_equals_the_serial_report(
-            shards in 1usize..9,
-            rot in 0usize..9,
-        ) {
-            let (serial, cells) = serial_cells();
-            let mut slices: Vec<Vec<_>> = partition(cells.len(), shards)
-                .into_iter()
-                .map(|r| cells[r].to_vec())
-                .collect();
-            // "Shuffled": rotate and reverse the shard completion order.
-            slices.rotate_left(rot % shards);
-            slices.reverse();
-            let merged =
-                SweepReport::assemble(2, 3, slices.into_iter().flatten()).unwrap();
-            prop_assert_eq!(&merged, serial);
-        }
-    }
-
-    /// The serial faulty-grid run, computed once: per-shard cell slices
-    /// are bit-identical to serial cells (pinned by the engine's own
-    /// tests), so merge properties need no engine re-runs per case.
-    fn serial_cells() -> (
-        &'static SweepReport,
-        &'static [distfront::engine::CellOutcome],
-    ) {
-        use std::sync::OnceLock;
-        static SERIAL: OnceLock<(SweepReport, Vec<distfront::engine::CellOutcome>)> =
-            OnceLock::new();
-        let (report, cells) = SERIAL.get_or_init(|| {
-            let (cfgs, workloads) = faulty_grid();
-            let runner = SweepRunner::serial();
-            let cells = runner.try_cells(&cfgs, &workloads, 0..6);
-            let report = SweepReport::assemble(2, 3, cells.clone()).unwrap();
-            (report, cells)
-        });
-        (report, cells)
-    }
 }
 
-/// Per-shard engine runs (not slices of one run) reassemble into the
-/// serial report: the worker-side `try_cells` contract across process
-/// boundaries, error cell included.
+/// Per-shard engine runs (not slices of one run), concatenated in shard
+/// order, equal the serial run's cells: the worker-side `try_cells`
+/// contract across process boundaries, error cell included.
 #[test]
 fn per_shard_engine_runs_merge_into_the_serial_report() {
     let (cfgs, workloads) = faulty_grid();
-    let serial = SweepRunner::serial().try_cells(&cfgs, &workloads, 0..6);
-    let serial = SweepReport::assemble(2, 3, serial).unwrap();
+    let serial = SweepRunner::serial().try_grid(&cfgs, &workloads);
     assert_eq!(serial.failed(), 1);
     for shards in [2, 3, 5] {
-        let mut slices: Vec<_> = partition(6, shards)
+        let merged: Vec<_> = partition(6, shards)
             .into_iter()
-            .map(|r| SweepRunner::serial().try_cells(&cfgs, &workloads, r))
+            .flat_map(|r| SweepRunner::serial().try_cells(&cfgs, &workloads, r))
             .collect();
-        slices.reverse();
-        let merged = SweepReport::assemble(2, 3, slices.into_iter().flatten()).unwrap();
-        assert_eq!(merged, serial, "{shards}-shard merge diverged");
+        assert_eq!(merged, serial.cells(), "{shards}-shard merge diverged");
     }
 }
 

@@ -1,17 +1,23 @@
-//! Untrusted-input fuzzing of the two text wire parsers: the one-line
-//! [`JobSpec`] codec (`.job` files, the daemon's `JOB` payload) and the
-//! daemon's command line ([`Command::parse`]).
+//! Untrusted-input fuzzing of the text wire parsers: the one-line
+//! [`JobSpec`] codec (`.job` files, the daemon's `JOB` payload), the
+//! daemon's command line ([`Command::parse`]), the result frames a client
+//! reads and a state directory or shard worker stores
+//! ([`JobResponse::from_frames`]), and the `STATS` frame
+//! ([`DaemonStats::parse`]).
 //!
-//! Both read lines from files and sockets that anyone can write, so any
+//! They read lines from files and sockets that anyone can write, so any
 //! input must come back as `Ok` or an error, never a panic. Whatever
 //! parses must also survive the encoder: a parsed spec re-encodes to a
 //! line that parses back to the same spec, and a parsed command to a line
-//! that parses back to the same command. The mutations start from valid
-//! lines and flip, cut and replace bytes at random; garbage comes bare
-//! and behind a valid prefix.
+//! that parses back to the same command. Parsed result frames must agree
+//! with their own counts: one result line per cell plus the `DONE` line,
+//! and no more failed cells than cells. The mutations start from valid
+//! inputs and flip, cut and replace bytes at random; garbage comes bare
+//! and behind a valid prefix. A frame record is one input with its frames
+//! on separate lines.
 
 use distfront::job::{JobClass, JobSpec, TraceSpec};
-use distfront::server::Command;
+use distfront::server::{Command, DaemonStats, JobResponse};
 use distfront::Integrator;
 use distfront_trace::rng::SplitMix64;
 use proptest::prelude::*;
@@ -46,6 +52,29 @@ fn command_lines() -> Vec<String> {
     let mut lines: Vec<String> = jobspec_lines().iter().map(|l| format!("JOB {l}")).collect();
     lines.extend(["PING", "STATS", "SHUTDOWN\r\n"].map(String::from));
     lines
+}
+
+/// Valid result-frame records, one frame per line: what
+/// `protocol::result_frames` writes for a job or a shard's slice.
+fn frame_records() -> Vec<String> {
+    [
+        "CELL baseline,gzip,1\nERRCELL baseline mcf warm start diverged\nDONE status=2 cells=2 failed=1",
+        "CELL drc,gzip,1.5,2\nCELL drc,mcf,3,4\nDONE status=0 cells=2 failed=0 cached=1",
+        "DONE status=0 cells=0 failed=0",
+    ]
+    .map(String::from)
+    .to_vec()
+}
+
+/// Valid `STATS` frames.
+fn stats_lines() -> Vec<String> {
+    [
+        "STATS jobs=3 executed=2 result_hits=1 result_entries=2 warm_hits=5 warm_misses=4 \
+         warm_entries=4 traces=0 persisted_results=2 persisted_traces=0",
+        "STATS jobs=0",
+    ]
+    .map(String::from)
+    .to_vec()
 }
 
 /// Fragments of the wire grammar, so garbage reaches the value parsers
@@ -90,6 +119,17 @@ const VOCABULARY: &[&str] = &[
     "PING",
     "STATS",
     "SHUTDOWN",
+    "CELL ",
+    "ERRCELL ",
+    "DONE ",
+    "ERR ",
+    "status=",
+    "cells=",
+    "failed=",
+    "cached=",
+    "STATS ",
+    "jobs=",
+    "executed=",
 ];
 
 /// `len` random bytes or vocabulary fragments, lossily decoded.
@@ -134,20 +174,37 @@ fn command_round_trips(line: &str) -> Result<(), String> {
     }
 }
 
-/// Both parsers on `line`: as a jobspec, and as a command.
-fn check(line: &str) -> Result<(), String> {
-    jobspec_round_trips(line)?;
-    command_round_trips(line)
+/// Parses `input` as a result-frame record, one frame per line, which
+/// must not panic; a success must hold one result line per cell plus the
+/// `DONE` line, and no more failed cells than cells.
+fn frames_hold_their_counts(input: &str) -> Result<(), String> {
+    let frames: Vec<String> = input.split('\n').map(String::from).collect();
+    match JobResponse::from_frames(&frames) {
+        Ok(r) if r.result_lines.len() != r.cells + 1 || r.failed > r.cells => Err(format!(
+            "{input:?} parsed to {} result lines for cells={} failed={}",
+            r.result_lines.len(),
+            r.cells,
+            r.failed
+        )),
+        _ => Ok(()),
+    }
 }
 
-/// One of the valid lines, picked by `rng`.
-fn pick(rng: &mut SplitMix64, command: bool) -> Vec<u8> {
-    let lines = if command {
-        command_lines()
-    } else {
-        jobspec_lines()
-    };
-    lines[rng.next_below(lines.len() as u64) as usize]
+/// Every parser on `input`.
+fn check(input: &str) -> Result<(), String> {
+    jobspec_round_trips(input)?;
+    command_round_trips(input)?;
+    let _ = DaemonStats::parse(input);
+    frames_hold_their_counts(input)
+}
+
+/// One of the valid inputs of every parser, picked by `rng`.
+fn pick(rng: &mut SplitMix64) -> Vec<u8> {
+    let mut inputs = command_lines();
+    inputs.extend(jobspec_lines());
+    inputs.extend(frame_records());
+    inputs.extend(stats_lines());
+    inputs[rng.next_below(inputs.len() as u64) as usize]
         .clone()
         .into_bytes()
 }
@@ -162,17 +219,25 @@ fn the_unmutated_lines_parse_and_round_trip() {
         Command::parse(&line).unwrap();
         command_round_trips(&line).unwrap();
     }
+    for record in frame_records() {
+        let frames: Vec<String> = record.split('\n').map(String::from).collect();
+        JobResponse::from_frames(&frames).unwrap();
+        frames_hold_their_counts(&record).unwrap();
+    }
+    for line in stats_lines() {
+        DaemonStats::parse(&line).unwrap();
+    }
 }
 
 proptest! {
     // A parse takes microseconds, so the fuzzers afford many cases.
     #![proptest_config(ProptestConfig::with_cases(4096))]
-    /// One to eight random bytes of a valid line XORed with random
+    /// One to eight random bytes of a valid input XORed with random
     /// non-zero masks.
     #[test]
-    fn byte_flips_never_panic(seed in 0u64..u64::MAX, command in proptest::bool::ANY) {
+    fn byte_flips_never_panic(seed in 0u64..u64::MAX) {
         let mut rng = SplitMix64::new(seed);
-        let mut bytes = pick(&mut rng, command);
+        let mut bytes = pick(&mut rng);
         for _ in 0..1 + rng.next_below(8) {
             let at = rng.next_below(bytes.len() as u64) as usize;
             bytes[at] ^= 1 + rng.next_below(255) as u8;
@@ -180,12 +245,11 @@ proptest! {
         check(&String::from_utf8_lossy(&bytes))?;
     }
 
-    /// Every prefix of a valid line, flipped or not.
+    /// Every prefix of a valid input, flipped or not.
     #[test]
     fn truncations_never_panic(seed in 0u64..u64::MAX, frac in 0.0f64..1.0) {
         let mut rng = SplitMix64::new(seed);
-        let command = rng.next_below(2) == 0;
-        let mut bytes = pick(&mut rng, command);
+        let mut bytes = pick(&mut rng);
         if rng.next_below(2) == 0 {
             let at = rng.next_below(bytes.len() as u64) as usize;
             bytes[at] ^= 1 + rng.next_below(255) as u8;
@@ -194,15 +258,14 @@ proptest! {
         check(&String::from_utf8_lossy(&bytes[..cut]))?;
     }
 
-    /// Garbage bare, and after a valid line and the separator a further
+    /// Garbage bare, and after a valid input and the separator a further
     /// token would follow.
     #[test]
     fn garbage_never_panics(seed in 0u64..u64::MAX, len in 0usize..48) {
         let mut rng = SplitMix64::new(seed);
         let tail = garbage(&mut rng, len);
         check(&tail)?;
-        let command = rng.next_below(2) == 0;
-        let prefix = String::from_utf8(pick(&mut rng, command)).unwrap();
+        let prefix = String::from_utf8(pick(&mut rng)).unwrap();
         check(&format!("{prefix} {tail}"))?;
         check(&format!("{prefix}{tail}"))?;
     }
