@@ -24,11 +24,6 @@
 //!                    instead of re-simulating the core (live fallback
 //!                    otherwise); byte-identical output, several times
 //!                    faster per replayed cell
-//!   --batch          batched replay: group replay-mode cells sharing a
-//!                    machine shape into cohorts, each replayed back to
-//!                    back as one task (off by default; inert without
-//!                    --replay)
-//!   --no-batch       disable batched replay (the default)
 //!   --state-dir DIR  run against DIR's crash-safe segment store (the
 //!                    same layout `distfront-sweepd --state-dir` uses):
 //!                    scenarios whose content fingerprint is already
@@ -56,7 +51,7 @@
 //!   --connect ADDR   submit the selected scenarios as jobs to a running
 //!                    sweep daemon instead of executing locally; streams
 //!                    results back and honors --smoke/--uops/--workers/
-//!                    --integrator/--batch/--csv/--progress (--record,
+//!                    --integrator/--csv/--progress (--record,
 //!                    --replay, --json and --verify are local-only)
 //!   --class C        job class for --connect: interactive (default,
 //!                    run-ahead) or deferrable (queued bulk work)
@@ -70,12 +65,11 @@
 //! and a serial live re-run, 2 when any cell failed (the failed
 //! coordinates are listed on stderr and the surviving cells are still
 //! written), 3 when writing an output file or reaching the daemon
-//! failed, 4 when `--verify` detects batched replay diverging from
-//! serial replay (checked before the live comparison, so a batching bug
-//! is distinguishable from a replay-vs-live one), 5 when `--processes`
-//! lost a whole shard after exhausting its retries (survivors are still
-//! merged and written — distinct from 2, where every cell *ran*),
-//! 64 on a usage error.
+//! failed, 5 when `--processes` lost a whole shard after exhausting its
+//! retries (survivors are still merged and written — distinct from 2,
+//! where every cell *ran*), 64 on a usage error. Code 4 is reserved.
+//! Every front end reports a failed cell on stderr as
+//! `error: cell <label>/<app>: <message>`.
 
 use std::io::Write as _;
 use std::num::NonZeroUsize;
@@ -107,7 +101,6 @@ struct Args {
     inject_fail: bool,
     record: Option<String>,
     replay: Option<String>,
-    batch: Option<bool>,
     state_dir: Option<String>,
     connect: Option<String>,
     class: JobClass,
@@ -122,7 +115,7 @@ fn usage() -> &'static str {
     "usage: distfront-scenarios --list | --all | --run NAME [--run NAME ...]\n\
      options: [--smoke] [--uops N] [--workers N] [--integrator rk4|expm] \
      [--csv PATH] [--json PATH] [--progress] [--verify] [--inject-fail] \
-     [--record DIR | --replay DIR] [--batch | --no-batch] [--state-dir DIR]\n\
+     [--record DIR | --replay DIR] [--state-dir DIR]\n\
      multi-process: [--processes N [--shard-retries N] [--shard-dir DIR]]\n\
      worker:  [--shard i/N --shard-dir DIR]\n\
      client:  [--connect ADDR [--class interactive|deferrable] [--shutdown]]"
@@ -144,7 +137,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
         inject_fail: false,
         record: None,
         replay: None,
-        batch: None,
         state_dir: None,
         connect: None,
         class: JobClass::Interactive,
@@ -185,8 +177,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
             "--inject-fail" => args.inject_fail = true,
             "--record" => args.record = Some(value("--record")?),
             "--replay" => args.replay = Some(value("--replay")?),
-            "--batch" => args.batch = Some(true),
-            "--no-batch" => args.batch = Some(false),
             "--state-dir" => args.state_dir = Some(value("--state-dir")?),
             "--connect" => args.connect = Some(value("--connect")?),
             "--class" => {
@@ -399,8 +389,7 @@ fn rerun_csv(
 fn spec_for(args: &Args, scenario: &str) -> JobSpec {
     let mut spec = JobSpec::scenario(scenario)
         .with_smoke(args.smoke)
-        .with_class(args.class)
-        .with_batch(args.batch.unwrap_or(false));
+        .with_class(args.class);
     if let Some(uops) = args.uops {
         spec = spec.with_uops(uops);
     }
@@ -426,13 +415,17 @@ fn write_csv(args: &Args, csv: &str) -> Result<(), StatusCode> {
     Ok(())
 }
 
+/// Reports one failed cell on stderr: the one failed-cell line of every
+/// front end (one-shot, `--connect`, `--state-dir`, `--processes`).
+fn report_failed_cell(label: &str, app: &str, msg: &str) {
+    eprintln!("error: cell {label}/{app}: {msg}");
+}
+
 /// Reports a job response's failed cells, moves its CSV rows into `rows`
 /// and returns its status.
 fn take_rows(response: JobResponse, rows: &mut Vec<String>) -> StatusCode {
-    for line in &response.result_lines {
-        if let Some(err) = line.strip_prefix("ERRCELL ") {
-            eprintln!("error: cell {err}");
-        }
+    for (label, app, msg) in response.failures() {
+        report_failed_cell(&label, &app, &msg);
     }
     rows.extend(response.csv_rows);
     response.status
@@ -621,7 +614,7 @@ fn processes_main(args: &Args, selected: &[Scenario]) -> StatusCode {
             outcome.attempts
         );
         for (label, app, msg) in &outcome.failures {
-            eprintln!("error: cell {label}/{app}: {msg}");
+            report_failed_cell(label, app, msg);
         }
         if !outcome.failed_shards.is_empty() {
             eprintln!(
@@ -796,47 +789,12 @@ fn local_main(args: &Args, selected: &[Scenario]) -> StatusCode {
     }
 
     if args.verify {
-        // The re-runs share the trace store but not the warm-start cache,
-        // so every warm start is solved again, independently.
-        let fresh = JobEnv {
-            traces: Arc::clone(&env.traces),
-            ..JobEnv::default()
-        };
-        let rerun = |what: &str, spec: &dyn Fn(&Scenario) -> JobSpec| {
-            rerun_csv(selected, &fresh, spec).map_err(|e| {
-                eprintln!("error: {what} re-run: {e}");
-                StatusCode::Usage
-            })
-        };
-        // With batching on, first cross-check batched against *serial
-        // unbatched replay* of the same store: any divergence here is a
-        // batching bug by construction (same traces, same arithmetic
-        // contract), and gets its own exit code so CI can tell it apart
-        // from the replay-vs-live comparison below.
-        if args.batch == Some(true) && trace == TraceSpec::Replay {
-            println!("verify: re-replaying serially without batching...");
-            match rerun("unbatched", &|s| {
-                spec_of(s).with_workers(1).with_batch(false)
-            }) {
-                Ok(unbatched) if unbatched == csv => {
-                    println!("verify: batched and serial replay CSV are byte-identical");
-                }
-                Ok(_) => {
-                    eprintln!(
-                        "error: batched and serial replay results diverge — \
-                         cohorts replayed back to back no longer match \
-                         cells replayed one by one"
-                    );
-                    return StatusCode::BatchDiverged;
-                }
-                Err(status) => return status,
-            }
-        }
-        // The serial verify rerun is always live, so with --replay it
-        // independently checks the replayed bytes against a live
-        // simulation, not just against another replay.
+        // The serial re-run is always live and gets a fresh environment:
+        // with --replay it checks the replayed bytes against a live
+        // simulation, not against another replay, and every warm start is
+        // solved again, independently.
         println!("verify: re-running serially to check byte identity...");
-        match rerun("serial", &|s| {
+        match rerun_csv(selected, &JobEnv::default(), |s| {
             spec_of(s).with_workers(1).with_trace(TraceSpec::Live)
         }) {
             Ok(serial) if serial == csv => {
@@ -849,7 +807,10 @@ fn local_main(args: &Args, selected: &[Scenario]) -> StatusCode {
                 );
                 return StatusCode::VerifyDiverged;
             }
-            Err(status) => return status,
+            Err(e) => {
+                eprintln!("error: serial re-run: {e}");
+                return StatusCode::Usage;
+            }
         }
     }
 
@@ -873,18 +834,9 @@ fn local_main(args: &Args, selected: &[Scenario]) -> StatusCode {
     );
 
     let mut failed = 0usize;
-    for (s, rep) in selected.iter().zip(&reports) {
-        for cell in rep.report.failures() {
-            failed += 1;
-            eprintln!(
-                "error: cell {}/{} (config {}, app {}): {}",
-                s.name,
-                cell.app_name,
-                cell.config,
-                cell.app,
-                cell.result.as_ref().unwrap_err()
-            );
-        }
+    for (label, app, msg) in reports.iter().flat_map(JobReport::failure_lines) {
+        failed += 1;
+        report_failed_cell(&label, &app, &msg);
     }
     if failed > 0 {
         eprintln!(

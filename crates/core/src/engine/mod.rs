@@ -42,12 +42,9 @@
 //!   rejected with [`EngineError::ReplayIncompatible`] naming it, and
 //! * [`TraceStore`] / [`TraceMode`] — the sweep-level record-once /
 //!   replay-many plumbing, keyed by capability family, with per-cell
-//!   fallback to live simulation when no covering trace exists, and
-//! * [`BatchScheduler`] — batched replay: the sweep executor groups
-//!   replay-mode cells sharing a machine shape into cohorts
-//!   ([`SweepRunner::with_batch`]) and replays each cohort's cells back
-//!   to back as one task, with per-cell outcomes bit-identical to serial
-//!   replay.
+//!   fallback to live simulation when no covering trace exists; every
+//!   replay-mode cell with a valid trace is its own sweep task, run by
+//!   [`BatchScheduler::run_cohort`].
 //!
 //! Every path through the engine is bit-identical: the same configuration
 //! and profile produce the same [`AppResult`](crate::runner::AppResult)
@@ -73,7 +70,6 @@
 //! assert_eq!(grid[0][0].app, "tiny");
 //! ```
 
-mod batch;
 mod context;
 mod coupled;
 mod interval;
@@ -82,12 +78,13 @@ mod stages;
 mod sweep;
 mod traits;
 
-pub use batch::BatchScheduler;
 pub use context::EngineCx;
 pub use coupled::{CoupledEngine, RunStats};
 pub use replay::{ReplayBackend, ReplayLoopStage, ReplayPilotStage, TraceRecorder};
 pub use stages::{IntervalLoopStage, PilotCore, PilotStage, WarmStartStage};
-pub use sweep::{CellOutcome, SweepReport, SweepRunner, TraceMode, TraceStore, WarmStartCache};
+pub use sweep::{
+    BatchScheduler, CellOutcome, SweepReport, SweepRunner, TraceMode, TraceStore, WarmStartCache,
+};
 pub use traits::{DtmAction, DtmPolicy, Stage, ThermalBackend};
 
 /// Errors the engine can surface instead of panicking mid-pipeline.

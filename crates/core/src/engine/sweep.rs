@@ -17,7 +17,6 @@ use distfront_power::{LeakageModel, Machine};
 use distfront_trace::record::{ActivityTrace, PointKey};
 use distfront_trace::Workload;
 
-use super::batch::BatchScheduler;
 use super::coupled::{CoupledEngine, RunStats};
 use super::replay::{processor_fingerprint, ReplayBackend};
 use super::EngineError;
@@ -54,31 +53,12 @@ fn pack_key(machine: Machine, leakage: &LeakageModel, nominal: &[f64]) -> Vec<u6
 /// The streaming callback [`SweepRunner::with_on_cell`] installs.
 type CellCallback = Box<dyn Fn(&CellOutcome) + Send + Sync>;
 
-/// Largest cohort one task replays. Keeps enough independent tasks for
-/// the worker pool to load-balance.
-const MAX_COHORT: usize = 32;
-
 /// One schedulable unit of a sweep: a grid cell run live (recording, or
-/// a replay-mode cell falling back), or replay-mode cells whose traces
-/// planning validated, which the [`BatchScheduler`] replays back to back:
-/// one cell, or with batching on a cohort sharing a machine shape.
+/// a replay-mode cell falling back), or a replay-mode cell with the
+/// trace planning validated for it, as `(grid index, trace)`.
 enum Task {
     Cell(usize),
-    Replay(Members),
-}
-
-/// Replay cells with their validated traces, as `(grid index, trace)`.
-type Members = Vec<(usize, Arc<ActivityTrace>)>;
-
-impl Task {
-    /// The lowest grid index the task covers — tasks are ordered by this
-    /// so a serial batched sweep still streams outcomes near grid order.
-    fn first_cell(&self) -> usize {
-        match self {
-            Task::Cell(i) => *i,
-            Task::Replay(members) => members.first().map_or(usize::MAX, |(i, _)| *i),
-        }
-    }
+    Replay((usize, Arc<ActivityTrace>)),
 }
 
 /// Shares converged steady-state warm starts between engines.
@@ -324,7 +304,7 @@ pub struct CellOutcome {
 impl CellOutcome {
     /// The outcome of grid cell `cell` (row-major over `configs` ×
     /// `workloads`) from its engine run, timed from `started`.
-    pub(super) fn new(
+    fn new(
         cell: usize,
         configs: &[ExperimentConfig],
         workloads: &[Workload],
@@ -513,7 +493,6 @@ pub struct SweepRunner {
     cache: Arc<WarmStartCache>,
     on_cell: Option<CellCallback>,
     mode: TraceMode,
-    batch: bool,
 }
 
 impl std::fmt::Debug for SweepRunner {
@@ -523,7 +502,6 @@ impl std::fmt::Debug for SweepRunner {
             .field("cache", &self.cache)
             .field("on_cell", &self.on_cell.as_ref().map(|_| "…"))
             .field("mode", &self.mode)
-            .field("batch", &self.batch)
             .finish()
     }
 }
@@ -560,13 +538,12 @@ impl SweepRunner {
             cache: Arc::new(WarmStartCache::new()),
             on_cell: None,
             mode: TraceMode::Live,
-            batch: false,
         }
     }
 
     /// The runner a [`JobSpec`] describes, bound to `env`: the worker
-    /// count (`0` means every hardware thread) and batching come from the
-    /// spec, the warm-start cache is `env`'s, and the spec's trace mode is
+    /// count (`0` means every hardware thread) comes from the spec, the
+    /// warm-start cache is `env`'s, and the spec's trace mode is
     /// bound to `env`'s trace store. This is the one spec-to-runner
     /// assembly, shared by [`JobSpec::execute`] and the shard worker
     /// ([`shard::run_worker`](crate::shard::run_worker)). The other
@@ -580,7 +557,6 @@ impl SweepRunner {
             Self::with_threads(spec.workers)
         };
         runner
-            .with_batch(spec.batch)
             .with_warm_cache(Arc::clone(&env.warm))
             .with_trace_mode(spec.trace.bind(&env.traces))
     }
@@ -594,20 +570,6 @@ impl SweepRunner {
     #[must_use]
     pub fn with_warm_cache(mut self, cache: Arc<WarmStartCache>) -> Self {
         self.cache = cache;
-        self
-    }
-
-    /// Enables (or disables) batched replay: replay-mode cells sharing a
-    /// machine shape are grouped into cohorts, each replayed back to back
-    /// as one task (see [`BatchScheduler`]).
-    ///
-    /// Purely a scheduling knob: batched reports compare equal —
-    /// bit-identical cell results — to serial and parallel unbatched runs
-    /// of the same grid. Cells without a valid trace run live as before;
-    /// outside [`TraceMode::Replay`] the flag has no effect.
-    #[must_use]
-    pub fn with_batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -695,9 +657,7 @@ impl SweepRunner {
         let workers = self.threads.min(tasks.len());
         if workers <= 1 {
             for task in &tasks {
-                self.run_task(configs, workloads, task)
-                    .into_iter()
-                    .for_each(&mut place);
+                place(self.run_task(configs, workloads, task));
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -712,10 +672,11 @@ impl SweepRunner {
                         if t >= tasks.len() {
                             break;
                         }
-                        for outcome in self.run_task(configs, workloads, &tasks[t]) {
-                            if tx.send(outcome).is_err() {
-                                return;
-                            }
+                        if tx
+                            .send(self.run_task(configs, workloads, &tasks[t]))
+                            .is_err()
+                        {
+                            return;
                         }
                     });
                 }
@@ -728,13 +689,10 @@ impl SweepRunner {
             .collect()
     }
 
-    /// Splits the grid cells in `range` into schedulable tasks. Outside
-    /// replay mode every cell is its own task. In replay mode each cell
-    /// looks up its trace and validates it, hashing each configuration
-    /// row's processor fingerprint once; a cell without a valid trace
-    /// runs live. With batching on, the replayable cells sharing a machine
-    /// shape coalesce into cohorts of at most [`MAX_COHORT`]; otherwise
-    /// each is a task of one.
+    /// Splits the grid cells in `range` into schedulable tasks, one per
+    /// cell. In replay mode each cell looks up its trace and validates it,
+    /// hashing each configuration row's processor fingerprint once; a
+    /// cell without a valid trace runs live.
     fn plan_tasks(
         &self,
         configs: &[ExperimentConfig],
@@ -753,40 +711,20 @@ impl SweepRunner {
             .iter()
             .map(|cfg| (processor_fingerprint(cfg), cfg.replay_points()))
             .collect();
-        // Cohort key: the machine shape fixes the floorplan, hence the
-        // thermal parts every member steps on.
-        type CohortKey = (usize, usize, usize);
-        let mut tasks: Vec<Task> = Vec::new();
-        let mut cohorts: Vec<(CohortKey, Members)> = Vec::new();
-        for i in range {
-            let cfg = &configs[i / n];
-            let workload = &workloads[i % n];
-            let (fingerprint, required) = &rows[i / n - first_row];
-            let trace = store.get(cfg.name, workload.name(), required).filter(|t| {
-                ReplayBackend::validate_fingerprinted(cfg, *fingerprint, workload, t).is_ok()
-            });
-            match trace {
-                Some(t) if self.batch => {
-                    let pc = &cfg.processor;
-                    let key = (
-                        pc.frontend_mode.partitions(),
-                        pc.backends,
-                        pc.trace_cache.physical_banks(),
-                    );
-                    match cohorts.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, members)) => members.push((i, t)),
-                        None => cohorts.push((key, vec![(i, t)])),
-                    }
+        range
+            .map(|i| {
+                let cfg = &configs[i / n];
+                let workload = &workloads[i % n];
+                let (fingerprint, required) = &rows[i / n - first_row];
+                let trace = store.get(cfg.name, workload.name(), required).filter(|t| {
+                    ReplayBackend::validate_fingerprinted(cfg, *fingerprint, workload, t).is_ok()
+                });
+                match trace {
+                    Some(t) => Task::Replay((i, t)),
+                    None => Task::Cell(i),
                 }
-                Some(t) => tasks.push(Task::Replay(vec![(i, t)])),
-                None => tasks.push(Task::Cell(i)),
-            }
-        }
-        for (_, members) in cohorts {
-            tasks.extend(members.chunks(MAX_COHORT).map(|c| Task::Replay(c.to_vec())));
-        }
-        tasks.sort_by_key(Task::first_cell);
-        tasks
+            })
+            .collect()
     }
 
     fn run_task(
@@ -794,12 +732,17 @@ impl SweepRunner {
         configs: &[ExperimentConfig],
         workloads: &[Workload],
         task: &Task,
-    ) -> Vec<CellOutcome> {
+    ) -> CellOutcome {
         match task {
-            Task::Cell(i) => vec![self.run_cell(configs, workloads, *i)],
-            Task::Replay(members) => {
-                BatchScheduler::run_cohort(configs, workloads, members, Arc::clone(&self.cache))
-            }
+            Task::Cell(i) => self.run_cell(configs, workloads, *i),
+            Task::Replay(member) => BatchScheduler::run_cohort(
+                configs,
+                workloads,
+                std::slice::from_ref(member),
+                Arc::clone(&self.cache),
+            )
+            .pop()
+            .expect("one outcome per member"),
         }
     }
 
@@ -837,6 +780,45 @@ impl SweepRunner {
             TraceMode::Live | TraceMode::Replay(_) => engine.run_with_stats(),
         };
         CellOutcome::new(i, configs, workloads, run, started)
+    }
+}
+
+/// The sweep executor's replay-cell runner: replays `(cell index,
+/// trace)` members through the ordinary [`CoupledEngine`] replay
+/// pipeline, one after another. The executor calls it once per replay
+/// task, with one member. Each member is an independent engine run, so
+/// its outcome is bit-identical to a live run of the cell, and a failing
+/// member leaves the others' bits untouched.
+#[derive(Debug)]
+pub struct BatchScheduler;
+
+impl BatchScheduler {
+    /// Replays every `(cell index, trace)` member in turn and returns one
+    /// [`CellOutcome`] per member, in member order.
+    ///
+    /// Every member's trace must be one [`ReplayBackend::validate`]
+    /// accepts for its `(config, workload)` cell: the sweep executor
+    /// validates while planning, so the members are not validated again.
+    /// Warm starts go through the shared `cache`.
+    pub fn run_cohort(
+        configs: &[ExperimentConfig],
+        workloads: &[Workload],
+        members: &[(usize, Arc<ActivityTrace>)],
+        cache: Arc<WarmStartCache>,
+    ) -> Vec<CellOutcome> {
+        members
+            .iter()
+            .map(|(cell, trace)| {
+                let started = Instant::now();
+                let cfg = &configs[cell / workloads.len()];
+                let workload = &workloads[cell % workloads.len()];
+                let run = CoupledEngine::for_workload(cfg, workload.clone())
+                    .with_warm_cache(Arc::clone(&cache))
+                    .with_validated_replay(Arc::clone(trace))
+                    .run_with_stats();
+                CellOutcome::new(*cell, configs, workloads, run, started)
+            })
+            .collect()
     }
 }
 
@@ -1026,6 +1008,66 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         SweepRunner::with_threads(0);
+    }
+
+    #[test]
+    fn a_cell_failing_mid_replay_leaves_its_neighbours_byte_identical() {
+        let cfgs = vec![ExperimentConfig::baseline().with_uops(60_000)];
+        let apps = singles(&[
+            AppProfile::test_tiny(),
+            *AppProfile::by_name("gzip").unwrap(),
+            *AppProfile::by_name("mcf").unwrap(),
+        ]);
+        let store = Arc::new(TraceStore::new());
+        let recorded = SweepRunner::serial()
+            .with_trace_mode(TraceMode::Record(Arc::clone(&store)))
+            .try_grid(&cfgs, &apps);
+        assert!(recorded.is_complete(), "recording must succeed");
+        let replay = |threads| {
+            SweepRunner::with_threads(threads)
+                .with_trace_mode(TraceMode::Replay(Arc::clone(&store)))
+                .try_grid(&cfgs, &apps)
+        };
+        let clean = replay(1);
+        assert!(clean.is_complete());
+        assert_eq!(clean.replayed(), apps.len());
+
+        // Corrupt the gzip trace mid-stream: a truncated counter record
+        // passes validation (which only shape-checks the pilot) but fails
+        // unflatten inside the replay loop, with one cell replayed before
+        // it and one after.
+        let broken = {
+            let mut t = (*store.get("baseline", "gzip", &[PointKey::Nominal]).unwrap()).clone();
+            assert!(t.intervals.len() >= 2, "need a mid-run interval to corrupt");
+            t.intervals[1].points[0].counters.truncate(3);
+            t
+        };
+        store.insert(broken);
+
+        for threads in [1, 3] {
+            let faulted = replay(threads);
+            assert_eq!(faulted.failed(), 1);
+            let gzip = faulted.cell(0, 1);
+            assert!(
+                matches!(&gzip.result, Err(EngineError::ReplayIncompatible(_))),
+                "{:?}",
+                gzip.result
+            );
+            for a in [0, 2] {
+                let survivor = faulted.cell(0, a).result.as_ref().unwrap();
+                let reference = clean.cell(0, a).result.as_ref().unwrap();
+                assert_eq!(
+                    survivor, reference,
+                    "cell {a} perturbed at {threads} workers"
+                );
+                // Byte-identical, not merely equal: the CSV row a scenario
+                // emitter would write is the same string.
+                assert_eq!(
+                    crate::scenarios::csv_row("baseline", survivor),
+                    crate::scenarios::csv_row("baseline", reference),
+                );
+            }
+        }
     }
 
     /// A recording of the `baseline`/`gzip` cell with point family

@@ -22,7 +22,7 @@
 //! [`JobSpec::validate`] enforces), opened by a `v=` version token:
 //!
 //! ```text
-//! v=1 kind=scenario name=baseline smoke=1 uops=40000 workers=0 integrator=expm batch=0 trace=live class=interactive
+//! v=1 kind=scenario name=baseline smoke=1 uops=40000 workers=0 integrator=expm trace=live class=interactive
 //! ```
 //!
 //! The version follows the trace-format policy (see
@@ -31,7 +31,11 @@
 //! versions and unknown keys outright, and there is no cross-version
 //! migration path — a stale client re-encodes, it never guesses.
 //! Scheduling-only keys may default when omitted; result-affecting keys
-//! are part of the [fingerprint](JobSpec::fingerprint) either way.
+//! are part of the [fingerprint](JobSpec::fingerprint) either way. A
+//! `batch=0|1` token, which older encoders wrote, is still accepted on
+//! `v=1` lines and ignored (replay has one schedule), so old `.job`
+//! files and client lines keep parsing; any other `batch=` value is
+//! rejected.
 //!
 //! # Content addressing
 //!
@@ -41,7 +45,7 @@
 //! configuration's content (leakage-model bits included — the warm-start
 //! key lesson) — **plus** the trace-format version via the seeded
 //! [`Fingerprint`] hasher, and excludes pure scheduling knobs (`workers`,
-//! `batch`, `class`, `trace`), which the engine's bit-identity contract
+//! `class`, `trace`), which the engine's bit-identity contract
 //! guarantees cannot change a byte of output. A golden-fingerprint test
 //! pins the key for a reference scenario so it can never silently change
 //! across refactors.
@@ -66,9 +70,10 @@ pub const JOBSPEC_VERSION: u32 = 1;
 /// never disagree on what a number means.
 ///
 /// The numeric values are the scenarios CLI's historical exit codes
-/// (0/1/2/3/4/64) and are part of the wire format: they are transmitted
+/// (0/1/2/3/5/64) and are part of the wire format: they are transmitted
 /// in `DONE` frames and compared by CI gates, so they must never be
-/// renumbered.
+/// renumbered. Code 4 is reserved: it once meant that batched replay
+/// diverged from serial replay, and is never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum StatusCode {
@@ -81,12 +86,6 @@ pub enum StatusCode {
     /// Results were computed but an output or connection failed
     /// (I/O — the invocation was fine, data was lost).
     Io = 3,
-    /// `--verify` found batched replay diverging from serial replay (a
-    /// batching bug specifically, distinct from [`VerifyDiverged`]'s
-    /// run-vs-live meaning).
-    ///
-    /// [`VerifyDiverged`]: StatusCode::VerifyDiverged
-    BatchDiverged = 4,
     /// A multi-process run lost a whole shard: one of the coordinator's
     /// worker processes kept dying (or kept leaving an invalid result
     /// artifact) until its bounded retries ran out, so the merged report
@@ -102,12 +101,11 @@ pub enum StatusCode {
 
 impl StatusCode {
     /// Every status, in ascending code order.
-    pub const ALL: [StatusCode; 7] = [
+    pub const ALL: [StatusCode; 6] = [
         StatusCode::Ok,
         StatusCode::VerifyDiverged,
         StatusCode::CellsFailed,
         StatusCode::Io,
-        StatusCode::BatchDiverged,
         StatusCode::ShardFailed,
         StatusCode::Usage,
     ];
@@ -118,14 +116,13 @@ impl StatusCode {
     }
 
     /// The stable wire name (`ok`, `verify-diverged`, `cells-failed`,
-    /// `io`, `batch-diverged`, `shard-failed`, `usage`).
+    /// `io`, `shard-failed`, `usage`).
     pub fn name(self) -> &'static str {
         match self {
             StatusCode::Ok => "ok",
             StatusCode::VerifyDiverged => "verify-diverged",
             StatusCode::CellsFailed => "cells-failed",
             StatusCode::Io => "io",
-            StatusCode::BatchDiverged => "batch-diverged",
             StatusCode::ShardFailed => "shard-failed",
             StatusCode::Usage => "usage",
         }
@@ -345,9 +342,6 @@ pub struct JobSpec {
     pub workers: usize,
     /// Transient integrator.
     pub integrator: Integrator,
-    /// Batched replay: cohorts sharing a machine shape replayed back to
-    /// back (scheduling-only; results are bit-identical either way).
-    pub batch: bool,
     /// Trace-store interaction.
     pub trace: TraceSpec,
     /// Scheduling class.
@@ -364,7 +358,6 @@ impl JobSpec {
             uops: FULL_UOPS,
             workers: 0,
             integrator: Integrator::default(),
-            batch: false,
             trace: TraceSpec::Live,
             class: JobClass::Interactive,
         }
@@ -417,10 +410,12 @@ impl JobSpec {
         self
     }
 
-    /// Sets batched replay; returns `self` for chaining.
+    /// Does nothing and returns `self`: replay has one schedule, in
+    /// which every replay-mode cell is its own task, so there is no
+    /// batching left to turn on or off. Kept so callers written against
+    /// the old knob still build.
     #[must_use]
-    pub fn with_batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
+    pub fn with_batch(self, _batch: bool) -> Self {
         self
     }
 
@@ -456,12 +451,11 @@ impl JobSpec {
             }
         }
         line.push_str(&format!(
-            " smoke={} uops={} workers={} integrator={} batch={} trace={} class={}",
+            " smoke={} uops={} workers={} integrator={} trace={} class={}",
             u8::from(self.smoke),
             self.uops,
             self.workers,
             self.integrator,
-            u8::from(self.batch),
             self.trace.name(),
             self.class.name(),
         ));
@@ -471,6 +465,7 @@ impl JobSpec {
     /// Parses a wire line produced by [`encode_line`](Self::encode_line)
     /// (or written by hand: scheduling tokens may be omitted and take
     /// their defaults; `v=`, `kind=` and the target tokens are required).
+    /// A `batch=0` or `batch=1` token is accepted and ignored.
     ///
     /// # Errors
     ///
@@ -486,7 +481,6 @@ impl JobSpec {
         let mut uops = None;
         let mut workers = 0usize;
         let mut integrator = Integrator::default();
-        let mut batch = false;
         let mut trace = TraceSpec::Live;
         let mut class = JobClass::Interactive;
         let bad = |tok: &str| JobSpecError::BadValue(tok.to_string());
@@ -502,7 +496,10 @@ impl JobSpec {
                 "uops" => uops = Some(value.parse::<u64>().map_err(|_| bad(tok))?),
                 "workers" => workers = value.parse::<usize>().map_err(|_| bad(tok))?,
                 "integrator" => integrator = value.parse().map_err(|_| bad(tok))?,
-                "batch" => batch = parse_flag(value).ok_or_else(|| bad(tok))?,
+                // Accepted for old lines and ignored: replay has one schedule.
+                "batch" => {
+                    parse_flag(value).ok_or_else(|| bad(tok))?;
+                }
                 "trace" => trace = TraceSpec::parse(value).ok_or_else(|| bad(tok))?,
                 "class" => class = JobClass::parse(value).ok_or_else(|| bad(tok))?,
                 _ => return Err(JobSpecError::UnknownKey(key.to_string())),
@@ -529,7 +526,6 @@ impl JobSpec {
             uops: uops.unwrap_or(smoke_default),
             workers,
             integrator,
-            batch,
             trace,
             class,
         };
@@ -638,7 +634,7 @@ impl JobSpec {
     /// **exact bits of its leakage model**
     /// — plus the `DFAT` trace-format version through the seeded
     /// [`Fingerprint`] hasher, so a format bump invalidates every cached
-    /// result. Excluded: `workers`, `batch`, `class` and `trace`, which
+    /// result. Excluded: `workers`, `class` and `trace`, which
     /// the engine's bit-identity contract makes output-neutral — an
     /// 8-worker interactive replay hits the cache entry a serial
     /// deferrable live run stored.
@@ -793,16 +789,6 @@ pub struct ResolvedJob {
     pub workloads: Vec<Workload>,
 }
 
-impl ResolvedJob {
-    /// The label a cell's CSV row carries in the `scenario` column —
-    /// the same labeling [`JobReport::row_label`] applies, available
-    /// before a full report exists (a shard worker's slice of the grid is
-    /// labeled this way).
-    pub fn row_label(&self, cell: &CellOutcome) -> &'static str {
-        self.label.row_label(cell)
-    }
-}
-
 /// The shared execution state a job runs against. One-shot runs use a
 /// fresh default; the daemon keeps one alive for its whole life, which
 /// is what makes warm starts and recorded traces outlive a job.
@@ -876,12 +862,14 @@ mod tests {
     #[test]
     fn status_codes_are_the_cli_contract() {
         let codes: Vec<u8> = StatusCode::ALL.iter().map(|s| s.code()).collect();
-        assert_eq!(codes, vec![0, 1, 2, 3, 4, 5, 64]);
+        assert_eq!(codes, vec![0, 1, 2, 3, 5, 64]);
         for s in StatusCode::ALL {
             assert_eq!(StatusCode::from_code(s.code()), Some(s));
             assert!(!s.name().is_empty());
         }
         assert_eq!(StatusCode::from_code(42), None);
+        // 4 is reserved: it once meant batched replay diverged.
+        assert_eq!(StatusCode::from_code(4), None);
     }
 
     #[test]
@@ -903,7 +891,6 @@ mod tests {
             .with_smoke(true)
             .with_uops(30_000)
             .with_workers(3)
-            .with_batch(true)
             .with_trace(TraceSpec::Replay)
             .with_class(JobClass::Deferrable);
         assert_eq!(JobSpec::parse_line(&scenario.encode_line()), Ok(scenario));
@@ -952,6 +939,22 @@ mod tests {
     }
 
     #[test]
+    fn batch_token_is_accepted_and_ignored_but_never_written() {
+        let line = "v=1 kind=scenario name=baseline smoke=1";
+        let spec = JobSpec::parse_line(line).unwrap();
+        for flag in ["0", "1"] {
+            let with_token = format!("{line} batch={flag}");
+            assert_eq!(JobSpec::parse_line(&with_token), Ok(spec.clone()));
+        }
+        assert_eq!(
+            JobSpec::parse_line(&format!("{line} batch=2")),
+            Err(JobSpecError::BadValue("batch=2".into()))
+        );
+        assert_eq!(spec.clone().with_batch(true), spec);
+        assert!(!spec.encode_line().contains("batch="));
+    }
+
+    #[test]
     fn validate_rejects_wire_reserved_names_and_empty_grids() {
         assert!(JobSpec::scenario("has space").validate().is_err());
         assert!(JobSpec::scenario("has=eq").validate().is_err());
@@ -992,7 +995,6 @@ mod tests {
         let base = JobSpec::scenario("baseline").with_smoke(true);
         let fp = base.fingerprint().unwrap();
         assert_eq!(base.clone().with_workers(8).fingerprint().unwrap(), fp);
-        assert_eq!(base.clone().with_batch(true).fingerprint().unwrap(), fp);
         assert_eq!(
             base.clone()
                 .with_class(JobClass::Deferrable)

@@ -725,6 +725,21 @@ impl JobResponse {
         ))
     }
 
+    /// The failed cells, in frame order, as `(label, app, message)`: the
+    /// fields of each `ERRCELL` frame, as
+    /// [`JobReport::failure_lines`](crate::job::JobReport::failure_lines)
+    /// yields them for the job that wrote the frames.
+    pub fn failures(&self) -> impl Iterator<Item = (String, String, String)> + '_ {
+        self.result_lines
+            .iter()
+            .filter_map(|line| line.strip_prefix("ERRCELL "))
+            .map(|err| {
+                let mut parts = err.splitn(3, ' ');
+                let mut part = || parts.next().unwrap_or_default().to_string();
+                (part(), part(), part())
+            })
+    }
+
     /// Folds one already-untagged result frame in; `true` means the
     /// frame was terminal (`DONE`/`ERR`) and the response is complete.
     ///
@@ -975,6 +990,15 @@ mod tests {
         assert_eq!(response.csv_rows, vec!["baseline,gzip,1".to_string()]);
         assert_eq!(response.result_lines, stored);
         assert_eq!(response.error, None);
+        let failures: Vec<_> = response.failures().collect();
+        assert_eq!(
+            failures,
+            vec![(
+                "baseline".to_string(),
+                "mcf".to_string(),
+                "warm start diverged".to_string()
+            )]
+        );
     }
 
     #[test]

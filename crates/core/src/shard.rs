@@ -43,9 +43,11 @@
 //! (even one of equal length) is never found. DFSG records are
 //! checksummed and indivisible, so the record *exists* iff the worker
 //! finished — a worker killed mid-write leaves a repairable tail, not a
-//! half-result — and the coordinator's validity check is simply "the
-//! record under my key parses through
-//! [`JobResponse::from_frames`] and its `DONE` counts the range's cells".
+//! half-result — and the validity check is simply "the record under my
+//! key parses through [`JobResponse::from_frames`] and its `DONE` counts
+//! the range's cells". The coordinator accepts an artifact by that rule,
+//! and a worker whose shard already holds such a record (a rerun on the
+//! same directory) answers from it without computing or appending.
 //!
 //! Invalid or missing artifacts get the shard re-queued with bounded
 //! retries; a shard still failing after its last retry is reported in
@@ -67,7 +69,7 @@ use distfront_trace::Fingerprint;
 use crate::job::{JobEnv, JobSpec, JobSpecError, StatusCode};
 use crate::server::protocol::cell_frames;
 use crate::server::JobResponse;
-use crate::store::DurableStore;
+use crate::store::{DurableStore, StoreSnapshot};
 
 /// Splits `cells` flat grid indices into exactly `shards` contiguous
 /// ranges that cover `0..cells` with no gap and no overlap. Sizes
@@ -166,7 +168,10 @@ fn record_key(fingerprint: u64, range: &Range<usize>) -> u64 {
 /// Runs one shard worker to completion: reads the work order
 /// `shard-<i>.job` under `dir`, computes the shard's index range, and
 /// persists the result record into `shard-<i>/`. This is the body of
-/// `distfront-scenarios --shard i/N --shard-dir <dir>`.
+/// `distfront-scenarios --shard i/N --shard-dir <dir>`. If `shard-<i>/`
+/// already holds a valid record under the shard's key (a rerun on the
+/// same directory), the worker returns that record's status and
+/// neither computes nor appends, so reruns do not grow the store.
 ///
 /// If a `shard-<i>.kill` marker is present the worker removes it, does
 /// the work, then aborts **before persisting**, running no destructors
@@ -208,6 +213,18 @@ pub fn run_worker(dir: &Path, shard: ShardSpec) -> StatusCode {
     };
     let range = shard.range(resolved.configs.len() * resolved.workloads.len());
     let key = record_key(fingerprint, &range);
+    let (store, snapshot) = match DurableStore::open(store_path(dir, shard.index)) {
+        Ok(opened) => opened,
+        Err(e) => {
+            eprintln!("shard {shard}: cannot open shard store: {e}");
+            return StatusCode::Io;
+        }
+    };
+    // A rerun on the same directory finds its shard already done: answer
+    // from the stored record rather than computing and appending another.
+    if let Ok(response) = valid_record(&snapshot, key, range.len()) {
+        return response.status;
+    }
 
     // Arm the kill hook *before* computing so a retry (which sees no
     // marker) runs the exact same work unperturbed.
@@ -235,11 +252,10 @@ pub fn run_worker(dir: &Path, shard: ShardSpec) -> StatusCode {
         StatusCode::Ok
     };
 
-    let persisted = DurableStore::open(store_path(dir, shard.index)).and_then(|(store, _)| {
-        store.append_result(key, &frames)?;
-        store.flush()
-    });
-    if let Err(e) = persisted {
+    if let Err(e) = store
+        .append_result(key, &frames)
+        .and_then(|()| store.flush())
+    {
         eprintln!("shard {shard}: cannot persist result: {e}");
         return StatusCode::Io;
     }
@@ -438,15 +454,7 @@ impl ShardRunner {
         let mut csv_rows = Vec::new();
         let mut failures = Vec::new();
         for response in completed.into_iter().flatten() {
-            for err in response
-                .result_lines
-                .iter()
-                .filter_map(|line| line.strip_prefix("ERRCELL "))
-            {
-                let mut parts = err.splitn(3, ' ');
-                let mut part = || parts.next().unwrap_or_default().to_string();
-                failures.push((part(), part(), part()));
-            }
+            failures.extend(response.failures());
             csv_rows.extend(response.csv_rows);
         }
         let status = if !failed_shards.is_empty() {
@@ -493,14 +501,20 @@ fn describe_exit(child: io::Result<Child>) -> String {
     }
 }
 
-/// Loads shard `index`'s result record stored under `key`. It is valid
-/// when its frames parse through [`JobResponse::from_frames`] (which
-/// checks the `DONE` counts against the frames) and it holds `cells`
-/// cells, the length of the shard's range. Anything less is grounds for
-/// re-queue.
+/// Loads shard `index`'s result record stored under `key`, valid by
+/// [`valid_record`]'s rule. Anything less is grounds for re-queue.
 fn read_artifact(dir: &Path, index: usize, key: u64, cells: usize) -> Result<JobResponse, String> {
     let (_, snapshot) = DurableStore::open(store_path(dir, index))
         .map_err(|e| format!("cannot open shard store: {e}"))?;
+    valid_record(&snapshot, key, cells)
+}
+
+/// The shard record stored under `key`, if it is valid: its frames parse
+/// through [`JobResponse::from_frames`] (which checks the `DONE` counts
+/// against the frames) and it holds `cells` cells, the length of the
+/// shard's range. The coordinator accepts a worker's artifact by this
+/// rule, and a worker skips a shard already done by it.
+fn valid_record(snapshot: &StoreSnapshot, key: u64, cells: usize) -> Result<JobResponse, String> {
     let frames = snapshot
         .last_result(key)
         .ok_or_else(|| "no completed result record".to_string())?;

@@ -47,12 +47,11 @@ fn resubmission_is_a_cache_hit_and_byte_identical_to_one_shot() {
     assert_eq!(stats.executed, 1, "cache hit must not re-execute");
     assert_eq!(stats.result_hits, 1);
 
-    // A scheduling-only variation (different workers, batch flag, class)
-    // is the *same* content address: also a hit, same bytes.
+    // A scheduling-only variation (different workers, class) is the
+    // *same* content address: also a hit, same bytes.
     let reshaped = spec
         .clone()
         .with_workers(1)
-        .with_batch(true)
         .with_class(JobClass::Deferrable);
     let third = client.submit(&reshaped).expect("reshaped submission");
     assert!(third.cached, "scheduling knobs must not change the address");

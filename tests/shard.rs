@@ -1,8 +1,9 @@
 //! Multi-process sharding: partition coverage, concatenated per-shard
 //! slices equal to serial runs (error cells included), cross-process
 //! byte-identity for every registered scenario at 1/2/3 worker
-//! processes, and the coordinator's re-queue path under a worker that
-//! aborts mid-shard.
+//! processes, the coordinator's re-queue path under a worker that
+//! aborts mid-shard, and reruns on one state directory that reuse the
+//! stored records instead of appending more.
 
 use std::path::PathBuf;
 
@@ -219,5 +220,44 @@ fn dead_shard_after_retries_reports_shard_failed_and_keeps_survivors() {
     assert_eq!(outcome.merged, 3);
     assert_eq!(outcome.csv_rows, serial_rows[..3].to_vec());
     assert_eq!(StatusCode::ShardFailed.code(), 5);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A rerun on the same state directory finds every shard already done:
+/// each worker answers from its stored record, so the merged rows are
+/// the first run's, every shard launches once, and no shard's result
+/// segment grows.
+#[test]
+fn rerun_on_the_same_dir_reuses_records_and_does_not_grow_the_store() {
+    let spec = JobSpec::scenario("baseline")
+        .with_smoke(true)
+        .with_uops(12_000);
+    let dir = test_dir("rerun");
+    let run = || {
+        ShardRunner::new(spec.clone(), 2)
+            .with_dir(&dir)
+            .with_worker(worker_bin())
+            .run()
+            .unwrap()
+    };
+    let segment_sizes = || -> Vec<u64> {
+        (0..2)
+            .map(|i| {
+                let path = dir.join(format!("shard-{i:03}")).join("results.dfsg");
+                std::fs::metadata(path).unwrap().len()
+            })
+            .collect()
+    };
+    let first = run();
+    assert_eq!(first.status, StatusCode::Ok);
+    let sizes = segment_sizes();
+    for _ in 0..2 {
+        let again = run();
+        assert_eq!(again.csv_rows, first.csv_rows);
+        assert_eq!(again.failures, first.failures);
+        assert_eq!(again.status, first.status);
+        assert_eq!(again.attempts, vec![1, 1]);
+        assert_eq!(segment_sizes(), sizes, "a rerun appended to a shard store");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -36,13 +36,14 @@ fn jobspec_lines() -> Vec<String> {
             .with_uops(40_000)
             .with_workers(2)
             .with_integrator(Integrator::Rk4)
-            .with_batch(true)
             .with_trace(TraceSpec::Replay),
     ]
     .iter()
     .map(JobSpec::encode_line)
     .collect();
     lines.push("kind=scenario v=1 name=dtm-dvfs smoke=1".into());
+    // Older encoders wrote `batch=`; it still parses, and is ignored.
+    lines.push("v=1 kind=scenario name=baseline workers=2 batch=1 trace=replay".into());
     lines.push("v=1 kind=grid configs=baseline,,drc apps=gzip uops=+7".into());
     lines
 }
