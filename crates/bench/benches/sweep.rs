@@ -1,5 +1,4 @@
-//! Serial vs threads vs processes sweep head-to-head, plus the
-//! warm-start cache under contention.
+//! Serial vs threads vs processes sweep head-to-head.
 //!
 //! First the 26-application evaluation set runs under the baseline and
 //! the combined distributed frontend as one [`JobSpec`] grid three ways:
@@ -11,22 +10,16 @@
 //! binary next to the bench executable (`cargo build --release -p
 //! distfront`); it degrades to a printed skip when absent.
 //!
-//! Then the [`WarmStartCache`]'s one lock is measured: cache-hit lookups
-//! from 1 worker and from ≥ 4 workers at once.
-//!
-//! Both sections land in `BENCH_sweep.json` at the workspace root
+//! The numbers land in `BENCH_sweep.json` at the workspace root
 //! (override with `DISTFRONT_BENCH_SWEEP_JSON`), giving CI a tracked
-//! baseline: a lookup must stay negligible next to a cell (≥ 0.1 ms) even
-//! when every worker contends for the lock, and the executor numbers
-//! record the thread vs process scaling on the recorded `host_cores`.
+//! baseline of the thread vs process scaling on the recorded
+//! `host_cores`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use distfront::engine::{EngineError, WarmStartCache};
 use distfront::job::{JobEnv, JobSpec};
 use distfront::shard::ShardRunner;
 use distfront::{ExperimentConfig, SweepRunner};
 use distfront_bench::{bench_uops, evaluation_apps, kernel_app};
-use distfront_power::{LeakageModel, Machine};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -143,77 +136,12 @@ fn executor_head_to_head() -> String {
     }
 }
 
-/// Distinct nominal power profiles, every one a distinct cache key.
-fn key_set(machine: Machine, keys: usize) -> Vec<Vec<f64>> {
-    (0..keys)
-        .map(|k| {
-            (0..machine.block_count())
-                .map(|b| 0.25 + 0.01 * k as f64 + 0.003 * b as f64)
-                .collect()
-        })
-        .collect()
-}
-
-/// Mean ns per `get_or_compute` hit with `threads` workers hammering a
-/// pre-populated cache (the sweep's steady state: every lookup a hit).
-fn time_cache_lookups(cache: &WarmStartCache, machine: Machine, threads: usize) -> f64 {
-    let keys = key_set(machine, 64);
-    for nominal in &keys {
-        cache
-            .get_or_compute(machine, &LeakageModel::paper(), nominal, || {
-                Ok::<_, EngineError>(vec![60.0; machine.block_count()])
-            })
-            .expect("synthetic solve cannot fail");
-    }
-    let per_thread = 20_000usize;
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let keys = &keys;
-            let cache = &cache;
-            scope.spawn(move || {
-                for i in 0..per_thread {
-                    let nominal = &keys[(i + t) % keys.len()];
-                    let (state, hit) = cache
-                        .get_or_compute(machine, &LeakageModel::paper(), nominal, || {
-                            Err::<Vec<f64>, _>(EngineError::NotConverged("must be a hit"))
-                        })
-                        .expect("every lookup is a hit");
-                    assert!(hit);
-                    black_box(state);
-                }
-            });
-        }
-    });
-    t0.elapsed().as_secs_f64() * 1e9 / (threads * per_thread) as f64
-}
-
-/// The warm-cache lookup cost, serial and with `width` workers contending
-/// for its lock; returns the `"warm_cache"` JSON section.
-fn cache_contention_comparison() -> String {
-    let machine = Machine::new(2, 4, 3);
-    let width = SweepRunner::new().threads().max(4);
-    let cache = WarmStartCache::new();
-    let serial_ns = time_cache_lookups(&cache, machine, 1);
-    let parallel_ns = time_cache_lookups(&cache, machine, width);
-    println!(
-        "warm cache (one lock): serial {serial_ns:.0} ns/lookup | {width} workers \
-         {parallel_ns:.0} ns/lookup\n"
-    );
-    format!(
-        "{{\n    \"workers\": {width},\n    \
-         \"serial_ns_per_lookup\": {serial_ns:.1},\n    \
-         \"parallel_ns_per_lookup\": {parallel_ns:.1}\n  }}"
-    )
-}
-
 fn bench(c: &mut Criterion) {
     let executor = executor_head_to_head();
-    let warm_cache = cache_contention_comparison();
     let host_cores = SweepRunner::new().threads();
     let json = format!(
         "{{\n  \"bench\": \"sweep\",\n  \"host_cores\": {host_cores},\n  \
-         \"executor\": {executor},\n  \"warm_cache\": {warm_cache}\n}}\n"
+         \"executor\": {executor}\n}}\n"
     );
     let path = std::env::var("DISTFRONT_BENCH_SWEEP_JSON")
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json").into());
@@ -231,25 +159,6 @@ fn bench(c: &mut Criterion) {
         let apps = [distfront_trace::Workload::from(app)];
         let runner = SweepRunner::new();
         b.iter(|| black_box(runner.try_grid(&configs, &apps)))
-    });
-    c.bench_function("sweep/warm_cache_hit", |b| {
-        let machine = Machine::new(2, 4, 3);
-        let cache = WarmStartCache::new();
-        let nominal = key_set(machine, 1).pop().unwrap();
-        cache
-            .get_or_compute(machine, &LeakageModel::paper(), &nominal, || {
-                Ok::<_, EngineError>(vec![60.0; machine.block_count()])
-            })
-            .unwrap();
-        b.iter(|| {
-            black_box(
-                cache
-                    .get_or_compute(machine, &LeakageModel::paper(), &nominal, || {
-                        Err::<Vec<f64>, _>(EngineError::NotConverged("must hit"))
-                    })
-                    .unwrap(),
-            )
-        })
     });
 }
 

@@ -40,14 +40,10 @@ fn main() -> ExitCode {
     let serial_s = t0.elapsed().as_secs_f64();
     println!("serial:   {serial_s:.2} s");
 
-    let parallel_runner = SweepRunner::new();
     let t1 = Instant::now();
-    let parallel = parallel_runner.try_grid(&configs, &apps);
+    let parallel = SweepRunner::new().try_grid(&configs, &apps);
     let parallel_s = t1.elapsed().as_secs_f64();
-    println!(
-        "parallel: {parallel_s:.2} s ({} warm-cache hits)",
-        parallel.warm_hits()
-    );
+    println!("parallel: {parallel_s:.2} s");
 
     if serial != parallel {
         eprintln!(

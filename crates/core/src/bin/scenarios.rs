@@ -288,11 +288,10 @@ impl CellStream {
         if self.progress {
             match &cell.result {
                 Ok(_) => eprintln!(
-                    "  [{}/{}] ok in {:.2}s{}{}",
+                    "  [{}/{}] ok in {:.2}s{}",
                     self.scenario,
                     cell.app_name,
                     cell.wall_time_s,
-                    if cell.warm_hit { " (warm hit)" } else { "" },
                     if cell.replayed { " (replayed)" } else { "" }
                 ),
                 Err(e) => eprintln!("  [{}/{}] FAILED: {e}", self.scenario, cell.app_name),
@@ -516,7 +515,6 @@ fn state_dir_main(args: &Args, selected: &[Scenario]) -> StatusCode {
     );
     let env = JobEnv {
         traces: Arc::new(TraceStore::persistent(Arc::clone(&store), snapshot.traces)),
-        ..JobEnv::default()
     };
 
     let mut status = StatusCode::Ok;
@@ -791,8 +789,7 @@ fn local_main(args: &Args, selected: &[Scenario]) -> StatusCode {
     if args.verify {
         // The serial re-run is always live and gets a fresh environment:
         // with --replay it checks the replayed bytes against a live
-        // simulation, not against another replay, and every warm start is
-        // solved again, independently.
+        // simulation, not against another replay.
         println!("verify: re-running serially to check byte identity...");
         match rerun_csv(selected, &JobEnv::default(), |s| {
             spec_of(s).with_workers(1).with_trace(TraceSpec::Live)

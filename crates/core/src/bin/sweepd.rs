@@ -14,7 +14,7 @@
 //! [`distfront::server::protocol`]: `JOB <jobspec>` submissions are
 //! deduped against a content-addressed result cache and executed on two
 //! class executors (interactive run-ahead, deferrable queue) sharing one
-//! process-wide warm-start cache and trace store. Drive it with
+//! process-wide trace store. Drive it with
 //! `distfront-scenarios --connect ADDR` or raw `nc`.
 //!
 //! With `--state-dir`, solved results and recorded traces are also

@@ -64,8 +64,6 @@ pub struct EngineCx<'a> {
     pub power_time_sum: f64,
     /// Evaluated wall-clock seconds.
     pub time_sum: f64,
-    /// Whether the warm start was satisfied from a shared cache.
-    pub warm_start_hit: bool,
     /// When present, the pilot and interval-loop stages append the run's
     /// activity here ([`CoupledEngine::run_recorded`](super::CoupledEngine)
     /// installs it). Recording only observes: a recorded run's result is
@@ -160,7 +158,6 @@ impl<'a> EngineCx<'a> {
             nominal: None,
             power_time_sum: 0.0,
             time_sum: 0.0,
-            warm_start_hit: false,
             recorder: None,
             finals: None,
             pilot_core: None,

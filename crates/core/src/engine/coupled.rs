@@ -42,7 +42,6 @@ use crate::runner::{AppResult, TempReport};
 pub struct CoupledEngine<'a> {
     cfg: &'a ExperimentConfig,
     workload: Workload,
-    warm_cache: Option<Arc<WarmStartCache>>,
     thermal: Option<Box<dyn ThermalBackend>>,
     dtm: Option<Box<dyn DtmPolicy>>,
     stages: Option<Vec<Box<dyn Stage>>>,
@@ -53,11 +52,9 @@ pub struct CoupledEngine<'a> {
 
 /// Per-run execution statistics: how a run executed, as opposed to what it
 /// simulated (that is the [`AppResult`]). Collected even when the run
-/// fails, so sweep reports can attribute cache behavior to error cells.
+/// fails, so sweep reports can attribute replay provenance to error cells.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
-    /// Whether the warm start was served from a shared [`WarmStartCache`].
-    pub warm_start_hit: bool,
     /// Whether the run was driven from a recorded trace instead of the
     /// live core simulator.
     pub replayed: bool,
@@ -76,27 +73,12 @@ impl<'a> CoupledEngine<'a> {
         CoupledEngine {
             cfg,
             workload,
-            warm_cache: None,
             thermal: None,
             dtm: None,
             stages: None,
             replay: None,
             replay_validated: false,
         }
-    }
-
-    /// Shares warm-start state with other engines through `cache`.
-    ///
-    /// The cache stores the default
-    /// [`ThermalSolver`](distfront_thermal::ThermalSolver)'s node state, keyed
-    /// by (machine shape, leakage model, nominal power); when a custom
-    /// thermal backend is substituted via [`with_thermal`](Self::with_thermal)
-    /// the cache is ignored, since another backend's node layout need not
-    /// match.
-    #[must_use]
-    pub fn with_warm_cache(mut self, cache: Arc<WarmStartCache>) -> Self {
-        self.warm_cache = Some(cache);
-        self
     }
 
     /// Substitutes an alternative thermal solver.
@@ -147,12 +129,13 @@ impl<'a> CoupledEngine<'a> {
         self.with_replay(trace)
     }
 
-    /// The default pilot → warm-start → interval-loop pipeline, with the
-    /// warm start optionally backed by a shared cache.
-    pub fn default_stages(cache: Option<Arc<WarmStartCache>>) -> Vec<Box<dyn Stage>> {
+    /// The default pilot → warm-start → interval-loop pipeline. `_cache`
+    /// is ignored (every warm start is solved for its own cell); it stays
+    /// for the end-to-end benchmark, like [`WarmStartCache`] itself.
+    pub fn default_stages(_cache: Option<Arc<WarmStartCache>>) -> Vec<Box<dyn Stage>> {
         vec![
             Box::new(PilotStage),
-            Box::new(WarmStartStage { cache }),
+            Box::new(WarmStartStage),
             Box::new(IntervalLoopStage),
         ]
     }
@@ -208,13 +191,6 @@ impl<'a> CoupledEngine<'a> {
         RunStats,
         Option<ActivityTrace>,
     ) {
-        // A cached warm start is the default solver's node vector; never
-        // restore it into a custom backend with its own node layout.
-        let warm_cache = if self.thermal.is_some() {
-            None
-        } else {
-            self.warm_cache
-        };
         let workload = self.workload;
         let replay = match (&self.stages, self.replay) {
             // An explicit stage list wins; replay otherwise, validated
@@ -243,14 +219,11 @@ impl<'a> CoupledEngine<'a> {
         let replayed = replay.is_some();
         let mut stages = match (self.stages, replay) {
             (Some(stages), _) => stages,
-            (None, Some(trace)) => ReplayBackend::stages(trace, warm_cache),
-            (None, None) => Self::default_stages(warm_cache),
+            (None, Some(trace)) => ReplayBackend::stages(trace, None),
+            (None, None) => Self::default_stages(None),
         };
         let ran = stages.iter_mut().try_for_each(|stage| stage.run(&mut cx));
-        let stats = RunStats {
-            warm_start_hit: cx.warm_start_hit,
-            replayed,
-        };
+        let stats = RunStats { replayed };
         if let Err(e) = ran {
             return (Err(e), stats, None);
         }
@@ -370,7 +343,7 @@ mod tests {
         let cfg = ExperimentConfig::baseline().with_uops(30_000);
         let app = AppProfile::test_tiny();
         let err = CoupledEngine::new(&cfg, &app)
-            .with_stages(vec![Box::new(WarmStartStage::new())])
+            .with_stages(vec![Box::new(WarmStartStage)])
             .run()
             .unwrap_err();
         assert!(matches!(err, EngineError::MissingPhase(_)));
@@ -462,41 +435,6 @@ mod tests {
         assert_eq!(finals, trace.finals);
         assert_eq!(result, live);
         assert_eq!((live.cycles, live.uops), (finals.cycles, finals.uops));
-    }
-
-    #[test]
-    fn warm_cache_is_ignored_with_a_custom_thermal_backend() {
-        use distfront_power::Machine;
-        use distfront_thermal::{
-            Floorplan, Integrator, PackageConfig, ThermalNetwork, ThermalSolver,
-        };
-
-        // RK4 on both sides: the custom backend below is a ThermalSolver,
-        // so the default engine must integrate the same way to compare.
-        let cfg = ExperimentConfig::baseline()
-            .with_uops(30_000)
-            .with_integrator(Integrator::Rk4);
-        let app = AppProfile::test_tiny();
-        let pc = &cfg.processor;
-        let machine = Machine::new(
-            pc.frontend_mode.partitions(),
-            pc.backends,
-            pc.trace_cache.physical_banks(),
-        );
-        let fp = Floorplan::for_machine(machine);
-        let solver =
-            ThermalSolver::new(ThermalNetwork::from_floorplan(&fp, &PackageConfig::paper()));
-        let cache = Arc::new(WarmStartCache::new());
-        let r = CoupledEngine::new(&cfg, &app)
-            .with_thermal(Box::new(solver))
-            .with_warm_cache(Arc::clone(&cache))
-            .run()
-            .unwrap();
-        // The cache must not capture (or serve) another backend's state.
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits() + cache.misses(), 0);
-        // A custom backend identical to the default gives the same result.
-        assert_eq!(r, run_app(&cfg, &app));
     }
 
     #[test]

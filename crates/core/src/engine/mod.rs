@@ -7,7 +7,8 @@
 //!
 //! * [`Stage`] — one phase of an experiment ([`PilotStage`],
 //!   [`WarmStartStage`], [`IntervalLoopStage`] reproduce the paper's §4
-//!   methodology); custom stages slot in without touching the loop,
+//!   methodology; every cell solves its own warm start); custom stages
+//!   slot in without touching the loop,
 //! * one interval loop — power action, interval activity, power →
 //!   temperature step, DTM decision, until the run is done — written once
 //!   and fed by one of two sources: the live core ([`IntervalLoopStage`]:
@@ -27,11 +28,7 @@
 //!   parallel over `std::thread::scope`, with results ordered exactly as a
 //!   serial double loop would produce them; grids are fault-tolerant
 //!   ([`SweepRunner::try_grid`] returns a [`SweepReport`] of per-cell
-//!   [`CellOutcome`]s — one failing cell never aborts the others), and
-//! * [`WarmStartCache`] — shares converged steady-state warm starts
-//!   between grid cells keyed by (machine shape, leakage model, nominal
-//!   power profile), behind one lock held across a cold solve so
-//!   same-key cold solves run once,
+//!   [`CellOutcome`]s — one failing cell never aborts the others),
 //! * [`TraceRecorder`] / [`ReplayBackend`] — record a live run's
 //!   per-interval activity as a multi-operating-point
 //!   [`ActivityTrace`](distfront_trace::record::ActivityTrace) and replay
@@ -43,13 +40,16 @@
 //! * [`TraceStore`] / [`TraceMode`] — the sweep-level record-once /
 //!   replay-many plumbing, keyed by capability family, with per-cell
 //!   fallback to live simulation when no covering trace exists; every
-//!   replay-mode cell with a valid trace is its own sweep task, run by
-//!   [`BatchScheduler::run_cohort`].
+//!   replay-mode cell with a valid trace is its own sweep task.
+//!
+//! [`WarmStartCache`] and [`BatchScheduler`] are inert names the
+//! end-to-end benchmark still compiles against (see the end of the
+//! `sweep` module).
 //!
 //! Every path through the engine is bit-identical: the same configuration
 //! and profile produce the same [`AppResult`](crate::runner::AppResult)
 //! whether run through [`run_app`](crate::runner::run_app), a hand-built
-//! [`CoupledEngine`], a cache-shared warm start, or any thread count of a
+//! [`CoupledEngine`], or any thread count of a
 //! [`SweepRunner`] (this was verified against the pre-refactor monolithic
 //! runner when the stages were extracted, and the cross-path identities
 //! are tested continuously).
@@ -96,8 +96,7 @@ pub enum EngineError {
     /// pilot's nominal power).
     MissingPhase(&'static str),
     /// An iterative phase failed to converge (e.g. the warm start's
-    /// leakage↔temperature fixed point); its state must not be trusted or
-    /// cached.
+    /// leakage↔temperature fixed point); its state must not be trusted.
     NotConverged(&'static str),
     /// The run produced no measurable data (e.g. a custom pipeline closed
     /// no measurement intervals), so the report metrics are undefined.

@@ -19,8 +19,8 @@
 //!   and the report's core statistics are the trace's [`FinalStats`],
 //!   copied into [`EngineCx::finals`]. A replay pilot re-derives the nominal
 //!   power bit-exactly from the recorded pilot activity and adopts it
-//!   through the live pilot's own helper (so warm starts — and the shared
-//!   [`WarmStartCache`] keys — are identical to live), the regular
+//!   through the live pilot's own helper (so warm starts are identical to
+//!   live), the regular
 //!   [`WarmStartStage`] runs unchanged, and the replay loop is the live
 //!   cell's interval loop with the trace as its source: each interval
 //!   decodes the recorded operating point that matches the policy's
@@ -289,18 +289,20 @@ impl ReplayBackend {
 
     /// The replay pipeline: replay-pilot → warm start → replay-loop.
     ///
-    /// The warm start is the regular [`WarmStartStage`] — the replayed
-    /// nominal power is bit-identical to the live pilot's, so live and
-    /// replayed cells share [`WarmStartCache`] entries.
+    /// The warm start is the regular [`WarmStartStage`], solved for this
+    /// cell: the replayed nominal power is bit-identical to the live
+    /// pilot's, so the replayed warm start is the live one's. `_cache` is
+    /// ignored; it stays for the end-to-end benchmark, like
+    /// [`WarmStartCache`] itself.
     pub fn stages(
         trace: Arc<ActivityTrace>,
-        cache: Option<Arc<WarmStartCache>>,
+        _cache: Option<Arc<WarmStartCache>>,
     ) -> Vec<Box<dyn Stage>> {
         vec![
             Box::new(ReplayPilotStage {
                 trace: Arc::clone(&trace),
             }),
-            Box::new(WarmStartStage { cache }),
+            Box::new(WarmStartStage),
             Box::new(ReplayLoopStage { trace }),
         ]
     }

@@ -27,14 +27,11 @@
 //! intervals. Every other cell, and every pipeline with a custom pilot,
 //! has the loop build its own fresh core.
 
-use std::sync::Arc;
-
 use distfront_power::BlockId;
 use distfront_trace::record::{FinalStats, PointKey};
 use distfront_uarch::{ActivityCounters, FetchGate, IntervalReport, Simulator};
 
 use super::interval::{counters_for, point_key_of, run_intervals, Interval};
-use super::sweep::WarmStartCache;
 use super::traits::{DtmAction, Stage};
 use super::{EngineCx, EngineError};
 use crate::experiment::ExperimentConfig;
@@ -174,34 +171,22 @@ fn nominal_core(cx: &EngineCx<'_>, intervals: usize) -> Simulator {
 }
 
 /// Warm-starts the thermal state: steady state under nominal power with
-/// the leakage↔temperature fixed point iterated to convergence
-/// ("simulations are started with the processor already warm", §4).
+/// the leakage↔temperature fixed point iterated until the hottest block
+/// moves < 0.01 °C ("simulations are started with the processor already
+/// warm", §4).
 ///
 /// Each iteration is one pair of triangular solves through the machine's
 /// shared LU factor. The default modal backend defers projecting the
 /// adopted state onto its modal coordinates to the first advance, so the
-/// fixed point projects once however many iterations it takes.
+/// fixed point projects once however many iterations it takes. The
+/// solve is a few hundredths of a millisecond, so every cell solves its
+/// own.
 ///
-/// With a shared [`WarmStartCache`] the converged state is reused across
-/// grid cells that share a machine shape, leakage model and nominal power
-/// profile; the fixed point is a pure function of exactly those inputs,
-/// so a cache hit restores bit-identical temperatures.
+/// The stage fails with [`EngineError::NotConverged`] when the fixed
+/// point does not settle within 40 iterations (e.g. a leakage feedback
+/// gain above one); the thermal state must then not be trusted.
 #[derive(Debug, Default)]
-pub struct WarmStartStage {
-    pub(super) cache: Option<Arc<WarmStartCache>>,
-}
-
-impl WarmStartStage {
-    /// A warm start that always solves from scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A warm start that consults (and fills) a shared cache.
-    pub fn with_cache(cache: Arc<WarmStartCache>) -> Self {
-        WarmStartStage { cache: Some(cache) }
-    }
-}
+pub struct WarmStartStage;
 
 impl Stage for WarmStartStage {
     fn name(&self) -> &'static str {
@@ -210,65 +195,34 @@ impl Stage for WarmStartStage {
 
     fn run(&mut self, cx: &mut EngineCx<'_>) -> Result<(), EngineError> {
         let nominal = cx.nominal()?.to_vec();
-        let Some(cache) = &self.cache else {
-            return solve_warm_fixed_point(cx, &nominal);
-        };
-        // Single cache entry per cell: the closure solves cold (leaving
-        // `cx.thermal` at the converged state) only when this engine is
-        // the key's first; same-key racers wait on the key's slot and take
-        // the solved state as a hit. A non-converged error propagates and
-        // leaves the cache without the key — a failed fixed point must
-        // never poison later cells.
-        let leakage = cx.model.leakage_model();
-        let (state, hit) = cache.get_or_compute(cx.machine, &leakage, &nominal, || {
-            solve_warm_fixed_point(cx, &nominal)?;
-            Ok(cx.thermal.node_temperatures().to_vec())
-        })?;
-        if hit {
-            cx.thermal.set_node_temperatures(state.as_ref().clone());
-            cx.warm_start_hit = true;
+        let leak = cx.model.leakage_model();
+        let mut temps = vec![cx.pkg.ambient_c; cx.machine.block_count()];
+        for _ in 0..40 {
+            let p: Vec<f64> = nominal
+                .iter()
+                .zip(&temps)
+                .map(|(&n, &t)| n + leak.leakage_watts(n, t))
+                .collect();
+            cx.thermal.steady_state(&p);
+            let new_temps = cx.thermal.block_temperatures().to_vec();
+            let delta = new_temps
+                .iter()
+                .zip(&temps)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f64, f64::max);
+            // The finiteness check guards the max-fold above: a runaway
+            // fixed point overflows to non-finite temperatures whose NaN
+            // deltas f64::max silently drops.
+            let finite = new_temps.iter().all(|t| t.is_finite());
+            temps = new_temps;
+            if finite && delta < 0.01 {
+                return Ok(());
+            }
         }
-        Ok(())
+        Err(EngineError::NotConverged(
+            "leakage-temperature warm-start fixed point did not settle within 40 iterations",
+        ))
     }
-}
-
-/// Iterates the leakage↔temperature fixed point under nominal power until
-/// the hottest block moves < 0.01 °C, leaving `cx.thermal` at the
-/// converged steady state.
-///
-/// # Errors
-///
-/// Returns [`EngineError::NotConverged`] when the fixed point fails to
-/// settle within 40 iterations (e.g. a leakage feedback gain above one);
-/// the thermal state must then not be trusted or cached.
-fn solve_warm_fixed_point(cx: &mut EngineCx<'_>, nominal: &[f64]) -> Result<(), EngineError> {
-    let leak = cx.model.leakage_model();
-    let mut temps = vec![cx.pkg.ambient_c; cx.machine.block_count()];
-    for _ in 0..40 {
-        let p: Vec<f64> = nominal
-            .iter()
-            .zip(&temps)
-            .map(|(&n, &t)| n + leak.leakage_watts(n, t))
-            .collect();
-        cx.thermal.steady_state(&p);
-        let new_temps = cx.thermal.block_temperatures().to_vec();
-        let delta = new_temps
-            .iter()
-            .zip(&temps)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        // The finiteness check guards the max-fold above: a runaway
-        // fixed point overflows to non-finite temperatures whose NaN
-        // deltas f64::max silently drops.
-        let finite = new_temps.iter().all(|t| t.is_finite());
-        temps = new_temps;
-        if finite && delta < 0.01 {
-            return Ok(());
-        }
-    }
-    Err(EngineError::NotConverged(
-        "leakage-temperature warm-start fixed point did not settle within 40 iterations",
-    ))
 }
 
 /// The evaluation run: updates block power and temperature every interval,

@@ -41,7 +41,7 @@ pub trait ThermalBackend {
     fn block_temperatures(&self) -> &[f64];
     /// Temperatures of every node (blocks, then package), in °C.
     fn node_temperatures(&self) -> &[f64];
-    /// Overwrites the full node state (for warm-start restore).
+    /// Overwrites the full node state.
     fn set_node_temperatures(&mut self, t: Vec<f64>);
     /// Adopts the steady state under constant block `power`.
     fn steady_state(&mut self, power: &[f64]);

@@ -42,8 +42,8 @@
 //! [`JobSpec::fingerprint`] is the key the daemon's result cache dedupes
 //! jobs under. It covers exactly the inputs the result bytes are a
 //! function of — the target, run length, integrator, and every resolved
-//! configuration's content (leakage-model bits included — the warm-start
-//! key lesson) — **plus** the trace-format version via the seeded
+//! configuration's content (leakage-model bits included: configurations
+//! that differ only in silicon never share a result) — **plus** the trace-format version via the seeded
 //! [`Fingerprint`] hasher, and excludes pure scheduling knobs (`workers`,
 //! `class`, `trace`), which the engine's bit-identity contract
 //! guarantees cannot change a byte of output. A golden-fingerprint test
@@ -57,7 +57,7 @@ use distfront_thermal::Integrator;
 use distfront_trace::record::points_id;
 use distfront_trace::{AppProfile, Fingerprint, Workload};
 
-use crate::engine::{CellOutcome, SweepReport, SweepRunner, TraceMode, TraceStore, WarmStartCache};
+use crate::engine::{CellOutcome, SweepReport, SweepRunner, TraceMode, TraceStore};
 use crate::experiment::ExperimentConfig;
 use crate::scenarios::{self, csv_row, FULL_UOPS, SMOKE_UOPS};
 
@@ -681,8 +681,7 @@ impl JobSpec {
 
     /// Runs the job to completion on the calling thread: resolves the
     /// target, builds the [`SweepRunner::from_spec`] runner bound to
-    /// `env`'s warm-start cache and trace store, and returns the per-cell
-    /// report.
+    /// `env`'s trace store, and returns the per-cell report.
     /// `on_cell` streams outcomes in completion order, exactly like
     /// [`SweepRunner::with_on_cell`].
     ///
@@ -750,9 +749,8 @@ fn config_fingerprint(fp: Fingerprint, cfg: &ExperimentConfig) -> Fingerprint {
         // policy *name* above cannot distinguish two DVFS policies with
         // different scale pairs; the point labels can.
         .with_str(&points_id(&cfg.replay_points()))
-        // The warm-start key lesson (PR 4): two jobs identical in shape
-        // and workload but differing in silicon must never share a
-        // result. Exact bits, like the cache key itself.
+        // Two jobs identical in shape and workload but differing in
+        // silicon must never share a result. Exact bits.
         .with_f64(cfg.leakage.ratio_at_ambient)
         .with_f64(cfg.leakage.ambient_c)
         .with_f64(cfg.leakage.doubling_celsius)
@@ -789,13 +787,12 @@ pub struct ResolvedJob {
     pub workloads: Vec<Workload>,
 }
 
-/// The shared execution state a job runs against. One-shot runs use a
-/// fresh default; the daemon keeps one alive for its whole life, which
-/// is what makes warm starts and recorded traces outlive a job.
+/// The shared execution state a job runs against: the trace store. One-shot
+/// runs use a fresh default; the daemon keeps one alive for its whole
+/// life, which is what makes recorded traces outlive a job. Warm starts
+/// are not shared: every cell solves its own.
 #[derive(Debug, Clone, Default)]
 pub struct JobEnv {
-    /// Warm-start cache shared across jobs.
-    pub warm: Arc<WarmStartCache>,
     /// Trace store [`TraceSpec::Record`]/[`TraceSpec::Replay`] bind to.
     pub traces: Arc<TraceStore>,
 }
@@ -1073,8 +1070,13 @@ mod tests {
             .execute(&env, |_| {})
             .unwrap();
         assert!(grid.csv_rows()[0].starts_with("drc,"));
-        // The env's warm cache persisted across both jobs.
-        assert!(env.warm.len() >= 2);
+        // The env carries nothing that changes a result: the grid job on
+        // the reused env equals the same spec on a fresh one.
+        let fresh = JobSpec::grid(["drc"], ["gzip"])
+            .with_uops(20_000)
+            .execute(&JobEnv::default(), |_| {})
+            .unwrap();
+        assert_eq!(grid, fresh);
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Sweep-as-a-service: the `distfront-sweepd` daemon.
 //!
-//! Every one-shot CLI invocation pays twice for state that could outlive
-//! it: the [`WarmStartCache`](crate::engine::WarmStartCache) and
-//! [`TraceStore`] die with the process, so a
-//! second run of the same grid re-solves every warm start and re-records
-//! every trace. This module keeps them alive: a [`SweepDaemon`] is a
+//! Every one-shot CLI invocation throws away state that could outlive
+//! it: its results and its [`TraceStore`] die with the process, so a
+//! second run of the same grid re-solves every cell and re-records every
+//! trace. This module keeps them alive: a [`SweepDaemon`] is a
 //! long-running TCP service holding one process-wide [`JobEnv`] plus a
 //! content-addressed [`ResultCache`], so a resubmitted job is served
-//! from stored frames without re-solving a single cell, and even a
-//! *novel* job reuses every warm start and recorded trace earlier jobs
-//! left behind.
+//! from stored frames without re-solving a single cell, and a *novel*
+//! job can replay the traces earlier jobs recorded. Warm starts are not
+//! kept: every cell solves its own in a few hundredths of a millisecond.
 //!
 //! # Architecture
 //!
@@ -19,7 +18,7 @@
 //!                                              ▼
 //!                      interactive queue   deferrable queue
 //!                            │                   │
-//!                      run-ahead executor   queued executor ──▶ JobEnv (warm starts + traces)
+//!                      run-ahead executor   queued executor ──▶ JobEnv (traces)
 //!                            └───── frames ──────┘
 //!                                  │
 //!                         stream to client + insert into ResultCache
@@ -46,9 +45,7 @@
 //! the insert-batch boundary — so any result a client has seen
 //! acknowledged survives a kill at any instant. A daemon restarted on
 //! the same `--state-dir` therefore serves a resubmitted job from disk,
-//! byte-identical to its previous life's response. (Warm starts stay
-//! in-memory: they are bit-reproducible accelerators, cheap to rebuild
-//! and huge to store.)
+//! byte-identical to its previous life's response.
 //!
 //! The daemon follows the CLI's no-registry discipline: plain std TCP on
 //! a loopback address, newline-delimited text frames, debuggable with
@@ -231,7 +228,6 @@ impl SweepDaemon {
         let results = ResultCache::persistent(Arc::clone(&store), snapshot.results);
         let env = JobEnv {
             traces: Arc::new(TraceStore::persistent(Arc::clone(&store), snapshot.traces)),
-            ..JobEnv::default()
         };
         Self::build(addr, env, results, Some(store))
     }
@@ -587,14 +583,11 @@ fn stats_frame(state: &DaemonState) -> String {
         .as_ref()
         .map_or((0, 0), |s| (s.persisted_results(), s.persisted_traces()));
     format!(
-        "STATS jobs={} executed={} result_hits={} result_entries={} warm_hits={} warm_misses={} warm_entries={} traces={} persisted_results={persisted_results} persisted_traces={persisted_traces}",
+        "STATS jobs={} executed={} result_hits={} result_entries={} traces={} persisted_results={persisted_results} persisted_traces={persisted_traces}",
         state.jobs.load(Ordering::Relaxed),
         state.executed.load(Ordering::Relaxed),
         state.results.hits(),
         state.results.len(),
-        state.env.warm.hits(),
-        state.env.warm.misses(),
-        state.env.warm.len(),
         state.env.traces.len(),
     )
 }
@@ -610,12 +603,6 @@ pub struct DaemonStats {
     pub result_hits: u64,
     /// Distinct results stored.
     pub result_entries: u64,
-    /// Warm-start cache hits across all jobs.
-    pub warm_hits: u64,
-    /// Warm-start cache misses (cold solves).
-    pub warm_misses: u64,
-    /// Warm-start states stored.
-    pub warm_entries: u64,
     /// Recorded traces stored.
     pub traces: u64,
     /// Result records persisted in the state dir (0 without one).
@@ -647,9 +634,6 @@ impl DaemonStats {
                 "executed" => stats.executed = value,
                 "result_hits" => stats.result_hits = value,
                 "result_entries" => stats.result_entries = value,
-                "warm_hits" => stats.warm_hits = value,
-                "warm_misses" => stats.warm_misses = value,
-                "warm_entries" => stats.warm_entries = value,
                 "traces" => stats.traces = value,
                 "persisted_results" => stats.persisted_results = value,
                 "persisted_traces" => stats.persisted_traces = value,

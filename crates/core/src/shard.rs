@@ -6,7 +6,7 @@
 //!
 //! The thread-pool executor in [`SweepRunner`](crate::engine::SweepRunner)
 //! already parallelizes a grid, but every cell shares one address space —
-//! one allocator, one warm-start cache, one set of page tables. Sharding
+//! one allocator, one trace store, one set of page tables. Sharding
 //! across OS processes is the only way to measure real multi-core
 //! contention (the sweep bench's serial vs threads vs processes
 //! head-to-head), and it lifts PR 4's fault-isolation contract from cell
@@ -30,8 +30,8 @@
 //!
 //! The coordinator ([`ShardRunner`]) partitions the grid's flat index
 //! space `0..configs*apps` into contiguous ranges ([`partition`]), writes
-//! one `.job` file per shard, and launches one worker per shard
-//! (`distfront-scenarios --shard i/N --shard-dir <dir>`). Each worker
+//! one `.job` file per shard, and launches one worker per shard not yet
+//! done (`distfront-scenarios --shard i/N --shard-dir <dir>`). Each worker
 //! ([`run_worker`]) computes only its range via
 //! [`SweepRunner::try_cells`](crate::engine::SweepRunner::try_cells) and
 //! persists the result frames of its slice — the `CELL`/`ERRCELL` lines
@@ -45,9 +45,10 @@
 //! finished — a worker killed mid-write leaves a repairable tail, not a
 //! half-result — and the validity check is simply "the record under my
 //! key parses through [`JobResponse::from_frames`] and its `DONE` counts
-//! the range's cells". The coordinator accepts an artifact by that rule,
-//! and a worker whose shard already holds such a record (a rerun on the
-//! same directory) answers from it without computing or appending.
+//! the range's cells". The coordinator accepts an artifact by that rule.
+//! It also reads every shard's artifact before the first launch, so a
+//! rerun on the same directory answers each shard already done from its
+//! stored record and launches no worker for it.
 //!
 //! Invalid or missing artifacts get the shard re-queued with bounded
 //! retries; a shard still failing after its last retry is reported in
@@ -69,7 +70,7 @@ use distfront_trace::Fingerprint;
 use crate::job::{JobEnv, JobSpec, JobSpecError, StatusCode};
 use crate::server::protocol::cell_frames;
 use crate::server::JobResponse;
-use crate::store::{DurableStore, StoreSnapshot};
+use crate::store::DurableStore;
 
 /// Splits `cells` flat grid indices into exactly `shards` contiguous
 /// ranges that cover `0..cells` with no gap and no overlap. Sizes
@@ -168,10 +169,9 @@ fn record_key(fingerprint: u64, range: &Range<usize>) -> u64 {
 /// Runs one shard worker to completion: reads the work order
 /// `shard-<i>.job` under `dir`, computes the shard's index range, and
 /// persists the result record into `shard-<i>/`. This is the body of
-/// `distfront-scenarios --shard i/N --shard-dir <dir>`. If `shard-<i>/`
-/// already holds a valid record under the shard's key (a rerun on the
-/// same directory), the worker returns that record's status and
-/// neither computes nor appends, so reruns do not grow the store.
+/// `distfront-scenarios --shard i/N --shard-dir <dir>`. The worker
+/// always computes and appends: the coordinator launches it only for a
+/// shard without a valid record, so reruns do not grow the store.
 ///
 /// If a `shard-<i>.kill` marker is present the worker removes it, does
 /// the work, then aborts **before persisting**, running no destructors
@@ -213,18 +213,13 @@ pub fn run_worker(dir: &Path, shard: ShardSpec) -> StatusCode {
     };
     let range = shard.range(resolved.configs.len() * resolved.workloads.len());
     let key = record_key(fingerprint, &range);
-    let (store, snapshot) = match DurableStore::open(store_path(dir, shard.index)) {
-        Ok(opened) => opened,
+    let store = match DurableStore::open(store_path(dir, shard.index)) {
+        Ok((store, _)) => store,
         Err(e) => {
             eprintln!("shard {shard}: cannot open shard store: {e}");
             return StatusCode::Io;
         }
     };
-    // A rerun on the same directory finds its shard already done: answer
-    // from the stored record rather than computing and appending another.
-    if let Ok(response) = valid_record(&snapshot, key, range.len()) {
-        return response.status;
-    }
 
     // Arm the kill hook *before* computing so a retry (which sees no
     // marker) runs the exact same work unperturbed.
@@ -311,7 +306,8 @@ pub struct ShardOutcome {
     /// died permanently, else [`StatusCode::CellsFailed`] if any cell
     /// failed, else [`StatusCode::Ok`].
     pub status: StatusCode,
-    /// Worker launches per shard (1 = clean first run).
+    /// Worker launches per shard: 0 = answered from its stored record (a
+    /// rerun on the same directory), 1 = a clean run.
     pub attempts: Vec<usize>,
     /// Shards that failed permanently after exhausting retries.
     pub failed_shards: Vec<usize>,
@@ -408,9 +404,17 @@ impl ShardRunner {
             std::fs::write(job_path(&dir, i), &order)?;
         }
 
-        let mut pending: Vec<usize> = (0..n).collect();
+        // A shard already done (a rerun on the same directory) is
+        // answered from its stored record and launches no worker.
+        let mut completed: Vec<Option<JobResponse>> = ranges
+            .iter()
+            .enumerate()
+            .map(|(i, range)| {
+                read_artifact(&dir, i, record_key(fingerprint, range), range.len()).ok()
+            })
+            .collect();
+        let mut pending: Vec<usize> = (0..n).filter(|&i| completed[i].is_none()).collect();
         let mut attempts = vec![0usize; n];
-        let mut completed: Vec<Option<JobResponse>> = vec![None; n];
         let mut failed_shards = Vec::new();
         while !pending.is_empty() {
             // Launch the whole wave before waiting on any of it, so
@@ -501,20 +505,14 @@ fn describe_exit(child: io::Result<Child>) -> String {
     }
 }
 
-/// Loads shard `index`'s result record stored under `key`, valid by
-/// [`valid_record`]'s rule. Anything less is grounds for re-queue.
+/// Shard `index`'s result record stored under `key`, if it is valid: its
+/// frames parse through [`JobResponse::from_frames`] (which checks the
+/// `DONE` counts against the frames) and it holds `cells` cells, the
+/// length of the shard's range. Anything less is grounds for a launch or
+/// a re-queue.
 fn read_artifact(dir: &Path, index: usize, key: u64, cells: usize) -> Result<JobResponse, String> {
     let (_, snapshot) = DurableStore::open(store_path(dir, index))
         .map_err(|e| format!("cannot open shard store: {e}"))?;
-    valid_record(&snapshot, key, cells)
-}
-
-/// The shard record stored under `key`, if it is valid: its frames parse
-/// through [`JobResponse::from_frames`] (which checks the `DONE` counts
-/// against the frames) and it holds `cells` cells, the length of the
-/// shard's range. The coordinator accepts a worker's artifact by this
-/// rule, and a worker skips a shard already done by it.
-fn valid_record(snapshot: &StoreSnapshot, key: u64, cells: usize) -> Result<JobResponse, String> {
     let frames = snapshot
         .last_result(key)
         .ok_or_else(|| "no completed result record".to_string())?;

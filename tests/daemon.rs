@@ -40,8 +40,7 @@ fn resubmission_is_a_cache_hit_and_byte_identical_to_one_shot() {
     assert_eq!(first.result_lines, second.result_lines);
     assert_eq!(first.csv_rows, second.csv_rows);
 
-    // ...with no cell re-solved: still exactly one execution, and the
-    // warm-start cache saw no new traffic for the replay.
+    // ...with no cell re-solved: still exactly one execution.
     let stats = client.stats().expect("stats");
     assert_eq!(stats.jobs, 2);
     assert_eq!(stats.executed, 1, "cache hit must not re-execute");
@@ -131,8 +130,8 @@ fn shared_env_warms_across_distinct_jobs() {
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     // Two *different* jobs over the same configuration: the second is a
-    // result-cache miss (different content) but reuses the first's warm
-    // starts through the process-wide JobEnv.
+    // result-cache miss (different content) and runs on the process-wide
+    // JobEnv the first ran on, to the bytes of a one-shot run.
     let first = small_spec();
     let second = small_spec().with_uops(24_000);
     assert_ne!(
@@ -141,17 +140,15 @@ fn shared_env_warms_across_distinct_jobs() {
         "different run lengths are different content"
     );
     client.submit(&first).expect("first");
-    let stats_before = client.stats().expect("stats");
-    client.submit(&second).expect("second");
-    let stats_after = client.stats().expect("stats");
-    assert_eq!(stats_after.executed, 2, "distinct content must execute");
-    assert!(
-        stats_after.warm_hits > stats_before.warm_hits,
-        "second job must reuse the daemon's warm starts \
-         ({} -> {})",
-        stats_before.warm_hits,
-        stats_after.warm_hits
-    );
+    let novel = client.submit(&second).expect("second");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.executed, 2, "distinct content must execute");
+    assert!(!novel.cached);
+    let one_shot = second
+        .execute(&JobEnv::default(), |_| {})
+        .expect("one-shot");
+    assert_eq!(protocol::result_frames(&one_shot), novel.result_lines);
+    assert_eq!(one_shot.csv_rows(), novel.csv_rows);
 
     // Record/replay against the daemon's process-wide trace store: a
     // recording job populates it, and it persists across jobs.

@@ -1,10 +1,8 @@
 //! Integration tests for the staged engine refactor: the LU-factored
-//! steady-state solve, the parallel sweep executor, and the shared
-//! warm-start cache — all exercised through the public API.
+//! steady-state solve, the parallel sweep executor, and the per-cell
+//! warm start — all exercised through the public API.
 
-use std::sync::Arc;
-
-use distfront::engine::{CoupledEngine, SweepRunner, WarmStartCache};
+use distfront::engine::{CoupledEngine, SweepRunner};
 use distfront::engine::{DtmAction, DtmPolicy, EngineCx, EngineError, PilotStage, Stage};
 use distfront::{run_app, ExperimentConfig};
 use distfront_power::Machine;
@@ -72,56 +70,6 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     }
 }
 
-/// (c) A warm-start cache hit produces the same `AppResult` as a cold
-/// solve.
-#[test]
-fn warm_start_cache_hit_matches_cold_solve() {
-    let cfg = ExperimentConfig::baseline().with_uops(40_000);
-    let app = AppProfile::test_tiny();
-    let cold = run_app(&cfg, &app);
-
-    let cache = Arc::new(WarmStartCache::new());
-    let first = CoupledEngine::new(&cfg, &app)
-        .with_warm_cache(Arc::clone(&cache))
-        .run()
-        .unwrap();
-    assert_eq!(cache.len(), 1, "first run should populate the cache");
-    assert_eq!(cache.hits(), 0);
-    assert_eq!(first, cold);
-
-    let second = CoupledEngine::new(&cfg, &app)
-        .with_warm_cache(Arc::clone(&cache))
-        .run()
-        .unwrap();
-    assert_eq!(cache.hits(), 1, "second run should hit the cache");
-    assert_eq!(second, cold, "cache hit changed the result");
-}
-
-/// The cache discriminates on machine shape and nominal power: different
-/// configurations and applications never share a warm start incorrectly.
-#[test]
-fn warm_start_cache_keys_are_exact() {
-    let cache = Arc::new(WarmStartCache::new());
-    let apps = [
-        AppProfile::test_tiny(),
-        *AppProfile::by_name("gzip").unwrap(),
-    ];
-    let configs = [
-        ExperimentConfig::baseline().with_uops(30_000),
-        ExperimentConfig::combined().with_uops(30_000),
-    ];
-    for cfg in &configs {
-        for app in &apps {
-            let via_cache = CoupledEngine::new(cfg, app)
-                .with_warm_cache(Arc::clone(&cache))
-                .run()
-                .unwrap();
-            assert_eq!(via_cache, run_app(cfg, app), "{}/{}", cfg.name, app.name);
-        }
-    }
-    assert_eq!(cache.len() as u64, cache.misses());
-}
-
 /// More workers than cells: the runner clamps to the cell count instead of
 /// spawning idle threads, and the results stay bit-identical to serial.
 #[test]
@@ -145,19 +93,6 @@ fn worker_count_clamps_to_cell_count() {
     assert_eq!(one[0][0], run_app(&configs[0], &apps[0]));
 }
 
-/// A sweep runner reuses its warm-start cache across `try_grid` calls.
-#[test]
-fn sweep_runner_cache_persists_across_grids() {
-    let runner = SweepRunner::with_threads(2);
-    let configs = [ExperimentConfig::baseline().with_uops(30_000)];
-    let apps = [AppProfile::test_tiny()];
-    let first = grid(&runner, &configs, &apps);
-    let hits_before = runner.warm_cache().hits();
-    let second = grid(&runner, &configs, &apps);
-    assert!(runner.warm_cache().hits() > hits_before);
-    assert_eq!(first, second);
-}
-
 /// The figure tables ride on the sweep executor and keep their row output.
 #[test]
 fn figure_rows_unchanged_on_the_engine() {
@@ -175,7 +110,8 @@ fn figure_rows_unchanged_on_the_engine() {
 
 /// (d) The default (matrix-exponential) engine and the RK4 reference
 /// engine agree on the physics: same committed work, temperatures within
-/// the RK4 integrator's own error band.
+/// the RK4 integrator's own error band. A hand-built RK4 solver plugged in
+/// as a custom backend gives the RK4 engine's result exactly.
 #[test]
 fn expm_and_rk4_engines_agree_closely() {
     use distfront::Integrator;
@@ -186,12 +122,23 @@ fn expm_and_rk4_engines_agree_closely() {
             .with_integrator(Integrator::Expm),
         &app,
     );
-    let rk4 = run_app(
-        &ExperimentConfig::baseline()
-            .with_uops(60_000)
-            .with_integrator(Integrator::Rk4),
-        &app,
-    );
+    let rk4_cfg = ExperimentConfig::baseline()
+        .with_uops(60_000)
+        .with_integrator(Integrator::Rk4);
+    let rk4 = run_app(&rk4_cfg, &app);
+    let pc = &rk4_cfg.processor;
+    let fp = Floorplan::for_machine(Machine::new(
+        pc.frontend_mode.partitions(),
+        pc.backends,
+        pc.trace_cache.physical_banks(),
+    ));
+    let custom = CoupledEngine::new(&rk4_cfg, &app)
+        .with_thermal(Box::new(ThermalSolver::new(
+            ThermalNetwork::from_floorplan(&fp, &PackageConfig::paper()),
+        )))
+        .run()
+        .unwrap();
+    assert_eq!(custom, rk4, "a custom backend equal to the default");
     assert_eq!(expm.uops, rk4.uops);
     assert!(
         (expm.temps.processor.abs_max_c - rk4.temps.processor.abs_max_c).abs() < 0.1,
@@ -204,7 +151,8 @@ fn expm_and_rk4_engines_agree_closely() {
 }
 
 /// (e) A warm start whose leakage↔temperature fixed point diverges is an
-/// error, and the non-converged state never enters the shared cache.
+/// error, and the same cell with the stock leakage model then runs to
+/// the standalone result: a failed warm start leaves nothing behind.
 #[test]
 fn non_converged_warm_start_is_an_error_and_never_cached() {
     use distfront::engine::{EngineCx, EngineError, Stage, WarmStartStage};
@@ -232,12 +180,11 @@ fn non_converged_warm_start_is_an_error_and_never_cached() {
 
     let cfg = ExperimentConfig::baseline().with_uops(30_000);
     let app = AppProfile::test_tiny();
-    let cache = Arc::new(WarmStartCache::new());
     let err = CoupledEngine::new(&cfg, &app)
         .with_stages(vec![
             Box::new(PilotStage),
             Box::new(DivergentLeakage),
-            Box::new(WarmStartStage::with_cache(Arc::clone(&cache))),
+            Box::new(WarmStartStage),
             Box::new(IntervalLoopStage),
         ])
         .run()
@@ -246,17 +193,9 @@ fn non_converged_warm_start_is_an_error_and_never_cached() {
         matches!(err, EngineError::NotConverged(_)),
         "expected NotConverged, got {err:?}"
     );
-    assert!(
-        cache.is_empty(),
-        "a non-converged warm start poisoned the shared cache"
-    );
 
-    // The same pipeline with the stock leakage model converges and caches.
-    let ok = CoupledEngine::new(&cfg, &app)
-        .with_warm_cache(Arc::clone(&cache))
-        .run()
-        .unwrap();
-    assert_eq!(cache.len(), 1);
+    // The same pipeline with the stock leakage model converges.
+    let ok = CoupledEngine::new(&cfg, &app).run().unwrap();
     assert_eq!(ok, run_app(&cfg, &app));
 }
 
@@ -282,7 +221,7 @@ fn independent_stages() -> Vec<Box<dyn Stage>> {
     use distfront::engine::{IntervalLoopStage, WarmStartStage};
     vec![
         Box::new(UnsharedPilot),
-        Box::new(WarmStartStage::new()),
+        Box::new(WarmStartStage),
         Box::new(IntervalLoopStage),
     ]
 }
@@ -453,7 +392,7 @@ fn pilot_hands_off_its_core_only_on_eligible_cells() {
             .with_stages(vec![
                 Box::new(PilotStage),
                 Box::new(Observer(Rc::clone(&seen))),
-                Box::new(WarmStartStage::new()),
+                Box::new(WarmStartStage),
                 Box::new(IntervalLoopStage),
             ])
             .run()

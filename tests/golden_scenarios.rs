@@ -67,7 +67,6 @@ fn check_replayed(scenario: &str) {
         TraceSpec::Record,
         &JobEnv {
             traces: Arc::clone(&store),
-            ..JobEnv::default()
         },
     );
     assert!(
@@ -75,14 +74,7 @@ fn check_replayed(scenario: &str) {
         "{scenario}: {} cells failed while recording",
         recorded.report.failed()
     );
-    let report = golden_run(
-        scenario,
-        TraceSpec::Replay,
-        &JobEnv {
-            traces: store,
-            ..JobEnv::default()
-        },
-    );
+    let report = golden_run(scenario, TraceSpec::Replay, &JobEnv { traces: store });
     assert_eq!(
         report.report.replayed(),
         report.report.cells().len(),

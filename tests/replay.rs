@@ -18,7 +18,6 @@ fn run(name: &str, workers: usize, trace: TraceSpec, store: &Arc<TraceStore>) ->
     // identity runs below actually cross a phase boundary.
     let env = JobEnv {
         traces: Arc::clone(store),
-        ..JobEnv::default()
     };
     JobSpec::scenario(name)
         .with_smoke(true)

@@ -224,8 +224,8 @@ fn dead_shard_after_retries_reports_shard_failed_and_keeps_survivors() {
 }
 
 /// A rerun on the same state directory finds every shard already done:
-/// each worker answers from its stored record, so the merged rows are
-/// the first run's, every shard launches once, and no shard's result
+/// the coordinator answers each from its stored record and launches no
+/// worker, so the merged rows are the first run's and no shard's result
 /// segment grows.
 #[test]
 fn rerun_on_the_same_dir_reuses_records_and_does_not_grow_the_store() {
@@ -250,13 +250,18 @@ fn rerun_on_the_same_dir_reuses_records_and_does_not_grow_the_store() {
     };
     let first = run();
     assert_eq!(first.status, StatusCode::Ok);
+    assert_eq!(
+        first.attempts,
+        vec![1, 1],
+        "a fresh directory launches every shard"
+    );
     let sizes = segment_sizes();
     for _ in 0..2 {
         let again = run();
         assert_eq!(again.csv_rows, first.csv_rows);
         assert_eq!(again.failures, first.failures);
         assert_eq!(again.status, first.status);
-        assert_eq!(again.attempts, vec![1, 1]);
+        assert_eq!(again.attempts, vec![0, 0]);
         assert_eq!(segment_sizes(), sizes, "a rerun appended to a shard store");
     }
     let _ = std::fs::remove_dir_all(&dir);

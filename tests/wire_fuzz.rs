@@ -70,8 +70,8 @@ fn frame_records() -> Vec<String> {
 /// Valid `STATS` frames.
 fn stats_lines() -> Vec<String> {
     [
-        "STATS jobs=3 executed=2 result_hits=1 result_entries=2 warm_hits=5 warm_misses=4 \
-         warm_entries=4 traces=0 persisted_results=2 persisted_traces=0",
+        "STATS jobs=3 executed=2 result_hits=1 result_entries=2 traces=0 \
+         persisted_results=2 persisted_traces=0",
         "STATS jobs=0",
     ]
     .map(String::from)
