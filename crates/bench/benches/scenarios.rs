@@ -6,7 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use distfront::job::{JobEnv, JobReport, JobSpec};
-use distfront::scenarios;
+use distfront::scenarios::{self, ScenarioRun};
+use distfront::server::JobResponse;
 use distfront_bench::bench_uops;
 use std::hint::black_box;
 
@@ -28,11 +29,11 @@ fn regenerate_summary() {
         registry.len(),
         scenarios::suite_apps(true).len(),
     );
-    let reports: Vec<JobReport> = registry.iter().map(|s| smoke_job(s.name, uops)).collect();
-    println!(
-        "{}",
-        scenarios::summary_table(registry.iter().zip(&reports))
-    );
+    let runs: Vec<ScenarioRun> = registry
+        .iter()
+        .map(|s| ScenarioRun::new(*s, JobResponse::from(&smoke_job(s.name, uops))).unwrap())
+        .collect();
+    println!("{}", scenarios::summary_table(&runs));
 }
 
 fn bench(c: &mut Criterion) {

@@ -11,11 +11,14 @@
 //!   --uops N         micro-ops per application (default 200000; smoke 40000)
 //!   --workers N      sweep workers (default: all hardware threads)
 //!   --integrator I   transient integrator: expm (default) or rk4
-//!   --csv PATH       write results as CSV (rows stream to the file as cells
-//!                    complete; rewritten in canonical order at the end)
+//!   --csv PATH       write results as CSV (in this process, rows also
+//!                    stream to the file as cells complete; it is
+//!                    rewritten in canonical order at the end)
 //!   --json PATH      write results as JSON
-//!   --progress       print one line per cell as it completes
-//!   --verify         also run serially and fail unless the bytes match
+//!   --progress       print one line per cell (or daemon frame) as it
+//!                    completes
+//!   --verify         also re-run serially, in this process and live, and
+//!                    fail unless the CSV bytes match
 //!   --inject-fail    append a divergent-leakage scenario whose cells all
 //!                    fail (exercises the partial-results path; CI uses it)
 //!   --record DIR     simulate live and write one .dft activity trace per
@@ -24,40 +27,44 @@
 //!                    instead of re-simulating the core (live fallback
 //!                    otherwise); byte-identical output, several times
 //!                    faster per replayed cell
+//!
+//! Back ends (at most one; without one, jobs run in this process):
 //!   --state-dir DIR  run against DIR's crash-safe segment store (the
 //!                    same layout `distfront-sweepd --state-dir` uses):
 //!                    scenarios whose content fingerprint is already
 //!                    stored are served from disk byte-identically, new
-//!                    ones run and are appended (local-only; excludes
-//!                    --record/--replay/--verify/--json)
-//!
-//! Multi-process mode (see [`distfront::shard`]):
-//!   --processes N    shard each scenario's grid across N worker
-//!                    processes sharing one state directory; the merged
-//!                    report is byte-identical to a serial run and dead
-//!                    workers are re-queued with bounded retries
-//!                    (excludes --connect/--state-dir/--record/--replay/
-//!                    --json; --verify compares against an in-process
-//!                    serial rerun)
+//!                    ones run and are appended
+//!   --processes N    shard each scenario's grid across N worker processes
+//!                    (see [`distfront::shard`]); the merged rows are
+//!                    byte-identical to a serial run and dead workers are
+//!                    re-queued with bounded retries
 //!   --shard-retries N  re-queue a failed shard up to N times before
-//!                    declaring it dead (default 2)
-//!   --shard-dir DIR  the shared state directory (default: under the
+//!                    declaring it dead (default 2; needs --processes)
+//!   --shard-dir DIR  the shards' state directory (default: under the
 //!                    system temp dir); each scenario gets a subdirectory
-//!   --shard i/N      worker mode — run one shard of DIR's work order and
-//!                    exit (launched by the coordinator; needs
-//!                    --shard-dir)
-//!
-//! Server-client mode (see `distfront-sweepd`):
-//!   --connect ADDR   submit the selected scenarios as jobs to a running
-//!                    sweep daemon instead of executing locally; streams
-//!                    results back and honors --smoke/--uops/--workers/
-//!                    --integrator/--csv/--progress (--record,
-//!                    --replay, --json and --verify are local-only)
-//!   --class C        job class for --connect: interactive (default,
-//!                    run-ahead) or deferrable (queued bulk work)
+//!                    (needs --processes)
+//!   --connect ADDR   submit each scenario as a job to a running sweep
+//!                    daemon (see `distfront-sweepd`) and stream the
+//!                    results back
+//!   --class C        job class: interactive (default, run-ahead) or
+//!                    deferrable (queued bulk work)
 //!   --shutdown       after any jobs complete, ask the daemon to drain
-//!                    and exit (usable alone: --connect ADDR --shutdown)
+//!                    and exit (needs --connect; usable alone)
+//!
+//! Worker mode:
+//!   --shard i/N      run one shard of DIR's work order and exit
+//!                    (launched by the coordinator; needs --shard-dir)
 //! ```
+//!
+//! Every back end runs the same [`JobSpec`] per selected scenario and
+//! answers a [`JobResponse`]; one output stage then serves them all:
+//! `--record`'s traces and `--replay`'s count, `--verify`, the CSV, the
+//! JSON, the summary table, the failed cells and the exit status. The
+//! only exclusions left: `--record` and `--replay` exclude each other
+//! and run in this process only (DIR is a local `.dft` directory that a
+//! daemon or a shard worker never sees); at most one back end; and
+//! `--shutdown`, `--shard-dir`, `--shard-retries` and `--shard` as
+//! listed above.
 //!
 //! Exit status — the [`StatusCode`] vocabulary, shared verbatim with the
 //! daemon's `DONE`/`ERR` frames so client and server cannot disagree:
@@ -73,19 +80,21 @@
 
 use std::io::Write as _;
 use std::num::NonZeroUsize;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use distfront::engine::{CellOutcome, TraceStore};
-use distfront::job::{JobClass, JobEnv, JobReport, JobSpec, JobSpecError, StatusCode, TraceSpec};
-use distfront::scenarios::{self, Scenario};
+use distfront::job::{JobClass, JobEnv, JobSpec, JobSpecError, StatusCode, TraceSpec};
+use distfront::scenarios::{self, Scenario, ScenarioRun};
 use distfront::server::{protocol, Client, JobResponse, ResultCache};
 use distfront::shard::{self, ShardError, ShardRunner, ShardSpec};
 use distfront::store::DurableStore;
 use distfront_thermal::Integrator;
 use distfront_trace::ActivityTrace;
 
+#[derive(Default)]
 struct Args {
     list: bool,
     all: bool,
@@ -108,101 +117,65 @@ struct Args {
     processes: Option<usize>,
     shard_retries: Option<usize>,
     shard_dir: Option<String>,
-    shard: Option<String>,
+    shard: Option<ShardSpec>,
 }
 
 fn usage() -> &'static str {
     "usage: distfront-scenarios --list | --all | --run NAME [--run NAME ...]\n\
      options: [--smoke] [--uops N] [--workers N] [--integrator rk4|expm] \
      [--csv PATH] [--json PATH] [--progress] [--verify] [--inject-fail] \
-     [--record DIR | --replay DIR] [--state-dir DIR]\n\
-     multi-process: [--processes N [--shard-retries N] [--shard-dir DIR]]\n\
+     [--record DIR | --replay DIR]\n\
+     back end (at most one): [--state-dir DIR] \
+     | [--processes N [--shard-retries N] [--shard-dir DIR]] \
+     | [--connect ADDR [--class interactive|deferrable] [--shutdown]]\n\
      worker:  [--shard i/N --shard-dir DIR]\n\
-     client:  [--connect ADDR [--class interactive|deferrable] [--shutdown]]"
+     --record/--replay run in this process only"
+}
+
+/// `flag`'s value `v` as a number of at least `min`.
+fn number<T: std::str::FromStr + PartialOrd + std::fmt::Display>(
+    flag: &str,
+    v: String,
+    min: T,
+) -> Result<T, String> {
+    let n: T = v.parse().map_err(|_| format!("bad {flag} value {v}"))?;
+    if n < min {
+        return Err(format!("{flag} must be at least {min}"));
+    }
+    Ok(n)
 }
 
 fn parse(mut argv: std::env::Args) -> Result<Args, String> {
-    let mut args = Args {
-        list: false,
-        all: false,
-        run: Vec::new(),
-        smoke: false,
-        uops: None,
-        workers: None,
-        integrator: None,
-        csv: None,
-        json: None,
-        progress: false,
-        verify: false,
-        inject_fail: false,
-        record: None,
-        replay: None,
-        state_dir: None,
-        connect: None,
-        class: JobClass::Interactive,
-        shutdown: false,
-        processes: None,
-        shard_retries: None,
-        shard_dir: None,
-        shard: None,
-    };
+    let mut args = Args::default();
     argv.next(); // program name
     while let Some(a) = argv.next() {
-        let mut value = |flag: &str| argv.next().ok_or_else(|| format!("{flag} needs a value"));
+        let mut value = || argv.next().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
             "--list" => args.list = true,
             "--all" => args.all = true,
-            "--run" => args.run.push(value("--run")?),
+            "--run" => args.run.push(value()?),
             "--smoke" => args.smoke = true,
-            "--uops" => {
-                let v = value("--uops")?;
-                args.uops = Some(v.parse().map_err(|_| format!("bad --uops value {v}"))?);
-            }
-            "--workers" => {
-                let v = value("--workers")?;
-                let w: usize = v.parse().map_err(|_| format!("bad --workers value {v}"))?;
-                if w == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                args.workers = Some(w);
-            }
-            "--integrator" => {
-                let v = value("--integrator")?;
-                args.integrator = Some(v.parse()?);
-            }
-            "--csv" => args.csv = Some(value("--csv")?),
-            "--json" => args.json = Some(value("--json")?),
+            "--uops" => args.uops = Some(number(&a, value()?, 0)?),
+            "--workers" => args.workers = Some(number(&a, value()?, 1)?),
+            "--integrator" => args.integrator = Some(value()?.parse()?),
+            "--csv" => args.csv = Some(value()?),
+            "--json" => args.json = Some(value()?),
             "--progress" => args.progress = true,
             "--verify" => args.verify = true,
             "--inject-fail" => args.inject_fail = true,
-            "--record" => args.record = Some(value("--record")?),
-            "--replay" => args.replay = Some(value("--replay")?),
-            "--state-dir" => args.state_dir = Some(value("--state-dir")?),
-            "--connect" => args.connect = Some(value("--connect")?),
+            "--record" => args.record = Some(value()?),
+            "--replay" => args.replay = Some(value()?),
+            "--state-dir" => args.state_dir = Some(value()?),
+            "--connect" => args.connect = Some(value()?),
             "--class" => {
-                let v = value("--class")?;
+                let v = value()?;
                 args.class = JobClass::parse(&v).ok_or_else(|| format!("bad --class value {v}"))?;
             }
             "--shutdown" => args.shutdown = true,
-            "--processes" => {
-                let v = value("--processes")?;
-                let p: usize = v
-                    .parse()
-                    .map_err(|_| format!("bad --processes value {v}"))?;
-                if p == 0 {
-                    return Err("--processes must be at least 1".into());
-                }
-                args.processes = Some(p);
-            }
-            "--shard-retries" => {
-                let v = value("--shard-retries")?;
-                args.shard_retries = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --shard-retries value {v}"))?,
-                );
-            }
-            "--shard-dir" => args.shard_dir = Some(value("--shard-dir")?),
-            "--shard" => args.shard = Some(value("--shard")?),
+            "--processes" => args.processes = Some(number(&a, value()?, 1)?),
+            "--shard-retries" => args.shard_retries = Some(number(&a, value()?, 0)?),
+            "--shard-dir" => args.shard_dir = Some(value()?),
+            "--shard" => args.shard = Some(ShardSpec::parse(&value()?)?),
             other => return Err(format!("unknown argument {other}")),
         }
     }
@@ -230,38 +203,24 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
     if args.shard_retries.is_some() && args.processes.is_none() {
         return Err("--shard-retries needs --processes".into());
     }
-    if args.processes.is_some()
-        && (args.connect.is_some()
-            || args.state_dir.is_some()
-            || args.record.is_some()
-            || args.replay.is_some()
-            || args.json.is_some())
-    {
-        return Err("--processes excludes --connect/--state-dir/--record/--replay/--json".into());
+    let back_ends = [
+        args.connect.is_some(),
+        args.state_dir.is_some(),
+        args.processes.is_some(),
+    ];
+    if back_ends.iter().filter(|&&b| b).count() > 1 {
+        return Err("at most one of --connect, --state-dir and --processes".into());
     }
     if args.record.is_some() && args.replay.is_some() {
         return Err("--record and --replay are mutually exclusive".into());
     }
+    if (args.record.is_some() || args.replay.is_some()) && back_ends.contains(&true) {
+        return Err(
+            "--record/--replay run in this process only (DIR is a local .dft directory)".into(),
+        );
+    }
     if args.shutdown && args.connect.is_none() {
         return Err("--shutdown needs --connect".into());
-    }
-    if args.connect.is_some()
-        && (args.record.is_some() || args.replay.is_some() || args.verify || args.json.is_some())
-    {
-        return Err("--record/--replay/--verify/--json are local-only (not with --connect)".into());
-    }
-    if args.state_dir.is_some()
-        && (args.record.is_some()
-            || args.replay.is_some()
-            || args.verify
-            || args.json.is_some()
-            || args.connect.is_some())
-    {
-        return Err(
-            "--state-dir excludes --record/--replay/--verify/--json/--connect \
-             (point --connect at a `sweepd --state-dir` instead)"
-                .into(),
-        );
     }
     Ok(args)
 }
@@ -274,17 +233,32 @@ fn list() {
 }
 
 /// Streams per-cell progress lines and (optionally) CSV rows to `csv` as
-/// cells complete, so a killed run still leaves partial results on disk.
-/// Rows arrive in completion order; `main` rewrites the file in canonical
+/// cells complete, so a killed run still leaves partial results on disk,
+/// and counts the replayed cells `--replay` reports. Rows arrive in
+/// completion order; the output stage rewrites the file in canonical
 /// order once the run finishes.
+#[derive(Clone, Default)]
 struct CellStream {
     scenario: &'static str,
     progress: bool,
     csv: Option<Arc<Mutex<std::fs::File>>>,
+    replayed: Arc<AtomicUsize>,
 }
 
 impl CellStream {
+    /// This stream's cell callback for one scenario's job.
+    fn observer(&self, scenario: &'static str) -> impl Fn(&CellOutcome) + Send + Sync + 'static {
+        let stream = CellStream {
+            scenario,
+            ..self.clone()
+        };
+        move |cell| stream.observe(cell)
+    }
+
     fn observe(&self, cell: &CellOutcome) {
+        if cell.replayed {
+            self.replayed.fetch_add(1, Ordering::Relaxed);
+        }
         if self.progress {
             match &cell.result {
                 Ok(_) => eprintln!(
@@ -367,28 +341,21 @@ fn open_csv_stream(path: &str) -> Option<Arc<Mutex<std::fs::File>>> {
     }
 }
 
-/// Executes `spec_of(s)` for every selected scenario on `env`, quietly,
-/// and returns the canonical CSV: the re-runs behind `--verify`.
-fn rerun_csv(
-    selected: &[Scenario],
-    env: &JobEnv,
-    spec_of: impl Fn(&Scenario) -> JobSpec,
-) -> Result<String, JobSpecError> {
-    let reports = selected
-        .iter()
-        .map(|s| spec_of(s).execute(env, |_| {}))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(scenarios::to_csv(&reports))
-}
-
 /// The job a scenario selection + CLI flags describe — the same
-/// [`JobSpec`] every mode runs (in-process, on a daemon, sharded across
-/// processes), so a mode changes where the spec runs, never what it
-/// means.
+/// [`JobSpec`] every back end runs, so a back end changes where the spec
+/// runs, never what it means.
 fn spec_for(args: &Args, scenario: &str) -> JobSpec {
+    let trace = if args.record.is_some() {
+        TraceSpec::Record
+    } else if args.replay.is_some() {
+        TraceSpec::Replay
+    } else {
+        TraceSpec::Live
+    };
     let mut spec = JobSpec::scenario(scenario)
         .with_smoke(args.smoke)
-        .with_class(args.class);
+        .with_class(args.class)
+        .with_trace(trace);
     if let Some(uops) = args.uops {
         spec = spec.with_uops(uops);
     }
@@ -401,11 +368,252 @@ fn spec_for(args: &Args, scenario: &str) -> JobSpec {
     spec
 }
 
-/// Writes `csv` to the `--csv` path, when one was given; a failed write
-/// is reported and becomes [`StatusCode::Io`].
-fn write_csv(args: &Args, csv: &str) -> Result<(), StatusCode> {
-    if let Some(path) = &args.csv {
-        if let Err(e) = std::fs::write(path, csv) {
+/// Reports a spec that does not resolve: a usage error.
+fn usage_error(e: JobSpecError) -> StatusCode {
+    eprintln!("error: {e}");
+    StatusCode::Usage
+}
+
+/// Where each scenario's job runs: the one seam between the selection
+/// loop and the output stage. Every arm answers a [`JobResponse`], so
+/// the output stage cannot tell them apart.
+struct Backend {
+    arm: Arm,
+    /// The environment the in-process and state-dir arms execute on.
+    env: JobEnv,
+    /// Progress lines, the in-process CSV stream and the replay count.
+    stream: CellStream,
+}
+
+enum Arm {
+    /// In this process through [`JobSpec::execute`] at `workers`, every
+    /// scenario on the one [`JobEnv`] whose trace store `--replay` loads
+    /// and `--record` saves.
+    InProcess { workers: usize },
+    /// Against a local [`DurableStore`] through the daemon's persistent
+    /// [`ResultCache`]: a stored job is served from disk (byte-identical
+    /// frames, no cell solved), a new one executes and is inserted and
+    /// flushed before it is reported — the daemon's cache semantics on
+    /// the layout `sweepd --state-dir` reads and writes.
+    StateDir {
+        store: Arc<DurableStore>,
+        results: ResultCache,
+    },
+    /// On a running daemon, one `JOB` per scenario.
+    Daemon { addr: String, client: Client },
+    /// Sharded across worker processes by [`ShardRunner`], each scenario
+    /// in its own subdirectory of `base`.
+    Shards {
+        processes: usize,
+        retries: Option<usize>,
+        base: PathBuf,
+    },
+}
+
+impl Backend {
+    /// The back end `args` select, opened: connected, loaded or set up.
+    fn open(args: &Args) -> Result<Backend, StatusCode> {
+        let mut env = JobEnv::default();
+        let mut stream = CellStream {
+            progress: args.progress,
+            ..CellStream::default()
+        };
+        let arm = if let Some(addr) = &args.connect {
+            let client = Client::connect(addr).map_err(|e| {
+                eprintln!("error: connecting to {addr}: {e}");
+                StatusCode::Io
+            })?;
+            let addr = addr.clone();
+            Arm::Daemon { addr, client }
+        } else if let Some(dir) = &args.state_dir {
+            let (store, snapshot) = DurableStore::open(dir).map_err(|e| {
+                eprintln!("error: opening state dir {dir}: {e}");
+                StatusCode::Io
+            })?;
+            let store = Arc::new(store);
+            let results = ResultCache::persistent(Arc::clone(&store), snapshot.results);
+            println!(
+                "state dir {dir}: {} result(s), {} trace(s) loaded ({} records skipped)",
+                results.len(),
+                snapshot.traces.len(),
+                snapshot.skipped
+            );
+            env.traces = Arc::new(TraceStore::persistent(Arc::clone(&store), snapshot.traces));
+            Arm::StateDir { store, results }
+        } else if let Some(processes) = args.processes {
+            let base = args.shard_dir.as_ref().map_or_else(
+                || std::env::temp_dir().join(format!("distfront-shard-{}", std::process::id())),
+                PathBuf::from,
+            );
+            let retries = args.shard_retries;
+            Arm::Shards {
+                processes,
+                retries,
+                base,
+            }
+        } else {
+            if let Some(dir) = &args.replay {
+                env.traces = load_traces(dir).map_err(|e| {
+                    eprintln!("error: {e}");
+                    StatusCode::Io
+                })?;
+                println!("replay: loaded {} trace(s) from {dir}", env.traces.len());
+            }
+            stream.csv = args.csv.as_deref().and_then(open_csv_stream);
+            // Resolved here, not left at 0, so the count printed is the count run.
+            let workers = args.workers.unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+            });
+            Arm::InProcess { workers }
+        };
+        Ok(Backend { arm, env, stream })
+    }
+
+    /// What `--verify` compares against a serial run.
+    fn name(&self) -> String {
+        match &self.arm {
+            Arm::InProcess { workers } => format!("{workers}-worker"),
+            Arm::StateDir { .. } => "state-dir".into(),
+            Arm::Daemon { .. } => "daemon".into(),
+            Arm::Shards { processes, .. } => format!("{processes}-process"),
+        }
+    }
+
+    /// Runs scenario `s`'s job `spec` and answers its response; an `Err`
+    /// (already reported) stops the selection.
+    fn run(&mut self, s: &Scenario, spec: &JobSpec) -> Result<JobResponse, StatusCode> {
+        match &mut self.arm {
+            Arm::InProcess { workers } => {
+                let spec = spec.clone().with_workers(*workers);
+                println!(
+                    "running {:<16} ({} workloads x {} uops, {workers} workers, {} integrator)",
+                    s.name,
+                    s.workloads(spec.smoke).len(),
+                    spec.uops,
+                    spec.integrator
+                );
+                let report = spec
+                    .execute(&self.env, self.stream.observer(s.name))
+                    .map_err(usage_error)?;
+                Ok(JobResponse::from(&report))
+            }
+            Arm::StateDir { store, results } => {
+                let fingerprint = spec.fingerprint().map_err(usage_error)?;
+                let frames = if let Some(frames) = results.lookup(fingerprint) {
+                    println!(
+                        "  {}: served from state dir (fp={fingerprint:016x})",
+                        s.name
+                    );
+                    frames
+                } else {
+                    println!("running {:<16} (fp={fingerprint:016x})", s.name);
+                    let report = spec
+                        .execute(&self.env, self.stream.observer(s.name))
+                        .map_err(usage_error)?;
+                    let frames = protocol::result_frames(&report);
+                    results.insert(fingerprint, frames.clone());
+                    // The daemon's insert-batch boundary: durable before
+                    // the result is reported anywhere.
+                    if let Err(e) = store.flush() {
+                        eprintln!("warning: persisting {}: {e}", s.name);
+                    }
+                    Arc::new(frames)
+                };
+                JobResponse::from_frames(&frames).map_err(|e| {
+                    eprintln!("error: {}: stored result unreadable: {e}", s.name);
+                    StatusCode::Io
+                })
+            }
+            Arm::Daemon { addr, client } => {
+                println!("submitting {:<16} to {addr} ({} class)", s.name, spec.class);
+                let progress = self.stream.progress;
+                let response = client
+                    .submit_streaming(spec, |frame| {
+                        if progress {
+                            eprintln!("  {frame}");
+                        }
+                    })
+                    .map_err(|e| {
+                        eprintln!("error: job {}: {e}", s.name);
+                        StatusCode::Io
+                    })?;
+                // A job that never ran stops the selection, as a spec
+                // that does not resolve does in this process.
+                if let Some(msg) = &response.error {
+                    eprintln!("error: daemon rejected {}: {msg}", s.name);
+                    return Err(response.status);
+                }
+                let cached = if response.cached {
+                    " (served from daemon cache)"
+                } else {
+                    ""
+                };
+                println!(
+                    "  {}: {} cell(s), {} failed{cached}",
+                    s.name, response.cells, response.failed
+                );
+                Ok(response)
+            }
+            Arm::Shards {
+                processes,
+                retries,
+                base,
+            } => {
+                let mut runner =
+                    ShardRunner::new(spec.clone(), *processes).with_dir(base.join(s.name));
+                if let Some(retries) = retries {
+                    runner = runner.with_retries(*retries);
+                }
+                println!(
+                    "sharding {:<16} across {processes} process(es) under {}",
+                    s.name,
+                    base.display()
+                );
+                let outcome = runner.run().map_err(|e| {
+                    eprintln!("error: {e}");
+                    match e {
+                        ShardError::Spec(_) => StatusCode::Usage,
+                        ShardError::Io(_) => StatusCode::Io,
+                    }
+                })?;
+                println!(
+                    "  {}: merged {}/{} cell(s), {} failed, launches per shard {:?}",
+                    s.name,
+                    outcome.merged,
+                    outcome.cells,
+                    outcome.response.failed,
+                    outcome.attempts
+                );
+                if !outcome.failed_shards.is_empty() {
+                    eprintln!(
+                        "error: {}: shard(s) {:?} failed permanently; the merged report \
+                         is missing their cells",
+                        s.name, outcome.failed_shards
+                    );
+                }
+                Ok(outcome.response)
+            }
+        }
+    }
+}
+
+/// Parses one scenario's response rows for the output stage; a row that
+/// does not parse is an I/O error.
+fn take_rows(s: Scenario, response: JobResponse) -> Result<ScenarioRun, StatusCode> {
+    ScenarioRun::new(s, response).map_err(|e| {
+        eprintln!("error: {}: {e}", s.name);
+        StatusCode::Io
+    })
+}
+
+/// Writes `contents()` to `path`, when one was given; a failed write is
+/// reported and becomes [`StatusCode::Io`].
+fn write_output(
+    path: &Option<String>,
+    contents: impl FnOnce() -> String,
+) -> Result<(), StatusCode> {
+    if let Some(path) = path {
+        if let Err(e) = std::fs::write(path, contents()) {
             eprintln!("error: writing {path}: {e}");
             return Err(StatusCode::Io);
         }
@@ -414,241 +622,105 @@ fn write_csv(args: &Args, csv: &str) -> Result<(), StatusCode> {
     Ok(())
 }
 
-/// Reports one failed cell on stderr: the one failed-cell line of every
-/// front end (one-shot, `--connect`, `--state-dir`, `--processes`).
-fn report_failed_cell(label: &str, app: &str, msg: &str) {
-    eprintln!("error: cell {label}/{app}: {msg}");
-}
-
-/// Reports a job response's failed cells, moves its CSV rows into `rows`
-/// and returns its status.
-fn take_rows(response: JobResponse, rows: &mut Vec<String>) -> StatusCode {
-    for (label, app, msg) in response.failures() {
-        report_failed_cell(&label, &app, &msg);
-    }
-    rows.extend(response.csv_rows);
-    response.status
-}
-
-/// Submits the selected scenarios to a running daemon and streams the
-/// results back; the thin-client half of the CLI.
-fn client_main(args: &Args, selected: &[Scenario]) -> StatusCode {
-    let addr = args.connect.as_deref().expect("checked by caller");
-    let mut client = match Client::connect(addr) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: connecting to {addr}: {e}");
-            return StatusCode::Io;
-        }
-    };
-    let mut status = StatusCode::Ok;
-    let mut rows: Vec<String> = Vec::new();
-    for s in selected {
-        let spec = spec_for(args, s.name);
-        println!("submitting {:<16} to {addr} ({} class)", s.name, spec.class);
-        let progress = args.progress;
-        let response = match client.submit_streaming(&spec, |frame| {
-            if progress {
-                eprintln!("  {frame}");
-            }
-        }) {
-            Ok(response) => response,
-            Err(e) => {
-                eprintln!("error: job {}: {e}", s.name);
-                return StatusCode::Io;
-            }
-        };
-        if let Some(msg) = &response.error {
-            eprintln!("error: daemon rejected {}: {msg}", s.name);
-        } else {
-            println!(
-                "  {}: {} cell(s), {} failed{}",
-                s.name,
-                response.cells,
-                response.failed,
-                if response.cached {
-                    " (served from daemon cache)"
-                } else {
-                    ""
-                }
-            );
-        }
-        status = status.worst(take_rows(response, &mut rows));
-    }
-    if let Err(code) = write_csv(args, &scenarios::csv_text(&rows)) {
-        return status.worst(code);
-    }
-    if args.shutdown {
-        match client.shutdown() {
-            Ok(()) => println!("daemon at {addr} acknowledged shutdown"),
-            Err(e) => {
-                eprintln!("error: shutting down daemon at {addr}: {e}");
-                return status.worst(StatusCode::Io);
-            }
-        }
-    }
-    status
-}
-
-/// Runs the selected scenarios against a local [`DurableStore`] through
-/// the daemon's persistent [`ResultCache`]: jobs already persisted are
-/// served from disk (byte-identical frames, no cells solved), novel ones
-/// execute, are inserted and flushed before they are reported — the
-/// daemon's cache semantics without the daemon, on the same state-dir
-/// layout `sweepd --state-dir` reads and writes.
-fn state_dir_main(args: &Args, selected: &[Scenario]) -> StatusCode {
-    let dir = args.state_dir.as_deref().expect("checked by caller");
-    let (store, snapshot) = match DurableStore::open(dir) {
-        Ok(opened) => opened,
-        Err(e) => {
-            eprintln!("error: opening state dir {dir}: {e}");
-            return StatusCode::Io;
-        }
-    };
-    let store = Arc::new(store);
-    let results = ResultCache::persistent(Arc::clone(&store), snapshot.results);
-    println!(
-        "state dir {dir}: {} result(s), {} trace(s) loaded ({} records skipped)",
-        results.len(),
-        snapshot.traces.len(),
-        snapshot.skipped
-    );
-    let env = JobEnv {
-        traces: Arc::new(TraceStore::persistent(Arc::clone(&store), snapshot.traces)),
-    };
-
-    let mut status = StatusCode::Ok;
-    let mut rows: Vec<String> = Vec::new();
-    for s in selected {
-        let spec = spec_for(args, s.name);
-        let fingerprint = match spec.fingerprint() {
-            Ok(fingerprint) => fingerprint,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return StatusCode::Usage;
-            }
-        };
-        let frames = if let Some(frames) = results.lookup(fingerprint) {
-            println!(
-                "  {}: served from state dir (fp={fingerprint:016x})",
-                s.name
-            );
-            frames
-        } else {
-            println!("running {:<16} (fp={fingerprint:016x})", s.name);
-            let stream = CellStream {
-                scenario: s.name,
-                progress: args.progress,
-                csv: None,
-            };
-            let report = match spec.execute(&env, move |cell| stream.observe(cell)) {
-                Ok(report) => report,
+/// The one output stage, run once after the selection loop whatever the
+/// back end: `--record`'s traces and `--replay`'s count (in-process),
+/// `--verify`, the CSV, the JSON, the summary table, then the failed
+/// cells. Returns the exit status, `status` folded with its own.
+fn write_outputs(
+    args: &Args,
+    backend: &Backend,
+    runs: &[ScenarioRun],
+    status: StatusCode,
+) -> StatusCode {
+    if let Arm::InProcess { .. } = backend.arm {
+        if let Some(dir) = &args.record {
+            match save_traces(dir, &backend.env.traces) {
+                Ok(n) => println!("recorded {n} trace(s) to {dir}"),
                 Err(e) => {
                     eprintln!("error: {e}");
-                    return StatusCode::Usage;
+                    return status.worst(StatusCode::Io);
                 }
-            };
-            let frames = protocol::result_frames(&report);
-            results.insert(fingerprint, frames.clone());
-            // The daemon's insert-batch boundary: durable before the
-            // result is reported anywhere.
-            if let Err(e) = store.flush() {
-                eprintln!("warning: persisting {}: {e}", s.name);
             }
-            Arc::new(frames)
-        };
-        match JobResponse::from_frames(&frames) {
-            Ok(response) => status = status.worst(take_rows(response, &mut rows)),
+        }
+        if args.replay.is_some() {
+            let cells: usize = runs.iter().map(|r| r.response.cells).sum();
+            let replayed = backend.stream.replayed.load(Ordering::Relaxed);
+            println!("replay: {replayed}/{cells} cell(s) replayed, the rest ran live");
+        }
+    }
+    let csv = scenarios::csv_text(runs.iter().flat_map(|r| &r.response.csv_rows));
+
+    if args.verify {
+        // The serial re-run is always live, in this process and on a
+        // fresh environment: with --replay it checks the replayed bytes
+        // against a live simulation, not against another replay.
+        println!("verify: re-running serially to check byte identity...");
+        let serial = runs
+            .iter()
+            .map(|r| {
+                spec_for(args, r.scenario.name)
+                    .with_workers(1)
+                    .with_trace(TraceSpec::Live)
+                    .execute(&JobEnv::default(), |_| {})
+            })
+            .collect::<Result<Vec<_>, _>>();
+        let name = backend.name();
+        match serial {
+            Ok(reports) if scenarios::to_csv(&reports) == csv => {
+                println!("verify: serial and {name} CSV are byte-identical");
+            }
+            Ok(_) => {
+                eprintln!("error: serial and {name} results diverge — the bit-identity guarantee is broken");
+                return status.worst(StatusCode::VerifyDiverged);
+            }
             Err(e) => {
-                eprintln!("error: {}: stored result unreadable: {e}", s.name);
-                return status.worst(StatusCode::Io);
+                eprintln!("error: serial re-run: {e}");
+                return status.worst(StatusCode::Usage);
             }
         }
     }
-    if let Err(code) = write_csv(args, &scenarios::csv_text(&rows)) {
+
+    // Rewrite the streamed CSV in canonical (suite) order: the streaming
+    // writes are completion-ordered crash insurance; the final file is
+    // deterministic, byte-identical across worker counts and back ends.
+    if let Err(code) = write_output(&args.csv, || csv)
+        .and_then(|()| write_output(&args.json, || scenarios::to_json(runs)))
+    {
         return status.worst(code);
+    }
+    println!("\n{}", scenarios::summary_table(runs));
+
+    let mut failed = 0usize;
+    for (label, app, msg) in runs.iter().flat_map(|r| r.response.failures()) {
+        failed += 1;
+        eprintln!("error: cell {label}/{app}: {msg}");
+    }
+    if failed > 0 {
+        eprintln!(
+            "error: {failed} cell(s) failed; surviving results were written \
+             (see rows above)"
+        );
     }
     status
 }
 
-/// Runs the selected scenarios sharded across `--processes` worker
-/// processes via [`ShardRunner`], merging each scenario's shard
-/// artifacts into rows byte-identical to a serial run. `--verify`
-/// cross-checks that claim against an in-process serial live rerun.
-fn processes_main(args: &Args, selected: &[Scenario]) -> StatusCode {
-    let n = args.processes.expect("checked by caller");
-    let base = match &args.shard_dir {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => std::env::temp_dir().join(format!("distfront-shard-{}", std::process::id())),
-    };
+/// Runs every selected scenario through `backend` and the output stage.
+fn run_selection(args: &Args, backend: &mut Backend, selected: &[Scenario]) -> StatusCode {
     let mut status = StatusCode::Ok;
-    let mut rows: Vec<String> = Vec::new();
+    let mut runs = Vec::with_capacity(selected.len());
     for s in selected {
-        let mut runner = ShardRunner::new(spec_for(args, s.name), n).with_dir(base.join(s.name));
-        if let Some(retries) = args.shard_retries {
-            runner = runner.with_retries(retries);
-        }
-        println!(
-            "sharding {:<16} across {n} process(es) under {}",
-            s.name,
-            base.display()
-        );
-        let outcome = match runner.run() {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return match e {
-                    ShardError::Spec(_) => StatusCode::Usage,
-                    ShardError::Io(_) => StatusCode::Io,
-                };
+        match backend
+            .run(s, &spec_for(args, s.name))
+            .and_then(|response| take_rows(*s, response))
+        {
+            Ok(run) => {
+                status = status.worst(run.response.status);
+                runs.push(run);
             }
-        };
-        println!(
-            "  {}: merged {}/{} cell(s), {} failed, launches per shard {:?}",
-            s.name,
-            outcome.merged,
-            outcome.cells,
-            outcome.failures.len(),
-            outcome.attempts
-        );
-        for (label, app, msg) in &outcome.failures {
-            report_failed_cell(label, app, msg);
+            Err(code) => return status.worst(code),
         }
-        if !outcome.failed_shards.is_empty() {
-            eprintln!(
-                "error: {}: shard(s) {:?} failed permanently; the merged report \
-                 is missing their cells",
-                s.name, outcome.failed_shards
-            );
-        }
-        rows.extend(outcome.csv_rows);
-        status = status.worst(outcome.status);
     }
-    let merged = scenarios::csv_text(&rows);
-    if args.verify {
-        println!("verify: re-running serially in-process to check byte identity...");
-        let serial = match rerun_csv(selected, &JobEnv::default(), |s| {
-            spec_for(args, s.name).with_workers(1)
-        }) {
-            Ok(serial) => serial,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return StatusCode::Usage;
-            }
-        };
-        if serial != merged {
-            eprintln!(
-                "error: serial and {n}-process results diverge — the bit-identity \
-                 guarantee is broken"
-            );
-            return status.worst(StatusCode::VerifyDiverged);
-        }
-        println!("verify: serial and {n}-process CSV are byte-identical");
-    }
-    if let Err(code) = write_csv(args, &merged) {
-        return status.worst(code);
-    }
-    status
+    write_outputs(args, backend, &runs, status)
 }
 
 fn main() -> ExitCode {
@@ -661,16 +733,9 @@ fn main() -> ExitCode {
     };
     // Worker mode: run one shard of a coordinator's work order and exit.
     // No selection flags apply — the work arrives as a JobSpec artifact.
-    if let Some(shard) = &args.shard {
-        let spec = match ShardSpec::parse(shard) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("error: {e}\n{}", usage());
-                return StatusCode::Usage.into();
-            }
-        };
+    if let Some(shard) = args.shard {
         let dir = args.shard_dir.as_deref().expect("checked by parse");
-        return shard::run_worker(Path::new(dir), spec).into();
+        return shard::run_worker(Path::new(dir), shard).into();
     }
 
     if args.list {
@@ -699,148 +764,24 @@ fn main() -> ExitCode {
         selected.push(scenarios::fault_injection());
     }
 
-    if args.connect.is_some() {
-        return client_main(&args, &selected).into();
-    }
-    if args.state_dir.is_some() {
-        return state_dir_main(&args, &selected).into();
-    }
-    if args.processes.is_some() {
-        return processes_main(&args, &selected).into();
-    }
-
-    local_main(&args, &selected).into()
-}
-
-/// Runs the selected scenarios in this process: one [`JobSpec`] per
-/// scenario through [`JobSpec::execute`], all sharing one [`JobEnv`]
-/// whose trace store `--replay` loads from and `--record` saves to.
-fn local_main(args: &Args, selected: &[Scenario]) -> StatusCode {
-    let trace = if args.record.is_some() {
-        TraceSpec::Record
-    } else if args.replay.is_some() {
-        TraceSpec::Replay
+    let mut backend = match Backend::open(&args) {
+        Ok(backend) => backend,
+        Err(code) => return code.into(),
+    };
+    // `--connect ADDR --shutdown` alone selects nothing: no outputs.
+    let mut status = if selected.is_empty() {
+        StatusCode::Ok
     } else {
-        TraceSpec::Live
+        run_selection(&args, &mut backend, &selected)
     };
-    let mut env = JobEnv::default();
-    if let Some(dir) = &args.replay {
-        match load_traces(dir) {
-            Ok(store) => {
-                println!("replay: loaded {} trace(s) from {dir}", store.len());
-                env.traces = store;
-            }
+    if let (true, Arm::Daemon { addr, client }) = (args.shutdown, backend.arm) {
+        match client.shutdown() {
+            Ok(()) => println!("daemon at {addr} acknowledged shutdown"),
             Err(e) => {
-                eprintln!("error: {e}");
-                return StatusCode::Io;
+                eprintln!("error: shutting down daemon at {addr}: {e}");
+                status = status.worst(StatusCode::Io);
             }
         }
     }
-    // Resolved here, not left at 0, so the count printed is the count run.
-    let workers = args
-        .workers
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
-    let spec_of = |s: &Scenario| {
-        spec_for(args, s.name)
-            .with_workers(workers)
-            .with_trace(trace)
-    };
-    let csv_stream = args.csv.as_deref().and_then(open_csv_stream);
-    let mut reports: Vec<JobReport> = Vec::with_capacity(selected.len());
-    for s in selected {
-        let spec = spec_of(s);
-        println!(
-            "running {:<16} ({} workloads x {} uops, {workers} workers, {} integrator)",
-            s.name,
-            s.workloads(spec.smoke).len(),
-            spec.uops,
-            spec.integrator
-        );
-        let stream = CellStream {
-            scenario: s.name,
-            progress: args.progress,
-            csv: csv_stream.clone(),
-        };
-        match spec.execute(&env, move |cell| stream.observe(cell)) {
-            Ok(report) => reports.push(report),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return StatusCode::Usage;
-            }
-        }
-    }
-    let csv = scenarios::to_csv(&reports);
-
-    if let Some(dir) = &args.record {
-        match save_traces(dir, &env.traces) {
-            Ok(n) => println!("recorded {n} trace(s) to {dir}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return StatusCode::Io;
-            }
-        }
-    }
-    if trace == TraceSpec::Replay {
-        let replayed: usize = reports.iter().map(|r| r.report.replayed()).sum();
-        let cells: usize = reports.iter().map(|r| r.report.cells().len()).sum();
-        println!("replay: {replayed}/{cells} cell(s) replayed, the rest ran live");
-    }
-
-    if args.verify {
-        // The serial re-run is always live and gets a fresh environment:
-        // with --replay it checks the replayed bytes against a live
-        // simulation, not against another replay.
-        println!("verify: re-running serially to check byte identity...");
-        match rerun_csv(selected, &JobEnv::default(), |s| {
-            spec_of(s).with_workers(1).with_trace(TraceSpec::Live)
-        }) {
-            Ok(serial) if serial == csv => {
-                println!("verify: serial and {workers}-worker CSV are byte-identical");
-            }
-            Ok(_) => {
-                eprintln!(
-                    "error: serial and {workers}-worker results diverge — the \
-                     bit-identity guarantee is broken"
-                );
-                return StatusCode::VerifyDiverged;
-            }
-            Err(e) => {
-                eprintln!("error: serial re-run: {e}");
-                return StatusCode::Usage;
-            }
-        }
-    }
-
-    // Rewrite the streamed CSV in canonical (suite) order: the streaming
-    // writes above are completion-ordered crash insurance; the final file
-    // is deterministic, byte-identical across worker counts.
-    if let Err(code) = write_csv(args, &csv) {
-        return code;
-    }
-    if let Some(path) = &args.json {
-        if let Err(e) = std::fs::write(path, scenarios::to_json(selected.iter().zip(&reports))) {
-            eprintln!("error: writing {path}: {e}");
-            return StatusCode::Io;
-        }
-        println!("wrote {path}");
-    }
-
-    println!(
-        "\n{}",
-        scenarios::summary_table(selected.iter().zip(&reports))
-    );
-
-    let mut failed = 0usize;
-    for (label, app, msg) in reports.iter().flat_map(JobReport::failure_lines) {
-        failed += 1;
-        report_failed_cell(&label, &app, &msg);
-    }
-    if failed > 0 {
-        eprintln!(
-            "error: {failed} cell(s) failed; surviving results were written \
-             (see rows above)"
-        );
-        return StatusCode::CellsFailed;
-    }
-    StatusCode::Ok
+    status.into()
 }

@@ -827,20 +827,6 @@ impl JobReport {
             .collect()
     }
 
-    /// The failed cells, in grid order, as `(label, app, error)` strings.
-    pub fn failure_lines(&self) -> Vec<(String, String, String)> {
-        self.report
-            .failures()
-            .map(|c| {
-                (
-                    self.row_label(c).to_string(),
-                    c.app_name.to_string(),
-                    c.result.as_ref().unwrap_err().to_string(),
-                )
-            })
-            .collect()
-    }
-
     /// The job's wire status: [`StatusCode::CellsFailed`] if any cell
     /// failed, else [`StatusCode::Ok`].
     pub fn status(&self) -> StatusCode {
@@ -1089,7 +1075,9 @@ mod tests {
             .unwrap();
         assert_eq!(report.status(), StatusCode::CellsFailed);
         assert!(report.csv_rows().is_empty());
-        let failures = report.failure_lines();
+        let failures: Vec<_> = crate::server::JobResponse::from(&report)
+            .failures()
+            .collect();
         assert_eq!(failures.len(), scenarios::suite_apps(true).len());
         assert!(failures[0].2.contains("not converged"));
     }

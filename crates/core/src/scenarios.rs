@@ -38,6 +38,7 @@
 //! ```
 
 use std::fmt::Write as _;
+use std::io;
 
 use distfront_power::LeakageModel;
 use distfront_trace::{AppProfile, PhasedProfile, Workload};
@@ -48,6 +49,7 @@ use crate::experiment::{DtmSpec, ExperimentConfig};
 use crate::job::JobReport;
 use crate::report::{FigureRow, FigureTable};
 use crate::runner::AppResult;
+use crate::server::JobResponse;
 
 /// Trip temperature for the DTM study scenarios, in °C.
 ///
@@ -403,78 +405,175 @@ pub fn csv_text(rows: impl IntoIterator<Item = impl AsRef<str>>) -> String {
     out
 }
 
-/// The successful results of a report, in suite order.
-fn results(rep: &JobReport) -> impl Iterator<Item = &AppResult> {
-    rep.report
-        .cells()
-        .iter()
-        .filter_map(|c| c.result.as_ref().ok())
+/// The [`CSV_HEADER`] columns after `scenario` and `app`: the numeric
+/// values of a row, in order.
+fn value_columns() -> impl Iterator<Item = &'static str> {
+    CSV_HEADER.split(',').skip(2)
+}
+
+/// The columns whose [`AppResult`] field is an integer count.
+const COUNT_COLUMNS: [&str; 4] = ["cycles", "uops", "emergencies", "throttled_intervals"];
+
+/// One numeric CSV value, typed as its [`AppResult`] field.
+#[derive(Debug, Clone, Copy)]
+enum Value {
+    Count(u64),
+    Real(f64),
+}
+
+/// A `CELL` row parsed back into typed values: its app, then one value
+/// per [`value_columns`] entry.
+#[derive(Debug, Clone)]
+struct CellRow {
+    app: String,
+    values: Vec<Value>,
+}
+
+impl CellRow {
+    /// Parses one [`csv_row`]; `None` unless it has exactly the
+    /// [`CSV_HEADER`] columns, each of its field's type.
+    fn parse(row: &str) -> Option<CellRow> {
+        let mut fields = row.split(',');
+        fields.next()?; // the scenario label; the registry names the run
+        let app = fields.next()?.to_string();
+        let values = value_columns()
+            .map(|column| {
+                let field = fields.next()?;
+                if COUNT_COLUMNS.contains(&column) {
+                    field.parse().ok().map(Value::Count)
+                } else {
+                    field.parse().ok().map(Value::Real)
+                }
+            })
+            .collect::<Option<Vec<_>>>()?;
+        fields.next().is_none().then_some(CellRow { app, values })
+    }
+
+    fn value(&self, column: &str) -> Value {
+        self.values[value_columns().position(|c| c == column).expect("a column")]
+    }
+
+    fn real(&self, column: &str) -> f64 {
+        match self.value(column) {
+            Value::Real(x) => x,
+            Value::Count(n) => n as f64,
+        }
+    }
+
+    fn count(&self, column: &str) -> u64 {
+        match self.value(column) {
+            Value::Count(n) => n,
+            Value::Real(_) => unreachable!("{column} is not a count column"),
+        }
+    }
+}
+
+/// One scenario's job response with its `CELL` rows parsed once into
+/// typed values: what [`to_json`] and [`summary_table`] read, whichever
+/// front end (in-process, state directory, daemon or shards) produced the
+/// response. A [`JobReport`] converts through
+/// [`JobResponse::from`](crate::server::JobResponse).
+#[derive(Debug, Clone)]
+pub struct ScenarioRun {
+    /// The registry scenario: its name and summary head the JSON entry,
+    /// and its name labels the summary row.
+    pub scenario: Scenario,
+    /// The job's response: CSV rows, failed cells and status.
+    pub response: JobResponse,
+    rows: Vec<CellRow>,
+}
+
+impl ScenarioRun {
+    /// Parses `response`'s rows.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] naming the first row that is not a
+    /// [`CSV_HEADER`] row of typed values.
+    pub fn new(scenario: Scenario, response: JobResponse) -> io::Result<ScenarioRun> {
+        let bad = |row| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("bad result row {row:?}"),
+            )
+        };
+        let rows = response
+            .csv_rows
+            .iter()
+            .map(|row| CellRow::parse(row).ok_or_else(|| bad(row)))
+            .collect::<io::Result<_>>()?;
+        Ok(ScenarioRun {
+            scenario,
+            response,
+            rows,
+        })
+    }
+}
+
+/// `s` as the body of a JSON string: quotes, backslashes and control
+/// characters escaped, everything else verbatim.
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            c if c < ' ' => {
+                write!(out, "\\u{:04x}", u32::from(c)).expect("writing to a String cannot fail")
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Renders scenario runs as a JSON document (an object with a
 /// `scenarios` array; same fields as the CSV, nested per application,
 /// plus a `failures` array naming any failed cells and their errors).
-/// Each run pairs a scenario (its name and summary head the entry) with
-/// the report of its job.
-pub fn to_json<'a>(runs: impl IntoIterator<Item = (&'a Scenario, &'a JobReport)>) -> String {
+/// Each entry is headed by its scenario's name and summary.
+pub fn to_json(runs: &[ScenarioRun]) -> String {
     let mut out = String::from("{\n  \"scenarios\": [");
-    for (i, (s, rep)) in runs.into_iter().enumerate() {
+    for (i, run) in runs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         write!(
             out,
             "\n    {{\n      \"name\": \"{}\",\n      \"summary\": \"{}\",\n      \"results\": [",
-            s.name, s.summary
+            json_str(run.scenario.name),
+            json_str(run.scenario.summary)
         )
         .expect("writing to a String cannot fail");
-        for (j, r) in results(rep).enumerate() {
+        for (j, row) in run.rows.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            let t = &r.temps;
-            write!(
-                out,
-                "\n        {{\"app\": \"{}\", \"cycles\": {}, \"uops\": {}, \"ipc\": {}, \
-                 \"cpi\": {}, \"tc_hit_rate\": {}, \"mispredict_rate\": {}, \
-                 \"avg_power_w\": {}, \"wall_time_s\": {}, \"emergencies\": {}, \
-                 \"throttled_intervals\": {}, \"over_limit_s\": {}, \
-                 \"proc_abs_max_c\": {}, \"proc_average_c\": {}, \"proc_avg_max_c\": {}, \
-                 \"frontend_abs_max_c\": {}, \"frontend_average_c\": {}, \
-                 \"trace_cache_abs_max_c\": {}, \"rob_abs_max_c\": {}, \"rat_abs_max_c\": {}}}",
-                r.app,
-                r.cycles,
-                r.uops,
-                r.ipc,
-                r.cpi,
-                r.tc_hit_rate,
-                r.mispredict_rate,
-                r.avg_power_w,
-                r.wall_time_s,
-                r.emergencies,
-                r.throttled_intervals,
-                r.over_limit_s,
-                t.processor.abs_max_c,
-                t.processor.average_c,
-                t.processor.avg_max_c,
-                t.frontend.abs_max_c,
-                t.frontend.average_c,
-                t.trace_cache.abs_max_c,
-                t.rob.abs_max_c,
-                t.rat.abs_max_c,
-            )
-            .expect("writing to a String cannot fail");
+            write!(out, "\n        {{\"app\": \"{}\"", json_str(&row.app))
+                .expect("writing to a String cannot fail");
+            // Written as `csv_row` wrote them: floats through Rust's
+            // shortest round-trip formatting, so a parsed value prints
+            // its CSV bytes back unchanged.
+            for (column, value) in value_columns().zip(&row.values) {
+                match value {
+                    Value::Count(n) => write!(out, ", \"{column}\": {n}"),
+                    Value::Real(x) => write!(out, ", \"{column}\": {x}"),
+                }
+                .expect("writing to a String cannot fail");
+            }
+            out.push('}');
         }
         out.push_str("\n      ],\n      \"failures\": [");
-        for (j, cell) in rep.report.failures().enumerate() {
+        for (j, (_, app, msg)) in run.response.failures().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            let err = cell.result.as_ref().unwrap_err();
             write!(
                 out,
-                "\n        {{\"app\": \"{}\", \"error\": \"{err}\"}}",
-                cell.app_name
+                "\n        {{\"app\": \"{}\", \"error\": \"{}\"}}",
+                json_str(&app),
+                json_str(&msg)
             )
             .expect("writing to a String cannot fail");
         }
@@ -489,34 +588,32 @@ pub fn to_json<'a>(runs: impl IntoIterator<Item = (&'a Scenario, &'a JobReport)>
 /// the *successful* cells; the final `Failed` column counts the cells
 /// that produced no result (a scenario with failures still gets a
 /// summary row from its surviving cells).
-pub fn summary_table<'a>(
-    runs: impl IntoIterator<Item = (&'a Scenario, &'a JobReport)>,
-) -> FigureTable {
+pub fn summary_table(runs: &[ScenarioRun]) -> FigureTable {
     let rows = runs
-        .into_iter()
-        .map(|(s, rep)| {
-            let ok: Vec<&AppResult> = results(rep).collect();
+        .iter()
+        .map(|run| {
+            let ok = &run.rows;
             let n = ok.len().max(1) as f64;
             // `+ 0.0` turns an empty sum's -0.0 into an unsigned zero.
-            let mean =
-                |f: &dyn Fn(&AppResult) -> f64| (ok.iter().map(|r| f(r)).sum::<f64>() + 0.0) / n;
+            let mean = |column: &str| (ok.iter().map(|r| r.real(column)).sum::<f64>() + 0.0) / n;
+            let total = |column: &str| ok.iter().map(|r| r.count(column)).sum::<u64>() as f64;
             let peak = ok
                 .iter()
-                .map(|r| r.temps.processor.abs_max_c)
+                .map(|r| r.real("proc_abs_max_c"))
                 .fold(f64::NEG_INFINITY, f64::max);
             FigureRow {
-                label: s.name.to_string(),
+                label: run.scenario.name.to_string(),
                 values: vec![
-                    mean(&|r| r.ipc),
-                    mean(&|r| r.cpi),
-                    mean(&|r| r.avg_power_w),
+                    mean("ipc"),
+                    mean("cpi"),
+                    mean("avg_power_w"),
                     if ok.is_empty() { f64::NAN } else { peak },
-                    mean(&|r| r.temps.processor.average_c),
-                    mean(&|r| r.temps.frontend.abs_max_c),
-                    ok.iter().map(|r| r.emergencies).sum::<u64>() as f64,
-                    ok.iter().map(|r| r.throttled_intervals).sum::<u64>() as f64,
-                    mean(&|r| r.over_limit_s) * 1e3,
-                    rep.report.failed() as f64,
+                    mean("proc_average_c"),
+                    mean("frontend_abs_max_c"),
+                    total("emergencies"),
+                    total("throttled_intervals"),
+                    mean("over_limit_s") * 1e3,
+                    run.response.failed as f64,
                 ],
             }
         })
@@ -548,6 +645,24 @@ mod tests {
     use super::*;
     use crate::engine::CellOutcome;
     use crate::job::{JobEnv, JobSpec};
+
+    /// The successful results of a report, in suite order.
+    fn results(rep: &JobReport) -> impl Iterator<Item = &AppResult> {
+        rep.report
+            .cells()
+            .iter()
+            .filter_map(|c| c.result.as_ref().ok())
+    }
+
+    /// Scenario `s`'s report as the output stage reads it.
+    fn run_of(s: Scenario, report: &JobReport) -> ScenarioRun {
+        ScenarioRun::new(s, JobResponse::from(report)).unwrap()
+    }
+
+    fn frames(lines: &[&str]) -> JobResponse {
+        let lines: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        JobResponse::from_frames(&lines).unwrap()
+    }
 
     /// Executes scenario `name` on the smoke suite at `uops` micro-ops
     /// per application on two workers.
@@ -650,10 +765,15 @@ mod tests {
         assert_eq!(csv.lines().count(), 1 + 2 * suite);
         assert!(csv.starts_with("scenario,app,"));
         assert!(csv.contains("dtm-emergency,tiny,"));
-        let json = to_json(scenarios.iter().zip(&reports));
+        let runs: Vec<ScenarioRun> = scenarios
+            .iter()
+            .zip(&reports)
+            .map(|(s, r)| run_of(*s, r))
+            .collect();
+        let json = to_json(&runs);
         assert!(json.contains("\"name\": \"baseline\""));
         assert_eq!(json.matches("\"app\":").count(), 2 * suite);
-        let table = summary_table(scenarios.iter().zip(&reports));
+        let table = summary_table(&runs);
         assert_eq!(table.rows.len(), 2);
         assert!(table.value("baseline", 0).unwrap() > 0.0, "IPC positive");
         assert_eq!(table.value("baseline", 9), Some(0.0), "no failed cells");
@@ -704,15 +824,78 @@ mod tests {
         // The emitters degrade instead of aborting: an all-failed scenario
         // is a header-only CSV, a failures-only JSON, and a summary row
         // whose Failed column carries the count.
-        let runs = [(fault_injection(), report)];
-        let pairs = || runs.iter().map(|(s, r)| (s, r));
-        assert_eq!(
-            to_csv(runs.iter().map(|(_, r)| r)),
-            format!("{CSV_HEADER}\n")
-        );
-        let json = to_json(pairs());
+        let runs = [run_of(fault_injection(), &report)];
+        assert_eq!(to_csv([&report]), format!("{CSV_HEADER}\n"));
+        let json = to_json(&runs);
         assert_eq!(json.matches("\"error\": \"not converged").count(), suite);
-        let table = summary_table(pairs());
+        let table = summary_table(&runs);
         assert_eq!(table.value("fault-injection", 9), Some(suite as f64));
+    }
+
+    #[test]
+    fn json_writes_each_parsed_row_value_as_the_csv_wrote_it() {
+        let row = "baseline,gzip,123456,40000,0.32,3.125,0.9,0.0001,12.5,0.000001,\
+                   2,3,0.5,100.25,60,-0,81,71,79,78,77";
+        let run = ScenarioRun::new(
+            by_name("baseline").unwrap(),
+            frames(&[&format!("CELL {row}"), "DONE status=0 cells=1 failed=0"]),
+        )
+        .unwrap();
+        let json = to_json(std::slice::from_ref(&run));
+        let want = "{\"app\": \"gzip\", \"cycles\": 123456, \"uops\": 40000, \"ipc\": 0.32, \
+                    \"cpi\": 3.125, \"tc_hit_rate\": 0.9, \"mispredict_rate\": 0.0001, \
+                    \"avg_power_w\": 12.5, \"wall_time_s\": 0.000001, \"emergencies\": 2, \
+                    \"throttled_intervals\": 3, \"over_limit_s\": 0.5, \
+                    \"proc_abs_max_c\": 100.25, \"proc_average_c\": 60, \"proc_avg_max_c\": -0, \
+                    \"frontend_abs_max_c\": 81, \"frontend_average_c\": 71, \
+                    \"trace_cache_abs_max_c\": 79, \"rob_abs_max_c\": 78, \"rat_abs_max_c\": 77}";
+        assert!(json.contains(want), "{json}");
+        let table = summary_table(&[run]);
+        assert_eq!(table.value("baseline", 0), Some(0.32));
+        assert_eq!(table.value("baseline", 6), Some(2.0), "emergencies");
+        assert_eq!(table.value("baseline", 8), Some(500.0), "over-limit ms");
+    }
+
+    #[test]
+    fn rows_that_do_not_parse_are_invalid_data() {
+        let good = "baseline,gzip,1,2,0.5,2,0.9,0.01,12.5,0.1,0,0,0,80,70,75,81,71,79,78,77";
+        assert!(CellRow::parse(good).is_some());
+        for bad in [
+            "baseline,gzip",
+            "baseline,gzip,1,2,0.5,2,0.9,0.01,12.5,0.1,0,0,0,80,70,75,81,71,79,78",
+            "baseline,gzip,1,2,0.5,2,0.9,0.01,12.5,0.1,0,0,0,80,70,75,81,71,79,78,77,1",
+            "baseline,gzip,1.5,2,0.5,2,0.9,0.01,12.5,0.1,0,0,0,80,70,75,81,71,79,78,77",
+            "baseline,gzip,-1,2,0.5,2,0.9,0.01,12.5,0.1,0,0,0,80,70,75,81,71,79,78,77",
+            "baseline,gzip,1,2,x,2,0.9,0.01,12.5,0.1,0,0,0,80,70,75,81,71,79,78,77",
+        ] {
+            assert!(CellRow::parse(bad).is_none(), "{bad}");
+            let cell = format!("CELL {bad}");
+            let response = frames(&[&cell, "DONE status=0 cells=1 failed=0"]);
+            let err = ScenarioRun::new(by_name("baseline").unwrap(), response).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad}");
+        }
+    }
+
+    #[test]
+    fn json_escapes_quotes_backslashes_and_control_characters() {
+        // A daemon's ERRCELL message, label and app reach the JSON
+        // verbatim; none of them may break the document.
+        let response = frames(&[
+            "ERRCELL lbl a\\b solver said \"no\" at C:\\tmp\tthen\u{1}",
+            "DONE status=2 cells=1 failed=1",
+        ]);
+        let run = ScenarioRun::new(fault_injection(), response).unwrap();
+        let json = to_json(&[run]);
+        assert!(
+            json.contains(
+                "{\"app\": \"a\\\\b\", \
+                 \"error\": \"solver said \\\"no\\\" at C:\\\\tmp\\u0009then\\u0001\"}"
+            ),
+            "{json}"
+        );
+        assert_eq!(
+            json_str("10 °C — non-ASCII passes"),
+            "10 °C — non-ASCII passes"
+        );
     }
 }

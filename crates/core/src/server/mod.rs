@@ -88,7 +88,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
 use crate::engine::TraceStore;
-use crate::job::{JobClass, JobEnv, JobSpec, StatusCode};
+use crate::job::{JobClass, JobEnv, JobReport, JobSpec, StatusCode};
 use crate::store::DurableStore;
 
 /// One job waiting on an executor.
@@ -710,9 +710,7 @@ impl JobResponse {
     }
 
     /// The failed cells, in frame order, as `(label, app, message)`: the
-    /// fields of each `ERRCELL` frame, as
-    /// [`JobReport::failure_lines`](crate::job::JobReport::failure_lines)
-    /// yields them for the job that wrote the frames.
+    /// fields of each `ERRCELL` frame.
     pub fn failures(&self) -> impl Iterator<Item = (String, String, String)> + '_ {
         self.result_lines
             .iter()
@@ -778,6 +776,16 @@ impl JobResponse {
     }
 }
 
+impl From<&JobReport> for JobResponse {
+    /// The response a job's own result frames describe: what a daemon
+    /// answers for the same job, read through
+    /// [`protocol::result_frames`] and [`JobResponse::from_frames`].
+    fn from(report: &JobReport) -> JobResponse {
+        JobResponse::from_frames(&protocol::result_frames(report))
+            .expect("a report's own result frames always parse")
+    }
+}
+
 /// A client connection to a running daemon — what `--connect` and the
 /// integration tests drive.
 #[derive(Debug)]
@@ -810,13 +818,27 @@ impl Client {
     }
 
     fn recv(&mut self) -> io::Result<String> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        let mut buf = Vec::new();
+        // At most MAX_LINE_BYTES per frame, as the daemon reads requests,
+        // so a daemon that never sends a newline cannot grow this buffer
+        // without bound.
+        let n = (&mut self.reader)
+            .take(protocol::MAX_LINE_BYTES)
+            .read_until(b'\n', &mut buf)?;
+        if n == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "daemon closed the connection",
             ));
         }
+        if n as u64 == protocol::MAX_LINE_BYTES && !buf.ends_with(b"\n") {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame exceeds {} bytes", protocol::MAX_LINE_BYTES),
+            ));
+        }
+        let mut line =
+            String::from_utf8(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         while line.ends_with(['\n', '\r']) {
             line.pop();
         }
@@ -983,6 +1005,31 @@ mod tests {
                 "warm start diverged".to_string()
             )]
         );
+    }
+
+    #[test]
+    fn client_rejects_a_frame_longer_than_the_line_bound() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let daemon = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(stream.try_clone().unwrap())
+                .read_line(&mut request)
+                .unwrap();
+            // A frame one byte past the bound, with no newline; then EOF.
+            let frame = vec![b'x'; protocol::MAX_LINE_BYTES as usize + 1];
+            let _ = stream.write_all(&frame);
+            let _ = stream.shutdown(Shutdown::Write);
+            // Hold the connection until the client hangs up.
+            let _ = stream.read(&mut [0u8; 1]);
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let err = client.ping().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        drop(client);
+        daemon.join().unwrap();
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! prefixes, no binary. A request line may be at most
 //! [`MAX_LINE_BYTES`] long, its newline included; a longer one is
 //! answered with a connection-level `ERR` and the connection is closed.
+//! The [`Client`] holds the daemon's frames to the same bound: a longer
+//! one is an [`InvalidData`](std::io::ErrorKind::InvalidData) error.
+//!
+//! [`Client`]: crate::server::Client
 //!
 //! Client → server commands:
 //!
@@ -78,9 +82,9 @@
 use crate::engine::CellOutcome;
 use crate::job::{JobClass, JobReport, JobSpec, LabelSource, StatusCode};
 
-/// The longest client → server line the daemon reads, newline included
-/// (1 MiB). A `JOB` line is a few hundred bytes; the bound only stops a
-/// client that never sends a newline from growing the daemon's buffer.
+/// The longest line either side reads, newline included (1 MiB). A `JOB`
+/// line or a result frame is a few hundred bytes; the bound only stops a
+/// peer that never sends a newline from growing the reader's buffer.
 pub const MAX_LINE_BYTES: u64 = 1 << 20;
 
 /// A parsed client → server command line.

@@ -294,18 +294,15 @@ impl From<io::Error> for ShardError {
 /// What a sharded run produced, merged across every surviving shard.
 #[derive(Debug, Clone)]
 pub struct ShardOutcome {
-    /// CSV rows of every successful cell, canonical grid order —
-    /// byte-identical to [`JobReport::csv_rows`](crate::job::JobReport::csv_rows)
-    /// for the same spec run in one process.
+    /// The merged response: every surviving shard's `CELL`/`ERRCELL`
+    /// frames concatenated in shard order, then one `DONE` whose status
+    /// is [`StatusCode::ShardFailed`] if any shard died permanently,
+    /// else [`StatusCode::CellsFailed`] if any cell failed, else
+    /// [`StatusCode::Ok`]. Its cell frames are byte-identical to those
+    /// of the same spec run in one process.
+    pub response: JobResponse,
+    /// The merged response's CSV rows.
     pub csv_rows: Vec<String>,
-    /// `(label, app, message)` for every failed cell, canonical grid
-    /// order — matching
-    /// [`JobReport::failure_lines`](crate::job::JobReport::failure_lines).
-    pub failures: Vec<(String, String, String)>,
-    /// The run's exit status: [`StatusCode::ShardFailed`] if any shard
-    /// died permanently, else [`StatusCode::CellsFailed`] if any cell
-    /// failed, else [`StatusCode::Ok`].
-    pub status: StatusCode,
     /// Worker launches per shard: 0 = answered from its stored record (a
     /// rerun on the same directory), 1 = a clean run.
     pub attempts: Vec<usize>,
@@ -455,27 +452,32 @@ impl ShardRunner {
 
         // Merge: ranges are contiguous and ascending, so the shards'
         // frames concatenated in shard order are in canonical grid order.
-        let mut csv_rows = Vec::new();
-        let mut failures = Vec::new();
+        let mut frames = Vec::new();
+        let mut failed = 0;
         for response in completed.into_iter().flatten() {
-            failures.extend(response.failures());
-            csv_rows.extend(response.csv_rows);
+            failed += response.failed;
+            frames.extend_from_slice(&response.result_lines[..response.cells]);
         }
         let status = if !failed_shards.is_empty() {
             StatusCode::ShardFailed
-        } else if !failures.is_empty() {
+        } else if failed > 0 {
             StatusCode::CellsFailed
         } else {
             StatusCode::Ok
         };
+        let merged = frames.len();
+        frames.push(format!(
+            "DONE status={} cells={merged} failed={failed}",
+            status.code()
+        ));
+        let response = JobResponse::from_frames(&frames).expect("merged shard frames always parse");
         Ok(ShardOutcome {
-            merged: csv_rows.len() + failures.len(),
-            csv_rows,
-            failures,
-            status,
+            csv_rows: response.csv_rows.clone(),
+            response,
             attempts,
             failed_shards,
             cells,
+            merged,
         })
     }
 

@@ -6,10 +6,16 @@ use std::sync::Arc;
 
 use distfront::engine::{CoupledEngine, EngineError, SweepRunner, TraceMode, TraceStore};
 use distfront::job::{JobEnv, JobReport, JobSpec, TraceSpec};
-use distfront::scenarios;
+use distfront::scenarios::{self, Scenario, ScenarioRun};
+use distfront::server::JobResponse;
 use distfront::ExperimentConfig;
 use distfront_trace::record::PointKey;
 use distfront_trace::{ActivityTrace, AppProfile, Workload};
+
+/// The JSON the CLI writes for scenario `s`'s report.
+fn json_of(s: Scenario, report: &JobReport) -> String {
+    scenarios::to_json(&[ScenarioRun::new(s, JobResponse::from(report)).unwrap()])
+}
 
 /// Executes scenario `name` on the smoke suite on `workers` workers,
 /// with `trace` bound to `store`.
@@ -39,7 +45,7 @@ fn replayed_scenarios_are_byte_identical_to_live_at_1_2_5_workers() {
         let store = Arc::new(TraceStore::new());
         let live = run(name, 2, TraceSpec::Live, &store);
         let live_csv = scenarios::to_csv([&live]);
-        let live_json = scenarios::to_json([(&scenario, &live)]);
+        let live_json = json_of(scenario, &live);
 
         // Recording taps must not change the run.
         let recorded = run(name, 2, TraceSpec::Record, &store);
@@ -59,7 +65,7 @@ fn replayed_scenarios_are_byte_identical_to_live_at_1_2_5_workers() {
                 "{name}: CSV diverged at {workers} workers"
             );
             assert_eq!(
-                scenarios::to_json([(&scenario, &replayed)]),
+                json_of(scenario, &replayed),
                 live_json,
                 "{name}: JSON diverged at {workers} workers"
             );

@@ -4,11 +4,17 @@
 //! paper-shaped effect on a hot workload.
 
 use distfront::job::{JobEnv, JobReport, JobSpec};
-use distfront::scenarios;
+use distfront::scenarios::{self, Scenario, ScenarioRun};
+use distfront::server::JobResponse;
 use distfront::{
     run_app, AppResult, DtmSpec, DvfsPolicy, ExperimentConfig, FetchGatePolicy, MigrationPolicy,
 };
 use distfront_trace::AppProfile;
+
+/// The JSON the CLI writes for scenario `s`'s report.
+fn json_of(s: Scenario, report: &JobReport) -> String {
+    scenarios::to_json(&[ScenarioRun::new(s, JobResponse::from(report)).unwrap()])
+}
 
 /// Executes scenario `name` on the smoke suite at 30 k micro-ops per
 /// application, with `integrator` on `workers` workers.
@@ -168,10 +174,7 @@ fn scenario_bytes_identical_across_workers_for_both_integrators() {
     let s = scenarios::by_name("dtm-dvfs").unwrap();
     for integrator in [Integrator::Expm, Integrator::Rk4] {
         let serial = smoke_run(s.name, integrator, 1);
-        let (csv1, json1) = (
-            scenarios::to_csv([&serial]),
-            scenarios::to_json([(&s, &serial)]),
-        );
+        let (csv1, json1) = (scenarios::to_csv([&serial]), json_of(s, &serial));
         for workers in [2, 5] {
             let parallel = smoke_run(s.name, integrator, workers);
             assert_eq!(
@@ -181,7 +184,7 @@ fn scenario_bytes_identical_across_workers_for_both_integrators() {
             );
             assert_eq!(
                 json1,
-                scenarios::to_json([(&s, &parallel)]),
+                json_of(s, &parallel),
                 "{integrator:?} JSON diverged at {workers} workers"
             );
         }

@@ -9,6 +9,7 @@ use std::path::PathBuf;
 
 use distfront::engine::SweepRunner;
 use distfront::job::{JobEnv, JobSpec, StatusCode};
+use distfront::server::JobResponse;
 use distfront::shard::{partition, ShardRunner, ShardSpec};
 use distfront::{scenarios, ExperimentConfig};
 use distfront_power::LeakageModel;
@@ -133,11 +134,14 @@ fn every_scenario_is_byte_identical_across_1_2_3_processes() {
                 "{name} at {processes} processes: rows diverged"
             );
             assert_eq!(
-                outcome.failures,
-                serial.failure_lines(),
+                outcome.response.failures().collect::<Vec<_>>(),
+                JobResponse::from(&serial).failures().collect::<Vec<_>>(),
                 "{name} at {processes} processes: failure lines diverged"
             );
-            assert_eq!(outcome.status, expected_status, "{name} at {processes}");
+            assert_eq!(
+                outcome.response.status, expected_status,
+                "{name} at {processes}"
+            );
             assert_eq!(outcome.failed_shards, Vec::<usize>::new());
             assert!(
                 outcome.attempts.iter().all(|&a| a == 1),
@@ -176,7 +180,7 @@ fn sigkilled_worker_is_requeued_and_merge_stays_byte_identical() {
         .with_worker(worker_bin())
         .run()
         .unwrap();
-    assert_eq!(outcome.status, StatusCode::Ok);
+    assert_eq!(outcome.response.status, StatusCode::Ok);
     assert_eq!(
         outcome.attempts,
         vec![1, 2, 1],
@@ -184,7 +188,10 @@ fn sigkilled_worker_is_requeued_and_merge_stays_byte_identical() {
     );
     assert_eq!(outcome.failed_shards, Vec::<usize>::new());
     assert_eq!(outcome.csv_rows, serial.csv_rows());
-    assert_eq!(outcome.failures, serial.failure_lines());
+    assert_eq!(
+        outcome.response.failures().collect::<Vec<_>>(),
+        JobResponse::from(&serial).failures().collect::<Vec<_>>()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -212,7 +219,7 @@ fn dead_shard_after_retries_reports_shard_failed_and_keeps_survivors() {
         .with_worker(worker_bin())
         .run()
         .unwrap();
-    assert_eq!(outcome.status, StatusCode::ShardFailed);
+    assert_eq!(outcome.response.status, StatusCode::ShardFailed);
     assert_eq!(outcome.failed_shards, vec![2]);
     assert_eq!(outcome.attempts, vec![1, 1, 1], "retries were disabled");
     // The smoke suite has 4 cells; shard 2 of 3 owned exactly the last.
@@ -249,7 +256,7 @@ fn rerun_on_the_same_dir_reuses_records_and_does_not_grow_the_store() {
             .collect()
     };
     let first = run();
-    assert_eq!(first.status, StatusCode::Ok);
+    assert_eq!(first.response.status, StatusCode::Ok);
     assert_eq!(
         first.attempts,
         vec![1, 1],
@@ -259,8 +266,11 @@ fn rerun_on_the_same_dir_reuses_records_and_does_not_grow_the_store() {
     for _ in 0..2 {
         let again = run();
         assert_eq!(again.csv_rows, first.csv_rows);
-        assert_eq!(again.failures, first.failures);
-        assert_eq!(again.status, first.status);
+        assert_eq!(
+            again.response.failures().collect::<Vec<_>>(),
+            first.response.failures().collect::<Vec<_>>()
+        );
+        assert_eq!(again.response.status, first.response.status);
         assert_eq!(again.attempts, vec![0, 0]);
         assert_eq!(segment_sizes(), sizes, "a rerun appended to a shard store");
     }

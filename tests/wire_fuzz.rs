@@ -15,9 +15,17 @@
 //! inputs and flip, cut and replace bytes at random; garbage comes bare
 //! and behind a valid prefix. A frame record is one input with its frames
 //! on separate lines.
+//!
+//! The [`Client`] reads the same frames off a socket: fed a daemon's
+//! response stream, mutated the same ways or holding a line past
+//! [`protocol::MAX_LINE_BYTES`], it must answer an error or a response
+//! that agrees with its own counts, never panic or read without bound.
 
 use distfront::job::{JobClass, JobSpec, TraceSpec};
-use distfront::server::{Command, DaemonStats, JobResponse};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener};
+
+use distfront::server::{protocol, Client, Command, DaemonStats, JobResponse};
 use distfront::Integrator;
 use distfront_trace::rng::SplitMix64;
 use proptest::prelude::*;
@@ -210,6 +218,78 @@ fn pick(rng: &mut SplitMix64) -> Vec<u8> {
         .into_bytes()
 }
 
+/// Valid daemon response streams to one `JOB`.
+fn response_streams() -> Vec<Vec<u8>> {
+    [
+        "QUEUED job=0 fp=00000000000000ab class=interactive\n\
+         PROGRESS job=0 baseline gzip ok\n\
+         CELL job=0 baseline,gzip,1\n\
+         ERRCELL job=0 baseline mcf warm start diverged\n\
+         DONE job=0 status=2 cells=2 failed=1 cached=0\n",
+        "CELL job=0 drc,gzip,1.5,2\nDONE job=0 status=0 cells=1 failed=0 cached=1\n",
+        "QUEUED job=0 fp=00000000000000ab class=deferrable\nERR job=0 64 unknown scenario\n",
+    ]
+    .map(|s| s.as_bytes().to_vec())
+    .to_vec()
+}
+
+/// Submits a job to a stand-in daemon that answers `stream` and then
+/// closes its side.
+fn submit_to_stand_in(stream: Vec<u8>) -> io::Result<JobResponse> {
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    let addr = listener.local_addr()?;
+    let daemon = std::thread::spawn(move || {
+        let (mut socket, _) = listener.accept().unwrap();
+        let mut request = String::new();
+        BufReader::new(socket.try_clone().unwrap())
+            .read_line(&mut request)
+            .unwrap();
+        let _ = socket.write_all(&stream);
+        let _ = socket.shutdown(Shutdown::Write);
+        let _ = socket.read(&mut [0u8; 1]); // until the client hangs up
+    });
+    let mut client = Client::connect(addr)?;
+    let outcome = client.submit(&JobSpec::scenario("baseline"));
+    drop(client);
+    daemon.join().expect("stand-in daemon panicked");
+    outcome
+}
+
+/// The client must not panic on `stream`, and a response it parses must
+/// hold one result line per cell plus the `DONE` line (or be an `ERR`).
+fn client_reads(stream: Vec<u8>) -> Result<(), String> {
+    match submit_to_stand_in(stream) {
+        Ok(r)
+            if r.error.is_none() && (r.result_lines.len() != r.cells + 1 || r.failed > r.cells) =>
+        {
+            Err(format!("{r:?} disagrees with its counts"))
+        }
+        _ => Ok(()),
+    }
+}
+
+#[test]
+fn the_client_reads_valid_streams_and_rejects_over_long_lines() {
+    for stream in response_streams() {
+        submit_to_stand_in(stream).unwrap();
+    }
+    let over = protocol::MAX_LINE_BYTES as usize + 1;
+    let mut long = b"CELL job=0 ".to_vec();
+    long.resize(over, b'x');
+    for stream in [vec![b'x'; over], long] {
+        // Alone, after a valid prefix, and with a newline past the bound.
+        let mut prefixed = b"QUEUED job=0 fp=00000000000000ab class=interactive\n".to_vec();
+        prefixed.extend_from_slice(&stream);
+        let mut ended = stream.clone();
+        ended.push(b'\n');
+        for input in [stream, prefixed, ended] {
+            let err = submit_to_stand_in(input).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("exceeds"), "{err}");
+        }
+    }
+}
+
 #[test]
 fn the_unmutated_lines_parse_and_round_trip() {
     for line in jobspec_lines() {
@@ -269,5 +349,30 @@ proptest! {
         let prefix = String::from_utf8(pick(&mut rng)).unwrap();
         check(&format!("{prefix} {tail}"))?;
         check(&format!("{prefix}{tail}"))?;
+    }
+}
+
+proptest! {
+    // Each case is a socket round trip, so fewer cases than the parsers.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// A daemon's response stream flipped, cut or followed by garbage.
+    #[test]
+    fn mutated_response_streams_never_panic_the_client(seed in 0u64..u64::MAX) {
+        let mut rng = SplitMix64::new(seed);
+        let streams = response_streams();
+        let mut bytes = streams[rng.next_below(streams.len() as u64) as usize].clone();
+        for _ in 0..rng.next_below(4) {
+            let at = rng.next_below(bytes.len() as u64) as usize;
+            bytes[at] ^= 1 + rng.next_below(255) as u8;
+        }
+        match rng.next_below(3) {
+            0 => bytes.truncate(rng.next_below(bytes.len() as u64 + 1) as usize),
+            1 => {
+                let len = rng.next_below(48) as usize;
+                bytes.extend_from_slice(garbage(&mut rng, len).as_bytes());
+            }
+            _ => {}
+        }
+        client_reads(bytes)?;
     }
 }
