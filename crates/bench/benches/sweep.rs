@@ -1,9 +1,9 @@
 //! Serial vs threads vs processes sweep head-to-head.
 //!
 //! First the 26-application evaluation set runs under the baseline and
-//! the combined distributed frontend as one [`JobSpec`] grid three ways:
-//! one worker, every hardware thread, and sharded across OS processes
-//! via [`ShardRunner`] (the only configuration where cells do not share
+//! the combined distributed frontend as one two-scenario [`JobSpec`]
+//! three ways: one worker, every hardware thread, and sharded across OS
+//! processes via [`ShardRunner`] (the only configuration where cells do not share
 //! an address space — real multi-core contention, not timesharing).
 //! Byte-identity of all three reports is asserted before any number is
 //! reported. The process leg needs the `distfront-scenarios` worker
@@ -41,9 +41,8 @@ fn worker_binary() -> Option<PathBuf> {
 /// section.
 fn executor_head_to_head() -> String {
     let uops = bench_uops();
-    let apps: Vec<&str> = evaluation_apps().iter().map(|a| a.name).collect();
-    let cells = 2 * apps.len();
-    let spec = JobSpec::grid(["baseline", "drc+bh+ab"], apps).with_uops(uops);
+    let cells = 2 * evaluation_apps().len();
+    let spec = JobSpec::scenarios(["baseline", "drc+bh+ab"]).with_uops(uops);
     let cores = SweepRunner::new().threads();
     println!(
         "\nsweep executor: {cells} cells x {uops} uops, serial vs {cores} threads vs processes..."

@@ -28,22 +28,22 @@
 //!                    otherwise); byte-identical output, several times
 //!                    faster per replayed cell
 //!
-//! Back ends (at most one; without one, jobs run in this process):
+//! Back ends (at most one; without one, the job runs in this process):
 //!   --state-dir DIR  run against DIR's crash-safe segment store (the
-//!                    same layout `distfront-sweepd --state-dir` uses):
-//!                    scenarios whose content fingerprint is already
-//!                    stored are served from disk byte-identically, new
-//!                    ones run and are appended
-//!   --processes N    shard each scenario's grid across N worker processes
+//!                    same layout `distfront-sweepd --state-dir` uses),
+//!                    which holds one result per scenario: a selection
+//!                    whose scenarios are all stored is served from disk
+//!                    byte-identically; any other runs whole and every
+//!                    scenario's result is appended
+//!   --processes N    shard the selection's cells across N worker processes
 //!                    (see [`distfront::shard`]); the merged rows are
 //!                    byte-identical to a serial run and dead workers are
 //!                    re-queued with bounded retries
 //!   --shard-retries N  re-queue a failed shard up to N times before
 //!                    declaring it dead (default 2; needs --processes)
 //!   --shard-dir DIR  the shards' state directory (default: under the
-//!                    system temp dir); each scenario gets a subdirectory
-//!                    (needs --processes)
-//!   --connect ADDR   submit each scenario as a job to a running sweep
+//!                    system temp dir; needs --processes)
+//!   --connect ADDR   submit the selection as one job to a running sweep
 //!                    daemon (see `distfront-sweepd`) and stream the
 //!                    results back
 //!   --class C        job class: interactive (default, run-ahead) or
@@ -56,8 +56,10 @@
 //!                    (launched by the coordinator; needs --shard-dir)
 //! ```
 //!
-//! Every back end runs the same [`JobSpec`] per selected scenario and
-//! answers a [`JobResponse`]; one output stage then serves them all:
+//! The selection is one [`JobSpec`], one row per scenario in selection
+//! order (a scenario named twice is a usage error), and every back end
+//! runs it as one job and answers one [`JobResponse`]. One output stage
+//! splits the response into its scenarios and serves every back end:
 //! `--record`'s traces and `--replay`'s count, `--verify`, the CSV, the
 //! JSON, the summary table, the failed cells and the exit status. The
 //! only exclusions left: `--record` and `--replay` exclude each other
@@ -235,27 +237,29 @@ fn list() {
 /// Streams per-cell progress lines and (optionally) CSV rows to `csv` as
 /// cells complete, so a killed run still leaves partial results on disk,
 /// and counts the replayed cells `--replay` reports. Rows arrive in
-/// completion order; the output stage rewrites the file in canonical
-/// order once the run finishes.
+/// completion order, labeled by their row's scenario; the output stage
+/// rewrites the file in canonical order once the run finishes.
 #[derive(Clone, Default)]
 struct CellStream {
-    scenario: &'static str,
+    /// Each job row's scenario name.
+    labels: Vec<&'static str>,
     progress: bool,
     csv: Option<Arc<Mutex<std::fs::File>>>,
     replayed: Arc<AtomicUsize>,
 }
 
 impl CellStream {
-    /// This stream's cell callback for one scenario's job.
-    fn observer(&self, scenario: &'static str) -> impl Fn(&CellOutcome) + Send + Sync + 'static {
+    /// This stream's cell callback for the job of `selected`.
+    fn observer(&self, selected: &[Scenario]) -> impl Fn(&CellOutcome) + Send + Sync + 'static {
         let stream = CellStream {
-            scenario,
+            labels: selected.iter().map(|s| s.name).collect(),
             ..self.clone()
         };
         move |cell| stream.observe(cell)
     }
 
     fn observe(&self, cell: &CellOutcome) {
+        let scenario = self.labels[cell.config];
         if cell.replayed {
             self.replayed.fetch_add(1, Ordering::Relaxed);
         }
@@ -263,17 +267,17 @@ impl CellStream {
             match &cell.result {
                 Ok(_) => eprintln!(
                     "  [{}/{}] ok in {:.2}s{}",
-                    self.scenario,
+                    scenario,
                     cell.app_name,
                     cell.wall_time_s,
                     if cell.replayed { " (replayed)" } else { "" }
                 ),
-                Err(e) => eprintln!("  [{}/{}] FAILED: {e}", self.scenario, cell.app_name),
+                Err(e) => eprintln!("  [{scenario}/{}] FAILED: {e}", cell.app_name),
             }
         }
         if let (Some(file), Ok(r)) = (&self.csv, &cell.result) {
             let mut file = file.lock().expect("csv stream poisoned");
-            let row = scenarios::csv_row(self.scenario, r);
+            let row = scenarios::csv_row(scenario, r);
             if let Err(e) = writeln!(file, "{row}").and_then(|()| file.flush()) {
                 eprintln!("warning: streaming CSV row: {e}");
             }
@@ -328,7 +332,7 @@ fn save_traces(dir: &str, store: &TraceStore) -> Result<usize, String> {
 
 /// Opens `path` for streaming CSV rows, starting with the header so a
 /// partial file is self-describing even if the run dies on the first
-/// scenario. One shared handle serves every scenario's stream.
+/// cell.
 fn open_csv_stream(path: &str) -> Option<Arc<Mutex<std::fs::File>>> {
     match std::fs::File::create(path)
         .and_then(|mut f| writeln!(f, "{}", scenarios::CSV_HEADER).map(|()| f))
@@ -344,7 +348,7 @@ fn open_csv_stream(path: &str) -> Option<Arc<Mutex<std::fs::File>>> {
 /// The job a scenario selection + CLI flags describe — the same
 /// [`JobSpec`] every back end runs, so a back end changes where the spec
 /// runs, never what it means.
-fn spec_for(args: &Args, scenario: &str) -> JobSpec {
+fn spec_for(args: &Args, selected: &[Scenario]) -> JobSpec {
     let trace = if args.record.is_some() {
         TraceSpec::Record
     } else if args.replay.is_some() {
@@ -352,7 +356,7 @@ fn spec_for(args: &Args, scenario: &str) -> JobSpec {
     } else {
         TraceSpec::Live
     };
-    let mut spec = JobSpec::scenario(scenario)
+    let mut spec = JobSpec::scenarios(selected.iter().map(|s| s.name))
         .with_smoke(args.smoke)
         .with_class(args.class)
         .with_trace(trace);
@@ -374,9 +378,9 @@ fn usage_error(e: JobSpecError) -> StatusCode {
     StatusCode::Usage
 }
 
-/// Where each scenario's job runs: the one seam between the selection
-/// loop and the output stage. Every arm answers a [`JobResponse`], so
-/// the output stage cannot tell them apart.
+/// Where the selection's job runs: the one seam between the selection and
+/// the output stage. Every arm answers a [`JobResponse`], so the output
+/// stage cannot tell them apart.
 struct Backend {
     arm: Arm,
     /// The environment the in-process and state-dir arms execute on.
@@ -386,27 +390,27 @@ struct Backend {
 }
 
 enum Arm {
-    /// In this process through [`JobSpec::execute`] at `workers`, every
-    /// scenario on the one [`JobEnv`] whose trace store `--replay` loads
-    /// and `--record` saves.
+    /// In this process through [`JobSpec::execute`] at `workers`, on the
+    /// one [`JobEnv`] whose trace store `--replay` loads and `--record`
+    /// saves.
     InProcess { workers: usize },
     /// Against a local [`DurableStore`] through the daemon's persistent
-    /// [`ResultCache`]: a stored job is served from disk (byte-identical
-    /// frames, no cell solved), a new one executes and is inserted and
-    /// flushed before it is reported — the daemon's cache semantics on
-    /// the layout `sweepd --state-dir` reads and writes.
+    /// [`ResultCache`]: a job whose scenarios are all stored is served
+    /// from disk (byte-identical frames, no cell solved); any other
+    /// executes, and each scenario's frames are inserted and flushed
+    /// before it is reported — the daemon's cache semantics on the layout
+    /// `sweepd --state-dir` reads and writes.
     StateDir {
         store: Arc<DurableStore>,
         results: ResultCache,
     },
-    /// On a running daemon, one `JOB` per scenario.
+    /// On a running daemon, as one `JOB`.
     Daemon { addr: String, client: Client },
-    /// Sharded across worker processes by [`ShardRunner`], each scenario
-    /// in its own subdirectory of `base`.
+    /// Sharded across worker processes by [`ShardRunner`] in `dir`.
     Shards {
         processes: usize,
         retries: Option<usize>,
-        base: PathBuf,
+        dir: PathBuf,
     },
 }
 
@@ -441,7 +445,7 @@ impl Backend {
             env.traces = Arc::new(TraceStore::persistent(Arc::clone(&store), snapshot.traces));
             Arm::StateDir { store, results }
         } else if let Some(processes) = args.processes {
-            let base = args.shard_dir.as_ref().map_or_else(
+            let dir = args.shard_dir.as_ref().map_or_else(
                 || std::env::temp_dir().join(format!("distfront-shard-{}", std::process::id())),
                 PathBuf::from,
             );
@@ -449,7 +453,7 @@ impl Backend {
             Arm::Shards {
                 processes,
                 retries,
-                base,
+                dir,
             }
         } else {
             if let Some(dir) = &args.replay {
@@ -479,53 +483,57 @@ impl Backend {
         }
     }
 
-    /// Runs scenario `s`'s job `spec` and answers its response; an `Err`
-    /// (already reported) stops the selection.
-    fn run(&mut self, s: &Scenario, spec: &JobSpec) -> Result<JobResponse, StatusCode> {
+    /// Runs the job `spec` of `selected` and answers its response; an
+    /// `Err` (already reported) stops the run.
+    fn run(&mut self, selected: &[Scenario], spec: &JobSpec) -> Result<JobResponse, StatusCode> {
+        let label = match &spec.scenarios[..] {
+            [one] => one.clone(),
+            many => format!("{} scenarios", many.len()),
+        };
         match &mut self.arm {
             Arm::InProcess { workers } => {
                 let spec = spec.clone().with_workers(*workers);
-                println!(
-                    "running {:<16} ({} workloads x {} uops, {workers} workers, {} integrator)",
-                    s.name,
-                    s.workloads(spec.smoke).len(),
-                    spec.uops,
-                    spec.integrator
-                );
+                for s in selected {
+                    println!(
+                        "running {:<16} ({} workloads x {} uops, {workers} workers, {} integrator)",
+                        s.name,
+                        s.workloads(spec.smoke).len(),
+                        spec.uops,
+                        spec.integrator
+                    );
+                }
                 let report = spec
-                    .execute(&self.env, self.stream.observer(s.name))
+                    .execute(&self.env, self.stream.observer(selected))
                     .map_err(usage_error)?;
                 Ok(JobResponse::from(&report))
             }
             Arm::StateDir { store, results } => {
-                let fingerprint = spec.fingerprint().map_err(usage_error)?;
-                let frames = if let Some(frames) = results.lookup(fingerprint) {
-                    println!(
-                        "  {}: served from state dir (fp={fingerprint:016x})",
-                        s.name
-                    );
-                    frames
-                } else {
-                    println!("running {:<16} (fp={fingerprint:016x})", s.name);
-                    let report = spec
-                        .execute(&self.env, self.stream.observer(s.name))
-                        .map_err(usage_error)?;
-                    let frames = protocol::result_frames(&report);
-                    results.insert(fingerprint, frames.clone());
-                    // The daemon's insert-batch boundary: durable before
-                    // the result is reported anywhere.
-                    if let Err(e) = store.flush() {
-                        eprintln!("warning: persisting {}: {e}", s.name);
+                let rows = spec.row_fingerprints().map_err(usage_error)?;
+                let names = spec.scenarios.iter().zip(&rows);
+                if let Some(response) = results.lookup(&rows) {
+                    for (name, fp) in names {
+                        println!("  {name}: served from state dir (fp={fp:016x})");
                     }
-                    Arc::new(frames)
-                };
-                JobResponse::from_frames(&frames).map_err(|e| {
-                    eprintln!("error: {}: stored result unreadable: {e}", s.name);
-                    StatusCode::Io
-                })
+                    return Ok(response);
+                }
+                for (name, fp) in names {
+                    println!("running {name:<16} (fp={fp:016x})");
+                }
+                let report = spec
+                    .execute(&self.env, self.stream.observer(selected))
+                    .map_err(usage_error)?;
+                for (row, frames) in rows.iter().zip(protocol::row_frames(&report)) {
+                    results.insert(*row, frames);
+                }
+                // The daemon's insert-batch boundary: durable before
+                // the result is reported anywhere.
+                if let Err(e) = store.flush() {
+                    eprintln!("warning: persisting {label}: {e}");
+                }
+                Ok(JobResponse::from(&report))
             }
             Arm::Daemon { addr, client } => {
-                println!("submitting {:<16} to {addr} ({} class)", s.name, spec.class);
+                println!("submitting {label:<16} to {addr} ({} class)", spec.class);
                 let progress = self.stream.progress;
                 let response = client
                     .submit_streaming(spec, |frame| {
@@ -534,13 +542,13 @@ impl Backend {
                         }
                     })
                     .map_err(|e| {
-                        eprintln!("error: job {}: {e}", s.name);
+                        eprintln!("error: job {label}: {e}");
                         StatusCode::Io
                     })?;
-                // A job that never ran stops the selection, as a spec
-                // that does not resolve does in this process.
+                // A job that never ran stops the run, as a spec that
+                // does not resolve does in this process.
                 if let Some(msg) = &response.error {
-                    eprintln!("error: daemon rejected {}: {msg}", s.name);
+                    eprintln!("error: daemon rejected {label}: {msg}");
                     return Err(response.status);
                 }
                 let cached = if response.cached {
@@ -549,25 +557,23 @@ impl Backend {
                     ""
                 };
                 println!(
-                    "  {}: {} cell(s), {} failed{cached}",
-                    s.name, response.cells, response.failed
+                    "  {label}: {} cell(s), {} failed{cached}",
+                    response.cells, response.failed
                 );
                 Ok(response)
             }
             Arm::Shards {
                 processes,
                 retries,
-                base,
+                dir,
             } => {
-                let mut runner =
-                    ShardRunner::new(spec.clone(), *processes).with_dir(base.join(s.name));
+                let mut runner = ShardRunner::new(spec.clone(), *processes).with_dir(&*dir);
                 if let Some(retries) = retries {
                     runner = runner.with_retries(*retries);
                 }
                 println!(
-                    "sharding {:<16} across {processes} process(es) under {}",
-                    s.name,
-                    base.display()
+                    "sharding {label:<16} across {processes} process(es) under {}",
+                    dir.display()
                 );
                 let outcome = runner.run().map_err(|e| {
                     eprintln!("error: {e}");
@@ -577,18 +583,14 @@ impl Backend {
                     }
                 })?;
                 println!(
-                    "  {}: merged {}/{} cell(s), {} failed, launches per shard {:?}",
-                    s.name,
-                    outcome.merged,
-                    outcome.cells,
-                    outcome.response.failed,
-                    outcome.attempts
+                    "  {label}: merged {}/{} cell(s), {} failed, launches per shard {:?}",
+                    outcome.merged, outcome.cells, outcome.response.failed, outcome.attempts
                 );
                 if !outcome.failed_shards.is_empty() {
                     eprintln!(
-                        "error: {}: shard(s) {:?} failed permanently; the merged report \
+                        "error: {label}: shard(s) {:?} failed permanently; the merged report \
                          is missing their cells",
-                        s.name, outcome.failed_shards
+                        outcome.failed_shards
                     );
                 }
                 Ok(outcome.response)
@@ -597,13 +599,22 @@ impl Backend {
     }
 }
 
-/// Parses one scenario's response rows for the output stage; a row that
-/// does not parse is an I/O error.
-fn take_rows(s: Scenario, response: JobResponse) -> Result<ScenarioRun, StatusCode> {
-    ScenarioRun::new(s, response).map_err(|e| {
-        eprintln!("error: {}: {e}", s.name);
-        StatusCode::Io
-    })
+/// Splits the job's response into one run per selected scenario, by the
+/// scenario each result row is labeled with, in selection order; a row
+/// that does not parse is an I/O error.
+fn take_runs(
+    selected: &[Scenario],
+    response: &JobResponse,
+) -> Result<Vec<ScenarioRun>, StatusCode> {
+    selected
+        .iter()
+        .map(|s| {
+            ScenarioRun::new(*s, response.row(s.name)).map_err(|e| {
+                eprintln!("error: {}: {e}", s.name);
+                StatusCode::Io
+            })
+        })
+        .collect()
 }
 
 /// Writes `contents()` to `path`, when one was given; a failed write is
@@ -655,18 +666,14 @@ fn write_outputs(
         // fresh environment: with --replay it checks the replayed bytes
         // against a live simulation, not against another replay.
         println!("verify: re-running serially to check byte identity...");
-        let serial = runs
-            .iter()
-            .map(|r| {
-                spec_for(args, r.scenario.name)
-                    .with_workers(1)
-                    .with_trace(TraceSpec::Live)
-                    .execute(&JobEnv::default(), |_| {})
-            })
-            .collect::<Result<Vec<_>, _>>();
+        let selected: Vec<Scenario> = runs.iter().map(|r| r.scenario).collect();
+        let serial = spec_for(args, &selected)
+            .with_workers(1)
+            .with_trace(TraceSpec::Live)
+            .execute(&JobEnv::default(), |_| {});
         let name = backend.name();
         match serial {
-            Ok(reports) if scenarios::to_csv(&reports) == csv => {
+            Ok(report) if scenarios::to_csv([&report]) == csv => {
                 println!("verify: serial and {name} CSV are byte-identical");
             }
             Ok(_) => {
@@ -704,23 +711,20 @@ fn write_outputs(
     status
 }
 
-/// Runs every selected scenario through `backend` and the output stage.
+/// Runs the selection as one job through `backend` and the output stage.
 fn run_selection(args: &Args, backend: &mut Backend, selected: &[Scenario]) -> StatusCode {
-    let mut status = StatusCode::Ok;
-    let mut runs = Vec::with_capacity(selected.len());
-    for s in selected {
-        match backend
-            .run(s, &spec_for(args, s.name))
-            .and_then(|response| take_rows(*s, response))
-        {
-            Ok(run) => {
-                status = status.worst(run.response.status);
-                runs.push(run);
-            }
-            Err(code) => return status.worst(code),
-        }
+    let spec = spec_for(args, selected);
+    if let Err(e) = spec.validate() {
+        return usage_error(e);
     }
-    write_outputs(args, backend, &runs, status)
+    let response = match backend.run(selected, &spec) {
+        Ok(response) => response,
+        Err(code) => return code,
+    };
+    match take_runs(selected, &response) {
+        Ok(runs) => write_outputs(args, backend, &runs, response.status),
+        Err(code) => response.status.worst(code),
+    }
 }
 
 fn main() -> ExitCode {

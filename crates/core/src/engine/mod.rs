@@ -24,9 +24,10 @@
 //!   finalizes an [`AppResult`](crate::runner::AppResult),
 //! * [`ThermalBackend`] / [`DtmPolicy`] — plug-in points for alternative
 //!   thermal solvers and dynamic-thermal-management policies,
-//! * [`SweepRunner`] — executes an application × configuration grid in
+//! * [`SweepRunner`] — executes an application × configuration grid (or
+//!   a job's rows, each a configuration over its own workloads) in
 //!   parallel over `std::thread::scope`, with results ordered exactly as a
-//!   serial double loop would produce them; grids are fault-tolerant
+//!   serial double loop would produce them; sweeps are fault-tolerant
 //!   ([`SweepRunner::try_grid`] returns a [`SweepReport`] of per-cell
 //!   [`CellOutcome`]s — one failing cell never aborts the others),
 //! * [`TraceRecorder`] / [`ReplayBackend`] — record a live run's

@@ -1,5 +1,7 @@
-//! Parallel execution of an application × configuration grid, plus the
-//! trace store its record and replay modes share.
+//! Parallel execution of sweep rows — each a configuration over its own
+//! workloads, rows of any lengths — plus the trace store its record and
+//! replay modes share. An application × configuration grid is the
+//! rectangular case.
 //!
 //! Execution is *fault-tolerant*: every cell of a [`SweepRunner::try_grid`]
 //! is an independent [`Result`], so one non-converged configuration aborts
@@ -27,12 +29,54 @@ use crate::store::DurableStore;
 /// The streaming callback [`SweepRunner::with_on_cell`] installs.
 type CellCallback = Box<dyn Fn(&CellOutcome) + Send + Sync>;
 
-/// One schedulable unit of a sweep: a grid cell run live (recording, or
-/// a replay-mode cell falling back), or a replay-mode cell with the
-/// trace planning validated for it, as `(grid index, trace)`.
+/// One schedulable unit of a sweep: a cell run live (recording, or a
+/// replay-mode cell falling back), or a replay-mode cell with the trace
+/// planning validated for it, as `(flat index, trace)`.
 enum Task {
     Cell(usize),
     Replay((usize, Arc<ActivityTrace>)),
+}
+
+/// The flat cell list of a sweep's rows: every row's workloads, rows
+/// concatenated in order. Cell `i` belongs to the row `r` with
+/// `starts[r] <= i < starts[r + 1]`.
+struct Cells<'a> {
+    rows: &'a [(&'a ExperimentConfig, &'a [Workload])],
+    starts: Vec<usize>,
+}
+
+impl<'a> Cells<'a> {
+    fn new(rows: &'a [(&'a ExperimentConfig, &'a [Workload])]) -> Self {
+        let mut starts = vec![0];
+        for (_, workloads) in rows {
+            starts.push(starts[starts.len() - 1] + workloads.len());
+        }
+        Cells { rows, starts }
+    }
+
+    fn len(&self) -> usize {
+        self.starts[self.rows.len()]
+    }
+
+    /// Cell `i`'s `(row, index in row)`.
+    fn coords(&self, i: usize) -> (usize, usize) {
+        let row = self.starts.partition_point(|&s| s <= i) - 1;
+        (row, i - self.starts[row])
+    }
+
+    /// Cell `i`'s configuration and workload.
+    fn cell(&self, i: usize) -> (&'a ExperimentConfig, &'a Workload) {
+        let (row, app) = self.coords(i);
+        (self.rows[row].0, &self.rows[row].1[app])
+    }
+}
+
+/// A grid's rows: every configuration over every workload.
+fn grid_rows<'a>(
+    configs: &'a [ExperimentConfig],
+    workloads: &'a [Workload],
+) -> Vec<(&'a ExperimentConfig, &'a [Workload])> {
+    configs.iter().map(|c| (c, workloads)).collect()
 }
 
 /// Shares recorded [`ActivityTrace`]s between sweep runs: a recording
@@ -165,7 +209,7 @@ pub enum TraceMode {
     Replay(Arc<TraceStore>),
 }
 
-/// The outcome of one grid cell: the engine's result plus per-cell
+/// The outcome of one sweep cell: the engine's result plus per-cell
 /// execution metadata (wall time, replay provenance).
 ///
 /// Equality ignores the measurement metadata — two outcomes are equal when
@@ -174,9 +218,9 @@ pub enum TraceMode {
 /// a replayed cell is by construction equal to its live counterpart).
 #[derive(Debug, Clone)]
 pub struct CellOutcome {
-    /// Configuration (row) index into the sweep's `configs`.
+    /// Row index: into the sweep's `configs` (a grid's configuration).
     pub config: usize,
-    /// Application (column) index into the sweep's `apps`.
+    /// Index into the row's workloads (a grid's application).
     pub app: usize,
     /// The configuration's name.
     pub config_name: &'static str,
@@ -198,20 +242,20 @@ pub struct CellOutcome {
 }
 
 impl CellOutcome {
-    /// The outcome of grid cell `cell` (row-major over `configs` ×
-    /// `workloads`) from its engine run, timed from `started`.
+    /// The outcome of cell `i` of `cells` from its engine run, timed
+    /// from `started`.
     fn new(
-        cell: usize,
-        configs: &[ExperimentConfig],
-        workloads: &[Workload],
+        cells: &Cells,
+        i: usize,
         (result, stats): (Result<AppResult, EngineError>, RunStats),
         started: Instant,
     ) -> Self {
-        let (config, app) = (cell / workloads.len(), cell % workloads.len());
+        let (config, app) = cells.coords(i);
+        let (cfg, workloads) = cells.rows[config];
         CellOutcome {
             config,
             app,
-            config_name: configs[config].name,
+            config_name: cfg.name,
             app_name: workloads[app].name(),
             result,
             wall_time_s: started.elapsed().as_secs_f64(),
@@ -242,10 +286,10 @@ impl PartialEq for CellOutcome {
     }
 }
 
-/// The outcome of a whole sweep: one [`CellOutcome`] per (configuration,
-/// application) pair, row-major, placed by index — never by completion
-/// order — so serial and parallel reports of the same grid compare equal
-/// (error cells included; per-cell wall times are excluded from equality).
+/// The outcome of a whole sweep: one [`CellOutcome`] per cell, row by
+/// row, placed by index — never by completion order — so serial and
+/// parallel reports of the same sweep compare equal (error cells included;
+/// per-cell wall times are excluded from equality).
 ///
 /// # Examples
 ///
@@ -262,42 +306,45 @@ impl PartialEq for CellOutcome {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
-    configs: usize,
-    apps: usize,
+    /// Row `r`'s cells are `cells[starts[r]..starts[r + 1]]`.
+    starts: Vec<usize>,
     cells: Vec<CellOutcome>,
 }
 
 impl SweepReport {
+    /// `(row count, the longest row's cell count)`: for a grid,
     /// `(configuration count, application count)`.
     pub fn shape(&self) -> (usize, usize) {
-        (self.configs, self.apps)
+        let widest = self.starts.windows(2).map(|w| w[1] - w[0]).max();
+        (self.starts.len() - 1, widest.unwrap_or(0))
     }
 
-    /// All cells, row-major (`configs[0]` × every app first).
+    /// All cells, row by row (`configs[0]` × every app first).
     pub fn cells(&self) -> &[CellOutcome] {
         &self.cells
     }
 
-    /// The cell for `configs[config]` × `apps[app]`.
+    /// The cell for `configs[config]` × its row's workload `app`.
     ///
     /// # Panics
     ///
     /// Panics if either index is out of range.
     pub fn cell(&self, config: usize, app: usize) -> &CellOutcome {
         assert!(
-            config < self.configs && app < self.apps,
+            config + 1 < self.starts.len() && app < self.row(config).len(),
             "cell out of range"
         );
-        &self.cells[config * self.apps + app]
+        &self.row(config)[app]
     }
 
-    /// One configuration's outcomes across every application.
+    /// One row's outcomes: a grid configuration's across every
+    /// application.
     ///
     /// # Panics
     ///
     /// Panics if `config` is out of range.
     pub fn row(&self, config: usize) -> &[CellOutcome] {
-        &self.cells[config * self.apps..(config + 1) * self.apps]
+        &self.cells[self.starts[config]..self.starts[config + 1]]
     }
 
     /// The cells that failed, in grid order.
@@ -338,19 +385,17 @@ impl SweepReport {
             self.cells.len(),
             failed.join("\n")
         );
-        let apps = self.apps.max(1);
-        let mut rows = Vec::with_capacity(self.configs);
         let mut cells = self.cells.into_iter();
-        for _ in 0..self.configs {
-            rows.push(
+        self.starts
+            .windows(2)
+            .map(|w| {
                 cells
                     .by_ref()
-                    .take(apps)
+                    .take(w[1] - w[0])
                     .map(|c| c.result.expect("failures checked above"))
-                    .collect(),
-            );
-        }
-        rows
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -480,35 +525,45 @@ impl SweepRunner {
     /// in one grid; [`SweepReport::strict`] is the panicking view for
     /// callers that need every cell.
     pub fn try_grid(&self, configs: &[ExperimentConfig], workloads: &[Workload]) -> SweepReport {
-        let cells = self.try_cells(configs, workloads, 0..configs.len() * workloads.len());
+        self.try_rows(&grid_rows(configs, workloads))
+    }
+
+    /// Runs every cell of `rows` — each row a configuration over its own
+    /// workloads — into a report whose row `r` is `rows[r]`:
+    /// [`try_grid`](Self::try_grid) for rows of any lengths.
+    pub(crate) fn try_rows(&self, rows: &[(&ExperimentConfig, &[Workload])]) -> SweepReport {
+        let cells = Cells::new(rows);
+        let outcomes = self.run_cells(&cells, 0..cells.len());
         SweepReport {
-            configs: configs.len(),
-            apps: workloads.len(),
-            cells,
+            starts: cells.starts,
+            cells: outcomes,
         }
     }
 
-    /// Runs only the grid cells whose flat index
-    /// (`config * workloads.len() + app`, row-major — the same order the
-    /// report stores) falls in `range`, returning their outcomes in
-    /// ascending index order. This is the shard primitive behind
-    /// [`distfront::shard`](crate::shard): a contiguous slice of the grid
-    /// runs in isolation, bit-identical to the same cells of a whole-grid
-    /// run, so the slices of contiguous ascending ranges, concatenated in
-    /// range order, are the whole grid's cells.
+    /// Runs only the cells of `rows` whose flat index — every row's
+    /// workloads, rows concatenated in order, the order a report stores —
+    /// falls in `range`, returning their outcomes in ascending index
+    /// order. This is the shard primitive behind
+    /// [`distfront::shard`](crate::shard): a contiguous slice runs in
+    /// isolation, bit-identical to the same cells of a whole run, so the
+    /// slices of contiguous ascending ranges, concatenated in range order,
+    /// are the whole run's cells.
     ///
     /// # Panics
     ///
-    /// Panics if `range` reaches past the grid's cell count.
+    /// Panics if `range` reaches past the rows' cell count.
     pub fn try_cells(
         &self,
-        configs: &[ExperimentConfig],
-        workloads: &[Workload],
+        rows: &[(&ExperimentConfig, &[Workload])],
         range: std::ops::Range<usize>,
     ) -> Vec<CellOutcome> {
+        self.run_cells(&Cells::new(rows), range)
+    }
+
+    fn run_cells(&self, cells: &Cells, range: std::ops::Range<usize>) -> Vec<CellOutcome> {
         assert!(
-            range.end <= configs.len() * workloads.len(),
-            "cell range {range:?} reaches past the grid"
+            range.end <= cells.len(),
+            "cell range {range:?} reaches past the sweep"
         );
         let start = range.start;
         let mut flat: Vec<Option<CellOutcome>> = (0..range.len()).map(|_| None).collect();
@@ -517,14 +572,14 @@ impl SweepRunner {
             if let Some(cb) = &self.on_cell {
                 cb(&outcome);
             }
-            let i = outcome.config * workloads.len() + outcome.app - start;
+            let i = cells.starts[outcome.config] + outcome.app - start;
             flat[i] = Some(outcome);
         };
-        let tasks = self.plan_tasks(configs, workloads, range);
+        let tasks = self.plan_tasks(cells, range);
         let workers = self.threads.min(tasks.len());
         if workers <= 1 {
             for task in &tasks {
-                place(self.run_task(configs, workloads, task));
+                place(self.run_task(cells, task));
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -539,10 +594,7 @@ impl SweepRunner {
                         if t >= tasks.len() {
                             break;
                         }
-                        if tx
-                            .send(self.run_task(configs, workloads, &tasks[t]))
-                            .is_err()
-                        {
+                        if tx.send(self.run_task(cells, &tasks[t])).is_err() {
                             return;
                         }
                     });
@@ -556,33 +608,28 @@ impl SweepRunner {
             .collect()
     }
 
-    /// Splits the grid cells in `range` into schedulable tasks, one per
-    /// cell. In replay mode each cell looks up its trace and validates it,
-    /// hashing each configuration row's processor fingerprint once; a
-    /// cell without a valid trace runs live.
-    fn plan_tasks(
-        &self,
-        configs: &[ExperimentConfig],
-        workloads: &[Workload],
-        range: std::ops::Range<usize>,
-    ) -> Vec<Task> {
+    /// Splits the cells in `range` into schedulable tasks, one per cell.
+    /// In replay mode each cell looks up its trace and validates it,
+    /// hashing each row's processor fingerprint once; a cell without a
+    /// valid trace runs live.
+    fn plan_tasks(&self, cells: &Cells, range: std::ops::Range<usize>) -> Vec<Task> {
         let TraceMode::Replay(store) = &self.mode else {
             return range.map(Task::Cell).collect();
         };
         if range.is_empty() {
             return Vec::new();
         }
-        let n = workloads.len();
-        let first_row = range.start / n;
-        let rows: Vec<(u64, Vec<PointKey>)> = configs[first_row..range.end.div_ceil(n)]
+        let first_row = cells.coords(range.start).0;
+        let rows: Vec<(u64, Vec<PointKey>)> = cells.rows[first_row..=cells.coords(range.end - 1).0]
             .iter()
-            .map(|cfg| (processor_fingerprint(cfg), cfg.replay_points()))
+            .map(|(cfg, _)| (processor_fingerprint(cfg), cfg.replay_points()))
             .collect();
         range
             .map(|i| {
-                let cfg = &configs[i / n];
-                let workload = &workloads[i % n];
-                let (fingerprint, required) = &rows[i / n - first_row];
+                let (row, app) = cells.coords(i);
+                let (cfg, workloads) = cells.rows[row];
+                let workload = &workloads[app];
+                let (fingerprint, required) = &rows[row - first_row];
                 let trace = store.get(cfg.name, workload.name(), required).filter(|t| {
                     ReplayBackend::validate_fingerprinted(cfg, *fingerprint, workload, t).is_ok()
                 });
@@ -594,29 +641,18 @@ impl SweepRunner {
             .collect()
     }
 
-    fn run_task(
-        &self,
-        configs: &[ExperimentConfig],
-        workloads: &[Workload],
-        task: &Task,
-    ) -> CellOutcome {
+    fn run_task(&self, cells: &Cells, task: &Task) -> CellOutcome {
         match task {
-            Task::Cell(i) => self.run_cell(configs, workloads, *i),
-            Task::Replay((i, trace)) => run_replay_cell(configs, workloads, *i, trace),
+            Task::Cell(i) => self.run_cell(cells, *i),
+            Task::Replay((i, trace)) => run_replay_cell(cells, *i, trace),
         }
     }
 
     /// Runs cell `i` live, recording it in record mode. Replay-mode cells
     /// get here only when planning found no valid trace for them, so a
     /// replaying sweep always completes.
-    fn run_cell(
-        &self,
-        configs: &[ExperimentConfig],
-        workloads: &[Workload],
-        i: usize,
-    ) -> CellOutcome {
-        let cfg = &configs[i / workloads.len()];
-        let workload = &workloads[i % workloads.len()];
+    fn run_cell(&self, cells: &Cells, i: usize) -> CellOutcome {
+        let (cfg, workload) = cells.cell(i);
         let started = Instant::now();
         let engine = CoupledEngine::for_workload(cfg, workload.clone());
         let run = match &self.mode {
@@ -638,11 +674,11 @@ impl SweepRunner {
             }
             TraceMode::Live | TraceMode::Replay(_) => engine.run_with_stats(),
         };
-        CellOutcome::new(i, configs, workloads, run, started)
+        CellOutcome::new(cells, i, run, started)
     }
 }
 
-/// Replays grid cell `i` from `trace` through the ordinary
+/// Replays cell `i` of `cells` from `trace` through the ordinary
 /// [`CoupledEngine`] replay pipeline: the sweep executor's one
 /// replay-cell runner. The cell is an independent engine run, so its
 /// outcome is bit-identical to a live run of the cell, and a failing cell
@@ -650,19 +686,13 @@ impl SweepRunner {
 ///
 /// `trace` must be one [`ReplayBackend::validate`] accepts for the cell:
 /// the executor validates while planning, so it is not validated again.
-fn run_replay_cell(
-    configs: &[ExperimentConfig],
-    workloads: &[Workload],
-    i: usize,
-    trace: &Arc<ActivityTrace>,
-) -> CellOutcome {
+fn run_replay_cell(cells: &Cells, i: usize, trace: &Arc<ActivityTrace>) -> CellOutcome {
     let started = Instant::now();
-    let cfg = &configs[i / workloads.len()];
-    let workload = &workloads[i % workloads.len()];
+    let (cfg, workload) = cells.cell(i);
     let run = CoupledEngine::for_workload(cfg, workload.clone())
         .with_validated_replay(Arc::clone(trace))
         .run_with_stats();
-    CellOutcome::new(i, configs, workloads, run, started)
+    CellOutcome::new(cells, i, run, started)
 }
 
 // Compatibility with the end-to-end benchmark (`perfbench/`), which
@@ -699,19 +729,22 @@ impl SweepReport {
 pub struct BatchScheduler;
 
 impl BatchScheduler {
-    /// Replays every `(cell index, trace)` member in turn and returns one
-    /// [`CellOutcome`] per member, in member order. Every member's trace
-    /// must be one [`ReplayBackend::validate`] accepts for its cell, as
-    /// the sweep executor's planning ensures. `_cache` is ignored.
+    /// Replays every `(cell index, trace)` member of the `configs` ×
+    /// `workloads` grid in turn and returns one [`CellOutcome`] per
+    /// member, in member order. Every member's trace must be one
+    /// [`ReplayBackend::validate`] accepts for its cell, as the sweep
+    /// executor's planning ensures. `_cache` is ignored.
     pub fn run_cohort(
         configs: &[ExperimentConfig],
         workloads: &[Workload],
         members: &[(usize, Arc<ActivityTrace>)],
         _cache: Arc<WarmStartCache>,
     ) -> Vec<CellOutcome> {
+        let rows = grid_rows(configs, workloads);
+        let cells = Cells::new(&rows);
         members
             .iter()
-            .map(|(i, trace)| run_replay_cell(configs, workloads, *i, trace))
+            .map(|(i, trace)| run_replay_cell(&cells, *i, trace))
             .collect()
     }
 }
@@ -877,6 +910,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn ragged_cell_slices_concatenate_into_the_rows_and_each_rows_grid() {
+        let (cfgs, apps) = tiny_grid();
+        let apps = singles(&apps);
+        // Rows of 2, 0, 1 and 1 cells; the empty row holds no index.
+        let rows = [
+            (&cfgs[0], &apps[..]),
+            (&cfgs[1], &apps[..0]),
+            (&cfgs[1], &apps[1..]),
+            (&cfgs[0], &apps[..1]),
+        ];
+        let store = Arc::new(TraceStore::new());
+        let whole = SweepRunner::with_threads(2)
+            .with_trace_mode(TraceMode::Record(Arc::clone(&store)))
+            .try_rows(&rows);
+        assert!(whole.is_complete());
+        assert_eq!(whole.shape(), (4, 2));
+        assert!(whole.row(1).is_empty());
+        assert_eq!((whole.cell(2, 0).config, whole.cell(2, 0).app), (2, 0));
+        for (r, (cfg, workloads)) in rows.iter().enumerate() {
+            let grid = SweepRunner::serial().try_grid(std::slice::from_ref(*cfg), workloads);
+            let results = |cells: &[CellOutcome]| -> Vec<_> {
+                cells.iter().map(|c| (c.app, c.result.clone())).collect()
+            };
+            assert_eq!(results(whole.row(r)), results(grid.cells()), "row {r}");
+        }
+        // Slices at several cuts, live and replayed, concatenate into the
+        // whole run; replay plans each slice's rows on their own.
+        for mode in [TraceMode::Live, TraceMode::Replay(Arc::clone(&store))] {
+            let runner = SweepRunner::with_threads(2).with_trace_mode(mode);
+            for cuts in [&[0, 4][..], &[0, 1, 4], &[0, 2, 3, 4], &[0, 1, 2, 3, 4]] {
+                let cells: Vec<CellOutcome> = cuts
+                    .windows(2)
+                    .flat_map(|w| runner.try_cells(&rows, w[0]..w[1]))
+                    .collect();
+                assert_eq!(cells, whole.cells(), "cuts {cuts:?}");
+            }
+        }
+        let replayed = SweepRunner::serial()
+            .with_trace_mode(TraceMode::Replay(store))
+            .try_cells(&rows, 1..4);
+        assert!(replayed.iter().all(|c| c.replayed));
     }
 
     /// A recording of the `baseline`/`gzip` cell with point family

@@ -9,11 +9,17 @@
 //! them: it resolves the target against the registries, builds a runner
 //! bound to a [`JobEnv`] with
 //! [`SweepRunner::from_spec`](crate::engine::SweepRunner::from_spec) and
-//! runs the grid. The front ends differ only in the environment they
+//! runs its rows. The front ends differ only in the environment they
 //! share across jobs and in where the spec runs; a `--processes` run
 //! hands the spec to
 //! [`ShardRunner`](crate::shard::ShardRunner), whose workers run slices
-//! of the same resolved grid.
+//! of the same resolved cell list.
+//!
+//! A job's target is a list of registry scenario names. Each name is one
+//! row: the scenario's configuration over its own workloads, so rows may
+//! differ in length (the 26 SPEC applications, 4 with `smoke`, or a
+//! scenario's pinned phased workloads). The CLI submits its whole
+//! selection as one job.
 //!
 //! # Wire format and version policy
 //!
@@ -23,7 +29,18 @@
 //!
 //! ```text
 //! v=1 kind=scenario name=baseline smoke=1 uops=40000 workers=0 integrator=expm trace=live class=interactive
+//! v=1 kind=scenario name=baseline,drc,phased-hot-cold smoke=1 uops=40000 workers=0 integrator=expm trace=live class=interactive
 //! ```
+//!
+//! `name=` holds the row list, comma-separated, each name at most once; a
+//! one-name line is the one-scenario line it always was. The `kind=grid`
+//! target (`configs=` presets × `apps=` profiles) is retired: no front
+//! end sent it, and a line with it is rejected like any unknown kind.
+//! Neither change bumps the version. Every `v=1` line that parsed before
+//! and still parses means what it meant, and a decoder that predates the
+//! list rejects a multi-name line outright (`,` is wire-reserved in a
+//! name), so no peer misreads one. A bump would also change every
+//! fingerprint, which folds the version, and orphan every stored result.
 //!
 //! The version follows the trace-format policy (see
 //! [`distfront_trace::record`]): [`JOBSPEC_VERSION`] is bumped on any
@@ -41,21 +58,25 @@
 //!
 //! [`JobSpec::fingerprint`] is the key the daemon's result cache dedupes
 //! jobs under. It covers exactly the inputs the result bytes are a
-//! function of — the target, run length, integrator, and every resolved
+//! function of — the scenario names, run length, integrator, and every resolved
 //! configuration's content (leakage-model bits included: configurations
 //! that differ only in silicon never share a result) — **plus** the trace-format version via the seeded
 //! [`Fingerprint`] hasher, and excludes pure scheduling knobs (`workers`,
 //! `class`, `trace`), which the engine's bit-identity contract
 //! guarantees cannot change a byte of output. A golden-fingerprint test
 //! pins the key for a reference scenario so it can never silently change
-//! across refactors.
+//! across refactors. Results are stored per row: a row's
+//! [fingerprint](JobSpec::row_fingerprints) is the fingerprint of the
+//! one-scenario job of that row, and a job of several rows folds its
+//! rows' fingerprints, so a selection whose rows were all stored by
+//! other jobs is answered from them.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use distfront_thermal::Integrator;
 use distfront_trace::record::points_id;
-use distfront_trace::{AppProfile, Fingerprint, Workload};
+use distfront_trace::{Fingerprint, Workload};
 
 use crate::engine::{CellOutcome, SweepReport, SweepRunner, TraceMode, TraceStore};
 use crate::experiment::ExperimentConfig;
@@ -164,23 +185,6 @@ impl From<StatusCode> for ExitCode {
     }
 }
 
-/// What a job runs: a registry scenario, or a raw configuration ×
-/// application grid named by presets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobTarget {
-    /// One scenario from [`scenarios::registry`] (or the CLI's
-    /// `fault-injection` scenario), run over its workload suite.
-    Scenario(String),
-    /// An explicit grid: [`ExperimentConfig`] preset names ×
-    /// [`AppProfile`] names.
-    Grid {
-        /// Configuration preset names ([`ExperimentConfig::by_name`]).
-        configs: Vec<String>,
-        /// Application profile names ([`AppProfile::by_name`]).
-        apps: Vec<String>,
-    },
-}
-
 /// How a job interacts with the executor's trace store — the pure-data
 /// counterpart of [`TraceMode`], which carries live store handles and so
 /// cannot go over a wire. The daemon binds these to its process-wide
@@ -285,7 +289,7 @@ pub enum JobSpecError {
     /// The spec references a scenario, configuration or application name
     /// the registries do not know.
     UnknownName(String),
-    /// A structural invariant failed (empty grid, whitespace in a name).
+    /// A structural invariant failed (empty list, whitespace in a name).
     Invalid(String),
 }
 
@@ -324,16 +328,16 @@ impl std::error::Error for JobSpecError {}
 /// let line = spec.encode_line();
 /// assert_eq!(JobSpec::parse_line(&line).unwrap(), spec);
 /// let report = spec.execute(&Default::default(), |_| {}).unwrap();
-/// assert_eq!(report.status(), distfront::job::StatusCode::Ok);
+/// assert!(report.report.is_complete());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Wire-format version ([`JOBSPEC_VERSION`]).
     pub version: u32,
-    /// What to run.
-    pub target: JobTarget,
-    /// Smoke-suite selection for scenario targets (ignored by grids,
-    /// whose applications are explicit).
+    /// What to run: registry scenario names ([`scenarios::registry`], or
+    /// the CLI's `fault-injection` scenario), one row each, in order.
+    pub scenarios: Vec<String>,
+    /// Smoke-suite selection for scenarios without pinned workloads.
     pub smoke: bool,
     /// Micro-ops per application.
     pub uops: u64,
@@ -351,29 +355,21 @@ pub struct JobSpec {
 impl JobSpec {
     /// A spec running one registry scenario with the full-suite defaults.
     pub fn scenario(name: impl Into<String>) -> Self {
+        Self::scenarios([name])
+    }
+
+    /// A spec running registry scenarios as rows of one job, in order,
+    /// with the full-suite defaults.
+    pub fn scenarios(names: impl IntoIterator<Item = impl Into<String>>) -> Self {
         JobSpec {
             version: JOBSPEC_VERSION,
-            target: JobTarget::Scenario(name.into()),
+            scenarios: names.into_iter().map(Into::into).collect(),
             smoke: false,
             uops: FULL_UOPS,
             workers: 0,
             integrator: Integrator::default(),
             trace: TraceSpec::Live,
             class: JobClass::Interactive,
-        }
-    }
-
-    /// A spec running an explicit configuration × application grid.
-    pub fn grid(
-        configs: impl IntoIterator<Item = impl Into<String>>,
-        apps: impl IntoIterator<Item = impl Into<String>>,
-    ) -> Self {
-        JobSpec {
-            target: JobTarget::Grid {
-                configs: configs.into_iter().map(Into::into).collect(),
-                apps: apps.into_iter().map(Into::into).collect(),
-            },
-            ..Self::scenario("")
         }
     }
 
@@ -437,29 +433,17 @@ impl JobSpec {
     /// token present, canonical order). `parse_line` inverts this
     /// byte-exactly.
     pub fn encode_line(&self) -> String {
-        let mut line = format!("v={}", self.version);
-        match &self.target {
-            JobTarget::Scenario(name) => {
-                line.push_str(" kind=scenario name=");
-                line.push_str(name);
-            }
-            JobTarget::Grid { configs, apps } => {
-                line.push_str(" kind=grid configs=");
-                line.push_str(&configs.join(","));
-                line.push_str(" apps=");
-                line.push_str(&apps.join(","));
-            }
-        }
-        line.push_str(&format!(
-            " smoke={} uops={} workers={} integrator={} trace={} class={}",
+        format!(
+            "v={} kind=scenario name={} smoke={} uops={} workers={} integrator={} trace={} class={}",
+            self.version,
+            self.scenarios.join(","),
             u8::from(self.smoke),
             self.uops,
             self.workers,
             self.integrator,
             self.trace.name(),
             self.class.name(),
-        ));
-        line
+        )
     }
 
     /// Parses a wire line produced by [`encode_line`](Self::encode_line)
@@ -475,8 +459,6 @@ impl JobSpec {
         let mut version = None;
         let mut kind = None;
         let mut name = None;
-        let mut configs = None;
-        let mut apps = None;
         let mut smoke = false;
         let mut uops = None;
         let mut workers = 0usize;
@@ -489,9 +471,7 @@ impl JobSpec {
             match key {
                 "v" => version = Some(value.parse::<u32>().map_err(|_| bad(tok))?),
                 "kind" => kind = Some(value.to_string()),
-                "name" => name = Some(value.to_string()),
-                "configs" => configs = Some(split_list(value)),
-                "apps" => apps = Some(split_list(value)),
+                "name" => name = Some(value.split(',').map(str::to_string).collect()),
                 "smoke" => smoke = parse_flag(value).ok_or_else(|| bad(tok))?,
                 "uops" => uops = Some(value.parse::<u64>().map_err(|_| bad(tok))?),
                 "workers" => workers = value.parse::<usize>().map_err(|_| bad(tok))?,
@@ -509,19 +489,15 @@ impl JobSpec {
         if version != JOBSPEC_VERSION {
             return Err(JobSpecError::UnsupportedVersion(version));
         }
-        let target = match kind.as_deref() {
-            Some("scenario") => JobTarget::Scenario(name.ok_or(JobSpecError::MissingKey("name"))?),
-            Some("grid") => JobTarget::Grid {
-                configs: configs.ok_or(JobSpecError::MissingKey("configs"))?,
-                apps: apps.ok_or(JobSpecError::MissingKey("apps"))?,
-            },
+        match kind.as_deref() {
+            Some("scenario") => {}
             Some(other) => return Err(JobSpecError::BadValue(format!("kind={other}"))),
             None => return Err(JobSpecError::MissingKey("kind")),
-        };
+        }
         let smoke_default = if smoke { SMOKE_UOPS } else { FULL_UOPS };
         let spec = JobSpec {
             version,
-            target,
+            scenarios: name.ok_or(JobSpecError::MissingKey("name"))?,
             smoke,
             uops: uops.unwrap_or(smoke_default),
             workers,
@@ -534,8 +510,8 @@ impl JobSpec {
     }
 
     /// Checks the structural invariants the wire format relies on: no
-    /// whitespace/`=`/`,` inside names, non-empty target, positive run
-    /// length.
+    /// whitespace/`=`/`,` inside names, a non-empty list naming each
+    /// scenario once, positive run length.
     ///
     /// # Errors
     ///
@@ -552,15 +528,13 @@ impl JobSpec {
             }
             Ok(())
         };
-        match &self.target {
-            JobTarget::Scenario(name) => check_name(name)?,
-            JobTarget::Grid { configs, apps } => {
-                if configs.is_empty() || apps.is_empty() {
-                    return Err(JobSpecError::Invalid("empty grid".into()));
-                }
-                for n in configs.iter().chain(apps) {
-                    check_name(n)?;
-                }
+        if self.scenarios.is_empty() {
+            return Err(JobSpecError::Invalid("empty scenario list".into()));
+        }
+        for (i, n) in self.scenarios.iter().enumerate() {
+            check_name(n)?;
+            if self.scenarios[..i].contains(n) {
+                return Err(JobSpecError::Invalid(format!("scenario {n} listed twice")));
             }
         }
         if self.uops == 0 {
@@ -569,83 +543,78 @@ impl JobSpec {
         Ok(())
     }
 
-    /// Resolves the target against the scenario/configuration/application
-    /// registries into the concrete grid the engine runs.
+    /// Resolves the scenario names against the registry into the rows
+    /// the engine runs.
     ///
     /// # Errors
     ///
-    /// Returns [`JobSpecError::UnknownName`] for any name no registry
-    /// knows.
+    /// Returns [`JobSpecError::UnknownName`] for any name the registry
+    /// does not know.
     pub fn resolve(&self) -> Result<ResolvedJob, JobSpecError> {
         self.validate()?;
-        match &self.target {
-            JobTarget::Scenario(name) => {
-                let s = scenarios::by_name(name)
-                    .or_else(|| {
-                        // The CLI's fault-injection scenario is resolvable
-                        // so daemon fault-isolation can be exercised end
-                        // to end, exactly like `--inject-fail` locally.
-                        (name == scenarios::fault_injection().name).then(scenarios::fault_injection)
-                    })
-                    .ok_or_else(|| JobSpecError::UnknownName(name.clone()))?;
-                Ok(ResolvedJob {
-                    label: LabelSource::Scenario(s.name),
-                    configs: vec![s
-                        .config()
-                        .with_uops(self.uops)
-                        .with_integrator(self.integrator)],
-                    workloads: s.workloads(self.smoke),
+        let mut job = ResolvedJob {
+            labels: Vec::new(),
+            configs: Vec::new(),
+            workloads: Vec::new(),
+            bounds: vec![0],
+        };
+        for name in &self.scenarios {
+            let s = scenarios::by_name(name)
+                .or_else(|| {
+                    // The CLI's fault-injection scenario is resolvable
+                    // so daemon fault-isolation can be exercised end
+                    // to end, exactly like `--inject-fail` locally.
+                    (name == scenarios::fault_injection().name).then(scenarios::fault_injection)
                 })
-            }
-            JobTarget::Grid { configs, apps } => {
-                let configs = configs
-                    .iter()
-                    .map(|n| {
-                        ExperimentConfig::by_name(n)
-                            .map(|c| c.with_uops(self.uops).with_integrator(self.integrator))
-                            .ok_or_else(|| JobSpecError::UnknownName(n.clone()))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let workloads = apps
-                    .iter()
-                    .map(|n| {
-                        AppProfile::by_name(n)
-                            .map(|p| Workload::Single(*p))
-                            .ok_or_else(|| JobSpecError::UnknownName(n.clone()))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(ResolvedJob {
-                    label: LabelSource::ConfigName,
-                    configs,
-                    workloads,
-                })
-            }
+                .ok_or_else(|| JobSpecError::UnknownName(name.clone()))?;
+            job.labels.push(s.name);
+            job.configs.push(
+                s.config()
+                    .with_uops(self.uops)
+                    .with_integrator(self.integrator),
+            );
+            job.workloads.extend(s.workloads(self.smoke));
+            job.bounds.push(job.workloads.len());
         }
+        Ok(job)
     }
 
     /// The job's content address: a stable 64-bit fingerprint of every
-    /// input the result bytes are a function of, and nothing else.
-    ///
-    /// Covered: the wire version, target kind and names, smoke flag, run
-    /// length, integrator, and for every resolved configuration its name,
-    /// machine shape, interval, seed, pilot fraction, idle density, hop
-    /// flag, DTM policy name, replay capability set (the operating-point
-    /// family its traces record, numeric parameters included) and the
-    /// **exact bits of its leakage model**
-    /// — plus the `DFAT` trace-format version through the seeded
-    /// [`Fingerprint`] hasher, so a format bump invalidates every cached
-    /// result. Excluded: `workers`, `class` and `trace`, which
-    /// the engine's bit-identity contract makes output-neutral — an
-    /// 8-worker interactive replay hits the cache entry a serial
-    /// deferrable live run stored.
+    /// input the result bytes are a function of, and nothing else. A
+    /// one-row job's is its row's [fingerprint](Self::row_fingerprints);
+    /// a job of several rows folds its rows' fingerprints in order.
     ///
     /// # Errors
     ///
     /// Resolution errors propagate: an unresolvable spec has no content
     /// to address.
     pub fn fingerprint(&self) -> Result<u64, JobSpecError> {
-        let resolved = self.resolve()?;
-        let mut fp = Fingerprint::new()
+        Ok(job_fingerprint(&self.row_fingerprints()?))
+    }
+
+    /// Each row's content address, in row order: the fingerprint of the
+    /// one-scenario job of that row, which is what results are stored
+    /// under.
+    ///
+    /// Covered: the wire version, target kind and scenario name, smoke
+    /// flag, run length, integrator, and the row's configuration — its
+    /// name, machine shape, interval, seed, pilot fraction, idle density,
+    /// hop flag, DTM policy name, replay capability set (the
+    /// operating-point family its traces record, numeric parameters
+    /// included) and the **exact bits of its leakage model** — and its
+    /// workload names, plus the `DFAT` trace-format version through the
+    /// seeded [`Fingerprint`] hasher, so a format bump invalidates every
+    /// cached result. Excluded: `workers`, `class` and `trace`, which the
+    /// engine's bit-identity contract makes output-neutral — an 8-worker
+    /// interactive replay hits the cache entry a serial deferrable live
+    /// run stored.
+    ///
+    /// # Errors
+    ///
+    /// Resolution errors propagate.
+    pub fn row_fingerprints(&self) -> Result<Vec<u64>, JobSpecError> {
+        let job = self.resolve()?;
+        let head = Fingerprint::new()
             .with_bytes(b"DFJS")
             .with_u32(self.version)
             .with_u64(self.uops)
@@ -656,27 +625,20 @@ impl JobSpec {
             .with_str(match self.integrator {
                 Integrator::Rk4 => "rk4",
                 Integrator::Expm => "expm-modal",
-            });
-        fp = match &self.target {
-            JobTarget::Scenario(name) => fp.with_str("scenario").with_str(name),
-            JobTarget::Grid { configs, apps } => {
-                let mut fp = fp
-                    .with_str("grid")
-                    .with_u64(configs.len() as u64)
-                    .with_u64(apps.len() as u64);
-                for n in configs.iter().chain(apps) {
-                    fp = fp.with_str(n);
-                }
-                fp
-            }
-        };
-        for cfg in &resolved.configs {
-            fp = config_fingerprint(fp, cfg);
-        }
-        for w in &resolved.workloads {
-            fp = fp.with_str(w.name());
-        }
-        Ok(fp.finish())
+            })
+            .with_str("scenario");
+        Ok(job
+            .rows()
+            .into_iter()
+            .zip(&job.labels)
+            .map(|((cfg, workloads), name)| {
+                let fp = config_fingerprint(head.with_str(name), cfg);
+                workloads
+                    .iter()
+                    .fold(fp, |fp, w| fp.with_str(w.name()))
+                    .finish()
+            })
+            .collect())
     }
 
     /// Runs the job to completion on the calling thread: resolves the
@@ -701,20 +663,25 @@ impl JobSpec {
         let resolved = self.resolve()?;
         let report = SweepRunner::from_spec(self, env)
             .with_on_cell(on_cell)
-            .try_grid(&resolved.configs, &resolved.workloads);
+            .try_rows(&resolved.rows());
         Ok(JobReport {
-            label: resolved.label,
+            labels: resolved.labels,
             report,
         })
     }
 }
 
-fn split_list(value: &str) -> Vec<String> {
-    value
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
+/// A job's content address from its rows' ([`JobSpec::fingerprint`]).
+pub(crate) fn job_fingerprint(rows: &[u64]) -> u64 {
+    match rows {
+        [row] => *row,
+        _ => rows
+            .iter()
+            .fold(Fingerprint::new().with_bytes(b"DFJL"), |fp, row| {
+                fp.with_u64(*row)
+            })
+            .finish(),
+    }
 }
 
 fn parse_flag(value: &str) -> Option<bool> {
@@ -757,34 +724,31 @@ fn config_fingerprint(fp: Fingerprint, cfg: &ExperimentConfig) -> Fingerprint {
         .with_f64(cfg.leakage.emergency_c)
 }
 
-/// How result rows are labeled in the CSV `scenario` column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LabelSource {
-    /// Every row carries the scenario's registry name (one-row suites).
-    Scenario(&'static str),
-    /// Each row carries its cell's configuration preset name (grids).
-    ConfigName,
-}
-
-impl LabelSource {
-    /// The label `cell`'s CSV row carries in the `scenario` column.
-    pub(crate) fn row_label(self, cell: &CellOutcome) -> &'static str {
-        match self {
-            LabelSource::Scenario(name) => name,
-            LabelSource::ConfigName => cell.config_name,
-        }
-    }
-}
-
-/// A [`JobSpec`] resolved against the registries: the concrete grid the
-/// engine runs.
+/// A [`JobSpec`] resolved against the registry: the rows the engine
+/// runs, one per scenario name.
 #[derive(Debug, Clone)]
 pub struct ResolvedJob {
-    pub(crate) label: LabelSource,
-    /// Configurations (grid rows), run-length- and integrator-scaled.
+    /// Each row's scenario name: the CSV `scenario` column of its cells.
+    pub(crate) labels: Vec<&'static str>,
+    /// One configuration per row, run-length- and integrator-scaled.
     pub configs: Vec<ExperimentConfig>,
-    /// Workloads (grid columns).
+    /// The flat cell list: every row's workloads, rows concatenated. For
+    /// a one-row job, the row's workloads.
     pub workloads: Vec<Workload>,
+    /// Row `r`'s workloads are `workloads[bounds[r]..bounds[r + 1]]`.
+    bounds: Vec<usize>,
+}
+
+impl ResolvedJob {
+    /// Each row as its configuration and its workloads: what
+    /// [`SweepRunner::try_cells`] runs.
+    pub fn rows(&self) -> Vec<(&ExperimentConfig, &[Workload])> {
+        self.configs
+            .iter()
+            .zip(self.bounds.windows(2))
+            .map(|(cfg, w)| (cfg, &self.workloads[w[0]..w[1]]))
+            .collect()
+    }
 }
 
 /// The shared execution state a job runs against: the trace store. One-shot
@@ -797,21 +761,23 @@ pub struct JobEnv {
     pub traces: Arc<TraceStore>,
 }
 
-/// One executed job's results, with the row labeling its target implies.
+/// One executed job's results, labeled by row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobReport {
-    pub(crate) label: LabelSource,
-    /// The underlying per-cell report (grid order).
+    /// Each row's scenario name.
+    pub(crate) labels: Vec<&'static str>,
+    /// The underlying per-cell report, one report row per job row.
     pub report: SweepReport,
 }
 
 impl JobReport {
-    /// The label a cell's CSV row carries in the `scenario` column.
+    /// The label a cell's CSV row carries in the `scenario` column: its
+    /// row's scenario name.
     pub fn row_label(&self, cell: &CellOutcome) -> &'static str {
-        self.label.row_label(cell)
+        self.labels[cell.config]
     }
 
-    /// CSV rows (no header) for every successful cell, in canonical grid
+    /// CSV rows (no header) for every successful cell, in canonical row
     /// order, whatever order the cells completed in. This is
     /// [`scenarios::to_csv`]'s body.
     pub fn csv_rows(&self) -> Vec<String> {
@@ -826,21 +792,12 @@ impl JobReport {
             })
             .collect()
     }
-
-    /// The job's wire status: [`StatusCode::CellsFailed`] if any cell
-    /// failed, else [`StatusCode::Ok`].
-    pub fn status(&self) -> StatusCode {
-        if self.report.failed() > 0 {
-            StatusCode::CellsFailed
-        } else {
-            StatusCode::Ok
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::JobResponse;
 
     #[test]
     fn status_codes_are_the_cli_contract() {
@@ -869,7 +826,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_parse_roundtrip_scenario_and_grid() {
+    fn encode_parse_roundtrip_one_and_many_scenarios() {
         let scenario = JobSpec::scenario("dtm-dvfs")
             .with_smoke(true)
             .with_uops(30_000)
@@ -877,10 +834,20 @@ mod tests {
             .with_trace(TraceSpec::Replay)
             .with_class(JobClass::Deferrable);
         assert_eq!(JobSpec::parse_line(&scenario.encode_line()), Ok(scenario));
-        let grid = JobSpec::grid(["baseline", "drc+bh+ab"], ["gzip", "mcf"]).with_uops(25_000);
-        let line = grid.encode_line();
-        assert!(line.contains("kind=grid configs=baseline,drc+bh+ab apps=gzip,mcf"));
-        assert_eq!(JobSpec::parse_line(&line), Ok(grid));
+        // A one-name list is the one-scenario spec, byte for byte.
+        assert_eq!(
+            JobSpec::scenarios(["baseline"]),
+            JobSpec::scenario("baseline")
+        );
+        assert_eq!(
+            JobSpec::scenario("baseline").encode_line(),
+            "v=1 kind=scenario name=baseline smoke=0 uops=200000 workers=0 \
+             integrator=expm trace=live class=interactive"
+        );
+        let list = JobSpec::scenarios(["baseline", "drc+bh+ab"]).with_uops(25_000);
+        let line = list.encode_line();
+        assert!(line.contains("kind=scenario name=baseline,drc+bh+ab smoke=0"));
+        assert_eq!(JobSpec::parse_line(&line), Ok(list));
     }
 
     #[test]
@@ -938,12 +905,11 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_wire_reserved_names_and_empty_grids() {
+    fn validate_rejects_wire_reserved_names_and_empty_lists() {
         assert!(JobSpec::scenario("has space").validate().is_err());
         assert!(JobSpec::scenario("has=eq").validate().is_err());
-        assert!(JobSpec::grid(Vec::<String>::new(), ["gzip"])
-            .validate()
-            .is_err());
+        assert!(JobSpec::scenarios(["baseline", "a,b"]).validate().is_err());
+        assert!(JobSpec::scenarios(Vec::<String>::new()).validate().is_err());
         assert!(JobSpec::scenario("baseline")
             .with_uops(0)
             .validate()
@@ -951,24 +917,55 @@ mod tests {
     }
 
     #[test]
-    fn resolve_covers_registry_scenarios_grids_and_fault_injection() {
+    fn duplicate_names_and_retired_grid_lines_are_rejected() {
+        assert_eq!(
+            JobSpec::scenarios(["baseline", "drc", "baseline"]).validate(),
+            Err(JobSpecError::Invalid(
+                "scenario baseline listed twice".into()
+            ))
+        );
+        assert!(JobSpec::parse_line("v=1 kind=scenario name=drc,drc").is_err());
+        assert_eq!(
+            JobSpec::parse_line("v=1 kind=scenario name=a,,b"),
+            Err(JobSpecError::Invalid("empty name".into()))
+        );
+        assert_eq!(
+            JobSpec::parse_line("v=1 kind=grid configs=baseline apps=gzip"),
+            Err(JobSpecError::UnknownKey("configs".into()))
+        );
+        assert_eq!(
+            JobSpec::parse_line("v=1 kind=grid name=baseline"),
+            Err(JobSpecError::BadValue("kind=grid".into()))
+        );
+    }
+
+    #[test]
+    fn resolve_covers_registry_scenarios_lists_and_fault_injection() {
         for s in scenarios::registry() {
             JobSpec::scenario(s.name)
                 .with_smoke(true)
                 .resolve()
                 .unwrap_or_else(|e| panic!("{}: {e}", s.name));
         }
-        let r = JobSpec::grid(["baseline", "drc"], ["gzip", "mcf", "swim"])
+        // Ragged rows: 4 smoke apps, then 2 pinned phased workloads.
+        let r = JobSpec::scenarios(["baseline", "phased-hot-cold"])
+            .with_smoke(true)
             .resolve()
             .unwrap();
-        assert_eq!((r.configs.len(), r.workloads.len()), (2, 3));
+        assert_eq!((r.configs.len(), r.workloads.len()), (2, 6));
+        let lens: Vec<usize> = r.rows().iter().map(|(_, w)| w.len()).collect();
+        assert_eq!(lens, vec![4, 2]);
+        assert_eq!(r.labels, vec!["baseline", "phased-hot-cold"]);
+        assert_eq!(r.rows()[1].1[0].name(), "crafty-mcf");
         assert!(JobSpec::scenario("fault-injection").resolve().is_ok());
         assert_eq!(
             JobSpec::scenario("nope").resolve().unwrap_err(),
             JobSpecError::UnknownName("nope".into())
         );
         assert_eq!(
-            JobSpec::grid(["baseline"], ["nope"]).resolve().unwrap_err(),
+            JobSpec::scenarios(["baseline", "nope"])
+                .resolve()
+                .unwrap_err(),
             JobSpecError::UnknownName("nope".into())
         );
     }
@@ -1014,12 +1011,26 @@ mod tests {
                 .unwrap(),
             fp
         );
-        // A scenario and a single-config grid with the same config are
-        // distinct jobs (different suites), hence distinct addresses.
-        assert_ne!(
-            JobSpec::grid(["baseline"], ["gzip"]).fingerprint().unwrap(),
-            fp
+    }
+
+    #[test]
+    fn a_row_is_addressed_as_its_one_scenario_job() {
+        let one = |name| {
+            JobSpec::scenario(name)
+                .with_smoke(true)
+                .fingerprint()
+                .unwrap()
+        };
+        let pair = JobSpec::scenarios(["baseline", "drc"]).with_smoke(true);
+        assert_eq!(
+            pair.row_fingerprints().unwrap(),
+            vec![one("baseline"), one("drc")]
         );
+        // The job folds its rows, in order, into an address of its own.
+        let fp = pair.fingerprint().unwrap();
+        assert!(fp != one("baseline") && fp != one("drc"));
+        let swapped = JobSpec::scenarios(["drc", "baseline"]).with_smoke(true);
+        assert_ne!(swapped.fingerprint().unwrap(), fp);
     }
 
     #[test]
@@ -1046,23 +1057,24 @@ mod tests {
             .with_uops(20_000)
             .with_workers(2);
         let report = spec.execute(&env, |_| {}).unwrap();
-        assert_eq!(report.status(), StatusCode::Ok);
+        assert_eq!(JobResponse::from(&report).status, StatusCode::Ok);
         let rows = report.csv_rows();
         assert_eq!(rows.len(), scenarios::suite_apps(true).len());
         assert!(rows.iter().all(|r| r.starts_with("baseline,")));
-        // Grid targets label rows by configuration preset.
-        let grid = JobSpec::grid(["drc"], ["gzip"])
-            .with_uops(20_000)
-            .execute(&env, |_| {})
-            .unwrap();
-        assert!(grid.csv_rows()[0].starts_with("drc,"));
-        // The env carries nothing that changes a result: the grid job on
-        // the reused env equals the same spec on a fresh one.
-        let fresh = JobSpec::grid(["drc"], ["gzip"])
-            .with_uops(20_000)
-            .execute(&JobEnv::default(), |_| {})
-            .unwrap();
-        assert_eq!(grid, fresh);
+        // Each row is labeled by its scenario name, even where two rows
+        // share a configuration (phased-hot-cold runs the baseline).
+        let list = JobSpec::scenarios(["phased-hot-cold", "drc"])
+            .with_smoke(true)
+            .with_uops(20_000);
+        let report = list.execute(&env, |_| {}).unwrap();
+        let rows = report.csv_rows();
+        let labels: Vec<&str> = rows.iter().map(|r| r.split(',').next().unwrap()).collect();
+        assert_eq!(labels[..3], ["phased-hot-cold", "phased-hot-cold", "drc"]);
+        assert_eq!(labels.len(), 2 + scenarios::suite_apps(true).len());
+        // The env carries nothing that changes a result: the job on the
+        // reused env equals the same spec on a fresh one.
+        let fresh = list.execute(&JobEnv::default(), |_| {}).unwrap();
+        assert_eq!(report, fresh);
     }
 
     #[test]
@@ -1073,11 +1085,10 @@ mod tests {
             .with_uops(20_000)
             .execute(&env, |_| {})
             .unwrap();
-        assert_eq!(report.status(), StatusCode::CellsFailed);
+        let response = JobResponse::from(&report);
+        assert_eq!(response.status, StatusCode::CellsFailed);
         assert!(report.csv_rows().is_empty());
-        let failures: Vec<_> = crate::server::JobResponse::from(&report)
-            .failures()
-            .collect();
+        let failures: Vec<_> = response.failures().collect();
         assert_eq!(failures.len(), scenarios::suite_apps(true).len());
         assert!(failures[0].2.contains("not converged"));
     }

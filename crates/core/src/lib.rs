@@ -65,9 +65,7 @@ pub use engine::{
 };
 pub use experiment::{DtmSpec, ExperimentConfig};
 pub use figures::{FigureData, AMBIENT_C};
-pub use job::{
-    JobClass, JobEnv, JobReport, JobSpec, JobSpecError, JobTarget, StatusCode, TraceSpec,
-};
+pub use job::{JobClass, JobEnv, JobReport, JobSpec, JobSpecError, StatusCode, TraceSpec};
 pub use report::{FigureRow, FigureTable};
 pub use runner::{average_temps, mean_cpi, run_app, slowdown, AppResult, BlockGroups, TempReport};
 pub use scenarios::Scenario;

@@ -468,9 +468,10 @@ impl CellRow {
     }
 }
 
-/// One scenario's job response with its `CELL` rows parsed once into
-/// typed values: what [`to_json`] and [`summary_table`] read, whichever
-/// front end (in-process, state directory, daemon or shards) produced the
+/// One scenario's response — its own job's, or its row of a selection's
+/// ([`JobResponse::row`]) — with its `CELL` rows parsed once into typed
+/// values: what [`to_json`] and [`summary_table`] read, whichever front
+/// end (in-process, state directory, daemon or shards) produced the
 /// response. A [`JobReport`] converts through
 /// [`JobResponse::from`](crate::server::JobResponse).
 #[derive(Debug, Clone)]

@@ -1,13 +1,15 @@
 //! The daemon's content-addressed result cache.
 //!
-//! Maps a [`JobSpec::fingerprint`](crate::job::JobSpec::fingerprint) —
-//! which covers every result-affecting input including the `DFAT`
+//! Maps a row fingerprint
+//! ([`JobSpec::row_fingerprints`](crate::job::JobSpec::row_fingerprints))
+//! — which covers every result-affecting input including the `DFAT`
 //! trace-format version and the leakage-model bits, and excludes every
-//! scheduling knob — to the job's serialized result frames
-//! (`CELL`/`ERRCELL`/`DONE` lines in canonical grid order, see
-//! [`protocol`](super::protocol)). A hit replays the stored lines
-//! verbatim, which is what makes the cached response byte-identical to
-//! the first one: the bytes *are* the first one's.
+//! scheduling knob — to the row's serialized result frames
+//! (`CELL`/`ERRCELL`/`DONE` lines in canonical order, see
+//! [`protocol::row_frames`](super::protocol::row_frames)). A hit replays
+//! the stored lines of every row of the job, concatenated under one
+//! `DONE`, which is what makes the cached response byte-identical to the
+//! first one: the bytes *are* the first one's.
 //!
 //! Deterministic failures are results too: a job whose cells all fail
 //! (the fault-injection scenario) caches its `ERRCELL` frames like any
@@ -32,9 +34,11 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use super::JobResponse;
 use crate::store::DurableStore;
 
-/// Fingerprint-keyed store of serialized result frames.
+/// Fingerprint-keyed store of serialized result frames, one record per
+/// row.
 ///
 /// Concurrency note: lookup and insert are separate operations, so two
 /// *concurrent* identical submissions may both execute and both insert —
@@ -78,18 +82,21 @@ impl ResultCache {
         }
     }
 
-    /// The stored frames for a fingerprint, counting a hit or miss.
-    pub fn lookup(&self, fingerprint: u64) -> Option<Arc<Vec<String>>> {
-        let found = self
-            .map
-            .lock()
-            .expect("result cache poisoned")
-            .get(&fingerprint)
-            .cloned();
-        match found {
-            Some(frames) => {
+    /// The stored response of a job whose rows have the fingerprints
+    /// `rows`: every row's stored frames, concatenated under one `DONE`,
+    /// if every row is stored and readable. Counts one hit or one miss,
+    /// whatever the row count.
+    pub fn lookup(&self, rows: &[u64]) -> Option<JobResponse> {
+        let parts: Option<Vec<JobResponse>> = {
+            let map = self.map.lock().expect("result cache poisoned");
+            rows.iter()
+                .map(|row| map.get(row).and_then(|f| JobResponse::from_frames(f).ok()))
+                .collect()
+        };
+        match parts {
+            Some(parts) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(frames)
+                Some(JobResponse::concat(parts, false))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -107,7 +114,7 @@ impl ResultCache {
             .contains(&fingerprint)
     }
 
-    /// Stores a completed job's frames under its fingerprint, appending
+    /// Stores a completed row's frames under its fingerprint, appending
     /// them to the backing store (if any) when the fingerprint is new.
     pub fn insert(&self, fingerprint: u64, frames: Vec<String>) {
         let fresh = self
@@ -135,12 +142,12 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// Lookups served from the store.
+    /// Job lookups served from the store.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that found nothing.
+    /// Job lookups that found a row missing.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -150,18 +157,45 @@ impl ResultCache {
 mod tests {
     use super::*;
 
+    fn frames(lines: &[&str]) -> Vec<String> {
+        lines.iter().map(|l| l.to_string()).collect()
+    }
+
     #[test]
     fn caches_and_counts() {
         let cache = ResultCache::new();
         assert!(cache.is_empty());
-        assert!(cache.lookup(7).is_none());
-        cache.insert(7, vec!["CELL a".into(), "DONE status=0".into()]);
-        let frames = cache.lookup(7).expect("stored");
-        assert_eq!(frames.len(), 2);
+        assert!(cache.lookup(&[7]).is_none());
+        cache.insert(7, frames(&["CELL a", "DONE status=0 cells=1 failed=0"]));
+        let response = cache.lookup(&[7]).expect("stored");
+        assert_eq!(response.result_lines.len(), 2);
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1));
-        assert!(cache.lookup(8).is_none());
+        assert!(cache.lookup(&[8]).is_none());
         assert_eq!(cache.misses(), 2);
         assert!(!cache.from_disk(7));
+    }
+
+    #[test]
+    fn a_job_is_served_only_when_every_row_is_stored() {
+        let cache = ResultCache::new();
+        cache.insert(1, frames(&["CELL a,x", "DONE status=0 cells=1 failed=0"]));
+        cache.insert(
+            2,
+            frames(&["ERRCELL b y no", "DONE status=2 cells=1 failed=1"]),
+        );
+        cache.insert(3, frames(&["CELL c,z", "DONE status=0 cells=2 failed=0"]));
+        // Row 3's record is unreadable (its DONE miscounts): a miss.
+        assert!(cache.lookup(&[1, 3]).is_none());
+        assert!(cache.lookup(&[1, 4]).is_none());
+        let job = cache.lookup(&[2, 1]).expect("both rows stored");
+        let want = frames(&[
+            "ERRCELL b y no",
+            "CELL a,x",
+            "DONE status=2 cells=2 failed=1",
+        ]);
+        assert_eq!(job.result_lines, want);
+        // One hit or miss per job, whatever its row count.
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
     #[test]
@@ -173,7 +207,7 @@ mod tests {
         let (store, snapshot) = DurableStore::open(&dir).unwrap();
         let cache = ResultCache::persistent(Arc::new(store), snapshot.results);
         assert!(cache.is_empty());
-        let frames = vec!["CELL a,b".to_string(), "DONE status=0".to_string()];
+        let frames = frames(&["CELL a,b", "DONE status=0 cells=1 failed=0"]);
         cache.insert(42, frames.clone());
         // A re-insert of the same fingerprint must not append again.
         cache.insert(42, frames.clone());
@@ -182,7 +216,7 @@ mod tests {
         let (store, snapshot) = DurableStore::open(&dir).unwrap();
         assert_eq!(store.persisted_results(), 1);
         let cache = ResultCache::persistent(Arc::new(store), snapshot.results);
-        assert_eq!(cache.lookup(42).expect("restored").as_slice(), frames);
+        assert_eq!(cache.lookup(&[42]).expect("restored").result_lines, frames);
         assert!(cache.from_disk(42));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -7,7 +7,10 @@
 //! long-running TCP service holding one process-wide [`JobEnv`] plus a
 //! content-addressed [`ResultCache`], so a resubmitted job is served
 //! from stored frames without re-solving a single cell, and a *novel*
-//! job can replay the traces earlier jobs recorded. Warm starts are not
+//! job can replay the traces earlier jobs recorded. Results are stored
+//! one record per row, under the row's fingerprint: a job whose rows
+//! were all stored, by itself or by other jobs, is served from them, and
+//! any other job runs whole and stores every row. Warm starts are not
 //! kept: every cell solves its own in a few hundredths of a millisecond.
 //!
 //! # Architecture
@@ -88,13 +91,15 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
 use crate::engine::TraceStore;
-use crate::job::{JobClass, JobEnv, JobReport, JobSpec, StatusCode};
+use crate::job::{job_fingerprint, JobClass, JobEnv, JobReport, JobSpec, StatusCode};
 use crate::store::DurableStore;
 
 /// One job waiting on an executor.
 struct QueuedJob {
     spec: JobSpec,
-    fingerprint: u64,
+    /// The job's row fingerprints: each row's frames are stored under its
+    /// own.
+    rows: Vec<u64>,
     class: JobClass,
     /// The submitting connection's sequence id for this job — stamped
     /// onto every frame the executor sends for it.
@@ -367,17 +372,19 @@ fn executor_loop(state: &DaemonState, class: JobClass) {
         });
         match outcome {
             Ok(report) => {
-                let frames = protocol::result_frames(&report);
                 // Insert *and make durable* before streaming: this is
                 // the insert-batch boundary — once the submitter has
                 // seen DONE, a resubmission is guaranteed a cache hit,
                 // in the next daemon life as much as in this one.
-                state.results.insert(job.fingerprint, frames.clone());
+                for (row, frames) in job.rows.iter().zip(protocol::row_frames(&report)) {
+                    state.results.insert(*row, frames);
+                }
                 if let Some(store) = &state.store {
                     if let Err(e) = store.flush() {
                         eprintln!("[sweepd] store flush failed: {e}");
                     }
                 }
+                let frames = protocol::result_frames(&report);
                 send_result_frames(&job.writer, job.job_id, &frames, false);
             }
             Err(e) => {
@@ -514,8 +521,8 @@ fn handle_job(
     job_id: u64,
 ) -> bool {
     state.jobs.fetch_add(1, Ordering::Relaxed);
-    let fingerprint = match spec.fingerprint() {
-        Ok(fingerprint) => fingerprint,
+    let rows = match spec.row_fingerprints() {
+        Ok(rows) => rows,
         Err(e) => {
             return write_line(
                 writer,
@@ -524,6 +531,7 @@ fn handle_job(
             .is_ok();
         }
     };
+    let fingerprint = job_fingerprint(&rows);
     if write_line(
         writer,
         &protocol::queued_frame(job_id, fingerprint, spec.class),
@@ -532,8 +540,9 @@ fn handle_job(
     {
         return false;
     }
-    if let Some(frames) = state.results.lookup(fingerprint) {
-        let source = if state.results.from_disk(fingerprint) {
+    if let Some(response) = state.results.lookup(&rows) {
+        let frames = response.result_lines;
+        let source = if rows.iter().all(|row| state.results.from_disk(*row)) {
             "disk cache hit"
         } else {
             "cache hit"
@@ -548,7 +557,7 @@ fn handle_job(
     }
     println!("[sweepd] job fp={fingerprint:016x} class={}", spec.class);
     let job = QueuedJob {
-        fingerprint,
+        rows,
         writer: Arc::clone(writer),
         job_id,
         class: spec.class,
@@ -651,11 +660,11 @@ pub struct JobResponse {
     pub status: StatusCode,
     /// Whether the daemon served stored frames (`DONE … cached=1`).
     pub cached: bool,
-    /// Total cells in the grid.
+    /// Total cells in the job.
     pub cells: usize,
     /// Cells that failed.
     pub failed: usize,
-    /// CSV rows from `CELL` frames, canonical grid order (no header).
+    /// CSV rows from `CELL` frames, canonical row order (no header).
     pub csv_rows: Vec<String>,
     /// The result frames verbatim — `CELL`/`ERRCELL` lines plus the
     /// `DONE` line with its run-specific `cached=` token stripped. Two
@@ -707,6 +716,38 @@ impl JobResponse {
             io::ErrorKind::InvalidData,
             "result frames do not end in exactly one terminal DONE frame",
         ))
+    }
+
+    /// The response whose cell frames are `parts`' cell frames in order,
+    /// closed by one `DONE` that counts them (`lost`: some cells never
+    /// reported, see [`protocol::done_frame`]). A job assembled from its
+    /// rows' stored records and a sharded job merged from its shards'
+    /// records are both built here.
+    pub(crate) fn concat(parts: impl IntoIterator<Item = JobResponse>, lost: bool) -> JobResponse {
+        let mut cells = Vec::new();
+        for part in parts {
+            cells.extend_from_slice(&part.result_lines[..part.cells]);
+        }
+        JobResponse::closed(cells, lost)
+    }
+
+    /// The response of the row labeled `label`: this response's
+    /// `CELL`/`ERRCELL` frames that carry `label`, in order, under their
+    /// own `DONE` — the frames of that row's one-scenario job.
+    pub fn row(&self, label: &str) -> JobResponse {
+        let cells = self.result_lines[..self.cells].iter().filter(|line| {
+            let rest = line.strip_prefix("CELL ").or(line.strip_prefix("ERRCELL "));
+            rest.and_then(|rest| rest.split([',', ' ']).next()) == Some(label)
+        });
+        JobResponse::closed(cells.cloned().collect(), false)
+    }
+
+    /// The response of `cells` (`CELL`/`ERRCELL` frames) closed by the
+    /// `DONE` that counts them.
+    fn closed(mut cells: Vec<String>, lost: bool) -> JobResponse {
+        let failed = cells.iter().filter(|c| c.starts_with("ERRCELL ")).count();
+        cells.push(protocol::done_frame(cells.len(), failed, lost));
+        JobResponse::from_frames(&cells).expect("counted cell frames always parse")
     }
 
     /// The failed cells, in frame order, as `(label, app, message)`: the

@@ -44,8 +44,9 @@
 //! is why that token exists (and sits last on the line).
 //!
 //! These result frames are also the one storage format for results: a
-//! `--state-dir` record holds a job's frames, and a shard worker's record
-//! holds the frames of its slice of the grid (see [`crate::shard`]).
+//! `--state-dir` or daemon record holds one row's frames ([`row_frames`]),
+//! stored under the row's fingerprint, and a shard worker's record holds
+//! the frames of its slice of the job's cells (see [`crate::shard`]).
 //! [`JobResponse::from_frames`] reads either back, and rejects a list
 //! whose `DONE` counts disagree with its `CELL`/`ERRCELL` lines.
 //!
@@ -80,7 +81,7 @@
 //! [`JobSpecError::UnsupportedVersion`]: crate::job::JobSpecError::UnsupportedVersion
 
 use crate::engine::CellOutcome;
-use crate::job::{JobClass, JobReport, JobSpec, LabelSource, StatusCode};
+use crate::job::{JobClass, JobReport, JobSpec, StatusCode};
 
 /// The longest line either side reads, newline included (1 MiB). A `JOB`
 /// line or a result frame is a few hundred bytes; the bound only stops a
@@ -187,24 +188,35 @@ pub fn split_job_tag(line: &str) -> (Option<u64>, String) {
 }
 
 /// The result frames a completed job serializes to: `CELL`/`ERRCELL`
-/// lines in canonical grid order followed by the terminal `DONE` —
-/// exactly the lines the daemon caches and replays on a hit, minus the
-/// `DONE` frame's `cached=` suffix, which the sender appends (see the
-/// module docs).
+/// lines in canonical row order followed by the terminal `DONE` —
+/// exactly the lines the daemon sends, minus the `DONE` frame's
+/// `cached=` suffix, which the sender appends (see the module docs).
+/// They are its [`row_frames`] concatenated under one `DONE`.
 pub fn result_frames(report: &JobReport) -> Vec<String> {
-    cell_frames(report.label, report.report.cells())
+    cell_frames(&report.labels, report.report.cells())
+}
+
+/// Each row's result frames, in row order: the row's `CELL`/`ERRCELL`
+/// lines and its own `DONE` — the record a daemon or a state directory
+/// stores under the row's fingerprint, byte-identical to the frames of
+/// the one-scenario job of that row.
+pub fn row_frames(report: &JobReport) -> Vec<Vec<String>> {
+    (0..report.labels.len())
+        .map(|row| cell_frames(&report.labels, report.report.row(row)))
+        .collect()
 }
 
 /// The result frames of a run of cells: one `CELL`/`ERRCELL` line per
-/// cell, in the order given, then `DONE status=<code> cells=<n>
-/// failed=<n>`. A whole job's report and a shard worker's slice of the
-/// grid both serialize through here, so a shard artifact holds the same
-/// lines as the matching stretch of the whole job's frames.
-pub(crate) fn cell_frames(label: LabelSource, cells: &[CellOutcome]) -> Vec<String> {
+/// cell, in the order given, labeled by its row's entry in `labels`,
+/// then `DONE status=<code> cells=<n> failed=<n>`. A whole job's report,
+/// a row and a shard worker's slice of the cells all serialize through
+/// here, so a stored record holds the same lines as the matching stretch
+/// of the whole job's frames.
+pub(crate) fn cell_frames(labels: &[&str], cells: &[CellOutcome]) -> Vec<String> {
     let mut frames = Vec::with_capacity(cells.len() + 1);
     let mut failed = 0usize;
     for cell in cells {
-        let name = label.row_label(cell);
+        let name = labels[cell.config];
         frames.push(match &cell.result {
             Ok(r) => format!("CELL {}", crate::scenarios::csv_row(name, r)),
             Err(e) => {
@@ -213,17 +225,27 @@ pub(crate) fn cell_frames(label: LabelSource, cells: &[CellOutcome]) -> Vec<Stri
             }
         });
     }
-    let status = if failed > 0 {
+    frames.push(done_frame(cells.len(), failed, false));
+    frames
+}
+
+/// The terminal `DONE status=<code> cells=<n> failed=<n>` frame of `cells`
+/// reported cells, `failed` of them failed. Its status is
+/// [`StatusCode::ShardFailed`] if `lost` (cells that never reported),
+/// else [`StatusCode::CellsFailed`] if any cell failed, else
+/// [`StatusCode::Ok`].
+pub(crate) fn done_frame(cells: usize, failed: usize, lost: bool) -> String {
+    let status = if lost {
+        StatusCode::ShardFailed
+    } else if failed > 0 {
         StatusCode::CellsFailed
     } else {
         StatusCode::Ok
     };
-    frames.push(format!(
-        "DONE status={} cells={} failed={failed}",
-        status.code(),
-        cells.len()
-    ));
-    frames
+    format!(
+        "DONE status={} cells={cells} failed={failed}",
+        status.code()
+    )
 }
 
 /// The connection-level `ERR` frame (a line that never became a job

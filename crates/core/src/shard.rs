@@ -1,11 +1,11 @@
-//! Multi-process sweep sharding: a coordinator that splits one sweep
-//! grid across N worker *processes* on the same host and merges their
+//! Multi-process sweep sharding: a coordinator that splits one job's
+//! cells across N worker *processes* on the same host and merges their
 //! results back into a report byte-identical to a serial run.
 //!
 //! # Why processes
 //!
 //! The thread-pool executor in [`SweepRunner`](crate::engine::SweepRunner)
-//! already parallelizes a grid, but every cell shares one address space —
+//! already parallelizes a job, but every cell shares one address space —
 //! one allocator, one trace store, one set of page tables. Sharding
 //! across OS processes is the only way to measure real multi-core
 //! contention (the sweep bench's serial vs threads vs processes
@@ -28,8 +28,10 @@
 //!   shard-001.job      ...
 //! ```
 //!
-//! The coordinator ([`ShardRunner`]) partitions the grid's flat index
-//! space `0..configs*apps` into contiguous ranges ([`partition`]), writes
+//! The coordinator ([`ShardRunner`]) partitions the job's flat cell list
+//! (every row's workloads, rows concatenated; see
+//! [`ResolvedJob`](crate::job::ResolvedJob)) into contiguous ranges
+//! ([`partition`]), writes
 //! one `.job` file per shard, and launches one worker per shard not yet
 //! done (`distfront-scenarios --shard i/N --shard-dir <dir>`). Each worker
 //! ([`run_worker`]) computes only its range via
@@ -55,7 +57,7 @@
 //! [`ShardOutcome::failed_shards`] with status
 //! [`StatusCode::ShardFailed`], and every *surviving* shard is still
 //! merged. Ranges are contiguous and ascending, so concatenating the
-//! shards' frames in shard order restores canonical grid order — the
+//! shards' frames in shard order restores canonical row order — the
 //! merged CSV rows and failure lines are byte-identical to
 //! [`JobSpec::execute`] run serially, whatever order shards finished or
 //! retried in.
@@ -72,7 +74,7 @@ use crate::server::protocol::cell_frames;
 use crate::server::JobResponse;
 use crate::store::DurableStore;
 
-/// Splits `cells` flat grid indices into exactly `shards` contiguous
+/// Splits `cells` flat cell indices into exactly `shards` contiguous
 /// ranges that cover `0..cells` with no gap and no overlap. Sizes
 /// differ by at most one, larger ranges first; with more shards than
 /// cells the tail ranges are empty.
@@ -129,7 +131,7 @@ impl ShardSpec {
         Ok(ShardSpec { index, of })
     }
 
-    /// The contiguous flat-index range this shard owns in a grid of
+    /// The contiguous flat-index range this shard owns in a job of
     /// `cells` total cells — [`partition`]'s `index`-th range.
     pub fn range(&self, cells: usize) -> Range<usize> {
         partition(cells, self.of).swap_remove(self.index)
@@ -211,7 +213,7 @@ pub fn run_worker(dir: &Path, shard: ShardSpec) -> StatusCode {
             return StatusCode::Usage;
         }
     };
-    let range = shard.range(resolved.configs.len() * resolved.workloads.len());
+    let range = shard.range(resolved.workloads.len());
     let key = record_key(fingerprint, &range);
     let store = match DurableStore::open(store_path(dir, shard.index)) {
         Ok((store, _)) => store,
@@ -226,11 +228,8 @@ pub fn run_worker(dir: &Path, shard: ShardSpec) -> StatusCode {
     let kill = kill_path(dir, shard.index);
     let die_before_persist = kill.exists() && std::fs::remove_file(&kill).is_ok();
 
-    let cells = crate::engine::SweepRunner::from_spec(&spec, &JobEnv::default()).try_cells(
-        &resolved.configs,
-        &resolved.workloads,
-        range,
-    );
+    let cells = crate::engine::SweepRunner::from_spec(&spec, &JobEnv::default())
+        .try_cells(&resolved.rows(), range);
 
     if die_before_persist {
         // Dies by SIGABRT: like SIGKILL it runs no destructors and
@@ -240,7 +239,7 @@ pub fn run_worker(dir: &Path, shard: ShardSpec) -> StatusCode {
         std::process::abort();
     }
 
-    let frames = cell_frames(resolved.label, &cells);
+    let frames = cell_frames(&resolved.labels, &cells);
     let status = if cells.iter().any(|cell| cell.result.is_err()) {
         StatusCode::CellsFailed
     } else {
@@ -308,13 +307,13 @@ pub struct ShardOutcome {
     pub attempts: Vec<usize>,
     /// Shards that failed permanently after exhausting retries.
     pub failed_shards: Vec<usize>,
-    /// Total cells in the grid.
+    /// Total cells in the job.
     pub cells: usize,
     /// Cells actually merged (`== cells` iff no shard died).
     pub merged: usize,
 }
 
-/// The coordinator: partitions a [`JobSpec`]'s grid, drives worker
+/// The coordinator: partitions a [`JobSpec`]'s cells, drives worker
 /// processes, re-queues failures, and merges the shard artifacts.
 #[derive(Debug)]
 pub struct ShardRunner {
@@ -377,8 +376,7 @@ impl ShardRunner {
     /// and surface in [`ShardOutcome::failed_shards`].
     pub fn run(&self) -> Result<ShardOutcome, ShardError> {
         let fingerprint = self.spec.fingerprint()?;
-        let resolved = self.spec.resolve()?;
-        let cells = resolved.configs.len() * resolved.workloads.len();
+        let cells = self.spec.resolve()?.workloads.len();
         let n = self.processes;
         let ranges = partition(cells, n);
 
@@ -451,33 +449,16 @@ impl ShardRunner {
         }
 
         // Merge: ranges are contiguous and ascending, so the shards'
-        // frames concatenated in shard order are in canonical grid order.
-        let mut frames = Vec::new();
-        let mut failed = 0;
-        for response in completed.into_iter().flatten() {
-            failed += response.failed;
-            frames.extend_from_slice(&response.result_lines[..response.cells]);
-        }
-        let status = if !failed_shards.is_empty() {
-            StatusCode::ShardFailed
-        } else if failed > 0 {
-            StatusCode::CellsFailed
-        } else {
-            StatusCode::Ok
-        };
-        let merged = frames.len();
-        frames.push(format!(
-            "DONE status={} cells={merged} failed={failed}",
-            status.code()
-        ));
-        let response = JobResponse::from_frames(&frames).expect("merged shard frames always parse");
+        // frames concatenated in shard order are in canonical row order.
+        let lost = !failed_shards.is_empty();
+        let response = JobResponse::concat(completed.into_iter().flatten(), lost);
         Ok(ShardOutcome {
             csv_rows: response.csv_rows.clone(),
+            merged: response.cells,
             response,
             attempts,
             failed_shards,
             cells,
-            merged,
         })
     }
 

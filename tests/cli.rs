@@ -3,7 +3,8 @@
 //! the test). Every back end answers a job response and one output stage
 //! writes the CSV, the JSON, `--verify` and the failed-cell lines for all
 //! of them, so each front end must match the in-process run byte for
-//! byte.
+//! byte. The selections run as one job of rows that differ in length (4
+//! smoke apps, then 2 phased workloads).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -94,7 +95,14 @@ fn every_front_end_writes_and_verifies_the_in_process_bytes() {
     let dir = test_dir("ok");
     let (daemon, ends) = front_ends(&dir);
     let args = [
-        "--run", "baseline", "--smoke", "--uops", "20000", "--verify",
+        "--run",
+        "baseline",
+        "--run",
+        "phased-hot-cold",
+        "--smoke",
+        "--uops",
+        "20000",
+        "--verify",
     ];
     let runs: Vec<(&str, Run)> = ends
         .iter()
@@ -102,8 +110,9 @@ fn every_front_end_writes_and_verifies_the_in_process_bytes() {
         .collect();
     let (_, local) = &runs[0];
     assert_eq!(local.code, Some(0), "{}", local.stdout);
-    assert_eq!(local.csv.lines().count(), 5, "header + 4 smoke apps");
+    assert_eq!(local.csv.lines().count(), 7, "header + 4 smoke apps + 2");
     assert!(local.json.contains("\"name\": \"baseline\""));
+    assert!(local.json.contains("\"name\": \"phased-hot-cold\""));
     for (tag, r) in &runs {
         assert_eq!(r.code, Some(0), "{tag}: {}", r.stdout);
         assert_eq!(r.csv, local.csv, "{tag}: CSV");
@@ -115,6 +124,15 @@ fn every_front_end_writes_and_verifies_the_in_process_bytes() {
             r.stdout
         );
     }
+    // The whole selection is one sharded job: one coordinator round.
+    let (_, sharded) = &runs[2];
+    assert_eq!(
+        sharded.stdout.matches("launches per shard [1, 1]").count(),
+        1,
+        "{}",
+        sharded.stdout
+    );
+    assert_eq!(sharded.stdout.matches("launches per shard").count(), 1);
     stop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -126,6 +144,8 @@ fn every_front_end_reports_failed_cells_alike() {
     let args = [
         "--run",
         "baseline",
+        "--run",
+        "phased-hot-cold",
         "--inject-fail",
         "--smoke",
         "--uops",
@@ -137,6 +157,7 @@ fn every_front_end_reports_failed_cells_alike() {
         .collect();
     let (_, local) = &runs[0];
     assert_eq!(local.code, Some(2), "cells failed");
+    assert_eq!(local.csv.lines().count(), 7, "the surviving rows");
     assert_eq!(local.failed_cells.len(), 4, "{:?}", local.failed_cells);
     assert!(local.failed_cells[0].starts_with("error: cell fault-injection/"));
     assert_eq!(local.json.matches("\"error\": \"not converged").count(), 4);

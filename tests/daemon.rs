@@ -124,6 +124,56 @@ fn concurrent_clients_are_fault_isolated() {
     handle.join().expect("daemon exit");
 }
 
+/// A selection is stored one record per row, under the row's own
+/// fingerprint: after one job of several rows (of different lengths),
+/// any selection of those rows — one of them alone, or several in
+/// another order — is served from the records without running.
+#[test]
+fn rows_are_stored_and_served_per_scenario() {
+    let handle = SweepDaemon::bind("127.0.0.1:0").expect("bind").spawn();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let spec = |names: &[&str]| {
+        JobSpec::scenarios(names.iter().copied())
+            .with_smoke(true)
+            .with_uops(20_000)
+    };
+    let suite = scenarios::suite_apps(true).len();
+
+    let first = client
+        .submit(&spec(&["baseline", "drc", "phased-hot-cold"]))
+        .expect("first submission");
+    assert!(!first.cached);
+    assert_eq!((first.status, first.cells), (StatusCode::Ok, 2 * suite + 2));
+
+    // One row alone: the frames of a one-shot job of that scenario.
+    let drc = client.submit(&spec(&["drc"])).expect("drc");
+    assert!(drc.cached, "a stored row must be served");
+    let one_shot = spec(&["drc"])
+        .execute(&JobEnv::default(), |_| {})
+        .expect("one-shot");
+    assert_eq!(drc.result_lines, protocol::result_frames(&one_shot));
+    assert_eq!(first.row("drc").result_lines, drc.result_lines);
+
+    // Two rows in another order: each row's frames, in the new order.
+    let swapped = client.submit(&spec(&["drc", "baseline"])).expect("swapped");
+    assert!(swapped.cached);
+    assert_eq!(swapped.cells, 2 * suite);
+    assert_eq!(swapped.result_lines[..suite], drc.result_lines[..suite]);
+    assert_eq!(swapped.row("baseline"), first.row("baseline"));
+    let phased = client.submit(&spec(&["phased-hot-cold"])).expect("phased");
+    assert!(phased.cached);
+    assert_eq!(phased.cells, 2);
+
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.jobs, 4);
+    assert_eq!(stats.executed, 1, "stored rows must not re-execute");
+    assert_eq!(stats.result_hits, 3, "one hit per job");
+    assert_eq!(stats.result_entries, 3, "one record per row");
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon exit");
+}
+
 #[test]
 fn shared_env_warms_across_distinct_jobs() {
     let handle = SweepDaemon::bind("127.0.0.1:0").expect("bind").spawn();

@@ -1,7 +1,8 @@
 //! Multi-process sharding: partition coverage, concatenated per-shard
 //! slices equal to serial runs (error cells included), cross-process
-//! byte-identity for every registered scenario at 1/2/3 worker
-//! processes, the coordinator's re-queue path under a worker that
+//! byte-identity for every registered scenario, and for the whole
+//! registry as one job of ragged rows, at 1/2/3 worker processes, the
+//! coordinator's re-queue path under a worker that
 //! aborts mid-shard, and reruns on one state directory that reuse the
 //! stored records instead of appending more.
 
@@ -96,31 +97,38 @@ fn per_shard_engine_runs_merge_into_the_serial_report() {
     let (cfgs, workloads) = faulty_grid();
     let serial = SweepRunner::serial().try_grid(&cfgs, &workloads);
     assert_eq!(serial.failed(), 1);
+    let rows: Vec<_> = cfgs.iter().map(|c| (c, &workloads[..])).collect();
     for shards in [2, 3, 5] {
         let merged: Vec<_> = partition(6, shards)
             .into_iter()
-            .flat_map(|r| SweepRunner::serial().try_cells(&cfgs, &workloads, r))
+            .flat_map(|r| SweepRunner::serial().try_cells(&rows, r))
             .collect();
         assert_eq!(merged, serial.cells(), "{shards}-shard merge diverged");
     }
 }
 
 /// The acceptance gate: for every registered scenario (plus the
-/// all-cells-fail fault-injection one), the multi-process merged report
-/// is byte-identical to an in-process serial run at 1, 2 and 3 worker
+/// all-cells-fail fault-injection one), and for the whole registry as one
+/// job whose rows differ in length, the multi-process merged report is
+/// byte-identical to an in-process serial run at 1, 2 and 3 worker
 /// processes — rows and failure lines both.
 #[test]
 fn every_scenario_is_byte_identical_across_1_2_3_processes() {
-    let mut names: Vec<&str> = scenarios::registry().iter().map(|s| s.name).collect();
-    names.push(scenarios::fault_injection().name);
-    for name in names {
-        let spec = JobSpec::scenario(name).with_smoke(true).with_uops(12_000);
+    let registry: Vec<&str> = scenarios::registry().iter().map(|s| s.name).collect();
+    let mut specs: Vec<(String, JobSpec)> = registry
+        .iter()
+        .chain([&scenarios::fault_injection().name])
+        .map(|name| (name.to_string(), JobSpec::scenario(*name)))
+        .collect();
+    specs.push(("registry".into(), JobSpec::scenarios(registry)));
+    for (name, spec) in specs {
+        let spec = spec.with_smoke(true).with_uops(12_000);
         let serial = spec
             .clone()
             .with_workers(1)
             .execute(&JobEnv::default(), |_| {})
             .unwrap();
-        let expected_status = serial.status();
+        let expected = JobResponse::from(&serial);
         for processes in 1..=3usize {
             let dir = test_dir(&format!("grid-{name}-{processes}"));
             let outcome = ShardRunner::new(spec.clone(), processes)
@@ -135,11 +143,11 @@ fn every_scenario_is_byte_identical_across_1_2_3_processes() {
             );
             assert_eq!(
                 outcome.response.failures().collect::<Vec<_>>(),
-                JobResponse::from(&serial).failures().collect::<Vec<_>>(),
+                expected.failures().collect::<Vec<_>>(),
                 "{name} at {processes} processes: failure lines diverged"
             );
             assert_eq!(
-                outcome.response.status, expected_status,
+                outcome.response.status, expected.status,
                 "{name} at {processes}"
             );
             assert_eq!(outcome.failed_shards, Vec::<usize>::new());

@@ -30,9 +30,9 @@ use distfront::Integrator;
 use distfront_trace::rng::SplitMix64;
 use proptest::prelude::*;
 
-/// Valid jobspec lines: every target kind and every non-default
-/// scheduling token, canonical and hand-written (tokens omitted or
-/// reordered).
+/// Valid jobspec lines: one- and many-scenario targets and every
+/// non-default scheduling token, canonical and hand-written (tokens
+/// omitted or reordered).
 fn jobspec_lines() -> Vec<String> {
     let mut lines: Vec<String> = [
         JobSpec::scenario("baseline"),
@@ -40,7 +40,7 @@ fn jobspec_lines() -> Vec<String> {
             .with_smoke(true)
             .with_trace(TraceSpec::Record)
             .with_class(JobClass::Deferrable),
-        JobSpec::grid(["baseline", "drc+bh+ab"], ["gzip", "mcf"])
+        JobSpec::scenarios(["baseline", "drc+bh+ab"])
             .with_uops(40_000)
             .with_workers(2)
             .with_integrator(Integrator::Rk4)
@@ -52,8 +52,20 @@ fn jobspec_lines() -> Vec<String> {
     lines.push("kind=scenario v=1 name=dtm-dvfs smoke=1".into());
     // Older encoders wrote `batch=`; it still parses, and is ignored.
     lines.push("v=1 kind=scenario name=baseline workers=2 batch=1 trace=replay".into());
-    lines.push("v=1 kind=grid configs=baseline,,drc apps=gzip uops=+7".into());
+    lines.push("v=1 kind=scenario name=a,b".into());
     lines
+}
+
+/// Jobspec lines that must be rejected: an empty or a repeated name in
+/// the list, and the retired `kind=grid` target.
+fn rejected_jobspec_lines() -> Vec<String> {
+    [
+        "v=1 kind=scenario name=a,,b",
+        "v=1 kind=scenario name=a,a",
+        "v=1 kind=grid configs=baseline,,drc apps=gzip uops=+7",
+    ]
+    .map(String::from)
+    .to_vec()
 }
 
 /// Valid command lines: one of each verb.
@@ -211,6 +223,7 @@ fn check(input: &str) -> Result<(), String> {
 fn pick(rng: &mut SplitMix64) -> Vec<u8> {
     let mut inputs = command_lines();
     inputs.extend(jobspec_lines());
+    inputs.extend(rejected_jobspec_lines());
     inputs.extend(frame_records());
     inputs.extend(stats_lines());
     inputs[rng.next_below(inputs.len() as u64) as usize]
@@ -295,6 +308,10 @@ fn the_unmutated_lines_parse_and_round_trip() {
     for line in jobspec_lines() {
         JobSpec::parse_line(&line).unwrap();
         jobspec_round_trips(&line).unwrap();
+    }
+    for line in rejected_jobspec_lines() {
+        JobSpec::parse_line(&line).unwrap_err();
+        Command::parse(&format!("JOB {line}")).unwrap_err();
     }
     for line in command_lines() {
         Command::parse(&line).unwrap();
