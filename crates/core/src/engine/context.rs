@@ -1,6 +1,6 @@
 //! The shared state stages hand each other.
 
-use distfront_power::{BlockId, EnergyTable, Machine, PowerModel};
+use distfront_power::{EnergyTable, Machine, PowerModel};
 use distfront_thermal::{
     ExpPropagator, Floorplan, Integrator, PackageConfig, TemperatureTracker, ThermalParts,
     ThermalSolver,
@@ -113,12 +113,11 @@ impl<'a> EngineCx<'a> {
         // hopping are on only `logical/physical` of the time, so their
         // time-averaged background power scales accordingly.
         let duty = pc.trace_cache.logical_banks as f64 / pc.trace_cache.physical_banks() as f64;
-        let idle: Vec<f64> = machine
-            .blocks()
+        let idle: Vec<f64> = areas
             .iter()
-            .zip(&areas)
-            .map(|(b, a)| {
-                let d = if matches!(b, BlockId::TcBank(_)) {
+            .enumerate()
+            .map(|(i, a)| {
+                let d = if groups.trace_cache.contains(&i) {
                     duty
                 } else {
                     1.0

@@ -175,12 +175,13 @@ fn nominal_core(cx: &EngineCx<'_>, intervals: usize) -> Simulator {
 /// moves < 0.01 °C ("simulations are started with the processor already
 /// warm", §4).
 ///
-/// Each iteration is one pair of triangular solves through the machine's
-/// shared LU factor. The default modal backend defers projecting the
-/// adopted state onto its modal coordinates to the first advance, so the
-/// fixed point projects once however many iterations it takes. The
-/// solve is a few hundredths of a millisecond, so every cell solves its
-/// own.
+/// Each iteration is one pair of sparse triangular solves through the
+/// machine's shared LU factor, into the backend's own state: the loop
+/// allocates nothing per iteration. The default modal backend defers
+/// projecting the adopted state onto its modal coordinates to the first
+/// advance, so the fixed point projects once however many iterations it
+/// takes. The whole fixed point takes about a hundredth of a
+/// millisecond, so every cell solves its own.
 ///
 /// The stage fails with [`EngineError::NotConverged`] when the fixed
 /// point does not settle within 40 iterations (e.g. a leakage feedback
@@ -197,14 +198,13 @@ impl Stage for WarmStartStage {
         let nominal = cx.nominal()?.to_vec();
         let leak = cx.model.leakage_model();
         let mut temps = vec![cx.pkg.ambient_c; cx.machine.block_count()];
+        let mut p = vec![0.0; temps.len()];
         for _ in 0..40 {
-            let p: Vec<f64> = nominal
-                .iter()
-                .zip(&temps)
-                .map(|(&n, &t)| n + leak.leakage_watts(n, t))
-                .collect();
+            for ((p, &n), &t) in p.iter_mut().zip(&nominal).zip(&temps) {
+                *p = n + leak.leakage_watts(n, t);
+            }
             cx.thermal.steady_state(&p);
-            let new_temps = cx.thermal.block_temperatures().to_vec();
+            let new_temps = cx.thermal.block_temperatures();
             let delta = new_temps
                 .iter()
                 .zip(&temps)
@@ -214,7 +214,7 @@ impl Stage for WarmStartStage {
             // fixed point overflows to non-finite temperatures whose NaN
             // deltas f64::max silently drops.
             let finite = new_temps.iter().all(|t| t.is_finite());
-            temps = new_temps;
+            temps.copy_from_slice(new_temps);
             if finite && delta < 0.01 {
                 return Ok(());
             }

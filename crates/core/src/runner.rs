@@ -87,6 +87,11 @@ pub struct AppResult {
 }
 
 /// The canonical block groups of a machine.
+///
+/// Every group is a contiguous range of the canonical block order (see
+/// [`Machine::blocks`]): the ROB partitions, the RAT partitions, the
+/// I-TLB, decoder and predictor, the trace-cache banks, the UL2, then
+/// ten blocks per backend cluster.
 #[derive(Debug, Clone)]
 pub struct BlockGroups {
     /// ROB partitions.
@@ -106,24 +111,19 @@ pub struct BlockGroups {
 }
 
 impl BlockGroups {
-    /// Derives the groups for a machine shape.
+    /// Derives the groups for a machine shape from the canonical order's
+    /// arithmetic, without listing its blocks.
     pub fn for_machine(machine: Machine) -> Self {
-        let blocks = machine.blocks();
-        let of = |pred: &dyn Fn(BlockId) -> bool| -> Vec<usize> {
-            blocks
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| pred(**b))
-                .map(|(i, _)| i)
-                .collect()
-        };
+        let ul2 = machine.index_of(BlockId::Ul2);
+        let tc = ul2 - machine.tc_banks;
+        let p = machine.partitions;
         BlockGroups {
-            rob: of(&|b| matches!(b, BlockId::Rob(_))),
-            rat: of(&|b| matches!(b, BlockId::Rat(_))),
-            trace_cache: of(&|b| matches!(b, BlockId::TcBank(_))),
-            frontend: of(&|b| b.is_frontend()),
-            backend: of(&|b| b.is_backend()),
-            ul2: of(&|b| b == BlockId::Ul2),
+            rob: (0..p).collect(),
+            rat: (p..2 * p).collect(),
+            trace_cache: (tc..ul2).collect(),
+            frontend: (0..ul2).collect(),
+            backend: (ul2 + 1..machine.block_count()).collect(),
+            ul2: vec![ul2],
             processor: (0..machine.block_count()).collect(),
         }
     }
@@ -208,6 +208,29 @@ mod tests {
         let a = quick(ExperimentConfig::baseline());
         let b = quick(ExperimentConfig::baseline());
         assert_eq!(a, b);
+    }
+
+    /// The arithmetic groups equal the groups a filter over the
+    /// canonical block list selects, on every shape a floorplan allows.
+    #[test]
+    fn block_groups_match_the_block_kinds() {
+        for (p, banks) in [(1, 2), (1, 3), (2, 2), (2, 3)] {
+            for backends in 1..=4 {
+                let m = Machine::new(p, backends, banks);
+                let blocks = m.blocks();
+                let of = |pred: &dyn Fn(BlockId) -> bool| -> Vec<usize> {
+                    (0..blocks.len()).filter(|&i| pred(blocks[i])).collect()
+                };
+                let g = BlockGroups::for_machine(m);
+                assert_eq!(g.rob, of(&|b| matches!(b, BlockId::Rob(_))));
+                assert_eq!(g.rat, of(&|b| matches!(b, BlockId::Rat(_))));
+                assert_eq!(g.trace_cache, of(&|b| matches!(b, BlockId::TcBank(_))));
+                assert_eq!(g.frontend, of(&|b| b.is_frontend()));
+                assert_eq!(g.backend, of(&|b| b.is_backend()));
+                assert_eq!(g.ul2, of(&|b| b == BlockId::Ul2));
+                assert_eq!(g.processor, of(&|_| true));
+            }
+        }
     }
 
     #[test]

@@ -65,7 +65,7 @@ use distfront_power::Machine;
 use crate::floorplan::Floorplan;
 use crate::package::PackageConfig;
 use crate::rc::ThermalNetwork;
-use crate::solver::{assemble_matrix, assemble_rhs, assemble_rhs_into, SteadyFactor};
+use crate::solver::{assemble_matrix, assemble_rhs_into, SteadyFactor};
 
 /// Which transient integrator a run uses.
 ///
@@ -250,12 +250,27 @@ impl ThermalParts {
     ///
     /// Panics if `power` does not have one entry per block.
     pub fn solve_steady(&self, power: &[f64]) -> Vec<f64> {
+        let n = self.net.node_count();
+        let mut t = vec![0.0; n];
+        self.solve_steady_into(power, &mut vec![0.0; n], &mut t);
+        t
+    }
+
+    /// [`solve_steady`](Self::solve_steady) into `t`, assembling the
+    /// right-hand side in the scratch `rhs`: no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `power` does not have one entry per block, or `rhs` or
+    /// `t` one per node.
+    fn solve_steady_into(&self, power: &[f64], rhs: &mut [f64], t: &mut [f64]) {
         assert_eq!(
             power.len(),
             self.net.block_count(),
             "one power entry per block"
         );
-        self.steady.solve(&assemble_rhs(&self.net, power))
+        assemble_rhs_into(&self.net, power, rhs);
+        self.steady.solve(rhs, t);
     }
 }
 
@@ -645,13 +660,16 @@ impl ExpPropagator {
     }
 
     /// Solves for the steady state under constant block `power` and adopts
-    /// it as the current state.
+    /// it as the current state, solving into the state itself: a warm
+    /// start's fixed point allocates nothing per iteration.
     ///
     /// # Panics
     ///
     /// Panics if `power` does not have one entry per block.
     pub fn set_steady_state(&mut self, power: &[f64]) {
-        self.set_temperatures(self.solve_steady(power));
+        self.parts
+            .solve_steady_into(power, &mut self.rhs, &mut self.t);
+        self.projected = false;
     }
 
     /// Advances the transient state by `dt` seconds under constant block
@@ -985,7 +1003,7 @@ mod tests {
                 .chain(b.w.iter())
                 .chain(b.b.iter())
                 .chain(b.c.iter())
-                .chain(p.steady.solve(&vec![1.0; p.network().node_count()]).iter())
+                .chain(p.solve_steady(&vec![1.0; p.network().block_count()]).iter())
                 .map(|v| v.to_bits())
                 .collect()
         };

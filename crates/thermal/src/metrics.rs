@@ -40,15 +40,11 @@ impl GroupMetrics {
     }
 }
 
-#[derive(Debug, Clone)]
-struct IntervalRecord {
-    /// Per-block maximum within the interval.
-    max: Vec<f64>,
-    /// Per-block time-weighted average within the interval.
-    avg: Vec<f64>,
-    /// Interval duration in seconds.
-    duration: f64,
-}
+/// Closed intervals the metric loops read side by side: their serial
+/// chains (a group's maximum and area sum within one interval) are
+/// independent across intervals, so interleaving them overlaps their
+/// latencies while every chain keeps its own operation order.
+const LANES: usize = 4;
 
 /// Accumulates per-block temperature samples, closed into intervals.
 ///
@@ -68,7 +64,13 @@ struct IntervalRecord {
 #[derive(Debug, Clone)]
 pub struct TemperatureTracker {
     areas: Vec<f64>,
-    intervals: Vec<IntervalRecord>,
+    /// Per-block maximum of every closed interval, interval-major.
+    max: Vec<f64>,
+    /// Per-block time-weighted average of every closed interval,
+    /// interval-major.
+    avg: Vec<f64>,
+    /// Duration of every closed interval in seconds.
+    durations: Vec<f64>,
     cur_max: Vec<f64>,
     cur_sum: Vec<f64>,
     cur_time: f64,
@@ -83,12 +85,7 @@ impl TemperatureTracker {
     /// Panics if `areas` is empty or contains a non-positive area; use
     /// [`try_new`](Self::try_new) for a recoverable error.
     pub fn new(areas: Vec<f64>) -> Self {
-        assert!(!areas.is_empty(), "no blocks to track");
-        assert!(
-            areas.iter().all(|&a| a.is_finite() && a > 0.0),
-            "areas must be positive"
-        );
-        Self::try_new(areas).expect("validated above")
+        Self::try_new(areas).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The non-panicking [`new`](Self::new).
@@ -111,7 +108,9 @@ impl TemperatureTracker {
         let n = areas.len();
         Ok(TemperatureTracker {
             areas,
-            intervals: Vec::new(),
+            max: Vec::new(),
+            avg: Vec::new(),
+            durations: Vec::new(),
             cur_max: vec![f64::NEG_INFINITY; n],
             cur_sum: vec![0.0; n],
             cur_time: 0.0,
@@ -125,7 +124,7 @@ impl TemperatureTracker {
 
     /// Number of closed intervals.
     pub fn interval_count(&self) -> usize {
-        self.intervals.len()
+        self.durations.len()
     }
 
     /// Records one temperature sample held for `dt` seconds in the current
@@ -150,13 +149,12 @@ impl TemperatureTracker {
         if self.cur_time == 0.0 {
             return;
         }
-        let avg = self.cur_sum.iter().map(|&s| s / self.cur_time).collect();
-        self.intervals.push(IntervalRecord {
-            max: std::mem::replace(&mut self.cur_max, vec![f64::NEG_INFINITY; self.areas.len()]),
-            avg,
-            duration: self.cur_time,
-        });
-        self.cur_sum.iter_mut().for_each(|s| *s = 0.0);
+        self.max.extend_from_slice(&self.cur_max);
+        self.avg
+            .extend(self.cur_sum.iter().map(|&s| s / self.cur_time));
+        self.durations.push(self.cur_time);
+        self.cur_max.fill(f64::NEG_INFINITY);
+        self.cur_sum.fill(0.0);
         self.cur_time = 0.0;
     }
 
@@ -170,19 +168,14 @@ impl TemperatureTracker {
     /// Panics if the group is empty or an index is out of range.
     pub fn time_above(&self, threshold_c: f64, blocks: &[usize]) -> f64 {
         assert!(!blocks.is_empty(), "empty block group");
-        let total: f64 = self
-            .intervals
-            .iter()
-            .filter(|iv| {
-                blocks
-                    .iter()
-                    .map(|&b| iv.max[b])
-                    .fold(f64::NEG_INFINITY, f64::max)
-                    >= threshold_c
-            })
-            .map(|iv| iv.duration)
-            .sum();
-        // An empty float sum is -0.0; keep the zero unsigned for reports.
+        // The durations sum in interval order from the empty float sum,
+        // -0.0; the final +0.0 keeps a zero unsigned for reports.
+        let mut total = -0.0;
+        self.for_each_interval(blocks, |imax, _, duration| {
+            if imax >= threshold_c {
+                total += duration;
+            }
+        });
         total + 0.0
     }
 
@@ -195,7 +188,7 @@ impl TemperatureTracker {
     /// [`try_group_metrics`](Self::try_group_metrics) for a recoverable
     /// `None` instead), or if an index is out of range.
     pub fn group_metrics(&self, blocks: &[usize]) -> GroupMetrics {
-        assert!(!self.intervals.is_empty(), "no closed intervals");
+        assert!(self.interval_count() > 0, "no closed intervals");
         assert!(!blocks.is_empty(), "empty block group");
         self.try_group_metrics(blocks).expect("validated above")
     }
@@ -210,7 +203,7 @@ impl TemperatureTracker {
     /// Still panics if a block index is out of range — that is a caller
     /// bug, not a data condition.
     pub fn try_group_metrics(&self, blocks: &[usize]) -> Option<GroupMetrics> {
-        if self.intervals.is_empty() || blocks.is_empty() {
+        if self.interval_count() == 0 || blocks.is_empty() {
             return None;
         }
         let group_area: f64 = blocks.iter().map(|&b| self.areas[b]).sum();
@@ -218,26 +211,55 @@ impl TemperatureTracker {
         let mut avg_max_sum = 0.0;
         let mut avg_sum = 0.0;
         let mut total_time = 0.0;
-        for iv in &self.intervals {
-            let imax = blocks
-                .iter()
-                .map(|&b| iv.max[b])
-                .fold(f64::NEG_INFINITY, f64::max);
+        self.for_each_interval(blocks, |imax, area_sum, duration| {
             abs_max = abs_max.max(imax);
             avg_max_sum += imax;
-            let area_avg: f64 = blocks
-                .iter()
-                .map(|&b| iv.avg[b] * self.areas[b])
-                .sum::<f64>()
-                / group_area;
-            avg_sum += area_avg * iv.duration;
-            total_time += iv.duration;
-        }
+            avg_sum += area_sum / group_area * duration;
+            total_time += duration;
+        });
         Some(GroupMetrics {
             abs_max_c: abs_max,
             average_c: avg_sum / total_time,
-            avg_max_c: avg_max_sum / self.intervals.len() as f64,
+            avg_max_c: avg_max_sum / self.interval_count() as f64,
         })
+    }
+
+    /// Calls `visit` on every closed interval in order with the group's
+    /// maximum, its area-weighted sum of block averages and the
+    /// interval's duration, folding [`LANES`] intervals side by side.
+    fn for_each_interval(&self, blocks: &[usize], mut visit: impl FnMut(f64, f64, f64)) {
+        let intervals = self.durations.len();
+        let full = intervals - intervals % LANES;
+        for first in (0..full).step_by(LANES) {
+            let (imax, sums) = self.fold_group::<LANES>(first, blocks);
+            for l in 0..LANES {
+                visit(imax[l], sums[l], self.durations[first + l]);
+            }
+        }
+        for first in full..intervals {
+            let ([imax], [sum]) = self.fold_group::<1>(first, blocks);
+            visit(imax, sum, self.durations[first]);
+        }
+    }
+
+    /// The group's maximum and area-weighted sum of block averages in
+    /// each of the `L` closed intervals from `first`. Each maximum folds
+    /// the group's blocks in order from −∞, and each sum from the empty
+    /// float sum, −0.0.
+    fn fold_group<const L: usize>(&self, first: usize, blocks: &[usize]) -> ([f64; L], [f64; L]) {
+        let n = self.areas.len();
+        let max = &self.max[first * n..(first + L) * n];
+        let avg = &self.avg[first * n..(first + L) * n];
+        let mut imax = [f64::NEG_INFINITY; L];
+        let mut sums = [-0.0; L];
+        for &b in blocks {
+            let a = self.areas[b];
+            for l in 0..L {
+                imax[l] = imax[l].max(max[l * n + b]);
+                sums[l] += avg[l * n + b] * a;
+            }
+        }
+        (imax, sums)
     }
 }
 

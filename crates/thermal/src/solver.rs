@@ -6,8 +6,8 @@
 //! **once** per network and process ([`SteadyFactor`], LU with partial
 //! pivoting, shared through [`ThermalParts`]) and every subsequent solve
 //! — including each round of the leakage↔temperature fixed point that
-//! warm-starts a run — is a pair of O(n²) triangular substitutions
-//! instead of an O(n³) elimination.
+//! warm-starts a run — is a pair of triangular substitutions over the
+//! factors' nonzeros instead of an O(n³) elimination.
 //! [`ThermalSolver::solve_steady_dense`] keeps the single-shot Gaussian
 //! elimination as a cross-check reference.
 //!
@@ -28,6 +28,28 @@ use crate::rc::ThermalNetwork;
 /// LU factorization (partial pivoting) of a steady-state system matrix,
 /// reusable across right-hand sides.
 ///
+/// The factors of a thermal network are sparse: on the paper's
+/// distributed machine (53 nodes) strict L and U each hold 286 nonzeros
+/// of 1,378 entries. [`factor`](Self::factor) eliminates densely, then
+/// keeps each row's nonzero `(column, value)` pairs of L and U, and
+/// [`solve`](Self::solve) subtracts only those, in the ascending column
+/// order of a dense row-oriented substitution.
+///
+/// Skipping an exact zero changes no bit of a finite solve. For a finite
+/// `v`, `0·v` is `±0`, and `acc − (±0)` equals `acc` for every `acc` but
+/// `−0.0`. An accumulator is never `−0.0`: it starts at an entry of the
+/// permuted right-hand side or of the forward solution, and in
+/// round-to-nearest a difference is `−0.0` only when its minuend already
+/// is. The right-hand side the thermal parts assemble is
+/// `P + G_amb·T_amb`, whose ambient term is non-negative at an ambient
+/// of 0 °C or more (the package's is 45 °C), and the sum of a `−0.0`
+/// power with it is `+0.0`. A non-finite `v` is the one case a dense
+/// solve differs in: `0·∞` is NaN there and skipped here. A non-finite
+/// entry still spreads along the nonzeros, and `tests/steady_solve.rs`
+/// checks that an infinite or NaN block power gives a non-finite block
+/// temperature on every registry machine, so a runaway warm start still
+/// fails to converge.
+///
 /// # Examples
 ///
 /// ```
@@ -35,15 +57,47 @@ use crate::rc::ThermalNetwork;
 ///
 /// // [[2, 1], [1, 3]] · x = [3, 4]  =>  x = [1, 1]
 /// let f = SteadyFactor::factor(vec![vec![2.0, 1.0], vec![1.0, 3.0]]);
-/// let x = f.solve(&[3.0, 4.0]);
+/// let mut x = [0.0; 2];
+/// f.solve(&[3.0, 4.0], &mut x);
 /// assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SteadyFactor {
-    /// Packed L (unit diagonal, below) and U (on and above the diagonal).
-    lu: Vec<Vec<f64>>,
     /// Row permutation applied before substitution.
     perm: Vec<usize>,
+    /// Strict L (unit diagonal implied), nonzeros only.
+    lower: SparseRows,
+    /// Strict U, nonzeros only.
+    upper: SparseRows,
+    /// U's diagonal, the pivots.
+    diag: Vec<f64>,
+}
+
+/// The nonzero `(column, value)` pairs of a triangle, row by row in
+/// ascending column order.
+#[derive(Debug, Clone)]
+struct SparseRows {
+    entries: Vec<(usize, f64)>,
+    /// Row `r` is `entries[starts[r]..starts[r + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl SparseRows {
+    /// Gathers the nonzeros of `cols(r)` of every row `r` of `lu`.
+    fn gather(lu: &[Vec<f64>], cols: impl Fn(usize) -> std::ops::Range<usize>) -> Self {
+        let mut entries = Vec::new();
+        let mut starts = Vec::with_capacity(lu.len() + 1);
+        starts.push(0);
+        for (r, row) in lu.iter().enumerate() {
+            entries.extend(cols(r).map(|c| (c, row[c])).filter(|&(_, v)| v != 0.0));
+            starts.push(entries.len());
+        }
+        SparseRows { entries, starts }
+    }
+
+    fn row(&self, r: usize) -> &[(usize, f64)] {
+        &self.entries[self.starts[r]..self.starts[r + 1]]
+    }
 }
 
 impl SteadyFactor {
@@ -84,42 +138,47 @@ impl SteadyFactor {
                 }
             }
         }
-        SteadyFactor { lu: a, perm }
+        SteadyFactor {
+            lower: SparseRows::gather(&a, |r| 0..r),
+            upper: SparseRows::gather(&a, |r| r + 1..n),
+            diag: a.iter().enumerate().map(|(r, row)| row[r]).collect(),
+            perm,
+        }
     }
 
     /// Matrix dimension.
     pub fn dim(&self) -> usize {
-        self.lu.len()
+        self.perm.len()
     }
 
-    /// Solves `A·x = b` using the stored factorization.
+    /// Solves `A·x = b` into `x` using the stored factorization.
     ///
     /// # Panics
     ///
-    /// Panics if `b` does not match the matrix dimension.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.lu.len();
+    /// Panics if `b` or `x` does not match the matrix dimension.
+    pub fn solve(&self, b: &[f64], x: &mut [f64]) {
+        let n = self.dim();
         assert_eq!(b.len(), n, "rhs length mismatch");
-        // Forward substitution on the permuted rhs (L has a unit diagonal).
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
+        assert_eq!(x.len(), n, "solution length mismatch");
+        for (xi, &p) in x.iter_mut().zip(&self.perm) {
+            *xi = b[p];
+        }
+        // Forward substitution (L has a unit diagonal).
         for row in 1..n {
-            let (solved, rest) = x.split_at_mut(row);
-            let mut acc = rest[0];
-            for (l, v) in self.lu[row][..row].iter().zip(solved.iter()) {
-                acc -= l * v;
+            let mut acc = x[row];
+            for &(col, l) in self.lower.row(row) {
+                acc -= l * x[col];
             }
-            rest[0] = acc;
+            x[row] = acc;
         }
         // Back substitution through U.
         for row in (0..n).rev() {
-            let (head, solved) = x.split_at_mut(row + 1);
-            let mut acc = head[row];
-            for (u, v) in self.lu[row][row + 1..].iter().zip(solved.iter()) {
-                acc -= u * v;
+            let mut acc = x[row];
+            for &(col, u) in self.upper.row(row) {
+                acc -= u * x[col];
             }
-            head[row] = acc / self.lu[row][row];
+            x[row] = acc / self.diag[row];
         }
-        x
     }
 }
 
@@ -216,7 +275,8 @@ impl ThermalSolver {
         let net = self.network();
         assert_eq!(power.len(), net.block_count(), "one power entry per block");
         let mut a = assemble_matrix(net);
-        let mut b = assemble_rhs(net, power);
+        let mut b = vec![0.0; net.node_count()];
+        assemble_rhs_into(net, power, &mut b);
         gaussian_solve(&mut a, &mut b)
     }
 
@@ -287,17 +347,9 @@ pub(crate) fn assemble_matrix(net: &ThermalNetwork) -> Vec<Vec<f64>> {
     a
 }
 
-/// Assembles the right-hand side `b = P_ext + g_amb · T_amb`
-/// (shared with the matrix-exponential propagator in [`crate::expm`]).
-pub(crate) fn assemble_rhs(net: &ThermalNetwork, power: &[f64]) -> Vec<f64> {
-    let mut out = vec![0.0f64; net.node_count()];
-    assemble_rhs_into(net, power, &mut out);
-    out
-}
-
-/// Allocation-free variant of [`assemble_rhs`]: writes the right-hand
-/// side into a caller-provided node-count slice (the propagators' hot
-/// paths reuse scratch buffers across intervals).
+/// Assembles the right-hand side `b = P_ext + g_amb · T_amb` into a
+/// caller-provided node-count slice (shared with the matrix-exponential
+/// propagator in [`crate::expm`], whose hot paths reuse scratch buffers).
 pub(crate) fn assemble_rhs_into(net: &ThermalNetwork, power: &[f64], out: &mut [f64]) {
     let nb = net.block_count();
     assert_eq!(out.len(), net.node_count(), "rhs length mismatch");

@@ -171,6 +171,46 @@ impl Writer {
     }
 }
 
+/// A varint of one or two bytes starting `b0, b1`, with its length.
+///
+/// Either `b0` ends the value or `b1` does; the length is read off
+/// `b0`'s continuation bit, not branched on.
+#[inline]
+fn short_varint(b0: u8, b1: u8) -> Option<(u64, usize)> {
+    (b0 & b1 & 0x80 == 0).then(|| {
+        let two = u64::from(b0 >> 7);
+        let v = u64::from(b0 & 0x7f) | ((u64::from(b1) << 7) * two);
+        (v, 1 + two as usize)
+    })
+}
+
+/// A varint of any length from a window of the stream's next (at most
+/// 10) bytes, with its length. A window that ends mid-value is
+/// truncated when it is shorter than 10 bytes and corrupt when it is not.
+fn long_varint(window: &[u8], what: &'static str) -> Result<(u64, usize), CodecError> {
+    let mut v: u64 = 0;
+    for (i, &byte) in window.iter().enumerate() {
+        let bits = u64::from(byte & 0x7f);
+        if i == MAX_VARINT_LEN - 1 && bits > 1 {
+            return Err(CodecError::Corrupt("varint overflows u64"));
+        }
+        v |= bits << (7 * i);
+        if byte & 0x80 == 0 {
+            return Ok((v, i + 1));
+        }
+    }
+    if window.len() < MAX_VARINT_LEN {
+        return Err(CodecError::Truncated(what));
+    }
+    Err(CodecError::Corrupt("varint longer than 10 bytes"))
+}
+
+/// Maps a zig-zag varint back to its signed value.
+#[inline]
+fn unzigzag(n: u64) -> i64 {
+    (n >> 1) as i64 ^ -((n & 1) as i64)
+}
+
 /// A strict, bounds-checked decoder over a borrowed byte slice.
 ///
 /// Every read method takes a static section name that becomes the
@@ -279,37 +319,63 @@ impl<'a> Reader<'a> {
     pub fn varint(&mut self, what: &'static str) -> Result<u64, CodecError> {
         let rest = &self.buf[self.pos..];
         if let [b0, b1, ..] = *rest {
-            // Either b0 ends the value, or b1 does.
-            if b0 & b1 & 0x80 == 0 {
-                let two = u64::from(b0 >> 7);
-                self.pos += 1 + two as usize;
-                return Ok(u64::from(b0 & 0x7f) | ((u64::from(b1) << 7) * two));
-            }
-        }
-        let window = &rest[..rest.len().min(MAX_VARINT_LEN)];
-        let mut v: u64 = 0;
-        for (i, &byte) in window.iter().enumerate() {
-            let bits = u64::from(byte & 0x7f);
-            if i == MAX_VARINT_LEN - 1 && bits > 1 {
-                return Err(CodecError::Corrupt("varint overflows u64"));
-            }
-            v |= bits << (7 * i);
-            if byte & 0x80 == 0 {
-                self.pos += i + 1;
+            if let Some((v, len)) = short_varint(b0, b1) {
+                self.pos += len;
                 return Ok(v);
             }
         }
-        if window.len() < MAX_VARINT_LEN {
-            return Err(CodecError::Truncated(what));
-        }
-        Err(CodecError::Corrupt("varint longer than 10 bytes"))
+        let (v, len) = long_varint(&rest[..rest.len().min(MAX_VARINT_LEN)], what)?;
+        self.pos += len;
+        Ok(v)
     }
 
     /// Reads a zig-zag-mapped LEB128 varint back to a signed value.
     #[inline]
     pub fn zigzag(&mut self, what: &'static str) -> Result<i64, CodecError> {
-        let n = self.varint(what)?;
-        Ok((n >> 1) as i64 ^ -((n & 1) as i64))
+        Ok(unzigzag(self.varint(what)?))
+    }
+
+    /// Reads a row of `base.len()` zig-zag varints into `out`, each added
+    /// (wrapping) to the same entry of `base`: the delta row of
+    /// [`crate::record`]. Equal, value and error alike, to one
+    /// [`zigzag`](Self::zigzag) call per entry.
+    ///
+    /// The row is one loop over a local cursor: while a whole 10-byte
+    /// window remains, a value cannot run past the stream, so it is
+    /// decoded without a bounds check or a `Result` of its own. Only the
+    /// values that start in the stream's last 10 bytes go through
+    /// [`zigzag`](Self::zigzag).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `base` differ in length.
+    pub(crate) fn zigzag_row(
+        &mut self,
+        base: &[u64],
+        out: &mut [u64],
+        what: &'static str,
+    ) -> Result<(), CodecError> {
+        assert_eq!(base.len(), out.len(), "row length mismatch");
+        let buf = self.buf;
+        let mut pos = self.pos;
+        let mut read = 0;
+        for (o, &b) in out.iter_mut().zip(base) {
+            let Some(window) = buf.get(pos..pos + MAX_VARINT_LEN) else {
+                break;
+            };
+            let (v, len) = match short_varint(window[0], window[1]) {
+                Some(short) => short,
+                None => long_varint(window, what).inspect_err(|_| self.pos = pos)?,
+            };
+            pos += len;
+            *o = b.wrapping_add(unzigzag(v) as u64);
+            read += 1;
+        }
+        self.pos = pos;
+        for (o, &b) in out[read..].iter_mut().zip(&base[read..]) {
+            *o = b.wrapping_add(self.zigzag(what)? as u64);
+        }
+        Ok(())
     }
 
     /// Bytes not yet consumed.

@@ -704,11 +704,8 @@ impl ActivityTrace {
                     }
                     counters
                 } else {
-                    let nominal = &recs[0].counters;
                     let mut counters = vec![0u64; flat_len];
-                    for (c, &base) in counters.iter_mut().zip(nominal) {
-                        *c = base.wrapping_add(r.zigzag("interval point deltas")? as u64);
-                    }
+                    r.zigzag_row(&recs[0].counters, &mut counters, "interval point deltas")?;
                     counters
                 };
                 recs.push(PointRecord { counters, done });

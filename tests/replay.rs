@@ -400,3 +400,63 @@ fn phased_workloads_record_and_replay_through_the_sweep() {
     assert_eq!(replayed.replayed(), 2);
     assert_eq!(replayed, live);
 }
+
+/// The phased scenarios switch application every 25 k (`phased-hot-cold`)
+/// or 20 k (`phased-ramp`) micro-ops, so at 20 k a phased row is its
+/// first application alone. At 60 k every row crosses a phase boundary:
+/// it must differ from its first application run alone, and its
+/// recording must replay to the live bytes.
+#[test]
+fn phased_rows_cross_a_phase_boundary_and_replay_byte_identically() {
+    const UOPS: u64 = 60_000;
+    for name in ["phased-hot-cold", "phased-ramp"] {
+        let scenario = scenarios::by_name(name).unwrap();
+        let workloads = scenario.workloads(true);
+        let cfg = scenario.config().with_uops(UOPS);
+        let store = Arc::new(TraceStore::new());
+        let spec = |trace| {
+            JobSpec::scenario(name)
+                .with_smoke(true)
+                .with_uops(UOPS)
+                .with_workers(2)
+                .with_trace(trace)
+        };
+        let env = JobEnv {
+            traces: Arc::clone(&store),
+        };
+        let live = spec(TraceSpec::Record).execute(&env, |_| {}).unwrap();
+        assert_eq!(live.report.cells().len(), workloads.len());
+        for (cell, workload) in live.report.cells().iter().zip(&workloads) {
+            let Workload::Phased(phased) = workload else {
+                panic!("{name}: {} is not phased", workload.name());
+            };
+            assert!(
+                phased.phases[0].uops < UOPS,
+                "{name}/{}: the first phase outlasts the run",
+                workload.name()
+            );
+            let row = cell.result.as_ref().unwrap();
+            let first = phased.phases[0].profile;
+            let alone = CoupledEngine::for_workload(&cfg, Workload::Single(first))
+                .run()
+                .unwrap();
+            assert_ne!(
+                distfront::AppResult {
+                    app: row.app,
+                    ..alone
+                },
+                *row,
+                "{name}/{}: the row equals {} alone",
+                workload.name(),
+                first.name
+            );
+        }
+        let replayed = spec(TraceSpec::Replay).execute(&env, |_| {}).unwrap();
+        assert_eq!(replayed.report.replayed(), workloads.len(), "{name}");
+        assert_eq!(
+            scenarios::to_csv([&replayed]),
+            scenarios::to_csv([&live]),
+            "{name}: replayed CSV diverged from live"
+        );
+    }
+}

@@ -150,6 +150,21 @@ fn registry_parts_step_like_a_fresh_build_on_every_scenario_machine() {
     }
 }
 
+/// `crates/thermal/tests/steady_solve.rs` checks the sparse steady-state
+/// solve bit for bit on every shape with one or two partitions, two or
+/// three banks and one to four backends; the registry must stay inside.
+#[test]
+fn registry_machines_are_within_the_solver_tests_shapes() {
+    for (m, _, _) in registry_machines() {
+        assert!(
+            (1..=2).contains(&m.partitions)
+                && (2..=3).contains(&m.tc_banks)
+                && (1..=4).contains(&m.backends),
+            "{m:?}"
+        );
+    }
+}
+
 #[test]
 fn racing_first_requests_share_one_build() {
     // A package no other test asks for, so every thread's request is a
