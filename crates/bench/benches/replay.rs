@@ -23,9 +23,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use distfront::emergency::EmergencyPolicy;
 use distfront::engine::{CoupledEngine, TraceMode, TraceStore};
-use distfront::{DtmSpec, DvfsPolicy, ExperimentConfig, SweepRunner};
+use distfront::{DtmSpec, DvfsPolicy, EmergencyPolicy, ExperimentConfig, SweepRunner};
 use distfront_bench::kernel_app;
 use distfront_trace::{AppProfile, Workload};
 use std::hint::black_box;
@@ -184,8 +183,12 @@ fn bench(c: &mut Criterion) {
     let uops = uops();
     let cfg = ExperimentConfig::baseline().with_uops(uops);
     let app = AppProfile::test_tiny();
-    let (recorded, _) = CoupledEngine::new(&cfg, &app).run_recorded();
-    let trace = Arc::new(recorded.expect("recording the bench kernel").1);
+    let trace = Arc::new(
+        CoupledEngine::new(&cfg, &app)
+            .run_recorded()
+            .expect("recording the bench kernel")
+            .1,
+    );
 
     c.bench_function("replay/cell_live", |b| {
         b.iter(|| black_box(CoupledEngine::new(&cfg, &app).run().unwrap()))

@@ -1,21 +1,33 @@
 //! The dynamic-thermal-management policy library.
 //!
-//! [`EmergencyController`](crate::emergency::EmergencyController) implements
-//! the conventional halve-the-clock emergency throttle; this module covers
-//! the rest of the design space the paper positions its techniques against
-//! (§4 names DTM mechanisms as the consumers of its peak-temperature
-//! reductions):
+//! §4 of the paper: *"We have not enabled any mechanism to be triggered at
+//! a thermal emergency (it is part of our future work). … techniques
+//! reducing peak temperatures would reduce the number of times that these
+//! mechanisms are initiated."* This module implements those mechanisms so
+//! the claim can be measured, as four policies:
 //!
-//! * [`GlobalDvfsController`] — global dynamic voltage/frequency scaling:
-//!   the whole chip drops to a scaled (V, f) operating point when hot,
-//!   with dynamic energy falling by `V²` and leakage recomputed at the
-//!   scaled voltage,
-//! * [`FetchGateController`] — fetch toggling: the fetch unit is gated to
-//!   a duty cycle, starving the frontend (and with it the whole pipeline)
+//! * [`EmergencyPolicy`] — the conventional emergency throttle (frequency
+//!   or fetch scaling, as in Skadron et al. and the Pentium M thermal
+//!   monitor): whenever any block crosses the threshold, the following
+//!   intervals run at a fraction of full speed, which stretches
+//!   wall-clock time for the same work,
+//! * [`DvfsPolicy`] — global dynamic voltage/frequency scaling: the whole
+//!   chip drops to a scaled (V, f) operating point when hot, with dynamic
+//!   energy falling by `V²` and leakage recomputed at the scaled voltage,
+//! * [`FetchGatePolicy`] — fetch toggling: the fetch unit is gated to a
+//!   duty cycle, starving the frontend (and with it the whole pipeline)
 //!   at unchanged voltage,
-//! * [`MigrationController`] — front-end activity migration: with a
+//! * [`MigrationPolicy`] — front-end activity migration: with a
 //!   distributed frontend, dispatch is steered toward the backends of the
 //!   cooler partition so the hot partition's RAT/ROB can cool.
+//!
+//! A policy is pure data, wrapped in a [`DtmSpec`](crate::DtmSpec);
+//! [`DtmSpec::build`](crate::DtmSpec::build) is the only way to get a
+//! controller for one. There are two: the first three policies share one
+//! trip/release-or-hold state machine that returns the policy's fixed
+//! [`DtmAction`] while engaged (so their emergency accounting cannot
+//! drift: a continuous violation is always exactly one trigger), and
+//! migration has its own, which picks the partition to migrate to.
 //!
 //! Every controller is a [`DtmPolicy`]: the interval loop consults it once
 //! per interval and applies the returned [`DtmAction`]. Controllers are
@@ -27,6 +39,64 @@ use distfront_power::{BlockId, Machine, OperatingPoint};
 use distfront_uarch::FetchGate;
 
 use crate::engine::{DtmAction, DtmPolicy};
+
+/// Configuration of the emergency throttle.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EmergencyPolicy {
+    /// Engage when any block reaches this temperature (the paper's
+    /// emergency limit is 381 K ≈ 107.85 °C).
+    pub threshold_c: f64,
+    /// Throughput multiplier while engaged (0.5 = half frequency), in
+    /// `(0, 1)`.
+    pub throttle_factor: f64,
+    /// Intervals the throttle stays engaged once triggered.
+    pub hold_intervals: u32,
+}
+
+impl EmergencyPolicy {
+    /// The paper's emergency limit with a conventional halve-frequency
+    /// response held for one interval.
+    pub fn paper_limit() -> Self {
+        EmergencyPolicy {
+            threshold_c: 381.0 - 273.15,
+            throttle_factor: 0.5,
+            hold_intervals: 1,
+        }
+    }
+
+    /// A policy with a custom threshold (for studying trigger rates below
+    /// the hard limit).
+    pub fn with_threshold(threshold_c: f64) -> Self {
+        EmergencyPolicy {
+            threshold_c,
+            ..Self::paper_limit()
+        }
+    }
+
+    /// Validates the policy.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first invalid field.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0 < self.throttle_factor && self.throttle_factor <= 1.0) {
+            return Err(format!(
+                "throttle factor {} outside (0, 1]",
+                self.throttle_factor
+            ));
+        }
+        if self.throttle_factor == 1.0 {
+            return Err("a throttle of 1 manages nothing".into());
+        }
+        if !self.threshold_c.is_finite() || self.threshold_c <= 0.0 {
+            return Err(format!("threshold {} invalid", self.threshold_c));
+        }
+        if self.hold_intervals == 0 {
+            return Err("hold must last at least one interval".into());
+        }
+        Ok(())
+    }
+}
 
 /// Configuration of the global-DVFS policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,9 +145,9 @@ impl DvfsPolicy {
     }
 }
 
-/// How an engaged trip/hold state machine lets go again.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Release {
+/// How an engaged [`Hysteresis`] lets go again.
+#[derive(Debug, Clone, Copy)]
+enum Release {
     /// Stay engaged until the peak cools below this temperature
     /// (hysteresis band).
     CoolBelow(f64),
@@ -86,16 +156,15 @@ pub(crate) enum Release {
     Hold(u32),
 }
 
-/// The trip/hold state machine every threshold-triggered controller
-/// shares — [`GlobalDvfsController`], [`FetchGateController`] and the
-/// legacy [`EmergencyController`](crate::emergency::EmergencyController)
-/// all count triggers and active intervals through this one
-/// implementation, so their emergency-accounting semantics cannot drift:
-/// a continuous violation is always exactly one trigger.
+/// The one threshold controller: a trip/hold state machine that returns
+/// a fixed action while engaged. [`DtmSpec::build`](crate::DtmSpec::build)
+/// makes one for the emergency throttle, global DVFS and fetch gating.
 #[derive(Debug, Clone)]
 pub(crate) struct Hysteresis {
     trip_c: f64,
     release: Release,
+    /// What [`decide`](DtmPolicy::decide) returns while engaged.
+    action: DtmAction,
     /// Intervals of hold left ([`Release::Hold`] only).
     hold_left: u32,
     engaged: bool,
@@ -107,20 +176,23 @@ pub(crate) struct Hysteresis {
 }
 
 impl Hysteresis {
-    /// Engage at `trip_c`, release once cooled below `release_c`.
-    pub(crate) fn cool_below(trip_c: f64, release_c: f64) -> Self {
-        Self::with_release(trip_c, Release::CoolBelow(release_c))
+    /// Engage at `trip_c` with `action`, release once cooled below
+    /// `release_c`.
+    pub(crate) fn cool_below(trip_c: f64, release_c: f64, action: DtmAction) -> Self {
+        Self::with_release(trip_c, Release::CoolBelow(release_c), action)
     }
 
-    /// Engage at `trip_c`, hold for `intervals` after each violation.
-    pub(crate) fn hold(trip_c: f64, intervals: u32) -> Self {
-        Self::with_release(trip_c, Release::Hold(intervals))
+    /// Engage at `trip_c` with `action`, hold for `intervals` after each
+    /// violation.
+    pub(crate) fn hold(trip_c: f64, intervals: u32, action: DtmAction) -> Self {
+        Self::with_release(trip_c, Release::Hold(intervals), action)
     }
 
-    fn with_release(trip_c: f64, release: Release) -> Self {
+    fn with_release(trip_c: f64, release: Release, action: DtmAction) -> Self {
         Hysteresis {
             trip_c,
             release,
+            action,
             hold_left: 0,
             engaged: false,
             over: false,
@@ -131,7 +203,7 @@ impl Hysteresis {
 
     /// Feeds the interval's peak temperature; returns whether the
     /// mechanism is engaged for the next interval (counting it when so).
-    pub(crate) fn observe(&mut self, peak: f64) -> bool {
+    fn observe(&mut self, peak: f64) -> bool {
         let over = peak >= self.trip_c;
         match self.release {
             Release::CoolBelow(release_c) => {
@@ -161,19 +233,27 @@ impl Hysteresis {
         }
         self.engaged
     }
+}
 
-    /// Distinct engagements so far.
-    pub(crate) fn triggers(&self) -> u64 {
+impl DtmPolicy for Hysteresis {
+    fn decide(&mut self, temps_c: &[f64]) -> DtmAction {
+        if self.observe(peak(temps_c)) {
+            self.action
+        } else {
+            DtmAction::Nominal
+        }
+    }
+
+    fn triggers(&self) -> u64 {
         self.triggers
     }
 
-    /// Intervals spent engaged so far.
-    pub(crate) fn active_intervals(&self) -> u64 {
+    fn throttled_intervals(&self) -> u64 {
         self.active_intervals
     }
 }
 
-/// The trip/release checks both threshold-triggered policies share.
+/// The trip/release checks the DVFS and fetch-gate policies share.
 fn validate_trip_release(trip_c: f64, release_c: f64) -> Result<(), String> {
     if !trip_c.is_finite() || trip_c <= 0.0 {
         return Err(format!("trip {trip_c} invalid"));
@@ -182,56 +262,6 @@ fn validate_trip_release(trip_c: f64, release_c: f64) -> Result<(), String> {
         return Err(format!("release {release_c} above trip {trip_c}"));
     }
     Ok(())
-}
-
-/// Runtime state of the global-DVFS policy.
-#[derive(Debug, Clone)]
-pub struct GlobalDvfsController {
-    policy: DvfsPolicy,
-    hysteresis: Hysteresis,
-}
-
-impl GlobalDvfsController {
-    /// Creates a controller for `policy`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy is invalid.
-    pub fn new(policy: DvfsPolicy) -> Self {
-        policy
-            .validate()
-            .unwrap_or_else(|e| panic!("bad DVFS policy: {e}"));
-        GlobalDvfsController {
-            hysteresis: Hysteresis::cool_below(policy.trip_c, policy.release_c),
-            policy,
-        }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> DvfsPolicy {
-        self.policy
-    }
-}
-
-impl DtmPolicy for GlobalDvfsController {
-    fn decide(&mut self, temps_c: &[f64]) -> DtmAction {
-        if self.hysteresis.observe(peak(temps_c)) {
-            DtmAction::Dvfs {
-                f_scale: self.policy.f_scale,
-                v_scale: self.policy.v_scale,
-            }
-        } else {
-            DtmAction::Nominal
-        }
-    }
-
-    fn triggers(&self) -> u64 {
-        self.hysteresis.triggers()
-    }
-
-    fn throttled_intervals(&self) -> u64 {
-        self.hysteresis.active_intervals()
-    }
 }
 
 /// Configuration of the fetch-toggling policy.
@@ -286,56 +316,6 @@ impl FetchGatePolicy {
     }
 }
 
-/// Runtime state of the fetch-toggling policy.
-#[derive(Debug, Clone)]
-pub struct FetchGateController {
-    policy: FetchGatePolicy,
-    hysteresis: Hysteresis,
-}
-
-impl FetchGateController {
-    /// Creates a controller for `policy`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy is invalid.
-    pub fn new(policy: FetchGatePolicy) -> Self {
-        policy
-            .validate()
-            .unwrap_or_else(|e| panic!("bad fetch-gate policy: {e}"));
-        FetchGateController {
-            hysteresis: Hysteresis::cool_below(policy.trip_c, policy.release_c),
-            policy,
-        }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> FetchGatePolicy {
-        self.policy
-    }
-}
-
-impl DtmPolicy for FetchGateController {
-    fn decide(&mut self, temps_c: &[f64]) -> DtmAction {
-        if self.hysteresis.observe(peak(temps_c)) {
-            DtmAction::FetchGate {
-                open: self.policy.open,
-                period: self.policy.period,
-            }
-        } else {
-            DtmAction::Nominal
-        }
-    }
-
-    fn triggers(&self) -> u64 {
-        self.hysteresis.triggers()
-    }
-
-    fn throttled_intervals(&self) -> u64 {
-        self.hysteresis.active_intervals()
-    }
-}
-
 /// Configuration of the front-end activity-migration policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationPolicy {
@@ -381,7 +361,7 @@ impl MigrationPolicy {
     }
 }
 
-/// Runtime state of the front-end activity-migration policy.
+/// The migration controller.
 ///
 /// Watches each frontend partition's RAT and ROB blocks; when the hottest
 /// partition crosses the trip temperature and leads the coolest by the
@@ -390,7 +370,7 @@ impl MigrationPolicy {
 /// centralized machine there is only one partition and the controller
 /// stays nominal.
 #[derive(Debug, Clone)]
-pub struct MigrationController {
+pub(crate) struct MigrationController {
     policy: MigrationPolicy,
     /// Canonical block indices of each partition's front-end structures.
     partition_blocks: Vec<Vec<usize>>,
@@ -400,46 +380,35 @@ pub struct MigrationController {
 }
 
 impl MigrationController {
-    /// Creates a controller watching `machine`'s frontend partitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy is invalid.
-    pub fn for_machine(policy: MigrationPolicy, machine: Machine) -> Self {
-        policy
-            .validate()
-            .unwrap_or_else(|e| panic!("bad migration policy: {e}"));
-        let partition_blocks = (0..machine.partitions)
-            .map(|p| {
-                machine
-                    .blocks()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, b)| {
-                        matches!(b, BlockId::Rob(q) | BlockId::Rat(q) if usize::from(*q) == p)
-                    })
-                    .map(|(i, _)| i)
-                    .collect()
-            })
-            .collect();
+    /// A controller for a valid `policy`, watching `machine`'s frontend
+    /// partitions.
+    pub(crate) fn for_machine(policy: MigrationPolicy, machine: Machine) -> Self {
         MigrationController {
             policy,
-            partition_blocks,
+            partition_blocks: partition_blocks(machine),
             target: None,
             triggers: 0,
             throttled_intervals: 0,
         }
     }
+}
 
-    /// The policy in force.
-    pub fn policy(&self) -> MigrationPolicy {
-        self.policy
-    }
-
-    /// The partition currently receiving migrated work, if any.
-    pub fn target(&self) -> Option<usize> {
-        self.target
-    }
+/// Canonical block indices of each of `machine`'s frontend partitions'
+/// RAT and ROB blocks.
+fn partition_blocks(machine: Machine) -> Vec<Vec<usize>> {
+    (0..machine.partitions)
+        .map(|p| {
+            machine
+                .blocks()
+                .iter()
+                .enumerate()
+                .filter(
+                    |(_, b)| matches!(b, BlockId::Rob(q) | BlockId::Rat(q) if usize::from(*q) == p),
+                )
+                .map(|(i, _)| i)
+                .collect()
+        })
+        .collect()
 }
 
 impl DtmPolicy for MigrationController {
@@ -506,10 +475,104 @@ fn arg_extreme(values: &[f64], better: impl Fn(f64, f64) -> bool) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DtmSpec;
+
+    /// A controller for `spec` on a centralized machine.
+    fn build(spec: DtmSpec) -> Box<dyn DtmPolicy> {
+        spec.build(Machine::new(1, 4, 2))
+    }
+
+    fn emergency(threshold_c: f64) -> Box<dyn DtmPolicy> {
+        build(DtmSpec::Emergency(EmergencyPolicy::with_threshold(
+            threshold_c,
+        )))
+    }
+
+    #[test]
+    fn paper_limit_is_381_kelvin() {
+        let p = EmergencyPolicy::paper_limit();
+        assert!((p.threshold_c - 107.85).abs() < 0.01);
+        p.validate().unwrap();
+    }
+
+    #[test]
+    fn cool_chip_never_triggers() {
+        let mut c = build(DtmSpec::Emergency(EmergencyPolicy::paper_limit()));
+        for _ in 0..100 {
+            assert_eq!(c.decide(&[60.0, 70.0, 80.0]), DtmAction::Nominal);
+        }
+        assert_eq!(c.triggers(), 0);
+        assert_eq!(c.throttled_intervals(), 0);
+    }
+
+    #[test]
+    fn hot_block_engages_throttle() {
+        let mut c = emergency(100.0);
+        assert_eq!(c.decide(&[60.0, 101.0]), DtmAction::Throttle(0.5));
+        assert_eq!(c.triggers(), 1);
+        // Cooled again: released after the hold.
+        assert_eq!(c.decide(&[60.0, 80.0]), DtmAction::Nominal);
+    }
+
+    #[test]
+    fn sustained_heat_counts_one_emergency() {
+        let mut c = emergency(100.0);
+        for _ in 0..5 {
+            assert_eq!(c.decide(&[105.0]), DtmAction::Throttle(0.5));
+        }
+        assert_eq!(c.triggers(), 1, "continuous violation is one emergency");
+        assert_eq!(c.throttled_intervals(), 5);
+    }
+
+    #[test]
+    fn re_trigger_after_cooling_counts_again() {
+        let mut c = emergency(100.0);
+        c.decide(&[105.0]);
+        c.decide(&[80.0]);
+        c.decide(&[105.0]);
+        assert_eq!(c.triggers(), 2);
+    }
+
+    #[test]
+    fn hold_keeps_throttle_engaged() {
+        let mut c = build(DtmSpec::Emergency(EmergencyPolicy {
+            threshold_c: 100.0,
+            throttle_factor: 0.25,
+            hold_intervals: 3,
+        }));
+        assert_eq!(c.decide(&[101.0]), DtmAction::Throttle(0.25));
+        assert_eq!(c.decide(&[90.0]), DtmAction::Throttle(0.25));
+        assert_eq!(c.decide(&[90.0]), DtmAction::Throttle(0.25));
+        assert_eq!(c.decide(&[90.0]), DtmAction::Nominal);
+    }
+
+    #[test]
+    fn invalid_policies_rejected() {
+        assert!(EmergencyPolicy {
+            throttle_factor: 0.0,
+            ..EmergencyPolicy::paper_limit()
+        }
+        .validate()
+        .is_err());
+        let full_speed = EmergencyPolicy {
+            throttle_factor: 1.0,
+            ..EmergencyPolicy::paper_limit()
+        };
+        assert!(full_speed
+            .validate()
+            .unwrap_err()
+            .contains("manages nothing"));
+        assert!(EmergencyPolicy {
+            hold_intervals: 0,
+            ..EmergencyPolicy::paper_limit()
+        }
+        .validate()
+        .is_err());
+    }
 
     #[test]
     fn dvfs_engages_with_hysteresis() {
-        let mut c = GlobalDvfsController::new(DvfsPolicy::with_trip(100.0));
+        let mut c = build(DtmSpec::GlobalDvfs(DvfsPolicy::with_trip(100.0)));
         assert_eq!(c.decide(&[60.0, 90.0]), DtmAction::Nominal);
         let engaged = c.decide(&[60.0, 101.0]);
         assert_eq!(
@@ -529,7 +592,7 @@ mod tests {
 
     #[test]
     fn dvfs_retrigger_counts_again() {
-        let mut c = GlobalDvfsController::new(DvfsPolicy::with_trip(100.0));
+        let mut c = build(DtmSpec::GlobalDvfs(DvfsPolicy::with_trip(100.0)));
         c.decide(&[101.0]);
         c.decide(&[90.0]);
         c.decide(&[101.0]);
@@ -537,17 +600,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bad DVFS policy")]
+    #[should_panic(expected = "bad global-dvfs policy")]
     fn dvfs_overvolt_rejected() {
-        GlobalDvfsController::new(DvfsPolicy {
+        build(DtmSpec::GlobalDvfs(DvfsPolicy {
             v_scale: 1.3,
             ..DvfsPolicy::paper_limit()
-        });
+        }));
     }
 
     #[test]
     fn fetch_gate_engages_with_hysteresis() {
-        let mut c = FetchGateController::new(FetchGatePolicy::with_trip(100.0));
+        let mut c = build(DtmSpec::FetchGate(FetchGatePolicy::with_trip(100.0)));
         assert_eq!(c.decide(&[99.0]), DtmAction::Nominal);
         assert_eq!(
             c.decide(&[100.0]),
@@ -565,56 +628,56 @@ mod tests {
     #[test]
     #[should_panic(expected = "manages nothing")]
     fn always_open_gate_rejected() {
-        FetchGateController::new(FetchGatePolicy {
+        build(DtmSpec::FetchGate(FetchGatePolicy {
             open: 2,
             period: 2,
             ..FetchGatePolicy::paper_limit()
-        });
+        }));
+    }
+
+    /// Temperatures on `machine` with partition `p`'s RAT and ROB at
+    /// `hot` and every other block at `cool`.
+    fn heat_partition(machine: Machine, p: usize, hot: f64, cool: f64) -> Vec<f64> {
+        let mut temps = vec![cool; machine.block_count()];
+        for i in &partition_blocks(machine)[p] {
+            temps[*i] = hot;
+        }
+        temps
     }
 
     #[test]
     fn migration_targets_the_cooler_partition() {
-        // Machine with 2 partitions: blocks() order fixes RAT/ROB indices.
         let machine = Machine::new(2, 4, 2);
-        let mut c = MigrationController::for_machine(MigrationPolicy::with_trip(80.0), machine);
-        let mut temps = vec![50.0; machine.block_count()];
-        // Heat partition 0's front-end blocks.
-        for &i in &c.partition_blocks[0].clone() {
-            temps[i] = 85.0;
-        }
+        let mut c = DtmSpec::Migration(MigrationPolicy::with_trip(80.0)).build(machine);
+        let temps = heat_partition(machine, 0, 85.0, 50.0);
         assert_eq!(c.decide(&temps), DtmAction::MigrateTo(1));
-        assert_eq!(c.target(), Some(1));
         assert_eq!(c.triggers(), 1);
         // Sustained imbalance is one trigger.
         assert_eq!(c.decide(&temps), DtmAction::MigrateTo(1));
         assert_eq!(c.triggers(), 1);
         // Balance restored: released.
-        for &i in &c.partition_blocks[0].clone() {
-            temps[i] = 50.0;
-        }
-        assert_eq!(c.decide(&temps), DtmAction::Nominal);
-        assert_eq!(c.target(), None);
+        let balanced = vec![50.0; machine.block_count()];
+        assert_eq!(c.decide(&balanced), DtmAction::Nominal);
+        assert_eq!(c.throttled_intervals(), 2);
     }
 
     #[test]
     fn migration_respects_trip_and_margin() {
         let machine = Machine::new(2, 4, 2);
-        let mut c = MigrationController::for_machine(
-            MigrationPolicy {
-                trip_c: 80.0,
-                margin_c: 3.0,
-            },
-            machine,
-        );
-        let mut temps = vec![79.0; machine.block_count()];
+        let mut c = DtmSpec::Migration(MigrationPolicy {
+            trip_c: 80.0,
+            margin_c: 3.0,
+        })
+        .build(machine);
         // Hot but below trip: nominal.
-        assert_eq!(c.decide(&temps), DtmAction::Nominal);
+        assert_eq!(
+            c.decide(&vec![79.0; machine.block_count()]),
+            DtmAction::Nominal
+        );
         // Above trip but within margin: nominal.
-        for &i in &c.partition_blocks[0].clone() {
-            temps[i] = 81.0;
-        }
-        for &i in &c.partition_blocks[1].clone() {
-            temps[i] = 79.5;
+        let mut temps = heat_partition(machine, 0, 81.0, 79.0);
+        for i in &partition_blocks(machine)[1] {
+            temps[*i] = 79.5;
         }
         assert_eq!(c.decide(&temps), DtmAction::Nominal);
         assert_eq!(c.triggers(), 0);
@@ -623,7 +686,7 @@ mod tests {
     #[test]
     fn migration_is_inert_on_a_centralized_machine() {
         let machine = Machine::new(1, 4, 2);
-        let mut c = MigrationController::for_machine(MigrationPolicy::with_trip(10.0), machine);
+        let mut c = DtmSpec::Migration(MigrationPolicy::with_trip(10.0)).build(machine);
         assert_eq!(
             c.decide(&vec![200.0; machine.block_count()]),
             DtmAction::Nominal

@@ -50,16 +50,6 @@ pub struct CoupledEngine<'a> {
     replay_validated: bool,
 }
 
-/// Per-run execution statistics: how a run executed, as opposed to what it
-/// simulated (that is the [`AppResult`]). Collected even when the run
-/// fails, so sweep reports can attribute replay provenance to error cells.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunStats {
-    /// Whether the run was driven from a recorded trace instead of the
-    /// live core simulator.
-    pub replayed: bool,
-}
-
 impl<'a> CoupledEngine<'a> {
     /// An engine with the default stage pipeline over a single
     /// application profile.
@@ -148,58 +138,39 @@ impl<'a> CoupledEngine<'a> {
     /// prerequisites are missing, an iterative phase fails to converge, or
     /// a requested replay is incompatible.
     pub fn run(self) -> Result<AppResult, EngineError> {
-        self.run_with_stats().0
-    }
-
-    /// Runs the pipeline to completion and also reports [`RunStats`].
-    ///
-    /// The stats are returned alongside — not inside — the result, so
-    /// execution metadata is available for failed runs too (the sweep
-    /// executor's per-cell reports want both).
-    pub fn run_with_stats(self) -> (Result<AppResult, EngineError>, RunStats) {
-        let (result, stats, _) = self.execute(false);
-        (result, stats)
+        self.execute(false).map(|(result, _)| result)
     }
 
     /// Runs the pipeline to completion while recording the run as an
-    /// [`ActivityTrace`], plus [`RunStats`]. The recording taps only
-    /// observe: the returned [`AppResult`] is bit-identical to
-    /// [`run`](Self::run)'s.
+    /// [`ActivityTrace`]. The recording taps only observe: the returned
+    /// [`AppResult`] is bit-identical to [`run`](Self::run)'s.
     ///
     /// Recording a replayed run is refused (the replay pipeline never
     /// produces fresh activity), as is recording through a fully custom
     /// stage list that bypasses the default taps.
-    pub fn run_recorded(self) -> (Result<(AppResult, ActivityTrace), EngineError>, RunStats) {
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run), and [`EngineError::InvalidConfig`] when the
+    /// run cannot be recorded.
+    pub fn run_recorded(self) -> Result<(AppResult, ActivityTrace), EngineError> {
         if self.replay.is_some() || self.stages.is_some() {
-            return (
-                Err(EngineError::InvalidConfig(
-                    "recording requires the default live pipeline".into(),
-                )),
-                RunStats::default(),
-            );
+            return Err(EngineError::InvalidConfig(
+                "recording requires the default live pipeline".into(),
+            ));
         }
-        let (result, stats, trace) = self.execute(true);
-        let result = result.map(|r| (r, trace.expect("recording pipeline produced a trace")));
-        (result, stats)
+        let (result, trace) = self.execute(true)?;
+        Ok((result, trace.expect("recording pipeline produced a trace")))
     }
 
-    fn execute(
-        self,
-        record: bool,
-    ) -> (
-        Result<AppResult, EngineError>,
-        RunStats,
-        Option<ActivityTrace>,
-    ) {
+    fn execute(self, record: bool) -> Result<(AppResult, Option<ActivityTrace>), EngineError> {
         let workload = self.workload;
         let replay = match (&self.stages, self.replay) {
             // An explicit stage list wins; replay otherwise, validated
             // before any model is built.
             (None, Some(trace)) => {
                 if !self.replay_validated {
-                    if let Err(e) = ReplayBackend::validate(self.cfg, &workload, &trace) {
-                        return (Err(e), RunStats::default(), None);
-                    }
+                    ReplayBackend::validate(self.cfg, &workload, &trace)?;
                 }
                 Some(trace)
             }
@@ -209,26 +180,18 @@ impl<'a> CoupledEngine<'a> {
         // recorder cannot prove power-level-only; it taints the recording
         // as not replay-safe.
         let custom_dtm = self.dtm.is_some();
-        let mut cx = match EngineCx::build(self.cfg, &workload, self.thermal, self.dtm) {
-            Ok(cx) => cx,
-            Err(e) => return (Err(e), RunStats::default(), None),
-        };
+        let mut cx = EngineCx::build(self.cfg, &workload, self.thermal, self.dtm)?;
         if record {
             cx.recorder = Some(TraceRecorder::new(self.cfg, &workload, custom_dtm));
         }
-        let replayed = replay.is_some();
         let mut stages = match (self.stages, replay) {
             (Some(stages), _) => stages,
             (None, Some(trace)) => ReplayBackend::stages(trace, None),
             (None, None) => Self::default_stages(None),
         };
-        let ran = stages.iter_mut().try_for_each(|stage| stage.run(&mut cx));
-        let stats = RunStats { replayed };
-        if let Err(e) = ran {
-            return (Err(e), stats, None);
-        }
+        stages.iter_mut().try_for_each(|stage| stage.run(&mut cx))?;
         let trace = cx.recorder.take().map(|rec| rec.finish(finals(&cx)));
-        (finish(&cx), stats, trace)
+        Ok((finish(&cx)?, trace))
     }
 }
 
@@ -430,8 +393,7 @@ mod tests {
             .run()
             .unwrap();
         let finals = seen.lock().unwrap().expect("the interval loop set finals");
-        let (recorded, _) = CoupledEngine::new(&cfg, &app).run_recorded();
-        let (result, trace) = recorded.unwrap();
+        let (result, trace) = CoupledEngine::new(&cfg, &app).run_recorded().unwrap();
         assert_eq!(finals, trace.finals);
         assert_eq!(result, live);
         assert_eq!((live.cycles, live.uops), (finals.cycles, finals.uops));
@@ -439,13 +401,14 @@ mod tests {
 
     #[test]
     fn dtm_policy_plugs_in() {
-        use crate::emergency::{EmergencyController, EmergencyPolicy};
+        use crate::dtm::EmergencyPolicy;
+        use crate::experiment::DtmSpec;
         let cfg = ExperimentConfig::baseline().with_uops(40_000);
         let app = AppProfile::test_tiny();
         // Threshold below ambient: every interval throttles.
-        let ctrl = EmergencyController::new(EmergencyPolicy::with_threshold(40.0));
+        let ctrl = DtmSpec::Emergency(EmergencyPolicy::with_threshold(40.0));
         let r = CoupledEngine::new(&cfg, &app)
-            .with_dtm(Box::new(ctrl))
+            .with_dtm(ctrl.build(distfront_power::Machine::new(1, 4, 2)))
             .run()
             .unwrap();
         assert!(r.emergencies >= 1);
@@ -457,18 +420,15 @@ mod tests {
         let cfg = ExperimentConfig::baseline().with_uops(40_000);
         let app = AppProfile::test_tiny();
         let plain = run_app(&cfg, &app);
-        let (recorded, stats) = CoupledEngine::new(&cfg, &app).run_recorded();
-        let (result, trace) = recorded.unwrap();
-        assert!(!stats.replayed);
+        let (result, trace) = CoupledEngine::new(&cfg, &app).run_recorded().unwrap();
         assert_eq!(result, plain, "recording changed the run");
         assert_eq!(trace.meta.workload, "tiny");
         assert!(!trace.intervals.is_empty());
         assert!(trace.intervals.last().unwrap().points[0].done);
 
-        let (replayed, stats) = CoupledEngine::new(&cfg, &app)
+        let replayed = CoupledEngine::new(&cfg, &app)
             .with_replay(Arc::new(trace))
-            .run_with_stats();
-        assert!(stats.replayed);
+            .run();
         assert_eq!(replayed.unwrap(), plain, "replay diverged from live");
     }
 
@@ -476,8 +436,7 @@ mod tests {
     fn replay_rejects_core_side_mismatches() {
         let cfg = ExperimentConfig::baseline().with_uops(40_000);
         let app = AppProfile::test_tiny();
-        let (recorded, _) = CoupledEngine::new(&cfg, &app).run_recorded();
-        let trace = Arc::new(recorded.unwrap().1);
+        let trace = Arc::new(CoupledEngine::new(&cfg, &app).run_recorded().unwrap().1);
 
         // Different run length.
         let longer = ExperimentConfig::baseline().with_uops(80_000);
@@ -517,7 +476,7 @@ mod tests {
         );
 
         // Recording a replay makes no sense.
-        let (res, _) = CoupledEngine::new(&cfg, &app)
+        let res = CoupledEngine::new(&cfg, &app)
             .with_replay(trace)
             .run_recorded();
         assert!(matches!(res, Err(EngineError::InvalidConfig(_))));

@@ -80,7 +80,7 @@ mod sweep;
 mod traits;
 
 pub use context::EngineCx;
-pub use coupled::{CoupledEngine, RunStats};
+pub use coupled::CoupledEngine;
 pub use replay::{ReplayBackend, ReplayLoopStage, ReplayPilotStage, TraceRecorder};
 pub use stages::{IntervalLoopStage, PilotCore, PilotStage, WarmStartStage};
 pub use sweep::{

@@ -18,7 +18,7 @@ use std::time::Instant;
 use distfront_trace::record::{ActivityTrace, PointKey};
 use distfront_trace::Workload;
 
-use super::coupled::{CoupledEngine, RunStats};
+use super::coupled::CoupledEngine;
 use super::replay::{processor_fingerprint, ReplayBackend};
 use super::EngineError;
 use crate::experiment::ExperimentConfig;
@@ -243,12 +243,13 @@ pub struct CellOutcome {
 
 impl CellOutcome {
     /// The outcome of cell `i` of `cells` from its engine run, timed
-    /// from `started`.
+    /// from `started`; `replayed` says whether the sweep replayed it.
     fn new(
         cells: &Cells,
         i: usize,
-        (result, stats): (Result<AppResult, EngineError>, RunStats),
+        result: Result<AppResult, EngineError>,
         started: Instant,
+        replayed: bool,
     ) -> Self {
         let (config, app) = cells.coords(i);
         let (cfg, workloads) = cells.rows[config];
@@ -260,7 +261,7 @@ impl CellOutcome {
             result,
             wall_time_s: started.elapsed().as_secs_f64(),
             warm_hit: false,
-            replayed: stats.replayed,
+            replayed,
         }
     }
 
@@ -657,8 +658,7 @@ impl SweepRunner {
         let engine = CoupledEngine::for_workload(cfg, workload.clone());
         let run = match &self.mode {
             TraceMode::Record(store) => {
-                let (recorded, stats) = engine.run_recorded();
-                let result = recorded.map(|(result, trace)| {
+                engine.run_recorded().map(|(result, trace)| {
                     // Only tainted recordings — made under an unverifiable
                     // custom DTM closure — are skipped: they cannot prove
                     // any operating point. Core-perturbing spec policies
@@ -669,12 +669,11 @@ impl SweepRunner {
                         store.insert(trace);
                     }
                     result
-                });
-                (result, stats)
+                })
             }
-            TraceMode::Live | TraceMode::Replay(_) => engine.run_with_stats(),
+            TraceMode::Live | TraceMode::Replay(_) => engine.run(),
         };
-        CellOutcome::new(cells, i, run, started)
+        CellOutcome::new(cells, i, run, started, false)
     }
 }
 
@@ -691,8 +690,8 @@ fn run_replay_cell(cells: &Cells, i: usize, trace: &Arc<ActivityTrace>) -> CellO
     let (cfg, workload) = cells.cell(i);
     let run = CoupledEngine::for_workload(cfg, workload.clone())
         .with_validated_replay(Arc::clone(trace))
-        .run_with_stats();
-    CellOutcome::new(cells, i, run, started)
+        .run();
+    CellOutcome::new(cells, i, run, started, true)
 }
 
 // Compatibility with the end-to-end benchmark (`perfbench/`), which

@@ -4,7 +4,6 @@
 use distfront_thermal::{ExpPropagator, ThermalSolver};
 
 use super::{EngineCx, EngineError};
-use crate::emergency::EmergencyController;
 
 /// One phase of an experiment pipeline.
 ///
@@ -164,12 +163,12 @@ pub enum DtmAction {
 /// A dynamic-thermal-management policy the interval loop consults once per
 /// interval.
 ///
-/// [`EmergencyController`] is the built-in throttle;
-/// [`GlobalDvfsController`](crate::dtm::GlobalDvfsController),
-/// [`FetchGateController`](crate::dtm::FetchGateController) and
-/// [`MigrationController`](crate::dtm::MigrationController) cover the rest
-/// of the paper's design space. Custom policies implement this trait and
-/// plug into [`CoupledEngine::with_dtm`](super::CoupledEngine::with_dtm).
+/// The two built-in controllers — the threshold controller behind the
+/// emergency throttle, global DVFS and fetch gating, and the migration
+/// controller — come only from
+/// [`DtmSpec::build`](crate::DtmSpec::build) (see [`crate::dtm`]). Custom
+/// policies implement this trait and plug into
+/// [`CoupledEngine::with_dtm`](super::CoupledEngine::with_dtm).
 pub trait DtmPolicy {
     /// Observes end-of-interval block temperatures and picks the action
     /// for the next interval.
@@ -178,23 +177,4 @@ pub trait DtmPolicy {
     fn triggers(&self) -> u64;
     /// Intervals spent under a non-nominal action so far.
     fn throttled_intervals(&self) -> u64;
-}
-
-impl DtmPolicy for EmergencyController {
-    fn decide(&mut self, temps_c: &[f64]) -> DtmAction {
-        let factor = self.observe(temps_c);
-        if factor < 1.0 {
-            DtmAction::Throttle(factor)
-        } else {
-            DtmAction::Nominal
-        }
-    }
-
-    fn triggers(&self) -> u64 {
-        EmergencyController::triggers(self)
-    }
-
-    fn throttled_intervals(&self) -> u64 {
-        EmergencyController::throttled_intervals(self)
-    }
 }

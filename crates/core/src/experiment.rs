@@ -1,10 +1,12 @@
 //! Experiment configurations: the baseline and every technique the paper
 //! evaluates, as presets.
 
-use crate::dtm::{DvfsPolicy, FetchGatePolicy, MigrationPolicy};
-use crate::emergency::EmergencyPolicy;
+use crate::dtm::{
+    DvfsPolicy, EmergencyPolicy, FetchGatePolicy, Hysteresis, MigrationController, MigrationPolicy,
+};
+use crate::engine::{DtmAction, DtmPolicy};
 use distfront_cache::trace_cache::TraceCacheConfig;
-use distfront_power::LeakageModel;
+use distfront_power::{LeakageModel, Machine};
 use distfront_thermal::Integrator;
 use distfront_trace::record::PointKey;
 use distfront_uarch::{FrontendMode, ProcessorConfig};
@@ -12,23 +14,24 @@ use distfront_uarch::{FrontendMode, ProcessorConfig};
 /// Which dynamic-thermal-management policy a configuration runs with.
 ///
 /// A spec is pure data — the engine builds the matching controller from it
-/// when a run starts (see [`crate::dtm`] for the controllers), which keeps
+/// with [`build`](Self::build) when a run starts, which keeps
 /// [`ExperimentConfig`] a complete, copyable description of an experiment
 /// and lets the parallel sweep executor rebuild identical controllers in
-/// every worker.
+/// every worker. `build` is the only way to get a built-in controller
+/// (see [`crate::dtm`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DtmSpec {
-    /// The conventional emergency throttle
-    /// ([`EmergencyController`](crate::emergency::EmergencyController)).
+    /// The conventional emergency throttle: the threshold controller,
+    /// holding [`DtmAction::Throttle`] after each violation.
     Emergency(EmergencyPolicy),
-    /// Global voltage/frequency scaling
-    /// ([`GlobalDvfsController`](crate::dtm::GlobalDvfsController)).
+    /// Global voltage/frequency scaling: the threshold controller,
+    /// returning [`DtmAction::Dvfs`] until the chip cools below release.
     GlobalDvfs(DvfsPolicy),
-    /// Fetch toggling
-    /// ([`FetchGateController`](crate::dtm::FetchGateController)).
+    /// Fetch toggling: the threshold controller, returning
+    /// [`DtmAction::FetchGate`] until the chip cools below release.
     FetchGate(FetchGatePolicy),
-    /// Front-end activity migration
-    /// ([`MigrationController`](crate::dtm::MigrationController)).
+    /// Front-end activity migration: the migration controller, returning
+    /// [`DtmAction::MigrateTo`] the cooler partition.
     Migration(MigrationPolicy),
 }
 
@@ -53,13 +56,32 @@ impl DtmSpec {
     ///
     /// Panics if the policy is invalid (call [`validate`](Self::validate)
     /// first for a recoverable error).
-    pub fn build(&self, machine: distfront_power::Machine) -> Box<dyn crate::engine::DtmPolicy> {
-        use crate::dtm::{FetchGateController, GlobalDvfsController, MigrationController};
-        use crate::emergency::EmergencyController;
+    pub fn build(&self, machine: Machine) -> Box<dyn DtmPolicy> {
+        if let Err(e) = self.validate() {
+            panic!("bad {} policy: {e}", self.name());
+        }
         match *self {
-            DtmSpec::Emergency(p) => Box::new(EmergencyController::new(p)),
-            DtmSpec::GlobalDvfs(p) => Box::new(GlobalDvfsController::new(p)),
-            DtmSpec::FetchGate(p) => Box::new(FetchGateController::new(p)),
+            DtmSpec::Emergency(p) => Box::new(Hysteresis::hold(
+                p.threshold_c,
+                p.hold_intervals,
+                DtmAction::Throttle(p.throttle_factor),
+            )),
+            DtmSpec::GlobalDvfs(p) => Box::new(Hysteresis::cool_below(
+                p.trip_c,
+                p.release_c,
+                DtmAction::Dvfs {
+                    f_scale: p.f_scale,
+                    v_scale: p.v_scale,
+                },
+            )),
+            DtmSpec::FetchGate(p) => Box::new(Hysteresis::cool_below(
+                p.trip_c,
+                p.release_c,
+                DtmAction::FetchGate {
+                    open: p.open,
+                    period: p.period,
+                },
+            )),
             DtmSpec::Migration(p) => Box::new(MigrationController::for_machine(p, machine)),
         }
     }
@@ -145,8 +167,7 @@ pub struct ExperimentConfig {
     /// Workload seed.
     pub seed: u64,
     /// Optional dynamic thermal management (the paper runs with none; §4
-    /// names it as future work — see [`crate::emergency`] and
-    /// [`crate::dtm`]).
+    /// names it as future work — see [`crate::dtm`]).
     pub dtm: Option<DtmSpec>,
     /// Transient integrator for the default thermal backend: the exact
     /// modal propagator (default) or the RK4 reference.
@@ -276,13 +297,6 @@ impl ExperimentConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Enables the conventional emergency throttle; returns `self` for
-    /// chaining. Shorthand for [`with_dtm`](Self::with_dtm) with
-    /// [`DtmSpec::Emergency`].
-    pub fn with_emergency(self, policy: EmergencyPolicy) -> Self {
-        self.with_dtm(DtmSpec::Emergency(policy))
     }
 
     /// Enables a dynamic-thermal-management policy; returns `self` for
@@ -416,8 +430,6 @@ mod tests {
 
     #[test]
     fn dtm_specs_validate_and_name() {
-        use crate::dtm::{DvfsPolicy, FetchGatePolicy, MigrationPolicy};
-        use crate::emergency::EmergencyPolicy;
         let specs = [
             DtmSpec::Emergency(EmergencyPolicy::paper_limit()),
             DtmSpec::GlobalDvfs(DvfsPolicy::paper_limit()),
@@ -438,13 +450,11 @@ mod tests {
 
     #[test]
     fn replay_points_mirror_the_policy_ladder() {
-        use crate::dtm::{DvfsPolicy, FetchGatePolicy, MigrationPolicy};
-        use crate::emergency::EmergencyPolicy;
         let base = ExperimentConfig::baseline();
         assert_eq!(base.replay_points(), vec![PointKey::Nominal]);
         assert_eq!(
             base.clone()
-                .with_emergency(EmergencyPolicy::paper_limit())
+                .with_dtm(DtmSpec::Emergency(EmergencyPolicy::paper_limit()))
                 .replay_points(),
             vec![PointKey::Nominal],
             "power-level throttling needs only the nominal stream"
@@ -493,9 +503,9 @@ mod tests {
 
     #[test]
     fn invalid_dtm_spec_fails_config_validation() {
-        let bad = DtmSpec::GlobalDvfs(crate::dtm::DvfsPolicy {
+        let bad = DtmSpec::GlobalDvfs(DvfsPolicy {
             f_scale: 0.0,
-            ..crate::dtm::DvfsPolicy::paper_limit()
+            ..DvfsPolicy::paper_limit()
         });
         assert!(ExperimentConfig::baseline()
             .with_dtm(bad)

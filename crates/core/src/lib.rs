@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod dtm;
-pub mod emergency;
 pub mod engine;
 pub mod experiment;
 pub mod figures;
@@ -54,14 +53,12 @@ pub mod shard;
 pub mod store;
 
 pub use distfront_thermal::Integrator;
-pub use dtm::{
-    DvfsPolicy, FetchGateController, FetchGatePolicy, GlobalDvfsController, MigrationController,
-    MigrationPolicy,
-};
-pub use emergency::{EmergencyController, EmergencyPolicy};
+// The four DTM policies are data; `DtmSpec::build` turns one into a
+// controller.
+pub use dtm::{DvfsPolicy, EmergencyPolicy, FetchGatePolicy, MigrationPolicy};
 pub use engine::{
-    CellOutcome, CoupledEngine, DtmAction, DtmPolicy, EngineError, ReplayBackend, RunStats,
-    SweepReport, SweepRunner, TraceMode, TraceStore, WarmStartCache,
+    CellOutcome, CoupledEngine, DtmAction, DtmPolicy, EngineError, ReplayBackend, SweepReport,
+    SweepRunner, TraceMode, TraceStore, WarmStartCache,
 };
 pub use experiment::{DtmSpec, ExperimentConfig};
 pub use figures::{FigureData, AMBIENT_C};

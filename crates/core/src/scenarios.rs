@@ -43,8 +43,7 @@ use std::io;
 use distfront_power::LeakageModel;
 use distfront_trace::{AppProfile, PhasedProfile, Workload};
 
-use crate::dtm::{DvfsPolicy, FetchGatePolicy, MigrationPolicy};
-use crate::emergency::EmergencyPolicy;
+use crate::dtm::{DvfsPolicy, EmergencyPolicy, FetchGatePolicy, MigrationPolicy};
 use crate::experiment::{DtmSpec, ExperimentConfig};
 use crate::job::JobReport;
 use crate::report::{FigureRow, FigureTable};

@@ -49,9 +49,11 @@ impl LeakageModel {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if `nominal_dynamic_watts` is negative.
+    /// Panics (in debug builds) if `nominal_dynamic_watts` is negative. A
+    /// NaN passes through, so the caller's finiteness check rejects it the
+    /// same way in every build.
     pub fn leakage_watts(&self, nominal_dynamic_watts: f64, temp_c: f64) -> f64 {
-        debug_assert!(nominal_dynamic_watts >= 0.0);
+        debug_assert!(nominal_dynamic_watts >= 0.0 || nominal_dynamic_watts.is_nan());
         let t = temp_c.min(self.emergency_c);
         self.ratio_at_ambient
             * nominal_dynamic_watts

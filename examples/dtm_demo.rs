@@ -10,7 +10,7 @@
 //! cargo run --release --example dtm_demo
 //! ```
 
-use distfront::{run_app, EmergencyPolicy, ExperimentConfig, AMBIENT_C};
+use distfront::{run_app, DtmSpec, EmergencyPolicy, ExperimentConfig, AMBIENT_C};
 use distfront_trace::AppProfile;
 
 fn main() {
@@ -38,7 +38,9 @@ fn main() {
         let name = cfg.name;
         let r = run_app(
             &cfg.with_uops(uops)
-                .with_emergency(EmergencyPolicy::with_threshold(threshold)),
+                .with_dtm(DtmSpec::Emergency(EmergencyPolicy::with_threshold(
+                    threshold,
+                ))),
             app,
         );
         println!(

@@ -3,7 +3,7 @@
 //! throttle time, which is the paper's motivating claim for DTM-equipped
 //! processors.
 
-use distfront::{run_app, EmergencyPolicy, ExperimentConfig};
+use distfront::{run_app, DtmSpec, EmergencyPolicy, ExperimentConfig};
 use distfront_trace::AppProfile;
 
 #[test]
@@ -24,7 +24,9 @@ fn throttle_engages_below_natural_peak() {
     let r = run_app(
         &ExperimentConfig::baseline()
             .with_uops(60_000)
-            .with_emergency(EmergencyPolicy::with_threshold(threshold)),
+            .with_dtm(DtmSpec::Emergency(EmergencyPolicy::with_threshold(
+                threshold,
+            ))),
         &app,
     );
     assert!(r.emergencies >= 1, "DTM armed below the peak never fired");
@@ -39,7 +41,9 @@ fn throttling_extends_wall_time() {
     let managed = run_app(
         &ExperimentConfig::baseline()
             .with_uops(60_000)
-            .with_emergency(EmergencyPolicy::with_threshold(threshold)),
+            .with_dtm(DtmSpec::Emergency(EmergencyPolicy::with_threshold(
+                threshold,
+            ))),
         &app,
     );
     assert!(
@@ -60,13 +64,13 @@ fn cooler_technique_triggers_fewer_emergencies() {
     let base = run_app(
         &ExperimentConfig::baseline()
             .with_uops(60_000)
-            .with_emergency(policy),
+            .with_dtm(DtmSpec::Emergency(policy)),
         &app,
     );
     let combined = run_app(
         &ExperimentConfig::combined()
             .with_uops(60_000)
-            .with_emergency(policy),
+            .with_dtm(DtmSpec::Emergency(policy)),
         &app,
     );
     assert!(
@@ -85,7 +89,7 @@ fn hard_limit_rarely_fires_at_calibration() {
     let r = run_app(
         &ExperimentConfig::baseline()
             .with_uops(60_000)
-            .with_emergency(EmergencyPolicy::paper_limit()),
+            .with_dtm(DtmSpec::Emergency(EmergencyPolicy::paper_limit())),
         &AppProfile::test_tiny(),
     );
     assert!(

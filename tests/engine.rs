@@ -216,10 +216,10 @@ impl Stage for UnsharedPilot {
     }
 }
 
-/// (f) A warm start under a non-finite nominal power fails instead of
-/// adopting it. The sparse steady-state solve skips the zeros of its
-/// factors, so a non-finite power no longer spreads to every node; it
-/// still reaches a block, and the fixed point's finiteness check then
+/// (f) A warm start under a non-finite nominal power (+∞ or NaN) fails
+/// instead of adopting it. The sparse steady-state solve skips the zeros
+/// of its factors, so a non-finite power no longer spreads to every node;
+/// it still reaches a block, and the fixed point's finiteness check then
 /// refuses to settle.
 #[test]
 fn a_non_finite_nominal_power_fails_the_warm_start() {
@@ -229,18 +229,18 @@ fn a_non_finite_nominal_power_fails_the_warm_start() {
     for cfg in [ExperimentConfig::baseline(), ExperimentConfig::combined()] {
         let mut cx = EngineCx::build(&cfg, &app, None, None).unwrap();
         let nb = cx.machine.block_count();
-        for block in [0, nb / 2, nb - 1] {
-            // An infinite power, not a NaN: the leakage model asserts a
-            // non-negative power in debug builds.
-            let mut nominal = vec![0.5; nb];
-            nominal[block] = f64::INFINITY;
-            cx.nominal = Some(nominal);
-            let err = WarmStartStage.run(&mut cx).unwrap_err();
-            assert!(
-                matches!(err, EngineError::NotConverged(_)),
-                "{}: an infinite power on block {block}: {err:?}",
-                cfg.name
-            );
+        for bad in [f64::INFINITY, f64::NAN] {
+            for block in [0, nb / 2, nb - 1] {
+                let mut nominal = vec![0.5; nb];
+                nominal[block] = bad;
+                cx.nominal = Some(nominal);
+                let err = WarmStartStage.run(&mut cx).unwrap_err();
+                assert!(
+                    matches!(err, EngineError::NotConverged(_)),
+                    "{}: a power of {bad} on block {block}: {err:?}",
+                    cfg.name
+                );
+            }
         }
     }
 }

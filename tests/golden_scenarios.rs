@@ -141,6 +141,26 @@ fn golden_dtm_emergency() {
     check("dtm-emergency");
 }
 
+/// Pins the fetch-gate controller's decisions, which no replayed ladder
+/// golden covers: the gate must actually engage on some cell, or the
+/// golden would pin only the nominal path.
+#[test]
+fn golden_dtm_fetch_gate() {
+    let report = golden_run("dtm-fetch-gate", TraceSpec::Live, &JobEnv::default());
+    let gated = |app: &str| {
+        report
+            .report
+            .cells()
+            .iter()
+            .find(|c| c.app_name == app)
+            .and_then(|c| c.result.as_ref().ok())
+            .map(|r| r.throttled_intervals)
+    };
+    assert_eq!(gated("gzip"), Some(10));
+    assert_eq!(gated("tiny"), Some(5));
+    compare("dtm-fetch-gate", &report, "dtm-fetch-gate.csv".into());
+}
+
 #[test]
 fn golden_phased_hot_cold() {
     check("phased-hot-cold");

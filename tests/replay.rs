@@ -145,8 +145,7 @@ fn uncovered_dtm_policies_fall_back_and_name_the_missing_point() {
 /// matches the live throttled run bit-for-bit on the unbiased baseline.
 #[test]
 fn power_level_dtm_sweeps_replay_from_a_nominal_recording() {
-    use distfront::emergency::EmergencyPolicy;
-    use distfront::DtmSpec;
+    use distfront::{DtmSpec, EmergencyPolicy};
 
     let store = Arc::new(TraceStore::new());
     let cfg = ExperimentConfig::baseline().with_uops(20_000);
@@ -253,8 +252,7 @@ fn core_perturbing_dtm_ladder_replays_bit_identically() {
 fn replay_rejects_same_shape_configs_that_differ_elsewhere_in_the_core() {
     let app = AppProfile::test_tiny();
     let bh = ExperimentConfig::bank_hopping().with_uops(20_000);
-    let (recorded, _) = CoupledEngine::new(&bh, &app).run_recorded();
-    let trace = Arc::new(recorded.unwrap().1);
+    let trace = Arc::new(CoupledEngine::new(&bh, &app).run_recorded().unwrap().1);
 
     let bhab = ExperimentConfig::hopping_and_biasing().with_uops(20_000);
     let err = CoupledEngine::new(&bhab, &app)
@@ -281,14 +279,16 @@ fn replay_rejects_same_shape_configs_that_differ_elsewhere_in_the_core() {
 /// trace is marked not replay-safe and replaying it is refused.
 #[test]
 fn custom_with_dtm_policies_taint_recordings() {
-    use distfront::emergency::{EmergencyController, EmergencyPolicy};
+    use distfront::{DtmSpec, EmergencyPolicy};
+    use distfront_power::Machine;
     let cfg = ExperimentConfig::baseline().with_uops(20_000);
     let app = AppProfile::test_tiny();
-    let ctrl = EmergencyController::new(EmergencyPolicy::with_threshold(40.0));
-    let (recorded, _) = CoupledEngine::new(&cfg, &app)
-        .with_dtm(Box::new(ctrl))
-        .run_recorded();
-    let (_, trace) = recorded.unwrap();
+    let ctrl =
+        DtmSpec::Emergency(EmergencyPolicy::with_threshold(40.0)).build(Machine::new(1, 4, 2));
+    let (_, trace) = CoupledEngine::new(&cfg, &app)
+        .with_dtm(ctrl)
+        .run_recorded()
+        .unwrap();
     assert!(!trace.meta.replay_safe);
     assert_eq!(trace.meta.dtm.as_deref(), Some("custom"));
     let err = CoupledEngine::new(&cfg, &app)
@@ -354,8 +354,7 @@ fn record_mode_keys_traces_by_capability_family() {
 fn trace_files_round_trip_through_disk() {
     let cfg = ExperimentConfig::baseline().with_uops(20_000);
     let app = AppProfile::test_tiny();
-    let (recorded, _) = CoupledEngine::new(&cfg, &app).run_recorded();
-    let (live, trace) = recorded.unwrap();
+    let (live, trace) = CoupledEngine::new(&cfg, &app).run_recorded().unwrap();
 
     let path = std::env::temp_dir().join(format!("distfront-replay-{}.dft", std::process::id()));
     std::fs::write(&path, trace.encode()).unwrap();

@@ -134,10 +134,9 @@ fn emergency_throttle_counts_continuous_violations_once() {
     // Integration-level twin of the unit test: a threshold far below the
     // operating range keeps the chip continuously over the limit, which
     // must register as ONE emergency spanning many throttled intervals.
-    let r = quick(
-        ExperimentConfig::baseline()
-            .with_emergency(distfront::EmergencyPolicy::with_threshold(50.0)),
-    );
+    let r = quick(ExperimentConfig::baseline().with_dtm(DtmSpec::Emergency(
+        distfront::EmergencyPolicy::with_threshold(50.0),
+    )));
     assert_eq!(
         r.emergencies, 1,
         "a continuous violation is a single emergency"

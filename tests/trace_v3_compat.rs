@@ -50,8 +50,9 @@ fn committed_v3_fixture_reencodes_and_replays_byte_identically() {
     let csv_path = fixture_dir().join("dvfs-v3.csv");
 
     if std::env::var_os("BLESS").is_some() {
-        let (recorded, _) = CoupledEngine::new(&cfg, &app).run_recorded();
-        let (live, trace) = recorded.expect("fixture recording failed");
+        let (live, trace) = CoupledEngine::new(&cfg, &app)
+            .run_recorded()
+            .expect("fixture recording failed");
         assert!(
             trace.meta.points.len() > 1,
             "fixture must be multi-point to pin the delta-row layout"
