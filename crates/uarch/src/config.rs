@@ -237,14 +237,17 @@ impl ProcessorConfig {
                 self.issue_per_queue
             ));
         }
-        // Every logical register of a class boots mapped in every backend,
-        // so a file of at most that many registers has none to rename into.
-        let arch_per_class = usize::from(NUM_ARCH_REGS) / 2;
+        // A drained ROB leaves a backend holding at most one register per
+        // logical register of a class. Two more let any micro-op rename
+        // then, with the rename pre-check's double count of a repeated
+        // remote source (see `crate::rename`), so the simulator's stall
+        // loop always ends.
+        let floor = usize::from(NUM_ARCH_REGS) / 2 + 2;
         for (name, regs) in [("int", self.int_regs), ("fp", self.fp_regs)] {
-            if regs <= arch_per_class {
+            if regs < floor {
                 return Err(format!(
-                    "{regs} {name} registers leave none free beyond the \
-                     {arch_per_class} architectural ones"
+                    "{regs} {name} registers are fewer than {floor}: the \
+                     architectural ones and two to rename into"
                 ));
             }
         }
@@ -383,15 +386,17 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_register_files_without_a_free_register() {
+    fn validate_rejects_register_files_below_the_drained_rob_floor() {
         assert_rejected(|c| c.int_regs = 8, "int registers");
         assert_rejected(|c| c.int_regs = 32, "int registers");
         assert_rejected(|c| c.fp_regs = 32, "fp registers");
+        // 33 has a free register, but a drained ROB can still refuse a
+        // micro-op reading one remote register twice.
+        assert_rejected(|c| c.int_regs = 33, "int registers");
+        assert_rejected(|c| c.fp_regs = 33, "fp registers");
         let mut c = ProcessorConfig::hpca05_baseline();
-        (c.int_regs, c.fp_regs) = (33, 33);
+        (c.int_regs, c.fp_regs) = (34, 34);
         c.validate().unwrap();
-        // The smallest accepted files are the smallest the rename unit
-        // builds.
         RenameUnit::new(c.backends, 1, c.int_regs, c.fp_regs);
     }
 

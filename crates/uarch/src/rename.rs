@@ -14,58 +14,84 @@
 //!   **copy request** is sent to that partition, which generates the copy
 //!   instruction (the two-step process of §3.1.1).
 //!
-//! [`RenameUnit`] models all of this with real freelists and mapping
-//! tables; the timing simulator consumes its [`Renamed`] outcomes.
+//! [`RenameUnit`] models the timing of all this: the availability table,
+//! one free-register count per backend and register class, and the
+//! activity counters. No timing or activity number depends on *which*
+//! physical register holds a value, so registers are counted, not
+//! numbered. The timing simulator consumes its [`Renamed`] outcomes.
+//!
+//! # Why counts are exact
+//!
+//! Backend `b` holds a physical register for logical register `r` exactly
+//! when `r`'s availability bit `b` is set. Boot sets every bit, with every
+//! file holding the architectural state; a copy into `b` allocates there
+//! and sets bit `b`; a destination write allocates in its backend and
+//! clears every other bit. So the stale copies a write frees at commit
+//! are the set bits of the destination's mask before the write, all of
+//! the destination's class: the write's [`ReleaseSet`]. The simulator's
+//! ROB entry keeps it, and [`RenameUnit::commit_release`] adds one free
+//! register to each backend in the mask. A test-only model that numbers
+//! every register (freelist stacks, a mapping table, release FIFOs) is
+//! driven with the same random streams and must agree on every outcome,
+//! free count and mask.
+//!
+//! # The pre-check counts a repeated source twice
+//!
+//! [`RenameUnit::rename`] first checks that every register it will
+//! allocate is free, so a refusal leaves the unit untouched. The check
+//! counts every non-local source operand, so `r6 ← r5, r5` with `r5`
+//! remote asks for two copies though it gets one. A refusal forces an
+//! earlier commit, so correcting the count moves result bits; it is kept
+//! as it is. Once the ROB has drained, a backend holds one register per
+//! logical register it has a copy of, so a file of 34 per class has at
+//! least two free plus one per distinct remote source, and the pre-check
+//! never asks for more, double count included. 34 is the floor
+//! [`ProcessorConfig::validate`](crate::config::ProcessorConfig::validate)
+//! enforces, so the simulator's stall loop always ends.
 //!
 //! # No heap traffic per micro-op
 //!
 //! [`RenameUnit::rename`] runs once per micro-op on the simulator's hot
-//! path, so it allocates nothing. The mapping table is one flat vector
-//! indexed `backend * NUM_ARCH_REGS + reg`. A micro-op has at most two
-//! sources, so its copies fit an inline [`CopyList`]. The stale registers
-//! a destination write frees at commit go straight onto a FIFO per
-//! frontend partition, in ascending backend order; [`Renamed`] reports
-//! only how many, and [`RenameUnit::commit_release`] pops that many from
-//! the partition's FIFO when the micro-op commits. A partition's ROB
-//! commits its entries in the order they were renamed, so each FIFO
-//! drains in the order it was filled and the freelists (stacks) see the
-//! same push sequence as a list per micro-op would give them. The FIFOs and freelists grow to their high-water mark
-//! once and are reused after that.
-
-use std::collections::VecDeque;
+//! path, so it allocates nothing. The availability table and the free
+//! counts are fixed arrays, a micro-op's copies fit an inline
+//! [`CopyList`] (at most one per source), and its release set is a mask
+//! and a class.
 
 use distfront_trace::uop::{ArchReg, MicroOp, RegClass, NUM_ARCH_REGS};
 
-/// Identifier of a physical register within one backend's register file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PhysReg(pub u16);
+#[cfg(test)]
+mod model;
 
-/// A register-value copy between backends, generated at rename.
+/// A register-value copy into the renamed micro-op's backend, generated
+/// at rename.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CopyOp {
     /// The logical register being copied.
     pub reg: ArchReg,
     /// Backend that holds the value (source of the copy instruction).
     pub from: usize,
-    /// Backend that needs the value.
-    pub to: usize,
     /// `true` when `from` belongs to a different frontend partition than
-    /// `to`, i.e. a copy *request* had to cross partitions (§3.1.1 step 2).
+    /// the micro-op's backend, i.e. a copy *request* had to cross
+    /// partitions (§3.1.1 step 2).
     pub cross_partition: bool,
-    /// Physical register allocated for the copy in the destination backend.
-    pub dest_phys: PhysReg,
 }
 
-/// A physical register to return to a freelist when the owning instruction
-/// commits.
+/// The registers a micro-op frees when it commits: one of `class` in
+/// every backend of `mask` (the stale copies of its destination).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Release {
-    /// Backend whose freelist receives the register.
-    pub backend: usize,
-    /// Register class.
+pub struct ReleaseSet {
+    /// Bit `b` set when backend `b` gets a register back.
+    pub mask: u32,
+    /// Class of the freed registers.
     pub class: RegClass,
-    /// The register itself.
-    pub reg: PhysReg,
+}
+
+impl ReleaseSet {
+    /// Frees nothing: the release set of a micro-op without destination.
+    pub const NONE: ReleaseSet = ReleaseSet {
+        mask: 0,
+        class: RegClass::Int,
+    };
 }
 
 /// The copies one micro-op needs: at most one per source, so at most two,
@@ -83,9 +109,7 @@ impl CopyList {
         let filler = CopyOp {
             reg: ArchReg::from_index(0),
             from: 0,
-            to: 0,
             cross_partition: false,
-            dest_phys: PhysReg(0),
         };
         CopyList {
             ops: [filler; 2],
@@ -112,12 +136,9 @@ impl std::ops::Deref for CopyList {
 pub struct Renamed {
     /// Copies that must execute before the micro-op's sources are local.
     pub copies: CopyList,
-    /// Number of registers queued on the partition's release FIFO, to be
-    /// freed when this micro-op commits (stale copies of the overwritten
-    /// logical destination). Pass it to [`RenameUnit::commit_release`].
-    pub releases: usize,
-    /// Physical destination allocated for the micro-op, if it has one.
-    pub dest_phys: Option<PhysReg>,
+    /// Registers freed when this micro-op commits. Pass it to
+    /// [`RenameUnit::commit_release`].
+    pub release: ReleaseSet,
 }
 
 /// Error: a required freelist was empty; the frontend must stall until a
@@ -155,35 +176,6 @@ pub struct RenameActivity {
     pub copy_requests: u64,
 }
 
-#[derive(Debug, Clone)]
-struct FreeList {
-    free: Vec<PhysReg>,
-    capacity: usize,
-}
-
-impl FreeList {
-    fn new(capacity: usize, reserved: usize) -> Self {
-        // Registers `0..reserved` boot as the architectural mappings.
-        FreeList {
-            free: (reserved..capacity).map(|i| PhysReg(i as u16)).collect(),
-            capacity,
-        }
-    }
-
-    fn alloc(&mut self) -> Option<PhysReg> {
-        self.free.pop()
-    }
-
-    fn release(&mut self, r: PhysReg) {
-        debug_assert!(self.free.len() < self.capacity, "double free");
-        self.free.push(r);
-    }
-
-    fn available(&self) -> usize {
-        self.free.len()
-    }
-}
-
 /// The complete rename subsystem.
 ///
 /// # Examples
@@ -199,8 +191,8 @@ impl FreeList {
 /// let out = ru.rename(&add, 0).unwrap();
 /// assert!(out.copies.is_empty()); // r2 boots available everywhere
 /// // r1 booted in all four backends: four stale copies free at commit.
-/// assert_eq!(out.releases, 4);
-/// ru.commit_release(ru.partition_of(0), out.releases);
+/// assert_eq!(out.release.mask, 0b1111);
+/// ru.commit_release(out.release);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RenameUnit {
@@ -210,19 +202,15 @@ pub struct RenameUnit {
     /// read instead of dividing on every lookup.
     partition: [u8; Self::MAX_BACKENDS],
     /// Availability table: bit `b` set when backend `b` holds a valid copy.
-    availability: Vec<u32>,
-    /// `mapping[backend * NUM_ARCH_REGS + logical]` — current physical
-    /// mapping, if any.
-    mapping: Vec<Option<PhysReg>>,
-    int_free: Vec<FreeList>,
-    fp_free: Vec<FreeList>,
-    /// Per frontend partition: registers queued for release, in rename
-    /// order, until their owning micro-ops commit.
-    pending_releases: Vec<VecDeque<Release>>,
+    availability: [u32; REGS],
+    /// `free[class as usize][backend]`: free registers of each file.
+    free: [[usize; Self::MAX_BACKENDS]; 2],
+    /// Register-file size per class, the bound a free count stays below.
+    regs: [usize; 2],
     activity: RenameActivity,
 }
 
-/// Logical registers per backend row of the flat mapping table.
+/// Logical registers, both classes.
 const REGS: usize = NUM_ARCH_REGS as usize;
 
 impl RenameUnit {
@@ -251,28 +239,22 @@ impl RenameUnit {
         let arch_per_class = REGS / 2;
         assert!(int_regs > arch_per_class, "int register file too small");
         assert!(fp_regs > arch_per_class, "fp register file too small");
-        let all = (1u32 << backends) - 1;
         let per = backends / partitions;
         let mut partition = [0; Self::MAX_BACKENDS];
         for (b, p) in partition.iter_mut().enumerate().take(backends) {
             *p = (b / per) as u8;
         }
-        let mapping = (0..backends)
-            .flat_map(|_| (0..REGS).map(|l| Some(PhysReg((l % arch_per_class) as u16))))
-            .collect();
+        let mut free = [[0; Self::MAX_BACKENDS]; 2];
+        for (class, regs) in [(RegClass::Int, int_regs), (RegClass::Fp, fp_regs)] {
+            free[class as usize][..backends].fill(regs - arch_per_class);
+        }
         RenameUnit {
             backends,
             partitions,
             partition,
-            availability: vec![all; REGS],
-            mapping,
-            int_free: (0..backends)
-                .map(|_| FreeList::new(int_regs, arch_per_class))
-                .collect(),
-            fp_free: (0..backends)
-                .map(|_| FreeList::new(fp_regs, arch_per_class))
-                .collect(),
-            pending_releases: vec![VecDeque::new(); partitions],
+            availability: [(1u32 << backends) - 1; REGS],
+            free,
+            regs: [int_regs, fp_regs],
             activity: RenameActivity {
                 rat_reads: vec![0; partitions],
                 rat_writes: vec![0; partitions],
@@ -316,27 +298,16 @@ impl RenameUnit {
 
     /// Free integer/fp registers of a backend (diagnostics and tests).
     pub fn free_regs(&self, backend: usize, class: RegClass) -> usize {
-        match class {
-            RegClass::Int => self.int_free[backend].available(),
-            RegClass::Fp => self.fp_free[backend].available(),
-        }
-    }
-
-    fn freelist(&mut self, backend: usize, class: RegClass) -> &mut FreeList {
-        match class {
-            RegClass::Int => &mut self.int_free[backend],
-            RegClass::Fp => &mut self.fp_free[backend],
-        }
+        self.free[class as usize][backend]
     }
 
     /// Renames `uop` after the steering unit chose `backend`.
     ///
     /// Generates the copies needed to localize source operands, allocates
-    /// the destination register from the centralized freelist, updates the
-    /// availability table and the owning partition's RAT, and queues the
-    /// stale physical registers the commit of this micro-op will release
-    /// on the partition's release FIFO. [`Renamed::releases`] says how
-    /// many were queued.
+    /// the destination register from the centralized freelist, and updates
+    /// the availability table and the owning partition's RAT counters.
+    /// [`Renamed::release`] names the stale copies the commit of this
+    /// micro-op frees.
     ///
     /// # Errors
     ///
@@ -349,35 +320,23 @@ impl RenameUnit {
     /// Panics if `backend` is out of range.
     pub fn rename(&mut self, uop: &MicroOp, backend: usize) -> Result<Renamed, OutOfRegisters> {
         assert!(backend < self.backends, "backend out of range");
+        let bit = 1u32 << backend;
         // Feasibility pre-check so errors leave state untouched: count
-        // registers needed per class.
-        let mut need_int = 0usize;
-        let mut need_fp = 0usize;
+        // registers needed per class, a repeated non-local source twice
+        // (see the module docs).
+        let mut need = [0usize; 2];
         for src in uop.sources() {
-            if !self.is_available(src, backend) {
-                match src.class() {
-                    RegClass::Int => need_int += 1,
-                    RegClass::Fp => need_fp += 1,
-                }
+            if self.availability[src.index()] & bit == 0 {
+                need[src.class() as usize] += 1;
             }
         }
         if let Some(dst) = uop.dst {
-            match dst.class() {
-                RegClass::Int => need_int += 1,
-                RegClass::Fp => need_fp += 1,
+            need[dst.class() as usize] += 1;
+        }
+        for class in [RegClass::Int, RegClass::Fp] {
+            if self.free[class as usize][backend] < need[class as usize] {
+                return Err(OutOfRegisters { backend, class });
             }
-        }
-        if self.int_free[backend].available() < need_int {
-            return Err(OutOfRegisters {
-                backend,
-                class: RegClass::Int,
-            });
-        }
-        if self.fp_free[backend].available() < need_fp {
-            return Err(OutOfRegisters {
-                backend,
-                class: RegClass::Fp,
-            });
         }
 
         let part = self.partition_of(backend);
@@ -387,104 +346,66 @@ impl RenameUnit {
         for src in uop.sources() {
             self.activity.steer_lookups += 1;
             self.activity.rat_reads[part] += 1;
-            if !self.is_available(src, backend) {
-                let from = self
-                    .nearest_holder(src, backend)
-                    .expect("register lost from every backend");
+            if self.availability[src.index()] & bit == 0 {
+                let from = self.nearest_holder(src, backend);
                 let cross = self.partition_of(from) != part;
                 if cross {
                     self.activity.copy_requests += 1;
                 }
-                let dest_phys = self
-                    .freelist(backend, src.class())
-                    .alloc()
-                    .expect("pre-checked allocation failed");
-                self.mapping[backend * REGS + src.index()] = Some(dest_phys);
-                self.availability[src.index()] |= 1 << backend;
+                self.free[src.class() as usize][backend] -= 1;
+                self.availability[src.index()] |= bit;
                 // The copy's mapping is written in the destination
                 // partition's RAT.
                 self.activity.rat_writes[part] += 1;
                 copies.push(CopyOp {
                     reg: src,
                     from,
-                    to: backend,
                     cross_partition: cross,
-                    dest_phys,
                 });
             }
         }
 
-        // Destination rename at the steering stage (centralized freelists).
-        let mut releases = 0;
-        let dest_phys = match uop.dst {
-            Some(dst) => {
-                // Stale copies everywhere are released when this commits,
-                // queued in ascending backend order.
-                let mut mask = self.availability[dst.index()];
-                while mask != 0 {
-                    let b = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    if let Some(old) = self.mapping[b * REGS + dst.index()] {
-                        self.pending_releases[part].push_back(Release {
-                            backend: b,
-                            class: dst.class(),
-                            reg: old,
-                        });
-                        releases += 1;
-                    }
-                }
-                let fresh = self
-                    .freelist(backend, dst.class())
-                    .alloc()
-                    .expect("pre-checked allocation failed");
-                for b in 0..self.backends {
-                    self.mapping[b * REGS + dst.index()] = None;
-                }
-                self.mapping[backend * REGS + dst.index()] = Some(fresh);
-                self.availability[dst.index()] = 1 << backend;
-                self.activity.rat_writes[part] += 1;
-                Some(fresh)
-            }
-            None => None,
-        };
+        // Destination rename at the steering stage (centralized freelists):
+        // the copies it overwrites everywhere free when this commits.
+        let mut release = ReleaseSet::NONE;
+        if let Some(dst) = uop.dst {
+            release = ReleaseSet {
+                mask: self.availability[dst.index()],
+                class: dst.class(),
+            };
+            self.free[dst.class() as usize][backend] -= 1;
+            self.availability[dst.index()] = bit;
+            self.activity.rat_writes[part] += 1;
+        }
 
-        Ok(Renamed {
-            copies,
-            releases,
-            dest_phys,
-        })
+        Ok(Renamed { copies, release })
     }
 
     /// Returns the holder of `reg` nearest to `backend`, preferring holders
     /// in the same partition (request-free copies) over closer holders in
     /// other partitions.
-    fn nearest_holder(&self, reg: ArchReg, backend: usize) -> Option<usize> {
-        let part = self.partition_of(backend);
-        let mut best: Option<(bool, usize, usize)> = None; // (foreign, dist, b)
-        for b in self.holders(reg) {
-            let key = (self.partition_of(b) != part, b.abs_diff(backend), b);
-            if best.is_none() || key < best.unwrap() {
-                best = Some(key);
-            }
-        }
-        best.map(|(_, _, b)| b)
-    }
-
-    /// Returns registers to the freelists when their owning instruction
-    /// commits: pops the `count` oldest entries of `partition`'s release
-    /// FIFO, where `count` is the [`Renamed::releases`] of that
-    /// instruction. Instructions of one partition must commit in the order
-    /// they were renamed.
     ///
     /// # Panics
     ///
-    /// Panics if fewer than `count` releases are queued for `partition`.
-    pub fn commit_release(&mut self, partition: usize, count: usize) {
-        for _ in 0..count {
-            let r = self.pending_releases[partition]
-                .pop_front()
-                .expect("release queued at rename");
-            self.freelist(r.backend, r.class).release(r.reg);
+    /// Panics if no backend holds `reg`, which renaming never allows.
+    fn nearest_holder(&self, reg: ArchReg, backend: usize) -> usize {
+        let part = self.partition_of(backend);
+        self.holders(reg)
+            .min_by_key(|&b| (self.partition_of(b) != part, b.abs_diff(backend), b))
+            .expect("register lost from every backend")
+    }
+
+    /// Returns a committed micro-op's stale copies to the freelists: one
+    /// register of `release.class` to every backend in `release.mask`.
+    pub fn commit_release(&mut self, release: ReleaseSet) {
+        let class = release.class as usize;
+        let free = &mut self.free[class];
+        let mut mask = release.mask;
+        while mask != 0 {
+            let b = mask.trailing_zeros() as usize;
+            debug_assert!(free[b] < self.regs[class], "double free");
+            free[b] += 1;
+            mask &= mask - 1;
         }
     }
 
@@ -535,7 +456,8 @@ mod tests {
         let mut ru = RenameUnit::new(4, 2, 160, 160);
         let out = ru.rename(&alu(0, 1, 2), 3).unwrap();
         assert!(out.copies.is_empty());
-        assert!(out.dest_phys.is_some());
+        // Only the destination is allocated.
+        assert_eq!(ru.free_regs(3, RegClass::Int), 160 - 32 - 1);
     }
 
     #[test]
@@ -556,7 +478,6 @@ mod tests {
         assert_eq!(out.copies.len(), 1);
         let c = out.copies[0];
         assert_eq!(c.from, 0);
-        assert_eq!(c.to, 1);
         assert!(!c.cross_partition, "backends 0 and 1 share frontend 0");
         // After the copy, r1 is available on backend 1 too.
         assert!(ru.is_available(ArchReg::int(1), 1));
@@ -586,10 +507,15 @@ mod tests {
         let mut ru = RenameUnit::new(4, 2, 160, 160);
         // r1 boots available in all 4 backends -> 4 stale copies released.
         let out = ru.rename(&alu(0, 1, 2), 0).unwrap();
-        assert_eq!(out.releases, 4);
+        assert_eq!(out.release.mask, 0b1111);
+        assert_eq!(out.release.class, RegClass::Int);
         // A second write releases only the single live copy.
         let out2 = ru.rename(&alu(1, 1, 2), 0).unwrap();
-        assert_eq!(out2.releases, 1);
+        assert_eq!(out2.release.mask, 0b0001);
+        // No destination, nothing to release.
+        let mut store = MicroOp::reg_op(2, UopKind::Store, ArchReg::int(9), [None, None]);
+        store.dst = None;
+        assert_eq!(ru.rename(&store, 0).unwrap().release, ReleaseSet::NONE);
     }
 
     #[test]
@@ -598,8 +524,8 @@ mod tests {
         let mut ru = RenameUnit::new(b, 1, 160, 160);
         assert_eq!(ru.availability(ArchReg::int(1)), u32::MAX >> 1);
         let out = ru.rename(&alu(0, 1, 2), b - 1).unwrap();
-        assert_eq!(out.releases, b);
-        ru.commit_release(0, out.releases);
+        assert_eq!(out.release.mask, u32::MAX >> 1);
+        ru.commit_release(out.release);
         for k in 0..b - 1 {
             assert_eq!(ru.free_regs(k, RegClass::Int), 160 - 32 + 1);
         }
@@ -612,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn releases_drain_per_partition_in_rename_order() {
+    fn each_commit_frees_its_own_release_set() {
         let mut ru = RenameUnit::new(4, 2, 160, 160);
         let boot = 160 - 32;
         let free = |ru: &RenameUnit| {
@@ -624,17 +550,14 @@ mod tests {
         let a = ru.rename(&alu(0, 1, 2), 2).unwrap(); // frees r1 boot copies
         let b = ru.rename(&alu(1, 3, 2), 0).unwrap(); // frees r3 boot copies
         let c = ru.rename(&alu(2, 1, 2), 0).unwrap(); // frees a's r1 on 2
-        assert_eq!((a.releases, b.releases, c.releases), (4, 4, 1));
-        // Partition 0 queues b's four releases, then c's one: committing
-        // b must free b's, one per backend, not c's.
-        ru.commit_release(0, b.releases);
+        let masks = (a.release.mask, b.release.mask, c.release.mask);
+        assert_eq!(masks, (0b1111, 0b1111, 0b0100));
+        // Committing b frees b's registers, one per backend, not c's.
+        ru.commit_release(b.release);
         assert_eq!(free(&ru), [boot - 1, boot + 1, boot, boot + 1]);
-        ru.commit_release(1, a.releases);
-        ru.commit_release(0, c.releases);
+        ru.commit_release(a.release);
+        ru.commit_release(c.release);
         assert_eq!(free(&ru), [boot, boot + 2, boot + 2, boot + 2]);
-        // Freelists are stacks: backend 2 last got back a's destination.
-        let d = ru.rename(&alu(3, 5, 2), 2).unwrap();
-        assert_eq!(d.dest_phys, a.dest_phys);
     }
 
     #[test]
@@ -643,7 +566,7 @@ mod tests {
         let before = ru.free_regs(0, RegClass::Int);
         let out = ru.rename(&alu(0, 1, 2), 0).unwrap();
         assert_eq!(ru.free_regs(0, RegClass::Int), before - 1);
-        ru.commit_release(0, out.releases);
+        ru.commit_release(out.release);
         // Backend 0 got its stale copy of r1 back; net usage is stable.
         assert_eq!(ru.free_regs(0, RegClass::Int), before);
     }
@@ -657,6 +580,33 @@ mod tests {
         assert_eq!(err.class, RegClass::Int);
         // Backend 1 untouched.
         assert_eq!(ru.free_regs(1, RegClass::Int), 1);
+    }
+
+    /// The pre-check counts a repeated remote source twice (see the module
+    /// docs): after a full drain, `r6 ← r5, r5` needs two registers on
+    /// backend 0 but asks for three. A 33-register file has two free and
+    /// refuses with nothing in flight; the 34-register floor of
+    /// `ProcessorConfig::validate` has three.
+    #[test]
+    fn repeated_remote_source_fits_a_drained_34_register_file() {
+        let read_r5_twice = MicroOp::reg_op(
+            1,
+            UopKind::IntAlu,
+            ArchReg::int(6),
+            [Some(ArchReg::int(5)), Some(ArchReg::int(5))],
+        );
+        for (regs, fits) in [(33, false), (34, true)] {
+            let mut ru = RenameUnit::new(2, 1, regs, regs);
+            let w = ru.rename(&alu(0, 5, 2), 1).unwrap();
+            ru.commit_release(w.release); // the ROB is empty now
+            assert_eq!(ru.free_regs(0, RegClass::Int), regs - 31);
+            let out = ru.rename(&read_r5_twice, 0);
+            assert_eq!(out.is_ok(), fits, "{regs} registers");
+            if let Ok(out) = out {
+                assert_eq!(out.copies.len(), 1, "one copy serves both reads");
+                assert_eq!(ru.free_regs(0, RegClass::Int), regs - 33);
+            }
+        }
     }
 
     #[test]
@@ -703,8 +653,8 @@ mod prop_tests {
             ops in proptest::collection::vec((0u8..32, 0u8..32, 0usize..4), 1..300),
         ) {
             let mut ru = RenameUnit::new(4, 2, 160, 160);
-            // (partition, release count) of each in-flight rename.
-            let mut pending: VecDeque<(usize, usize)> = VecDeque::new();
+            // Release sets of the in-flight renames, oldest first.
+            let mut pending = std::collections::VecDeque::new();
             for (i, &(dst, src, backend)) in ops.iter().enumerate() {
                 let uop = MicroOp::reg_op(
                     i as u64,
@@ -716,17 +666,16 @@ mod prop_tests {
                     Ok(out) => {
                         prop_assert!(ru.is_available(ArchReg::int(src), backend));
                         prop_assert!(ru.is_available(ArchReg::int(dst), backend));
-                        pending.push_back((ru.partition_of(backend), out.releases));
+                        pending.push_back(out.release);
                         // Commit in order with a window of 8 in flight.
                         if pending.len() > 8 {
-                            let (part, n) = pending.pop_front().unwrap();
-                            ru.commit_release(part, n);
+                            ru.commit_release(pending.pop_front().unwrap());
                         }
                     }
                     Err(_) => {
                         // Drain the window and retry once; must succeed.
-                        while let Some((part, n)) = pending.pop_front() {
-                            ru.commit_release(part, n);
+                        while let Some(release) = pending.pop_front() {
+                            ru.commit_release(release);
                         }
                         prop_assert!(ru.rename(&uop, backend).is_ok());
                     }

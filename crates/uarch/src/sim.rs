@@ -24,9 +24,9 @@
 //!
 //! * each trace is built into one buffer the simulator owns
 //!   ([`TraceBuilder::next_trace_into`]);
-//! * renaming returns its copies inline and queues the registers a commit
-//!   frees on a FIFO per ROB partition, so a ROB entry holds only their
-//!   count (see [`crate::rename`]);
+//! * renaming counts registers instead of numbering them and returns its
+//!   copies inline; the registers a commit frees are a mask and a class,
+//!   held in the ROB entry itself (see [`crate::rename`]);
 //! * steering scores every backend from the sources' availability masks
 //!   in one pass ([`Steerer::steer`]);
 //! * an issue queue or MOB keeps the release cycles that arrive in order
@@ -34,8 +34,8 @@
 //! * partition lookups read a table and the ROB capacity is stored, so no
 //!   micro-op pays a division.
 //!
-//! The ROB rings, issue queues and release FIFOs grow to their high-water
-//! mark and are reused after that. Per-interval work in
+//! The ROB rings and issue queues grow to their high-water mark and are
+//! reused after that. Per-interval work in
 //! [`Simulator::end_interval`] and [`Simulator::interval_activity`]
 //! (taking or copying the counters) may allocate. A new per-uop `Vec`,
 //! `Box` or iterator fold would undo this.
@@ -53,7 +53,7 @@ use distfront_trace::{TraceGenerator, Workload};
 use crate::activity::ActivityCounters;
 use crate::bpred::BranchPredictor;
 use crate::config::ProcessorConfig;
-use crate::rename::{RenameActivity, RenameUnit};
+use crate::rename::{ReleaseSet, RenameActivity, RenameUnit};
 use crate::steer::Steerer;
 use crate::tracer::{TraceBuilder, TraceLimits};
 
@@ -228,9 +228,8 @@ impl SlotAllocator {
 struct InFlight {
     commit_cycle: u64,
     backend: usize,
-    /// Registers this entry frees at commit, queued on the rename unit's
-    /// release FIFO of its partition.
-    releases: usize,
+    /// Registers this entry frees at commit.
+    release: ReleaseSet,
 }
 
 #[derive(Debug, Clone)]
@@ -682,7 +681,7 @@ impl Simulator {
             return false;
         };
         let inf = self.rob_rings[p].pop_front().expect("checked");
-        self.rename.commit_release(p, inf.releases);
+        self.rename.commit_release(inf.release);
         self.steerer.note_retire(inf.backend);
         true
     }
@@ -697,7 +696,7 @@ impl Simulator {
                 Some(front) if front.commit_cycle <= *cand || ring.len() >= cap => {
                     *cand = (*cand).max(self.rob_rings[partition][0].commit_cycle);
                     let inf = self.rob_rings[partition].pop_front().expect("non-empty");
-                    self.rename.commit_release(partition, inf.releases);
+                    self.rename.commit_release(inf.release);
                     self.steerer.note_retire(inf.backend);
                     if ring_has_room(&self.rob_rings[partition], cap) {
                         break;
@@ -765,10 +764,10 @@ impl Simulator {
             let issue = c_cand.max(from_t.copy_issue_free);
             from_t.copy_issue_free = issue + 1;
             from_t.copy_q.push_in_order(issue);
-            let hops = u64::from(self.cfg.hops_between(copy.from, copy.to));
+            let hops = u64::from(self.cfg.hops_between(copy.from, backend));
             let arrival = issue + 1 + hops;
-            self.backends[copy.to].reg_ready[copy.reg.index()] =
-                self.backends[copy.to].reg_ready[copy.reg.index()].max(arrival);
+            self.backends[backend].reg_ready[copy.reg.index()] =
+                self.backends[backend].reg_ready[copy.reg.index()].max(arrival);
 
             // Activity: copy issues at the source, value lands at the dest.
             self.act.backends[copy.from].copy_ops += 1;
@@ -776,11 +775,11 @@ impl Simulator {
             match copy.reg.class() {
                 RegClass::Int => {
                     self.act.backends[copy.from].irf_reads += 1;
-                    self.act.backends[copy.to].irf_writes += 1;
+                    self.act.backends[backend].irf_writes += 1;
                 }
                 RegClass::Fp => {
                     self.act.backends[copy.from].fprf_reads += 1;
-                    self.act.backends[copy.to].fprf_writes += 1;
+                    self.act.backends[backend].fprf_writes += 1;
                 }
             }
         }
@@ -907,7 +906,7 @@ impl Simulator {
         self.rob_rings[partition].push_back(InFlight {
             commit_cycle: commit,
             backend,
-            releases: renamed.releases,
+            release: renamed.release,
         });
         self.last_commit = self.last_commit.max(commit);
         self.total_committed += 1;

@@ -102,7 +102,8 @@ fn digest_machines(cfgs: &[ProcessorConfig]) -> u64 {
 #[test]
 fn simulator_digest_is_pinned() {
     // The paper's register files never run dry; the third machine's do,
-    // so renaming stalls on commits and the release FIFOs set the timing.
+    // so renaming stalls on commits and each commit's release set sets
+    // the timing.
     let starved = ProcessorConfig {
         int_regs: 40,
         fp_regs: 40,
