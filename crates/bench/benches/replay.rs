@@ -4,20 +4,20 @@
 //!
 //! Before the Criterion timing loops run, the comparison is measured
 //! head-to-head on a small suite: every cell runs live N times, then the
-//! suite is recorded once and replayed N times under a power-level DTM
-//! sweep. The same head-to-head then repeats for the DFAT v2 ladder — a
-//! core-perturbing global-DVFS sweep whose recordings carry a
-//! multi-operating-point family, so replay selects among recorded points
-//! instead of rejecting the policy. The numbers — per-cell live and
-//! replay times, the recording overhead, the replay speedups, and the
-//! encoded trace bytes per cell for both the nominal-only and the
-//! multi-point family — are written to `BENCH_replay.json` at the
-//! workspace root (override the path with `DISTFRONT_BENCH_REPLAY_JSON`),
-//! so CI tracks the record/replay trajectory across PRs; the acceptance
-//! bar is ≥ 2× per cell, and the measured speedup is typically far
-//! higher because replay skips the core simulator entirely. Byte
-//! identity between the live and replayed reports is asserted, not
-//! assumed. Runs in `--test` mode too.
+//! suite is recorded once without DTM and replayed N times under the
+//! emergency throttle, which shares the recording's key and, on the
+//! unbiased baseline, its path. The same head-to-head then repeats for a
+//! core-perturbing global-DVFS sweep recorded under its own policy, whose
+//! replays take the recorded DVFS intervals. The numbers — per-cell live
+//! and replay times, the recording overhead, the replay speedups, and the
+//! encoded trace bytes per cell of both recordings — are written to
+//! `BENCH_replay.json` at the workspace root (override the path with
+//! `DISTFRONT_BENCH_REPLAY_JSON`), so CI tracks the record/replay
+//! trajectory across PRs; the acceptance bar is ≥ 2× per cell, and the
+//! measured speedup is typically far higher because replay skips the
+//! core simulator entirely. Every cell must replay, and byte identity
+//! between the live and replayed reports is asserted, not assumed. Runs
+//! in `--test` mode too.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -130,8 +130,8 @@ fn comparison() {
         apps.len()
     );
 
-    // Power-side sweep from a nominal-only recording: record under the
-    // plain baseline (the uarch side the sweep shares), replay the
+    // Power-side sweep from a no-DTM recording: record under the plain
+    // baseline (the uarch side the sweep shares), replay the
     // emergency-throttled variant from it.
     let base = ExperimentConfig::baseline().with_uops(uops);
     let (live_ms, replay_ms, record_ms, bytes) =
@@ -143,9 +143,8 @@ fn comparison() {
          results bit-identical)"
     );
 
-    // The DFAT v2 ladder: a core-perturbing global-DVFS sweep, recorded
-    // under its own policy so each trace carries the nominal + scaled
-    // operating points, then replayed by per-interval point selection.
+    // A core-perturbing global-DVFS sweep, recorded under its own policy
+    // so each trace holds the scaled intervals the replay takes.
     let ladder = ExperimentConfig::baseline()
         .with_uops(uops)
         .with_dtm(DtmSpec::GlobalDvfs(DvfsPolicy::with_trip(50.0)));

@@ -23,10 +23,10 @@
 //!                    fail (exercises the partial-results path; CI uses it)
 //!   --record DIR     simulate live and write one .dft activity trace per
 //!                    successful cell into DIR
-//!   --replay DIR     load .dft traces from DIR and replay compatible cells
-//!                    instead of re-simulating the core (live fallback
-//!                    otherwise); byte-identical output, several times
-//!                    faster per replayed cell
+//!   --replay DIR     load .dft traces from DIR and replay each cell whose
+//!                    path a trace recorded instead of re-simulating the
+//!                    core (the rest run live); byte-identical output,
+//!                    several times faster per replayed cell
 //!
 //! Back ends (at most one; without one, the job runs in this process):
 //!   --state-dir DIR  run against DIR's crash-safe segment store (the
@@ -309,9 +309,9 @@ fn load_traces(dir: &str) -> Result<Arc<TraceStore>, String> {
 
 /// Writes every recorded trace to `dir` as
 /// `<config>__<workload>__<capability>.dft` — the capability id keeps two
-/// point families of the same cell (say, a nominal-only baseline recording
-/// and a DVFS-family one) from clobbering each other on disk, mirroring
-/// the store's keying.
+/// recordings of the same cell under different operating points (say, a
+/// no-DTM baseline recording and a DVFS one) from clobbering each other
+/// on disk, mirroring the store's keying.
 fn save_traces(dir: &str, store: &TraceStore) -> Result<usize, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
     let traces = store.traces();
@@ -392,8 +392,8 @@ struct Backend {
 enum Arm {
     /// In this process through [`JobSpec::execute`] at `workers`, on the
     /// one [`JobEnv`] whose trace store `--replay` loads and `--record`
-    /// saves.
-    InProcess { workers: usize },
+    /// saves; `replay` says whether it loaded one.
+    InProcess { workers: usize, replay: bool },
     /// Against a local [`DurableStore`] through the daemon's persistent
     /// [`ResultCache`]: a job whose scenarios are all stored is served
     /// from disk (byte-identical frames, no cell solved); any other
@@ -468,7 +468,10 @@ impl Backend {
             let workers = args.workers.unwrap_or_else(|| {
                 std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
             });
-            Arm::InProcess { workers }
+            Arm::InProcess {
+                workers,
+                replay: args.replay.is_some(),
+            }
         };
         Ok(Backend { arm, env, stream })
     }
@@ -476,7 +479,11 @@ impl Backend {
     /// What `--verify` compares against a serial run.
     fn name(&self) -> String {
         match &self.arm {
-            Arm::InProcess { workers } => format!("{workers}-worker"),
+            Arm::InProcess {
+                workers,
+                replay: true,
+            } => format!("replayed {workers}-worker"),
+            Arm::InProcess { workers, .. } => format!("{workers}-worker"),
             Arm::StateDir { .. } => "state-dir".into(),
             Arm::Daemon { .. } => "daemon".into(),
             Arm::Shards { processes, .. } => format!("{processes}-process"),
@@ -491,7 +498,7 @@ impl Backend {
             many => format!("{} scenarios", many.len()),
         };
         match &mut self.arm {
-            Arm::InProcess { workers } => {
+            Arm::InProcess { workers, .. } => {
                 let spec = spec.clone().with_workers(*workers);
                 for s in selected {
                     println!(
@@ -674,10 +681,10 @@ fn write_outputs(
         let name = backend.name();
         match serial {
             Ok(report) if scenarios::to_csv([&report]) == csv => {
-                println!("verify: serial and {name} CSV are byte-identical");
+                println!("verify: live serial and {name} CSV are byte-identical");
             }
             Ok(_) => {
-                eprintln!("error: serial and {name} results diverge — the bit-identity guarantee is broken");
+                eprintln!("error: live serial and {name} results diverge — the bit-identity guarantee is broken");
                 return status.worst(StatusCode::VerifyDiverged);
             }
             Err(e) => {

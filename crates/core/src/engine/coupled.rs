@@ -100,9 +100,10 @@ impl<'a> CoupledEngine<'a> {
     /// pipeline instead of the live core simulator.
     ///
     /// The trace must have been recorded for the same core-side
-    /// configuration and workload, and the DTM policy (if any) must act
-    /// purely at the power level; [`run`](Self::run) fails with
-    /// [`EngineError::ReplayIncompatible`] otherwise.
+    /// configuration, pilot length and workload; [`run`](Self::run) fails
+    /// with [`EngineError::ReplayIncompatible`] otherwise, and with
+    /// [`EngineError::ReplayDiverged`] when the run leaves the path the
+    /// trace recorded (a replaying sweep runs such a cell live instead).
     #[must_use]
     pub fn with_replay(mut self, trace: Arc<ActivityTrace>) -> Self {
         self.replay = Some(trace);
@@ -136,7 +137,7 @@ impl<'a> CoupledEngine<'a> {
     ///
     /// Returns an error when the configuration is invalid, a stage's
     /// prerequisites are missing, an iterative phase fails to converge, or
-    /// a requested replay is incompatible.
+    /// a requested replay is incompatible or leaves the recorded path.
     pub fn run(self) -> Result<AppResult, EngineError> {
         self.execute(false).map(|(result, _)| result)
     }
@@ -424,7 +425,7 @@ mod tests {
         assert_eq!(result, plain, "recording changed the run");
         assert_eq!(trace.meta.workload, "tiny");
         assert!(!trace.intervals.is_empty());
-        assert!(trace.intervals.last().unwrap().points[0].done);
+        assert!(trace.intervals.last().unwrap().done);
 
         let replayed = CoupledEngine::new(&cfg, &app)
             .with_replay(Arc::new(trace))
@@ -460,18 +461,32 @@ mod tests {
             "{err}"
         );
 
-        // A core-perturbing DTM policy names itself in the error.
+        // A different pilot length gives a different nominal power.
+        let mut pilot = cfg.clone();
+        pilot.pilot_fraction = 0.5;
+        let err = CoupledEngine::new(&pilot, &app)
+            .with_replay(Arc::clone(&trace))
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(&err, EngineError::ReplayIncompatible(m) if m.contains("pilot_uops")),
+            "{err}"
+        );
+
+        // A core-perturbing DTM policy that engages leaves the recorded
+        // path at the interval it does, naming both operating points.
         use crate::dtm::DvfsPolicy;
         use crate::experiment::DtmSpec;
         let dvfs = ExperimentConfig::baseline()
             .with_uops(40_000)
-            .with_dtm(DtmSpec::GlobalDvfs(DvfsPolicy::paper_limit()));
+            .with_dtm(DtmSpec::GlobalDvfs(DvfsPolicy::with_trip(40.0)));
         let err = CoupledEngine::new(&dvfs, &app)
             .with_replay(Arc::clone(&trace))
             .run()
             .unwrap_err();
         assert!(
-            matches!(&err, EngineError::ReplayIncompatible(m) if m.contains("global-dvfs")),
+            matches!(&err, EngineError::ReplayDiverged(m)
+                if m.contains("dvfs(0.7x0.85)") && m.contains("recorded nominal")),
             "{err}"
         );
 

@@ -9,14 +9,14 @@
 //! * the live core ([`IntervalLoopStage`](super::IntervalLoopStage)): the
 //!   pilot's stored prefix reports, then its handed-off core resumed (a
 //!   fresh nominal core re-runs the prefix when an action perturbs the
-//!   core inside it), or a fresh core; family probes when recording; and
-//!   the trace cache's remap from the bank sensors and hop. That
-//!   core-side control reads an interval's temperatures, so the source
-//!   applies it as the next interval starts: nothing in between touches
-//!   the core.
+//!   core inside it), or a fresh core; and the trace cache's remap from
+//!   the bank sensors and hop. That core-side control reads an
+//!   interval's temperatures, so the source applies it as the next
+//!   interval starts: nothing in between touches the core.
 //! * a recorded trace ([`ReplayLoopStage`](super::ReplayLoopStage)): the
-//!   recorded point the action selects, decoded into the loop's one
-//!   counter set. The control's effects are baked into the recording.
+//!   recorded row, decoded into the loop's one counter set once the
+//!   action's operating point and the bank temperatures match the
+//!   recorded path. The control's effects are baked into the recording.
 //!
 //! Both feed the same arithmetic, so a replayed cell reproduces its live
 //! cell bit for bit whenever it takes the same decisions.
@@ -61,6 +61,14 @@ pub(super) fn run_intervals(
             return Ok(());
         }
     }
+}
+
+/// The trace-cache bank temperatures a remap reads at an interval
+/// boundary: each physical bank's current block temperature, in bank
+/// order.
+pub(super) fn bank_temperatures<'a>(cx: &'a EngineCx<'_>) -> impl Iterator<Item = f64> + 'a {
+    let temps = cx.thermal.block_temperatures();
+    (0..cx.machine.tc_banks).map(move |k| temps[cx.machine.index_of(BlockId::TcBank(k as u8))])
 }
 
 /// Zeroed counters in the machine's shape.

@@ -12,9 +12,10 @@
 //! * one interval loop — power action, interval activity, power →
 //!   temperature step, DTM decision, until the run is done — written once
 //!   and fed by one of two sources: the live core ([`IntervalLoopStage`]:
-//!   the pilot's stored prefix, its resumed core or a fresh one, family
-//!   probes, trace-cache rebalance and hop) or a recorded trace
-//!   ([`ReplayLoopStage`]: the operating point each action selects),
+//!   the pilot's stored prefix, its resumed core or a fresh one,
+//!   trace-cache rebalance and hop) or a recorded trace
+//!   ([`ReplayLoopStage`]: the recorded rows, while the run stays on the
+//!   recorded path),
 //! * [`EngineCx`] — the shared state the stages hand each other (power
 //!   model, thermal backend, accumulators, the run's final core stats);
 //!   the live stages build the core simulator, at most one per cell (the
@@ -30,18 +31,20 @@
 //!   serial double loop would produce them; sweeps are fault-tolerant
 //!   ([`SweepRunner::try_grid`] returns a [`SweepReport`] of per-cell
 //!   [`CellOutcome`]s — one failing cell never aborts the others),
-//! * [`TraceRecorder`] / [`ReplayBackend`] — record a live run's
-//!   per-interval activity as a multi-operating-point
-//!   [`ActivityTrace`](distfront_trace::record::ActivityTrace) and replay
-//!   it through the same interval loop without re-simulating the core. The trace declares which operating points it recorded —
-//!   nominal plus the policy-actionable variants (DVFS, fetch-gate duty,
-//!   migration targets) — and replay is exact for any policy whose
-//!   points the trace covers; a policy needing an unrecorded point is
-//!   rejected with [`EngineError::ReplayIncompatible`] naming it, and
+//! * [`TraceRecorder`] / [`ReplayBackend`] — record the path a live run
+//!   took (per interval: its activity, the operating point its DTM
+//!   action selected and the bank temperatures a biased trace-cache
+//!   mapping read) as an
+//!   [`ActivityTrace`](distfront_trace::record::ActivityTrace), and
+//!   replay it through the same interval loop without re-simulating the
+//!   core. Replay checks the path every interval: a replay that leaves it
+//!   fails with [`EngineError::ReplayDiverged`], so a trace replays
+//!   exactly any row whose path it recorded, and no other, and
 //! * [`TraceStore`] / [`TraceMode`] — the sweep-level record-once /
-//!   replay-many plumbing, keyed by capability family, with per-cell
-//!   fallback to live simulation when no covering trace exists; every
-//!   replay-mode cell with a valid trace is its own sweep task.
+//!   replay-many plumbing, keyed by (configuration, workload, the
+//!   configuration's operating points); every replay-mode cell with a
+//!   valid trace is its own sweep task, and a cell without one, or whose
+//!   replay diverges, runs live.
 //!
 //! [`WarmStartCache`] and [`BatchScheduler`] are inert names the
 //! end-to-end benchmark still compiles against (see the end of the
@@ -103,11 +106,14 @@ pub enum EngineError {
     /// no measurement intervals), so the report metrics are undefined.
     NoData(&'static str),
     /// A recorded trace cannot stand in for this run: the core-side
-    /// configuration differs from the recording's, or the DTM policy
-    /// needs an operating point the trace never recorded. The message
-    /// names the offending field, policy or missing point; callers that
-    /// can (the replaying sweep executor) fall back to live simulation.
+    /// configuration differs from the recording's, or the trace is
+    /// unreadable or tainted. The message names the offending field.
     ReplayIncompatible(String),
+    /// A replay left the path its trace recorded: at the named interval
+    /// the DTM action selected another operating point, or a biased
+    /// trace-cache mapping would read other bank temperatures. The
+    /// replaying sweep executor runs such a cell live instead.
+    ReplayDiverged(String),
 }
 
 impl std::fmt::Display for EngineError {
@@ -118,6 +124,7 @@ impl std::fmt::Display for EngineError {
             EngineError::NotConverged(msg) => write!(f, "not converged: {msg}"),
             EngineError::NoData(msg) => write!(f, "no data: {msg}"),
             EngineError::ReplayIncompatible(msg) => write!(f, "replay incompatible: {msg}"),
+            EngineError::ReplayDiverged(msg) => write!(f, "replay diverged: {msg}"),
         }
     }
 }

@@ -5,12 +5,10 @@
 //! * [`TraceRecorder`] is the tap the default stages write into when
 //!   [`CoupledEngine::run_recorded`](super::CoupledEngine::run_recorded)
 //!   installs it: the pilot's merged activity, one record per evaluation
-//!   interval — a **family of operating points**, each a
-//!   flattened counter row plus done flag — and the run's final core
-//!   statistics. The live stream lands on the family point matching the
-//!   interval's live DTM action; every other family point is captured by
-//!   [`Simulator::probe_interval`](distfront_uarch::Simulator::probe_interval)
-//!   on a throwaway fork, so recording only observes — a recorded run's
+//!   interval — the path the live run took: its counter row and done
+//!   flag, the operating point its DTM action selected, and the bank
+//!   temperatures a biased trace-cache mapping read — and the run's final
+//!   core statistics. Recording only observes, so a recorded run's
 //!   [`AppResult`](crate::runner::AppResult) is bit-identical to an
 //!   unrecorded one.
 //! * [`ReplayBackend`] is the uarch-free stage pipeline that consumes a
@@ -23,53 +21,41 @@
 //!   live), the regular
 //!   [`WarmStartStage`] runs unchanged, and the replay loop is the live
 //!   cell's interval loop with the trace as its source: each interval
-//!   decodes the recorded operating point that matches the policy's
-//!   [`DtmAction`] for that interval into the loop's one counter set.
+//!   decodes the recorded row into the loop's one counter set.
 //!
-//! # The capability model
+//! # Replay checks its own exactness
 //!
-//! A trace *declares* what it can faithfully replay: its recorded point
-//! family (see [`TraceMeta::points`]) is its capability set. Validation
-//! derives the points the target configuration's DTM policy can demand
-//! ([`ExperimentConfig::replay_points`]) and requires the family to cover
-//! them, naming the missing capability — there is no blanket per-policy
-//! rejection. A nominal-only (`[Nominal]`) recording still replays
-//! power-level DTM (none / emergency throttle) and is rejected, with the
-//! reason, for anything core-perturbing.
-//!
-//! # When replay is exact
-//!
-//! Replay is **byte-identical** to the live run whenever every interval's
-//! replayed decision selects the point the live run actually took — in
-//! particular, always, when replaying the recording configuration itself:
-//! the replayed activity equals the live activity interval by interval, so
+//! An interval's core-side activity is a function of the run's core-side
+//! configuration (which [`ReplayBackend::validate`] matches against the
+//! trace, pilot length included) and of what the core read from the
+//! power/thermal side: the operating point of each DTM action and, on a
+//! temperature-biased trace-cache mapping, the bank temperatures each
+//! remap read. The trace records both for the path the live run took, so
+//! [`ReplayLoopStage`] compares them every interval with the ones the
+//! replay itself produces. While they agree, the replayed activity is the
+//! activity a live run of the replaying configuration would produce, so
 //! power, temperatures and the (deterministic) controller's decisions
-//! reproduce by induction, and each decision selects the live point again.
-//! This is the CI-verified path for the whole DTM ladder, DVFS, fetch
-//! gating and migration included. When a replay *diverges* (a different
-//! trip point, say, engages DVFS on an interval the recording ran
-//! nominal), the selected variant point is the core's exact one-interval
-//! response from the recorded trajectory's pipeline state; over the
-//! remaining run it is a first-order approximation, because the recording
-//! resumes from its own history rather than the divergent one. One further
-//! deliberate approximation remains: a thermally-biased bank
-//! mapping reacts to the replayed temperature trajectory, whose
-//! bank-mapping decisions are baked into the recording.
+//! reproduce by induction: replay is **byte-identical** to live. At the
+//! first interval where they differ, the stage fails with
+//! [`EngineError::ReplayDiverged`], and the replaying sweep runs the cell
+//! live instead and counts it as live. A trace thus replays any row whose
+//! path it recorded — a `baseline` row from a throttled recording that
+//! never reached the trip, say — and nothing else.
 
 use std::sync::Arc;
 
 use distfront_power::Machine;
 use distfront_trace::record::{
-    ActivityTrace, FinalStats, IntervalRecord, PointKey, PointRecord, TraceMeta, TraceShape,
+    ActivityTrace, FinalStats, IntervalRecord, PointKey, TraceMeta, TraceShape,
     TRACE_FORMAT_VERSION,
 };
 use distfront_trace::Workload;
 use distfront_uarch::{record as tap, ActivityCounters, IntervalReport};
 
-use super::interval::{counters_for, point_key_of, run_intervals};
+use super::interval::{bank_temperatures, counters_for, point_key_of, run_intervals};
 use super::stages::{adopt_nominal, WarmStartStage};
 use super::sweep::WarmStartCache;
-use super::traits::{DtmAction, Stage};
+use super::traits::Stage;
 use super::{EngineCx, EngineError};
 use crate::experiment::ExperimentConfig;
 
@@ -86,16 +72,15 @@ pub struct TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// A recorder for a run of `workload` under `cfg`. The recorded point
-    /// family is [`ExperimentConfig::replay_points`] — nominal plus
-    /// whatever the configured DTM policy can engage.
+    /// A recorder for a run of `workload` under `cfg`, stored under
+    /// [`ExperimentConfig::replay_points`] — nominal plus whatever the
+    /// configured DTM policy can engage.
     ///
     /// `custom_dtm` flags a DTM policy installed through
     /// [`CoupledEngine::with_dtm`](super::CoupledEngine::with_dtm) rather
     /// than the configuration's [`DtmSpec`](crate::experiment::DtmSpec):
-    /// an arbitrary boxed policy's actions cannot be derived from the
-    /// configuration, so such recordings capture the live stream only and
-    /// are conservatively marked not replay-safe.
+    /// no configuration describes an arbitrary boxed policy, so such
+    /// recordings are marked not replay-safe and never stored.
     pub fn new(cfg: &ExperimentConfig, workload: &Workload, custom_dtm: bool) -> Self {
         let points = if custom_dtm {
             vec![PointKey::Nominal]
@@ -110,6 +95,7 @@ impl TraceRecorder {
                 processor_fingerprint: processor_fingerprint(cfg),
                 seed: cfg.seed,
                 uops_per_app: cfg.uops_per_app,
+                pilot_uops: cfg.pilot_uops(),
                 interval_cycles: cfg.interval_cycles,
                 shape: trace_shape(cfg),
                 hop: cfg.hop,
@@ -126,33 +112,27 @@ impl TraceRecorder {
         }
     }
 
-    /// The operating-point family this recorder captures per interval.
-    pub fn family(&self) -> &[PointKey] {
-        &self.meta.points
-    }
-
     /// Records the pilot phase's merged activity.
     pub fn record_pilot(&mut self, act: &ActivityCounters) {
         self.pilot = tap::flatten(act);
     }
 
-    /// Records one evaluation interval from one report per family point,
-    /// in [`family`](Self::family) order (the live step's report at the
-    /// live action's point, fork probes elsewhere).
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) when the report count mismatches the family.
-    pub fn record_interval(&mut self, points: &[&IntervalReport], gated_bank: Option<u8>) {
-        debug_assert_eq!(points.len(), self.meta.points.len());
+    /// Records one evaluation interval of the live path: its report, the
+    /// operating point the live action selected, the bank temperatures
+    /// the trace-cache mapping read as it started (empty when it read
+    /// none) and the bank gated during it.
+    pub fn record_interval(
+        &mut self,
+        report: &IntervalReport,
+        point: PointKey,
+        bank_temps: &[f64],
+        gated_bank: Option<u8>,
+    ) {
         self.intervals.push(IntervalRecord {
-            points: points
-                .iter()
-                .map(|r| PointRecord {
-                    counters: tap::flatten(&r.activity),
-                    done: r.done,
-                })
-                .collect(),
+            counters: tap::flatten(&report.activity),
+            done: report.done,
+            point,
+            bank_temp_bits: bank_temps.iter().map(|t| t.to_bits()).collect(),
             gated_bank,
         });
     }
@@ -184,10 +164,10 @@ impl ReplayBackend {
     ///
     /// Returns [`EngineError::ReplayIncompatible`] naming the first
     /// mismatch: an unsupported trace version, a core-side configuration
-    /// difference (workload, seed, run length, interval, machine shape,
-    /// hopping), a tainted (custom-DTM) recording, a required operating
-    /// point the trace's capability set does not cover, or an empty
-    /// recording.
+    /// difference (workload, seed, run length, pilot length, interval,
+    /// machine shape, hopping), a tainted (custom-DTM) recording, or an
+    /// empty recording. Whether the replay stays on the recorded path is
+    /// checked every interval as it runs.
     pub fn validate(
         cfg: &ExperimentConfig,
         workload: &Workload,
@@ -240,9 +220,12 @@ impl ReplayBackend {
                 m.shape
             ));
         }
+        // The pilot length sets the recorded pilot activity, hence the
+        // nominal power every interval's power is relative to.
         for (field, recorded, wanted) in [
             ("seed", m.seed, cfg.seed),
             ("uops_per_app", m.uops_per_app, cfg.uops_per_app),
+            ("pilot_uops", m.pilot_uops, cfg.pilot_uops()),
             ("interval_cycles", m.interval_cycles, cfg.interval_cycles),
         ] {
             if recorded != wanted {
@@ -257,25 +240,9 @@ impl ReplayBackend {
         }
         if !m.replay_safe {
             return fail(format!(
-                "trace was recorded under the unverifiable custom DTM policy {} and \
-                 cannot prove any operating point",
+                "trace was recorded under the custom DTM policy {}, which no \
+                 configuration describes",
                 m.dtm.as_deref().unwrap_or("<unknown>")
-            ));
-        }
-        // Capability coverage: every point the target policy can demand
-        // must have been recorded. The error names the missing capability
-        // (and what the trace does have) so the fix — re-record under the
-        // target policy — is obvious.
-        let required = cfg.replay_points();
-        if let Some(missing) = required.iter().find(|k| m.point_index(**k).is_none()) {
-            let policy = cfg.dtm.as_ref().map_or("none", |d| d.name());
-            return fail(format!(
-                "DTM policy {policy} needs the {} operating point, but the trace \
-                 only records [{}] (version {}); re-record under the target policy \
-                 to capture it",
-                missing.label(),
-                m.capability_id(),
-                m.version
             ));
         }
         if trace.intervals.is_empty() {
@@ -337,12 +304,16 @@ impl Stage for ReplayPilotStage {
 
 /// Feeds recorded per-interval activity through the interval loop the
 /// live [`IntervalLoopStage`](super::IntervalLoopStage) runs, skipping
-/// the core simulator entirely. Each interval replays the recorded
-/// operating point selected by the policy's action for that interval
-/// (power-level actions ride the nominal point). The live loop's bank
-/// rebalance and hop are core-side effects already baked into the
-/// recorded activity. The run ends at the first done point, or after the
-/// last recorded interval.
+/// the core simulator entirely. The live loop's bank rebalance and hop
+/// are core-side effects already baked into the recorded activity. The
+/// run ends at the first done interval, or after the last recorded one.
+///
+/// Each interval first checks that the replay is still on the recorded
+/// path: the operating point of the policy's action (power-level actions
+/// ride the nominal point) and, where the trace recorded them, the bank
+/// temperatures the trace-cache mapping would read must equal the
+/// recorded ones, bit for bit. Otherwise the stage fails with
+/// [`EngineError::ReplayDiverged`].
 #[derive(Debug)]
 pub struct ReplayLoopStage {
     trace: Arc<ActivityTrace>,
@@ -355,14 +326,31 @@ impl Stage for ReplayLoopStage {
 
     fn run(&mut self, cx: &mut EngineCx<'_>) -> Result<(), EngineError> {
         let trace = Arc::clone(&self.trace);
-        let mut intervals = trace.intervals.iter();
+        let mut intervals = trace.intervals.iter().enumerate();
         run_intervals(cx, |cx, action, act| {
-            let rec = intervals.next().ok_or(EngineError::NoData(
+            let (i, rec) = intervals.next().ok_or(EngineError::NoData(
                 "the trace records no evaluation intervals",
             ))?;
-            let point = select_point(&trace.meta, rec, action)?;
-            unflatten_for(cx.machine, &point.counters, act)?;
-            let done = point.done || intervals.len() == 0;
+            let point = point_key_of(action);
+            if point != rec.point {
+                return Err(EngineError::ReplayDiverged(format!(
+                    "interval {i}: the DTM action selects {}, the trace recorded {}",
+                    point.label(),
+                    rec.point.label()
+                )));
+            }
+            if !rec.bank_temp_bits.is_empty()
+                && !bank_temperatures(cx)
+                    .map(f64::to_bits)
+                    .eq(rec.bank_temp_bits.iter().copied())
+            {
+                return Err(EngineError::ReplayDiverged(format!(
+                    "interval {i}: the trace-cache mapping reads other bank \
+                     temperatures than the trace recorded"
+                )));
+            }
+            unflatten_for(cx.machine, &rec.counters, act)?;
+            let done = rec.done || intervals.len() == 0;
             if done {
                 cx.finals = Some(trace.finals);
             }
@@ -410,31 +398,4 @@ fn unflatten_for(
         flat,
     )
     .map_err(EngineError::ReplayIncompatible)
-}
-
-/// Selects the recorded point `action` demands from `rec` — the runtime
-/// backstop behind [`ReplayBackend::validate`]'s coverage check (a
-/// divergent policy can only demand points validation already proved
-/// recorded, so a failure here means the trace and policy disagree about
-/// the policy's action set).
-///
-/// # Errors
-///
-/// Returns [`EngineError::ReplayIncompatible`] naming the unrecorded
-/// point.
-fn select_point<'t>(
-    meta: &TraceMeta,
-    rec: &'t IntervalRecord,
-    action: DtmAction,
-) -> Result<&'t PointRecord, EngineError> {
-    let key = point_key_of(action);
-    match meta.point_index(key) {
-        Some(idx) => Ok(&rec.points[idx]),
-        None => Err(EngineError::ReplayIncompatible(format!(
-            "DTM action {action:?} demands the unrecorded operating point {} \
-             (trace records [{}])",
-            key.label(),
-            meta.capability_id()
-        ))),
-    }
 }

@@ -16,10 +16,10 @@
 //!
 //! * its trace-cache mapping ignores temperature (unbiased), so the
 //!   pilot's ambient rebalance installs the table the loop's sensor
-//!   rebalance would,
-//! * the pilot is shorter than the run, and
-//! * it records no multi-point family, whose probe forks need the core at
-//!   every boundary.
+//!   rebalance would, and
+//! * the pilot is shorter than the run.
+//!
+//! A recorded cell is no exception: the recorder reads the same reports.
 //!
 //! If the DTM policy perturbs the core (any action but nominal or a
 //! power-level throttle) inside the pilot's prefix, the loop drops the
@@ -27,11 +27,10 @@
 //! intervals. Every other cell, and every pipeline with a custom pilot,
 //! has the loop build its own fresh core.
 
-use distfront_power::BlockId;
 use distfront_trace::record::{FinalStats, PointKey};
 use distfront_uarch::{ActivityCounters, FetchGate, IntervalReport, Simulator};
 
-use super::interval::{counters_for, point_key_of, run_intervals, Interval};
+use super::interval::{bank_temperatures, counters_for, point_key_of, run_intervals, Interval};
 use super::traits::{DtmAction, Stage};
 use super::{EngineCx, EngineError};
 use crate::experiment::ExperimentConfig;
@@ -105,10 +104,10 @@ pub(super) fn adopt_nominal(cx: &mut EngineCx<'_>, pilot_act: &ActivityCounters)
 }
 
 /// The pilot's core, handed to the interval loop on an eligible cell: its
-/// trace-cache mapping is unbiased, its pilot is shorter than the run,
-/// and it records no multi-point family. The loop's first intervals are
-/// then the pilot's, bit for bit, so the loop reuses their reports and
-/// resumes the core instead of simulating the prefix again.
+/// trace-cache mapping is unbiased and its pilot is shorter than the run.
+/// The loop's first intervals are then the pilot's, bit for bit, so the
+/// loop reuses their reports and resumes the core instead of simulating
+/// the prefix again.
 #[derive(Debug)]
 pub struct PilotCore {
     /// The core, stopped at the pilot budget inside an open interval.
@@ -120,16 +119,10 @@ pub struct PilotCore {
 }
 
 /// Whether the pilot hands its core to the interval loop: the trace-cache
-/// mapping ignores temperature, the pilot is shorter than the run, and no
-/// multi-point family is being recorded.
+/// mapping ignores temperature and the pilot is shorter than the run.
 fn shares_pilot_core(cx: &EngineCx<'_>) -> bool {
     let cfg = cx.cfg;
-    !cfg.processor.trace_cache.biased
-        && cfg.pilot_uops() < cfg.uops_per_app
-        && cx
-            .recorder
-            .as_ref()
-            .is_none_or(|rec| rec.family().len() <= 1)
+    !cfg.processor.trace_cache.biased && cfg.pilot_uops() < cfg.uops_per_app
 }
 
 /// Closes a nominal interval the way the pilot does: its report and the
@@ -251,8 +244,8 @@ impl Stage for IntervalLoopStage {
 /// the pilot: it takes the pilot's stored reports, then resumes its open
 /// interval. An action that perturbs the core ends that prefix: the
 /// handed-off core is past this boundary, so a fresh one re-runs the
-/// prefix. When recording a family, every point but the live one is
-/// probed on a throwaway fork from the interval's starting state.
+/// prefix. When recording, each interval's report, operating point and
+/// the bank temperatures a biased mapping read go to the recorder.
 ///
 /// The trace-cache control that follows an interval's temperatures
 /// (remap from the bank sensors, then rotate the gated bank) runs when
@@ -271,11 +264,6 @@ fn core_source(
         ),
         None => (Some(nominal_core(cx, 0)), Vec::new().into_iter(), None),
     };
-    let family: Vec<PointKey> = cx
-        .recorder
-        .as_ref()
-        .map(|rec| rec.family().to_vec())
-        .unwrap_or_default();
     let mut closed = 0;
     let mut simulated = false;
     move |cx, action, act| {
@@ -288,34 +276,33 @@ fn core_source(
             resume = None;
         }
         let sim = core.as_mut().expect("the loop holds a core");
+        let mut bank_temps = Vec::new();
         if simulated {
-            let bank_temps: Vec<f64> = (0..cfg.processor.trace_cache.physical_banks())
-                .map(|k| {
-                    cx.thermal.block_temperatures()[cx.machine.index_of(BlockId::TcBank(k as u8))]
-                })
-                .collect();
+            bank_temps.extend(bank_temperatures(cx));
             control_trace_cache(sim, cfg, &bank_temps);
         }
         closed += 1;
         let stored = resume.and_then(|_| prefix.next());
         simulated = stored.is_none();
-        let (r, gated_bank, probes) = match stored {
-            Some((r, gated_bank)) => (r, gated_bank, Vec::new()),
+        let (r, gated_bank) = match stored {
+            Some(stored) => stored,
             None => {
                 apply_sim_point(sim, live_key);
                 let target = resume
                     .take()
                     .unwrap_or_else(|| sim.current_cycle() + cfg.interval_cycles);
-                let probes = probe_family(sim, &family, live_key, target, cfg.uops_per_app);
                 let r = sim.step(target, cfg.uops_per_app);
-                (r, sim.trace_cache().gated_bank().map(|b| b as u8), probes)
+                (r, sim.trace_cache().gated_bank().map(|b| b as u8))
             }
         };
         if let Some(rec) = &mut cx.recorder {
-            let reports: Vec<&IntervalReport> = (0..family.len())
-                .map(|i| probes.get(i).and_then(Option::as_ref).unwrap_or(&r))
-                .collect();
-            rec.record_interval(&reports, gated_bank);
+            // Only a biased mapping's remap depends on what it read.
+            let read = if cfg.processor.trace_cache.biased {
+                &bank_temps[..]
+            } else {
+                &[]
+            };
+            rec.record_interval(&r, live_key, read, gated_bank);
         }
         if r.done {
             cx.finals = Some(FinalStats {
@@ -330,37 +317,13 @@ fn core_source(
     }
 }
 
-/// Probes every recording-family point but the live one on a throwaway
-/// fork of `sim` from the interval's starting state. A single-point
-/// family needs no forks: the live stream *is* the nominal point
-/// (power-level actions never perturb it, and a tainted custom-DTM
-/// recording keeps the raw live stream).
-fn probe_family(
-    sim: &Simulator,
-    family: &[PointKey],
-    live_key: PointKey,
-    target: u64,
-    uop_target: u64,
-) -> Vec<Option<IntervalReport>> {
-    if family.len() <= 1 {
-        return vec![None; family.len()];
-    }
-    family
-        .iter()
-        .map(|&key| {
-            (key != live_key)
-                .then(|| sim.probe_interval(|fork| apply_sim_point(fork, key), target, uop_target))
-        })
-        .collect()
-}
-
 /// Configures a simulator's hooks to an operating point: the core half of
 /// a live DTM action (keyed through [`point_key_of`]; the power half is
-/// [`apply_power_action`]) and a probe fork's variant point. Resets every
-/// hook first, releasing whatever the previous interval engaged, so the
-/// state is absolute. Every hook's nominal setting is exactly the state a
-/// fresh simulator starts in, so a run without a DTM policy is
-/// bit-identical to one that never touches the hooks.
+/// [`apply_power_action`]). Resets every hook first, releasing whatever
+/// the previous interval engaged, so the state is absolute. Every hook's
+/// nominal setting is exactly the state a fresh simulator starts in, so a
+/// run without a DTM policy is bit-identical to one that never touches
+/// the hooks.
 fn apply_sim_point(sim: &mut Simulator, key: PointKey) {
     sim.set_clock_scale(1.0);
     sim.set_fetch_gate(None);

@@ -15,7 +15,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
-use distfront_trace::record::{ActivityTrace, PointKey};
+use distfront_trace::record::{points_id, ActivityTrace, PointKey};
 use distfront_trace::Workload;
 
 use super::coupled::CoupledEngine;
@@ -82,25 +82,27 @@ fn grid_rows<'a>(
 /// Shares recorded [`ActivityTrace`]s between sweep runs: a recording
 /// sweep inserts one trace per successful cell, a replaying sweep looks
 /// cells up by `(configuration name, workload name)` plus the
-/// **capability set** the replay requires — under the convention that a
+/// configuration's operating points
+/// ([`ExperimentConfig::replay_points`]) — under the convention that a
 /// configuration's name identifies its core (uarch) side, which is
 /// exactly what two configurations sweeping only the power/thermal/DTM
 /// side share.
 ///
-/// Keys include [`TraceMeta::capability_id`], so a nominal-only recording
-/// and a DVFS-family recording of the same cell coexist instead of
-/// clobbering each other, and a lookup that *needs* core-perturbing
-/// points can never be satisfied by a power-only trace: [`get`](Self::get)
-/// returns only traces whose recorded point family covers the request.
+/// Keys include [`TraceMeta::capability_id`], so a no-DTM recording and a
+/// DVFS recording of the same cell coexist instead of clobbering each
+/// other, and a row normally finds the recording of its own policy. No
+/// DTM and the emergency throttle share a key: both run the core at the
+/// nominal point. Which rows a trace serves exactly is settled at replay
+/// time, where the replay checks that it stays on the recorded path.
 ///
 /// A store built with [`persistent`](Self::persistent) is additionally
 /// disk-backed: it starts pre-seeded from a [`DurableStore`] and appends
 /// each *novel* recording (new key, or changed bytes under an existing
 /// key) back to it as `.dft` payloads — behind the exact same
-/// `insert`/`get`/coverage contract, so record/replay never knows
-/// whether a trace survived a restart. Appends become durable at the
-/// owner's [`DurableStore::flush`] boundary; an append failure is logged
-/// and degrades that trace to in-memory life.
+/// `insert`/`get` contract, so record/replay never knows whether a trace
+/// survived a restart. Appends become durable at the owner's
+/// [`DurableStore::flush`] boundary; an append failure is logged and
+/// degrades that trace to in-memory life.
 ///
 /// [`TraceMeta::capability_id`]: distfront_trace::record::TraceMeta::capability_id
 #[derive(Debug, Default)]
@@ -130,7 +132,7 @@ impl TraceStore {
 
     /// Inserts a trace under its recorded `(config, workload, capability)`
     /// key, replacing any previous recording of the same cell *with the
-    /// same capability set* (recordings with different families coexist).
+    /// same operating points* (recordings of other points coexist).
     /// Disk-backed stores append the trace unless an identical recording
     /// already sits under the key.
     pub fn insert(&self, trace: ActivityTrace) {
@@ -154,24 +156,19 @@ impl TraceStore {
         map.insert(key, Arc::new(trace));
     }
 
-    /// Looks up a trace recorded for a configuration × workload cell whose
-    /// point family covers every key in `required` (tainted recordings
-    /// never match). When several qualify, the smallest covering family
-    /// wins (ties broken by capability id) — a deterministic pick, so
-    /// sweep results never depend on insertion order.
+    /// Looks up the trace recorded for a configuration × workload cell
+    /// under exactly the operating points `points` (a configuration's
+    /// [`ExperimentConfig::replay_points`]); tainted recordings never
+    /// match.
     pub fn get(
         &self,
         config: &str,
         workload: &str,
-        required: &[PointKey],
+        points: &[PointKey],
     ) -> Option<Arc<ActivityTrace>> {
+        let key = (config.to_string(), workload.to_string(), points_id(points));
         let map = self.map.lock().expect("trace store poisoned");
-        map.iter()
-            .filter(|((c, w, _), t)| c == config && w == workload && t.meta.covers(required))
-            .min_by(|((_, _, a), ta), ((_, _, b), tb)| {
-                (ta.meta.points.len(), a).cmp(&(tb.meta.points.len(), b))
-            })
-            .map(|(_, t)| Arc::clone(t))
+        map.get(&key).map(Arc::clone)
     }
 
     /// Number of stored traces.
@@ -201,11 +198,12 @@ pub enum TraceMode {
     #[default]
     Live,
     /// Simulate live and record each successful cell into the store.
-    /// Cells whose configuration makes the recording unreplayable (a
-    /// core-perturbing DTM policy) still run live but are not stored.
+    /// Cells driven by a custom DTM policy still run live but are not
+    /// stored.
     Record(Arc<TraceStore>),
     /// Replay cells from the store where a compatible trace exists; fall
-    /// back to live simulation (leaving the store untouched) otherwise.
+    /// back to live simulation (leaving the store untouched) otherwise,
+    /// and for a cell whose replay leaves the recorded path.
     Replay(Arc<TraceStore>),
 }
 
@@ -630,8 +628,8 @@ impl SweepRunner {
                 let (row, app) = cells.coords(i);
                 let (cfg, workloads) = cells.rows[row];
                 let workload = &workloads[app];
-                let (fingerprint, required) = &rows[row - first_row];
-                let trace = store.get(cfg.name, workload.name(), required).filter(|t| {
+                let (fingerprint, points) = &rows[row - first_row];
+                let trace = store.get(cfg.name, workload.name(), points).filter(|t| {
                     ReplayBackend::validate_fingerprinted(cfg, *fingerprint, workload, t).is_ok()
                 });
                 match trace {
@@ -659,12 +657,8 @@ impl SweepRunner {
         let run = match &self.mode {
             TraceMode::Record(store) => {
                 engine.run_recorded().map(|(result, trace)| {
-                    // Only tainted recordings — made under an unverifiable
-                    // custom DTM closure — are skipped: they cannot prove
-                    // any operating point. Core-perturbing spec policies
-                    // record their full point family and store fine; the
-                    // capability-aware key keeps families from clobbering
-                    // each other.
+                    // Only tainted recordings — made under a custom DTM
+                    // closure no configuration describes — are skipped.
                     if trace.meta.replay_safe {
                         store.insert(trace);
                     }
@@ -679,24 +673,29 @@ impl SweepRunner {
 
 /// Replays cell `i` of `cells` from `trace` through the ordinary
 /// [`CoupledEngine`] replay pipeline: the sweep executor's one
-/// replay-cell runner. The cell is an independent engine run, so its
-/// outcome is bit-identical to a live run of the cell, and a failing cell
-/// leaves every other cell's bits untouched.
+/// replay-cell runner. The cell is an independent engine run, and a
+/// failing cell leaves every other cell's bits untouched. A replay that
+/// leaves the recorded path ([`EngineError::ReplayDiverged`]) is run
+/// again live and counted as live, so the outcome is always
+/// bit-identical to a live run of the cell.
 ///
 /// `trace` must be one [`ReplayBackend::validate`] accepts for the cell:
 /// the executor validates while planning, so it is not validated again.
 fn run_replay_cell(cells: &Cells, i: usize, trace: &Arc<ActivityTrace>) -> CellOutcome {
     let started = Instant::now();
     let (cfg, workload) = cells.cell(i);
-    let run = CoupledEngine::for_workload(cfg, workload.clone())
-        .with_validated_replay(Arc::clone(trace))
-        .run();
-    CellOutcome::new(cells, i, run, started, true)
+    let engine = || CoupledEngine::for_workload(cfg, workload.clone());
+    match engine().with_validated_replay(Arc::clone(trace)).run() {
+        Err(EngineError::ReplayDiverged(_)) => {
+            CellOutcome::new(cells, i, engine().run(), started, false)
+        }
+        run => CellOutcome::new(cells, i, run, started, true),
+    }
 }
 
 // Compatibility with the end-to-end benchmark (`perfbench/`), which
 // still compiles against the names below and changes only on its own
-// (ROADMAP item 2). None of them does anything: every warm start is
+// (ROADMAP item 3). None of them does anything: every warm start is
 // solved for its own cell. They go when the benchmark drops its calls.
 
 /// Inert: warm starts are solved per cell, so there is nothing to share.
@@ -880,7 +879,7 @@ mod tests {
         let broken = {
             let mut t = (*store.get("baseline", "gzip", &[PointKey::Nominal]).unwrap()).clone();
             assert!(t.intervals.len() >= 2, "need a mid-run interval to corrupt");
-            t.intervals[1].points[0].counters.truncate(3);
+            t.intervals[1].counters.truncate(3);
             t
         };
         store.insert(broken);
@@ -955,8 +954,8 @@ mod tests {
         assert!(replayed.iter().all(|c| c.replayed));
     }
 
-    /// A recording of the `baseline`/`gzip` cell with point family
-    /// `points`, replay-safe unless `tainted`.
+    /// A recording of the `baseline`/`gzip` cell stored under `points`,
+    /// replay-safe unless `tainted`.
     fn recording(points: Vec<PointKey>, tainted: bool) -> ActivityTrace {
         use distfront_trace::record::{FinalStats, TraceMeta, TraceShape};
         ActivityTrace {
@@ -967,6 +966,7 @@ mod tests {
                 processor_fingerprint: 0,
                 seed: 0,
                 uops_per_app: 1,
+                pilot_uops: 1,
                 interval_cycles: 1,
                 shape: TraceShape {
                     partitions: 2,
@@ -990,42 +990,35 @@ mod tests {
     }
 
     #[test]
-    fn trace_store_picks_the_smallest_covering_family_then_the_capability_id() {
+    fn trace_store_lookup_is_exact_on_the_operating_points() {
         let nominal = PointKey::Nominal;
         let dvfs = PointKey::dvfs(0.7, 0.85);
         let gate = PointKey::FetchGate { open: 1, period: 2 };
-        let migrate = PointKey::MigrateTo(1);
         let families = [
             vec![nominal, gate],
             vec![nominal, dvfs, gate],
-            vec![nominal, migrate],
             vec![nominal, dvfs],
         ];
-        let picked = |store: &TraceStore, required: &[PointKey]| {
+        let picked = |store: &TraceStore, points: &[PointKey]| {
             store
-                .get("baseline", "gzip", required)
+                .get("baseline", "gzip", points)
                 .map(|t| t.meta.capability_id())
         };
-        // Every insertion order picks the same trace.
-        for rotation in 0..families.len() {
-            let store = TraceStore::new();
-            store.insert(recording(vec![nominal], true));
-            for points in families.iter().cycle().skip(rotation).take(families.len()) {
-                store.insert(recording(points.clone(), false));
-            }
-            // Three two-point families cover the nominal point: the
-            // capability ids break the tie, and the tainted nominal-only
-            // recording never matches.
-            let pick = picked(&store, &[nominal]);
-            assert_eq!(pick.as_deref(), Some("nominal+dvfs(0.7x0.85)"));
-            let pick = picked(&store, &[nominal, gate]);
-            assert_eq!(pick.as_deref(), Some("nominal+gate(1of2)"));
-            let pick = picked(&store, &[dvfs, gate]);
-            assert_eq!(pick.as_deref(), Some("nominal+dvfs(0.7x0.85)+gate(1of2)"));
-            assert_eq!(picked(&store, &[dvfs, migrate]), None);
-            // A smaller covering family wins over any capability id.
-            store.insert(recording(vec![nominal], false));
-            assert_eq!(picked(&store, &[nominal]).as_deref(), Some("nominal"));
+        let store = TraceStore::new();
+        store.insert(recording(vec![nominal], true));
+        for points in &families {
+            store.insert(recording(points.clone(), false));
         }
+        // Each key finds its own recording and nothing else: a larger
+        // family never stands in for a smaller one, and the tainted
+        // nominal recording never matches.
+        for points in &families {
+            assert_eq!(picked(&store, points), Some(points_id(points)));
+        }
+        assert_eq!(picked(&store, &[nominal]), None);
+        assert_eq!(picked(&store, &[nominal, PointKey::MigrateTo(1)]), None);
+        store.insert(recording(vec![nominal], false));
+        assert_eq!(picked(&store, &[nominal]).as_deref(), Some("nominal"));
+        assert_eq!(store.get("baseline", "mcf", &[nominal]), None);
     }
 }

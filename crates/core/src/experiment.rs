@@ -100,26 +100,22 @@ impl DtmSpec {
     /// pipeline untouched.
     ///
     /// The emergency throttle only stretches wall-clock time through the
-    /// power model's operating point, so recorded activity is unaffected
-    /// and any replay-safe trace — a nominal-only one included — replays
-    /// it exactly. Global DVFS rescales the core clock (uncore
+    /// power model's operating point, so the core keeps the nominal
+    /// activity stream. Global DVFS rescales the core clock (uncore
     /// latencies get relatively closer), and fetch gating / migration
     /// steer the pipeline directly: all three change the activity stream
-    /// itself, so replaying them needs a trace whose recorded
-    /// operating-point family covers the policy's
-    /// [`actionable_points`](Self::actionable_points) (see
+    /// itself, so a replay under them stays exact only where it takes the
+    /// operating points the recording took (see
     /// [`ReplayBackend`](crate::engine::ReplayBackend)).
     pub fn replay_compatible(&self) -> bool {
         matches!(self, DtmSpec::Emergency(_))
     }
 
     /// The core-perturbing operating points this policy can put the
-    /// pipeline into — the capabilities a trace must have recorded for a
-    /// replay under this policy to be faithful. Power-level policies (the
-    /// emergency throttle) need nothing beyond the nominal stream;
-    /// migration is inert on a machine with fewer than two frontend
-    /// partitions (its controller never fires), so it too needs nothing
-    /// there.
+    /// pipeline into. Power-level policies (the emergency throttle) have
+    /// none; migration is inert on a machine with fewer than two frontend
+    /// partitions (its controller never fires), so it has none there
+    /// either.
     pub fn actionable_points(&self, partitions: usize) -> Vec<PointKey> {
         match self {
             DtmSpec::Emergency(_) => Vec::new(),
@@ -324,11 +320,11 @@ impl ExperimentConfig {
         ((self.uops_per_app as f64 * self.pilot_fraction) as u64).max(10_000)
     }
 
-    /// The operating-point family a recording of this configuration
-    /// captures per interval — equivalently, the capability set a trace
-    /// must cover to replay this configuration faithfully. Always opens
-    /// with [`PointKey::Nominal`]; the configured DTM policy contributes
-    /// its [`DtmSpec::actionable_points`].
+    /// The operating points this configuration's core can run at: the
+    /// trace-store key of its recordings
+    /// ([`TraceStore`](crate::engine::TraceStore)) and a job-fingerprint
+    /// input. Always opens with [`PointKey::Nominal`]; the configured DTM
+    /// policy contributes its [`DtmSpec::actionable_points`].
     pub fn replay_points(&self) -> Vec<PointKey> {
         let mut points = vec![PointKey::Nominal];
         if let Some(spec) = &self.dtm {

@@ -599,15 +599,16 @@ impl JobSpec {
     /// Covered: the wire version, target kind and scenario name, smoke
     /// flag, run length, integrator, and the row's configuration — its
     /// name, machine shape, interval, seed, pilot fraction, idle density,
-    /// hop flag, DTM policy name, replay capability set (the
-    /// operating-point family its traces record, numeric parameters
-    /// included) and the **exact bits of its leakage model** — and its
-    /// workload names, plus the `DFAT` trace-format version through the
-    /// seeded [`Fingerprint`] hasher, so a format bump invalidates every
-    /// cached result. Excluded: `workers`, `class` and `trace`, which the
-    /// engine's bit-identity contract makes output-neutral — an 8-worker
-    /// interactive replay hits the cache entry a serial deferrable live
-    /// run stored.
+    /// hop flag, DTM policy name, operating points (the trace-store key,
+    /// numeric parameters included) and the **exact bits of its leakage
+    /// model** — and its workload names, plus the trace crate's
+    /// [`FINGERPRINT_VERSION`](distfront_trace::record::FINGERPRINT_VERSION)
+    /// through the seeded [`Fingerprint`] hasher, so a bump that changes
+    /// result bytes invalidates every cached result. Excluded: `workers`,
+    /// `class` and `trace`, which the engine's bit-identity contract makes
+    /// output-neutral — replay checks its own path and runs live where it
+    /// leaves it — so an 8-worker interactive replay hits the cache entry
+    /// a serial deferrable live run stored.
     ///
     /// # Errors
     ///
@@ -711,10 +712,10 @@ fn config_fingerprint(fp: Fingerprint, cfg: &ExperimentConfig) -> Fingerprint {
         .with_f64(cfg.idle_density_w_mm2)
         .with_u32(u32::from(cfg.hop))
         .with_str(cfg.dtm.as_ref().map_or("none", |d| d.name()))
-        // The replay capability set — nominal plus the DTM policy's
-        // actionable operating points, numeric parameters included. The
-        // policy *name* above cannot distinguish two DVFS policies with
-        // different scale pairs; the point labels can.
+        // The operating points — nominal plus the DTM policy's actionable
+        // ones, numeric parameters included. The policy *name* above
+        // cannot distinguish two DVFS policies with different scale
+        // pairs; the point labels can.
         .with_str(&points_id(&cfg.replay_points()))
         // Two jobs identical in shape and workload but differing in
         // silicon must never share a result. Exact bits.

@@ -3,7 +3,7 @@
 //!
 //! The store owns every byte `distfront-sweepd` keeps across restarts:
 //! the [`ResultCache`]'s fingerprint → frame batches and the
-//! [`TraceStore`]'s capability-keyed `.dft` blobs. Both live in one
+//! [`TraceStore`]'s `.dft` blobs. Both live in one
 //! directory as two segment files:
 //!
 //! ```text
@@ -47,10 +47,11 @@
 //! (fresh header, everything skipped) rather than poisoning startup.
 //!
 //! What invalidates stored *results* is the job fingerprint itself: it
-//! seeds in the DFAT trace-format version, so a format bump strands old
-//! records (they stay on disk, unreferenced) instead of serving stale
-//! bytes. Stored *traces* are invalidated only by the trace reader
-//! refusing their version.
+//! seeds in the trace crate's fingerprint version, so a bump that changes
+//! result bytes strands old records (they stay on disk, unreferenced)
+//! instead of serving stale bytes. Stored *traces* are invalidated only by
+//! the trace reader refusing their version: a v3 trace is counted in
+//! [`StoreSnapshot::skipped`] and its cell runs live.
 //!
 //! [`ResultCache`]: crate::server::ResultCache
 //! [`TraceStore`]: crate::engine::TraceStore
@@ -82,7 +83,7 @@ const RECORD_OVERHEAD: usize = 1 + 4 + 8;
 
 /// FNV-1a over the record kind and payload — the per-record integrity
 /// check. Deliberately *not* the trace crate's seeded [`Fingerprint`],
-/// whose seed shifts with the trace-format version: segment integrity
+/// whose seed shifts with its fingerprint version: segment integrity
 /// must not depend on what the payloads mean.
 ///
 /// [`Fingerprint`]: distfront_trace::Fingerprint
@@ -409,7 +410,7 @@ fn decode_result(payload: &[u8]) -> Result<(u64, Vec<String>), CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distfront_trace::record::{PointKey, PointRecord};
+    use distfront_trace::record::PointKey;
     use distfront_trace::{FinalStats, IntervalRecord, TraceMeta, TraceShape};
 
     /// A fresh scratch directory unique to `name` and this process.
@@ -435,6 +436,7 @@ mod tests {
                 processor_fingerprint: 0x1234,
                 seed: 42,
                 uops_per_app: 100,
+                pilot_uops: 25,
                 interval_cycles: 50,
                 shape,
                 hop: false,
@@ -444,10 +446,10 @@ mod tests {
             },
             pilot: vec![7; flat],
             intervals: vec![IntervalRecord {
-                points: vec![PointRecord {
-                    counters: vec![3; flat],
-                    done: true,
-                }],
+                counters: vec![3; flat],
+                done: true,
+                point: PointKey::Nominal,
+                bank_temp_bits: Vec::new(),
                 gated_bank: None,
             }],
             finals: FinalStats {

@@ -3,7 +3,7 @@
 //! Both the `.dft` trace format ([`crate::record`]) and `distfront`'s
 //! on-disk store segments serialize through this one pair of primitives:
 //! a [`Writer`] that appends little-endian integers, exact-bit floats,
-//! length-prefixed UTF-8 strings and LEB128 varints to a byte vector, and
+//! length-prefixed UTF-8 strings and word rows to a byte vector, and
 //! a bounds-checked [`Reader`] that decodes the same stream strictly —
 //! every read names the section it is in (so a short file fails with
 //! *which* field was truncated), unknown layouts are rejected rather than
@@ -16,11 +16,7 @@
 //! * floats are stored as their exact IEEE-754 bits (`f64::to_bits`), so
 //!   round-trips are bit identity, not numeric equality;
 //! * strings are `u32` byte-length-prefixed UTF-8, validated on read;
-//! * counter rows are `u32` count-prefixed `u64` words;
-//! * variable-length integers are unsigned **LEB128** (7 bits per byte,
-//!   high bit continues), at most 10 bytes for a `u64`; signed values map
-//!   through **zig-zag** (`0, -1, 1, -2, …` → `0, 1, 2, 3, …`) first so
-//!   small-magnitude deltas of either sign stay short on the wire.
+//! * counter rows are `u32` count-prefixed `u64` words.
 //!
 //! Errors carry only a static section name — [`CodecError::Truncated`]
 //! when the buffer ran out, [`CodecError::Corrupt`] when the bytes were
@@ -34,12 +30,12 @@
 //!
 //! let mut w = Writer::new();
 //! w.str("hello");
-//! w.zigzag(-3);
+//! w.words(&[3, 1 << 40]);
 //! let bytes = w.into_vec();
 //!
 //! let mut r = Reader::new(&bytes);
 //! assert_eq!(r.str("greeting").unwrap(), "hello");
-//! assert_eq!(r.zigzag("delta").unwrap(), -3);
+//! assert_eq!(r.words("row").unwrap(), vec![3, 1 << 40]);
 //! r.expect_end().unwrap();
 //! ```
 
@@ -49,8 +45,8 @@ pub enum CodecError {
     /// The stream ended inside the named section.
     Truncated(&'static str),
     /// The bytes were present but structurally invalid (bad UTF-8, a
-    /// flag byte that is neither 0 nor 1, an over-long varint, trailing
-    /// bytes past the end of the format).
+    /// flag byte that is neither 0 nor 1, trailing bytes past the end of
+    /// the format).
     Corrupt(&'static str),
 }
 
@@ -64,9 +60,6 @@ impl std::fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
-
-/// Longest legal LEB128 encoding of a `u64` (⌈64/7⌉ bytes).
-const MAX_VARINT_LEN: usize = 10;
 
 /// An append-only encoder for the codec's wire conventions.
 ///
@@ -150,65 +143,6 @@ impl Writer {
             self.u64(w);
         }
     }
-
-    /// Appends an unsigned LEB128 varint (1–10 bytes).
-    pub fn varint(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.0.push(byte);
-                return;
-            }
-            self.0.push(byte | 0x80);
-        }
-    }
-
-    /// Appends a signed value as a zig-zag-mapped LEB128 varint, so
-    /// small magnitudes of either sign encode in one byte.
-    pub fn zigzag(&mut self, v: i64) {
-        self.varint(((v << 1) ^ (v >> 63)) as u64);
-    }
-}
-
-/// A varint of one or two bytes starting `b0, b1`, with its length.
-///
-/// Either `b0` ends the value or `b1` does; the length is read off
-/// `b0`'s continuation bit, not branched on.
-#[inline]
-fn short_varint(b0: u8, b1: u8) -> Option<(u64, usize)> {
-    (b0 & b1 & 0x80 == 0).then(|| {
-        let two = u64::from(b0 >> 7);
-        let v = u64::from(b0 & 0x7f) | ((u64::from(b1) << 7) * two);
-        (v, 1 + two as usize)
-    })
-}
-
-/// A varint of any length from a window of the stream's next (at most
-/// 10) bytes, with its length. A window that ends mid-value is
-/// truncated when it is shorter than 10 bytes and corrupt when it is not.
-fn long_varint(window: &[u8], what: &'static str) -> Result<(u64, usize), CodecError> {
-    let mut v: u64 = 0;
-    for (i, &byte) in window.iter().enumerate() {
-        let bits = u64::from(byte & 0x7f);
-        if i == MAX_VARINT_LEN - 1 && bits > 1 {
-            return Err(CodecError::Corrupt("varint overflows u64"));
-        }
-        v |= bits << (7 * i);
-        if byte & 0x80 == 0 {
-            return Ok((v, i + 1));
-        }
-    }
-    if window.len() < MAX_VARINT_LEN {
-        return Err(CodecError::Truncated(what));
-    }
-    Err(CodecError::Corrupt("varint longer than 10 bytes"))
-}
-
-/// Maps a zig-zag varint back to its signed value.
-#[inline]
-fn unzigzag(n: u64) -> i64 {
-    (n >> 1) as i64 ^ -((n & 1) as i64)
 }
 
 /// A strict, bounds-checked decoder over a borrowed byte slice.
@@ -306,78 +240,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads an unsigned LEB128 varint. More than 10 bytes — or a 10th
-    /// byte carrying bits a `u64` cannot hold — is corrupt, not long.
-    ///
-    /// Values of one or two bytes, nearly every delta of a recorded trace
-    /// and split about evenly between the two lengths, decode without a
-    /// branch on the length. A longer value is decoded from a window of
-    /// at most 10 bytes, bounds-checked once. A window that ends mid-value
-    /// is truncated when the stream ran out and corrupt when it held all
-    /// 10 bytes.
-    #[inline]
-    pub fn varint(&mut self, what: &'static str) -> Result<u64, CodecError> {
-        let rest = &self.buf[self.pos..];
-        if let [b0, b1, ..] = *rest {
-            if let Some((v, len)) = short_varint(b0, b1) {
-                self.pos += len;
-                return Ok(v);
-            }
-        }
-        let (v, len) = long_varint(&rest[..rest.len().min(MAX_VARINT_LEN)], what)?;
-        self.pos += len;
-        Ok(v)
-    }
-
-    /// Reads a zig-zag-mapped LEB128 varint back to a signed value.
-    #[inline]
-    pub fn zigzag(&mut self, what: &'static str) -> Result<i64, CodecError> {
-        Ok(unzigzag(self.varint(what)?))
-    }
-
-    /// Reads a row of `base.len()` zig-zag varints into `out`, each added
-    /// (wrapping) to the same entry of `base`: the delta row of
-    /// [`crate::record`]. Equal, value and error alike, to one
-    /// [`zigzag`](Self::zigzag) call per entry.
-    ///
-    /// The row is one loop over a local cursor: while a whole 10-byte
-    /// window remains, a value cannot run past the stream, so it is
-    /// decoded without a bounds check or a `Result` of its own. Only the
-    /// values that start in the stream's last 10 bytes go through
-    /// [`zigzag`](Self::zigzag).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` and `base` differ in length.
-    pub(crate) fn zigzag_row(
-        &mut self,
-        base: &[u64],
-        out: &mut [u64],
-        what: &'static str,
-    ) -> Result<(), CodecError> {
-        assert_eq!(base.len(), out.len(), "row length mismatch");
-        let buf = self.buf;
-        let mut pos = self.pos;
-        let mut read = 0;
-        for (o, &b) in out.iter_mut().zip(base) {
-            let Some(window) = buf.get(pos..pos + MAX_VARINT_LEN) else {
-                break;
-            };
-            let (v, len) = match short_varint(window[0], window[1]) {
-                Some(short) => short,
-                None => long_varint(window, what).inspect_err(|_| self.pos = pos)?,
-            };
-            pos += len;
-            *o = b.wrapping_add(unzigzag(v) as u64);
-            read += 1;
-        }
-        self.pos = pos;
-        for (o, &b) in out[read..].iter_mut().zip(&base[read..]) {
-            *o = b.wrapping_add(self.zigzag(what)? as u64);
-        }
-        Ok(())
-    }
-
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -396,7 +258,6 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn primitives_round_trip() {
@@ -441,137 +302,24 @@ mod tests {
     }
 
     #[test]
+    fn truncation_mid_row_is_truncated_not_corrupt() {
+        let mut w = Writer::new();
+        w.words(&[1 << 40, 7]);
+        let bytes = w.into_vec();
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                Reader::new(&bytes[..cut]).words("row"),
+                Err(CodecError::Truncated("row"))
+            );
+        }
+    }
+
+    #[test]
     fn flag_rejects_non_binary_bytes() {
         let bytes = [2u8];
         assert_eq!(
             Reader::new(&bytes).flag("flag"),
             Err(CodecError::Corrupt("flag byte not 0/1"))
         );
-    }
-
-    #[test]
-    fn varint_edge_encodings() {
-        for v in [0u64, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
-            let mut w = Writer::new();
-            w.varint(v);
-            let bytes = w.into_vec();
-            assert!(bytes.len() <= 10);
-            let mut r = Reader::new(&bytes);
-            assert_eq!(r.varint("v").unwrap(), v);
-            r.expect_end().unwrap();
-        }
-        // u64::MAX needs the full 10 bytes.
-        let mut w = Writer::new();
-        w.varint(u64::MAX);
-        assert_eq!(w.len(), 10);
-    }
-
-    #[test]
-    fn overlong_and_overflowing_varints_are_corrupt() {
-        // Eleven continuation bytes: no 10-byte u64 encoding continues.
-        let overlong = [0x80u8; 11];
-        assert_eq!(
-            Reader::new(&overlong).varint("v"),
-            Err(CodecError::Corrupt("varint longer than 10 bytes"))
-        );
-        // A 10th byte with more than the single bit a u64 has left.
-        let mut overflow = [0x80u8; 10];
-        overflow[9] = 0x02;
-        assert_eq!(
-            Reader::new(&overflow).varint("v"),
-            Err(CodecError::Corrupt("varint overflows u64"))
-        );
-        // The canonical top encoding still decodes.
-        let mut max = [0xffu8; 10];
-        max[9] = 0x01;
-        assert_eq!(Reader::new(&max).varint("v").unwrap(), u64::MAX);
-    }
-
-    #[test]
-    fn truncation_mid_varint_is_truncated_not_corrupt() {
-        let mut w = Writer::new();
-        w.varint(1 << 40);
-        let bytes = w.into_vec();
-        for cut in 0..bytes.len() {
-            assert_eq!(
-                Reader::new(&bytes[..cut]).varint("delta"),
-                Err(CodecError::Truncated("delta"))
-            );
-        }
-    }
-
-    /// The varint decoder against the byte-by-byte loop it replaced, on
-    /// every two-byte prefix followed by nothing, by one more byte, or by
-    /// eight more (a full 10-byte window): same value or error, same
-    /// length.
-    #[test]
-    fn varint_matches_the_byte_loop_on_every_two_byte_prefix() {
-        fn byte_loop(bytes: &[u8]) -> (Result<u64, CodecError>, usize) {
-            let mut v = 0u64;
-            for i in 0..MAX_VARINT_LEN {
-                let Some(&byte) = bytes.get(i) else {
-                    return (Err(CodecError::Truncated("v")), i);
-                };
-                let bits = u64::from(byte & 0x7f);
-                if i == MAX_VARINT_LEN - 1 && bits > 1 {
-                    return (Err(CodecError::Corrupt("varint overflows u64")), i);
-                }
-                v |= bits << (7 * i);
-                if byte & 0x80 == 0 {
-                    return (Ok(v), i + 1);
-                }
-            }
-            let err = CodecError::Corrupt("varint longer than 10 bytes");
-            (Err(err), MAX_VARINT_LEN)
-        }
-        let tails: [&[u8]; 3] = [
-            &[],
-            &[0x85],
-            &[0xff, 0x80, 0x93, 0xc1, 0x80, 0xaa, 0xff, 0x01],
-        ];
-        for b0 in 0..=255u8 {
-            for b1 in 0..=255u8 {
-                for tail in tails {
-                    let mut bytes = vec![b0, b1];
-                    bytes.extend_from_slice(tail);
-                    let (want, len) = byte_loop(&bytes);
-                    let mut r = Reader::new(&bytes);
-                    assert_eq!(r.varint("v"), want, "{bytes:x?}");
-                    if want.is_ok() {
-                        assert_eq!(bytes.len() - r.remaining(), len, "{bytes:x?}");
-                    }
-                }
-                let one = [b0];
-                assert_eq!(Reader::new(&one).varint("v"), byte_loop(&one).0);
-            }
-        }
-    }
-
-    proptest! {
-        /// varint and zigzag round-trip the full u64/i64 ranges (the
-        /// signed value reinterprets the raw bits, covering both signs
-        /// and the extremes).
-        #[test]
-        fn varint_zigzag_roundtrip(u in 0u64..u64::MAX, raw in 0u64..u64::MAX) {
-            let s = raw as i64;
-            let mut w = Writer::new();
-            w.varint(u);
-            w.zigzag(s);
-            let bytes = w.into_vec();
-            let mut r = Reader::new(&bytes);
-            prop_assert_eq!(r.varint("u").unwrap(), u);
-            prop_assert_eq!(r.zigzag("s").unwrap(), s);
-            r.expect_end().unwrap();
-        }
-
-        /// Small-magnitude signed deltas stay short on the wire — the
-        /// property the v3 trace layout's size win rests on.
-        #[test]
-        fn small_deltas_encode_in_one_byte(raw in 0u64..128) {
-            let d = raw as i64 - 64;
-            let mut w = Writer::new();
-            w.zigzag(d);
-            prop_assert_eq!(w.len(), 1);
-        }
     }
 }

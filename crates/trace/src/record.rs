@@ -8,43 +8,24 @@
 //! re-simulating the core — which is what makes pure thermal/DTM sweeps
 //! several times cheaper per cell.
 //!
-//! # The multi-point model
+//! # The recorded path
 //!
-//! A trace records, per interval, a small **family of operating points**
-//! rather than a single flattened counter row. The
-//! family is declared once in the header as a list of [`PointKey`]s —
-//! always [`PointKey::Nominal`] first, then the policy-actionable
-//! variants the recording configuration's DTM policy could engage (a
-//! clock-scaled DVFS point, a fetch-gated duty point, one dispatch-bias
-//! point per frontend partition). Every [`IntervalRecord`] then carries
-//! one [`PointRecord`] (flattened counters + done flag) per family entry,
-//! in family order, plus the Vdd-gated trace-cache bank in force
-//! (interval-boundary state, shared by all points of the interval).
+//! A trace records only the path the live run took. Per interval that is
+//! one flattened counter row and its done flag, the [`PointKey`] the live
+//! DTM action selected, the Vdd-gated trace-cache bank, and — on a
+//! temperature-biased trace-cache mapping — the bank temperatures the
+//! mapping read as the interval started. Those are everything the core
+//! side of an interval depends on beyond the run's configuration, so
+//! replay checks them every interval: a replay whose action or bank
+//! temperatures differ from the recorded ones has left the recorded path,
+//! and the engine runs the cell live instead. A trace therefore replays
+//! any row whose path it recorded, and no other.
 //!
-//! The family doubles as the trace's **replay capability set**: a replay
-//! whose DTM policy can only ever emit actions covered by the family can
-//! select the matching recorded point each interval, so the paper's
-//! core-perturbing DTM ladder (DVFS, fetch toggling, migration) replays
-//! from a trace recorded under the same policy. [`TraceMeta::capability_id`]
-//! renders the set as a stable string used for store keys, file names and
-//! job fingerprints.
-//!
-//! # The delta layout
-//!
-//! A variant row differs from the interval's nominal row in a handful of
-//! counters (a gated fetch stream commits less, a scaled clock shifts a
-//! few occupancy numbers — most words are equal), so storing every row
-//! raw would repeat almost-identical 8-byte words per point. The format
-//! therefore writes, for each non-nominal [`PointRecord`],
-//! the per-counter difference from the interval's **nominal** row as a
-//! zig-zag LEB128 varint ([`crate::codec`]): `delta[i] =
-//! counters[i].wrapping_sub(nominal[i])` as a signed value. A zero delta
-//! is one byte instead of eight, and decode reconstructs exactly via
-//! `nominal[i].wrapping_add(delta[i])` — wrapping two's-complement
-//! arithmetic, so the mapping is a bijection and round-trips **any**
-//! `u64` counter value bit-exactly. The row carries no count prefix: its
-//! length is pinned by [`TraceShape::flat_len`], which decode validates.
-//! The nominal row and the pilot stay raw count-prefixed words.
+//! The header's point family ([`TraceMeta::points`]) is the recording
+//! configuration's set of operating points: nominal plus what its DTM
+//! policy could engage. It is not recorded data but the trace's store
+//! identity ([`TraceMeta::capability_id`]), so a row normally finds the
+//! recording of its own policy.
 //!
 //! # Format and version policy
 //!
@@ -52,15 +33,17 @@
 //! ([`crate::codec`], no external dependencies): the magic bytes `DFAT`,
 //! a little-endian `u32` format version, then the metadata, point-family,
 //! pilot, interval and final-stats sections, with every integer
-//! little-endian, every float stored as its exact IEEE-754 bits, every
-//! string length-prefixed UTF-8, and delta rows as zig-zag varints.
+//! little-endian, every float stored as its exact IEEE-754 bits and every
+//! string length-prefixed UTF-8. Counter rows and bank temperatures are
+//! count-prefixed `u64` words.
 //!
 //! The version number is the compatibility contract:
 //!
 //! * [`TRACE_FORMAT_VERSION`] is bumped on **any** layout change — field
-//!   reordering, widening, new sections, a new row encoding (v2 → v3),
-//!   and in particular any change to the flattened-counter layout implied
-//!   by [`TraceShape::flat_len`] (the flattening itself lives in
+//!   reordering, widening, new sections, a new interval record (v3 → v4:
+//!   the recorded path replaces the per-interval point family), and in
+//!   particular any change to the flattened-counter layout implied by
+//!   [`TraceShape::flat_len`] (the flattening itself lives in
 //!   `distfront_uarch`, next to the counters it serializes).
 //! * Decoding rejects unknown versions outright
 //!   ([`TraceCodecError::UnsupportedVersion`]) rather than guessing:
@@ -68,15 +51,16 @@
 //!   silently produce plausible-but-wrong science.
 //! * **One version, read and written.** [`ActivityTrace::encode`] writes
 //!   and [`ActivityTrace::decode`] reads only [`TRACE_FORMAT_VERSION`];
-//!   a stream of any other version, the retired v1 (single-row) and v2
-//!   (raw variant rows) layouts included, is
+//!   a stream of any other version, the retired v1 (single-row), v2 (raw
+//!   variant rows) and v3 (delta-coded variant rows) layouts included, is
 //!   [`TraceCodecError::UnsupportedVersion`]. Traces are derived data: a
 //!   cell whose trace cannot be read runs live and can be re-recorded,
 //!   with the same result bytes.
 //! * Within one version, decoding validates structure (magic, counter
 //!   lengths against the declared [`TraceShape`], family invariants,
-//!   varint bounds, no trailing bytes), so `decode(encode(t)) == t` and
-//!   truncated or corrupt files fail loudly.
+//!   point keys, bank-temperature counts, a non-zero pilot, no trailing
+//!   bytes), so `decode(encode(t)) == t` and truncated or corrupt files
+//!   fail loudly.
 //!
 //! # Examples
 //!
@@ -92,6 +76,7 @@
 //!         processor_fingerprint: 0xFEED,
 //!         seed: 7,
 //!         uops_per_app: 1000,
+//!         pilot_uops: 250,
 //!         interval_cycles: 500,
 //!         shape,
 //!         hop: false,
@@ -101,7 +86,10 @@
 //!     },
 //!     pilot: vec![0; shape.flat_len()],
 //!     intervals: vec![IntervalRecord {
-//!         points: vec![PointRecord { counters: vec![1; shape.flat_len()], done: true }],
+//!         counters: vec![1; shape.flat_len()],
+//!         done: true,
+//!         point: PointKey::Nominal,
+//!         bank_temp_bits: Vec::new(),
 //!         gated_bank: Some(1),
 //!     }],
 //!     finals: FinalStats { cycles: 500, uops: 1000, tc_hit_rate: 0.9, mispredict_rate: 0.05 },
@@ -115,7 +103,15 @@ use crate::codec::{CodecError, Reader, Writer};
 
 /// The serialization version, the only one written and read; see the
 /// module docs for the policy.
-pub const TRACE_FORMAT_VERSION: u32 = 3;
+pub const TRACE_FORMAT_VERSION: u32 = 4;
+
+/// The format version every [`Fingerprint`] is seeded with: the trace
+/// format at which cached result bytes last changed meaning. DFAT v4
+/// changed what a trace stores, not what any run produces, so results
+/// addressed under the v3 seed stay valid and the seed stays 3. Bump it
+/// (and the pinned job fingerprints) with a change that moves result
+/// bytes through the trace format.
+pub const FINGERPRINT_VERSION: u32 = 3;
 
 /// Magic bytes opening every serialized trace.
 pub const TRACE_MAGIC: [u8; 4] = *b"DFAT";
@@ -128,11 +124,11 @@ pub const TRACE_MAGIC: [u8; 4] = *b"DFAT";
 /// `std::hash`, whose `DefaultHasher` output is unspecified across
 /// toolchains and whose `Hash` derives change silently when fields are
 /// reordered. Every hasher is seeded with [`TRACE_MAGIC`] and
-/// [`TRACE_FORMAT_VERSION`], so **any** trace-format bump changes every
-/// fingerprint derived through this type: a result cached against format
-/// v2 can never be served to a client speaking v3 (the same lesson as the
-/// warm-start key's leakage bits — identity must cover every input the
-/// bytes depend on).
+/// [`FINGERPRINT_VERSION`], so a format bump that changes result bytes
+/// changes every fingerprint derived through this type: a result cached
+/// against format v2 can never be served to a client speaking v3 (the
+/// same lesson as the warm-start key's leakage bits — identity must cover
+/// every input the bytes depend on).
 ///
 /// Multi-byte integers are folded little-endian and floats as their exact
 /// IEEE-754 bits, matching the trace codec's conventions.
@@ -154,12 +150,13 @@ impl Fingerprint {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-    /// A hasher seeded with the trace-format magic and version.
+    /// A hasher seeded with the trace-format magic and
+    /// [`FINGERPRINT_VERSION`].
     #[allow(clippy::new_without_default)] // seeded, not empty: Default would lie
     pub fn new() -> Self {
         Fingerprint(Self::FNV_OFFSET)
             .with_bytes(&TRACE_MAGIC)
-            .with_u32(TRACE_FORMAT_VERSION)
+            .with_u32(FINGERPRINT_VERSION)
     }
 
     /// Folds raw bytes into the hash.
@@ -225,14 +222,13 @@ impl TraceShape {
     }
 }
 
-/// One operating point of a recorded interval family: the DTM actuator
-/// state the core was (or was hypothetically) running under while the
-/// point's counters accumulated.
+/// An operating point: the DTM actuator state the core runs under during
+/// an interval.
 ///
 /// Keys identify points exactly: DVFS scale factors are carried as raw
 /// IEEE-754 bits so key equality is bit equality, matching the policy's
-/// own parameters with no float rounding in between. The derived `Ord`
-/// gives families and capability IDs a canonical order-free identity.
+/// own parameters with no float rounding in between, and replay compares
+/// the recorded key with the one its own action selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PointKey {
     /// No core-side actuator engaged (also covers power-level throttling,
@@ -318,7 +314,7 @@ impl PointKey {
     }
 }
 
-/// Renders a point family as the canonical capability string
+/// Renders operating points as the canonical store-key string
 /// (`nominal+dvfs(0.7x0.85)` …); see [`TraceMeta::capability_id`].
 pub fn points_id(points: &[PointKey]) -> String {
     points
@@ -330,10 +326,10 @@ pub fn points_id(points: &[PointKey]) -> String {
 
 /// Run-identifying metadata stored in the trace header. Replay validates
 /// these against the target configuration: the core-side fields (seed,
-/// run length, interval, shape, hop) must match exactly, while the
-/// power/thermal/DTM side is free to differ — that is the whole point of
-/// replaying — as long as the target policy's possible actions are
-/// covered by the recorded point family.
+/// run length, pilot length, interval, shape, hop) must match exactly,
+/// while the power/thermal/DTM side is free to differ — that is the whole
+/// point of replaying — as long as the replay stays on the recorded path,
+/// which it checks every interval.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceMeta {
     /// Format version the trace was **read from** (informational:
@@ -355,6 +351,9 @@ pub struct TraceMeta {
     pub seed: u64,
     /// Micro-ops simulated per application.
     pub uops_per_app: u64,
+    /// Micro-ops the pilot ran (never 0): the recorded pilot activity,
+    /// hence the nominal power every interval's power is relative to.
+    pub pilot_uops: u64,
     /// Control/thermal interval in cycles.
     pub interval_cycles: u64,
     /// Machine shape of the flattened counters.
@@ -362,23 +361,24 @@ pub struct TraceMeta {
     /// Whether trace-cache bank hopping was enabled.
     pub hop: bool,
     /// `false` when the run was driven by an arbitrary boxed DTM policy
-    /// the recorder cannot prove equivalent to any operating point — such
-    /// a recording carries the live stream but can never replay.
+    /// that no configuration describes — such a recording carries the
+    /// live stream but is never stored or replayed.
     pub replay_safe: bool,
     /// Name of the record-time DTM policy, if one was configured.
     pub dtm: Option<String>,
-    /// The recorded operating-point family, [`PointKey::Nominal`] first —
-    /// the trace's replay capability set (see the module docs). Every
-    /// interval carries one [`PointRecord`] per entry, in this order.
+    /// The recording configuration's operating points,
+    /// [`PointKey::Nominal`] first, then what its DTM policy could engage:
+    /// the trace's store identity (see the module docs), not recorded
+    /// data.
     pub points: Vec<PointKey>,
 }
 
 impl TraceMeta {
-    /// The canonical capability identity of this trace: `"tainted"` for
-    /// recordings that can never replay, else the `+`-joined point labels
-    /// (`"nominal"`, `"nominal+gate(1of2)"`, …). Stable across runs and
-    /// toolchains; used as the [`TraceStore`] key component, the trace
-    /// file-name suffix and a job-fingerprint input.
+    /// The canonical store identity of this trace: `"tainted"` for
+    /// recordings that are never replayed, else the `+`-joined labels of
+    /// its [`points`](Self::points) (`"nominal"`, `"nominal+gate(1of2)"`,
+    /// …). Stable across runs and toolchains; used as the [`TraceStore`]
+    /// key component and the trace file-name suffix.
     ///
     /// [`TraceStore`]: ../../distfront/engine/struct.TraceStore.html
     pub fn capability_id(&self) -> String {
@@ -387,55 +387,26 @@ impl TraceMeta {
         }
         points_id(&self.points)
     }
-
-    /// Position of `key` in the recorded point family.
-    pub fn point_index(&self, key: PointKey) -> Option<usize> {
-        self.points.iter().position(|p| *p == key)
-    }
-
-    /// Whether the family covers every key in `required` (and the trace
-    /// is untainted) — the capability test replay validation applies.
-    pub fn covers(&self, required: &[PointKey]) -> bool {
-        self.replay_safe && required.iter().all(|k| self.points.contains(k))
-    }
 }
 
-/// The counters one operating point of one interval accumulated.
+/// One evaluation interval of the path the live run took.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PointRecord {
+pub struct IntervalRecord {
     /// Flattened activity-counter words (`distfront_uarch`'s
     /// `ActivityCounters` in canonical order); length is exactly
     /// [`TraceShape::flat_len`].
     pub counters: Vec<u64>,
-    /// Whether the run's micro-op budget was reached in this interval at
-    /// this operating point (a gated/scaled variant can lag the nominal
-    /// stream, so the flag is per point).
+    /// Whether the run's micro-op budget was reached in this interval.
     pub done: bool,
-}
-
-/// One evaluation interval: one [`PointRecord`] per family entry (in
-/// [`TraceMeta::points`] order) plus the simulator-side state the
-/// interval loop reads.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IntervalRecord {
-    /// The interval's operating-point records, parallel to the header's
-    /// point family.
-    pub points: Vec<PointRecord>,
-    /// The Vdd-gated trace-cache bank during this interval, if any
-    /// (interval-boundary control state, shared by every point).
+    /// The operating point the live DTM action selected for the interval.
+    pub point: PointKey,
+    /// The exact IEEE-754 bits of the bank temperatures a
+    /// temperature-biased trace-cache mapping read as the interval
+    /// started, one per physical bank; empty when the mapping read none
+    /// (an unbiased mapping, or the first interval).
+    pub bank_temp_bits: Vec<u64>,
+    /// The Vdd-gated trace-cache bank during this interval, if any.
     pub gated_bank: Option<u8>,
-}
-
-impl IntervalRecord {
-    /// The nominal point's record (family position 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a structurally empty interval (decode never produces
-    /// one).
-    pub fn nominal(&self) -> &PointRecord {
-        &self.points[0]
-    }
 }
 
 /// End-of-run statistics the report surface needs but the replayed
@@ -544,21 +515,28 @@ fn write_point_key(w: &mut Writer, key: &PointKey) {
     }
 }
 
-/// Reads a [`PointKey`] in the tagged wire layout.
-fn read_point_key(r: &mut Reader<'_>, what: &'static str) -> Result<PointKey, TraceCodecError> {
-    match r.u8(what)? {
-        POINT_NOMINAL => Ok(PointKey::Nominal),
-        POINT_DVFS => Ok(PointKey::Dvfs {
+/// Reads a [`PointKey`] in the tagged wire layout and validates it
+/// against the machine shape.
+fn read_point_key(
+    r: &mut Reader<'_>,
+    shape: &TraceShape,
+    what: &'static str,
+) -> Result<PointKey, TraceCodecError> {
+    let key = match r.u8(what)? {
+        POINT_NOMINAL => PointKey::Nominal,
+        POINT_DVFS => PointKey::Dvfs {
             f_bits: r.u64(what)?,
             v_bits: r.u64(what)?,
-        }),
-        POINT_FETCH_GATE => Ok(PointKey::FetchGate {
+        },
+        POINT_FETCH_GATE => PointKey::FetchGate {
             open: r.u32(what)?,
             period: r.u32(what)?,
-        }),
-        POINT_MIGRATE => Ok(PointKey::MigrateTo(r.u32(what)?)),
-        _ => Err(TraceCodecError::Corrupt("unknown operating-point tag")),
-    }
+        },
+        POINT_MIGRATE => PointKey::MigrateTo(r.u32(what)?),
+        _ => return Err(TraceCodecError::Corrupt("unknown operating-point tag")),
+    };
+    key.validate(shape)?;
+    Ok(key)
 }
 
 /// Reads the gated-bank `u16` (sentinel [`NO_GATED_BANK`] = none) and
@@ -579,17 +557,17 @@ impl ActivityTrace {
     /// ([`TRACE_FORMAT_VERSION`]).
     pub fn encode(&self) -> Vec<u8> {
         let flat = self.pilot.len();
-        // Nominal rows are raw 8-byte words; variant rows are mostly
-        // 1-byte deltas, so size them at ~2 bytes per counter.
-        let per_interval =
-            8 * (flat + 2) + self.meta.points.len().saturating_sub(1) * (2 * flat + 1);
-        let mut w = Writer::with_capacity(96 + 8 * flat + self.intervals.len() * per_interval);
+        // Per interval: the gated bank, the done flag, a tag-sized key,
+        // a temperature count and the count-prefixed counter row.
+        let per_interval = 16 + 8 * flat;
+        let mut w = Writer::with_capacity(128 + 8 * flat + self.intervals.len() * per_interval);
         w.header(&TRACE_MAGIC, TRACE_FORMAT_VERSION);
         w.str(&self.meta.workload);
         w.str(&self.meta.config);
         w.u64(self.meta.processor_fingerprint);
         w.u64(self.meta.seed);
         w.u64(self.meta.uops_per_app);
+        w.u64(self.meta.pilot_uops);
         w.u64(self.meta.interval_cycles);
         w.u32(self.meta.shape.partitions);
         w.u32(self.meta.shape.backends);
@@ -611,17 +589,10 @@ impl ActivityTrace {
         w.u32(self.intervals.len() as u32);
         for rec in &self.intervals {
             w.u16(rec.gated_bank.map_or(NO_GATED_BANK, u16::from));
-            for (idx, point) in rec.points.iter().enumerate() {
-                w.u8(u8::from(point.done));
-                if idx == 0 {
-                    w.words(&point.counters);
-                } else {
-                    debug_assert_eq!(point.counters.len(), rec.points[0].counters.len());
-                    for (c, n) in point.counters.iter().zip(&rec.points[0].counters) {
-                        w.zigzag(c.wrapping_sub(*n) as i64);
-                    }
-                }
-            }
+            w.u8(u8::from(rec.done));
+            write_point_key(&mut w, &rec.point);
+            w.words(&rec.bank_temp_bits);
+            w.words(&rec.counters);
         }
         w.u64(self.finals.cycles);
         w.u64(self.finals.uops);
@@ -652,6 +623,10 @@ impl ActivityTrace {
         let processor_fingerprint = r.u64("processor fingerprint")?;
         let seed = r.u64("seed")?;
         let uops_per_app = r.u64("uops")?;
+        let pilot_uops = r.u64("pilot uops")?;
+        if pilot_uops == 0 {
+            return Err(TraceCodecError::Corrupt("empty pilot"));
+        }
         let interval_cycles = r.u64("interval")?;
         let shape = TraceShape {
             partitions: r.u32("shape")?,
@@ -671,19 +646,13 @@ impl ActivityTrace {
         let n_points = r.u32("point family")? as usize;
         let mut points = Vec::with_capacity(n_points.min(1 << 12));
         for _ in 0..n_points {
-            points.push(read_point_key(&mut r, "point family")?);
+            points.push(read_point_key(&mut r, &shape, "point family")?);
         }
-        if points.is_empty() {
-            return Err(TraceCodecError::Corrupt("empty point family"));
-        }
-        if points[0] != PointKey::Nominal {
+        if points.first() != Some(&PointKey::Nominal) {
             return Err(TraceCodecError::Corrupt("family must start nominal"));
         }
-        for (i, key) in points.iter().enumerate() {
-            key.validate(&shape)?;
-            if points[..i].contains(key) {
-                return Err(TraceCodecError::Corrupt("duplicate operating point"));
-            }
+        if (1..points.len()).any(|i| points[..i].contains(&points[i])) {
+            return Err(TraceCodecError::Corrupt("duplicate operating point"));
         }
         let flat_len = shape.flat_len();
         let pilot = r.words("pilot counters")?;
@@ -694,24 +663,23 @@ impl ActivityTrace {
         let mut intervals = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             let gated_bank = read_gated_bank(&mut r, &shape)?;
-            let mut recs: Vec<PointRecord> = Vec::with_capacity(points.len());
-            for idx in 0..points.len() {
-                let done = r.flag("done flag")?;
-                let counters = if idx == 0 {
-                    let counters = r.words("interval counters")?;
-                    if counters.len() != flat_len {
-                        return Err(TraceCodecError::Corrupt("interval length mismatches shape"));
-                    }
-                    counters
-                } else {
-                    let mut counters = vec![0u64; flat_len];
-                    r.zigzag_row(&recs[0].counters, &mut counters, "interval point deltas")?;
-                    counters
-                };
-                recs.push(PointRecord { counters, done });
+            let done = r.flag("done flag")?;
+            let point = read_point_key(&mut r, &shape, "interval point")?;
+            let bank_temp_bits = r.words("bank temperatures")?;
+            if !bank_temp_bits.is_empty() && bank_temp_bits.len() != shape.tc_banks as usize {
+                return Err(TraceCodecError::Corrupt(
+                    "bank temperature count mismatches shape",
+                ));
+            }
+            let counters = r.words("interval counters")?;
+            if counters.len() != flat_len {
+                return Err(TraceCodecError::Corrupt("interval length mismatches shape"));
             }
             intervals.push(IntervalRecord {
-                points: recs,
+                counters,
+                done,
+                point,
+                bank_temp_bits,
                 gated_bank,
             });
         }
@@ -730,6 +698,7 @@ impl ActivityTrace {
                 processor_fingerprint,
                 seed,
                 uops_per_app,
+                pilot_uops,
                 interval_cycles,
                 shape,
                 hop,
@@ -775,8 +744,8 @@ mod tests {
         };
         let flat = shape.flat_len();
         let points = sample_points(&mut rng, &shape);
-        let mut words = |n: usize| (0..n).map(|_| rng.next_u64()).collect::<Vec<u64>>();
-        let pilot = words(flat);
+        let biased = rng.chance(0.5);
+        let pilot = (0..flat).map(|_| rng.next_u64()).collect();
         let n_intervals = 1 + rng.next_below(6) as usize;
         let mut intervals = Vec::new();
         for i in 0..n_intervals {
@@ -785,13 +754,14 @@ mod tests {
             } else {
                 None
             };
+            let read_temps = biased && i > 0;
             intervals.push(IntervalRecord {
-                points: points
-                    .iter()
-                    .map(|_| PointRecord {
-                        counters: (0..flat).map(|_| rng.next_u64()).collect(),
-                        done: i + 1 == n_intervals && rng.chance(0.8),
-                    })
+                counters: (0..flat).map(|_| rng.next_u64()).collect(),
+                done: i + 1 == n_intervals && rng.chance(0.8),
+                point: points[rng.next_below(points.len() as u64) as usize],
+                bank_temp_bits: (0..shape.tc_banks)
+                    .filter(|_| read_temps)
+                    .map(|_| rng.next_u64())
                     .collect(),
                 gated_bank: gated,
             });
@@ -805,6 +775,7 @@ mod tests {
                 processor_fingerprint: rng.next_u64(),
                 seed: rng.next_u64(),
                 uops_per_app: rng.next_u64(),
+                pilot_uops: 1 + rng.next_below(u64::MAX - 1),
                 interval_cycles: rng.next_u64(),
                 shape,
                 hop: rng.chance(0.5),
@@ -824,9 +795,8 @@ mod tests {
     }
 
     proptest! {
-        /// encode → decode is the identity for arbitrary traces — with
-        /// fully random (worst-case wrapping) counters, so the delta
-        /// bijection is exercised across the whole u64 range.
+        /// encode → decode is the identity for arbitrary traces, fully
+        /// random counters and temperature bits included.
         #[test]
         fn encode_decode_roundtrip(seed in 0u64..1_000_000_000) {
             let trace = sample_trace(seed);
@@ -836,8 +806,7 @@ mod tests {
         }
 
         /// Truncating an encoded trace anywhere fails loudly, never
-        /// panics, and never yields a successful decode — including cuts
-        /// landing mid-varint inside a delta row.
+        /// panics, and never yields a successful decode.
         #[test]
         fn truncation_is_detected(seed in 0u64..1_000_000, frac in 0.0f64..1.0) {
             let bytes = sample_trace(seed).encode();
@@ -858,9 +827,15 @@ mod tests {
         fn v2_is_rejected_as_unsupported(seed in 0u64..1_000_000, frac in 0.0f64..1.0) {
             check_retired_version(seed, 2, frac);
         }
+
+        /// Likewise the retired v3 layout (delta-coded variant rows).
+        #[test]
+        fn v3_is_rejected_as_unsupported(seed in 0u64..1_000_000, frac in 0.0f64..1.0) {
+            check_retired_version(seed, 3, frac);
+        }
     }
 
-    /// A v3 stream of `sample_trace(seed)` relabelled as `version`
+    /// A v4 stream of `sample_trace(seed)` relabelled as `version`
     /// decodes to `UnsupportedVersion(version)`, whole or cut at `frac`.
     fn check_retired_version(seed: u64, version: u32, frac: f64) {
         let mut bytes = sample_trace(seed).encode();
@@ -908,78 +883,14 @@ mod tests {
     }
 
     #[test]
-    fn v3_delta_rows_shrink_similar_variants() {
-        // A ladder-like trace: variant rows differing from nominal in a
-        // few counters by small magnitudes — the case delta rows optimize.
-        let mut trace = sample_trace(5);
-        trace.meta.points = vec![PointKey::Nominal, PointKey::dvfs(0.7, 0.85)];
-        let flat = trace.meta.shape.flat_len();
-        for rec in &mut trace.intervals {
-            let nominal: Vec<u64> = (0..flat).map(|i| 1000 + i as u64).collect();
-            let mut variant = nominal.clone();
-            variant[0] -= 37;
-            variant[flat / 2] += 5;
-            rec.points = vec![
-                PointRecord {
-                    counters: nominal,
-                    done: false,
-                },
-                PointRecord {
-                    counters: variant,
-                    done: false,
-                },
-            ];
-        }
-        let delta = trace.encode();
-        // The size with raw variant rows: the nominal-only stream, plus
-        // the DVFS key (1 tag + 16 bytes), plus per interval a done flag,
-        // a count prefix and 8 bytes per counter.
-        let mut nominal_only = trace.clone();
-        nominal_only.meta.points.truncate(1);
-        for rec in &mut nominal_only.intervals {
-            rec.points.truncate(1);
-        }
-        let raw = nominal_only.encode().len() + 17 + trace.intervals.len() * (1 + 4 + 8 * flat);
-        // A raw row spends 4 + 8*flat bytes on counters; a delta row ~flat.
-        let saved = trace.intervals.len() * (4 + 8 * flat - (flat + 2));
-        assert!(
-            delta.len() <= raw - saved,
-            "delta rows ({}) must undercut raw rows ({raw}) by at least {saved} bytes",
-            delta.len(),
-        );
-        assert_eq!(
-            ActivityTrace::decode(&delta).unwrap().intervals,
-            trace.intervals
-        );
-    }
-
-    #[test]
-    fn truncation_mid_delta_varint_names_the_section() {
-        // Force a multi-byte varint at the very end of the last delta
-        // row, then cut inside it: the finals are 32 bytes, so a cut 3
-        // bytes shy of them lands mid-varint.
-        let mut trace = sample_trace(9);
-        trace.meta.points = vec![PointKey::Nominal, PointKey::dvfs(0.7, 0.85)];
-        let flat = trace.meta.shape.flat_len();
-        for rec in &mut trace.intervals {
-            let nominal = vec![0u64; flat];
-            let variant = vec![1u64 << 40; flat];
-            rec.points = vec![
-                PointRecord {
-                    counters: nominal,
-                    done: false,
-                },
-                PointRecord {
-                    counters: variant,
-                    done: false,
-                },
-            ];
-        }
-        let bytes = trace.encode();
+    fn truncation_mid_row_names_the_section() {
+        // The last interval's counter row ends where the 32 bytes of
+        // final stats begin, so a cut 3 bytes shy of them lands inside it.
+        let bytes = sample_trace(9).encode();
         let cut = bytes.len() - 32 - 3;
         assert_eq!(
             ActivityTrace::decode(&bytes[..cut]),
-            Err(TraceCodecError::Truncated("interval point deltas"))
+            Err(TraceCodecError::Truncated("interval counters"))
         );
     }
 
@@ -992,9 +903,8 @@ mod tests {
         let flat = trace.meta.shape.flat_len();
         trace.pilot = vec![1; flat];
         for rec in &mut trace.intervals {
-            for point in &mut rec.points {
-                point.counters = vec![2; flat];
-            }
+            rec.counters = vec![2; flat];
+            rec.bank_temp_bits.clear();
             rec.gated_bank = Some(255);
         }
         let back = ActivityTrace::decode(&trace.encode()).unwrap();
@@ -1017,34 +927,21 @@ mod tests {
         // Family must open with the nominal point…
         let mut trace = sample_trace(4);
         trace.meta.points = vec![PointKey::dvfs(0.7, 0.85)];
-        for rec in &mut trace.intervals {
-            rec.points.truncate(1);
-        }
         assert_eq!(
             ActivityTrace::decode(&trace.encode()),
             Err(TraceCodecError::Corrupt("family must start nominal"))
         );
         // …must not repeat a point…
-        let mut trace = sample_trace(4);
         trace.meta.points = vec![PointKey::Nominal, PointKey::Nominal];
-        for rec in &mut trace.intervals {
-            let nom = rec.points[0].clone();
-            rec.points = vec![nom.clone(), nom];
-        }
         assert_eq!(
             ActivityTrace::decode(&trace.encode()),
             Err(TraceCodecError::Corrupt("duplicate operating point"))
         );
         // …and a migration point must land inside the machine shape.
-        let mut trace = sample_trace(4);
         trace.meta.points = vec![
             PointKey::Nominal,
             PointKey::MigrateTo(trace.meta.shape.partitions),
         ];
-        for rec in &mut trace.intervals {
-            let nom = rec.points[0].clone();
-            rec.points = vec![nom.clone(), nom];
-        }
         assert_eq!(
             ActivityTrace::decode(&trace.encode()),
             Err(TraceCodecError::Corrupt("migration point outside shape"))
@@ -1070,34 +967,10 @@ mod tests {
     }
 
     #[test]
-    fn point_index_and_covers() {
-        let meta = sample_trace(7).meta;
-        let mut meta = TraceMeta {
-            points: vec![
-                PointKey::Nominal,
-                PointKey::FetchGate { open: 1, period: 2 },
-            ],
-            replay_safe: true,
-            ..meta
-        };
-        assert_eq!(meta.point_index(PointKey::Nominal), Some(0));
-        assert_eq!(
-            meta.point_index(PointKey::FetchGate { open: 1, period: 2 }),
-            Some(1)
-        );
-        assert_eq!(meta.point_index(PointKey::MigrateTo(0)), None);
-        assert!(meta.covers(&[PointKey::Nominal]));
-        assert!(!meta.covers(&[PointKey::Nominal, PointKey::dvfs(0.7, 0.85)]));
-        // A tainted trace covers nothing, not even the nominal point.
-        meta.replay_safe = false;
-        assert!(!meta.covers(&[PointKey::Nominal]));
-    }
-
-    #[test]
     fn fingerprint_is_seeded_with_format_version() {
         // An empty fingerprint is NOT the bare FNV offset basis: the
-        // format magic and version are folded in first, so a version bump
-        // invalidates every derived content address.
+        // format magic and the fingerprint version are folded in first,
+        // so a version bump invalidates every derived content address.
         let empty = Fingerprint::new().finish();
         assert_ne!(empty, 0xcbf2_9ce4_8422_2325);
         // Reconstruct by hand: offset basis -> magic -> version LE.
@@ -1105,7 +978,7 @@ mod tests {
         for b in TRACE_MAGIC
             .iter()
             .copied()
-            .chain(TRACE_FORMAT_VERSION.to_le_bytes())
+            .chain(FINGERPRINT_VERSION.to_le_bytes())
         {
             h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }

@@ -3,27 +3,25 @@
 //! `ActivityTrace::decode` reads files a user points the CLI at, so any
 //! byte sequence must come back as `Ok` or a `TraceCodecError`: never a
 //! panic, a hang or an allocation larger than the input. The mutations
-//! start from the committed v3 fixture (a real DVFS-family recording)
-//! and from a synthetic multi-point trace, and flip, truncate, splice and
-//! replace bytes at random.
+//! start from the committed v4 fixture (a real DVFS recording) and from
+//! a synthetic trace whose intervals take every kind of operating point
+//! and record bank temperatures, and flip, truncate, splice and replace
+//! bytes at random.
 //!
 //! The binary's global allocator records the largest single request, so
 //! the oversized-count test can check that a `u32::MAX` word count on a
 //! short input fails before it allocates.
 //!
-//! Delta rows decode a row at a time over a local cursor, with a
-//! per-value `Result` only in the stream's last 10 bytes. Streams of
-//! hand-made delta rows (1-, 2- and 3–10-byte varints, over-long and
-//! overflowing ones) are therefore cut at every byte and each cut is
-//! checked against a per-value decoder kept here.
+//! The v4 interval fields are cut at every byte and corrupted one at a
+//! time: a bad operating-point key, a bank-temperature row of the wrong
+//! length and a zero pilot length must each be named.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use distfront_trace::codec::{CodecError, Reader, Writer};
 use distfront_trace::record::{
-    ActivityTrace, FinalStats, IntervalRecord, PointKey, PointRecord, TraceCodecError, TraceMeta,
-    TraceShape, TRACE_FORMAT_VERSION,
+    ActivityTrace, FinalStats, IntervalRecord, PointKey, TraceCodecError, TraceMeta, TraceShape,
+    TRACE_FORMAT_VERSION,
 };
 use distfront_trace::rng::SplitMix64;
 use proptest::prelude::*;
@@ -54,17 +52,17 @@ unsafe impl GlobalAlloc for PeakRequest {
 #[global_allocator]
 static ALLOC: PeakRequest = PeakRequest;
 
-/// The committed v3 recording: two DVFS-family cells of a real run.
+/// The committed v4 recording: a global-DVFS cell of a real run.
 fn fixture() -> Vec<u8> {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/golden/dvfs-v3.dft"
+        "/../../tests/golden/dvfs-v4.dft"
     );
-    std::fs::read(path).expect("the v3 fixture is committed")
+    std::fs::read(path).expect("the v4 fixture is committed")
 }
 
-/// A synthetic trace with a four-point family, so delta rows mix one- and
-/// multi-byte varints.
+/// A synthetic trace with a four-point family whose intervals take each
+/// point in turn and read bank temperatures after the first.
 fn synthetic(seed: u64) -> Vec<u8> {
     synthetic_trace(seed).encode()
 }
@@ -84,21 +82,15 @@ fn synthetic_trace(seed: u64) -> ActivityTrace {
         PointKey::MigrateTo(1),
     ];
     let intervals = (0..4)
-        .map(|i| {
-            let nominal: Vec<u64> = (0..flat).map(|_| rng.next_below(1 << 20)).collect();
-            IntervalRecord {
-                points: points
-                    .iter()
-                    .map(|_| PointRecord {
-                        counters: nominal
-                            .iter()
-                            .map(|&n| n.wrapping_add(rng.next_below(1 << 12)))
-                            .collect(),
-                        done: i == 3,
-                    })
-                    .collect(),
-                gated_bank: (i % 2 == 0).then_some(1),
-            }
+        .map(|i| IntervalRecord {
+            counters: (0..flat).map(|_| rng.next_below(1 << 20)).collect(),
+            done: i == 3,
+            point: points[i],
+            bank_temp_bits: (0..shape.tc_banks)
+                .filter(|_| i > 0)
+                .map(|_| (60.0 + rng.next_f64()).to_bits())
+                .collect(),
+            gated_bank: (i % 2 == 0).then_some(1),
         })
         .collect();
     ActivityTrace {
@@ -109,6 +101,7 @@ fn synthetic_trace(seed: u64) -> ActivityTrace {
             processor_fingerprint: rng.next_u64(),
             seed: 1,
             uops_per_app: 40_000,
+            pilot_uops: 10_000,
             interval_cycles: 200_000,
             shape,
             hop: false,
@@ -226,208 +219,128 @@ fn an_oversized_word_count_is_truncated_without_allocating_it() {
     assert!(peak < 1 << 20, "decoding reserved {peak} bytes");
 }
 
-/// The raw bytes of one delta varint: mostly one or two bytes, as
-/// recorded traces are, otherwise 3–10 bytes (non-canonical encodings
-/// included).
-fn random_varint(rng: &mut SplitMix64) -> Vec<u8> {
-    let len = match rng.next_below(16) {
-        0..=6 => 1,
-        7..=12 => 2,
-        _ => 3 + rng.next_below(8) as usize,
-    };
-    let mut v: Vec<u8> = (0..len - 1).map(|_| rng.next_u64() as u8 | 0x80).collect();
-    v.push(rng.next_u64() as u8 & if len == 10 { 1 } else { 0x7f });
-    v
+/// Where a synthetic trace's v4 fields sit in its encoding: the pilot
+/// length, and the last interval's key tag and bank-temperature count.
+struct Offsets {
+    pilot_uops_at: usize,
+    last_key_at: usize,
+    last_temps_at: usize,
 }
 
-/// A corrupt delta varint: over-long (ten continuation bytes, then an
-/// end byte) or `u64`-overflowing (a tenth byte carrying more than the
-/// one bit a `u64` has left).
-fn corrupt_varint(rng: &mut SplitMix64) -> Vec<u8> {
-    let mut v: Vec<u8> = (0..9).map(|_| rng.next_u64() as u8 | 0x80).collect();
-    if rng.next_below(2) == 0 {
-        v.push(rng.next_u64() as u8 | 0x80);
-        v.push(rng.next_u64() as u8 & 0x7f);
-    } else {
-        v.push(2 + rng.next_below(126) as u8);
-    }
-    v
-}
-
-/// A stream with the metadata and family of `synthetic_trace(seed)`, one
-/// or two intervals whose delta rows are `random_varint`s (one in two
-/// streams with one `corrupt_varint` among them), and the final stats;
-/// with the family's encoded length.
-fn hand_made_deltas(seed: u64) -> (ActivityTrace, Vec<u8>, usize) {
-    let mut rng = SplitMix64::new(seed);
-    let trace = synthetic_trace(seed);
+fn offsets(trace: &ActivityTrace) -> Offsets {
     let flat = trace.meta.shape.flat_len();
-    let mut head = trace.clone();
-    head.pilot.clear();
-    head.intervals.clear();
-    let head = head.encode();
-    // The prefix ends before the pilot's word count; the interval count
-    // and the final stats follow it.
-    let prefix = &head[..head.len() - 4 - 4 - 32];
-    let mut w = Writer::new();
-    w.bytes(prefix);
-    w.words(&trace.pilot);
-    let intervals = 1 + rng.next_below(2);
-    let deltas = intervals as usize * (trace.meta.points.len() - 1) * flat;
-    let corrupt_at = (rng.next_below(2) == 0).then(|| rng.next_below(deltas as u64) as usize);
-    let mut delta = 0;
-    w.u32(intervals as u32);
-    for i in 0..intervals {
-        w.u16(if i % 2 == 0 { u16::MAX } else { 1 });
-        for idx in 0..trace.meta.points.len() {
-            w.u8((i + 1 == intervals) as u8);
-            if idx == 0 {
-                let nominal: Vec<u64> = (0..flat).map(|_| rng.next_u64()).collect();
-                w.words(&nominal);
-            } else {
-                for _ in 0..flat {
-                    if corrupt_at == Some(delta) {
-                        w.bytes(&corrupt_varint(&mut rng));
-                    } else {
-                        w.bytes(&random_varint(&mut rng));
-                    }
-                    delta += 1;
-                }
-            }
-        }
-    }
-    w.bytes(&head[head.len() - 32..]);
-    // The family follows its count, the last field before it.
-    let mut r = Reader::new(prefix);
-    per_value_metadata(&mut r).unwrap();
-    let family_len = r.remaining();
-    (trace, w.into_vec(), family_len)
-}
-
-/// The metadata section up to the family's count, read field by field
-/// with the decoder's section names.
-fn per_value_metadata(r: &mut Reader<'_>) -> Result<(), CodecError> {
-    r.take(4, "magic")?;
-    r.u32("version")?;
-    r.str("workload name")?;
-    r.str("config name")?;
-    r.u64("processor fingerprint")?;
-    r.u64("seed")?;
-    r.u64("uops")?;
-    r.u64("interval")?;
-    for _ in 0..3 {
-        r.u32("shape")?;
-    }
-    r.flag("hop flag")?;
-    r.flag("replay-safe flag")?;
-    if r.u8("dtm flag")? == 1 {
-        r.str("dtm name")?;
-    }
-    r.u32("point family")?;
-    Ok(())
-}
-
-/// The decoder as it read delta rows before, one `Result` per value, on
-/// a stream whose metadata is `meta`'s and whose family is
-/// `family_len` bytes.
-fn per_value_decode(
-    bytes: &[u8],
-    meta: &TraceMeta,
-    family_len: usize,
-) -> Result<ActivityTrace, TraceCodecError> {
-    let mut r = Reader::new(bytes);
-    per_value_metadata(&mut r)?;
-    r.take(family_len, "point family")?;
-    let pilot = r.words("pilot counters")?;
-    let n = r.u32("interval count")?;
-    let mut intervals = Vec::new();
-    for _ in 0..n {
-        let gated = r.u16("gated bank")?;
-        let mut points: Vec<PointRecord> = Vec::new();
-        for idx in 0..meta.points.len() {
-            let done = r.flag("done flag")?;
-            let counters = if idx == 0 {
-                r.words("interval counters")?
-            } else {
-                let mut row = Vec::new();
-                for &base in &points[0].counters {
-                    row.push(base.wrapping_add(r.zigzag("interval point deltas")? as u64));
-                }
-                row
-            };
-            points.push(PointRecord { counters, done });
-        }
-        intervals.push(IntervalRecord {
-            points,
-            gated_bank: (gated != u16::MAX).then_some(gated as u8),
-        });
-    }
-    let finals = FinalStats {
-        cycles: r.u64("final stats")?,
-        uops: r.u64("final stats")?,
-        tc_hit_rate: r.f64("final stats")?,
-        mispredict_rate: r.f64("final stats")?,
-    };
-    r.expect_end()?;
-    Ok(ActivityTrace {
-        meta: meta.clone(),
-        pilot,
-        intervals,
-        finals,
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-    /// Every cut of a stream of hand-made delta rows decodes to what the
-    /// per-value decoder gives: the same trace, or the same error.
-    #[test]
-    fn delta_rows_decode_like_the_per_value_loop_at_every_cut(seed in 0u64..u64::MAX) {
-        let (trace, bytes, family_len) = hand_made_deltas(seed);
-        let mut truncated_in_a_row = false;
-        for cut in 0..=bytes.len() {
-            let want = per_value_decode(&bytes[..cut], &trace.meta, family_len);
-            truncated_in_a_row |=
-                want == Err(TraceCodecError::Truncated("interval point deltas"));
-            let got = ActivityTrace::decode(&bytes[..cut]);
-            prop_assert!(got == want, "cut at {cut}: {got:?} != {want:?}");
-        }
-        prop_assert!(truncated_in_a_row, "no cut fell inside a delta row");
-    }
-}
-
-/// Both ways a delta varint can be corrupt, each alone in an otherwise
-/// valid row, in the row-at-a-time path and in the last 10 bytes.
-#[test]
-fn corrupt_delta_varints_fail_like_the_per_value_loop() {
-    let mut trace = synthetic_trace(11);
-    // The last row equal to its nominal row: every delta is one 0 byte.
-    let last = trace.intervals.last_mut().unwrap();
-    let nominal = last.points[0].counters.clone();
-    last.points.last_mut().unwrap().counters = nominal;
     let bytes = trace.encode();
-    let flat = trace.meta.shape.flat_len();
-    // The last delta row: the final stats follow it.
-    let row_end = bytes.len() - 32;
-    let corrupt: [(&[u8], &str); 2] = [
-        (&[0x80; 11], "varint longer than 10 bytes"),
-        (
-            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
-            "varint overflows u64",
-        ),
-    ];
-    for (varint, why) in corrupt {
-        for (label, at) in [("row start", row_end - flat), ("row end", row_end - 1)] {
-            // Replace one one-byte delta with the corrupt varint.
-            assert_eq!(bytes[at], 0, "{label}: a zero delta");
-            let mut bad = bytes[..at].to_vec();
-            bad.extend_from_slice(varint);
-            bad.extend_from_slice(&bytes[at + 1..]);
-            assert_eq!(
-                ActivityTrace::decode(&bad),
-                Err(TraceCodecError::Corrupt(why)),
-                "{label}"
-            );
+    let last = trace.intervals.last().unwrap();
+    // The last interval: gated bank (2), done flag (1), the key (1 tag
+    // byte for a migration point + 4), the temperature row and the
+    // counter row, then 32 bytes of final stats.
+    let temps_len = 4 + 8 * last.bank_temp_bits.len();
+    let counters_len = 4 + 8 * flat;
+    let last_temps_at = bytes.len() - 32 - counters_len - temps_len;
+    let key_len = match last.point {
+        PointKey::Nominal => 1,
+        PointKey::Dvfs { .. } => 17,
+        PointKey::FetchGate { .. } => 9,
+        PointKey::MigrateTo(_) => 5,
+    };
+    // Workload and config strings, then fingerprint, seed, uops.
+    let names = 4 + trace.meta.workload.len() + 4 + trace.meta.config.len();
+    Offsets {
+        pilot_uops_at: 8 + names + 24,
+        last_key_at: last_temps_at - key_len,
+        last_temps_at,
+    }
+}
+
+/// Every cut of the synthetic stream fails, and a cut inside an
+/// interval's key, temperature row or counter row names that field.
+#[test]
+fn v4_interval_fields_are_truncated_at_every_cut() {
+    let bytes = synthetic(5);
+    let mut named = Vec::new();
+    for cut in 0..bytes.len() {
+        match ActivityTrace::decode(&bytes[..cut]) {
+            Ok(_) => panic!("a cut at {cut} decoded"),
+            Err(TraceCodecError::Truncated(what)) => named.push(what),
+            Err(e) => panic!("a cut at {cut} is not a truncation: {e}"),
         }
     }
+    for what in [
+        "pilot uops",
+        "interval point",
+        "bank temperatures",
+        "interval counters",
+    ] {
+        assert!(named.contains(&what), "no cut named {what}");
+    }
+}
+
+/// A corrupt operating-point key in an interval: an unknown tag, and a
+/// migration target outside the machine shape.
+#[test]
+fn a_bad_interval_point_key_is_corrupt() {
+    let trace = synthetic_trace(6);
+    let bytes = trace.encode();
+    let at = offsets(&trace).last_key_at;
+    assert_eq!(bytes[at], 3, "located the last key's migration tag");
+    let mut bad = bytes.clone();
+    bad[at] = 9;
+    assert_eq!(
+        ActivityTrace::decode(&bad),
+        Err(TraceCodecError::Corrupt("unknown operating-point tag"))
+    );
+    let mut bad = bytes;
+    bad[at + 1..at + 5].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(
+        ActivityTrace::decode(&bad),
+        Err(TraceCodecError::Corrupt("migration point outside shape"))
+    );
+    let mut dvfs = synthetic_trace(6);
+    dvfs.intervals[0].point = PointKey::dvfs(1.5, 0.85);
+    assert_eq!(
+        ActivityTrace::decode(&dvfs.encode()),
+        Err(TraceCodecError::Corrupt("DVFS point outside (0, 1]"))
+    );
+}
+
+/// A bank-temperature row must hold no value or one per physical bank.
+#[test]
+fn a_wrong_bank_temperature_count_is_corrupt() {
+    for len in [1, 3, 4] {
+        let mut trace = synthetic_trace(7);
+        trace.intervals[2].bank_temp_bits = vec![50f64.to_bits(); len];
+        assert_eq!(
+            ActivityTrace::decode(&trace.encode()),
+            Err(TraceCodecError::Corrupt(
+                "bank temperature count mismatches shape"
+            )),
+            "{len} temperatures"
+        );
+    }
+    // The count itself, rewritten in place.
+    let trace = synthetic_trace(7);
+    let mut bytes = trace.encode();
+    let at = offsets(&trace).last_temps_at;
+    assert_eq!(bytes[at..at + 4], 2u32.to_le_bytes(), "located the count");
+    bytes[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+    assert!(ActivityTrace::decode(&bytes).is_err());
+}
+
+/// A pilot of zero micro-ops cannot have produced the recorded pilot
+/// activity.
+#[test]
+fn a_zero_pilot_length_is_corrupt() {
+    let trace = synthetic_trace(8);
+    let mut bytes = trace.encode();
+    let at = offsets(&trace).pilot_uops_at;
+    assert_eq!(
+        bytes[at..at + 8],
+        trace.meta.pilot_uops.to_le_bytes(),
+        "located the pilot length"
+    );
+    bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+    assert_eq!(
+        ActivityTrace::decode(&bytes),
+        Err(TraceCodecError::Corrupt("empty pilot"))
+    );
 }

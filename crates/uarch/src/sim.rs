@@ -560,32 +560,6 @@ impl Simulator {
         self.last_commit.saturating_sub(self.interval_start).max(1)
     }
 
-    /// Runs one interval at a *hypothetical* operating point on a
-    /// throwaway fork of the simulator, leaving the live run untouched.
-    ///
-    /// This is the multi-point recording tap: at each interval boundary a
-    /// recorder can snapshot what the core *would have done* under every
-    /// policy-actionable DTM variant (clock-scaled, fetch-gated, dispatch-
-    /// biased) by probing each one from the identical pipeline state the
-    /// live interval starts from. `configure` receives the fork with all
-    /// DTM hooks at the live run's current settings; it should set them to
-    /// the variant's (e.g. [`set_clock_scale`](Self::set_clock_scale),
-    /// [`set_fetch_gate`](Self::set_fetch_gate),
-    /// [`set_partition_bias`](Self::set_partition_bias)). The fork then
-    /// runs one [`step`](Self::step) to `cycle_target`/`uop_target` and is
-    /// discarded, so the live simulator's state — caches, predictors,
-    /// rename rings, statistics — is bit-identical to never having probed.
-    pub fn probe_interval(
-        &self,
-        configure: impl FnOnce(&mut Simulator),
-        cycle_target: u64,
-        uop_target: u64,
-    ) -> IntervalReport {
-        let mut fork = self.clone();
-        configure(&mut fork);
-        fork.step(cycle_target, uop_target)
-    }
-
     /// Runs at least `uops` further micro-ops to completion (rounding up to
     /// a whole trace) and returns cumulative stats.
     pub fn run(&mut self, uops: u64) -> RunStats {
@@ -1216,46 +1190,32 @@ mod tests {
     }
 
     #[test]
-    fn probe_interval_is_invisible_to_the_live_run() {
-        // Interleaving probes (at perturbing operating points!) between
-        // live steps must leave the live trajectory bit-identical.
-        let mut probed = baseline_sim();
+    fn clone_is_isolated_from_the_live_run() {
+        // Stepping clones (at perturbing operating points!) between live
+        // steps must leave the live trajectory bit-identical.
+        let mut forked = baseline_sim();
         let mut plain = baseline_sim();
-        let mut probed_reports = Vec::new();
+        let mut fork_reports = Vec::new();
         loop {
-            let target = probed.current_cycle() + 5_000;
-            let dvfs = probed.probe_interval(|s| s.set_clock_scale(0.7), target, 30_000);
-            let gated = probed.probe_interval(
-                |s| s.set_fetch_gate(Some(FetchGate { open: 1, period: 2 })),
-                target,
-                30_000,
-            );
+            let target = forked.current_cycle() + 5_000;
+            let mut dvfs = forked.clone();
+            dvfs.set_clock_scale(0.7);
+            let dvfs = dvfs.step(target, 30_000);
+            let mut gated = forked.clone();
+            gated.set_fetch_gate(Some(FetchGate { open: 1, period: 2 }));
+            let gated = gated.step(target, 30_000);
             assert!(gated.activity.cycles >= dvfs.activity.cycles / 2);
-            let live = probed.step(target, 30_000);
+            let live = forked.step(target, 30_000);
             let reference = plain.step(plain.current_cycle() + 5_000, 30_000);
             assert_eq!(live.activity, reference.activity);
             assert_eq!(live.end_cycle, reference.end_cycle);
-            probed_reports.push((dvfs, gated));
+            fork_reports.push((dvfs, gated));
             if live.done {
                 break;
             }
         }
-        assert_eq!(probed.total_committed(), plain.total_committed());
-        assert!(!probed_reports.is_empty());
-    }
-
-    #[test]
-    fn probe_interval_matches_a_manual_fork() {
-        let mut sim = baseline_sim();
-        sim.step(sim.current_cycle() + 5_000, 30_000);
-        let target = sim.current_cycle() + 5_000;
-        let probe = sim.probe_interval(|s| s.set_clock_scale(0.5), target, 30_000);
-        let mut fork = sim.clone();
-        fork.set_clock_scale(0.5);
-        let manual = fork.step(target, 30_000);
-        assert_eq!(probe.activity, manual.activity);
-        assert_eq!(probe.end_cycle, manual.end_cycle);
-        assert_eq!(probe.done, manual.done);
+        assert_eq!(forked.total_committed(), plain.total_committed());
+        assert!(!fork_reports.is_empty());
     }
 
     #[test]

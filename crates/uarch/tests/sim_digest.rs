@@ -4,8 +4,8 @@
 //! configuration, and the distributed one with register files small
 //! enough to stall renaming. Each run goes in short intervals, cycling
 //! the DTM hooks (clock scale 0.7, fetch gate 1/2, partition bias) from
-//! one interval to the next and probing a forked interval at each
-//! boundary. Every `IntervalReport` — flattened counters, `end_cycle`,
+//! one interval to the next and stepping a clone one interval at the next
+//! operating point at each boundary. Every `IntervalReport` — flattened counters, `end_cycle`,
 //! `total_committed` — and the final `RunStats` are folded into one
 //! FNV-1a digest, compared with a committed constant. A change to the
 //! simulator's arithmetic, its tie-breaks or the commits that free
@@ -76,8 +76,9 @@ fn digest_app(cfg: &ProcessorConfig, app: &AppProfile, seed: u64, h: &mut Fnv) {
     loop {
         operating_point(&mut sim, i);
         let target = sim.current_cycle() + INTERVAL_CYCLES;
-        let probe = sim.probe_interval(|fork| operating_point(fork, i + 1), target, UOPS);
-        h.report(&probe, &mut scratch);
+        let mut fork = sim.clone();
+        operating_point(&mut fork, i + 1);
+        h.report(&fork.step(target, UOPS), &mut scratch);
         let live = sim.step(target, UOPS);
         h.report(&live, &mut scratch);
         i += 1;

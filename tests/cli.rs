@@ -170,3 +170,34 @@ fn every_front_end_reports_failed_cells_alike() {
     stop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `--replay --verify` checks the replayed bytes against a live serial
+/// re-run and says so. A baseline replay from a `dtm-dvfs` recording
+/// finds no trace under the baseline's key, so every cell runs live.
+#[test]
+fn replay_verify_compares_the_replayed_run_with_live() {
+    let dir = test_dir("replay");
+    let traces = dir.join("traces").display().to_string();
+    let smoke = |extra: &[&'static str]| {
+        let mut args = vec!["--smoke", "--uops", "40000", "--workers", "2"];
+        args.extend_from_slice(extra);
+        args
+    };
+    let mut record = smoke(&["--run", "dtm-dvfs", "--record"]);
+    record.push(&traces);
+    let recorded = run(&dir, "record", &record, &[]);
+    assert_eq!(recorded.code, Some(0), "{}", recorded.stdout);
+    let mut replay = smoke(&["--run", "baseline", "--verify", "--replay"]);
+    replay.push(&traces);
+    let replayed = run(&dir, "replay", &replay, &[]);
+    assert_eq!(replayed.code, Some(0), "{}", replayed.stdout);
+    for line in [
+        "replay: 0/4 cell(s) replayed, the rest ran live",
+        "verify: live serial and replayed 2-worker CSV are byte-identical",
+    ] {
+        assert!(replayed.stdout.contains(line), "{}", replayed.stdout);
+    }
+    let live = run(&dir, "live", &smoke(&["--run", "baseline"]), &[]);
+    assert_eq!(replayed.csv, live.csv);
+    let _ = std::fs::remove_dir_all(&dir);
+}

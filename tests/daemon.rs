@@ -352,6 +352,50 @@ fn over_long_request_line_is_refused_and_the_daemon_survives() {
     handle.join().expect("daemon exit");
 }
 
+/// Record `dtm-dvfs`, replay `baseline`, then run `baseline` live, on
+/// one daemon. The replay job finds no recording under the baseline key,
+/// so its cells run live and the rows it caches are live bytes: the
+/// third job, served from that cache, equals a fresh live run. (A store
+/// that served the DVFS recording to the baseline row would cache
+/// another trajectory's cycles under the baseline's address.)
+#[test]
+fn a_replay_of_another_rows_recording_caches_live_rows() {
+    let handle = SweepDaemon::bind("127.0.0.1:0").expect("bind").spawn();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    // 40 k uops: DVFS engages on gzip and tiny from the second interval.
+    let spec = |name: &str, trace| {
+        JobSpec::scenario(name)
+            .with_smoke(true)
+            .with_uops(40_000)
+            .with_workers(2)
+            .with_trace(trace)
+    };
+    let recorded = client
+        .submit(&spec("dtm-dvfs", TraceSpec::Record))
+        .expect("record");
+    assert_eq!(recorded.status, StatusCode::Ok);
+    assert!(client.stats().expect("stats").traces > 0);
+    let replayed = client
+        .submit(&spec("baseline", TraceSpec::Replay))
+        .expect("replay");
+    assert_eq!(replayed.status, StatusCode::Ok);
+    assert!(!replayed.cached, "the replay job must execute");
+    let live = client
+        .submit(&spec("baseline", TraceSpec::Live))
+        .expect("live");
+    assert!(live.cached, "the live job is served the replay job's rows");
+
+    let fresh = spec("baseline", TraceSpec::Live)
+        .execute(&JobEnv::default(), |_| {})
+        .expect("one-shot");
+    assert_eq!(replayed.csv_rows, fresh.csv_rows());
+    assert_eq!(live.csv_rows, fresh.csv_rows());
+    assert_eq!(live.result_lines, protocol::result_frames(&fresh));
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon exit");
+}
+
 /// The golden fingerprint pin (ISSUE 7 satellite): the content address
 /// of a pinned scenario must never change silently. It may only change
 /// when a result-affecting input *consciously* changes — a

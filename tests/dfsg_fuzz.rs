@@ -25,7 +25,7 @@ use std::sync::OnceLock;
 
 use distfront::store::{DurableStore, StoreSnapshot};
 use distfront_trace::record::{
-    ActivityTrace, FinalStats, IntervalRecord, PointKey, PointRecord, TraceMeta, TraceShape,
+    ActivityTrace, FinalStats, IntervalRecord, PointKey, TraceMeta, TraceShape,
     TRACE_FORMAT_VERSION,
 };
 use distfront_trace::rng::SplitMix64;
@@ -50,7 +50,7 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// A small replay-safe recording with a two-point family.
+/// A small replay-safe recording of a DVFS row that engaged once.
 fn trace(config: &str, counter: u64) -> ActivityTrace {
     let shape = TraceShape {
         partitions: 2,
@@ -58,10 +58,6 @@ fn trace(config: &str, counter: u64) -> ActivityTrace {
         tc_banks: 1,
     };
     let flat = shape.flat_len();
-    let point = |done| PointRecord {
-        counters: vec![counter; flat],
-        done,
-    };
     ActivityTrace {
         meta: TraceMeta {
             version: TRACE_FORMAT_VERSION,
@@ -70,6 +66,7 @@ fn trace(config: &str, counter: u64) -> ActivityTrace {
             processor_fingerprint: 0xfeed,
             seed: 7,
             uops_per_app: 1_000,
+            pilot_uops: 250,
             interval_cycles: 100,
             shape,
             hop: false,
@@ -80,7 +77,14 @@ fn trace(config: &str, counter: u64) -> ActivityTrace {
         pilot: vec![counter + 1; flat],
         intervals: (0..3)
             .map(|i| IntervalRecord {
-                points: vec![point(i == 2), point(i == 2)],
+                counters: vec![counter; flat],
+                done: i == 2,
+                point: if i == 1 {
+                    PointKey::dvfs(0.7, 0.85)
+                } else {
+                    PointKey::Nominal
+                },
+                bank_temp_bits: Vec::new(),
                 gated_bank: None,
             })
             .collect(),

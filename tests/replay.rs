@@ -4,7 +4,9 @@
 
 use std::sync::Arc;
 
-use distfront::engine::{CoupledEngine, EngineError, SweepRunner, TraceMode, TraceStore};
+use distfront::engine::{
+    CoupledEngine, EngineError, ReplayBackend, SweepReport, SweepRunner, TraceMode, TraceStore,
+};
 use distfront::job::{JobEnv, JobReport, JobSpec, TraceSpec};
 use distfront::scenarios::{self, Scenario, ScenarioRun};
 use distfront::server::JobResponse;
@@ -85,30 +87,30 @@ fn replay_falls_back_to_live_when_traces_are_missing() {
     assert!(empty.is_empty(), "fallback must not record");
 }
 
-/// A replaying sweep whose configuration needs an operating point the
-/// trace never recorded falls back to live simulation — and the direct
-/// engine API reports `ReplayIncompatible` naming both the policy and the
-/// missing point instead.
+/// A replaying sweep whose configuration has no recording under its own
+/// operating points runs live, and the direct engine API reports the
+/// interval where the replay leaves the recorded path, naming the
+/// operating point the trace never recorded.
 #[test]
 fn uncovered_dtm_policies_fall_back_and_name_the_missing_point() {
     use distfront::dtm::DvfsPolicy;
     use distfront::DtmSpec;
 
-    // Record the plain baseline: a nominal-only point family.
+    // Record the plain baseline: the nominal key only.
     let store = Arc::new(TraceStore::new());
-    let cfg = ExperimentConfig::baseline().with_uops(20_000);
-    let apps = [Workload::from(AppProfile::test_tiny())];
+    let cfg = ExperimentConfig::baseline().with_uops(40_000);
+    let apps = [Workload::from(*AppProfile::by_name("gzip").unwrap())];
     let recording = SweepRunner::serial()
         .with_trace_mode(TraceMode::Record(Arc::clone(&store)))
         .try_grid(std::slice::from_ref(&cfg), &apps);
     assert!(recording.is_complete());
 
     // The DVFS study shares the uarch side ("baseline" config name) but
-    // needs the clock-scaled operating point, which a nominal-only trace
-    // never captured: its cells must run live.
+    // is keyed by its clock-scaled point, which no recording carries:
+    // its cells run live.
     let dvfs = ExperimentConfig::baseline()
-        .with_uops(20_000)
-        .with_dtm(DtmSpec::GlobalDvfs(DvfsPolicy::paper_limit()));
+        .with_uops(40_000)
+        .with_dtm(DtmSpec::GlobalDvfs(DvfsPolicy::with_trip(40.0)));
     let replaying = SweepRunner::serial()
         .with_trace_mode(TraceMode::Replay(Arc::clone(&store)))
         .try_grid(std::slice::from_ref(&dvfs), &apps);
@@ -122,21 +124,19 @@ fn uncovered_dtm_policies_fall_back_and_name_the_missing_point() {
             .result
     );
 
-    // Direct replay of the same pairing is an explicit, named error.
-    let trace = store.get("baseline", "tiny", &[PointKey::Nominal]).unwrap();
-    let err = CoupledEngine::new(&dvfs, &AppProfile::test_tiny())
+    // Direct replay of the same pairing leaves the path at the first
+    // interval the trip engages, and says so.
+    let trace = store.get("baseline", "gzip", &[PointKey::Nominal]).unwrap();
+    let err = CoupledEngine::for_workload(&dvfs, apps[0].clone())
         .with_replay(trace)
         .run()
         .unwrap_err();
     match err {
-        EngineError::ReplayIncompatible(msg) => {
-            assert!(msg.contains("global-dvfs"), "unhelpful message: {msg}");
-            assert!(
-                msg.contains("dvfs(0.7x0.85)"),
-                "missing point not named: {msg}"
-            );
-        }
-        other => panic!("expected ReplayIncompatible, got {other:?}"),
+        EngineError::ReplayDiverged(msg) => assert!(
+            msg.contains("dvfs(0.7x0.85)") && msg.contains("recorded nominal"),
+            "missing point not named: {msg}"
+        ),
+        other => panic!("expected ReplayDiverged, got {other:?}"),
     }
 }
 
@@ -178,9 +178,9 @@ fn power_level_dtm_sweeps_replay_from_a_nominal_recording() {
 }
 
 /// The full core-perturbing DTM ladder replays bit-identically from its
-/// own multi-point recordings: DVFS, fetch-gate and migration sweeps
-/// record a per-interval operating-point family and replay to the exact
-/// live result — the v2 acceptance contract.
+/// own recordings: DVFS, fetch-gate and migration sweeps record the
+/// operating point each interval took and replay to the exact
+/// live result.
 #[test]
 fn core_perturbing_dtm_ladder_replays_bit_identically() {
     use distfront::dtm::{DvfsPolicy, FetchGatePolicy, MigrationPolicy};
@@ -299,9 +299,10 @@ fn custom_with_dtm_policies_taint_recordings() {
 }
 
 /// Recording sweeps under different DTM specs sharing one config name
-/// store *separate* capability families instead of clobbering each other:
-/// the nominal-only baseline recording and the fetch-gate recording of the
-/// same (config, workload) cell coexist, and lookups pick by coverage.
+/// store *separate* recordings keyed by their operating points instead of
+/// clobbering each other: the no-DTM baseline recording and the
+/// fetch-gate recording of the same (config, workload) cell coexist, and
+/// each lookup finds exactly its own key.
 #[test]
 fn record_mode_keys_traces_by_capability_family() {
     use distfront::dtm::FetchGatePolicy;
@@ -318,7 +319,7 @@ fn record_mode_keys_traces_by_capability_family() {
         .expect("baseline recorded");
 
     // The fetch-gate study shares the "baseline" config name; recording it
-    // adds a second, gate-capable trace under its own capability key.
+    // adds a second trace under its own key.
     let gated = ExperimentConfig::baseline()
         .with_uops(20_000)
         .with_dtm(DtmSpec::FetchGate(FetchGatePolicy::paper_limit()));
@@ -326,26 +327,25 @@ fn record_mode_keys_traces_by_capability_family() {
         .with_trace_mode(TraceMode::Record(Arc::clone(&store)))
         .try_grid(std::slice::from_ref(&gated), &apps);
     assert!(report.is_complete());
-    assert_eq!(store.len(), 2, "both capability families must be stored");
+    assert_eq!(store.len(), 2, "both keys must be stored");
 
-    // A nominal-only request still gets the original baseline recording
-    // (the smallest covering family wins deterministically)...
+    // A nominal request still gets the original baseline recording...
     let still = store.get("baseline", "tiny", &[PointKey::Nominal]).unwrap();
     assert!(
         Arc::ptr_eq(&safe, &still),
-        "nominal recording was clobbered or outranked"
+        "nominal recording was clobbered"
     );
-    // ...while a request that needs the gate point can only be served by
-    // the fetch-gate recording.
+    // ...and the fetch-gate key only the fetch-gate recording.
     let gate_points = gated.replay_points();
     assert!(gate_points.len() > 1, "fetch-gate must be actionable");
     let capable = store.get("baseline", "tiny", &gate_points).unwrap();
-    assert!(!Arc::ptr_eq(&safe, &capable), "wrong family served");
-    assert!(capable.meta.covers(&gate_points));
-    // A point nobody recorded is never served.
-    assert!(store
-        .get("baseline", "tiny", &[PointKey::MigrateTo(0)])
-        .is_none());
+    assert!(!Arc::ptr_eq(&safe, &capable), "wrong recording served");
+    assert_eq!(capable.meta.points, gate_points);
+    // A key nobody recorded is never served, not even by a recording
+    // whose points include it.
+    for points in [&[PointKey::MigrateTo(0)][..], &gate_points[1..]] {
+        assert!(store.get("baseline", "tiny", points).is_none());
+    }
 }
 
 /// Traces survive the disk round trip bit-for-bit, and the decoded file
@@ -458,4 +458,209 @@ fn phased_rows_cross_a_phase_boundary_and_replay_byte_identically() {
             "{name}: replayed CSV diverged from live"
         );
     }
+}
+
+/// Records `a` and `b` over `apps` into separate stores, then replays
+/// `b` from `a`'s recordings. The replay must equal `b` run live, and a
+/// cell must replay exactly where `b` finds `a`'s recording under its own
+/// key, validation accepts it and the two recordings took the same path
+/// (the same operating point and bank temperatures every interval); the
+/// rest run live. Returns the replay report and `b`'s live one.
+fn cross_replay(
+    a: &ExperimentConfig,
+    b: &ExperimentConfig,
+    apps: &[Workload],
+) -> (SweepReport, SweepReport) {
+    let record = |cfg: &ExperimentConfig| {
+        let store = Arc::new(TraceStore::new());
+        let report = SweepRunner::with_threads(2)
+            .with_trace_mode(TraceMode::Record(Arc::clone(&store)))
+            .try_grid(std::slice::from_ref(cfg), apps);
+        assert!(report.is_complete(), "{}: recording failed", cfg.name);
+        (store, report)
+    };
+    let (store_a, _) = record(a);
+    let (store_b, live_b) = record(b);
+    let replayed = SweepRunner::with_threads(2)
+        .with_trace_mode(TraceMode::Replay(Arc::clone(&store_a)))
+        .try_grid(std::slice::from_ref(b), apps);
+    assert_eq!(replayed, live_b, "{}: replay diverged from live", b.name);
+    for (cell, app) in replayed.cells().iter().zip(apps) {
+        let path = |trace: &ActivityTrace| {
+            trace
+                .intervals
+                .iter()
+                .map(|r| (r.point, r.bank_temp_bits.clone()))
+                .collect::<Vec<_>>()
+        };
+        let own = store_b
+            .get(b.name, app.name(), &b.replay_points())
+            .expect("every cell recorded");
+        let replayable = store_a
+            .get(b.name, app.name(), &b.replay_points())
+            .filter(|t| ReplayBackend::validate(b, app, t).is_ok())
+            .is_some_and(|t| path(&t) == path(&own));
+        assert_eq!(
+            cell.replayed,
+            replayable,
+            "{}: replayed {} where the recording {} replayable",
+            cell.label(),
+            cell.replayed,
+            if replayable { "is" } else { "is not" }
+        );
+    }
+    (replayed, live_b)
+}
+
+/// No DTM and the emergency throttle share the nominal key, and on the
+/// unbiased baseline the throttle never changes what the core does: each
+/// row replays every cell of the other's recording.
+#[test]
+fn no_dtm_and_throttle_rows_replay_each_others_recordings_on_the_baseline() {
+    use distfront::{DtmSpec, EmergencyPolicy};
+    let apps = spec_apps();
+    let none = ExperimentConfig::baseline().with_uops(20_000);
+    let throttle = none
+        .clone()
+        .with_dtm(DtmSpec::Emergency(EmergencyPolicy::with_threshold(40.0)));
+    for (a, b) in [(&none, &throttle), (&throttle, &none)] {
+        let (replayed, live) = cross_replay(a, b, &apps);
+        assert_eq!(replayed.replayed(), apps.len());
+        if b.dtm.is_some() {
+            assert!(
+                live.cells()
+                    .iter()
+                    .all(|c| c.result.as_ref().unwrap().throttled_intervals > 0),
+                "the throttle must engage on every cell"
+            );
+        }
+    }
+}
+
+/// On a temperature-biased trace-cache mapping the throttle's cooler
+/// banks remap the trace cache, so a throttled row leaves a no-DTM
+/// recording's path: it falls back to live where the throttle engaged,
+/// and only there. A 40 °C trip engages on every cell; at 100 °C the
+/// smoke suite's cool applications never trip and still replay.
+#[test]
+fn throttle_rows_on_biased_machines_fall_back_where_the_throttle_engaged() {
+    use distfront::{DtmSpec, EmergencyPolicy};
+    for none in [
+        ExperimentConfig::hopping_and_biasing().with_uops(20_000),
+        ExperimentConfig::combined().with_uops(20_000),
+    ] {
+        for (trip, apps) in [(40.0, spec_apps()), (100.0, smoke_apps())] {
+            let throttle = none
+                .clone()
+                .with_dtm(DtmSpec::Emergency(EmergencyPolicy::with_threshold(trip)));
+            let (replayed, live) = cross_replay(&none, &throttle, &apps);
+            let engaged: Vec<bool> = live
+                .cells()
+                .iter()
+                .map(|c| c.result.as_ref().unwrap().throttled_intervals > 0)
+                .collect();
+            let label = format!("{} at {trip} °C: engaged {engaged:?}", none.name);
+            assert!(engaged.contains(&true), "{label}");
+            assert_eq!(engaged.contains(&false), trip > 40.0, "{label}");
+            for (cell, engaged) in replayed.cells().iter().zip(engaged) {
+                assert!(
+                    cell.replayed != engaged,
+                    "{} at {trip} °C: replayed {} with the throttle {}",
+                    cell.label(),
+                    cell.replayed,
+                    if engaged { "engaged" } else { "idle" }
+                );
+            }
+        }
+    }
+}
+
+/// Two DVFS trips on one core share the store key. A replay of one from
+/// the other's recording leaves the path at the first interval where
+/// their actions differ, and runs those cells live.
+#[test]
+fn dvfs_rows_with_other_trips_fall_back_at_the_first_divergent_interval() {
+    use distfront::dtm::DvfsPolicy;
+    use distfront::DtmSpec;
+    let apps = smoke_apps();
+    let trip = |c| {
+        ExperimentConfig::baseline()
+            .with_uops(40_000)
+            .with_dtm(DtmSpec::GlobalDvfs(DvfsPolicy::with_trip(c)))
+    };
+    // gzip and tiny run above the paper's trip from the first interval;
+    // only tiny stays above 120 °C.
+    let (hot, cool) = (trip(DvfsPolicy::paper_limit().trip_c), trip(120.0));
+    let (replayed, _) = cross_replay(&hot, &cool, &apps);
+    assert!(replayed.replayed() > 0, "no cell shares a path");
+    assert!(replayed.replayed() < apps.len(), "every cell shares a path");
+
+    // The direct engine API names the first interval that differs.
+    for app in &apps {
+        let record = |cfg: &ExperimentConfig| {
+            CoupledEngine::for_workload(cfg, app.clone())
+                .run_recorded()
+                .unwrap()
+                .1
+        };
+        let (from, to) = (record(&hot), record(&cool));
+        let first = from
+            .intervals
+            .iter()
+            .zip(&to.intervals)
+            .position(|(x, y)| x.point != y.point);
+        let run = CoupledEngine::for_workload(&cool, app.clone())
+            .with_replay(Arc::new(from))
+            .run();
+        match (first, run) {
+            (None, Ok(_)) => {}
+            (Some(i), Err(EngineError::ReplayDiverged(msg))) => assert!(
+                msg.starts_with(&format!("interval {i}:")),
+                "{}: {msg}",
+                app.name()
+            ),
+            (first, run) => panic!("{}: first divergence {first:?}, got {run:?}", app.name()),
+        }
+    }
+}
+
+/// The pilot length sets the nominal power every interval is relative
+/// to, so a trace recorded with another pilot fraction is rejected at
+/// validation and its cells run live.
+#[test]
+fn a_pilot_fraction_mismatch_is_rejected_by_validate() {
+    let apps = smoke_apps();
+    let quarter = ExperimentConfig::baseline().with_uops(40_000);
+    let half = ExperimentConfig {
+        pilot_fraction: 0.5,
+        ..quarter.clone()
+    };
+    let (replayed, _) = cross_replay(&quarter, &half, &apps);
+    assert_eq!(replayed.replayed(), 0);
+    let (_, trace) = CoupledEngine::for_workload(&quarter, apps[0].clone())
+        .run_recorded()
+        .unwrap();
+    match ReplayBackend::validate(&half, &apps[0], &trace) {
+        Err(EngineError::ReplayIncompatible(msg)) => {
+            assert!(msg.contains("pilot_uops"), "{msg}")
+        }
+        other => panic!("expected ReplayIncompatible, got {other:?}"),
+    }
+}
+
+/// The smoke suite's workloads.
+fn smoke_apps() -> Vec<Workload> {
+    scenarios::suite_apps(true)
+        .into_iter()
+        .map(Workload::from)
+        .collect()
+}
+
+/// The 26 SPEC2000 workloads.
+fn spec_apps() -> Vec<Workload> {
+    AppProfile::spec2000()
+        .iter()
+        .copied()
+        .map(Workload::from)
+        .collect()
 }

@@ -1,13 +1,14 @@
 //! Retired DFAT versions: the reader accepts only the current trace
-//! format, so a committed v1 (`baseline-v1.dft`, single-row layout) or
-//! v2 (`dvfs-v2.dft`, raw multi-point rows) fixture must decode to
+//! format, so a committed v1 (`baseline-v1.dft`, single-row layout), v2
+//! (`dvfs-v2.dft`, raw multi-point rows) or v3 (`dvfs-v3.dft`,
+//! delta-coded multi-point rows) fixture must decode to
 //! `UnsupportedVersion` — and the cell it was recorded from, run the way
 //! `--replay DIR` runs it after skipping the file, must still produce
 //! the CSV row pinned when the fixture was recorded. A user holding old
 //! traces gets the same bytes; only the core is simulated again.
 //!
 //! The `.dft` fixtures under `tests/golden/` are kept byte-for-byte as
-//! the v1 and v2 encoders wrote them; nothing regenerates them. After an
+//! the v1, v2 and v3 encoders wrote them; nothing regenerates them. After an
 //! *intentional* change of result bits, re-pin the CSV rows alone:
 //!
 //! ```sh
@@ -88,6 +89,18 @@ fn retired_v2_fixture_is_unsupported_and_its_cell_runs_live_to_the_pinned_row() 
     check_retired_fixture(
         "dvfs-v2",
         2,
+        &ExperimentConfig::baseline()
+            .with_uops(30_000)
+            .with_dtm(DtmSpec::GlobalDvfs(DvfsPolicy::paper_limit())),
+    );
+}
+
+/// Likewise a two-point family whose non-nominal rows v3 delta-coded.
+#[test]
+fn retired_v3_fixture_is_unsupported_and_its_cell_runs_live_to_the_pinned_row() {
+    check_retired_fixture(
+        "dvfs-v3",
+        3,
         &ExperimentConfig::baseline()
             .with_uops(30_000)
             .with_dtm(DtmSpec::GlobalDvfs(DvfsPolicy::paper_limit())),
