@@ -96,21 +96,6 @@ impl DtmSpec {
         }
     }
 
-    /// Whether the policy acts purely at the power level, leaving the core
-    /// pipeline untouched.
-    ///
-    /// The emergency throttle only stretches wall-clock time through the
-    /// power model's operating point, so the core keeps the nominal
-    /// activity stream. Global DVFS rescales the core clock (uncore
-    /// latencies get relatively closer), and fetch gating / migration
-    /// steer the pipeline directly: all three change the activity stream
-    /// itself, so a replay under them stays exact only where it takes the
-    /// operating points the recording took (see
-    /// [`ReplayBackend`](crate::engine::ReplayBackend)).
-    pub fn replay_compatible(&self) -> bool {
-        matches!(self, DtmSpec::Emergency(_))
-    }
-
     /// The core-perturbing operating points this policy can put the
     /// pipeline into. Power-level policies (the emergency throttle) have
     /// none; migration is inert on a machine with fewer than two frontend

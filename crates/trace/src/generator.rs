@@ -68,9 +68,13 @@ impl ProgramWalk {
         }
     }
 
-    /// Produces the next micro-op of this walk, stamped with the global
-    /// sequence number `seq`.
-    fn next_uop(&mut self, seq: u64) -> MicroOp {
+    /// Micro-ops left in the current basic block, this one included.
+    fn block_remaining(&self) -> usize {
+        self.program.blocks[self.block].len() - self.slot
+    }
+
+    /// Produces the next micro-op of this walk.
+    fn next_uop(&mut self) -> MicroOp {
         let blocks = &self.program.blocks;
         let block = &blocks[self.block];
         let t = &block.templates[self.slot];
@@ -88,32 +92,23 @@ impl ProgramWalk {
             base + (m.offset + n * m.stride) % size.max(8) + self.addr_offset
         });
 
-        let (taken, target, next_block) = if is_last {
-            let taken = self.rng.chance(block.taken_prob);
-            let succ = if taken {
-                block.taken_target
-            } else {
-                block.fallthrough
-            };
-            (taken, blocks[succ].pc + self.addr_offset, succ)
-        } else {
-            (false, 0, self.block)
-        };
-
+        let taken = is_last && self.rng.chance(block.taken_prob);
         let uop = MicroOp {
-            seq,
             pc,
             kind: t.kind,
             dst: t.dst,
             srcs: t.srcs,
             mem_addr,
             taken,
-            target,
             ends_block: is_last,
         };
 
         if is_last {
-            self.block = next_block;
+            self.block = if taken {
+                block.taken_target
+            } else {
+                block.fallthrough
+            };
             self.slot = 0;
         } else {
             self.slot += 1;
@@ -139,8 +134,8 @@ fn phase_seed(seed: u64, phase: usize) -> u64 {
 /// let mut g = TraceGenerator::new(&AppProfile::test_tiny(), 1);
 /// let first: Vec<_> = (&mut g).take(100).collect();
 /// assert_eq!(first.len(), 100);
-/// // Sequence numbers are program order.
-/// assert!(first.windows(2).all(|w| w[1].seq == w[0].seq + 1));
+/// // Inside a basic block, micro-ops fill consecutive 16-byte slots.
+/// assert!(first.windows(2).all(|w| w[0].ends_block || w[1].pc == w[0].pc + 16));
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
@@ -152,8 +147,6 @@ pub struct TraceGenerator {
     /// Micro-ops left in the current visit; once it reaches zero the
     /// generator rotates at the next block boundary.
     left: u64,
-    /// Next global sequence number.
-    seq: u64,
     /// Micro-ops emitted per phase (phase-boundary accounting).
     phase_uops: Vec<u64>,
 }
@@ -172,7 +165,6 @@ impl TraceGenerator {
             slices: vec![u64::MAX],
             active: 0,
             left: u64::MAX,
-            seq: 0,
             phase_uops: vec![0],
         }
     }
@@ -208,7 +200,6 @@ impl TraceGenerator {
             walks,
             slices,
             active: 0,
-            seq: 0,
         }
     }
 
@@ -235,10 +226,17 @@ impl TraceGenerator {
         &self.phase_uops
     }
 
+    /// Micro-ops left in the basic block the next micro-op belongs to,
+    /// that one included: the static block length minus the walk's slot.
+    /// Phases rotate only at block boundaries, so the next
+    /// `block_remaining()` micro-ops all come from the active phase.
+    pub fn block_remaining(&self) -> usize {
+        self.walks[self.active].block_remaining()
+    }
+
     /// Produces the next micro-op in program order.
     pub fn next_uop(&mut self) -> MicroOp {
-        let uop = self.walks[self.active].next_uop(self.seq);
-        self.seq += 1;
+        let uop = self.walks[self.active].next_uop();
         self.phase_uops[self.active] += 1;
         self.left = self.left.saturating_sub(1);
         if self.left == 0 && uop.ends_block && self.walks.len() > 1 {
@@ -276,9 +274,50 @@ mod tests {
     }
 
     #[test]
-    fn seq_is_program_order() {
-        for (i, u) in gen().take(1000).enumerate() {
-            assert_eq!(u.seq, i as u64);
+    fn pcs_follow_the_walk_in_program_order() {
+        // Inside a block the next micro-op sits in the next slot; after a
+        // block's last micro-op the walk opens the taken successor's block
+        // if the branch was taken and the fall-through block otherwise.
+        let mut g = gen();
+        let program = g.program().clone();
+        let by_last_pc: HashMap<u64, &crate::BasicBlock> = program
+            .blocks
+            .iter()
+            .map(|b| (b.uop_pc(b.len() - 1), b))
+            .collect();
+        let mut prev = g.next_uop();
+        assert_eq!(prev.pc, program.blocks[0].pc);
+        let mut taken = 0;
+        for _ in 0..5_000 {
+            let u = g.next_uop();
+            let expected = if prev.ends_block {
+                let block = by_last_pc[&prev.pc];
+                if prev.taken {
+                    taken += 1;
+                    program.blocks[block.taken_target].pc
+                } else {
+                    program.blocks[block.fallthrough].pc
+                }
+            } else {
+                prev.pc + crate::program::UOP_BYTES
+            };
+            assert_eq!(u.pc, expected, "after {prev:?}");
+            prev = u;
+        }
+        assert!(taken > 0, "no taken branch in 5k micro-ops");
+    }
+
+    #[test]
+    fn block_remaining_counts_down_to_each_block_end() {
+        let gzip = *AppProfile::by_name("gzip").unwrap();
+        let phased = PhasedProfile::alternating("ab", AppProfile::test_tiny(), gzip, 50);
+        for mut g in [gen(), TraceGenerator::phased(&phased, 3)] {
+            for _ in 0..5_000 {
+                let left = g.block_remaining();
+                assert!(left > 0);
+                let u = g.next_uop();
+                assert_eq!(u.ends_block, left == 1);
+            }
         }
     }
 
@@ -298,11 +337,10 @@ mod tests {
     }
 
     #[test]
-    fn branches_end_blocks_and_carry_targets() {
+    fn branches_end_blocks_and_only_branches_are_taken() {
         for u in gen().take(5000) {
             if u.kind == UopKind::Branch {
                 assert!(u.ends_block);
-                assert!(u.target != 0);
             } else {
                 assert!(!u.taken);
             }

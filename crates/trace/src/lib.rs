@@ -29,7 +29,8 @@
 //! let profile = AppProfile::spec2000()[0]; // "gzip"
 //! let mut gen = TraceGenerator::new(&profile, 42);
 //! let uop = gen.next_uop();
-//! assert_eq!(uop.seq, 0);
+//! // The walk starts at the program's first block.
+//! assert_eq!(uop.pc, gen.program().blocks[0].pc);
 //! ```
 
 #![forbid(unsafe_code)]

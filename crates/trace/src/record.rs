@@ -261,16 +261,6 @@ impl PointKey {
         }
     }
 
-    /// The DVFS scale factors, if this is a DVFS point.
-    pub fn dvfs_scales(&self) -> Option<(f64, f64)> {
-        match self {
-            PointKey::Dvfs { f_bits, v_bits } => {
-                Some((f64::from_bits(*f_bits), f64::from_bits(*v_bits)))
-            }
-            _ => None,
-        }
-    }
-
     /// A short, stable, filesystem-safe label (`nominal`,
     /// `dvfs(0.7x0.85)`, `gate(1of2)`, `migrate(1)`), used to build
     /// [`TraceMeta::capability_id`].

@@ -165,8 +165,6 @@ impl fmt::Display for UopKind {
 /// A dynamic micro-op instance flowing through the pipeline.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MicroOp {
-    /// Program-order sequence number (0-based, strictly increasing).
-    pub seq: u64,
     /// Address of the micro-op (synthetic PCs are 16-byte aligned).
     pub pc: u64,
     /// Operation class.
@@ -179,15 +177,14 @@ pub struct MicroOp {
     pub mem_addr: Option<u64>,
     /// For branches: the dynamic direction taken this time.
     pub taken: bool,
-    /// For branches: branch target when taken.
-    pub target: u64,
     /// Marks the last micro-op of its basic block.
     pub ends_block: bool,
 }
 
 impl MicroOp {
-    /// A convenience constructor for a register-to-register op; useful in
-    /// tests and examples.
+    /// A convenience constructor for a register-to-register op at the
+    /// `seq`-th micro-op slot (pc `16 * seq`); useful in tests and
+    /// examples.
     ///
     /// # Examples
     ///
@@ -200,14 +197,12 @@ impl MicroOp {
     /// ```
     pub fn reg_op(seq: u64, kind: UopKind, dst: ArchReg, srcs: [Option<ArchReg>; 2]) -> Self {
         MicroOp {
-            seq,
             pc: seq * 16,
             kind,
             dst: Some(dst),
             srcs,
             mem_addr: None,
             taken: false,
-            target: 0,
             ends_block: false,
         }
     }
@@ -274,6 +269,14 @@ mod tests {
         assert!(!UopKind::IntAlu.is_mem());
         assert!(UopKind::FpMul.is_fp());
         assert!(!UopKind::Load.is_fp());
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn micro_op_is_forty_bytes() {
+        // Every fetched micro-op is built into the trace buffer and read by
+        // the simulator once; a field added here costs every run.
+        assert_eq!(std::mem::size_of::<MicroOp>(), 40);
     }
 
     #[test]

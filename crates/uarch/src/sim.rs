@@ -22,8 +22,8 @@
 //! `run_trace` and `process_uop`, which allocate nothing once the
 //! simulator has warmed up:
 //!
-//! * each trace is built into one buffer the simulator owns
-//!   ([`TraceBuilder::next_trace_into`]);
+//! * each trace is generated straight into one buffer the simulator owns,
+//!   one copy per micro-op ([`TraceBuilder::next_trace_into`]);
 //! * renaming counts registers instead of numbering them and returns its
 //!   copies inline; the registers a commit frees are a mask and a class,
 //!   held in the ROB entry itself (see [`crate::rename`]);
@@ -32,7 +32,10 @@
 //! * an issue queue or MOB keeps the release cycles that arrive in order
 //!   on a FIFO and only load completions on a heap (see `ReleaseQueue`);
 //! * partition lookups read a table and the ROB capacity is stored, so no
-//!   micro-op pays a division.
+//!   micro-op pays a division;
+//! * a micro-op's activity that follows from its backend, kind and
+//!   registers is one tally entry per micro-op (see `UopTally`), folded
+//!   into the counters once per interval.
 //!
 //! The ROB rings and issue queues grow to their high-water mark and are
 //! reused after that. Per-interval work in
@@ -52,7 +55,7 @@ use distfront_trace::{TraceGenerator, Workload};
 
 use crate::activity::ActivityCounters;
 use crate::bpred::BranchPredictor;
-use crate::config::ProcessorConfig;
+use crate::config::{FrontendMode, ProcessorConfig};
 use crate::rename::{ReleaseSet, RenameActivity, RenameUnit};
 use crate::steer::Steerer;
 use crate::tracer::{TraceBuilder, TraceLimits};
@@ -299,7 +302,16 @@ pub struct Simulator {
     l1d: Vec<L1DataCache>,
     rename: RenameUnit,
     steerer: Steerer,
+    /// The open interval's counters that do not follow from a micro-op's
+    /// backend, kind and registers alone (copies, fetch, misses).
     act: ActivityCounters,
+    /// The open interval's micro-ops, from which the rest of its activity
+    /// is derived once, when the interval is read or closed.
+    tally: UopTally,
+    /// The per-micro-op increments the tally replaced, kept by the model
+    /// check in `sim/model.rs`.
+    #[cfg(test)]
+    per_uop: ActivityCounters,
 
     backends: Vec<BackendTiming>,
     rob_rings: Vec<VecDeque<InFlight>>,
@@ -369,6 +381,9 @@ impl Simulator {
             rename: RenameUnit::new(cfg.backends, partitions, cfg.int_regs, cfg.fp_regs),
             steerer: Steerer::new(cfg.backends, cfg.steering),
             act: ActivityCounters::new(partitions, cfg.backends, physical_banks),
+            tally: UopTally::default(),
+            #[cfg(test)]
+            per_uop: ActivityCounters::new(partitions, cfg.backends, physical_banks),
             backends: (0..cfg.backends).map(|_| BackendTiming::new()).collect(),
             rob_rings: vec![VecDeque::new(); partitions],
             rob_per_partition: cfg.rob_per_partition(),
@@ -532,6 +547,9 @@ impl Simulator {
         let ra = self.rename.take_activity();
         let cycles = self.open_interval_cycles();
         fold_interval(&mut self.act, &bank_acc, &ra, cycles);
+        self.tally
+            .fold_into(&mut self.act, &self.rename, self.cfg.frontend_mode);
+        self.tally = UopTally::default();
         self.interval_start = self.last_commit;
         IntervalReport {
             activity: self.act.take(),
@@ -552,6 +570,8 @@ impl Simulator {
             self.rename.activity(),
             self.open_interval_cycles(),
         );
+        self.tally
+            .fold_into(&mut act, &self.rename, self.cfg.frontend_mode);
         act
     }
 
@@ -684,7 +704,6 @@ impl Simulator {
     /// Processes one micro-op through rename → dispatch → issue → commit.
     fn process_uop(&mut self, uop: &MicroOp, front_ready: u64) {
         let cfg_dispatch_latency = u64::from(self.cfg.dispatch_latency);
-        self.act.decoded_uops += 1;
 
         // -- Steer and rename ------------------------------------------------
         let backend = self.steerer.steer(uop, &self.rename);
@@ -715,14 +734,6 @@ impl Simulator {
             self.decouple.pop_front();
         }
         self.decouple.push_back(dispatch);
-
-        // ROB write (plus the L-field patch of the previous entry in the
-        // distributed organization).
-        self.act.rob_writes[partition] += 1;
-        if self.cfg.frontend_mode.is_distributed() {
-            // The previous entry's L field is patched (narrow write).
-            self.act.rob_rl_writes[partition] += 1;
-        }
 
         // -- Copies to localize remote sources --------------------------------
         for copy in renamed.copies.iter() {
@@ -774,9 +785,6 @@ impl Simulator {
                 }
                 bt.int_issue_free = issue + 1;
                 bt.int_q.push_in_order(issue);
-                self.act.backends[backend].iq_writes += 1;
-                self.act.backends[backend].iq_issues += 1;
-                self.act.backends[backend].int_fu_ops += 1;
             }
             QueueClass::Fp => {
                 issue = issue.max(bt.fp_issue_free);
@@ -786,22 +794,10 @@ impl Simulator {
                 }
                 bt.fp_issue_free = issue + 1;
                 bt.fp_q.push_in_order(issue);
-                self.act.backends[backend].fpq_writes += 1;
-                self.act.backends[backend].fpq_issues += 1;
-                self.act.backends[backend].fp_fu_ops += 1;
             }
             QueueClass::Mem => {
                 issue = issue.max(bt.mem_issue_free);
                 bt.mem_issue_free = issue + 1;
-                self.act.backends[backend].int_fu_ops += 1; // address generation
-            }
-        }
-
-        // Register-file reads for sources, write for the destination.
-        for s in uop.sources() {
-            match s.class() {
-                RegClass::Int => self.act.backends[backend].irf_reads += 1,
-                RegClass::Fp => self.act.backends[backend].fprf_reads += 1,
             }
         }
 
@@ -809,10 +805,6 @@ impl Simulator {
         let mut complete = issue + u64::from(uop.kind.latency());
         match uop.kind {
             UopKind::Load => {
-                self.act.backends[backend].dl1_accesses += 1;
-                self.act.backends[backend].dtlb_accesses += 1;
-                self.act.backends[backend].mob_allocs += 1;
-                self.act.backends[backend].mob_searches += 1;
                 let addr = uop.mem_addr.expect("load without address");
                 if self.l1d[backend].load(addr) {
                     complete += u64::from(self.cfg.l1d.hit_latency);
@@ -828,19 +820,10 @@ impl Simulator {
                 self.backends[backend].mem_q.push(complete);
             }
             UopKind::Store => {
-                self.act.backends[backend].dl1_accesses += 1;
-                self.act.backends[backend].dtlb_accesses += 1;
                 let addr = uop.mem_addr.expect("store without address");
                 self.l1d[backend].store(addr);
-                // Address broadcast on the disambiguation bus; a slot is
-                // held in every cluster's MOB until commit (§2).
-                self.act.disamb_broadcasts += 1;
-                for b in 0..self.cfg.backends {
-                    self.act.backends[b].mob_allocs += 1;
-                }
             }
             UopKind::Branch => {
-                self.act.bp_accesses += 2; // predict at fetch + update at resolve
                 let mispredicted = self.bp.predict_and_update(uop.pc, uop.taken);
                 if mispredicted {
                     let redirect = complete + u64::from(self.cfg.mispredict_penalty());
@@ -852,22 +835,11 @@ impl Simulator {
 
         if let Some(dst) = uop.dst {
             self.backends[backend].reg_ready[dst.index()] = complete;
-            match dst.class() {
-                RegClass::Int => self.act.backends[backend].irf_writes += 1,
-                RegClass::Fp => self.act.backends[backend].fprf_writes += 1,
-            }
         }
 
         // -- Commit ----------------------------------------------------------
         let commit_ready = complete + 1 + u64::from(self.cfg.distributed_commit_penalty);
         let commit = self.commit_slots.alloc(commit_ready);
-        self.act.rob_reads[partition] += 1;
-        if self.cfg.frontend_mode.is_distributed() {
-            // Amortized R/L pre-read of the commit walk (§3.1.2).
-            for p in 0..self.rob_rings.len() {
-                self.act.rob_rl_reads[p] += 1;
-            }
-        }
         if uop.kind == UopKind::Store {
             // The store's MOB slots (all clusters) free at commit.
             for b in 0..self.cfg.backends {
@@ -884,7 +856,104 @@ impl Simulator {
         });
         self.last_commit = self.last_commit.max(commit);
         self.total_committed += 1;
-        self.act.committed_uops += 1;
+        self.tally.count(uop, backend);
+        #[cfg(test)]
+        model::count_per_uop(&mut self.per_uop, uop, backend, partition, &self.cfg);
+    }
+}
+
+/// Kinds of micro-op, [`UopKind`] as an index (`Branch` is the last).
+const UOP_KINDS: usize = UopKind::Branch as usize + 1;
+
+/// The open interval's micro-ops by backend, kind and register class.
+///
+/// Most of a micro-op's activity follows from these alone: its issue
+/// queue and functional unit from its kind, its data-cache, TLB and MOB
+/// events from being a load or a store, its ROB partition from its
+/// backend. So the simulator counts each micro-op once here and
+/// [`fold_into`](Self::fold_into) derives those counters per interval.
+/// Events that depend on timing or on other micro-ops (copies, misses,
+/// bus transfers) are counted where they happen.
+#[derive(Debug, Clone, Default)]
+struct UopTally {
+    /// `kinds[backend][kind as usize]`: micro-ops dispatched.
+    kinds: [[u64; UOP_KINDS]; RenameUnit::MAX_BACKENDS],
+    /// `reads[backend][class as usize]`: register-file reads of the
+    /// micro-ops' sources.
+    reads: [[u64; 2]; RenameUnit::MAX_BACKENDS],
+    /// `writes[backend][class as usize]`: register-file writes of their
+    /// destinations.
+    writes: [[u64; 2]; RenameUnit::MAX_BACKENDS],
+}
+
+impl UopTally {
+    /// Counts one micro-op dispatched to `backend`.
+    fn count(&mut self, uop: &MicroOp, backend: usize) {
+        self.kinds[backend][uop.kind as usize] += 1;
+        for s in uop.sources() {
+            self.reads[backend][s.class() as usize] += 1;
+        }
+        if let Some(dst) = uop.dst {
+            self.writes[backend][dst.class() as usize] += 1;
+        }
+    }
+
+    /// Adds the activity the tallied micro-ops caused into `act`.
+    fn fold_into(&self, act: &mut ActivityCounters, rename: &RenameUnit, mode: FrontendMode) {
+        let backends = act.backends.len();
+        let stores: u64 = self.kinds[..backends]
+            .iter()
+            .map(|k| k[UopKind::Store as usize])
+            .sum();
+        let (mut uops, mut branches) = (0, 0);
+        for (b, a) in act.backends.iter_mut().enumerate() {
+            let n = |kind: UopKind| self.kinds[b][kind as usize];
+            let int =
+                n(UopKind::IntAlu) + n(UopKind::IntMul) + n(UopKind::IntDiv) + n(UopKind::Branch);
+            let fp = n(UopKind::FpAdd) + n(UopKind::FpMul) + n(UopKind::FpDiv);
+            let mem = n(UopKind::Load) + n(UopKind::Store);
+            a.iq_writes += int;
+            a.iq_issues += int;
+            a.fpq_writes += fp;
+            a.fpq_issues += fp;
+            // Memory micro-ops use an integer unit for address generation.
+            a.int_fu_ops += int + mem;
+            a.fp_fu_ops += fp;
+            a.dl1_accesses += mem;
+            a.dtlb_accesses += mem;
+            // A store address is broadcast on the disambiguation bus and
+            // holds a slot in every cluster's MOB until commit (§2).
+            a.mob_allocs += n(UopKind::Load) + stores;
+            a.mob_searches += n(UopKind::Load);
+            a.irf_reads += self.reads[b][RegClass::Int as usize];
+            a.fprf_reads += self.reads[b][RegClass::Fp as usize];
+            a.irf_writes += self.writes[b][RegClass::Int as usize];
+            a.fprf_writes += self.writes[b][RegClass::Fp as usize];
+
+            // One ROB write at dispatch and one read at commit, in the
+            // backend's partition.
+            let all = int + fp + mem;
+            let p = rename.partition_of(b);
+            act.rob_writes[p] += all;
+            act.rob_reads[p] += all;
+            if mode.is_distributed() {
+                // The previous entry's L field is patched (narrow write).
+                act.rob_rl_writes[p] += all;
+            }
+            uops += all;
+            branches += n(UopKind::Branch);
+        }
+        if mode.is_distributed() {
+            // Amortized R/L pre-read of the commit walk (§3.1.2).
+            for r in &mut act.rob_rl_reads {
+                *r += uops;
+            }
+        }
+        act.decoded_uops += uops;
+        act.committed_uops += uops;
+        act.disamb_broadcasts += stores;
+        // A branch is predicted at fetch and updated at resolve.
+        act.bp_accesses += 2 * branches;
     }
 }
 
@@ -923,6 +992,9 @@ fn queue_class(kind: UopKind) -> QueueClass {
         _ => QueueClass::Int,
     }
 }
+
+#[cfg(test)]
+mod model;
 
 #[cfg(test)]
 mod tests {

@@ -38,40 +38,21 @@ impl Default for TraceLimits {
 /// the set of distinct trace keys proportional to the *code footprint*
 /// rather than to the number of distinct dynamic paths, which is what lets
 /// a real trace cache converge on the hot path.
+///
+/// The builder holds no micro-ops of its own: it asks the generator how
+/// much of the current block is left
+/// ([`TraceGenerator::block_remaining`]) and generates the part it takes
+/// straight into the caller's buffer.
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
     generator: TraceGenerator,
     limits: TraceLimits,
-    /// The block currently being consumed; `pending[head..]` is not yet
-    /// emitted. Traces copy out of it slice by slice.
-    pending: Vec<MicroOp>,
-    head: usize,
 }
 
 impl TraceBuilder {
     /// Wraps a generator with the given limits.
     pub fn new(generator: TraceGenerator, limits: TraceLimits) -> Self {
-        TraceBuilder {
-            generator,
-            limits,
-            pending: Vec::new(),
-            head: 0,
-        }
-    }
-
-    /// Replaces the consumed block in `pending` with the next whole basic
-    /// block from the generator.
-    fn refill(&mut self) {
-        self.pending.clear();
-        self.head = 0;
-        loop {
-            let uop = self.generator.next_uop();
-            let ends = uop.ends_block;
-            self.pending.push(uop);
-            if ends {
-                break;
-            }
-        }
+        TraceBuilder { generator, limits }
     }
 
     /// Builds the next trace along the executed path into `uops`, which
@@ -84,10 +65,7 @@ impl TraceBuilder {
         let mut branch_bits = 0u8;
         let mut branches = 0;
         loop {
-            if self.head == self.pending.len() {
-                self.refill();
-            }
-            let block_len = self.pending.len() - self.head;
+            let block_len = self.generator.block_remaining();
             let fits = uops.len() + block_len <= self.limits.max_uops;
             if !fits && !uops.is_empty() {
                 break; // end the trace at the block boundary
@@ -97,15 +75,16 @@ impl TraceBuilder {
             } else {
                 self.limits.max_uops
             };
-            let taken = &self.pending[self.head..self.head + take];
-            for uop in taken.iter().filter(|u| u.is_branch()) {
-                if uop.taken {
-                    branch_bits |= 1 << branches;
+            for _ in 0..take {
+                let uop = self.generator.next_uop();
+                if uop.is_branch() {
+                    if uop.taken {
+                        branch_bits |= 1 << branches;
+                    }
+                    branches += 1;
                 }
-                branches += 1;
+                uops.push(uop);
             }
-            uops.extend_from_slice(taken);
-            self.head += take;
             if branches >= self.limits.max_branches || uops.len() >= self.limits.max_uops {
                 break;
             }
@@ -113,6 +92,9 @@ impl TraceBuilder {
         TraceKey::new(uops[0].pc, branch_bits)
     }
 }
+
+#[cfg(test)]
+mod model;
 
 #[cfg(test)]
 mod tests {
@@ -151,11 +133,12 @@ mod tests {
 
     #[test]
     fn traces_are_contiguous_in_program_order() {
-        let mut expect_seq = 0;
+        // Back to back, the traces are the generator's stream: nothing
+        // skipped, repeated or reordered.
+        let mut stream = TraceGenerator::new(&AppProfile::test_tiny(), 9);
         each_trace(200, |_, uops| {
             for u in uops {
-                assert_eq!(u.seq, expect_seq);
-                expect_seq += 1;
+                assert_eq!(*u, stream.next_uop());
             }
         });
     }
